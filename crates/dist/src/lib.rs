@@ -635,6 +635,7 @@ mod tests {
         let fingerprint = coordinator.fingerprint().clone();
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
+        let (abandoned_tx, abandoned_rx) = std::sync::mpsc::channel::<()>();
         let report = std::thread::scope(|scope| {
             // A bad worker that takes a lease and vanishes.
             scope.spawn(move || {
@@ -645,14 +646,18 @@ mod tests {
                 .unwrap();
                 assert!(matches!(replies[0], Msg::Welcome { slot: 0, .. }));
                 assert!(matches!(replies[1], Msg::Lease { .. }));
-                // Dropping the stream abandons the lease.
+                // The stream is gone: the lease is abandoned.
+                abandoned_tx.send(()).unwrap();
             });
-            // An honest worker joins a beat later and must still be able to
-            // fuzz the abandoned seeds.
+            // An honest worker joins once the bad one holds (and has dropped)
+            // its lease, and must still be able to fuzz the abandoned seeds.
+            // A hang-up instead of the signal means the bad worker's
+            // assertions failed; run anyway so the campaign ends and the
+            // scope reports that panic.
             let honest = {
                 let s = s.clone();
                 scope.spawn(move || {
-                    std::thread::sleep(Duration::from_millis(100));
+                    let _ = abandoned_rx.recv();
                     run_worker(addr, s, "unit@test", WorkerConfig::default())
                 })
             };
@@ -1139,8 +1144,9 @@ mod tests {
         let coordinator = Coordinator::new(&s, "unit@test", &seed_batch(151, 6), quick_cfg(6));
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
+        let (served_tx, served_rx) = std::sync::mpsc::channel::<()>();
         let report = std::thread::scope(|scope| {
-            scope.spawn(move || {
+            let garbage = scope.spawn(move || {
                 // (a) An oversized length prefix (a 4 GiB frame claim).
                 // Nothing past the prefix: the server closes after its
                 // reject, and unread bytes would turn that close into a
@@ -1173,18 +1179,27 @@ mod tests {
                     Ok(Msg::Reject { reason }) => assert!(reason.contains("malformed"), "{reason}"),
                     other => panic!("no clean reject for a bogus message: {other:?}"),
                 }
+                served_tx.send(()).unwrap();
                 // (d) A connection that says nothing at all, held open
-                // while the real campaign runs below.
+                // (in this thread's result) while the real campaign runs.
                 std::net::TcpStream::connect(addr).unwrap()
             });
             // The accept loop is unfazed: an honest worker joins after all
-            // that and the campaign completes.
+            // that and the campaign completes. It starts on the signal, not
+            // alongside: a campaign racing the rejects can finish, and take
+            // the listener with it, before (c) is served. A hang-up instead
+            // of the signal is a failed case above; run anyway so the
+            // campaign ends and the join below reports that panic.
             let honest = {
                 let s = s.clone();
-                scope.spawn(move || run_worker(addr, s, "unit@test", WorkerConfig::default()))
+                scope.spawn(move || {
+                    let _ = served_rx.recv();
+                    run_worker(addr, s, "unit@test", WorkerConfig::default())
+                })
             };
             let report = coordinator.serve(listener).unwrap();
             honest.join().unwrap().unwrap();
+            drop(garbage.join().unwrap());
             report
         });
         assert!(report.steps_done >= 6, "garbage clients stalled the campaign");

@@ -1,5 +1,7 @@
 //! 2-D convolution via im2col + matmul.
 
+use std::ops::Range;
+
 use dx_tensor::{kernels, rng::Rng, Tensor, Workspace};
 
 use crate::init::Init;
@@ -41,7 +43,10 @@ impl Conv2d {
         pad: usize,
         init: Init,
     ) -> Self {
-        assert!(kernel > 0 && stride > 0, "kernel and stride must be positive");
+        assert!(
+            in_ch > 0 && out_ch > 0 && kernel > 0 && stride > 0,
+            "channels, kernel and stride must be positive"
+        );
         Self {
             weight: Tensor::zeros(&[out_ch, in_ch, kernel, kernel]),
             bias: Tensor::zeros(&[out_ch]),
@@ -95,94 +100,63 @@ impl Conv2d {
         vec![self.out_ch, oh, ow]
     }
 
-    /// Forward pass over `[N, C, H, W]`.
+    /// Lowering geometry for an `[N, C, H, W]` input shape.
+    fn lowering(&self, shape: &[usize]) -> Lowering {
+        assert_eq!(shape.len(), 4, "Conv2d expects [N, C, H, W], got {shape:?}");
+        let (c, h, w) = (shape[1], shape[2], shape[3]);
+        assert_eq!(c, self.in_ch, "Conv2d expects {} channels, got {shape:?}", self.in_ch);
+        let (oh, ow) = self.out_hw(h, w);
+        Lowering { c, h, w, k: self.kernel, stride: self.stride, pad: self.pad, oh, ow }
+    }
+
+    /// Forward pass over `[N, C, H, W]`, caching the input for
+    /// [`Conv2d::backward`]. Same arithmetic as [`Conv2d::forward_ws`].
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches.
     pub fn forward(&self, x: &Tensor) -> (Tensor, Cache) {
-        assert_eq!(x.rank(), 4, "Conv2d expects [N, C, H, W], got {:?}", x.shape());
-        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        assert_eq!(c, self.in_ch, "Conv2d expects {} channels, got {:?}", self.in_ch, x.shape());
-        let (oh, ow) = self.out_hw(h, w);
-        let k = self.kernel;
-        let rows = c * k * k;
-        let cols = oh * ow;
-        let w_mat = self.weight.reshape(&[self.out_ch, rows]);
-        let mut out = Tensor::zeros(&[n, self.out_ch, oh, ow]);
-        let sample_in = c * h * w;
-        let sample_out = self.out_ch * oh * ow;
-        let mut col_buf = vec![0.0f32; rows * cols];
-        for i in 0..n {
-            let xin = &x.data()[i * sample_in..(i + 1) * sample_in];
-            im2col(xin, c, h, w, k, self.stride, self.pad, oh, ow, &mut col_buf);
-            let cols_t = Tensor::from_vec(col_buf.clone(), &[rows, cols]);
-            let y = w_mat.matmul(&cols_t);
-            let dst = &mut out.data_mut()[i * sample_out..(i + 1) * sample_out];
-            for oc in 0..self.out_ch {
-                let b = self.bias.data()[oc];
-                let src = &y.data()[oc * cols..(oc + 1) * cols];
-                let d = &mut dst[oc * cols..(oc + 1) * cols];
-                for (dv, &sv) in d.iter_mut().zip(src.iter()) {
-                    *dv = sv + b;
-                }
-            }
-        }
+        let (out, _) = self.forward_ws(x, &mut Workspace::new());
         (out, Cache::Input(x.clone()))
     }
 
-    /// Forward pass over `[N, C, H, W]` with all intermediates (im2col
-    /// matrix, per-sample matmul output, result) drawn from the workspace.
+    /// Forward pass over `[N, C, H, W]` with the im2col matrix and the
+    /// result drawn from the workspace.
     ///
-    /// Bit-identical to [`Conv2d::forward`]: the `[out_ch, C·k·k]` weight
-    /// view is the weight's own contiguous buffer (the reshape the old path
-    /// cloned per call), and the per-sample matmul runs the same blocked
-    /// kernel. Returns [`Cache::Shape`] — the input-gradient backward needs
-    /// only the input shape, not the input.
+    /// The `[out_ch, C·k·k]` weight view is the weight's own contiguous
+    /// buffer, and each sample's matmul accumulates straight into its
+    /// (zeroed) slice of the result, the bias added in place afterwards.
+    /// Returns [`Cache::Shape`] — the input-gradient backward needs only the
+    /// input shape, not the input.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches.
     pub fn forward_ws(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, Cache) {
-        assert_eq!(x.rank(), 4, "Conv2d expects [N, C, H, W], got {:?}", x.shape());
-        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        assert_eq!(c, self.in_ch, "Conv2d expects {} channels, got {:?}", self.in_ch, x.shape());
-        let (oh, ow) = self.out_hw(h, w);
-        let k = self.kernel;
-        let rows = c * k * k;
-        let cols = oh * ow;
-        let w_mat = self.weight.data();
-        let sample_in = c * h * w;
-        let sample_out = self.out_ch * oh * ow;
+        let g = self.lowering(x.shape());
+        let (n, rows, cols) = (x.shape()[0], g.rows(), g.cols());
+        let sample_out = self.out_ch * cols;
         let mut out = ws.take(n * sample_out);
         let mut col_buf = ws.take(rows * cols);
-        let mut y_buf = ws.take(sample_out);
-        for i in 0..n {
-            let xin = &x.data()[i * sample_in..(i + 1) * sample_in];
-            im2col(xin, c, h, w, k, self.stride, self.pad, oh, ow, &mut col_buf);
-            y_buf.fill(0.0);
-            kernels::matmul_acc(w_mat, &col_buf, self.out_ch, rows, cols, &mut y_buf);
-            let dst = &mut out[i * sample_out..(i + 1) * sample_out];
-            for oc in 0..self.out_ch {
-                let b = self.bias.data()[oc];
-                let src = &y_buf[oc * cols..(oc + 1) * cols];
-                let d = &mut dst[oc * cols..(oc + 1) * cols];
-                for (dv, &sv) in d.iter_mut().zip(src.iter()) {
-                    *dv = sv + b;
+        for (xin, y) in x.data().chunks_exact(g.sample_len()).zip(out.chunks_exact_mut(sample_out))
+        {
+            im2col(xin, &g, &mut col_buf);
+            kernels::matmul_acc(self.weight.data(), &col_buf, self.out_ch, rows, cols, y);
+            for (y_ch, &b) in y.chunks_exact_mut(cols).zip(self.bias.data()) {
+                for v in y_ch {
+                    *v += b;
                 }
             }
         }
         ws.put(col_buf);
-        ws.put(y_buf);
-        (Tensor::from_vec(out, &[n, self.out_ch, oh, ow]), Cache::Shape(x.shape().to_vec()))
+        (Tensor::from_vec(out, &[n, self.out_ch, g.oh, g.ow]), Cache::Shape(x.shape().to_vec()))
     }
 
     /// Input gradient only, with all intermediates (transposed weight view,
     /// per-sample column gradients, result) drawn from the workspace.
     ///
     /// The transposed weight is built once per call and amortized across the
-    /// batch — same cost shape as [`Conv2d::backward`], minus its per-sample
-    /// `g.to_vec()` clone and matmul allocation.
+    /// batch.
     ///
     /// # Panics
     ///
@@ -193,34 +167,27 @@ impl Conv2d {
         grad_out: &Tensor,
         ws: &mut Workspace,
     ) -> Tensor {
-        let (n, c, h, w) = (in_shape[0], in_shape[1], in_shape[2], in_shape[3]);
-        let (oh, ow) = self.out_hw(h, w);
+        let g = self.lowering(in_shape);
+        let (n, rows, cols) = (in_shape[0], g.rows(), g.cols());
         assert_eq!(
             grad_out.shape(),
-            &[n, self.out_ch, oh, ow],
+            &[n, self.out_ch, g.oh, g.ow],
             "Conv2d backward: grad shape {:?} does not match output",
             grad_out.shape()
         );
-        let k = self.kernel;
-        let rows = c * k * k;
-        let cols = oh * ow;
-        let w_mat = self.weight.data();
         let mut w_mat_t = ws.take(rows * self.out_ch);
-        for oc in 0..self.out_ch {
-            for (r, &wv) in w_mat[oc * rows..(oc + 1) * rows].iter().enumerate() {
-                w_mat_t[r * self.out_ch + oc] = wv;
-            }
-        }
-        let sample_in = c * h * w;
-        let sample_out = self.out_ch * oh * ow;
-        let mut dx = ws.take(n * sample_in);
+        transpose_into(self.weight.data(), self.out_ch, rows, &mut w_mat_t);
+        let mut dx = ws.take(n * g.sample_len());
         let mut dcols = ws.take(rows * cols);
-        for i in 0..n {
-            let g = &grad_out.data()[i * sample_out..(i + 1) * sample_out];
+        for (gi, dxi) in grad_out
+            .data()
+            .chunks_exact(self.out_ch * cols)
+            .zip(dx.chunks_exact_mut(g.sample_len()))
+        {
+            // dCols = W^T · dY, scattered back to input positions.
             dcols.fill(0.0);
-            kernels::matmul_acc(&w_mat_t, g, rows, self.out_ch, cols, &mut dcols);
-            let dxi = &mut dx[i * sample_in..(i + 1) * sample_in];
-            col2im(&dcols, c, h, w, k, self.stride, self.pad, oh, ow, dxi);
+            kernels::matmul_acc(&w_mat_t, gi, rows, self.out_ch, cols, &mut dcols);
+            col2im(&dcols, &g, dxi);
         }
         ws.put(w_mat_t);
         ws.put(dcols);
@@ -236,57 +203,53 @@ impl Conv2d {
         grad_out: &Tensor,
         want_param_grads: bool,
     ) -> (Tensor, Vec<Tensor>) {
-        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let (oh, ow) = self.out_hw(h, w);
-        assert_eq!(
-            grad_out.shape(),
-            &[n, self.out_ch, oh, ow],
-            "Conv2d backward: grad shape {:?} does not match output",
-            grad_out.shape()
-        );
-        let k = self.kernel;
-        let rows = c * k * k;
-        let cols = oh * ow;
-        let w_mat = self.weight.reshape(&[self.out_ch, rows]);
-        let w_mat_t = w_mat.transpose();
-        let mut dx = Tensor::zeros(x.shape());
-        let mut dw_mat = Tensor::zeros(&[self.out_ch, rows]);
+        let mut ws = Workspace::new();
+        let dx = self.backward_input_ws(x.shape(), grad_out, &mut ws);
+        if !want_param_grads {
+            return (dx, vec![]);
+        }
+        let g = self.lowering(x.shape());
+        let (rows, cols) = (g.rows(), g.cols());
+        let mut dw = vec![0.0f32; self.out_ch * rows];
         let mut db = vec![0.0f32; self.out_ch];
-        let sample_in = c * h * w;
-        let sample_out = self.out_ch * oh * ow;
-        let mut col_buf = vec![0.0f32; rows * cols];
-        for i in 0..n {
-            let g = &grad_out.data()[i * sample_out..(i + 1) * sample_out];
-            let g_mat = Tensor::from_vec(g.to_vec(), &[self.out_ch, cols]);
-            // dCols = W^T · dY, scattered back to input positions.
-            let dcols = w_mat_t.matmul(&g_mat);
-            let dxi = &mut dx.data_mut()[i * sample_in..(i + 1) * sample_in];
-            col2im(dcols.data(), c, h, w, k, self.stride, self.pad, oh, ow, dxi);
-            if want_param_grads {
-                let xin = &x.data()[i * sample_in..(i + 1) * sample_in];
-                im2col(xin, c, h, w, k, self.stride, self.pad, oh, ow, &mut col_buf);
-                let cols_t = Tensor::from_vec(col_buf.clone(), &[rows, cols]);
-                // dW += dY · cols^T.
-                dw_mat += &g_mat.matmul(&cols_t.transpose());
-                for oc in 0..self.out_ch {
-                    db[oc] += g[oc * cols..(oc + 1) * cols].iter().sum::<f32>();
-                }
+        let mut col_buf = ws.take(rows * cols);
+        let mut col_t = ws.take(cols * rows);
+        let mut dw_i = ws.take(self.out_ch * rows);
+        for (xin, gi) in x
+            .data()
+            .chunks_exact(g.sample_len())
+            .zip(grad_out.data().chunks_exact(self.out_ch * cols))
+        {
+            im2col(xin, &g, &mut col_buf);
+            transpose_into(&col_buf, rows, cols, &mut col_t);
+            // dW += dY · cols^T, each sample's product completed before it is added.
+            dw_i.fill(0.0);
+            kernels::matmul_acc(gi, &col_t, self.out_ch, cols, rows, &mut dw_i);
+            for (d, &s) in dw.iter_mut().zip(dw_i.iter()) {
+                *d += s;
+            }
+            for (b, g_ch) in db.iter_mut().zip(gi.chunks_exact(cols)) {
+                *b += g_ch.iter().sum::<f32>();
             }
         }
-        if want_param_grads {
-            let dw = dw_mat.reshape(&[self.out_ch, self.in_ch, k, k]);
-            (dx, vec![dw, Tensor::from_vec(db, &[self.out_ch])])
-        } else {
-            (dx, vec![])
+        let dw = Tensor::from_vec(dw, &[self.out_ch, self.in_ch, g.k, g.k]);
+        (dx, vec![dw, Tensor::from_vec(db, &[self.out_ch])])
+    }
+}
+
+/// `dst[c][r] = src[r][c]` for row-major `src[rows, cols]`.
+fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    for (r, src_row) in src.chunks_exact(cols).enumerate() {
+        for (c, &v) in src_row.iter().enumerate() {
+            dst[c * rows + r] = v;
         }
     }
 }
 
-/// Lowers one `[C, H, W]` sample into an im2col matrix of shape
-/// `[C·k·k, OH·OW]` (row-major into `out`). Out-of-bounds taps are zero.
-#[allow(clippy::too_many_arguments)]
-fn im2col(
-    x: &[f32],
+/// Geometry of one `[C, H, W]` sample's lowering to a `[C·k·k, OH·OW]`
+/// im2col matrix.
+#[derive(Clone, Copy, Debug)]
+struct Lowering {
     c: usize,
     h: usize,
     w: usize,
@@ -295,70 +258,89 @@ fn im2col(
     pad: usize,
     oh: usize,
     ow: usize,
-    out: &mut [f32],
-) {
-    let cols = oh * ow;
-    debug_assert_eq!(out.len(), c * k * k * cols);
-    for ch in 0..c {
-        let plane = &x[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ch * k + ky) * k + kx;
-                let dst = &mut out[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    let base = oy * ow;
-                    if iy < 0 || iy >= h as isize {
-                        dst[base..base + ow].fill(0.0);
-                        continue;
-                    }
-                    let src_row = &plane[iy as usize * w..(iy as usize + 1) * w];
-                    for ox in 0..ow {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        dst[base + ox] =
-                            if ix < 0 || ix >= w as isize { 0.0 } else { src_row[ix as usize] };
-                    }
+}
+
+impl Lowering {
+    fn rows(&self) -> usize {
+        self.c * self.k * self.k
+    }
+
+    fn cols(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    fn sample_len(&self) -> usize {
+        self.c * self.h * self.w
+    }
+
+    /// The taps `(ch, ky, kx)` in im2col-matrix row order. Which outputs a
+    /// tap reads inside the sample depends on its row and column offset
+    /// alone, so both ranges are computed here, once per tap, and the
+    /// lowerings move whole output rows without a per-element bounds branch.
+    fn taps(&self) -> impl Iterator<Item = Tap> + '_ {
+        let Lowering { h, w, k, stride, pad, oh, ow, .. } = *self;
+        // Outputs `o` with `0 <= o·stride + off − pad < len`.
+        let inside = move |off: usize, len: usize, outs: usize| {
+            let lo = pad.saturating_sub(off).div_ceil(stride).min(outs);
+            lo..(len + pad).saturating_sub(off).div_ceil(stride).min(outs)
+        };
+        (0..self.rows()).map(move |row| {
+            let (ch, ky, kx) = (row / (k * k), row / k % k, row % k);
+            let (ys, xs) = (inside(ky, h, oh), inside(kx, w, ow));
+            if ys.is_empty() || xs.is_empty() {
+                return Tap { ys: 0..0, xs: 0..0, src: 0 };
+            }
+            let src = (ch * h + ys.start * stride + ky - pad) * w + xs.start * stride + kx - pad;
+            Tap { ys, xs, src }
+        })
+    }
+}
+
+/// One kernel tap's window onto the sample: outputs `ys × xs` read real
+/// elements (every other output of the tap's matrix row is padding), output
+/// `(ys.start, xs.start)` reads sample element `src`, the next output right
+/// reads `stride` elements on and the next output down `stride·w` on.
+struct Tap {
+    ys: Range<usize>,
+    xs: Range<usize>,
+    src: usize,
+}
+
+/// Lowers one `[C, H, W]` sample into its im2col matrix (row-major into
+/// `out`). Out-of-bounds taps are zero.
+fn im2col(x: &[f32], g: &Lowering, out: &mut [f32]) {
+    debug_assert_eq!(out.len(), g.rows() * g.cols());
+    for (Tap { ys, xs, src }, dst) in g.taps().zip(out.chunks_exact_mut(g.cols())) {
+        dst[..ys.start * g.ow].fill(0.0);
+        dst[ys.end * g.ow..].fill(0.0);
+        for (i, dst) in dst[ys.start * g.ow..ys.end * g.ow].chunks_exact_mut(g.ow).enumerate() {
+            let src = &x[src + i * g.stride * g.w..];
+            dst[..xs.start].fill(0.0);
+            dst[xs.end..].fill(0.0);
+            if g.stride == 1 {
+                dst[xs.clone()].copy_from_slice(&src[..xs.len()]);
+            } else {
+                for (d, &s) in dst[xs.clone()].iter_mut().zip(src.iter().step_by(g.stride)) {
+                    *d = s;
                 }
             }
         }
     }
 }
 
-/// Scatter-adds an im2col-shaped gradient back onto the input plane —
+/// Scatter-adds an im2col-shaped gradient back onto the input sample —
 /// the adjoint of [`im2col`].
-#[allow(clippy::too_many_arguments)]
-fn col2im(
-    cols_grad: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    oh: usize,
-    ow: usize,
-    out: &mut [f32],
-) {
-    let cols = oh * ow;
-    for ch in 0..c {
-        let plane = &mut out[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ch * k + ky) * k + kx;
-                let src = &cols_grad[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let base = oy * ow;
-                    let dst_row = &mut plane[iy as usize * w..(iy as usize + 1) * w];
-                    for ox in 0..ow {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if ix >= 0 && ix < w as isize {
-                            dst_row[ix as usize] += src[base + ox];
-                        }
-                    }
+fn col2im(cols_grad: &[f32], g: &Lowering, out: &mut [f32]) {
+    for (Tap { ys, xs, src }, tap) in g.taps().zip(cols_grad.chunks_exact(g.cols())) {
+        for (i, row) in tap[ys.start * g.ow..ys.end * g.ow].chunks_exact(g.ow).enumerate() {
+            let dst = &mut out[src + i * g.stride * g.w..];
+            if g.stride == 1 {
+                for (d, &s) in dst[..xs.len()].iter_mut().zip(&row[xs.clone()]) {
+                    *d += s;
+                }
+            } else {
+                for (d, &s) in dst.iter_mut().step_by(g.stride).zip(&row[xs.clone()]) {
+                    *d += s;
                 }
             }
         }
@@ -400,6 +382,230 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The per-element lowering the slice-moving [`im2col`] replaced: one
+    /// bounds branch per matrix element. Kept as the bit-exact oracle.
+    fn im2col_ref(x: &[f32], g: &Lowering, out: &mut [f32]) {
+        let Lowering { c, h, w, k, stride, pad, oh, ow } = *g;
+        for ch in 0..c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let iy = (oy * stride + ky) as isize - pad as isize;
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            let inside = iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize;
+                            out[(((ch * k + ky) * k + kx) * oh + oy) * ow + ox] = if inside {
+                                x[(ch * h + iy as usize) * w + ix as usize]
+                            } else {
+                                0.0
+                            };
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Per-element scatter-add oracle for [`col2im`], same visiting order.
+    fn col2im_ref(cols_grad: &[f32], g: &Lowering, out: &mut [f32]) {
+        let Lowering { c, h, w, k, stride, pad, oh, ow } = *g;
+        for ch in 0..c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let iy = (oy * stride + ky) as isize - pad as isize;
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                                out[(ch * h + iy as usize) * w + ix as usize] +=
+                                    cols_grad[(((ch * k + ky) * k + kx) * oh + oy) * ow + ox];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The forward pass as it stood before the workspace rewrite: per-sample
+    /// reference lowering, an allocating `Tensor::matmul`, bias added on copy.
+    fn forward_ref(layer: &Conv2d, x: &Tensor) -> Tensor {
+        let g = layer.lowering(x.shape());
+        let (n, rows, cols) = (x.shape()[0], g.rows(), g.cols());
+        let w_mat = layer.weight.reshape(&[layer.out_ch, rows]);
+        let mut out = Vec::new();
+        for i in 0..n {
+            let mut col = vec![f32::NAN; rows * cols];
+            im2col_ref(&x.data()[i * g.sample_len()..(i + 1) * g.sample_len()], &g, &mut col);
+            let y = w_mat.matmul(&Tensor::from_vec(col, &[rows, cols]));
+            for oc in 0..layer.out_ch {
+                let b = layer.bias.data()[oc];
+                out.extend(y.data()[oc * cols..(oc + 1) * cols].iter().map(|&v| v + b));
+            }
+        }
+        Tensor::from_vec(out, &[n, layer.out_ch, g.oh, g.ow])
+    }
+
+    /// The cache-based backward as it stood before it shared the workspace
+    /// path: `(dx, dW, db)` through allocating tensor ops.
+    fn backward_ref(layer: &Conv2d, x: &Tensor, grad_out: &Tensor) -> (Tensor, Tensor, Tensor) {
+        let g = layer.lowering(x.shape());
+        let (n, rows, cols) = (x.shape()[0], g.rows(), g.cols());
+        let w_mat_t = layer.weight.reshape(&[layer.out_ch, rows]).transpose();
+        let mut dx = Tensor::zeros(x.shape());
+        let mut dw_mat = Tensor::zeros(&[layer.out_ch, rows]);
+        let mut db = vec![0.0f32; layer.out_ch];
+        let sample_out = layer.out_ch * cols;
+        for i in 0..n {
+            let gi = &grad_out.data()[i * sample_out..(i + 1) * sample_out];
+            let g_mat = Tensor::from_vec(gi.to_vec(), &[layer.out_ch, cols]);
+            let dcols = w_mat_t.matmul(&g_mat);
+            let span = i * g.sample_len()..(i + 1) * g.sample_len();
+            col2im_ref(dcols.data(), &g, &mut dx.data_mut()[span.clone()]);
+            let mut col = vec![f32::NAN; rows * cols];
+            im2col_ref(&x.data()[span], &g, &mut col);
+            dw_mat += &g_mat.matmul(&Tensor::from_vec(col, &[rows, cols]).transpose());
+            for oc in 0..layer.out_ch {
+                db[oc] += gi[oc * cols..(oc + 1) * cols].iter().sum::<f32>();
+            }
+        }
+        let dw = dw_mat.reshape(&[layer.out_ch, layer.in_ch, g.k, g.k]);
+        (dx, dw, Tensor::from_vec(db, &[layer.out_ch]))
+    }
+
+    /// Bit patterns, with every NaN mapped to one: which operand's sign and
+    /// payload a NaN sum inherits is the compiler's choice of operand order,
+    /// not something either lowering defines.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| if f.is_nan() { f32::NAN.to_bits() } else { f.to_bits() }).collect()
+    }
+
+    /// Every lowering the grid tests run: kernel × stride × pad (through
+    /// `pad >= k`) on non-square planes down to a single pixel — which
+    /// includes taps whose valid `ox` range is empty (`w + pad <= kx`) —
+    /// plus the DAVE first layer.
+    fn geometries() -> Vec<Lowering> {
+        let lower = |c, k, stride, pad, h, w| {
+            Conv2d::new(c, 1, k, stride, pad, Init::Zeros).lowering(&[1, c, h, w])
+        };
+        let mut all = vec![lower(1, 5, 2, 0, 33, 100)];
+        for k in [1, 3, 5] {
+            for stride in [1, 2, 3] {
+                for pad in [0, 1, 2, k, k + 1] {
+                    for (h, w) in [(5, 7), (7, 5), (6, 11), (1, 1), (2, 1), (1, 4)] {
+                        if h + 2 * pad >= k && w + 2 * pad >= k {
+                            all.push(lower(2, k, stride, pad, h, w));
+                        }
+                    }
+                }
+            }
+        }
+        all
+    }
+
+    /// `len` values in ±1, except that every position `border` marks holds
+    /// NaN / +inf / -inf in rotation.
+    fn plane_data(seed: u64, len: usize, border: impl Fn(usize) -> bool) -> Vec<f32> {
+        let mut v = rng::uniform(&mut rng::rng(seed), &[len], -1.0, 1.0).into_vec();
+        for (i, x) in v.iter_mut().enumerate().filter(|(i, _)| border(*i)) {
+            *x = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][i % 3];
+        }
+        v
+    }
+
+    #[test]
+    fn lowering_is_bit_identical_to_the_per_element_reference() {
+        let mut empty_ranges = 0;
+        for (seed, g) in geometries().into_iter().enumerate() {
+            let (k, h, w, oh, ow) = (g.k, g.h, g.w, g.oh, g.ow);
+            empty_ranges += (0..k).filter(|&kx| w + g.pad <= kx).count();
+            for non_finite in [false, true] {
+                let edge = |i: usize, rows: usize, cols: usize| {
+                    let (y, x) = (i / cols % rows, i % cols);
+                    non_finite && (y == 0 || y == rows - 1 || x == 0 || x == cols - 1)
+                };
+                let x = plane_data(seed as u64, g.sample_len(), |i| edge(i, h, w));
+                // Pre-dirtied: im2col must overwrite padding, not assume zeros.
+                let (mut got, mut want) =
+                    (vec![7.0; g.rows() * g.cols()], vec![7.0; g.rows() * g.cols()]);
+                im2col(&x, &g, &mut got);
+                im2col_ref(&x, &g, &mut want);
+                assert_eq!(bits(&got), bits(&want), "im2col k{k} s{} p{} {h}x{w}", g.stride, g.pad);
+
+                let y = plane_data(seed as u64 + 1000, g.rows() * g.cols(), |i| edge(i, oh, ow));
+                // Pre-filled: col2im accumulates.
+                let (mut got, mut want) = (x.clone(), x.clone());
+                col2im(&y, &g, &mut got);
+                col2im_ref(&y, &g, &mut want);
+                assert_eq!(bits(&got), bits(&want), "col2im k{k} s{} p{} {h}x{w}", g.stride, g.pad);
+            }
+        }
+        assert!(empty_ranges > 0, "the grid lost its empty-range taps");
+    }
+
+    #[test]
+    fn col2im_is_the_adjoint_of_im2col() {
+        // Small-integer data keeps every product and sum exact, so
+        // <im2col(x), y> == <x, col2im(y)> holds to the bit.
+        for (seed, g) in geometries().into_iter().enumerate() {
+            let ints = |seed: u64, len: usize| -> Vec<f32> {
+                rng::uniform(&mut rng::rng(seed), &[len], -4.0, 4.0)
+                    .data()
+                    .iter()
+                    .map(|v| v.round())
+                    .collect()
+            };
+            let x = ints(seed as u64, g.sample_len());
+            let y = ints(seed as u64 + 500, g.rows() * g.cols());
+            let mut lowered = vec![0.0; y.len()];
+            im2col(&x, &g, &mut lowered);
+            let mut raised = vec![0.0; x.len()];
+            col2im(&y, &g, &mut raised);
+            let dot = |a: &[f32], b: &[f32]| {
+                a.iter().zip(b).map(|(&p, &q)| f64::from(p * q)).sum::<f64>()
+            };
+            assert_eq!(dot(&lowered, &y), dot(&x, &raised), "k{} s{} p{}", g.k, g.stride, g.pad);
+        }
+    }
+
+    #[test]
+    fn passes_are_bit_identical_to_the_pre_workspace_references() {
+        for (seed, g) in geometries().into_iter().enumerate() {
+            let mut layer = Conv2d::new(g.c, 3, g.k, g.stride, g.pad, Init::XavierUniform);
+            layer.init_weights(&mut rng::rng(seed as u64));
+            layer.bias = rng::uniform(&mut rng::rng(seed as u64 + 1), &[3], -0.5, 0.5);
+            for n in [1, 3, 4] {
+                let x =
+                    rng::uniform(&mut rng::rng(seed as u64 + 2), &[n, g.c, g.h, g.w], -1.0, 1.0);
+                let want = forward_ref(&layer, &x);
+                let mut ws = Workspace::new();
+                let (y_ws, _) = layer.forward_ws(&x, &mut ws);
+                let (y, _) = layer.forward(&x);
+                assert_eq!(y_ws.shape(), want.shape());
+                assert_eq!(bits(y_ws.data()), bits(want.data()), "forward_ws n{n} {g:?}");
+                assert_eq!(bits(y.data()), bits(want.data()), "forward n{n} {g:?}");
+
+                let grad = rng::uniform(&mut rng::rng(seed as u64 + 3), want.shape(), -1.0, 1.0);
+                let (dx_want, dw_want, db_want) = backward_ref(&layer, &x, &grad);
+                // A warm workspace: stale pooled buffers must not leak in.
+                let dx_ws = layer.backward_input_ws(x.shape(), &grad, &mut ws);
+                assert_eq!(
+                    bits(dx_ws.data()),
+                    bits(dx_want.data()),
+                    "backward_input_ws n{n} {g:?}"
+                );
+                let (dx, none) = layer.backward(&x, &grad, false);
+                assert_eq!(bits(dx.data()), bits(dx_want.data()), "backward n{n} {g:?}");
+                assert!(none.is_empty());
+                let (dx, grads) = layer.backward(&x, &grad, true);
+                assert_eq!(bits(dx.data()), bits(dx_want.data()));
+                assert_eq!(grads[0].shape(), dw_want.shape());
+                assert_eq!(bits(grads[0].data()), bits(dw_want.data()), "dW n{n} {g:?}");
+                assert_eq!(bits(grads[1].data()), bits(db_want.data()), "db n{n} {g:?}");
+            }
+        }
     }
 
     fn random_layer(in_ch: usize, out_ch: usize, k: usize, s: usize, p: usize) -> Conv2d {

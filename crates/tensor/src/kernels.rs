@@ -10,6 +10,14 @@
 //!   semantics the workspace's bit-exact checkpoints rest on). Cache
 //!   blocking below reorders traversal across *elements*, never within one
 //!   element's reduction, so results are identical to the unblocked loop.
+//!   The same holds for the k-unroll in [`matmul_acc`]: four lhs terms are
+//!   consumed per sweep of the output row, but each element is still
+//!   `(((o + a0·b0) + a1·b1) + a2·b2) + a3·b3` — ascending `k`, one rounding
+//!   per add, no fused multiply-add — so the unroll saves three of every
+//!   four loads and stores of `o` and changes no bit. A quad holding a
+//!   `0.0` lhs term (post-ReLU activations are full of them) falls back to
+//!   the one-term-at-a-time loop, because the skip is semantic, not just a
+//!   shortcut: multiplying through would turn `0·inf` into NaN.
 //! - **Contiguous inner loops without bounds checks.** Inner loops zip
 //!   subslices, which the compiler proves in-bounds and autovectorizes;
 //!   there is no indexed access in any inner loop.
@@ -36,7 +44,7 @@ const JB: usize = 256;
 /// first — [`Workspace::take`](crate::Workspace::take) hands out zeroed
 /// buffers). Terms with `a == 0.0` are skipped, matching the historical
 /// `Tensor::matmul` semantics; per-element accumulation order is ascending
-/// `k` regardless of blocking.
+/// `k` regardless of blocking and of the four-term unroll.
 ///
 /// # Panics
 ///
@@ -54,13 +62,29 @@ pub fn matmul_acc(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut 
             for i in 0..m {
                 let a_row = &a[i * k + kb..i * k + kend];
                 let o_row = &mut out[i * n + jb..i * n + jend];
-                for (p, &av) in a_row.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let b_seg = &b[(kb + p) * n + jb..(kb + p) * n + jend];
-                    for (o, &bv) in o_row.iter_mut().zip(b_seg.iter()) {
-                        *o += av * bv;
+                let b_seg = |p: usize| &b[(kb + p) * n + jb..(kb + p) * n + jend];
+                for (q, quad) in a_row.chunks(4).enumerate() {
+                    let p = 4 * q;
+                    match *quad {
+                        [a0, a1, a2, a3] if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 => {
+                            let rhs = b_seg(p).iter().zip(b_seg(p + 1)).zip(b_seg(p + 2));
+                            for ((o, ((&b0, &b1), &b2)), &b3) in
+                                o_row.iter_mut().zip(rhs).zip(b_seg(p + 3))
+                            {
+                                *o = (((*o + a0 * b0) + a1 * b1) + a2 * b2) + a3 * b3;
+                            }
+                        }
+                        // A short tail, or a quad holding a zero lhs term.
+                        _ => {
+                            for (t, &av) in quad.iter().enumerate() {
+                                if av == 0.0 {
+                                    continue;
+                                }
+                                for (o, &bv) in o_row.iter_mut().zip(b_seg(p + t)) {
+                                    *o += av * bv;
+                                }
+                            }
+                        }
                     }
                 }
             }
@@ -146,9 +170,9 @@ pub fn matmul_bias_act(
 mod tests {
     use super::*;
 
-    /// The unblocked ikj reference the blocked kernel must match bit-for-bit.
-    fn matmul_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; m * n];
+    /// The unblocked, one-term-at-a-time ikj reference (the kernel's inner
+    /// loop before the k-unroll) that `matmul_acc` must match bit-for-bit.
+    fn matmul_naive_acc(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
         for i in 0..m {
             let a_row = &a[i * k..(i + 1) * k];
             let o_row = &mut out[i * n..(i + 1) * n];
@@ -162,7 +186,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn matmul_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        matmul_naive_acc(a, b, m, k, n, &mut out);
         out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
     }
 
     fn pseudo(seed: u64, len: usize) -> Vec<f32> {
@@ -183,20 +216,60 @@ mod tests {
 
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive() {
-        // Sizes straddling the block boundaries in both k and n.
-        for &(m, k, n) in
-            &[(1, 3, 2), (2, 64, 256), (3, 65, 257), (8, 400, 120), (5, 130, 300), (1, 1, 1)]
-        {
+        // Sizes straddling the block boundaries in both k and n, and every
+        // k around the quad (4) and block (64, 128) edges of the unroll.
+        let mut sizes =
+            vec![(1, 3, 2), (2, 64, 256), (3, 65, 257), (8, 400, 120), (5, 130, 300), (1, 1, 1)];
+        sizes.extend((1..=9).chain(63..=66).chain([130]).map(|k| (3, k, 11)));
+        for (m, k, n) in sizes {
             let a = pseudo(m as u64 * 31 + k as u64, m * k);
             let b = pseudo(n as u64 * 17 + 5, k * n);
-            let want = matmul_naive(&a, &b, m, k, n);
-            let mut got = vec![0.0f32; m * n];
-            matmul_acc(&a, &b, m, k, n, &mut got);
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "mismatch at {m}x{k}x{n}"
-            );
+            // Dense: no zero anywhere, so every full quad takes the unrolled path.
+            let dense: Vec<f32> = a.iter().map(|&v| if v == 0.0 { 0.5 } else { v }).collect();
+            let mut lhs = vec![a.clone(), dense.clone()];
+            // A zero in each quad lane in turn, a -0.0, and an all-zero row.
+            for lane in 0..4 {
+                let mut z = dense.clone();
+                z.iter_mut().skip(lane).step_by(4).for_each(|v| *v = 0.0);
+                lhs.push(z);
+            }
+            let mut z = dense.clone();
+            z[k / 2] = -0.0;
+            z[(m - 1) * k..].fill(0.0);
+            lhs.push(z);
+            for a in &lhs {
+                // A non-zero pre-filled `out`: the kernel accumulates.
+                let mut want = pseudo(99, m * n);
+                let mut got = want.clone();
+                matmul_naive_acc(a, &b, m, k, n, &mut want);
+                matmul_acc(a, &b, m, k, n, &mut got);
+                assert_eq!(bits(&got), bits(&want), "mismatch at {m}x{k}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_lhs_skips_non_finite_rhs_in_every_quad_lane() {
+        // The unrolled path multiplies unconditionally, so a quad holding a
+        // zero lhs must fall back to the per-term skip: 0·inf may not turn
+        // into NaN.
+        for k in [4, 7, 8, 70] {
+            for lane in 0..k {
+                let mut a = vec![1.5f32; k];
+                a[lane] = if lane % 2 == 0 { 0.0 } else { -0.0 };
+                let mut b = vec![2.0f32; k * 3];
+                b[lane * 3..lane * 3 + 3].copy_from_slice(&[
+                    f32::NAN,
+                    f32::INFINITY,
+                    -f32::INFINITY,
+                ]);
+                let mut out = vec![0.25f32; 3];
+                matmul_acc(&a, &b, 1, k, 3, &mut out);
+                let mut want = vec![0.25f32; 3];
+                matmul_naive_acc(&a, &b, 1, k, 3, &mut want);
+                assert!(out.iter().all(|v| v.is_finite()), "k{k} lane {lane}: {out:?}");
+                assert_eq!(bits(&out), bits(&want), "k{k} lane {lane}");
+            }
         }
     }
 
@@ -243,10 +316,7 @@ mod tests {
             }
             let mut got = vec![1.0f32; m * n]; // pre-dirty: fused must overwrite
             matmul_bias_act(&a, &b, &bias, m, k, n, act, &mut got);
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
+            assert_eq!(bits(&got), bits(&want));
         }
     }
 
