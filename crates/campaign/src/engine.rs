@@ -2,7 +2,8 @@
 //!
 //! Each **epoch** the scheduler draws a batch of corpus entries
 //! (energy-proportionally), splits it round-robin across a pool of worker
-//! threads, and each worker runs [`Generator::run_seed`] on its share
+//! threads, and each worker grows its share through
+//! [`Generator::run_batch_tiled`] (coverage folded at every iterate)
 //! against its own model clones. Workers accumulate neuron coverage in
 //! private trackers and periodically fold them into a shared global union
 //! ([`CoverageSignal::merge`]), adopting the union back so no worker
@@ -21,7 +22,7 @@ use deepxplore::generator::{Generator, SeedRun, TaskKind};
 use deepxplore::Hyperparams;
 use dx_coverage::{CoverageSignal, SignalSpec};
 use dx_nn::network::Network;
-use dx_nn::util::gather_rows;
+use dx_nn::util::{concat_rows, gather_rows};
 use dx_telemetry::events::{emit, Level};
 use dx_telemetry::phase::{Phase, PhaseAccum, TIME_BUCKETS};
 use dx_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Span};
@@ -606,7 +607,7 @@ impl Campaign {
                         let mut out = Vec::with_capacity(jobs.len());
                         for chunk in jobs.chunks(merge_every) {
                             let ids: Vec<usize> = chunk.iter().map(|(id, _)| *id).collect();
-                            let stacked = stack_inputs(chunk);
+                            let stacked = concat_rows(chunk.iter().map(|(_, input)| input));
                             let runs = worker.run_batch_tiled(&ids, &stacked, batch);
                             out.extend(ids.into_iter().zip(runs));
                             sync(worker);
@@ -713,16 +714,4 @@ impl Campaign {
         });
         self.epochs_done += 1;
     }
-}
-
-/// Stacks a chunk of `[1, ...]` corpus inputs into one `[C, ...]` batch for
-/// the generator's batched path.
-fn stack_inputs(chunk: &[(usize, Tensor)]) -> Tensor {
-    let mut data = Vec::with_capacity(chunk.len() * chunk[0].1.len());
-    for (_, input) in chunk {
-        data.extend_from_slice(input.data());
-    }
-    let mut shape = chunk[0].1.shape().to_vec();
-    shape[0] = chunk.len();
-    Tensor::from_vec(data, &shape)
 }

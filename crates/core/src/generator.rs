@@ -53,19 +53,27 @@ pub struct RunStats {
     pub seeds_skipped_preexisting: usize,
     /// Difference-inducing inputs found.
     pub differences_found: usize,
-    /// Total gradient-ascent iterations across all seeds.
+    /// Gradient-ascent steps actually taken, summed over seeds
+    /// (Σ [`SeedRun::iterations`], the definition campaign epoch stats
+    /// use). An iterate on which the constraint admitted no movement is
+    /// not a step and is not counted (it was, before the loops merged;
+    /// nothing asserts the value).
     pub total_iterations: usize,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
 }
 
-/// Result of one per-seed campaign step ([`Generator::run_seed`]).
+/// What the growth loop made of one seed — one entry per job of
+/// [`Generator::run_batch_tiled`].
 ///
 /// Richer than the boolean found/not-found view of [`Generator::run`]:
 /// campaign engines schedule seeds by how much *progress* a step made, so
 /// the step reports coverage gained and DLFuzz-style corpus candidates —
 /// intermediate inputs that activated new neurons while the models still
-/// agreed, which make good future seeds.
+/// agreed, which make good future seeds. Both count against coverage
+/// folded at every iterate, the batched entry point's policy; under
+/// [`Generator::run`]'s (coverage on differences only) the same loop
+/// reports only what the recorded test covered and never a candidate.
 #[derive(Clone, Debug)]
 pub struct SeedRun {
     /// The difference-inducing test, when one was found.
@@ -123,9 +131,9 @@ pub struct Generator {
     /// [`Generator::take_phase_stats`]; plain (non-atomic) because each
     /// generator is owned by exactly one worker thread.
     phases: PhaseAccum,
-    /// Buffer arena shared by the scalar and batched hot paths; every
-    /// intermediate activation and gradient is drawn from (and recycled
-    /// into) this pool, so steady-state iterates allocate nothing.
+    /// Buffer arena of the growth loop; every intermediate activation and
+    /// gradient is drawn from (and recycled into) this pool, so
+    /// steady-state iterates allocate nothing.
     ws: Workspace,
 }
 
@@ -268,9 +276,10 @@ impl Generator {
         self.rng = rng::rng_from_state(state);
     }
 
-    /// Drains the per-phase timing accumulated by [`Generator::run_seed`]
-    /// since the last call — the delta a campaign worker folds into its
-    /// registry (or ships to its coordinator) at a sync boundary.
+    /// Drains the per-phase timing the growth loop accumulated (under
+    /// either entry point) since the last call — the delta a campaign
+    /// worker folds into its registry (or ships to its coordinator) at a
+    /// sync boundary.
     pub fn take_phase_stats(&mut self) -> PhaseAccum {
         self.phases.take()
     }
@@ -304,6 +313,12 @@ impl Generator {
 
     /// Runs Algorithm 1 over a batch of seeds (one cycle), stopping early
     /// if `desired_coverage` is reached.
+    ///
+    /// Seeds grow one at a time through the same loop as
+    /// [`Generator::run_batch_tiled`], under the paper's coverage policy:
+    /// `cov_tracker` is updated only by recorded tests (lines 15-19), each
+    /// seed steers against everything earlier seeds covered, and every
+    /// random decision comes straight from the generator's RNG.
     pub fn run(&mut self, seeds: &Tensor) -> GenResult {
         let started = Instant::now();
         let mut stats = RunStats::default();
@@ -311,14 +326,15 @@ impl Generator {
         let n = seeds.shape()[0];
         for i in 0..n {
             stats.seeds_tried += 1;
-            let seed_x = gather_rows(seeds, &[i]);
-            match self.grow(i, &seed_x, &mut stats) {
-                SeedOutcome::Difference(test) => {
+            let grown = self.grow_alone(i, gather_rows(seeds, &[i]));
+            stats.total_iterations += grown.iterations;
+            match grown.test {
+                Some(test) => {
                     stats.differences_found += 1;
                     tests.push(test);
                 }
-                SeedOutcome::Preexisting => stats.seeds_skipped_preexisting += 1,
-                SeedOutcome::Exhausted => {}
+                None if grown.preexisting => stats.seeds_skipped_preexisting += 1,
+                None => {}
             }
             if let Some(p) = self.hp.desired_coverage {
                 if self.mean_coverage() >= p {
@@ -330,136 +346,37 @@ impl Generator {
         GenResult { tests, stats, coverage: self.coverage() }
     }
 
-    /// One campaign step: grows a single seed, tracking coverage at every
-    /// iterate and reporting corpus candidates.
-    ///
-    /// This is the per-seed API the campaign engine schedules over. It
-    /// differs from the batch loop ([`Generator::run`], Algorithm 1 as
-    /// printed) in two ways:
-    ///
-    /// - **Coverage per iterate.** Every intermediate input's activations
-    ///   fold into `cov_tracker`, not just the final difference-inducing
-    ///   one — the feedback signal coverage-guided scheduling needs.
-    /// - **One forward per model per iterate.** The batch loop runs two
-    ///   (one for the gradient, one for the oracle); here the same pass
-    ///   feeds gradient, oracle and coverage, roughly halving per-iteration
-    ///   cost.
-    pub fn run_seed(&mut self, seed_index: usize, seed_x: &Tensor) -> SeedRun {
-        let threshold = self.direction_threshold();
-        let mut run = SeedRun {
-            test: None,
-            preexisting: false,
-            iterations: 0,
-            newly_covered: 0,
-            newly_by_component: vec![0; self.signals[0].n_components()],
-            corpus_candidate: None,
-        };
-        let mut passes = phase_timer!(self.phases, Phase::Forward, self.forward_all_lite(seed_x));
-        let initial = self.predictions_of(&passes);
-        phase_timer!(self.phases, Phase::Coverage, {
-            for (pass, tracker) in passes.iter().zip(self.signals.iter_mut()) {
-                run.newly_covered += tracker.update_accum(pass, &mut run.newly_by_component);
-            }
-        });
-        if differs(&initial, threshold) {
-            run.preexisting = true;
-            if self.hp.count_preexisting {
-                run.test = Some(GeneratedTest {
-                    seed_index,
-                    input: seed_x.clone(),
-                    iterations: 0,
-                    predictions: initial,
-                    target_model: 0,
-                });
-            }
-            self.recycle_passes(passes);
-            return run;
-        }
-        let c = match initial[0] {
-            Prediction::Class(c) => c,
-            Prediction::Value(_) => 0,
-        };
-        let j = self.rng.gen_range(0..self.models.len());
-        let mut x = seed_x.clone();
-        for iter in 1..=self.hp.max_iters {
-            let grad =
-                phase_timer!(self.phases, Phase::Gradient, self.joint_gradient_from(&passes, c, j));
-            let next = phase_timer!(
-                self.phases,
-                Phase::Constraint,
-                self.constraint.step(&x, &grad, self.hp.step)
-            );
-            self.ws.put_tensor(grad);
-            if next == x {
-                // The constraint admits no further movement from here.
-                self.recycle_passes(passes);
-                return run;
-            }
-            x = next;
-            run.iterations = iter;
-            let fresh = phase_timer!(self.phases, Phase::Forward, self.forward_all_lite(&x));
-            self.recycle_passes(std::mem::replace(&mut passes, fresh));
-            let preds = self.predictions_of(&passes);
-            let newly: usize = phase_timer!(
-                self.phases,
-                Phase::Coverage,
-                passes
-                    .iter()
-                    .zip(self.signals.iter_mut())
-                    .map(|(pass, tracker)| tracker.update_accum(pass, &mut run.newly_by_component))
-                    .sum()
-            );
-            run.newly_covered += newly;
-            let found = differs(&preds, threshold);
-            if newly > 0 && !found {
-                run.corpus_candidate = Some(x.clone());
-            }
-            if found {
-                run.test = Some(GeneratedTest {
-                    seed_index,
-                    input: x,
-                    iterations: iter,
-                    predictions: preds,
-                    target_model: j,
-                });
-                self.recycle_passes(passes);
-                return run;
-            }
-        }
-        self.recycle_passes(passes);
+    /// Attempts to grow one difference-inducing input from one seed — one
+    /// seed's worth of [`Generator::run`].
+    pub fn generate_from_seed(
+        &mut self,
+        seed_index: usize,
+        seed: &Tensor,
+    ) -> Option<GeneratedTest> {
+        self.grow_alone(seed_index, seed.clone()).test
+    }
+
+    /// Grows one seed as a one-job tile that is lent the generator's own
+    /// RNG as its lane and the generator's own signals as its coverage.
+    fn grow_alone(&mut self, seed_index: usize, seed_x: Tensor) -> SeedRun {
+        let signals = std::mem::take(&mut self.signals);
+        let mut job = [Job::new(seed_index, self.rng.clone(), signals)];
+        self.run_tile(&mut job, seed_x, CoveragePolicy::DifferencesOnly);
+        let [Job { lane, signals, run, .. }] = job;
+        self.rng = lane;
+        self.signals = signals;
         run
     }
 
-    /// One cache-light forward per model, all buffers from the arena.
-    fn forward_all_lite(&mut self, x: &Tensor) -> Vec<ForwardPass> {
-        let Self { models, ws, .. } = self;
-        models.iter().map(|m| m.forward_lite(x, ws)).collect()
-    }
-
-    /// Returns a set of per-model passes to the arena.
-    fn recycle_passes(&mut self, passes: Vec<ForwardPass>) {
-        for p in passes {
-            p.recycle(&mut self.ws);
-        }
-    }
-
-    /// Batched campaign step: grows every seed in `seeds` (`[N, ...]`, one
-    /// row per entry of `seed_indices`) with one stacked forward and one
-    /// batched joint-objective backward per model per iterate, processing
-    /// all `N` rows as a single tile.
+    /// Campaign step: grows every seed in `seeds` (`[N, ...]`, one row per
+    /// entry of `seed_indices`), `batch` rows at a time (the last tile may
+    /// be narrower) with one stacked forward and one batched
+    /// joint-objective backward per model per iterate.
     ///
-    /// Results are bit-identical per seed to [`Generator::run_batch_tiled`]
-    /// at any tile width — see there for the invariance contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `seeds` has one row per seed index.
-    pub fn run_batch(&mut self, seed_indices: &[usize], seeds: &Tensor) -> Vec<SeedRun> {
-        self.run_batch_tiled(seed_indices, seeds, seed_indices.len().max(1))
-    }
-
-    /// [`Generator::run_batch`] with an explicit tile width: rows are
-    /// processed `batch` at a time (the last tile may be narrower).
+    /// Unlike [`Generator::run`], every iterate's activations fold into
+    /// coverage (the feedback coverage-guided scheduling needs), which is
+    /// what [`SeedRun::newly_covered`] and [`SeedRun::corpus_candidate`]
+    /// report.
     ///
     /// `batch` is pure execution tiling — for a fixed job list the results
     /// are bit-identical for every width, because the per-job random and
@@ -486,84 +403,52 @@ impl Generator {
         seeds: &Tensor,
         batch: usize,
     ) -> Vec<SeedRun> {
-        let n = seed_indices.len();
-        assert_eq!(seeds.shape()[0], n, "one seed row per seed index");
-        let mut runs: Vec<SeedRun> = (0..n)
-            .map(|_| SeedRun {
-                test: None,
-                preexisting: false,
-                iterations: 0,
-                newly_covered: 0,
-                newly_by_component: vec![0; self.signals[0].n_components()],
-                corpus_candidate: None,
+        assert_eq!(seeds.shape()[0], seed_indices.len(), "one seed row per seed index");
+        let mut jobs: Vec<Job> = seed_indices
+            .iter()
+            .map(|&seed_index| {
+                let lane = rng::rng(self.rng.gen_range(0..u64::MAX));
+                Job::new(seed_index, lane, self.signals.clone())
             })
             .collect();
-        if n == 0 {
-            return runs;
-        }
-        let mut lanes: Vec<rng::Rng> =
-            (0..n).map(|_| rng::rng(self.rng.gen_range(0..u64::MAX))).collect();
-        let mut job_signals: Vec<Vec<CoverageSignal>> =
-            (0..n).map(|_| self.signals.clone()).collect();
         let batch = batch.max(1);
-        let mut start = 0;
-        while start < n {
-            let end = (start + batch).min(n);
-            let tile: Vec<usize> = (start..end).collect();
-            self.run_tile(&tile, seed_indices, seeds, &mut lanes, &mut job_signals, &mut runs);
-            start = end;
+        for (t, tile) in jobs.chunks_mut(batch).enumerate() {
+            let rows: Vec<usize> = (t * batch..t * batch + tile.len()).collect();
+            self.run_tile(tile, gather_rows(seeds, &rows), CoveragePolicy::EveryIterate);
         }
-        for local in &job_signals {
-            for (global, l) in self.signals.iter_mut().zip(local.iter()) {
-                global.merge(l);
-            }
-        }
-        runs
+        jobs.into_iter()
+            .map(|job| {
+                for (global, local) in self.signals.iter_mut().zip(job.signals.iter()) {
+                    global.merge(local);
+                }
+                job.run
+            })
+            .collect()
     }
 
-    /// Grows one tile of jobs in lockstep. `tile` holds job indices into
-    /// `seed_indices`/`runs`; `lanes`/`job_signals` are the per-job RNG
-    /// lanes and coverage clones owned by [`Generator::run_batch_tiled`].
-    fn run_tile(
-        &mut self,
-        tile: &[usize],
-        seed_indices: &[usize],
-        seeds: &Tensor,
-        lanes: &mut [rng::Rng],
-        job_signals: &mut [Vec<CoverageSignal>],
-        runs: &mut [SeedRun],
-    ) {
+    /// The growth loop — Algorithm 1's gradient ascent over one tile of
+    /// jobs in lockstep. Row `a` of `x` is the seed of `jobs[a]`.
+    fn run_tile(&mut self, jobs: &mut [Job], mut x: Tensor, policy: CoveragePolicy) {
         let threshold = self.direction_threshold();
         // `rows[a]` is the job whose input occupies row `a` of `x` (and of
         // every batched pass); `live[a]` is false once that job retired. A
         // retired row keeps its slot (with zeroed objectives) until the
         // next constraint step rebuilds `x` from live rows only — batched
         // passes cannot drop rows in place.
-        let mut rows: Vec<usize> = tile.to_vec();
-        let mut x = gather_rows(seeds, tile);
+        let mut rows: Vec<usize> = (0..jobs.len()).collect();
         let mut passes = phase_timer!(self.phases, Phase::Forward, self.forward_all_lite(&x));
         let mut row_passes = self.row_passes_of(&passes, rows.len());
-        phase_timer!(self.phases, Phase::Coverage, {
-            for (a, &ji) in rows.iter().enumerate() {
-                let r = &mut runs[ji];
-                for (rp, tracker) in row_passes[a].iter().zip(job_signals[ji].iter_mut()) {
-                    r.newly_covered += tracker.update_accum(rp, &mut r.newly_by_component);
-                }
-            }
-        });
         // Algorithm 1 lines 4-6 per job: agreement check, common class c,
         // target model j (from the job's own lane).
-        let mut cs = vec![0usize; runs.len()];
-        let mut js = vec![0usize; runs.len()];
         let mut live = vec![false; rows.len()];
-        for (a, &ji) in rows.iter().enumerate() {
+        for (a, job) in jobs.iter_mut().enumerate() {
             let initial = self.predictions_of(&row_passes[a]);
             if differs(&initial, threshold) {
-                runs[ji].preexisting = true;
+                job.run.preexisting = true;
                 if self.hp.count_preexisting {
-                    runs[ji].test = Some(GeneratedTest {
-                        seed_index: seed_indices[ji],
-                        input: gather_rows(seeds, &[ji]),
+                    job.run.test = Some(GeneratedTest {
+                        seed_index: job.seed_index,
+                        input: gather_rows(&x, &[a]),
                         iterations: 0,
                         predictions: initial,
                         target_model: 0,
@@ -571,13 +456,14 @@ impl Generator {
                 }
                 continue;
             }
-            cs[ji] = match initial[0] {
+            job.c = match initial[0] {
                 Prediction::Class(c) => c,
                 Prediction::Value(_) => 0,
             };
-            js[ji] = lanes[ji].gen_range(0..self.models.len());
+            job.j = job.lane.gen_range(0..self.models.len());
             live[a] = true;
         }
+        self.fold_coverage(jobs, &rows, &row_passes, policy);
         for iter in 1..=self.hp.max_iters {
             if !live.iter().any(|&l| l) {
                 break;
@@ -585,16 +471,7 @@ impl Generator {
             let grad = phase_timer!(
                 self.phases,
                 Phase::Gradient,
-                self.tile_gradient(
-                    &passes,
-                    &row_passes,
-                    &rows,
-                    &live,
-                    &cs,
-                    &js,
-                    lanes,
-                    job_signals
-                )
+                self.tile_gradient(jobs, &rows, &live, &passes, &row_passes)
             );
             // Per-row constraint steps, in job order; exhausted rows (and
             // rows already retired) drop out of the next tile.
@@ -617,17 +494,14 @@ impl Generator {
                 }
             });
             self.ws.put_tensor(grad);
-            self.recycle_passes(passes);
-            for rp in row_passes {
-                self.recycle_passes(rp);
-            }
+            self.recycle_tile(passes, row_passes);
+            self.ws.put_tensor(x);
             if kept.is_empty() {
                 return;
             }
             for &ji in &kept {
-                runs[ji].iterations = iter;
+                jobs[ji].run.iterations = iter;
             }
-            self.ws.put_tensor(x);
             x = stack_rows(&next_rows, &mut self.ws);
             for t in next_rows {
                 self.ws.put_tensor(t);
@@ -636,40 +510,65 @@ impl Generator {
             live = vec![true; rows.len()];
             passes = phase_timer!(self.phases, Phase::Forward, self.forward_all_lite(&x));
             row_passes = self.row_passes_of(&passes, rows.len());
-            let mut newly_now = vec![0usize; rows.len()];
-            phase_timer!(self.phases, Phase::Coverage, {
-                for (a, &ji) in rows.iter().enumerate() {
-                    let r = &mut runs[ji];
-                    for (rp, tracker) in row_passes[a].iter().zip(job_signals[ji].iter_mut()) {
-                        let nc = tracker.update_accum(rp, &mut r.newly_by_component);
-                        r.newly_covered += nc;
-                        newly_now[a] += nc;
-                    }
-                }
-            });
+            // The oracle, then coverage (which under `DifferencesOnly`
+            // needs the oracle's verdict), then corpus candidates.
             for (a, &ji) in rows.iter().enumerate() {
                 let preds = self.predictions_of(&row_passes[a]);
-                let found = differs(&preds, threshold);
-                if newly_now[a] > 0 && !found {
-                    runs[ji].corpus_candidate = Some(gather_rows(&x, &[a]));
-                }
-                if found {
-                    runs[ji].test = Some(GeneratedTest {
-                        seed_index: seed_indices[ji],
+                if differs(&preds, threshold) {
+                    let job = &mut jobs[ji];
+                    job.run.test = Some(GeneratedTest {
+                        seed_index: job.seed_index,
                         input: gather_rows(&x, &[a]),
                         iterations: iter,
                         predictions: preds,
-                        target_model: js[ji],
+                        target_model: job.j,
                     });
                     live[a] = false;
                 }
             }
+            let newly = self.fold_coverage(jobs, &rows, &row_passes, policy);
+            for (a, &ji) in rows.iter().enumerate() {
+                if live[a] && newly[a] > 0 {
+                    jobs[ji].run.corpus_candidate = Some(gather_rows(&x, &[a]));
+                }
+            }
         }
-        self.recycle_passes(passes);
-        for rp in row_passes {
-            self.recycle_passes(rp);
-        }
+        self.recycle_tile(passes, row_passes);
         self.ws.put_tensor(x);
+    }
+
+    /// Folds each row's activations into its job's coverage where `policy`
+    /// says so and returns the units newly covered per row. One timer per
+    /// call: timing the phase per row instead measurably slows the
+    /// campaign loop.
+    fn fold_coverage(
+        &mut self,
+        jobs: &mut [Job],
+        rows: &[usize],
+        row_passes: &[Vec<ForwardPass>],
+        policy: CoveragePolicy,
+    ) -> Vec<usize> {
+        let mut newly = vec![0usize; rows.len()];
+        phase_timer!(self.phases, Phase::Coverage, {
+            for (a, &ji) in rows.iter().enumerate() {
+                let Job { signals, run, .. } = &mut jobs[ji];
+                if policy == CoveragePolicy::DifferencesOnly && run.test.is_none() {
+                    continue;
+                }
+                for (rp, tracker) in row_passes[a].iter().zip(signals.iter_mut()) {
+                    let nc = tracker.update_accum(rp, &mut run.newly_by_component);
+                    run.newly_covered += nc;
+                    newly[a] += nc;
+                }
+            }
+        });
+        newly
+    }
+
+    /// One cache-light forward per model, all buffers from the arena.
+    fn forward_all_lite(&mut self, x: &Tensor) -> Vec<ForwardPass> {
+        let Self { models, ws, .. } = self;
+        models.iter().map(|m| m.forward_lite(x, ws)).collect()
     }
 
     /// Per-job `[1, ...]` views of each model's batched pass, for the
@@ -679,21 +578,25 @@ impl Generator {
         (0..n_rows).map(|a| passes.iter().map(|p| p.row_pass_ws(a, ws)).collect()).collect()
     }
 
-    /// [`Generator::joint_gradient_from`] over a whole tile: one batched
-    /// backward per model, with every live row's obj1/obj2 injections
+    /// Returns a tile's batched passes and their row views to the arena.
+    fn recycle_tile(&mut self, passes: Vec<ForwardPass>, row_passes: Vec<Vec<ForwardPass>>) {
+        for p in passes.into_iter().chain(row_passes.into_iter().flatten()) {
+            p.recycle(&mut self.ws);
+        }
+    }
+
+    /// The gradient of Equation 3 with respect to every live row's input:
+    /// `∂[(Σ_{k≠j} F_k(x)[c] − λ1·F_j(x)[c]) + λ2·Σ_m f_{n_m}(x)]/∂x`.
+    /// One batched backward per model, with the rows' obj1/obj2 injections
     /// accumulated into shared `[A, ...]` seed tensors (keyed by activation
     /// index; `BTreeMap` so sites apply in ascending, deterministic order).
-    #[allow(clippy::too_many_arguments)]
     fn tile_gradient(
         &mut self,
-        passes: &[ForwardPass],
-        row_passes: &[Vec<ForwardPass>],
+        jobs: &mut [Job],
         rows: &[usize],
         live: &[bool],
-        cs: &[usize],
-        js: &[usize],
-        lanes: &mut [rng::Rng],
-        job_signals: &[Vec<CoverageSignal>],
+        passes: &[ForwardPass],
+        row_passes: &[Vec<ForwardPass>],
     ) -> Tensor {
         let mut total = self.ws.take_tensor(passes[0].input().shape());
         for (m, model) in self.models.iter().enumerate() {
@@ -707,35 +610,42 @@ impl Generator {
                 if !live[a] {
                     continue;
                 }
-                let weight = if m == js[ji] { -self.hp.lambda1 } else { 1.0 };
+                let weight = if m == jobs[ji].j { -self.hp.lambda1 } else { 1.0 };
                 match self.kind {
-                    TaskKind::Classification => out_seed.data_mut()[a * k + cs[ji]] = weight,
+                    TaskKind::Classification => out_seed.data_mut()[a * k + jobs[ji].c] = weight,
                     TaskKind::Regression { .. } => {
                         out_seed.data_mut()[a * k..(a + 1) * k].fill(weight);
                     }
                 }
             }
             batched.insert(model.num_layers(), out_seed);
-            // obj2 rows: per live job, picks from the job's own coverage
-            // clone and RNG lane — the same (iterate, model) draw order a
-            // width-1 tile would make.
+            // obj2 rows: uncovered neuron(s) per model (line 33; the paper
+            // picks one, `neurons_per_model` generalizes per §4.2), picked
+            // per live job from the job's own coverage and RNG lane — the
+            // same (iterate, model) draw order at every tile width.
             if self.hp.lambda2 != 0.0 {
                 for (a, &ji) in rows.iter().enumerate() {
                     if !live[a] {
                         continue;
                     }
-                    let tracker = &job_signals[ji][m];
+                    let Job { signals, lane, .. } = &mut jobs[ji];
+                    let (tracker, row_pass) = (&signals[m], &row_passes[a][m]);
                     let picked: Vec<_> = match self.hp.neuron_pick {
-                        crate::hyper::NeuronPick::Random => tracker
-                            .pick_uncovered_k(&mut lanes[ji], self.hp.neurons_per_model.max(1)),
+                        crate::hyper::NeuronPick::Random => {
+                            tracker.pick_uncovered_k(lane, self.hp.neurons_per_model.max(1))
+                        }
                         crate::hyper::NeuronPick::Nearest => {
-                            tracker.pick_uncovered_nearest(&row_passes[a][m]).into_iter().collect()
+                            tracker.pick_uncovered_nearest(row_pass).into_iter().collect()
                         }
                     };
                     for neuron in picked {
                         let (idx, seed) =
                             injection_for_neuron(model, neuron, tracker.granularity());
-                        let direction = tracker.target_direction(neuron, &row_passes[a][m]);
+                        // Steer toward the metric's actual gap: the neuron
+                        // metric always raises activations, multisection
+                        // may need to lower one to reach an unhit low
+                        // section.
+                        let direction = tracker.target_direction(neuron, row_pass);
                         let scale = self.hp.lambda2 * direction;
                         let entry = batched
                             .entry(idx)
@@ -759,7 +669,7 @@ impl Generator {
         total
     }
 
-    fn predictions_of(&self, passes: &[dx_nn::network::ForwardPass]) -> Vec<Prediction> {
+    fn predictions_of(&self, passes: &[ForwardPass]) -> Vec<Prediction> {
         passes
             .iter()
             .map(|pass| match self.kind {
@@ -768,134 +678,50 @@ impl Generator {
             })
             .collect()
     }
-
-    /// Attempts to grow one difference-inducing input from one seed.
-    pub fn generate_from_seed(
-        &mut self,
-        seed_index: usize,
-        seed: &Tensor,
-    ) -> Option<GeneratedTest> {
-        let mut stats = RunStats::default();
-        match self.grow(seed_index, seed, &mut stats) {
-            SeedOutcome::Difference(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    fn grow(&mut self, seed_index: usize, seed_x: &Tensor, stats: &mut RunStats) -> SeedOutcome {
-        let threshold = self.direction_threshold();
-        let initial = self.predict_all(seed_x);
-        if differs(&initial, threshold) {
-            // The models disagree on the seed itself (Algorithm 1 line 4-5
-            // assumes agreement).
-            if self.hp.count_preexisting {
-                for (m, tracker) in self.models.iter().zip(self.signals.iter_mut()) {
-                    tracker.update(&m.forward(seed_x));
-                }
-                return SeedOutcome::Difference(GeneratedTest {
-                    seed_index,
-                    input: seed_x.clone(),
-                    iterations: 0,
-                    predictions: initial,
-                    target_model: 0,
-                });
-            }
-            return SeedOutcome::Preexisting;
-        }
-        // The common class c (line 5) / the agreed direction for regression.
-        let c = match initial[0] {
-            Prediction::Class(c) => c,
-            Prediction::Value(_) => 0,
-        };
-        // Line 6: randomly select the model to push away.
-        let j = self.rng.gen_range(0..self.models.len());
-        let mut x = seed_x.clone();
-        for iter in 1..=self.hp.max_iters {
-            stats.total_iterations += 1;
-            let grad = self.joint_gradient(&x, c, j);
-            let next = self.constraint.step(&x, &grad, self.hp.step);
-            if next == x {
-                // The constraint admits no further movement from here.
-                return SeedOutcome::Exhausted;
-            }
-            x = next;
-            let preds = self.predict_all(&x);
-            if differs(&preds, threshold) {
-                // Lines 15-19: record the test and update cov_tracker.
-                for (m, tracker) in self.models.iter().zip(self.signals.iter_mut()) {
-                    tracker.update(&m.forward(&x));
-                }
-                return SeedOutcome::Difference(GeneratedTest {
-                    seed_index,
-                    input: x,
-                    iterations: iter,
-                    predictions: preds,
-                    target_model: j,
-                });
-            }
-        }
-        SeedOutcome::Exhausted
-    }
-
-    /// The gradient of Equation 3 with respect to the input:
-    /// `∂[(Σ_{k≠j} F_k(x)[c] − λ1·F_j(x)[c]) + λ2·Σ_m f_{n_m}(x)]/∂x`.
-    fn joint_gradient(&mut self, x: &Tensor, c: usize, j: usize) -> Tensor {
-        let passes: Vec<_> = self.models.iter().map(|m| m.forward(x)).collect();
-        self.joint_gradient_from(&passes, c, j)
-    }
-
-    /// [`Generator::joint_gradient`] over precomputed forward passes (one
-    /// per model, at the same input) — lets callers that already ran the
-    /// oracle reuse its passes.
-    fn joint_gradient_from(&mut self, passes: &[ForwardPass], c: usize, j: usize) -> Tensor {
-        let mut total = self.ws.take_tensor(passes[0].input().shape());
-        for (m, (model, tracker)) in self.models.iter().zip(self.signals.iter()).enumerate() {
-            let pass = &passes[m];
-            let mut injections = Vec::with_capacity(2);
-            // obj1 term at the output layer.
-            let out_shape = pass.output().shape().to_vec();
-            let weight = if m == j { -self.hp.lambda1 } else { 1.0 };
-            let mut out_seed = self.ws.take_tensor(&out_shape);
-            match self.kind {
-                TaskKind::Classification => out_seed.set(&[0, c], weight),
-                TaskKind::Regression { .. } => out_seed.data_mut().fill(weight),
-            }
-            injections.push((model.num_layers(), out_seed));
-            // obj2 term: uncovered neuron(s) per model (line 33; the paper
-            // picks one, `neurons_per_model` generalizes per §4.2).
-            if self.hp.lambda2 != 0.0 {
-                let picked: Vec<_> = match self.hp.neuron_pick {
-                    crate::hyper::NeuronPick::Random => {
-                        tracker.pick_uncovered_k(&mut self.rng, self.hp.neurons_per_model.max(1))
-                    }
-                    crate::hyper::NeuronPick::Nearest => {
-                        tracker.pick_uncovered_nearest(pass).into_iter().collect()
-                    }
-                };
-                for neuron in picked {
-                    let (idx, seed) = injection_for_neuron(model, neuron, tracker.granularity());
-                    // Steer toward the metric's actual gap: the neuron
-                    // metric always raises activations, multisection may
-                    // need to lower one to reach an unhit low section.
-                    let direction = tracker.target_direction(neuron, pass);
-                    injections.push((idx, seed.scale(self.hp.lambda2 * direction)));
-                }
-            }
-            let g = model.input_gradient_ws(pass, &injections, &mut self.ws);
-            total += &g;
-            self.ws.put_tensor(g);
-            for (_, t) in injections {
-                self.ws.put_tensor(t);
-            }
-        }
-        total
-    }
 }
 
-enum SeedOutcome {
-    Difference(GeneratedTest),
-    Preexisting,
-    Exhausted,
+/// When the growth loop folds an input's activations into `cov_tracker` —
+/// the one behavioural difference between the generator's two entry
+/// points, each of which passes a constant.
+#[derive(Clone, Copy, PartialEq)]
+enum CoveragePolicy {
+    /// Every iterate, the unmutated seed included: the DLFuzz-style
+    /// feedback campaigns schedule by ([`Generator::run_batch_tiled`]).
+    EveryIterate,
+    /// Only inputs recorded as tests, Algorithm 1 lines 15-19 as printed
+    /// ([`Generator::run`], [`Generator::generate_from_seed`]).
+    DifferencesOnly,
+}
+
+/// One seed's private state in the growth loop.
+struct Job {
+    seed_index: usize,
+    /// Source of this seed's random decisions (target model, obj2 neuron
+    /// picks), consumed in (iterate, model) order.
+    lane: rng::Rng,
+    /// The coverage this seed steers against and folds into, one signal
+    /// per model.
+    signals: Vec<CoverageSignal>,
+    /// The class the models agree on for the seed (line 5; 0 for
+    /// regression).
+    c: usize,
+    /// The model to push away (line 6).
+    j: usize,
+    run: SeedRun,
+}
+
+impl Job {
+    fn new(seed_index: usize, lane: rng::Rng, signals: Vec<CoverageSignal>) -> Self {
+        let run = SeedRun {
+            test: None,
+            preexisting: false,
+            iterations: 0,
+            newly_covered: 0,
+            newly_by_component: vec![0; signals[0].n_components()],
+            corpus_candidate: None,
+        };
+        Self { seed_index, lane, signals, c: 0, j: 0, run }
+    }
 }
 
 /// Concatenates `[1, ...]` rows into one `[A, ...]` batch, buffer from the
@@ -950,6 +776,9 @@ pub fn mean_iterations_to_difference(
 pub fn test_input_sample(test: &GeneratedTest) -> Tensor {
     row(&test.input, 0)
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1149,11 +978,10 @@ mod tests {
     }
 
     #[test]
-    fn run_seed_is_deterministic() {
+    fn run_batch_is_deterministic() {
         let seeds = rng::uniform(&mut rng::rng(70), &[6, 20], 0.2, 0.8);
-        let step = |mut g: Generator| -> Vec<SeedRun> {
-            (0..6).map(|i| g.run_seed(i, &gather_rows(&seeds, &[i]))).collect()
-        };
+        let indices: Vec<usize> = (0..6).collect();
+        let step = |mut g: Generator| -> Vec<SeedRun> { g.run_batch_tiled(&indices, &seeds, 4) };
         let r1 = step(default_gen(71));
         let r2 = step(default_gen(71));
         for (a, b) in r1.iter().zip(r2.iter()) {
@@ -1167,57 +995,12 @@ mod tests {
     }
 
     #[test]
-    fn run_seed_reports_real_differences_and_coverage() {
-        let mut g = default_gen(72);
-        let seeds = rng::uniform(&mut rng::rng(73), &[12, 20], 0.2, 0.8);
-        let mut found = 0;
-        let mut covered = 0;
-        for i in 0..12 {
-            let run = g.run_seed(i, &gather_rows(&seeds, &[i]));
-            covered += run.newly_covered;
-            if let Some(t) = &run.test {
-                found += 1;
-                assert!(differs(&t.predictions, 0.0));
-                assert!(t.iterations >= 1);
-                assert_eq!(t.iterations, run.iterations);
-            }
-            if let Some(candidate) = &run.corpus_candidate {
-                // Corpus candidates keep the models in agreement.
-                assert!(!differs(&g.predict_all(candidate), 0.0));
-            }
-        }
-        assert!(found > 0, "no differences found via run_seed");
-        // Per-iterate tracking must actually move coverage.
-        assert!(covered > 0);
-        assert!(g.mean_coverage() > 0.0);
-    }
-
-    #[test]
-    fn run_seed_flags_preexisting_disagreement() {
-        let mut g = default_gen(74);
-        let seeds = rng::uniform(&mut rng::rng(75), &[40, 20], 0.2, 0.8);
-        // Find a difference first, then re-feed it as a seed.
-        let diff = (0..40).find_map(|i| g.run_seed(i, &gather_rows(&seeds, &[i])).test);
-        let diff = diff.expect("needs at least one difference");
-        let run = g.run_seed(0, &diff.input);
-        assert!(run.preexisting);
-        assert!(run.test.is_none(), "count_preexisting is off by default");
-        assert_eq!(run.iterations, 0);
-    }
-
-    #[test]
     fn coverage_sync_round_trips() {
         let mut a = default_gen(76);
         let mut b = default_gen(77);
         let seeds = rng::uniform(&mut rng::rng(78), &[6, 20], 0.2, 0.8);
-        for i in 0..6 {
-            let x = gather_rows(&seeds, &[i]);
-            if i % 2 == 0 {
-                a.run_seed(i, &x);
-            } else {
-                b.run_seed(i, &x);
-            }
-        }
+        a.run_batch_tiled(&[0, 2, 4], &gather_rows(&seeds, &[0, 2, 4]), 4);
+        b.run_batch_tiled(&[1, 3, 5], &gather_rows(&seeds, &[1, 3, 5]), 4);
         let mut global: Vec<_> = a.signals().to_vec();
         let new_from_b = b.sync_coverage_into(&mut global);
         assert!(b.signals().iter().map(|t| t.covered_count()).sum::<usize>() >= new_from_b);
@@ -1305,7 +1088,9 @@ mod tests {
         let indices: Vec<usize> = (0..12).collect();
         let runs = g.run_batch_tiled(&indices, &seeds, 4);
         let mut found = 0;
+        let mut covered = 0;
         for (i, run) in runs.iter().enumerate() {
+            covered += run.newly_covered;
             if let Some(t) = &run.test {
                 found += 1;
                 assert_eq!(t.seed_index, i);
@@ -1317,21 +1102,27 @@ mod tests {
                 assert!(!differs(&g.predict_all(c), 0.0));
             }
         }
-        assert!(found > 0, "no differences found via run_batch");
+        assert!(found > 0, "no differences found via run_batch_tiled");
+        // Per-iterate tracking must actually move coverage.
+        assert!(covered > 0);
         assert!(g.mean_coverage() > 0.0);
+    }
+
+    /// A clean seed (job 7) next to a known difference-inducing input
+    /// re-fed as a seed (job 8), grown as one tile.
+    fn clean_and_preexisting_rows(g: &mut Generator) -> Vec<SeedRun> {
+        let seeds = rng::uniform(&mut rng::rng(85), &[40, 20], 0.2, 0.8);
+        let diff = (0..40)
+            .find_map(|i| g.generate_from_seed(i, &gather_rows(&seeds, &[i])))
+            .expect("needs at least one difference");
+        let mut data = gather_rows(&seeds, &[0]).data().to_vec();
+        data.extend_from_slice(diff.input.data());
+        g.run_batch_tiled(&[7, 8], &Tensor::from_vec(data, &[2, 20]), 2)
     }
 
     #[test]
     fn run_batch_flags_preexisting_rows() {
-        let mut g = default_gen(84);
-        let seeds = rng::uniform(&mut rng::rng(85), &[40, 20], 0.2, 0.8);
-        let diff = (0..40)
-            .find_map(|i| g.run_seed(i, &gather_rows(&seeds, &[i])).test)
-            .expect("needs at least one difference");
-        let mut data = gather_rows(&seeds, &[0]).data().to_vec();
-        data.extend_from_slice(diff.input.data());
-        let two = Tensor::from_vec(data, &[2, 20]);
-        let runs = g.run_batch(&[7, 8], &two);
+        let runs = clean_and_preexisting_rows(&mut default_gen(84));
         assert!(!runs[0].preexisting);
         assert!(runs[1].preexisting);
         assert!(runs[1].test.is_none(), "count_preexisting is off by default");
@@ -1339,9 +1130,39 @@ mod tests {
     }
 
     #[test]
+    fn run_batch_keeps_preexisting_rows_when_counted() {
+        let mut g = Generator::new(
+            similar_trio(1),
+            TaskKind::Classification,
+            Hyperparams {
+                step: 0.2,
+                lambda1: 2.0,
+                max_iters: 100,
+                count_preexisting: true,
+                ..Default::default()
+            },
+            Constraint::Clip,
+            CoverageConfig::default(),
+            84,
+        );
+        let runs = clean_and_preexisting_rows(&mut g);
+        assert!(!runs[0].preexisting);
+        let run = &runs[1];
+        assert!(run.preexisting && !run.found_difference());
+        assert_eq!(run.iterations, 0);
+        let test = run.test.as_ref().expect("count_preexisting keeps the seed as a test");
+        assert_eq!((test.seed_index, test.iterations, test.target_model), (8, 0, 0));
+        assert!(differs(&test.predictions, 0.0));
+        // The seed's own activations are covered: replaying them is no news.
+        for (model, signal) in g.models().iter().zip(g.signals()) {
+            assert_eq!(signal.clone().update(&model.forward(&test.input)), 0);
+        }
+    }
+
+    #[test]
     fn run_batch_of_nothing_is_empty() {
         let mut g = default_gen(88);
-        assert!(g.run_batch(&[], &Tensor::zeros(&[0, 20])).is_empty());
+        assert!(g.run_batch_tiled(&[], &Tensor::zeros(&[0, 20]), 4).is_empty());
     }
 
     #[test]

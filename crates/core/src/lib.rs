@@ -71,11 +71,15 @@
 //! for resumable runs, and per-epoch throughput reporting
 //! (seeds/sec, diffs/sec, coverage over time).
 //!
-//! The campaign engine drives this crate through [`Generator::run_seed`] —
-//! the per-seed step API, which additionally tracks coverage at every
-//! gradient-ascent iterate and surfaces DLFuzz-style corpus candidates —
-//! and synchronizes coverage across workers with
-//! [`Generator::sync_coverage_into`] / [`Generator::adopt_coverage`].
+//! Both are entry points to one growth loop and differ only in when
+//! activations fold into coverage. [`Generator::run`] (and
+//! [`Generator::generate_from_seed`], one seed of it) updates coverage
+//! only from recorded differences, as Algorithm 1 prints it. The campaign
+//! engine enters through [`Generator::run_batch_tiled`], which grows a
+//! tile of seeds per batched pass, folds coverage at every
+//! gradient-ascent iterate, reports it per seed ([`SeedRun`]) and
+//! surfaces DLFuzz-style corpus candidates; workers synchronize coverage
+//! with [`Generator::sync_coverage_into`] / [`Generator::adopt_coverage`].
 //! From the command line: `deepxplore campaign --dataset mnist --workers 4`.
 
 #![forbid(unsafe_code)]

@@ -11,7 +11,8 @@
 //!   productive mutants, and sparse coverage bitmap deltas
 //!   ([`dx_coverage::CoverageSignal::diff_indices`]).
 //! - **Workers** ([`worker::run_worker`]) are thin wrappers around the
-//!   generator's batched step loop ([`deepxplore::Generator::run_batch`]);
+//!   generator's batched step loop
+//!   ([`deepxplore::Generator::run_batch_tiled`]);
 //!   their RNG streams derive from `(campaign seed, slot)` exactly like
 //!   in-process pool workers'.
 //! - Transport is a hand-rolled length-prefixed JSON framing

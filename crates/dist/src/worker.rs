@@ -1,5 +1,5 @@
 //! The campaign worker: a thin network wrapper around the generator's
-//! per-seed step loop.
+//! batched step loop.
 //!
 //! A worker owns clones of the models and, per campaign it is leased
 //! work for, a [`deepxplore::Generator`] whose RNG stream derives from
@@ -11,7 +11,7 @@
 //! tags each lease with a campaign id and master seed); a worker behind
 //! a single-campaign coordinator only ever sees campaign `0`. The
 //! worker leases seed batches, runs them in tiles through
-//! [`deepxplore::Generator::run_batch`] (one stacked forward and one
+//! [`deepxplore::Generator::run_batch_tiled`] (one stacked forward and one
 //! batched backward per model per iterate — see `WorkerConfig::batch`),
 //! heartbeats during long leases, and reports outcomes plus a
 //! sparse coverage delta; the coordinator's acks carry the global
@@ -27,11 +27,12 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use deepxplore::generator::Generator;
 use dx_campaign::ModelSuite;
 use dx_coverage::CoverageSignal;
+use dx_nn::util::concat_rows;
 use dx_telemetry::phase::{LocalHist, Phase};
 use dx_tensor::rng;
 
 use crate::proto::{
-    coverage_news, CovDelta, Fingerprint, Job, JobResult, Msg, TelemetrySnapshot, PROTOCOL_VERSION,
+    coverage_news, CovDelta, Fingerprint, JobResult, Msg, TelemetrySnapshot, PROTOCOL_VERSION,
 };
 use crate::suite_fingerprint;
 use crate::wire::{read_frame, write_frame};
@@ -43,7 +44,7 @@ pub struct WorkerConfig {
     /// coordinator running adaptive lease sizing may grant more.
     pub lease_size: usize,
     /// Seeds grown per batched generator call
-    /// ([`Generator::run_batch`]): lease jobs run `batch` at a
+    /// ([`Generator::run_batch_tiled`]): lease jobs run `batch` at a
     /// time through one stacked forward/backward per model per iterate.
     /// Heartbeats fire between tiles, so the coordinator's lease
     /// deadline must cover `max(batch, heartbeat_every)` seed steps.
@@ -109,24 +110,6 @@ struct CampaignCtx {
 
 fn proto_err(what: impl AsRef<str>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.as_ref().to_string())
-}
-
-/// Stacks one tile of lease jobs' `[1, ...]` inputs into a `[C, ...]`
-/// batch for the generator's batched path. Empty tiles (which
-/// `chunks()` never yields) stack to an empty `[0]` tensor.
-fn stack_jobs(tile: &[Job]) -> dx_tensor::Tensor {
-    let Some(first) = tile.first() else {
-        return dx_tensor::Tensor::zeros(&[0]);
-    };
-    let mut data = Vec::with_capacity(tile.len() * first.input.len());
-    for job in tile {
-        data.extend_from_slice(job.input.data());
-    }
-    let mut shape = first.input.shape().to_vec();
-    if let Some(lead) = shape.first_mut() {
-        *lead = tile.len();
-    }
-    dx_tensor::Tensor::from_vec(data, &shape)
 }
 
 /// A fresh default identity: hashed from the pid, the clock, and a
@@ -225,8 +208,8 @@ pub fn run_worker(
                         }
                     }
                     let ids: Vec<usize> = tile.iter().map(|j| j.seed_id).collect();
-                    let stacked = stack_jobs(tile);
-                    let runs = ctx.generator.run_batch(&ids, &stacked);
+                    let stacked = concat_rows(tile.iter().map(|j| &j.input));
+                    let runs = ctx.generator.run_batch_tiled(&ids, &stacked, tile.len());
                     since_beat += tile.len();
                     for (seed_id, run) in ids.into_iter().zip(runs) {
                         summary.steps += 1;

@@ -321,46 +321,22 @@ impl Network {
     /// Panics if an injection index is out of range or its gradient shape
     /// does not match the activation.
     pub fn input_gradient(&self, pass: &ForwardPass, injections: &[(usize, Tensor)]) -> Tensor {
-        let l = self.layers.len();
-        for (idx, g) in injections {
-            assert!((1..=l).contains(idx), "injection index {idx} out of range 1..={l}");
-            assert_eq!(
-                g.shape(),
-                pass.activations[*idx].shape(),
-                "injection at {idx}: gradient shape {:?} does not match activation {:?}",
-                g.shape(),
-                pass.activations[*idx].shape()
-            );
-        }
-        let mut grad = Tensor::zeros(pass.activations[l].shape());
-        for (idx, g) in injections {
-            if *idx == l {
-                grad += g;
-            }
-        }
-        for i in (0..l).rev() {
-            let (gin, _) = self.layers[i].backward(&pass.caches[i], &grad, false);
-            grad = gin;
-            for (idx, g) in injections {
-                if *idx == i {
-                    grad += g;
-                }
-            }
-        }
-        grad
+        // A full-cache pass takes `Layer::backward` at every layer of the
+        // workspace sweep, so a throwaway arena changes nothing but where
+        // the buffers come from.
+        self.input_gradient_ws(pass, injections, &mut Workspace::new())
     }
 
-    /// Workspace-backed variant of [`Network::input_gradient`] for passes
-    /// produced by [`Network::forward_lite`].
+    /// [`Network::input_gradient`] with gradient buffers drawn from and
+    /// returned to the arena as the backward sweep walks the layers; also
+    /// differentiates passes produced by [`Network::forward_lite`].
     ///
-    /// Gradient buffers are drawn from and returned to the arena as the
-    /// backward sweep walks the layers, and lite caches are differentiated
-    /// by re-deriving what the layer needs from the recorded activations
-    /// (ReLU's mask from its input, sigmoid/tanh/softmax's output from the
-    /// next activation). Passes from [`Network::forward`] also work — their
-    /// full caches hit the fallback arm. Results are bit-identical to
-    /// [`Network::input_gradient`] up to the sign of zeros (the dense
-    /// backward's transposed-rhs kernel; see `Tensor::matmul_bt`).
+    /// Lite caches are differentiated by re-deriving what the layer needs
+    /// from the recorded activations (ReLU's mask from its input,
+    /// sigmoid/tanh/softmax's output from the next activation); full
+    /// caches from [`Network::forward`] go through [`Layer::backward`]. The
+    /// two agree bit for bit up to the sign of zeros (the dense backward's
+    /// transposed-rhs kernel; see `Tensor::matmul_bt`).
     ///
     /// # Panics
     ///

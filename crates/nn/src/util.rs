@@ -48,6 +48,33 @@ pub fn stack(samples: &[Tensor]) -> Tensor {
     Tensor::from_vec(data, &out_shape)
 }
 
+/// Concatenates batched tensors that agree on every dimension but the
+/// first along the batch axis (`[1, ...]` inputs into one `[N, ...]`).
+///
+/// # Panics
+///
+/// Panics if `rows` is empty or trailing shapes differ.
+pub fn concat_rows<'a>(rows: impl IntoIterator<Item = &'a Tensor>) -> Tensor {
+    let mut rows = rows.into_iter().peekable();
+    let n = rows.size_hint().0;
+    let first = rows.peek().expect("cannot concatenate zero tensors");
+    let mut data = Vec::with_capacity(first.len() * n);
+    let mut shape = first.shape().to_vec();
+    shape[0] = 0;
+    for r in rows {
+        assert_eq!(
+            r.shape()[1..],
+            shape[1..],
+            "concat_rows: inconsistent row shapes {:?} vs {:?}",
+            r.shape(),
+            shape
+        );
+        shape[0] += r.shape()[0];
+        data.extend_from_slice(r.data());
+    }
+    Tensor::from_vec(data, &shape)
+}
+
 /// Gathers rows (axis-0 slices) of a batched tensor by index.
 ///
 /// # Panics
@@ -111,6 +138,19 @@ mod tests {
         for (i, s) in samples.iter().enumerate() {
             assert_eq!(&row(&batch, i), s);
         }
+    }
+
+    #[test]
+    fn concat_rows_inverts_gather() {
+        let x = rng::uniform(&mut rng::rng(2), &[3, 2, 2], 0.0, 1.0);
+        let parts = [gather_rows(&x, &[0]), gather_rows(&x, &[1, 2])];
+        assert_eq!(concat_rows(&parts), x);
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent row shapes")]
+    fn concat_rows_rejects_mismatched_rows() {
+        concat_rows(&[Tensor::zeros(&[1, 2]), Tensor::zeros(&[1, 3])]);
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! against central finite differences through full networks. Networks use
 //! smooth activations (sigmoid/tanh) where possible so the checks are not
 //! confounded by ReLU kinks; ReLU and max-pool get their own checks at
-//! inputs sampled away from their non-differentiable sets.
+//! inputs sampled away from their non-differentiable sets. Every input
+//! gradient is checked through both passes that produce one: the cached
+//! pair training shares and the cache-light workspace pair the generator's
+//! growth loop runs.
 
 #![allow(clippy::needless_range_loop)] // Tests co-index several parallel arrays.
 use dx_nn::layer::Layer;
 use dx_nn::network::Network;
-use dx_tensor::{rng, Tensor};
+use dx_tensor::{rng, Tensor, Workspace};
 
 /// Scalar objective: a fixed random linear functional of the output, which
 /// exercises every output coordinate at once.
@@ -18,18 +21,50 @@ fn objective(net: &Network, x: &Tensor, probe: &Tensor) -> f32 {
     net.output(x).hadamard(probe).sum()
 }
 
-/// Analytic input gradient of [`objective`] via gradient injection.
-fn analytic_input_grad(net: &Network, x: &Tensor, probe: &Tensor) -> Tensor {
-    let pass = net.forward(x);
-    net.input_gradient(&pass, &[(net.num_layers(), probe.clone())])
+/// The two forward/backward pairs that yield an input gradient.
+#[derive(Clone, Copy, Debug)]
+enum Pass {
+    /// `forward` + `input_gradient`: full derivative caches.
+    Cached,
+    /// `forward_lite` + `input_gradient_ws`: derivatives re-derived from
+    /// the recorded activations, buffers from an arena.
+    Lite,
 }
 
-/// Checks the analytic input gradient against central differences.
+const PASSES: [Pass; 2] = [Pass::Cached, Pass::Lite];
+
+/// Analytic input gradient of the objective the injections describe.
+fn input_gradient(net: &Network, x: &Tensor, injections: &[(usize, Tensor)], via: Pass) -> Tensor {
+    match via {
+        Pass::Cached => net.input_gradient(&net.forward(x), injections),
+        Pass::Lite => {
+            let mut ws = Workspace::new();
+            let pass = net.forward_lite(x, &mut ws);
+            net.input_gradient_ws(&pass, injections, &mut ws)
+        }
+    }
+}
+
+/// Checks the analytic input gradient of [`objective`], through both
+/// passes, against central differences.
 ///
 /// Tolerances are relative to the gradient magnitude; f32 arithmetic with
 /// h = 1e-2 gives ~3 significant digits on smooth nets.
 fn check_input_gradient(net: &Network, x: &Tensor, probe: &Tensor, tol: f32) {
-    let analytic = analytic_input_grad(net, x, probe);
+    for via in PASSES {
+        let analytic = input_gradient(net, x, &[(net.num_layers(), probe.clone())], via);
+        check_against_differences(&analytic, x, tol, via, |x| objective(net, x, probe));
+    }
+}
+
+/// Compares `analytic` with the central differences of `f` around `x`.
+fn check_against_differences(
+    analytic: &Tensor,
+    x: &Tensor,
+    tol: f32,
+    via: Pass,
+    f: impl Fn(&Tensor) -> f32,
+) {
     let h = 1e-2f32;
     let scale = analytic.data().iter().fold(0.0f32, |a, &b| a.max(b.abs())).max(1e-3);
     for i in 0..x.len() {
@@ -37,11 +72,11 @@ fn check_input_gradient(net: &Network, x: &Tensor, probe: &Tensor, tol: f32) {
         plus.data_mut()[i] += h;
         let mut minus = x.clone();
         minus.data_mut()[i] -= h;
-        let fd = (objective(net, &plus, probe) - objective(net, &minus, probe)) / (2.0 * h);
+        let fd = (f(&plus) - f(&minus)) / (2.0 * h);
         let a = analytic.data()[i];
         assert!(
             (fd - a).abs() <= tol * scale,
-            "input grad mismatch at {i}: fd {fd} vs analytic {a} (scale {scale})"
+            "{via:?} input grad mismatch at {i}: fd {fd} vs analytic {a} (scale {scale})"
         );
     }
 }
@@ -126,6 +161,10 @@ fn conv_avgpool_input_gradient() {
     net.init_weights(&mut r);
     let x = rng::uniform(&mut r, &[1, 2, 6, 6], -1.0, 1.0);
     let probe = rng::uniform(&mut r, &[1, 3], -1.0, 1.0);
+    check_input_gradient(&net, &x, &probe, 0.02);
+    // A tile of rows in one pass, as the growth loop differentiates them.
+    let x = rng::uniform(&mut r, &[3, 2, 6, 6], -1.0, 1.0);
+    let probe = rng::uniform(&mut r, &[3, 3], -1.0, 1.0);
     check_input_gradient(&net, &x, &probe, 0.02);
 }
 
@@ -228,29 +267,26 @@ fn hidden_neuron_injection_matches_finite_difference() {
     let mut r = rng::rng(9);
     net.init_weights(&mut r);
     let x = rng::uniform(&mut r, &[1, 1, 6, 6], -1.0, 1.0);
-    let pass = net.forward(&x);
 
     // Target neuron: channel 1, position (2, 3) of the tanh output.
-    let mut seed = Tensor::zeros(pass.activations[2].shape());
+    let mut seed = Tensor::zeros(&[1, 2, 4, 4]);
     seed.set(&[0, 1, 2, 3], 1.0);
-    let analytic = net.input_gradient(&pass, &[(2, seed)]);
-
-    let neuron_value = |net: &Network, x: &Tensor| -> f32 {
-        let p = net.forward(x);
-        p.activations[2].at(&[0, 1, 2, 3])
-    };
-    let h = 1e-2f32;
-    for i in 0..x.len() {
-        let mut plus = x.clone();
-        plus.data_mut()[i] += h;
-        let mut minus = x.clone();
-        minus.data_mut()[i] -= h;
-        let fd = (neuron_value(&net, &plus) - neuron_value(&net, &minus)) / (2.0 * h);
-        let a = analytic.data()[i];
-        assert!(
-            (fd - a).abs() < 0.02 * (a.abs().max(0.01)).max(0.01),
-            "neuron grad mismatch at {i}: fd {fd} vs analytic {a}"
-        );
+    let neuron_value = |x: &Tensor| net.forward(x).activations[2].at(&[0, 1, 2, 3]);
+    for via in PASSES {
+        let analytic = input_gradient(&net, &x, &[(2, seed.clone())], via);
+        let h = 1e-2f32;
+        for i in 0..x.len() {
+            let mut plus = x.clone();
+            plus.data_mut()[i] += h;
+            let mut minus = x.clone();
+            minus.data_mut()[i] -= h;
+            let fd = (neuron_value(&plus) - neuron_value(&minus)) / (2.0 * h);
+            let a = analytic.data()[i];
+            assert!(
+                (fd - a).abs() < 0.02 * (a.abs().max(0.01)).max(0.01),
+                "{via:?} neuron grad mismatch at {i}: fd {fd} vs analytic {a}"
+            );
+        }
     }
 }
 
@@ -265,18 +301,25 @@ fn joint_objective_gradient_is_sum_of_parts() {
     let mut r = rng::rng(10);
     net.init_weights(&mut r);
     let x = rng::uniform(&mut r, &[1, 3], 0.0, 1.0);
-    let pass = net.forward(&x);
 
     let mut out_seed = Tensor::zeros(&[1, 2]);
     out_seed.set(&[0, 0], 1.0);
     let mut hid_seed = Tensor::zeros(&[1, 5]);
     hid_seed.set(&[0, 3], 0.7);
 
-    let g1 = net.input_gradient(&pass, &[(4, out_seed.clone())]);
-    let g2 = net.input_gradient(&pass, &[(2, hid_seed.clone())]);
-    let joint = net.input_gradient(&pass, &[(4, out_seed), (2, hid_seed)]);
-    for i in 0..joint.len() {
-        let want = g1.data()[i] + g2.data()[i];
-        assert!((joint.data()[i] - want).abs() < 1e-5);
+    for via in PASSES {
+        let g1 = input_gradient(&net, &x, &[(4, out_seed.clone())], via);
+        let g2 = input_gradient(&net, &x, &[(2, hid_seed.clone())], via);
+        let joint = input_gradient(&net, &x, &[(4, out_seed.clone()), (2, hid_seed.clone())], via);
+        for i in 0..joint.len() {
+            let want = g1.data()[i] + g2.data()[i];
+            assert!((joint.data()[i] - want).abs() < 1e-5, "{via:?} at {i}");
+        }
+        // And the joint gradient is the derivative of the joint objective.
+        let objective = |x: &Tensor| {
+            let pass = net.forward(x);
+            pass.activations[4].at(&[0, 0]) + 0.7 * pass.activations[2].at(&[0, 3])
+        };
+        check_against_differences(&joint, &x, 0.02, via, objective);
     }
 }
