@@ -1,6 +1,6 @@
 //! Seeded frame-constant drift: the admission module grew its own
-//! copies of the wire constants and they no longer agree with
-//! `conn.rs`.
+//! copies of the wire constants instead of sharing the ones `conn.rs`
+//! declares.
 
 pub const MAX_FRAME: usize = 1 << 28;
 pub const HELLO_FRAME_CAP: usize = 1 << 20;

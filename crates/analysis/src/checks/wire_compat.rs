@@ -3,11 +3,11 @@
 //! The dist wire protocol's safety rests on three constants and one
 //! ordering rule, spread across files that evolve independently:
 //!
-//! 1. `MAX_FRAME` has exactly one declaration — a second copy drifts.
-//! 2. Every `HELLO_FRAME_CAP` declaration (the coordinator and the
-//!    service dispatcher each keep one next to their accept loop) has
-//!    the same value, and that value is smaller than `MAX_FRAME`: the
-//!    pre-admission cap must be the tight one.
+//! 1. `MAX_FRAME`, `PROTOCOL_VERSION` and `HELLO_FRAME_CAP` (the one
+//!    connection shell in `dx_dist::engine` serves both daemons) have
+//!    exactly one declaration each — a second copy drifts.
+//! 2. `HELLO_FRAME_CAP` is smaller than `MAX_FRAME`: the pre-admission
+//!    cap must be the tight one.
 //! 3. In any function that creates a handshake reader
 //!    (`FrameReader::with_cap(..)`) and later raises the cap
 //!    (`set_cap`), the reader must start at `HELLO_FRAME_CAP` and every
@@ -58,7 +58,7 @@ struct Decl {
     value: Option<u64>,
 }
 
-/// Rules 1 and 2: declaration uniqueness and value agreement.
+/// Rules 1 and 2: declaration uniqueness and the hello-cap bound.
 fn check_constants(ws: &Workspace, out: &mut Vec<Finding>) {
     let mut decls: BTreeMap<&str, Vec<Decl>> = BTreeMap::new();
     for file in &ws.files {
@@ -86,8 +86,8 @@ fn check_constants(ws: &Workspace, out: &mut Vec<Finding>) {
         });
     }
 
-    // Rule 1: single source of truth for MAX_FRAME and PROTOCOL_VERSION.
-    for name in ["MAX_FRAME", "PROTOCOL_VERSION"] {
+    // Rule 1: single source of truth for each wire constant.
+    for name in ["MAX_FRAME", "PROTOCOL_VERSION", "HELLO_FRAME_CAP"] {
         if let Some(sites) = decls.get(name) {
             for extra in sites.iter().skip(1) {
                 out.push(Finding {
@@ -105,28 +105,9 @@ fn check_constants(ws: &Workspace, out: &mut Vec<Finding>) {
         }
     }
 
-    // Rule 2: HELLO_FRAME_CAP values agree and stay below MAX_FRAME.
+    // Rule 2: HELLO_FRAME_CAP stays below MAX_FRAME.
     let max_frame = decls.get("MAX_FRAME").and_then(|s| s.first()).and_then(|d| d.value);
     if let Some(sites) = decls.get("HELLO_FRAME_CAP") {
-        let first = &sites[0];
-        for site in sites.iter().skip(1) {
-            if site.value != first.value {
-                out.push(Finding {
-                    file: site.file.clone(),
-                    line: site.line,
-                    check: "wire-compat",
-                    message: format!(
-                        "`HELLO_FRAME_CAP` is {} here but {} in {}:{} — both ends of the \
-                         handshake must agree on the pre-admission cap",
-                        fmt_val(site.value),
-                        fmt_val(first.value),
-                        first.file,
-                        first.line,
-                    ),
-                    hint: "use one value (or one shared constant) on both planes".to_string(),
-                });
-            }
-        }
         for site in sites {
             if let (Some(cap), Some(max)) = (site.value, max_frame) {
                 if cap >= max {
@@ -145,10 +126,6 @@ fn check_constants(ws: &Workspace, out: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-fn fmt_val(v: Option<u64>) -> String {
-    v.map_or_else(|| "un-evaluatable".to_string(), |v| v.to_string())
 }
 
 /// Rule 3: handshake readers start small and only grow under an

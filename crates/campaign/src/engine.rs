@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use deepxplore::constraints::Constraint;
 use deepxplore::diff::Prediction;
-use deepxplore::generator::{Generator, SeedRun, TaskKind};
+use deepxplore::generator::{GeneratedTest, Generator, SeedRun, TaskKind};
 use deepxplore::Hyperparams;
 use dx_coverage::{CoverageSignal, SignalSpec};
 use dx_nn::network::Network;
@@ -233,6 +233,20 @@ pub struct FoundDiff {
     pub iterations: usize,
     /// The model Algorithm 1 pushed away.
     pub target_model: usize,
+}
+
+impl FoundDiff {
+    /// The record of `test`, grown from corpus entry `seed_id` in `epoch`.
+    pub fn from_test(seed_id: usize, epoch: usize, test: &GeneratedTest) -> Self {
+        Self {
+            seed_id,
+            epoch,
+            input: test.input.clone(),
+            predictions: test.predictions.clone(),
+            iterations: test.iterations,
+            target_model: test.target_model,
+        }
+    }
 }
 
 /// A long-running, multi-worker, coverage-guided fuzzing campaign.
@@ -476,8 +490,7 @@ impl Campaign {
 
     /// Mean global coverage across models.
     pub fn mean_coverage(&self) -> f32 {
-        let c = self.coverage();
-        c.iter().sum::<f32>() / c.len() as f32
+        dx_coverage::mean_coverage(&self.global)
     }
 
     /// Runs up to `config.epochs` epochs, stopping early on the duration
@@ -651,14 +664,7 @@ impl Campaign {
             let diff_test = if run.found_difference() { run.test.as_ref() } else { None };
             if let Some(test) = diff_test {
                 diffs_found += 1;
-                self.diffs.push(FoundDiff {
-                    seed_id: id,
-                    epoch,
-                    input: test.input.clone(),
-                    predictions: test.predictions.clone(),
-                    iterations: test.iterations,
-                    target_model: test.target_model,
-                });
+                self.diffs.push(FoundDiff::from_test(id, epoch, test));
             }
             self.corpus.absorb(id, &run, &global_coverage);
         }

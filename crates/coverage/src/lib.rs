@@ -31,5 +31,7 @@ pub mod tracker;
 pub use boundary::BoundaryTracker;
 pub use multisection::{MultisectionTracker, NeuronProfile};
 pub use neuron::{Granularity, NeuronId};
-pub use signal::{mean_component_coverage, CoverageSignal, MetricKind, MetricSpec, SignalSpec};
+pub use signal::{
+    mean_component_coverage, mean_coverage, CoverageSignal, MetricKind, MetricSpec, SignalSpec,
+};
 pub use tracker::{CoverageConfig, CoverageTracker};

@@ -764,6 +764,14 @@ impl CoverageSignal {
     }
 }
 
+/// Mean coverage across a set of per-model signals (0 for an empty set).
+pub fn mean_coverage(signals: &[CoverageSignal]) -> f32 {
+    if signals.is_empty() {
+        return 0.0;
+    }
+    signals.iter().map(CoverageSignal::coverage).sum::<f32>() / signals.len() as f32
+}
+
 /// Mean coverage per component across a set of per-model signals (the
 /// campaign's per-component progress view, used for report columns and
 /// per-component rarity energy). All signals must share a metric spec.

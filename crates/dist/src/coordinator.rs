@@ -1,42 +1,37 @@
-//! The campaign coordinator: owns the corpus and the global coverage
-//! union, leases seeds to workers, and folds results back in.
+//! The campaign coordinator: one campaign on the shared lease engine.
 //!
 //! One logical campaign, many OS processes. The coordinator is the only
 //! holder of mutable campaign state; workers are stateless between leases
 //! (beyond their generator RNG, which they report back for checkpointing).
-//! Scheduling is the same energy-proportional draw as the in-process
-//! engine, with leased seeds excluded so no two workers fuzz the same
-//! entry concurrently.
-//!
-//! **Liveness.** Every lease carries a deadline, extended by worker
-//! heartbeats; an expired lease's seeds are requeued for the next worker,
-//! and results arriving for an expired lease still contribute their
-//! coverage but are otherwise dropped. A dead connection requeues its
-//! leases immediately.
+//! Serving, the handshake, admission, lease bookkeeping (deadlines,
+//! heartbeats, requeue of expired or orphaned leases, salvage of late
+//! results) and the campaign ledger are [`crate::engine`]'s, shared with
+//! the `dx-service` dispatcher. This file is what a *dedicated*
+//! coordinator adds:
 //!
 //! **Trust.** The coordinator does not take workers at their word. With
-//! an auth token configured, admission requires an HMAC challenge/response
-//! ([`crate::auth`]) before any campaign state is revealed. With a
-//! spot-check rate configured, a sample of every worker's claimed
+//! a spot-check rate configured, a sample of every worker's claimed
 //! difference-inducing inputs is re-executed through the coordinator's own
-//! model copies; claims that do not reproduce are quarantined, the lease's
+//! model copies — outside the state lock, between the engine's claim and
+//! its absorb; claims that do not reproduce are quarantined, the lease's
 //! results discarded and its seeds requeued, and a worker whose
-//! fabrication rate crosses the trust threshold is evicted. Lease sizes
-//! can also adapt per worker (`lease_max`), growing for workers that turn
-//! leases around quickly.
+//! fabrication rate crosses the trust threshold is evicted: its slot is
+//! burned, which is the predicate the engine's admission consults.
+//! Lease sizes can also adapt per worker (`lease_max`), growing for
+//! workers that turn leases around quickly.
 //!
-//! **Drain.** A drain (budget reached, coverage target met, corpus
-//! exhausted, or an external [`DrainHandle`]) answers every following
-//! lease request with `drain`, waits for outstanding leases to land or
-//! expire, flushes the partial round, and writes a final checkpoint —
-//! the standard campaign JSONL files plus `dist.json` (requeued seeds and
-//! per-slot worker RNG states), so [`Coordinator::resume`] can continue
-//! the whole fleet, and `dx_campaign::Campaign::resume` can continue the
-//! same checkpoint in-process.
+//! **Drain.** The coordinator drains itself — budget reached, coverage
+//! target met, corpus exhausted — or on an external [`DrainHandle`];
+//! then it waits for outstanding leases to land or expire, flushes the
+//! partial round, and writes a final checkpoint — the standard campaign
+//! JSONL files plus `dist.json` (requeued seeds, per-slot worker RNG
+//! states, identities and trust records), so [`Coordinator::resume`] can
+//! continue the whole fleet, and `dx_campaign::Campaign::resume` can
+//! continue the same checkpoint in-process.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -48,38 +43,19 @@ use dx_campaign::codec::{
     u64_from_json, u64_json,
 };
 use dx_campaign::json::{build, Json};
-use dx_campaign::{CampaignReport, Corpus, EnergyModel, EpochStats, FoundDiff, ModelSuite};
+use dx_campaign::{CampaignReport, Corpus, EnergyModel, FoundDiff, ModelSuite};
 use dx_coverage::CoverageSignal;
 use dx_nn::util::gather_rows;
 use dx_telemetry::events::{emit, Level};
-use dx_telemetry::phase::{Phase, TIME_BUCKETS};
+use dx_telemetry::phase::TIME_BUCKETS;
 use dx_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use dx_tensor::{rng, Tensor};
 
-use crate::auth;
-use crate::proto::{
-    coverage_news, Fingerprint, Job, JobResult, Msg, TelemetrySnapshot, PROTOCOL_VERSION,
+use crate::engine::{
+    self, CheckpointGate, Daemon, Fleet, Gate, LeaseTable, Ledger, Peer, Plan, Refusal, Reply,
+    ResultsFrame, Snapshot, Views,
 };
-use crate::suite_fingerprint;
-use crate::wire::{write_frame, FrameReader, MAX_FRAME};
-
-/// How often connection handlers and the accept loop wake up to check
-/// deadlines and flags.
-const POLL: Duration = Duration::from_millis(100);
-
-/// Idle polls (no traffic from a drained, lease-less worker) before its
-/// connection is closed server-side.
-const DRAIN_GRACE_POLLS: u32 = 20;
-
-/// Frame cap for connections that have not completed admission: big
-/// enough for any hello/auth frame, small enough that a stranger's
-/// four-byte length prefix cannot demand a quarter-gigabyte allocation.
-const HELLO_FRAME_CAP: usize = 1 << 16;
-
-/// How long a connection may sit without completing admission before it
-/// is closed — a garbage or silent client must not park a handler thread
-/// (and a listener backlog slot) forever.
-const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
+use crate::proto::{Fingerprint, Msg};
 
 /// Spot-checks a worker must accumulate before its fabrication rate can
 /// evict it — one unlucky sample should not kill a fleet member.
@@ -94,7 +70,7 @@ const QUARANTINE_KEEP: usize = 256;
 pub struct CoordinatorConfig {
     /// Absorbed seed steps per statistics round (the dist analogue of the
     /// in-process engine's epoch); each full round appends an
-    /// [`EpochStats`] line and checkpoints.
+    /// [`dx_campaign::EpochStats`] line and checkpoints.
     pub batch_per_round: usize,
     /// Total seed-step budget (across resumes); `None` is unbounded.
     pub max_steps: Option<usize>,
@@ -255,29 +231,6 @@ impl DrainHandle {
     }
 }
 
-struct Lease {
-    slot: u64,
-    seed_ids: Vec<usize>,
-    deadline: Instant,
-    /// When the lease was granted — the adaptive sizer measures worker
-    /// throughput as (results arrival − issue) / jobs.
-    issued: Instant,
-    /// Results for this lease arrived and are being spot-checked outside
-    /// the state lock. The lease stays on the books so its seeds remain
-    /// invisible to the scheduler (no double-lease), the drain check
-    /// still sees work in flight, and housekeeping does not expire it
-    /// mid-verification; a duplicate results frame meanwhile is ignored.
-    checking: bool,
-}
-
-#[derive(Default)]
-struct RoundAccum {
-    seeds_run: usize,
-    diffs_found: usize,
-    iterations: usize,
-    newly_covered: usize,
-}
-
 /// Cached registry handles for the coordinator's unlabeled series, plus
 /// constructors for the per-slot series minted on demand. The per-slot
 /// spot-check counters and eviction gauges are the *source of truth* for
@@ -373,157 +326,55 @@ impl CoordMetrics {
 }
 
 struct State {
-    corpus: Corpus,
-    global: Vec<CoverageSignal>,
-    diffs: Vec<FoundDiff>,
+    ledger: Ledger,
+    fleet: Fleet,
     /// Claimed diffs that failed re-execution, kept for inspection (capped
     /// at [`QUARANTINE_KEEP`]; `quarantined_total` keeps counting).
     quarantined: Vec<FoundDiff>,
     quarantined_total: usize,
-    epochs: Vec<EpochStats>,
-    round: RoundAccum,
-    round_started: Instant,
-    steps_done: usize,
-    // BTreeMap, not HashMap: lease ids iterate in issue order, so the
-    // snapshot in dist.json and the housekeeping sweep are
-    // deterministic across runs.
-    leases: BTreeMap<u64, Lease>,
-    /// Requeued seed ids (expired/abandoned leases), served before fresh
-    /// scheduling.
-    pending: VecDeque<usize>,
-    next_lease: u64,
-    next_slot: u64,
-    /// Persistent worker identity per slot (protocol v6). Trust records
-    /// are keyed by slot internally, but admission resolves an identity
-    /// back to its historical slot first — so an evicted worker's
-    /// reconnect lands on its burned slot and is rejected instead of
-    /// minting a fresh record.
-    identities: BTreeMap<u64, String>,
-    /// Slots with a live admitted connection; a second connection
-    /// claiming the same identity is rejected while the first lives.
-    live_slots: std::collections::HashSet<u64>,
+    /// Worker generator RNG states, keyed by slot like the trust records
+    /// (admission resolves a returning identity to its historical slot).
     worker_rng: BTreeMap<u64, [u64; 4]>,
     per_worker: BTreeMap<u64, WorkerStats>,
     /// Per-slot adaptive lease size (absent = `cfg.lease_size`).
     lease_quota: BTreeMap<u64, usize>,
-    sched_rng: rng::Rng,
     /// Drives spot-check sampling, independently of scheduling so
     /// enabling verification never changes which seeds get fuzzed.
     spot_rng: rng::Rng,
-    connected: usize,
-    /// Monotonic checkpoint snapshot counter; the writer discards stale
-    /// snapshots that lost the race to a newer one.
-    ckpt_seq: u64,
+    /// When the current serve call's wall-clock budget runs out.
+    serve_until: Option<Instant>,
 }
 
-/// The coordinator; see the module docs for the protocol and lifecycle.
+/// The coordinator; see the module docs for what it adds to the engine.
 pub struct Coordinator {
     cfg: CoordinatorConfig,
-    fingerprint: Fingerprint,
+    gate: Gate,
     /// The coordinator's own copy of the models under test, used to
     /// re-execute spot-checked claims. Never mutated.
     suite: ModelSuite,
     /// The shape every result tensor must have (`[1, sample dims...]`);
     /// anything else from a worker is a protocol violation, not a panic.
     sample_shape: Vec<usize>,
-    /// Empty signals, cloned as each connection's model of what its
-    /// worker knows about global coverage.
-    template: Vec<CoverageSignal>,
     metrics: CoordMetrics,
     state: Mutex<State>,
-    drain: Arc<AtomicBool>,
-    force_close: AtomicBool,
-    /// Serializes checkpoint disk writes and remembers the newest snapshot
-    /// written (None until the first write this process, which therefore
-    /// rewrites instead of appending).
-    ckpt_io: Mutex<Option<u64>>,
-}
-
-/// Per-connection protocol state, owned by the handler thread.
-struct Conn {
-    /// Assigned slot, once admitted.
-    slot: Option<u64>,
-    /// What this worker is known to know about global coverage.
-    view: Vec<CoverageSignal>,
-    /// Fingerprint parked at `hello` until the auth proof arrives.
-    pending_fp: Option<Fingerprint>,
-    /// The identity announced at `hello`; the auth proof must be bound
-    /// to it before admission trusts it.
-    worker_id: Option<String>,
-    /// The outstanding challenge nonce (auth-enabled coordinators only).
-    nonce: Option<String>,
-}
-
-/// State restored from (or initialized for) a campaign, bundled so the
-/// constructor does not take a dozen positional arguments.
-struct Restored {
-    corpus: Corpus,
-    diffs: Vec<FoundDiff>,
-    quarantined: Vec<FoundDiff>,
-    quarantined_total: usize,
-    epochs: Vec<EpochStats>,
-    coverage: Option<Vec<Vec<bool>>>,
-    steps_done: usize,
-    pending: VecDeque<usize>,
-    worker_rng: BTreeMap<u64, [u64; 4]>,
-    per_worker: BTreeMap<u64, WorkerStats>,
-    identities: BTreeMap<u64, String>,
-    next_lease: u64,
-}
-
-impl Restored {
-    fn fresh(corpus: Corpus) -> Self {
-        Self {
-            corpus,
-            diffs: Vec::new(),
-            quarantined: Vec::new(),
-            quarantined_total: 0,
-            epochs: Vec::new(),
-            coverage: None,
-            steps_done: 0,
-            pending: VecDeque::new(),
-            worker_rng: BTreeMap::new(),
-            per_worker: BTreeMap::new(),
-            identities: BTreeMap::new(),
-            next_lease: 0,
-        }
-    }
+    ckpt_io: CheckpointGate,
 }
 
 /// A full-state checkpoint snapshot, taken under the state lock (cheap
 /// clones) and serialized + fsynced *outside* it, so a round flush never
 /// stalls the other worker connections behind the coordinator mutex.
-struct CheckpointJob {
-    seq: u64,
-    corpus: Corpus,
-    report: CampaignReport,
-    diffs: Vec<FoundDiff>,
-    masks: Vec<Vec<bool>>,
-    signal: checkpoint::SignalCheckpoint,
-    meta: checkpoint::Meta,
+pub struct CheckpointJob {
+    snapshot: Snapshot,
     dist: DistState,
 }
 
-enum Reply {
-    Send(Msg),
-    SendThenClose(Msg),
-    Close,
-}
-
-/// The payload of a `results` frame, bundled for
-/// [`Coordinator::handle_results`].
-struct ResultsFrame {
-    lease: u64,
-    items: Vec<JobResult>,
-    cov: crate::proto::CovDelta,
-    rng_state: [u64; 4],
-    telemetry: Option<TelemetrySnapshot>,
-}
+/// The one campaign a coordinator runs, as lease and results frames tag it.
+const CAMPAIGN: u64 = 0;
 
 impl Coordinator {
     /// Creates a coordinator over initial seeds (rows of `seeds`). The
-    /// suite is used for coverage-tracker shapes and the admission
-    /// fingerprint; the coordinator itself never runs the models.
+    /// suite is used for coverage-tracker shapes, the admission
+    /// fingerprint and spot-check re-execution.
     ///
     /// # Panics
     ///
@@ -534,7 +385,9 @@ impl Coordinator {
         assert!(n > 0, "dist campaign needs at least one seed");
         let inputs = (0..n).map(|i| gather_rows(seeds, &[i])).collect();
         let corpus = Corpus::new(inputs, cfg.max_corpus).with_energy_model(cfg.energy);
-        Self::with_state(suite, label, cfg, Restored::fresh(corpus))
+        let gate = Gate::new(suite, label, cfg.auth_token.clone(), cfg.lease_timeout);
+        let ledger = Ledger::new(corpus, &gate.template, cfg.seed, Instant::now());
+        Self::with_state(suite, cfg, gate, ledger, DistState::default())
     }
 
     /// Resumes a coordinator from the checkpoint in `cfg.checkpoint_dir`:
@@ -577,57 +430,39 @@ impl Coordinator {
         // Checkpointed multisection profiles are authoritative, exactly as
         // in `dx_campaign::Campaign::resume_from`.
         let suite = &state.signal.restore_profiles(suite.clone())?;
-        let dist = DistState::load(dir)?;
+        // A plain campaign checkpoint has no dist.json: its steps are its
+        // epochs' and nothing is owed to the queue.
+        let mut dist = DistState::load(dir)?.unwrap_or_else(|| DistState {
+            steps_done: state.epochs.iter().map(|e| e.seeds_run).sum(),
+            ..DistState::default()
+        });
         let corpus =
             Corpus::from_entries(state.corpus, cfg.max_corpus).with_energy_model(cfg.energy);
         let mut cfg = cfg;
         cfg.seed = state.campaign_seed;
-        let steps_done = dist
-            .as_ref()
-            .map(|d| d.steps_done)
-            .unwrap_or_else(|| state.epochs.iter().map(|e| e.seeds_run).sum());
-        let pending: VecDeque<usize> = dist
-            .as_ref()
-            .map(|d| d.pending.iter().copied().filter(|&id| corpus.get(id).is_some()).collect())
-            .unwrap_or_default();
-        let restored = Restored {
-            corpus,
-            diffs: state.diffs,
-            quarantined: dist.as_ref().map(|d| d.quarantined.clone()).unwrap_or_default(),
-            quarantined_total: dist.as_ref().map(|d| d.quarantined_total).unwrap_or(0),
-            epochs: state.epochs,
-            coverage: state.coverage,
-            steps_done,
-            pending,
-            worker_rng: dist.as_ref().map(|d| d.worker_rng.clone()).unwrap_or_default(),
-            per_worker: dist.as_ref().map(|d| d.trust.clone()).unwrap_or_default(),
-            identities: dist.as_ref().map(|d| d.identities.clone()).unwrap_or_default(),
-            next_lease: dist.as_ref().map(|d| d.next_lease).unwrap_or(0),
-        };
-        Ok(Self::with_state(suite, label, cfg, restored))
+        let gate = Gate::new(suite, label, cfg.auth_token.clone(), cfg.lease_timeout);
+        let mut ledger = Ledger::new(corpus, &gate.template, cfg.seed, Instant::now());
+        ledger.restore(
+            state.diffs,
+            state.epochs,
+            state.coverage.as_deref(),
+            dist.steps_done,
+            std::mem::take(&mut dist.pending),
+        );
+        Ok(Self::with_state(suite, cfg, gate, ledger, dist))
     }
 
     fn with_state(
         suite: &ModelSuite,
-        label: &str,
         cfg: CoordinatorConfig,
-        restored: Restored,
+        gate: Gate,
+        ledger: Ledger,
+        dist: DistState,
     ) -> Self {
         assert!(cfg.batch_per_round >= 1, "batch_per_round must be at least 1");
         assert!(cfg.lease_size >= 1, "lease_size must be at least 1");
         assert!((0.0..=1.0).contains(&cfg.spot_check_rate), "spot_check_rate must be in [0, 1]");
-        let template: Vec<CoverageSignal> = suite.signal.build(&suite.models);
-        let mut global = template.clone();
-        let masks_fit = restored.coverage.as_ref().is_some_and(|masks| {
-            masks.len() == global.len()
-                && masks.iter().zip(global.iter()).all(|(m, g)| m.len() == g.total())
-        });
-        if let Some(masks) = restored.coverage.as_ref().filter(|_| masks_fit) {
-            for (g, mask) in global.iter_mut().zip(masks) {
-                g.set_covered_mask(mask);
-            }
-        }
-        let sample_shape = restored
+        let sample_shape = ledger
             .corpus
             .entries()
             .first()
@@ -635,68 +470,52 @@ impl Coordinator {
             // analysis: allow(panic): constructor contract — `new` asserts a
             // non-empty seed set and checkpoints never persist an empty corpus
             .expect("corpus is never empty");
-        let fingerprint = suite_fingerprint(suite, label);
-        let sched_rng = rng::rng(rng::derive_seed(cfg.seed, 0xd157));
         let spot_rng = rng::rng(rng::derive_seed(cfg.seed, 0x5b07));
         let metrics = CoordMetrics::new(&cfg.registry);
         // Fabrication history (and burned slots) must survive restarts.
-        metrics.seed_trust(&restored.per_worker);
-        metrics.requeue_depth.set(restored.pending.len() as f64);
+        metrics.seed_trust(&dist.trust);
+        metrics.requeue_depth.set(ledger.pending.len() as f64);
+        let fleet =
+            Fleet::new(dist.identities, LeaseTable::new(dist.next_lease, cfg.lease_timeout));
         Self {
-            cfg,
-            fingerprint,
+            gate,
             suite: suite.clone(),
             sample_shape,
-            template,
             metrics,
             state: Mutex::new(State {
-                corpus: restored.corpus,
-                global,
-                diffs: restored.diffs,
-                quarantined: restored.quarantined,
-                quarantined_total: restored.quarantined_total,
-                epochs: restored.epochs,
-                round: RoundAccum::default(),
-                round_started: Instant::now(),
-                steps_done: restored.steps_done,
-                leases: BTreeMap::new(),
-                pending: restored.pending,
-                next_lease: restored.next_lease,
-                next_slot: 0,
-                identities: restored.identities,
-                live_slots: std::collections::HashSet::new(),
-                worker_rng: restored.worker_rng,
-                per_worker: restored.per_worker,
+                ledger,
+                fleet,
+                quarantined: dist.quarantined,
+                quarantined_total: dist.quarantined_total,
+                worker_rng: dist.worker_rng,
+                per_worker: dist.trust,
                 lease_quota: BTreeMap::new(),
-                sched_rng,
                 spot_rng,
-                connected: 0,
-                ckpt_seq: 0,
+                serve_until: None,
             }),
-            drain: Arc::new(AtomicBool::new(false)),
-            force_close: AtomicBool::new(false),
-            ckpt_io: Mutex::new(None),
+            ckpt_io: CheckpointGate::default(),
+            cfg,
         }
     }
 
     /// A handle that asks [`Coordinator::serve`] to drain, from any thread.
     pub fn drain_handle(&self) -> DrainHandle {
-        DrainHandle(Arc::clone(&self.drain))
+        DrainHandle(self.gate.drain_flag())
     }
 
     /// The admission fingerprint workers must present.
     pub fn fingerprint(&self) -> &Fingerprint {
-        &self.fingerprint
+        &self.gate.fingerprint
     }
 
     /// Seed steps absorbed so far (including resumed-from steps).
     pub fn steps_done(&self) -> usize {
-        self.lock().steps_done
+        self.lock().ledger.steps_done
     }
 
     /// Leases currently out with workers.
     pub fn outstanding_leases(&self) -> usize {
-        self.lock().leases.len()
+        self.lock().fleet.leases.len()
     }
 
     /// Claimed diffs that failed spot-checks so far (cumulative).
@@ -706,8 +525,7 @@ impl Coordinator {
 
     /// Mean global coverage across models.
     pub fn mean_coverage(&self) -> f32 {
-        let st = self.lock();
-        mean_coverage_of(&st.global)
+        self.lock().ledger.mean_coverage()
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
@@ -726,473 +544,31 @@ impl Coordinator {
     /// Listener failures and checkpoint I/O errors. Individual connection
     /// errors only drop that worker.
     pub fn serve(&self, listener: TcpListener) -> io::Result<DistReport> {
-        listener.set_nonblocking(true)?;
-        let started = Instant::now();
         {
-            self.lock().round_started = Instant::now();
+            let now = Instant::now();
+            let mut st = self.lock();
+            st.ledger.start_round(now);
+            st.serve_until = self.cfg.duration.map(|budget| now + budget);
         }
-        let mut drained_at: Option<Instant> = None;
-        std::thread::scope(|scope| -> io::Result<()> {
-            loop {
-                self.housekeep(started)?;
-                if self.drain.load(Ordering::SeqCst) {
-                    let now = Instant::now();
-                    let since = *drained_at.get_or_insert(now);
-                    let st = self.lock();
-                    let idle = st.leases.is_empty() && st.connected == 0;
-                    drop(st);
-                    if idle {
-                        // Sweep the accept backlog before closing the
-                        // listener: a worker whose connection is still
-                        // queued gets a polite `drain` instead of a reset.
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                scope.spawn(move || self.handle(stream));
-                                continue;
-                            }
-                            Err(e)
-                                if e.kind() == io::ErrorKind::WouldBlock
-                                    || e.kind() == io::ErrorKind::TimedOut =>
-                            {
-                                break
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    if now.duration_since(since) > self.cfg.lease_timeout + 10 * POLL {
-                        // Workers that never came back: stop waiting.
-                        self.force_close.store(true, Ordering::SeqCst);
-                    }
-                }
-                match listener.accept() {
-                    Ok((stream, peer)) => {
-                        emit(
-                            Level::Debug,
-                            "coordinator",
-                            "connection",
-                            &[("peer", peer.to_string().into())],
-                        );
-                        scope.spawn(move || self.handle(stream));
-                    }
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        std::thread::sleep(POLL)
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(())
-        })?;
+        engine::serve(self, listener)?;
         self.finish()
     }
 
-    /// Periodic bookkeeping: expire overdue leases, trip stop conditions.
-    fn housekeep(&self, started: Instant) -> io::Result<()> {
-        if let Some(budget) = self.cfg.duration {
-            if started.elapsed() >= budget {
-                self.drain.store(true, Ordering::SeqCst);
-            }
+    /// Drains once the campaign is done: budget, coverage target, or an
+    /// exhausted corpus with nothing in flight.
+    fn check_targets(&self, st: &State) {
+        let in_flight = !st.fleet.leases.is_empty();
+        if st.ledger.done_reason(self.cfg.max_steps, self.cfg.target_coverage, in_flight).is_some()
+        {
+            self.gate.drain();
         }
-        let mut st = self.lock();
-        let now = Instant::now();
-        let expired: Vec<u64> = st
-            .leases
-            .iter()
-            .filter(|(_, l)| now >= l.deadline && !l.checking)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in expired {
-            let Some(lease) = st.leases.remove(&id) else { continue };
-            self.metrics.lease_expired.inc();
-            emit(
-                Level::Info,
-                "coordinator",
-                "lease_expired",
-                &[
-                    ("lease", id.into()),
-                    ("slot", lease.slot.into()),
-                    ("seeds", lease.seed_ids.len().into()),
-                ],
-            );
-            st.pending.extend(lease.seed_ids);
-        }
-        self.metrics.requeue_depth.set(st.pending.len() as f64);
-        self.check_targets(&mut st);
-        Ok(())
-    }
-
-    fn check_targets(&self, st: &mut State) {
-        if let Some(max) = self.cfg.max_steps {
-            if st.steps_done >= max {
-                self.drain.store(true, Ordering::SeqCst);
-            }
-        }
-        if let Some(target) = self.cfg.target_coverage {
-            if mean_coverage_of(&st.global) >= target {
-                self.drain.store(true, Ordering::SeqCst);
-            }
-        }
-        if st.corpus.all_exhausted() && st.leases.is_empty() {
-            self.drain.store(true, Ordering::SeqCst);
-        }
-    }
-
-    /// One worker connection, request/response until it closes.
-    ///
-    /// Hostile-input posture: unadmitted connections read through a small
-    /// frame cap (no length-prefix allocation bombs) and are closed after
-    /// [`HELLO_TIMEOUT`] if admission never completes; a malformed or
-    /// oversized frame gets a best-effort `reject` and closes only *this*
-    /// connection — the accept loop and every other worker keep going.
-    fn handle(&self, mut stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(POLL));
-        let mut reader = FrameReader::with_cap(HELLO_FRAME_CAP);
-        let mut conn = Conn {
-            slot: None,
-            view: self.template.clone(),
-            pending_fp: None,
-            worker_id: None,
-            nonce: None,
-        };
-        let opened = Instant::now();
-        let mut idle_polls: u32 = 0;
-        let result: io::Result<()> = (|| loop {
-            match reader.poll(&mut stream) {
-                Ok(None) => {
-                    if self.force_close.load(Ordering::SeqCst) {
-                        return Ok(());
-                    }
-                    if conn.slot.is_none() && opened.elapsed() >= HELLO_TIMEOUT {
-                        // A silent or garbage peer must not park this
-                        // handler thread forever.
-                        let reject = Msg::Reject { reason: "admission timed out".into() };
-                        let _ = write_frame(&mut stream, &reject.to_json());
-                        return Ok(());
-                    }
-                    if self.drain.load(Ordering::SeqCst) {
-                        let has_lease = match conn.slot {
-                            Some(s) => self.lock().leases.values().any(|l| l.slot == s),
-                            None => false,
-                        };
-                        if !has_lease {
-                            idle_polls += 1;
-                            if idle_polls > DRAIN_GRACE_POLLS {
-                                // The worker went quiet after the drain;
-                                // close from our side.
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-                Ok(Some(doc)) => {
-                    idle_polls = 0;
-                    let msg = match Msg::from_json(&doc) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            // Well-framed JSON that is not a protocol
-                            // message: say why, then drop the connection.
-                            let reject = Msg::Reject { reason: format!("malformed message: {e}") };
-                            let _ = write_frame(&mut stream, &reject.to_json());
-                            return Err(e);
-                        }
-                    };
-                    let (reply, ckpt) = self.reply_for(msg, &mut conn);
-                    if conn.slot.is_some() {
-                        // Admitted: results frames carry tensors, so the
-                        // connection earns the full frame allowance.
-                        reader.set_cap(MAX_FRAME);
-                    }
-                    // Reply first — the checkpoint write is this handler's
-                    // own time, not the worker's.
-                    let closing = match reply {
-                        Reply::Send(m) => {
-                            write_frame(&mut stream, &m.to_json())?;
-                            false
-                        }
-                        Reply::SendThenClose(m) => {
-                            write_frame(&mut stream, &m.to_json())?;
-                            true
-                        }
-                        Reply::Close => true,
-                    };
-                    if let Some(job) = ckpt {
-                        if let Err(e) = self.write_checkpoint(job) {
-                            emit(
-                                Level::Error,
-                                "coordinator",
-                                "checkpoint_failed",
-                                &[("error", e.to_string().into())],
-                            );
-                        }
-                    }
-                    if closing {
-                        return Ok(());
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    // Oversized length prefix or a non-JSON payload: a
-                    // clean per-connection error, never a panic or a
-                    // stalled accept loop.
-                    let reject = Msg::Reject { reason: format!("bad frame: {e}") };
-                    let _ = write_frame(&mut stream, &reject.to_json());
-                    return Err(e);
-                }
-                Err(e) => return Err(e),
-            }
-        })();
-        if let Err(e) = &result {
-            if e.kind() != io::ErrorKind::UnexpectedEof {
-                emit(
-                    Level::Warn,
-                    "coordinator",
-                    "connection_error",
-                    &[("error", e.to_string().into())],
-                );
-            }
-        }
-        if let Some(s) = conn.slot {
-            self.disconnect(s);
-        }
-    }
-
-    fn disconnect(&self, slot: u64) {
-        let mut st = self.lock();
-        st.live_slots.remove(&slot);
-        st.connected = st.connected.saturating_sub(1);
-        self.metrics.connected.set(st.connected as f64);
-        // A dead worker's leases go straight back to the queue.
-        let orphaned: Vec<u64> =
-            st.leases.iter().filter(|(_, l)| l.slot == slot).map(|(&id, _)| id).collect();
-        for id in orphaned {
-            let Some(lease) = st.leases.remove(&id) else { continue };
-            st.pending.extend(lease.seed_ids);
-        }
-        self.metrics.requeue_depth.set(st.pending.len() as f64);
-        drop(st);
-        emit(Level::Debug, "coordinator", "worker_disconnected", &[("slot", slot.into())]);
-    }
-
-    /// Verifies the fingerprint and assigns a slot — the step that first
-    /// reveals campaign state, so an auth-enabled coordinator only gets
-    /// here after a valid proof. Since protocol v6 slots are resolved by
-    /// the worker's authenticated *identity*: a returning identity gets
-    /// its historical slot back (trust records and RNG stream follow it),
-    /// an evicted identity is refused outright — reconnecting under the
-    /// same name cannot shed a fabrication record — and a fresh identity
-    /// gets a fresh slot, skipping burned ones.
-    fn admit(&self, fingerprint: Fingerprint, worker_id: &str, conn: &mut Conn) -> Reply {
-        if fingerprint != self.fingerprint {
-            let reason = format!(
-                "suite fingerprint {:?} != coordinator {:?}",
-                fingerprint, self.fingerprint
-            );
-            return Reply::SendThenClose(Msg::Reject { reason });
-        }
-        let mut st = self.lock();
-        let known = st.identities.iter().find(|(_, id)| id.as_str() == worker_id).map(|(&s, _)| s);
-        let s = match known {
-            Some(s) if self.metrics.is_evicted(s) => {
-                drop(st);
-                emit(
-                    Level::Warn,
-                    "coordinator",
-                    "evicted_identity_rejected",
-                    &[("slot", s.into()), ("worker_id", worker_id.to_string().into())],
-                );
-                let reason = "worker identity is evicted".to_string();
-                return Reply::SendThenClose(Msg::Reject { reason });
-            }
-            Some(s) if st.live_slots.contains(&s) => {
-                drop(st);
-                let reason = "worker identity already connected".to_string();
-                return Reply::SendThenClose(Msg::Reject { reason });
-            }
-            Some(s) => s,
-            None => {
-                // Fresh identity: next free slot. A slot whose eviction
-                // gauge is set is burned — a fresh worker must not inherit
-                // a fabricator's history (and its instant re-eviction) —
-                // and a live slot belongs to a returning identity that
-                // reclaimed it out of connection order.
-                while self.metrics.is_evicted(st.next_slot) || st.live_slots.contains(&st.next_slot)
-                {
-                    st.next_slot += 1;
-                }
-                let s = st.next_slot;
-                st.next_slot += 1;
-                s
-            }
-        };
-        st.identities.insert(s, worker_id.to_string());
-        st.live_slots.insert(s);
-        st.connected += 1;
-        self.metrics.connected.set(st.connected as f64);
-        st.per_worker.entry(s).or_default();
-        let rng_state = st.worker_rng.get(&s).copied();
-        drop(st);
-        conn.slot = Some(s);
-        emit(
-            Level::Info,
-            "coordinator",
-            "worker_joined",
-            &[("slot", s.into()), ("worker_id", worker_id.to_string().into())],
-        );
-        Reply::Send(Msg::Welcome { slot: s, campaign_seed: self.cfg.seed, rng_state })
-    }
-
-    fn reply_for(&self, msg: Msg, conn: &mut Conn) -> (Reply, Option<CheckpointJob>) {
-        let reply = match msg {
-            Msg::Hello { version, fingerprint, worker_id } => {
-                if conn.slot.is_some() {
-                    let reason = "already admitted".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), None);
-                }
-                if version != PROTOCOL_VERSION {
-                    let reason =
-                        format!("protocol version {version} != coordinator {PROTOCOL_VERSION}");
-                    return (Reply::SendThenClose(Msg::Reject { reason }), None);
-                }
-                if worker_id.is_empty() {
-                    let reason = "empty worker identity".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), None);
-                }
-                if self.cfg.auth_token.is_some() {
-                    // Authentication first: even the fingerprint verdict
-                    // waits until the peer proves it holds the secret.
-                    let nonce = auth::nonce();
-                    conn.nonce = Some(nonce.clone());
-                    conn.pending_fp = Some(fingerprint);
-                    conn.worker_id = Some(worker_id);
-                    Reply::Send(Msg::Challenge { nonce })
-                } else {
-                    self.admit(fingerprint, &worker_id, conn)
-                }
-            }
-            Msg::AuthProof { proof } => {
-                let (Some(token), Some(nonce), Some(fingerprint), Some(worker_id)) = (
-                    &self.cfg.auth_token,
-                    conn.nonce.take(),
-                    conn.pending_fp.take(),
-                    conn.worker_id.clone(),
-                ) else {
-                    let reason = "no challenge outstanding".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), None);
-                };
-                if !auth::verify(token, &nonce, &worker_id, &proof) {
-                    emit(Level::Warn, "coordinator", "auth_failed", &[]);
-                    let reason = "authentication failed".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), None);
-                }
-                self.admit(fingerprint, &worker_id, conn)
-            }
-            Msg::LeaseRequest { slot: s, want } => {
-                if Some(s) != conn.slot {
-                    let reason = "say hello first".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), None);
-                }
-                if self.drain.load(Ordering::SeqCst) {
-                    return (Reply::Send(Msg::Drain), None);
-                }
-                let mut st = self.lock();
-                let grant = self.lease_grant(&mut st, s, want);
-                let ids = self.pick_seeds(&mut st, grant);
-                if ids.is_empty() {
-                    if st.corpus.all_exhausted() && st.leases.is_empty() {
-                        self.drain.store(true, Ordering::SeqCst);
-                        return (Reply::Send(Msg::Drain), None);
-                    }
-                    // Everything schedulable is out on a lease right now.
-                    return (Reply::Send(Msg::Wait { millis: 50 }), None);
-                }
-                let lease = st.next_lease;
-                st.next_lease += 1;
-                let jobs: Vec<Job> = ids
-                    .iter()
-                    .filter_map(|&id| {
-                        Some(Job { seed_id: id, input: st.corpus.get(id)?.input.clone() })
-                    })
-                    .collect();
-                let now = Instant::now();
-                let granted = ids.len();
-                st.leases.insert(
-                    lease,
-                    Lease {
-                        slot: s,
-                        seed_ids: ids,
-                        deadline: now + self.cfg.lease_timeout,
-                        issued: now,
-                        checking: false,
-                    },
-                );
-                self.metrics.leases.inc();
-                self.metrics.requeue_depth.set(st.pending.len() as f64);
-                emit(
-                    Level::Debug,
-                    "coordinator",
-                    "lease_granted",
-                    &[("lease", lease.into()), ("slot", s.into()), ("seeds", granted.into())],
-                );
-                let cov = coverage_news(&st.global, &mut conn.view);
-                let rng_state = st.worker_rng.get(&s).copied();
-                Reply::Send(Msg::Lease {
-                    lease,
-                    jobs,
-                    cov,
-                    campaign: 0,
-                    campaign_seed: self.cfg.seed,
-                    rng_state,
-                })
-            }
-            Msg::Heartbeat { slot: s, lease } => {
-                if Some(s) != conn.slot {
-                    let reason = "say hello first".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), None);
-                }
-                self.metrics.heartbeats.inc();
-                let mut st = self.lock();
-                if let Some(l) = st.leases.get_mut(&lease) {
-                    if l.slot == s {
-                        l.deadline = Instant::now() + self.cfg.lease_timeout;
-                    }
-                }
-                let cov = coverage_news(&st.global, &mut conn.view);
-                Reply::Send(Msg::Ack { cov })
-            }
-            Msg::Results { slot: s, lease, campaign, items, cov, rng_state, telemetry } => {
-                if Some(s) != conn.slot {
-                    let reason = "say hello first".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), None);
-                }
-                if campaign != 0 {
-                    let reason = format!("unknown campaign {campaign}");
-                    return (Reply::SendThenClose(Msg::Reject { reason }), None);
-                }
-                let frame = ResultsFrame { lease, items, cov, rng_state, telemetry };
-                return self.handle_results(s, frame, conn);
-            }
-            Msg::Bye => Reply::Close,
-            // Worker-bound messages arriving at the coordinator.
-            Msg::Welcome { .. }
-            | Msg::Lease { .. }
-            | Msg::Wait { .. }
-            | Msg::Ack { .. }
-            | Msg::Drain
-            | Msg::Challenge { .. }
-            | Msg::Reject { .. } => {
-                Reply::SendThenClose(Msg::Reject { reason: "unexpected message".into() })
-            }
-        };
-        (reply, None)
     }
 
     /// Jobs to grant a worker: the fixed `lease_size`, or — with adaptive
     /// sizing on — the per-worker quota learned from observed throughput.
     /// Under adaptive sizing the worker's `want` is advisory (protocol
     /// v4): a fast worker is deliberately granted more than it asks for.
-    fn lease_grant(&self, st: &mut State, s: u64, want: usize) -> usize {
+    fn lease_grant(&self, st: &State, s: u64, want: usize) -> usize {
         if self.cfg.lease_max > self.cfg.lease_size {
             st.lease_quota.get(&s).copied().unwrap_or(self.cfg.lease_size).max(1)
         } else {
@@ -1226,88 +602,209 @@ impl Coordinator {
         st.lease_quota.insert(s, next);
     }
 
-    /// Handles a `results` frame in three phases: validate and plan under
+    /// Per-slot report rows with the trust columns read back from the
+    /// registry — the counters are the source of truth; the stored structs
+    /// only carry steps/diffs/contribution tallies.
+    fn trust_rows(&self, st: &State) -> Vec<(u64, WorkerStats)> {
+        st.per_worker
+            .iter()
+            .map(|(&slot, w)| {
+                let (checked, bad) = self.metrics.spot_counts(slot);
+                let row = WorkerStats {
+                    spot_checked: checked,
+                    spot_failed: bad,
+                    evicted: self.metrics.is_evicted(slot),
+                    ..w.clone()
+                };
+                (slot, row)
+            })
+            .collect()
+    }
+
+    /// Clones the checkpointable state under the lock; serialization and
+    /// disk I/O happen later in [`Daemon::write_checkpoint`] without the
+    /// lock. The trust rows' spot-check columns come from the metrics
+    /// registry, not from [`State`]. `None` when persistence is disabled.
+    fn snapshot_checkpoint(&self, st: &mut State) -> Option<CheckpointJob> {
+        self.cfg.checkpoint_dir.as_ref()?;
+        let workers = st.per_worker.len().max(1);
+        let leased = st.fleet.leases.seed_ids(CAMPAIGN);
+        let mut snapshot = st.ledger.snapshot(self.cfg.seed, workers, leased);
+        let dist = DistState {
+            steps_done: st.ledger.steps_done,
+            next_lease: st.fleet.leases.next_id(),
+            pending: std::mem::take(&mut snapshot.pending),
+            worker_rng: st.worker_rng.clone(),
+            trust: self.trust_rows(st).into_iter().collect(),
+            identities: st.fleet.identities().clone(),
+            quarantined: st.quarantined.clone(),
+            quarantined_total: st.quarantined_total,
+        };
+        Some(CheckpointJob { snapshot, dist })
+    }
+
+    /// Flushes the partial round, requeues outstanding leases, writes the
+    /// final checkpoint, and builds the report.
+    fn finish(&self) -> io::Result<DistReport> {
+        let (ckpt, report) = {
+            let mut st = self.lock();
+            for (_, lease) in st.fleet.leases.clear() {
+                st.ledger.requeue(lease.seed_ids);
+            }
+            self.metrics.requeue_depth.set(st.ledger.pending.len() as f64);
+            st.ledger.flush_round(1, Instant::now());
+            let ckpt = self.snapshot_checkpoint(&mut st);
+            let report = DistReport {
+                report: CampaignReport {
+                    epochs: st.ledger.epochs.clone(),
+                    workers: st.per_worker.len().max(1),
+                },
+                coverage: st.ledger.global.iter().map(CoverageSignal::coverage).collect(),
+                steps_done: st.ledger.steps_done,
+                per_worker: self.trust_rows(&st),
+                diffs: st.ledger.diffs.len(),
+                quarantined: st.quarantined_total,
+            };
+            (ckpt, report)
+        };
+        if let Some(job) = ckpt {
+            self.write_checkpoint(job)?;
+        }
+        Ok(report)
+    }
+}
+
+impl Daemon for Coordinator {
+    const COMPONENT: &'static str = "coordinator";
+    type Checkpoint = CheckpointJob;
+
+    fn gate(&self) -> &Gate {
+        &self.gate
+    }
+
+    fn fleet<R>(&self, read: impl FnOnce(&Fleet) -> R) -> R {
+        read(&self.lock().fleet)
+    }
+
+    /// Expires overdue leases and trips the stop conditions.
+    fn tick(&self) -> Vec<CheckpointJob> {
+        let mut st = self.lock();
+        let now = Instant::now();
+        if st.serve_until.is_some_and(|t| now >= t) {
+            self.gate.drain();
+        }
+        for (id, lease) in st.fleet.leases.expire(now) {
+            self.metrics.lease_expired.inc();
+            emit(
+                Level::Info,
+                "coordinator",
+                "lease_expired",
+                &[
+                    ("lease", id.into()),
+                    ("slot", lease.slot.into()),
+                    ("seeds", lease.seed_ids.len().into()),
+                ],
+            );
+            st.ledger.requeue(lease.seed_ids);
+        }
+        self.metrics.requeue_depth.set(st.ledger.pending.len() as f64);
+        self.check_targets(&st);
+        Vec::new()
+    }
+
+    fn enroll(&self, worker_id: &str) -> Result<(u64, Msg), Refusal> {
+        let mut st = self.lock();
+        let slot = st.fleet.admit(worker_id, |s| self.metrics.is_evicted(s))?;
+        self.metrics.connected.set(st.fleet.connected() as f64);
+        st.per_worker.entry(slot).or_default();
+        let rng_state = st.worker_rng.get(&slot).copied();
+        Ok((slot, Msg::Welcome { slot, campaign_seed: self.cfg.seed, rng_state }))
+    }
+
+    fn worker_gone(&self, slot: u64) {
+        let mut st = self.lock();
+        // A dead worker's leases go straight back to the queue.
+        for (_, lease) in st.fleet.disconnect(slot) {
+            st.ledger.requeue(lease.seed_ids);
+        }
+        self.metrics.connected.set(st.fleet.connected() as f64);
+        self.metrics.requeue_depth.set(st.ledger.pending.len() as f64);
+    }
+
+    fn lease(&self, peer: &Peer, want: usize, views: &mut Views<'_>) -> Msg {
+        let s = peer.slot;
+        let mut st = self.lock();
+        let grant = self.lease_grant(&st, s, want);
+        let leased = st.fleet.leases.seed_ids(CAMPAIGN);
+        let ids = st.ledger.pick_seeds(&leased, grant);
+        if ids.is_empty() {
+            if st.ledger.corpus.all_exhausted() && leased.is_empty() {
+                self.gate.drain();
+                return Msg::Drain;
+            }
+            // Everything schedulable is out on a lease right now.
+            return Msg::Wait { millis: 50 };
+        }
+        let jobs = st.ledger.jobs(&ids);
+        let granted = ids.len();
+        let lease = st.fleet.leases.grant(s, CAMPAIGN, ids, Instant::now());
+        self.metrics.leases.inc();
+        self.metrics.requeue_depth.set(st.ledger.pending.len() as f64);
+        emit(
+            Level::Debug,
+            "coordinator",
+            "lease_granted",
+            &[("lease", lease.into()), ("slot", s.into()), ("seeds", granted.into())],
+        );
+        Msg::Lease {
+            lease,
+            jobs,
+            cov: views.news(CAMPAIGN, &st.ledger.global),
+            campaign: CAMPAIGN,
+            campaign_seed: self.cfg.seed,
+            rng_state: st.worker_rng.get(&s).copied(),
+        }
+    }
+
+    fn heartbeat(&self, peer: &Peer, lease: u64, views: &mut Views<'_>) -> Msg {
+        self.metrics.heartbeats.inc();
+        let mut st = self.lock();
+        st.fleet.leases.heartbeat(lease, peer.slot, Instant::now());
+        Msg::Ack { cov: views.news(CAMPAIGN, &st.ledger.global) }
+    }
+
+    /// Handles a `results` frame in three phases: validate and claim under
     /// the state lock, re-execute sampled diff claims *outside* it (model
-    /// forward passes must not stall every other connection), then apply
+    /// forward passes must not stall every other connection), then absorb
     /// or punish under the lock again.
-    fn handle_results(
+    fn results(
         &self,
-        s: u64,
+        peer: &Peer,
         frame: ResultsFrame,
-        conn: &mut Conn,
-    ) -> (Reply, Option<CheckpointJob>) {
-        let ResultsFrame { lease, items, cov, rng_state, telemetry } = frame;
-        enum Plan {
-            /// A live lease owned by the sender. `turnaround` is issue →
-            /// results arrival, measured before any spot-check work so
-            /// the coordinator's own verification time is not billed to
-            /// the worker's adaptive quota.
-            Lease { seed_ids: Vec<usize>, turnaround: Duration },
-            /// Lease id owned by another slot: ignore the items.
-            Collision,
-            /// The lease already expired; salvage what is still pending.
-            Expired,
+        views: &mut Views<'_>,
+    ) -> (Reply, Vec<CheckpointJob>) {
+        let s = peer.slot;
+        let ResultsFrame { lease, campaign, items, cov, rng_state, telemetry } = frame;
+        if campaign != CAMPAIGN {
+            return (Reply::reject(format!("unknown campaign {campaign}")), Vec::new());
         }
         // Phase 1 (locked): validate the frame, claim the lease, sample
         // which claimed diffs to re-execute.
         let (plan, checks) = {
             let mut st = self.lock();
-            // Validate delta indices before anything touches the union.
-            for (m, idx) in cov.iter().enumerate() {
-                let total = st.global.get(m).map_or(0, CoverageSignal::total);
-                if m >= st.global.len() || idx.iter().any(|&i| i >= total) {
-                    let reason = "coverage delta out of range".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), None);
-                }
+            if let Err(reason) = st.ledger.check(&cov, &items, &self.sample_shape) {
+                return (Reply::reject(reason), Vec::new());
             }
-            // Validate result tensor shapes: a fabricated tensor of the
-            // wrong shape would otherwise panic a forward pass (here at a
-            // spot-check, or later in whatever resumes the corpus).
-            let shape_ok = items.iter().all(|i| {
-                i.run.test.as_ref().is_none_or(|t| t.input.shape() == self.sample_shape)
-                    && i.run
-                        .corpus_candidate
-                        .as_ref()
-                        .is_none_or(|c| c.shape() == self.sample_shape)
-            });
-            if !shape_ok {
-                let reason = "result tensor shape mismatch".to_string();
-                return (Reply::SendThenClose(Msg::Reject { reason }), None);
-            }
-            // A lease id this coordinator never issued is a fabrication,
-            // not an expiry — nothing about such a frame (coverage
-            // included) is credible.
-            if lease >= st.next_lease {
-                let reason = "unknown lease id".to_string();
-                return (Reply::SendThenClose(Msg::Reject { reason }), None);
-            }
-            // The lease stays in the map, marked `checking`, while its
-            // claims are re-executed outside the lock: its seeds must
-            // remain excluded from scheduling, the drain check must still
-            // see work in flight, and a duplicate results frame for the
-            // same lease must not absorb twice. Phase 3 removes it.
-            let plan = match st.leases.get_mut(&lease) {
-                Some(l) if l.slot == s && !l.checking => {
-                    let now = Instant::now();
-                    l.checking = true;
-                    let turnaround = now.duration_since(l.issued);
-                    l.deadline = now + self.cfg.lease_timeout;
-                    Plan::Lease { seed_ids: l.seed_ids.clone(), turnaround }
-                }
-                Some(_) => Plan::Collision,
-                None => Plan::Expired,
+            let plan = match st.fleet.leases.claim(lease, s, Instant::now()) {
+                Ok(plan) => plan,
+                Err(reason) => return (Reply::reject(reason), Vec::new()),
             };
             // Sample claimed diffs among items that could be absorbed.
             let mut checks = Vec::new();
             if self.cfg.spot_check_rate > 0.0 {
                 use rand::Rng as _;
                 for item in &items {
-                    let absorbable = match &plan {
-                        Plan::Lease { seed_ids, .. } => seed_ids.contains(&item.seed_id),
-                        Plan::Expired => st.pending.contains(&item.seed_id),
-                        Plan::Collision => false,
-                    };
-                    if !absorbable || !item.run.found_difference() {
+                    if !st.ledger.absorbable(&plan, item.seed_id) || !item.run.found_difference() {
                         continue;
                     }
                     if st.spot_rng.gen_range(0.0f32..1.0) < self.cfg.spot_check_rate {
@@ -1333,28 +830,23 @@ impl Coordinator {
             self.metrics.spot(s, "bad").inc_by(failed.len() as u64);
         }
         let mut st = self.lock();
+        if matches!(plan, Plan::Lease { .. }) {
+            st.fleet.leases.release(lease);
+        }
         if !failed.is_empty() {
-            let epoch = st.epochs.len();
+            let epoch = st.ledger.epochs.len();
             for (seed_id, t) in &failed {
                 st.quarantined_total += 1;
                 if st.quarantined.len() < QUARANTINE_KEEP {
-                    st.quarantined.push(FoundDiff {
-                        seed_id: *seed_id,
-                        epoch,
-                        input: t.input.clone(),
-                        predictions: t.predictions.clone(),
-                        iterations: t.iterations,
-                        target_model: t.target_model,
-                    });
+                    st.quarantined.push(FoundDiff::from_test(*seed_id, epoch, t));
                 }
             }
             // Nothing from this frame is trusted: no coverage union, no
             // corpus absorption, no RNG persistence. The lease's seeds go
             // back to the queue for an honest worker.
             if let Plan::Lease { seed_ids, .. } = plan {
-                st.leases.remove(&lease);
-                st.pending.extend(seed_ids);
-                self.metrics.requeue_depth.set(st.pending.len() as f64);
+                st.ledger.requeue(seed_ids);
+                self.metrics.requeue_depth.set(st.ledger.pending.len() as f64);
             }
             let (checked, bad) = self.metrics.spot_counts(s);
             emit(
@@ -1380,67 +872,37 @@ impl Coordinator {
                 );
                 let reason =
                     format!("evicted: {bad} of {checked} spot-checked diffs failed to reproduce");
-                return (Reply::SendThenClose(Msg::Reject { reason }), None);
+                return (Reply::reject(reason), Vec::new());
             }
-            let cov = coverage_news(&st.global, &mut conn.view);
-            let reply = if self.drain.load(Ordering::SeqCst) {
-                Reply::Send(Msg::Drain)
-            } else {
-                Reply::Send(Msg::Ack { cov })
-            };
-            return (reply, None);
+            return (self.gate.ack(views.news(CAMPAIGN, &st.ledger.global)), Vec::new());
         }
         // All sampled claims reproduced: fold the frame in, advisory
         // telemetry included (an untrusted frame never gets this far).
         if let Some(t) = &telemetry {
-            self.merge_worker_telemetry(s, t);
+            engine::merge_worker_telemetry(&self.cfg.registry, t);
+            if let Some(hb) = &t.heartbeat {
+                let slot = s.to_string();
+                let rtt = "dx_heartbeat_rtt_seconds";
+                self.cfg.registry.histogram(rtt, &[("slot", &slot)], &TIME_BUCKETS).merge_local(hb);
+            }
         }
-        let mut contributed = 0;
-        for (g, idx) in st.global.iter_mut().zip(&cov) {
-            contributed += g.apply_covered_indices(idx);
-        }
-        // The worker evidently knows this coverage already — fold it into
-        // the connection view too, or the next cov_news would echo the
-        // worker's own delta straight back at it.
-        for (v, idx) in conn.view.iter_mut().zip(&cov) {
-            v.apply_covered_indices(idx);
-        }
+        let absorbed = st.ledger.absorb(&plan, &items, &cov);
+        views.learn(CAMPAIGN, &cov);
         st.worker_rng.insert(s, rng_state);
-        {
-            let w = st.per_worker.entry(s).or_default();
-            w.contributed_neurons += contributed;
-        }
-        st.round.newly_covered += contributed;
-        let mut ckpt = None;
+        let w = st.per_worker.entry(s).or_default();
+        w.contributed_neurons += absorbed.newly_covered;
+        w.steps += absorbed.steps;
+        w.diffs += absorbed.diffs;
+        self.metrics.steps.inc_by(absorbed.steps as u64);
+        self.metrics.diffs.inc_by(absorbed.diffs as u64);
         match plan {
-            Plan::Lease { seed_ids, turnaround } => {
-                st.leases.remove(&lease);
+            Plan::Lease { turnaround, .. } => {
                 self.metrics.turnaround(s).observe(turnaround.as_secs_f64());
-                // Only absorb what was actually leased.
-                let leased: Vec<&JobResult> =
-                    items.iter().filter(|i| seed_ids.contains(&i.seed_id)).collect();
-                self.update_lease_quota(&mut st, s, turnaround, leased.len());
-                ckpt = self.absorb_items(&mut st, s, &leased);
+                self.update_lease_quota(&mut st, s, turnaround, absorbed.steps);
             }
-            Plan::Collision => {
-                // Lease id owned by another slot: the items are not ours
-                // to count (the lease stays with its owner).
-            }
+            Plan::Collision => {}
             Plan::Expired => {
-                // The lease expired — e.g. a single seed step outlasted
-                // the timeout. Its seeds were requeued; any still waiting
-                // in the queue are salvaged (counted instead of redone),
-                // so one slow step cannot livelock a budgeted campaign.
-                // Seeds already re-leased to someone else are dropped.
-                let salvage: Vec<&JobResult> =
-                    items.iter().filter(|i| st.pending.contains(&i.seed_id)).collect();
-                for item in &salvage {
-                    st.pending.retain(|&id| id != item.seed_id);
-                }
-                let dropped = items.len() - salvage.len();
-                self.metrics.requeue_depth.set(st.pending.len() as f64);
-                let salvaged = salvage.len();
-                ckpt = self.absorb_items(&mut st, s, &salvage);
+                self.metrics.requeue_depth.set(st.ledger.pending.len() as f64);
                 emit(
                     Level::Debug,
                     "coordinator",
@@ -1448,238 +910,26 @@ impl Coordinator {
                     &[
                         ("lease", lease.into()),
                         ("slot", s.into()),
-                        ("salvaged", salvaged.into()),
-                        ("dropped", dropped.into()),
+                        ("salvaged", absorbed.steps.into()),
+                        ("dropped", (items.len() - absorbed.steps).into()),
                     ],
                 );
             }
         }
-        let cov = coverage_news(&st.global, &mut conn.view);
-        let reply = if self.drain.load(Ordering::SeqCst) {
-            Reply::Send(Msg::Drain)
-        } else {
-            Reply::Send(Msg::Ack { cov })
-        };
-        (reply, ckpt)
+        let round = st.ledger.flush_round(self.cfg.batch_per_round, Instant::now());
+        let ckpt = round.and_then(|_| self.snapshot_checkpoint(&mut st));
+        self.check_targets(&st);
+        let reply = self.gate.ack(views.news(CAMPAIGN, &st.ledger.global));
+        (reply, ckpt.into_iter().collect())
     }
 
-    /// Folds a worker's advisory telemetry snapshot into the registry.
-    /// Phase names are matched against the known set, so a hostile worker
-    /// cannot mint unbounded label values; histograms with a foreign
-    /// bucket layout are dropped by `merge_local` for the same reason.
-    fn merge_worker_telemetry(&self, s: u64, t: &TelemetrySnapshot) {
-        let reg = &self.cfg.registry;
-        for (name, hist) in &t.phases {
-            let Some(phase) = Phase::ALL.iter().find(|p| p.name() == name) else { continue };
-            reg.histogram("dx_phase_seconds", &[("phase", phase.name())], &TIME_BUCKETS)
-                .merge_local(hist);
-        }
-        if let Some(hb) = &t.heartbeat {
-            let slot = s.to_string();
-            reg.histogram("dx_heartbeat_rtt_seconds", &[("slot", &slot)], &TIME_BUCKETS)
-                .merge_local(hb);
-        }
-    }
-
-    /// Per-slot report rows with the trust columns read back from the
-    /// registry — the counters are the source of truth; the stored structs
-    /// only carry steps/diffs/contribution tallies.
-    fn trust_rows(&self, st: &State) -> Vec<(u64, WorkerStats)> {
-        st.per_worker
-            .iter()
-            .map(|(&slot, w)| {
-                let (checked, bad) = self.metrics.spot_counts(slot);
-                let row = WorkerStats {
-                    spot_checked: checked,
-                    spot_failed: bad,
-                    evicted: self.metrics.is_evicted(slot),
-                    ..w.clone()
-                };
-                (slot, row)
-            })
-            .collect()
-    }
-
-    /// Folds completed job results from `slot` into the campaign: corpus
-    /// energy, found diffs, round statistics, budget/target checks, and a
-    /// round flush when due. Callers have already filtered `items` down
-    /// to seeds this worker legitimately holds. Returns a checkpoint
-    /// snapshot to write (outside the state lock) when a round closed.
-    fn absorb_items(&self, st: &mut State, s: u64, items: &[&JobResult]) -> Option<CheckpointJob> {
-        // Per-component saturation, so the rarity energy model credits a
-        // find against its own component's union, not the pooled mean.
-        let global_coverage = dx_coverage::mean_component_coverage(&st.global);
-        let epoch = st.epochs.len();
-        for item in items {
-            st.steps_done += 1;
-            st.round.seeds_run += 1;
-            st.round.iterations += item.run.iterations;
-            st.per_worker.entry(s).or_default().steps += 1;
-            let diff_test = if item.run.found_difference() { item.run.test.as_ref() } else { None };
-            if let Some(test) = diff_test {
-                st.round.diffs_found += 1;
-                st.per_worker.entry(s).or_default().diffs += 1;
-                st.diffs.push(FoundDiff {
-                    seed_id: item.seed_id,
-                    epoch,
-                    input: test.input.clone(),
-                    predictions: test.predictions.clone(),
-                    iterations: test.iterations,
-                    target_model: test.target_model,
-                });
-            }
-            st.corpus.absorb(item.seed_id, &item.run, &global_coverage);
-        }
-        self.metrics.steps.inc_by(items.len() as u64);
-        self.metrics.diffs.inc_by(items.iter().filter(|i| i.run.found_difference()).count() as u64);
-        let ckpt = if st.round.seeds_run >= self.cfg.batch_per_round {
-            self.flush_round(st)
-        } else {
-            None
-        };
-        self.check_targets(st);
-        ckpt
-    }
-
-    /// Picks up to `want` seed ids: requeued seeds first, then an
-    /// energy-weighted draw excluding everything leased or queued.
-    fn pick_seeds(&self, st: &mut State, want: usize) -> Vec<usize> {
-        let mut ids = Vec::with_capacity(want);
-        while ids.len() < want {
-            let Some(id) = st.pending.pop_front() else { break };
-            let alive = st.corpus.get(id).is_some_and(|e| !e.exhausted);
-            if alive && !ids.contains(&id) {
-                ids.push(id);
-            }
-        }
-        if ids.len() < want {
-            let mut excluded: Vec<usize> =
-                st.leases.values().flat_map(|l| l.seed_ids.iter().copied()).collect();
-            excluded.extend(st.pending.iter().copied());
-            excluded.extend(ids.iter().copied());
-            let n = want - ids.len();
-            let State { corpus, sched_rng, .. } = st;
-            ids.extend(corpus.schedule_excluding(n, sched_rng, &excluded));
-        }
-        ids
-    }
-
-    /// Closes the current statistics round and snapshots a checkpoint.
-    fn flush_round(&self, st: &mut State) -> Option<CheckpointJob> {
-        let round = std::mem::take(&mut st.round);
-        st.epochs.push(EpochStats {
-            epoch: st.epochs.len(),
-            seeds_run: round.seeds_run,
-            diffs_found: round.diffs_found,
-            iterations: round.iterations,
-            newly_covered: round.newly_covered,
-            mean_coverage: mean_coverage_of(&st.global),
-            component_coverage: dx_coverage::mean_component_coverage(&st.global),
-            corpus_len: st.corpus.len(),
-            elapsed: st.round_started.elapsed(),
-        });
-        st.round_started = Instant::now();
-        self.snapshot_checkpoint(st)
-    }
-
-    /// Clones the checkpointable state under the lock; serialization and
-    /// disk I/O happen later in [`Coordinator::write_checkpoint`] without
-    /// the lock. `None` when persistence is disabled.
-    fn snapshot_checkpoint(&self, st: &mut State) -> Option<CheckpointJob> {
-        self.cfg.checkpoint_dir.as_ref()?;
-        st.ckpt_seq += 1;
-        let workers = st.per_worker.len().max(1);
-        Some(CheckpointJob {
-            seq: st.ckpt_seq,
-            corpus: st.corpus.clone(),
-            report: CampaignReport { epochs: st.epochs.clone(), workers },
-            diffs: st.diffs.clone(),
-            masks: st.global.iter().map(CoverageSignal::covered_mask).collect(),
-            signal: checkpoint::SignalCheckpoint::of(&st.global),
-            meta: checkpoint::Meta {
-                epochs_done: st.epochs.len(),
-                campaign_seed: self.cfg.seed,
-                workers,
-                // Dist worker streams are keyed by slot in dist.json, not
-                // by the in-process worker index; an in-process resume of
-                // this checkpoint re-derives streams from the master seed.
-                worker_rng: Vec::new(),
-            },
-            dist: DistState::snapshot(st, self.trust_rows(st).into_iter().collect()),
+    /// Writes a snapshot to the checkpoint directory.
+    fn write_checkpoint(&self, job: CheckpointJob) -> io::Result<()> {
+        let Some(dir) = self.cfg.checkpoint_dir.as_deref() else { return Ok(()) };
+        self.ckpt_io.write(CAMPAIGN, &job.snapshot, dir, || {
+            write_atomic(&dir.join("dist.json"), &(job.dist.doc().to_string() + "\n"))
         })
     }
-
-    /// Writes a snapshot to the checkpoint directory. Writes are
-    /// serialized on their own mutex, and a snapshot that lost the race
-    /// to a newer one is discarded — every snapshot carries the full
-    /// state, so the newest write is always the most complete.
-    fn write_checkpoint(&self, job: CheckpointJob) -> io::Result<()> {
-        let Some(dir) = self.cfg.checkpoint_dir.clone() else { return Ok(()) };
-        // Poison-tolerant for the same reason as `lock()`: checkpoint I/O
-        // must keep working after an unrelated thread panic.
-        let mut last = self.ckpt_io.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if last.is_some_and(|l| l >= job.seq) {
-            return Ok(());
-        }
-        // First write this process rewrites stats/diffs (the directory
-        // may hold an unrelated earlier campaign); later writes append.
-        let append = last.is_some();
-        checkpoint::save(
-            &dir,
-            &job.corpus,
-            &job.report,
-            &job.diffs,
-            &job.masks,
-            &job.signal,
-            &job.meta,
-            append,
-        )?;
-        write_atomic(&dir.join("dist.json"), &(job.dist.doc().to_string() + "\n"))?;
-        *last = Some(job.seq);
-        Ok(())
-    }
-
-    /// Flushes the partial round, requeues outstanding leases, writes the
-    /// final checkpoint, and builds the report.
-    fn finish(&self) -> io::Result<DistReport> {
-        let (ckpt, report) = {
-            let mut st = self.lock();
-            let outstanding: Vec<u64> = st.leases.keys().copied().collect();
-            for id in outstanding {
-                let Some(lease) = st.leases.remove(&id) else { continue };
-                st.pending.extend(lease.seed_ids);
-            }
-            self.metrics.requeue_depth.set(st.pending.len() as f64);
-            let ckpt = if st.round.seeds_run > 0 {
-                self.flush_round(&mut st)
-            } else {
-                self.snapshot_checkpoint(&mut st)
-            };
-            let report = DistReport {
-                report: CampaignReport {
-                    epochs: st.epochs.clone(),
-                    workers: st.per_worker.len().max(1),
-                },
-                coverage: st.global.iter().map(CoverageSignal::coverage).collect(),
-                steps_done: st.steps_done,
-                per_worker: self.trust_rows(&st),
-                diffs: st.diffs.len(),
-                quarantined: st.quarantined_total,
-            };
-            (ckpt, report)
-        };
-        if let Some(job) = ckpt {
-            self.write_checkpoint(job)?;
-        }
-        Ok(report)
-    }
-}
-
-fn mean_coverage_of(global: &[CoverageSignal]) -> f32 {
-    if global.is_empty() {
-        return 0.0;
-    }
-    global.iter().map(CoverageSignal::coverage).sum::<f32>() / global.len() as f32
 }
 
 /// The dist-specific checkpoint extension (`dist.json`): seeds owed to the
@@ -1687,7 +937,11 @@ fn mean_coverage_of(global: &[CoverageSignal]) -> f32 {
 /// states, since v2 per-slot trust accounting plus the quarantined diffs
 /// that failed spot-checks, and since v3 the worker identity bound to each
 /// slot — so eviction survives a restart keyed to the identity, not the
-/// connection order.
+/// connection order. Snapshots are cheap field clones under the
+/// coordinator lock; JSON rendering (the expensive part, with up to
+/// [`QUARANTINE_KEEP`] inlined tensors) happens in [`DistState::doc`],
+/// outside it.
+#[derive(Default)]
 struct DistState {
     steps_done: usize,
     next_lease: u64,
@@ -1700,31 +954,6 @@ struct DistState {
 }
 
 impl DistState {
-    /// Snapshots the dist extension's state under the coordinator lock —
-    /// cheap field clones only. Leased seeds fold into `pending`, since a
-    /// checkpoint outlives every lease. The trust rows arrive prepared by
-    /// the caller ([`Coordinator::trust_rows`]) because their spot-check
-    /// columns live in the metrics registry, not in [`State`]. JSON
-    /// rendering (the expensive part, with up to [`QUARANTINE_KEEP`]
-    /// inlined tensors) happens in [`DistState::doc`], outside the lock.
-    fn snapshot(st: &State, trust: BTreeMap<u64, WorkerStats>) -> Self {
-        Self {
-            steps_done: st.steps_done,
-            next_lease: st.next_lease,
-            pending: st
-                .pending
-                .iter()
-                .copied()
-                .chain(st.leases.values().flat_map(|l| l.seed_ids.iter().copied()))
-                .collect(),
-            worker_rng: st.worker_rng.clone(),
-            trust,
-            identities: st.identities.clone(),
-            quarantined: st.quarantined.clone(),
-            quarantined_total: st.quarantined_total,
-        }
-    }
-
     /// The `dist.json` document for a snapshot.
     fn doc(&self) -> Json {
         let workers = Json::Arr(

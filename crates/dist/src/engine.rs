@@ -1,0 +1,1140 @@
+//! The lease engine both daemons run on.
+//!
+//! A dedicated [`crate::Coordinator`] is a one-campaign service, and the
+//! `dx-service` dispatcher the same protocol over many campaigns; what
+//! the two share lives here, once, in two layers.
+//!
+//! **The books (pure).** [`Fleet`] maps worker identities to slots, its
+//! [`LeaseTable`] tracks who holds which seeds until when, and a
+//! [`Ledger`] is one campaign's state — corpus, coverage union, found
+//! diffs, round statistics, requeue, scheduler RNG. They do no I/O and
+//! read no clock: every deadline decision takes `now` from the caller, so
+//! a test (or a simulator) owns time and the whole lease life cycle runs
+//! without a socket, a thread or a sleep. Nothing above the "shell"
+//! banner below may touch one; `books_are_sans_io` greps for it.
+//!
+//! **The shell (I/O).** [`serve`] is the nonblocking accept loop with
+//! drain, backlog sweep and force-close; each connection's handler thread
+//! frames, enforces the pre-admission frame cap and hello timeout, answers
+//! garbage with a best-effort `reject`, runs the version / identity /
+//! challenge / fingerprint handshake, and hands only admitted,
+//! slot-checked requests to the daemon.
+//!
+//! **A daemon adds policy**, through [`Daemon`]: which campaign a lease is
+//! drawn from (the coordinator has one; the service strides over tenants
+//! under quotas), what happens between claiming a results frame and
+//! absorbing it, when the fleet drains, what a checkpoint holds. Each
+//! keeps its own mutex, metric handles and event component.
+//!
+//! The coordinator's trust layer shapes two seams. *Eviction is a
+//! predicate*: [`Fleet::admit`] asks its caller whether a slot is
+//! burned rather than owning a trust ledger — only the coordinator has one
+//! (in its metrics registry); the service passes `|_| false`. *Spot-checks
+//! sit between claim and absorb*: [`LeaseTable::claim`] marks a lease
+//! `checking` and returns a [`Plan`]; the coordinator drops its lock,
+//! re-executes sampled claims, then [`Ledger::absorb`]s the frame or
+//! requeues the lease. The service makes the same calls back to back.
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::time::{Duration, Instant};
+
+use dx_campaign::checkpoint::{Meta, SignalCheckpoint};
+use dx_campaign::{CampaignReport, Corpus, EpochStats, FoundDiff};
+use dx_coverage::CoverageSignal;
+use dx_tensor::rng;
+
+use crate::proto::{CovDelta, Job, JobResult};
+
+/// One outstanding lease.
+pub struct Lease {
+    /// The fleet slot holding it.
+    pub slot: u64,
+    /// The campaign its seeds belong to (always 0 on a coordinator).
+    pub campaign: u64,
+    /// The leased corpus entry ids.
+    pub seed_ids: Vec<usize>,
+    deadline: Instant,
+    issued: Instant,
+    /// Results arrived and are being verified outside the daemon's lock.
+    checking: bool,
+}
+
+/// What a results frame may do, decided by [`LeaseTable::claim`].
+pub enum Plan {
+    /// A live lease owned by the sender, now marked `checking`.
+    Lease {
+        /// The seeds the lease covers.
+        seed_ids: Vec<usize>,
+        /// Issue → claim, taken before any verification so the daemon's
+        /// own time is never billed to the worker.
+        turnaround: Duration,
+    },
+    /// Another slot's lease, or one already being verified: the items
+    /// are not the sender's to count.
+    Collision,
+    /// The lease already expired; seeds still queued can be salvaged.
+    Expired,
+}
+
+/// Who holds which seeds until when.
+pub struct LeaseTable {
+    // BTreeMap, not HashMap: lease ids iterate in issue order, so
+    // checkpoint snapshots, `seed_ids` and expiry sweeps are deterministic.
+    leases: BTreeMap<u64, Lease>,
+    next: u64,
+    timeout: Duration,
+}
+
+impl LeaseTable {
+    /// An empty table whose first lease id is `next` (a resumed
+    /// checkpoint's: ids are never reused) and whose leases live `timeout`
+    /// past their last sign of life.
+    pub fn new(next: u64, timeout: Duration) -> Self {
+        Self { leases: BTreeMap::new(), next, timeout }
+    }
+
+    /// The id the next grant will get.
+    pub fn next_id(&self) -> u64 {
+        self.next
+    }
+
+    /// Leases currently out.
+    pub fn len(&self) -> usize {
+        self.leases.len()
+    }
+
+    /// Whether no lease is out.
+    pub fn is_empty(&self) -> bool {
+        self.leases.is_empty()
+    }
+
+    /// The lease with this id, if it is still on the books.
+    pub fn get(&self, lease: u64) -> Option<&Lease> {
+        self.leases.get(&lease)
+    }
+
+    /// Whether `slot` holds any lease.
+    pub fn holds(&self, slot: u64) -> bool {
+        self.leases.values().any(|l| l.slot == slot)
+    }
+
+    /// Every seed id out on a lease for `campaign`, in issue order: what
+    /// the scheduler must exclude and a checkpoint must requeue.
+    pub fn seed_ids(&self, campaign: u64) -> Vec<usize> {
+        self.of(campaign).flat_map(|l| l.seed_ids.iter().copied()).collect()
+    }
+
+    /// Jobs out across all campaigns.
+    pub fn total_jobs_out(&self) -> usize {
+        self.leases.values().map(|l| l.seed_ids.len()).sum()
+    }
+
+    fn of(&self, campaign: u64) -> impl Iterator<Item = &Lease> {
+        self.leases.values().filter(move |l| l.campaign == campaign)
+    }
+
+    /// Puts `seed_ids` out on a fresh lease and returns its id.
+    pub fn grant(&mut self, slot: u64, campaign: u64, seed_ids: Vec<usize>, now: Instant) -> u64 {
+        let id = self.next;
+        self.next += 1;
+        let deadline = now + self.timeout;
+        self.leases
+            .insert(id, Lease { slot, campaign, seed_ids, deadline, issued: now, checking: false });
+        id
+    }
+
+    /// Extends the lease's deadline if `slot` owns it, and says which
+    /// campaign it belongs to.
+    pub fn heartbeat(&mut self, lease: u64, slot: u64, now: Instant) -> Option<u64> {
+        let l = self.leases.get_mut(&lease).filter(|l| l.slot == slot)?;
+        l.deadline = now + self.timeout;
+        Some(l.campaign)
+    }
+
+    /// Removes every lease past its deadline, except ones being verified.
+    pub fn expire(&mut self, now: Instant) -> Vec<(u64, Lease)> {
+        self.take(|l| now >= l.deadline && !l.checking)
+    }
+
+    /// Removes every lease held by `slot` (its connection died).
+    pub fn orphan(&mut self, slot: u64) -> Vec<(u64, Lease)> {
+        self.take(|l| l.slot == slot)
+    }
+
+    /// Removes every lease (the daemon is shutting down).
+    pub fn clear(&mut self) -> Vec<(u64, Lease)> {
+        self.take(|_| true)
+    }
+
+    fn take(&mut self, gone: impl Fn(&Lease) -> bool) -> Vec<(u64, Lease)> {
+        let ids: Vec<u64> =
+            self.leases.iter().filter(|(_, l)| gone(l)).map(|(&id, _)| id).collect();
+        ids.into_iter().filter_map(|id| Some((id, self.leases.remove(&id)?))).collect()
+    }
+
+    /// Claims `lease` for a results frame from `slot`. A live lease the
+    /// sender owns stays on the books marked `checking` until
+    /// [`LeaseTable::release`]: its seeds stay excluded from scheduling, a
+    /// drain still sees work in flight, expiry cannot pull it
+    /// mid-verification, and a duplicate frame cannot absorb twice.
+    ///
+    /// # Errors
+    ///
+    /// An id this table never issued: a fabrication, not an expiry —
+    /// nothing in such a frame (coverage included) is credible.
+    pub fn claim(&mut self, lease: u64, slot: u64, now: Instant) -> Result<Plan, &'static str> {
+        if lease >= self.next {
+            return Err("unknown lease id");
+        }
+        Ok(match self.leases.get_mut(&lease) {
+            Some(l) if l.slot == slot && !l.checking => {
+                l.checking = true;
+                l.deadline = now + self.timeout;
+                Plan::Lease {
+                    seed_ids: l.seed_ids.clone(),
+                    turnaround: now.duration_since(l.issued),
+                }
+            }
+            Some(_) => Plan::Collision,
+            None => Plan::Expired,
+        })
+    }
+
+    /// Takes a claimed lease off the books, before its results are
+    /// absorbed or its seeds requeued.
+    pub fn release(&mut self, lease: u64) -> Option<Lease> {
+        self.leases.remove(&lease)
+    }
+}
+
+/// Why [`Fleet::admit`] refused an identity.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Refusal {
+    /// The identity's historical slot is burned (evicted).
+    Burned(u64),
+    /// A live connection already holds this identity.
+    Duplicate,
+}
+
+/// The fleet-wide books behind a daemon's lock: which identity sits on
+/// which slot, and what the slots hold. Slots are resolved by identity
+/// (protocol v6): a returning identity gets its historical slot back
+/// (whatever the daemon keys by slot follows it), a burned one is refused
+/// — reconnecting under the same name cannot shed a record — and a fresh
+/// identity gets a fresh slot.
+pub struct Fleet {
+    identities: BTreeMap<u64, String>,
+    live: BTreeSet<u64>,
+    next_slot: u64,
+    /// The outstanding leases.
+    pub leases: LeaseTable,
+}
+
+impl Fleet {
+    /// A fleet with nobody connected, over the identities a checkpoint
+    /// remembers.
+    pub fn new(identities: BTreeMap<u64, String>, leases: LeaseTable) -> Self {
+        Self { identities, live: BTreeSet::new(), next_slot: 0, leases }
+    }
+
+    /// The identity bound to each slot so far.
+    pub fn identities(&self) -> &BTreeMap<u64, String> {
+        &self.identities
+    }
+
+    /// Currently admitted connections.
+    pub fn connected(&self) -> usize {
+        self.live.len()
+    }
+
+    /// Resolves `worker_id` to a slot and marks it live.
+    ///
+    /// # Errors
+    ///
+    /// [`Refusal`] for a burned or already-connected identity.
+    pub fn admit(
+        &mut self,
+        worker_id: &str,
+        is_burned: impl Fn(u64) -> bool,
+    ) -> Result<u64, Refusal> {
+        let known = self.identities.iter().find(|(_, id)| id.as_str() == worker_id);
+        let slot = match known.map(|(&s, _)| s) {
+            Some(s) if is_burned(s) => return Err(Refusal::Burned(s)),
+            Some(s) if self.live.contains(&s) => return Err(Refusal::Duplicate),
+            Some(s) => s,
+            None => {
+                // A burned slot would hand a fresh worker a fabricator's
+                // history; a live one belongs to a returning identity
+                // that reclaimed it out of connection order.
+                while is_burned(self.next_slot) || self.live.contains(&self.next_slot) {
+                    self.next_slot += 1;
+                }
+                self.next_slot += 1;
+                self.next_slot - 1
+            }
+        };
+        self.identities.insert(slot, worker_id.to_string());
+        self.live.insert(slot);
+        Ok(slot)
+    }
+
+    /// Drops `slot`'s connection (its identity stays bound); a dead
+    /// worker's leases come back for the caller to requeue.
+    pub fn disconnect(&mut self, slot: u64) -> Vec<(u64, Lease)> {
+        self.live.remove(&slot);
+        self.leases.orphan(slot)
+    }
+
+    /// Nothing connected and nothing out: a draining daemon may stop.
+    pub fn idle(&self) -> bool {
+        self.leases.is_empty() && self.live.is_empty()
+    }
+}
+
+#[derive(Default)]
+struct RoundAccum {
+    seeds_run: usize,
+    diffs_found: usize,
+    iterations: usize,
+    newly_covered: usize,
+}
+
+/// What one [`Ledger::absorb`] call folded in.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Absorbed {
+    /// Seed steps counted.
+    pub steps: usize,
+    /// Of those, how many found a difference.
+    pub diffs: usize,
+    /// Units the frame's delta added to the union.
+    pub newly_covered: usize,
+}
+
+/// One campaign's state: a coordinator holds one, the service one per
+/// tenant.
+pub struct Ledger {
+    /// The seed corpus.
+    pub corpus: Corpus,
+    /// The global coverage union, one signal per model.
+    pub global: Vec<CoverageSignal>,
+    /// Difference-inducing inputs found.
+    pub diffs: Vec<FoundDiff>,
+    /// Closed statistics rounds.
+    pub epochs: Vec<EpochStats>,
+    /// Seed steps absorbed (across resumes).
+    pub steps_done: usize,
+    /// Requeued seed ids, served before fresh scheduling.
+    pub pending: VecDeque<usize>,
+    round: RoundAccum,
+    round_started: Instant,
+    sched_rng: rng::Rng,
+    /// Monotonic snapshot counter; [`CheckpointGate`] discards stale
+    /// snapshots that lost the race to a newer one.
+    snapshots: u64,
+}
+
+impl Ledger {
+    /// A fresh ledger over `corpus` with an empty union shaped like
+    /// `template`; the scheduler stream derives from `campaign_seed`.
+    pub fn new(
+        corpus: Corpus,
+        template: &[CoverageSignal],
+        campaign_seed: u64,
+        now: Instant,
+    ) -> Self {
+        Self {
+            corpus,
+            global: template.to_vec(),
+            diffs: Vec::new(),
+            epochs: Vec::new(),
+            steps_done: 0,
+            pending: VecDeque::new(),
+            round: RoundAccum::default(),
+            round_started: now,
+            sched_rng: rng::rng(rng::derive_seed(campaign_seed, 0xd157)),
+            snapshots: 0,
+        }
+    }
+
+    /// Continues from a checkpoint: history, coverage masks (when they
+    /// fit the union's shape) and the queued ids the corpus still has.
+    pub fn restore(
+        &mut self,
+        diffs: Vec<FoundDiff>,
+        epochs: Vec<EpochStats>,
+        masks: Option<&[Vec<bool>]>,
+        steps_done: usize,
+        pending: impl IntoIterator<Item = usize>,
+    ) {
+        self.diffs = diffs;
+        self.epochs = epochs;
+        self.steps_done = steps_done;
+        self.pending = pending.into_iter().filter(|&id| self.corpus.get(id).is_some()).collect();
+        let fits = |masks: &&[Vec<bool>]| {
+            masks.len() == self.global.len()
+                && masks.iter().zip(&self.global).all(|(m, g)| m.len() == g.total())
+        };
+        if let Some(masks) = masks.filter(fits) {
+            for (g, mask) in self.global.iter_mut().zip(masks) {
+                g.set_covered_mask(mask);
+            }
+        }
+    }
+
+    /// Mean global coverage across models.
+    pub fn mean_coverage(&self) -> f32 {
+        dx_coverage::mean_coverage(&self.global)
+    }
+
+    /// Restarts the open round's clock (serving starts after building).
+    pub fn start_round(&mut self, now: Instant) {
+        self.round_started = now;
+    }
+
+    /// Picks up to `want` seed ids: requeued seeds first, then an
+    /// energy-weighted draw excluding everything in `leased` or queued.
+    pub fn pick_seeds(&mut self, leased: &[usize], want: usize) -> Vec<usize> {
+        let mut ids = Vec::with_capacity(want);
+        while ids.len() < want {
+            let Some(id) = self.pending.pop_front() else { break };
+            let alive = self.corpus.get(id).is_some_and(|e| !e.exhausted);
+            if alive && !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
+        if ids.len() < want {
+            let mut excluded = leased.to_vec();
+            excluded.extend(self.pending.iter().copied());
+            excluded.extend(ids.iter().copied());
+            let n = want - ids.len();
+            ids.extend(self.corpus.schedule_excluding(n, &mut self.sched_rng, &excluded));
+        }
+        ids
+    }
+
+    /// The `lease` frame's jobs for picked ids.
+    pub fn jobs(&self, ids: &[usize]) -> Vec<Job> {
+        ids.iter()
+            .filter_map(|&id| Some(Job { seed_id: id, input: self.corpus.get(id)?.input.clone() }))
+            .collect()
+    }
+
+    /// Puts a lost lease's seeds back in the queue for the next worker.
+    pub fn requeue(&mut self, seed_ids: Vec<usize>) {
+        self.pending.extend(seed_ids);
+    }
+
+    /// Validates a results frame before anything touches the union: delta
+    /// indices in range, every tensor shaped `sample_shape` (a fabricated
+    /// one would otherwise panic a forward pass, at a spot-check or in
+    /// whatever resumes the corpus).
+    ///
+    /// # Errors
+    ///
+    /// The reason to reject the connection with.
+    pub fn check(
+        &self,
+        cov: &CovDelta,
+        items: &[JobResult],
+        sample_shape: &[usize],
+    ) -> Result<(), &'static str> {
+        for (m, idx) in cov.iter().enumerate() {
+            let total = self.global.get(m).map_or(0, CoverageSignal::total);
+            if m >= self.global.len() || idx.iter().any(|&i| i >= total) {
+                return Err("coverage delta out of range");
+            }
+        }
+        let shape_ok = items.iter().all(|i| {
+            i.run.test.as_ref().is_none_or(|t| t.input.shape() == sample_shape)
+                && i.run.corpus_candidate.as_ref().is_none_or(|c| c.shape() == sample_shape)
+        });
+        if !shape_ok {
+            return Err("result tensor shape mismatch");
+        }
+        Ok(())
+    }
+
+    /// Whether [`Ledger::absorb`] would count a result for `seed_id`: a
+    /// seed the claimed lease covers, or — the lease having expired — one
+    /// still queued (a re-leased one is someone else's now).
+    pub fn absorbable(&self, plan: &Plan, seed_id: usize) -> bool {
+        match plan {
+            Plan::Lease { seed_ids, .. } => seed_ids.contains(&seed_id),
+            Plan::Expired => self.pending.contains(&seed_id),
+            Plan::Collision => false,
+        }
+    }
+
+    /// Folds a validated results frame in: the coverage delta always (the
+    /// worker saw those units whatever became of its lease), then the
+    /// items `plan` entitles the sender to — corpus energy, found diffs,
+    /// round statistics. Under [`Plan::Expired`] seeds still queued are
+    /// salvaged (counted instead of redone), so one step that outlasts
+    /// the timeout cannot livelock a budgeted campaign.
+    pub fn absorb(&mut self, plan: &Plan, items: &[JobResult], cov: &CovDelta) -> Absorbed {
+        let mut newly_covered = 0;
+        for (g, idx) in self.global.iter_mut().zip(cov) {
+            newly_covered += g.apply_covered_indices(idx);
+        }
+        self.round.newly_covered += newly_covered;
+        let take: Vec<&JobResult> =
+            items.iter().filter(|i| self.absorbable(plan, i.seed_id)).collect();
+        if matches!(plan, Plan::Expired) {
+            self.pending.retain(|id| !take.iter().any(|i| i.seed_id == *id));
+        }
+        // Per-component saturation, so the rarity energy model credits a
+        // find against its own component's union, not the pooled mean.
+        let global_coverage = dx_coverage::mean_component_coverage(&self.global);
+        let epoch = self.epochs.len();
+        let mut diffs = 0;
+        for item in &take {
+            self.steps_done += 1;
+            self.round.seeds_run += 1;
+            self.round.iterations += item.run.iterations;
+            if let Some(test) = item.run.test.as_ref().filter(|_| item.run.found_difference()) {
+                diffs += 1;
+                self.diffs.push(FoundDiff::from_test(item.seed_id, epoch, test));
+            }
+            self.corpus.absorb(item.seed_id, &item.run, &global_coverage);
+        }
+        self.round.diffs_found += diffs;
+        Absorbed { steps: take.len(), diffs, newly_covered }
+    }
+
+    /// Closes the open statistics round into an [`EpochStats`] line once
+    /// it holds `min_steps` seed steps.
+    pub fn flush_round(&mut self, min_steps: usize, now: Instant) -> Option<EpochStats> {
+        if self.round.seeds_run < min_steps {
+            return None;
+        }
+        let round = std::mem::take(&mut self.round);
+        let stats = EpochStats {
+            epoch: self.epochs.len(),
+            seeds_run: round.seeds_run,
+            diffs_found: round.diffs_found,
+            iterations: round.iterations,
+            newly_covered: round.newly_covered,
+            mean_coverage: self.mean_coverage(),
+            component_coverage: dx_coverage::mean_component_coverage(&self.global),
+            corpus_len: self.corpus.len(),
+            elapsed: now.duration_since(self.round_started),
+        };
+        self.epochs.push(stats.clone());
+        self.round_started = now;
+        Some(stats)
+    }
+
+    /// Whether the campaign has finished, and why. `in_flight` is whether
+    /// any of its seeds are still out on a lease.
+    pub fn done_reason(
+        &self,
+        max_steps: Option<usize>,
+        target_coverage: Option<f32>,
+        in_flight: bool,
+    ) -> Option<&'static str> {
+        if max_steps.is_some_and(|m| self.steps_done >= m) {
+            return Some("budget");
+        }
+        if target_coverage.is_some_and(|t| self.mean_coverage() >= t) {
+            return Some("target");
+        }
+        if self.corpus.all_exhausted() && !in_flight {
+            return Some("exhausted");
+        }
+        None
+    }
+
+    /// Clones what a campaign checkpoint persists — cheap, under the
+    /// daemon's lock; [`CheckpointGate::write`] serializes outside it.
+    /// `leased` seeds fold into the requeue: a checkpoint outlives leases.
+    pub fn snapshot(&mut self, campaign_seed: u64, workers: usize, leased: Vec<usize>) -> Snapshot {
+        self.snapshots += 1;
+        Snapshot {
+            seq: self.snapshots,
+            corpus: self.corpus.clone(),
+            report: CampaignReport { epochs: self.epochs.clone(), workers },
+            diffs: self.diffs.clone(),
+            masks: self.global.iter().map(CoverageSignal::covered_mask).collect(),
+            signal: SignalCheckpoint::of(&self.global),
+            meta: Meta {
+                epochs_done: self.epochs.len(),
+                campaign_seed,
+                workers,
+                // Fleet worker streams are keyed by slot or identity in
+                // the daemon's own file; an in-process resume of this
+                // checkpoint re-derives streams from the master seed.
+                worker_rng: Vec::new(),
+            },
+            pending: self.pending.iter().copied().chain(leased).collect(),
+        }
+    }
+}
+
+/// A ledger's checkpointable state, cloned under the lock.
+pub struct Snapshot {
+    seq: u64,
+    corpus: Corpus,
+    report: CampaignReport,
+    diffs: Vec<FoundDiff>,
+    masks: Vec<Vec<bool>>,
+    signal: SignalCheckpoint,
+    meta: Meta,
+    /// Seeds owed to the queue: requeued plus leased at snapshot time.
+    pub pending: Vec<usize>,
+}
+
+// ---------------------------------------------------------------------
+// The shell: sockets, threads, files and the clock start here. Nothing
+// above this line may use them (`books_are_sans_io` holds it to that).
+// ---------------------------------------------------------------------
+
+use std::io;
+use std::net::{TcpListener, TcpStream};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+
+use dx_campaign::{checkpoint, ModelSuite};
+use dx_telemetry::events::{emit, Level};
+use dx_telemetry::phase::{Phase, TIME_BUCKETS};
+use dx_telemetry::MetricsRegistry;
+
+use crate::proto::{coverage_news, Fingerprint, Msg, TelemetrySnapshot, PROTOCOL_VERSION};
+use crate::wire::{write_frame, FrameReader, MAX_FRAME};
+use crate::{auth, suite_fingerprint};
+
+/// How often connection handlers and the accept loop wake up to check
+/// deadlines and flags.
+const POLL: Duration = Duration::from_millis(100);
+
+/// Idle polls (no traffic from a drained, lease-less worker) before its
+/// connection is closed server-side.
+const DRAIN_GRACE_POLLS: u32 = 20;
+
+/// Frame cap for connections that have not completed admission: big
+/// enough for any hello/auth frame, small enough that a stranger's
+/// four-byte length prefix cannot demand a quarter-gigabyte allocation.
+const HELLO_FRAME_CAP: usize = 1 << 16;
+
+/// How long a connection may sit without completing admission before it
+/// is closed — a garbage or silent client must not park a handler thread
+/// (and a listener backlog slot) forever.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Serializes checkpoint writes and remembers, per campaign, the newest
+/// snapshot sequence number written this process.
+#[derive(Default)]
+pub struct CheckpointGate {
+    last: Mutex<BTreeMap<u64, u64>>,
+}
+
+impl CheckpointGate {
+    /// Writes `campaign`'s snapshot into `dir` — the campaign checkpoint
+    /// files, then the daemon's `extras` — unless a newer one already
+    /// landed: each carries the full state, so the newest is the most
+    /// complete. The first write this process rewrites stats and diffs
+    /// instead of appending (the directory may hold an earlier campaign).
+    ///
+    /// # Errors
+    ///
+    /// Checkpoint I/O failures.
+    pub fn write(
+        &self,
+        campaign: u64,
+        snapshot: &Snapshot,
+        dir: &Path,
+        extras: impl FnOnce() -> io::Result<()>,
+    ) -> io::Result<()> {
+        // Poison-tolerant: checkpoint I/O must keep working after an
+        // unrelated thread panic.
+        let mut last = self.last.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let prev = last.get(&campaign).copied();
+        if prev.is_some_and(|p| p >= snapshot.seq) {
+            return Ok(());
+        }
+        let Snapshot { corpus, report, diffs, masks, signal, meta, .. } = snapshot;
+        checkpoint::save(dir, corpus, report, diffs, masks, signal, meta, prev.is_some())?;
+        extras()?;
+        last.insert(campaign, snapshot.seq);
+        Ok(())
+    }
+}
+
+/// What the handler does with a daemon's answer.
+pub enum Reply {
+    /// Send and keep serving.
+    Send(Msg),
+    /// Send, then close the connection.
+    SendThenClose(Msg),
+    /// Close without a word.
+    Close,
+}
+
+impl Reply {
+    /// A `reject` that closes the connection.
+    pub fn reject(reason: impl Into<String>) -> Self {
+        Reply::SendThenClose(Msg::Reject { reason: reason.into() })
+    }
+}
+
+/// An admitted connection's worker.
+pub struct Peer {
+    /// Its fleet slot.
+    pub slot: u64,
+    /// Its authenticated identity.
+    pub worker_id: String,
+}
+
+/// The payload of a `results` frame.
+pub struct ResultsFrame {
+    /// The lease reported on.
+    pub lease: u64,
+    /// The campaign the worker says it belongs to.
+    pub campaign: u64,
+    /// One result per job run.
+    pub items: Vec<JobResult>,
+    /// Units the worker newly covered.
+    pub cov: CovDelta,
+    /// The worker's generator RNG state after the lease.
+    pub rng_state: [u64; 4],
+    /// Advisory worker telemetry.
+    pub telemetry: Option<TelemetrySnapshot>,
+}
+
+/// What a connection's worker is known to know about each campaign's
+/// union; `cov` news is computed against it. Per campaign, because
+/// workers keep one generator context per campaign and cross-campaign
+/// news would corrupt them.
+pub struct Views<'a> {
+    template: &'a [CoverageSignal],
+    known: BTreeMap<u64, Vec<CoverageSignal>>,
+}
+
+impl Views<'_> {
+    fn of(&mut self, campaign: u64) -> &mut Vec<CoverageSignal> {
+        self.known.entry(campaign).or_insert_with(|| self.template.to_vec())
+    }
+
+    /// Everything `global` covers that the worker has not been told,
+    /// after which the view catches up.
+    pub fn news(&mut self, campaign: u64, global: &[CoverageSignal]) -> CovDelta {
+        coverage_news(global, self.of(campaign))
+    }
+
+    /// Folds the worker's own delta in — it evidently knows that
+    /// coverage already, and the next news must not echo it back.
+    pub fn learn(&mut self, campaign: u64, cov: &CovDelta) {
+        for (v, idx) in self.of(campaign).iter_mut().zip(cov) {
+            v.apply_covered_indices(idx);
+        }
+    }
+}
+
+/// What the shell guards a daemon's door with, and the flags that stop
+/// it.
+pub struct Gate {
+    /// The admission fingerprint workers must present.
+    pub fingerprint: Fingerprint,
+    /// Shared secret workers must prove; `None` admits any
+    /// fingerprint-matching peer.
+    pub auth_token: Option<String>,
+    /// How long a drained daemon waits for leases before force-closing.
+    pub lease_timeout: Duration,
+    /// Empty signals: the shape of every union and view.
+    pub template: Vec<CoverageSignal>,
+    drain: Arc<AtomicBool>,
+    force_close: AtomicBool,
+}
+
+impl Gate {
+    /// The gate of a daemon fuzzing `suite` under `label`, not draining.
+    pub fn new(
+        suite: &ModelSuite,
+        label: &str,
+        auth_token: Option<String>,
+        lease_timeout: Duration,
+    ) -> Self {
+        Self {
+            fingerprint: suite_fingerprint(suite, label),
+            auth_token,
+            lease_timeout,
+            template: suite.signal.build(&suite.models),
+            drain: Arc::new(AtomicBool::new(false)),
+            force_close: AtomicBool::new(false),
+        }
+    }
+
+    /// The drain flag, for a handle that sets it from another thread.
+    pub fn drain_flag(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.drain)
+    }
+
+    /// Starts a graceful drain: every following lease request is answered
+    /// `drain`, and [`serve`] returns once the fleet is idle.
+    pub fn drain(&self) {
+        self.drain.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether a drain was requested.
+    pub fn draining(&self) -> bool {
+        self.drain.load(Ordering::SeqCst)
+    }
+
+    /// The answer to a handled frame: fresh coverage news, or `drain`.
+    pub fn ack(&self, cov: CovDelta) -> Reply {
+        Reply::Send(if self.draining() { Msg::Drain } else { Msg::Ack { cov } })
+    }
+}
+
+/// The policy a daemon plugs into the shell — never framing, the
+/// handshake, admission or lease bookkeeping, which the shell and the
+/// books do.
+pub trait Daemon: Sync {
+    /// The component named on its events and in its reject reasons.
+    const COMPONENT: &'static str;
+    /// A snapshot taken under the lock, written after the reply is sent.
+    type Checkpoint;
+
+    /// The daemon's gate.
+    fn gate(&self) -> &Gate;
+    /// Reads the fleet books under the daemon's lock.
+    fn fleet<R>(&self, read: impl FnOnce(&Fleet) -> R) -> R;
+    /// Bookkeeping once per accept-loop turn: expire leases, trip stops.
+    fn tick(&self) -> Vec<Self::Checkpoint>;
+    /// [`Fleet::admit`]s `worker_id` under the daemon's lock with its
+    /// burned-slot predicate; returns the slot and the `welcome` to send.
+    ///
+    /// # Errors
+    ///
+    /// The admission's [`Refusal`].
+    fn enroll(&self, worker_id: &str) -> Result<(u64, Msg), Refusal>;
+    /// `slot`'s connection is gone: [`Fleet::disconnect`] it and requeue
+    /// what it held.
+    fn worker_gone(&self, slot: u64);
+    /// Answers a lease request for `want` jobs (advisory since v4) with
+    /// `lease`, `wait` or `drain`. Never called while draining — the
+    /// shell answers `drain` itself.
+    fn lease(&self, peer: &Peer, want: usize, views: &mut Views<'_>) -> Msg;
+    /// Extends `lease` for its owner and answers with coverage news.
+    fn heartbeat(&self, peer: &Peer, lease: u64, views: &mut Views<'_>) -> Msg;
+    /// Folds in a results frame.
+    fn results(
+        &self,
+        peer: &Peer,
+        frame: ResultsFrame,
+        views: &mut Views<'_>,
+    ) -> (Reply, Vec<Self::Checkpoint>);
+    /// Writes a snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Checkpoint I/O failures (the shell logs them).
+    fn write_checkpoint(&self, job: Self::Checkpoint) -> io::Result<()>;
+}
+
+/// Serves `daemon`'s fleet on `listener` until its gate drains and the
+/// fleet is idle (or stayed away a lease timeout past the drain).
+///
+/// # Errors
+///
+/// Listener failures. Individual connection errors only drop that worker.
+pub fn serve<D: Daemon>(daemon: &D, listener: TcpListener) -> io::Result<()> {
+    listener.set_nonblocking(true)?;
+    let gate = daemon.gate();
+    let mut drained_at: Option<Instant> = None;
+    std::thread::scope(|scope| -> io::Result<()> {
+        loop {
+            write_checkpoints(daemon, daemon.tick());
+            let sweeping = gate.draining() && {
+                let since = *drained_at.get_or_insert_with(Instant::now);
+                let idle = daemon.fleet(Fleet::idle);
+                if !idle && since.elapsed() > gate.lease_timeout + 10 * POLL {
+                    // Workers that never came back: stop waiting.
+                    gate.force_close.store(true, Ordering::SeqCst);
+                }
+                idle
+            };
+            match listener.accept() {
+                Ok((stream, peer)) => {
+                    let peer = peer.to_string();
+                    emit(Level::Debug, D::COMPONENT, "connection", &[("peer", peer.into())]);
+                    scope.spawn(move || handle(daemon, stream));
+                }
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    // An idle, drained fleet sweeps the accept backlog
+                    // before closing the listener: a worker whose
+                    // connection is still queued gets a polite `drain`
+                    // instead of a reset.
+                    if sweeping {
+                        return Ok(());
+                    }
+                    std::thread::sleep(POLL);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    })
+}
+
+fn write_checkpoints<D: Daemon>(daemon: &D, jobs: Vec<D::Checkpoint>) {
+    for job in jobs {
+        if let Err(e) = daemon.write_checkpoint(job) {
+            let error = e.to_string();
+            emit(Level::Error, D::COMPONENT, "checkpoint_failed", &[("error", error.into())]);
+        }
+    }
+}
+
+/// Per-connection protocol state, owned by the handler thread.
+struct Conn<'a> {
+    /// The worker, once admitted.
+    admitted: Option<Peer>,
+    /// Parked at `hello` until the auth proof arrives: the fingerprint
+    /// (even its verdict waits until the peer proves it holds the
+    /// secret), the announced identity the proof must be bound to, and
+    /// the outstanding nonce.
+    challenged: Option<(Fingerprint, String, String)>,
+    views: Views<'a>,
+}
+
+/// One worker connection, request/response until it closes.
+///
+/// Hostile-input posture: unadmitted connections read through a small
+/// frame cap (no length-prefix allocation bombs) and are closed after
+/// [`HELLO_TIMEOUT`] if admission never completes; a malformed or
+/// oversized frame gets a best-effort `reject` and closes only *this*
+/// connection — the accept loop and every other worker keep going.
+fn handle<D: Daemon>(daemon: &D, mut stream: TcpStream) {
+    let gate = daemon.gate();
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(POLL));
+    let mut reader = FrameReader::with_cap(HELLO_FRAME_CAP);
+    let views = Views { template: &gate.template, known: BTreeMap::new() };
+    let mut conn = Conn { admitted: None, challenged: None, views };
+    let opened = Instant::now();
+    let mut idle_polls: u32 = 0;
+    let result: io::Result<()> = (|| loop {
+        match reader.poll(&mut stream) {
+            Ok(None) => {
+                if gate.force_close.load(Ordering::SeqCst) {
+                    return Ok(());
+                }
+                if conn.admitted.is_none() && opened.elapsed() >= HELLO_TIMEOUT {
+                    send_reject(&mut stream, "admission timed out".into());
+                    return Ok(());
+                }
+                let holds_lease = |p: &Peer| daemon.fleet(|f| f.leases.holds(p.slot));
+                if gate.draining() && !conn.admitted.as_ref().is_some_and(holds_lease) {
+                    idle_polls += 1;
+                    if idle_polls > DRAIN_GRACE_POLLS {
+                        // The worker went quiet after the drain; close
+                        // from our side.
+                        return Ok(());
+                    }
+                }
+            }
+            Ok(Some(doc)) => {
+                idle_polls = 0;
+                let msg = match Msg::from_json(&doc) {
+                    Ok(m) => m,
+                    Err(e) => {
+                        // Well-framed JSON that is not a protocol
+                        // message: say why, then drop the connection.
+                        send_reject(&mut stream, format!("malformed message: {e}"));
+                        return Err(e);
+                    }
+                };
+                let (reply, jobs) = reply_for(daemon, msg, &mut conn);
+                if conn.admitted.is_some() {
+                    // Admitted: results frames carry tensors, so the
+                    // connection earns the full frame allowance.
+                    reader.set_cap(MAX_FRAME);
+                }
+                // Reply first — checkpoint writes are this handler's own
+                // time, not the worker's.
+                let (msg, closing) = match reply {
+                    Reply::Send(m) => (Some(m), false),
+                    Reply::SendThenClose(m) => (Some(m), true),
+                    Reply::Close => (None, true),
+                };
+                if let Some(m) = msg {
+                    write_frame(&mut stream, &m.to_json())?;
+                }
+                write_checkpoints(daemon, jobs);
+                if closing {
+                    return Ok(());
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                // Oversized length prefix or a non-JSON payload: a clean
+                // per-connection error, never a panic or a stalled
+                // accept loop.
+                send_reject(&mut stream, format!("bad frame: {e}"));
+                return Err(e);
+            }
+            Err(e) => return Err(e),
+        }
+    })();
+    if let Err(e) = &result {
+        if e.kind() != io::ErrorKind::UnexpectedEof {
+            let error = e.to_string();
+            emit(Level::Warn, D::COMPONENT, "connection_error", &[("error", error.into())]);
+        }
+    }
+    if let Some(peer) = conn.admitted {
+        disconnect(daemon, peer.slot);
+    }
+}
+
+/// A best-effort `reject` to a peer that is about to be dropped.
+fn send_reject(stream: &mut TcpStream, reason: String) {
+    let _ = write_frame(stream, &Msg::Reject { reason }.to_json());
+}
+
+fn disconnect<D: Daemon>(daemon: &D, slot: u64) {
+    daemon.worker_gone(slot);
+    emit(Level::Debug, D::COMPONENT, "worker_disconnected", &[("slot", slot.into())]);
+}
+
+/// Verifies the fingerprint and assigns a slot — the step that first
+/// reveals campaign state, so an auth-enabled daemon only gets here after
+/// a valid proof.
+fn admit<D: Daemon>(
+    daemon: &D,
+    fingerprint: Fingerprint,
+    worker_id: String,
+    conn: &mut Conn<'_>,
+) -> Reply {
+    let ours = &daemon.gate().fingerprint;
+    if fingerprint != *ours {
+        let who = D::COMPONENT;
+        return Reply::reject(format!("suite fingerprint {fingerprint:?} != {who} {ours:?}"));
+    }
+    match daemon.enroll(&worker_id) {
+        Ok((slot, welcome)) => {
+            emit(
+                Level::Info,
+                D::COMPONENT,
+                "worker_joined",
+                &[("slot", slot.into()), ("worker_id", worker_id.clone().into())],
+            );
+            conn.admitted = Some(Peer { slot, worker_id });
+            Reply::Send(welcome)
+        }
+        Err(Refusal::Burned(slot)) => {
+            emit(
+                Level::Warn,
+                D::COMPONENT,
+                "evicted_identity_rejected",
+                &[("slot", slot.into()), ("worker_id", worker_id.into())],
+            );
+            Reply::reject("worker identity is evicted")
+        }
+        Err(Refusal::Duplicate) => Reply::reject("worker identity already connected"),
+    }
+}
+
+fn reply_for<D: Daemon>(daemon: &D, msg: Msg, conn: &mut Conn<'_>) -> (Reply, Vec<D::Checkpoint>) {
+    let gate = daemon.gate();
+    // A request frame must name the slot this connection was admitted on.
+    fn peer(admitted: &Option<Peer>, slot: u64) -> Option<&Peer> {
+        admitted.as_ref().filter(|p| p.slot == slot)
+    }
+    let hello_first = || Reply::reject("say hello first");
+    let reply = match msg {
+        Msg::Hello { version, fingerprint, worker_id } => {
+            if conn.admitted.is_some() {
+                Reply::reject("already admitted")
+            } else if version != PROTOCOL_VERSION {
+                let who = D::COMPONENT;
+                Reply::reject(format!("protocol version {version} != {who} {PROTOCOL_VERSION}"))
+            } else if worker_id.is_empty() {
+                Reply::reject("empty worker identity")
+            } else if gate.auth_token.is_some() {
+                // Authentication first: even the fingerprint verdict
+                // waits until the peer proves it holds the secret.
+                let nonce = auth::nonce();
+                conn.challenged = Some((fingerprint, worker_id, nonce.clone()));
+                Reply::Send(Msg::Challenge { nonce })
+            } else {
+                admit(daemon, fingerprint, worker_id, conn)
+            }
+        }
+        Msg::AuthProof { proof } => match (&gate.auth_token, conn.challenged.take()) {
+            (Some(token), Some((fingerprint, worker_id, nonce))) => {
+                if auth::verify(token, &nonce, &worker_id, &proof) {
+                    admit(daemon, fingerprint, worker_id, conn)
+                } else {
+                    emit(Level::Warn, D::COMPONENT, "auth_failed", &[]);
+                    Reply::reject("authentication failed")
+                }
+            }
+            _ => Reply::reject("no challenge outstanding"),
+        },
+        Msg::LeaseRequest { slot, want } => match peer(&conn.admitted, slot) {
+            None => hello_first(),
+            Some(_) if gate.draining() => Reply::Send(Msg::Drain),
+            Some(p) => Reply::Send(daemon.lease(p, want, &mut conn.views)),
+        },
+        Msg::Heartbeat { slot, lease } => match peer(&conn.admitted, slot) {
+            None => hello_first(),
+            Some(p) => Reply::Send(daemon.heartbeat(p, lease, &mut conn.views)),
+        },
+        Msg::Results { slot, lease, campaign, items, cov, rng_state, telemetry } => {
+            let frame = ResultsFrame { lease, campaign, items, cov, rng_state, telemetry };
+            match peer(&conn.admitted, slot) {
+                None => hello_first(),
+                Some(p) => return daemon.results(p, frame, &mut conn.views),
+            }
+        }
+        Msg::Bye => Reply::Close,
+        // Worker-bound messages arriving at a daemon.
+        Msg::Welcome { .. }
+        | Msg::Lease { .. }
+        | Msg::Wait { .. }
+        | Msg::Ack { .. }
+        | Msg::Drain
+        | Msg::Challenge { .. }
+        | Msg::Reject { .. } => Reply::reject("unexpected message"),
+    };
+    (reply, Vec::new())
+}
+
+/// Folds a worker's advisory per-phase histograms into `registry`. Phase
+/// names are matched against the known set, so a hostile worker cannot
+/// mint unbounded label values; histograms with a foreign bucket layout
+/// are dropped by `merge_local` for the same reason.
+pub fn merge_worker_telemetry(registry: &MetricsRegistry, t: &TelemetrySnapshot) {
+    for (name, hist) in &t.phases {
+        let Some(phase) = Phase::ALL.iter().find(|p| p.name() == name) else { continue };
+        registry
+            .histogram("dx_phase_seconds", &[("phase", phase.name())], &TIME_BUCKETS)
+            .merge_local(hist);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// The layering the module doc promises, held mechanically: the books
+    /// above the shell banner name no clock read, thread, socket, file,
+    /// sleep or lock.
+    #[test]
+    fn books_are_sans_io() {
+        let source = include_str!("engine.rs");
+        let (books, shell) = source.split_once("\n// The shell:").expect("shell banner");
+        assert!(books.contains("pub struct Ledger") && books.contains("pub struct LeaseTable"));
+        assert!(shell.contains("pub fn serve"));
+        let banned =
+            ["Instant::now()", ".elapsed()", "thread::", "TcpStream", "File", "sleep", "Mutex"];
+        for (n, line) in
+            books.lines().enumerate().filter(|(_, l)| !l.trim_start().starts_with("//"))
+        {
+            for word in banned {
+                assert!(!line.contains(word), "engine.rs:{}: `{word}` in the pure half", n + 1);
+            }
+        }
+    }
+}

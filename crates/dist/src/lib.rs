@@ -18,7 +18,10 @@
 //! - Transport is a hand-rolled length-prefixed JSON framing
 //!   ([`wire`]) over `std::net::TcpStream` — the payload codecs are the
 //!   campaign checkpoint codecs, reused byte-for-byte.
-//! - Liveness comes from worker heartbeats and lease timeouts that
+//! - Serving, admission and lease bookkeeping are the one lease engine
+//!   ([`engine`]) the coordinator shares with the `dx-service` daemon: a
+//!   connection shell over a sans-I/O lease table and campaign ledger.
+//!   Liveness comes from worker heartbeats and lease timeouts that
 //!   requeue abandoned seeds; a graceful drain writes a checkpoint
 //!   (campaign JSONL plus `dist.json` lease state) from which
 //!   [`Coordinator::resume`] restarts the whole fleet — or
@@ -70,6 +73,7 @@
 
 pub mod auth;
 pub mod coordinator;
+pub mod engine;
 pub mod proto;
 pub mod shutdown;
 pub mod wire;

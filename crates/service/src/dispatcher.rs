@@ -1,10 +1,11 @@
-//! The worker-facing half of the daemon: the protocol-v6 dispatcher.
+//! The worker-facing half of the daemon: tenant choice on the shared
+//! lease engine.
 //!
-//! One TCP listener, one handler thread per worker connection, exactly
-//! the coordinator's serving skeleton — nonblocking accept under a
-//! polling loop, identity-keyed admission with the optional HMAC
-//! challenge/response, a small frame cap until admission completes —
-//! but leases are drawn from *many* tenants instead of one campaign:
+//! The accept loop, per-connection handler, handshake, admission and
+//! lease bookkeeping are [`dx_dist::engine`]'s — the code a dedicated
+//! coordinator serves with — and every tenant's campaign state is an
+//! engine [`dx_dist::engine::Ledger`]. What this file adds is drawing
+//! leases from *many* tenants instead of one campaign:
 //!
 //! * **Tenant choice** is stride scheduling. Every runnable tenant
 //!   carries a virtual-time `pass`; a grant advances it by
@@ -13,87 +14,38 @@
 //! * **Quota** caps a tenant's share of all in-flight leased jobs
 //!   ([`quota_allowance`]), with a one-lease minimum so a small quota
 //!   shrinks a tenant's share without ever starving it.
-//! * **Coverage views are per connection *and per campaign***: the
-//!   `cov` news on a lease, heartbeat ack, or results ack is computed
-//!   against what this connection's worker knows about *that tenant's*
-//!   union — workers keep one generator context per campaign, and
-//!   cross-tenant news would corrupt them.
+//! * **Coverage news is per campaign**: the `cov` on a lease, heartbeat
+//!   ack, or results ack is computed against what this connection's
+//!   worker knows about *that tenant's* union (the engine's per-campaign
+//!   views).
 //!
 //! Unlike the dedicated coordinator, the dispatcher never drains itself
 //! when tenants finish — a daemon with zero runnable tenants parks its
 //! workers on `wait` and keeps serving the API. Only a [`StopHandle`]
 //! or a SIGTERM/SIGINT (via `dx_dist::shutdown`) drains the fleet. The
-//! service also does not spot-check claimed diffs; see the crate docs.
+//! service also does not spot-check claimed diffs: it claims, releases
+//! and absorbs a results frame under one lock.
+//!
+//! [`StopHandle`]: crate::StopHandle
 
-use std::collections::HashMap;
 use std::io;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::net::TcpListener;
+use std::time::Instant;
 
+use dx_campaign::checkpoint::write_atomic;
 use dx_campaign::json::build;
-use dx_campaign::{EpochStats, FoundDiff};
-use dx_coverage::CoverageSignal;
-use dx_dist::proto::{
-    coverage_news, CovDelta, Fingerprint, Job, JobResult, Msg, TelemetrySnapshot, PROTOCOL_VERSION,
+use dx_dist::engine::{
+    self, Daemon, Fleet, Gate, Lease, Peer, Plan, Refusal, Reply, ResultsFrame, Views,
 };
-use dx_dist::wire::{write_frame, FrameReader, MAX_FRAME};
-use dx_dist::{auth, shutdown};
+use dx_dist::proto::Msg;
+use dx_dist::shutdown;
 use dx_telemetry::events::{emit, Level};
-use dx_telemetry::phase::{Phase, TIME_BUCKETS};
 
-use crate::tenant::{Status, Tenant, TenantCkpt};
-use crate::{leased_ids, Service, SvcLease, SvcState};
-
-/// How often connection handlers and the accept loop wake up to check
-/// deadlines and flags.
-const POLL: Duration = Duration::from_millis(100);
-
-/// Idle polls (no traffic from a drained, lease-less worker) before its
-/// connection is closed server-side.
-const DRAIN_GRACE_POLLS: u32 = 20;
-
-/// Frame cap for connections that have not completed admission.
-const HELLO_FRAME_CAP: usize = 1 << 16;
-
-/// How long a connection may sit without completing admission.
-const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
+use crate::tenant::{Status, TenantCkpt};
+use crate::{Service, SvcState};
 
 /// How long workers are told to wait when nothing is schedulable.
 const IDLE_WAIT_MILLIS: u64 = 200;
-
-/// Per-connection protocol state, owned by the handler thread.
-struct Conn {
-    /// Assigned slot, once admitted.
-    slot: Option<u64>,
-    /// The authenticated identity, once admitted — per-tenant RNG
-    /// streams are keyed to it.
-    worker: Option<String>,
-    /// What this worker is known to know about each tenant's coverage
-    /// union, by campaign id. Created on the first lease for a tenant.
-    views: HashMap<u64, Vec<CoverageSignal>>,
-    /// Fingerprint parked at `hello` until the auth proof arrives.
-    pending_fp: Option<Fingerprint>,
-    /// The identity announced at `hello`, pending the auth proof.
-    pending_id: Option<String>,
-    /// The outstanding challenge nonce (auth-enabled daemons only).
-    nonce: Option<String>,
-}
-
-enum Reply {
-    Send(Msg),
-    SendThenClose(Msg),
-    Close,
-}
-
-/// A granted lease, ready to become a `lease` frame.
-struct Grant {
-    lease: u64,
-    campaign: u64,
-    campaign_seed: u64,
-    jobs: Vec<Job>,
-    rng_state: Option<[u64; 4]>,
-}
 
 /// How many jobs a tenant with `outstanding` in-flight jobs may be
 /// granted (up to `cap`) without its share of all in-flight jobs
@@ -122,77 +74,15 @@ pub(crate) fn quota_allowance(
     ((headroom / f64::from(1.0 - quota)).floor() as usize).min(cap)
 }
 
-/// Whether a tenant has finished, and why.
-fn done_reason(t: &Tenant) -> Option<&'static str> {
-    if t.spec.max_steps.is_some_and(|m| t.steps_done >= m) {
-        return Some("budget");
-    }
-    if t.spec.target_coverage.is_some_and(|tc| t.mean_coverage() >= tc) {
-        return Some("target");
-    }
-    if t.corpus.all_exhausted() && t.outstanding == 0 {
-        return Some("exhausted");
-    }
-    None
-}
-
-/// Closes a tenant's statistics round into an [`EpochStats`] line and a
-/// `round` event.
-fn flush_round(t: &mut Tenant) {
-    let round = std::mem::take(&mut t.round);
-    let epoch = t.epochs.len();
-    t.epochs.push(EpochStats {
-        epoch,
-        seeds_run: round.seeds_run,
-        diffs_found: round.diffs_found,
-        iterations: round.iterations,
-        newly_covered: round.newly_covered,
-        mean_coverage: t.mean_coverage(),
-        component_coverage: dx_coverage::mean_component_coverage(&t.global),
-        corpus_len: t.corpus.len(),
-        elapsed: t.round_started.elapsed(),
-    });
-    t.round_started = Instant::now();
-    t.event(
-        "round",
-        vec![
-            ("epoch", build::int(epoch)),
-            ("seeds_run", build::int(round.seeds_run)),
-            ("diffs_found", build::int(round.diffs_found)),
-        ],
-    );
-}
-
-/// Picks up to `want` of a tenant's seed ids: requeued seeds first, then
-/// an energy-weighted draw excluding everything leased or queued.
-fn pick_seeds(t: &mut Tenant, leased: &[usize], want: usize) -> Vec<usize> {
-    let mut ids = Vec::with_capacity(want);
-    while ids.len() < want {
-        let Some(id) = t.pending.pop_front() else { break };
-        let alive = t.corpus.get(id).is_some_and(|e| !e.exhausted);
-        if alive && !ids.contains(&id) {
-            ids.push(id);
+/// A lost lease's seeds go back to its tenant's queue — unless the tenant
+/// is finished and nothing will ever schedule them again.
+fn requeue(st: &mut SvcState, lease: Lease) {
+    if let Some(t) = st.tenants.get_mut(&lease.campaign) {
+        if !t.status.is_terminal() {
+            t.ledger.requeue(lease.seed_ids);
         }
+        t.metrics.requeue_depth.set(t.ledger.pending.len() as f64);
     }
-    if ids.len() < want {
-        let mut excluded = leased.to_vec();
-        excluded.extend(t.pending.iter().copied());
-        excluded.extend(ids.iter().copied());
-        let n = want - ids.len();
-        let Tenant { corpus, sched_rng, .. } = t;
-        ids.extend(corpus.schedule_excluding(n, sched_rng, &excluded));
-    }
-    ids
-}
-
-/// The payload of a `results` frame.
-struct ResultsFrame {
-    lease: u64,
-    campaign: u64,
-    items: Vec<JobResult>,
-    cov: CovDelta,
-    rng_state: [u64; 4],
-    telemetry: Option<TelemetrySnapshot>,
 }
 
 impl Service {
@@ -207,104 +97,8 @@ impl Service {
     /// Listener failures and final-checkpoint I/O errors. Individual
     /// connection errors only drop that worker.
     pub fn serve(&self, listener: TcpListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let mut drained_at: Option<Instant> = None;
-        std::thread::scope(|scope| -> io::Result<()> {
-            loop {
-                if shutdown::requested() {
-                    self.drain.store(true, Ordering::SeqCst);
-                }
-                for job in self.housekeep() {
-                    self.log_ckpt_error(self.write_ckpt(job));
-                }
-                if self.drain.load(Ordering::SeqCst) {
-                    let now = Instant::now();
-                    let since = *drained_at.get_or_insert(now);
-                    let st = self.lock();
-                    let idle = st.leases.is_empty() && st.connected == 0;
-                    drop(st);
-                    if idle {
-                        // Sweep the accept backlog before closing: a
-                        // queued worker gets a polite `drain`, not a
-                        // reset.
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                scope.spawn(move || self.handle(stream));
-                                continue;
-                            }
-                            Err(e)
-                                if e.kind() == io::ErrorKind::WouldBlock
-                                    || e.kind() == io::ErrorKind::TimedOut =>
-                            {
-                                break
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    if now.duration_since(since) > self.cfg.lease_timeout + 10 * POLL {
-                        // Workers that never came back: stop waiting.
-                        self.force_close.store(true, Ordering::SeqCst);
-                    }
-                }
-                match listener.accept() {
-                    Ok((stream, peer)) => {
-                        emit(
-                            Level::Debug,
-                            "service",
-                            "connection",
-                            &[("peer", peer.to_string().into())],
-                        );
-                        scope.spawn(move || self.handle(stream));
-                    }
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        std::thread::sleep(POLL)
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(())
-        })?;
+        engine::serve(self, listener)?;
         self.finish()
-    }
-
-    fn log_ckpt_error(&self, r: io::Result<()>) {
-        if let Err(e) = r {
-            emit(Level::Error, "service", "checkpoint_failed", &[("error", e.to_string().into())]);
-        }
-    }
-
-    /// Periodic bookkeeping: expire overdue leases back to their tenants'
-    /// requeues, and retire tenants that hit a stop condition.
-    fn housekeep(&self) -> Vec<TenantCkpt> {
-        let mut st = self.lock();
-        let now = Instant::now();
-        let expired: Vec<u64> =
-            st.leases.iter().filter(|(_, l)| now >= l.deadline).map(|(&id, _)| id).collect();
-        for id in expired {
-            let Some(lease) = st.leases.remove(&id) else { continue };
-            self.metrics.lease_expired.inc();
-            emit(
-                Level::Info,
-                "service",
-                "lease_expired",
-                &[
-                    ("lease", id.into()),
-                    ("campaign", lease.tenant.into()),
-                    ("seeds", lease.seed_ids.len().into()),
-                ],
-            );
-            if let Some(t) = st.tenants.get_mut(&lease.tenant) {
-                t.outstanding = t.outstanding.saturating_sub(lease.seed_ids.len());
-                if !t.status.is_terminal() {
-                    t.pending.extend(lease.seed_ids);
-                }
-                t.metrics.requeue_depth.set(t.pending.len() as f64);
-            }
-        }
-        self.retire_finished(&mut st)
     }
 
     /// Moves every `Running` tenant that hit a stop condition to `Done`,
@@ -313,12 +107,17 @@ impl Service {
         let ids: Vec<u64> = st.tenants.keys().copied().collect();
         let mut jobs = Vec::new();
         for id in ids {
-            let leased = leased_ids(st, id);
+            let leased = st.fleet.leases.seed_ids(id);
             let Some(t) = st.tenants.get_mut(&id) else { continue };
             if t.status != Status::Running {
                 continue;
             }
-            let Some(reason) = done_reason(t) else { continue };
+            let in_flight = !leased.is_empty();
+            let Some(reason) =
+                t.ledger.done_reason(t.spec.max_steps, t.spec.target_coverage, in_flight)
+            else {
+                continue;
+            };
             t.status = Status::Done;
             t.event("done", vec![("reason", build::str(reason))]);
             emit(
@@ -340,23 +139,13 @@ impl Service {
     fn finish(&self) -> io::Result<()> {
         let jobs = {
             let mut st = self.lock();
-            let outstanding: Vec<u64> = st.leases.keys().copied().collect();
-            for id in outstanding {
-                let Some(lease) = st.leases.remove(&id) else { continue };
-                if let Some(t) = st.tenants.get_mut(&lease.tenant) {
-                    t.outstanding = t.outstanding.saturating_sub(lease.seed_ids.len());
-                    if !t.status.is_terminal() {
-                        t.pending.extend(lease.seed_ids);
-                    }
-                }
+            for (_, lease) in st.fleet.leases.clear() {
+                requeue(&mut st, lease);
             }
             let mut jobs = self.retire_finished(&mut st);
-            let ids: Vec<u64> = st.tenants.keys().copied().collect();
-            for id in ids {
-                let Some(t) = st.tenants.get_mut(&id) else { continue };
-                if t.round.seeds_run > 0 {
-                    flush_round(t);
-                }
+            let now = Instant::now();
+            for t in st.tenants.values_mut() {
+                t.close_round(1, now);
                 if self.cfg.state_dir.is_some() {
                     jobs.push(t.snapshot(Vec::new()));
                 }
@@ -364,319 +153,76 @@ impl Service {
             jobs
         };
         for job in jobs {
-            self.write_ckpt(job)?;
+            self.write_checkpoint(job)?;
         }
         Ok(())
     }
+}
 
-    /// One worker connection, request/response until it closes. The same
-    /// hostile-input posture as the coordinator: small frame cap and a
-    /// timeout until admission, best-effort `reject` on garbage, and a
-    /// per-connection error never touches the accept loop.
-    fn handle(&self, mut stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(POLL));
-        let mut reader = FrameReader::with_cap(HELLO_FRAME_CAP);
-        let mut conn = Conn {
-            slot: None,
-            worker: None,
-            views: HashMap::new(),
-            pending_fp: None,
-            pending_id: None,
-            nonce: None,
-        };
-        let opened = Instant::now();
-        let mut idle_polls: u32 = 0;
-        let result: io::Result<()> = (|| loop {
-            match reader.poll(&mut stream) {
-                Ok(None) => {
-                    if self.force_close.load(Ordering::SeqCst) {
-                        return Ok(());
-                    }
-                    if conn.slot.is_none() && opened.elapsed() >= HELLO_TIMEOUT {
-                        let reject = Msg::Reject { reason: "admission timed out".into() };
-                        let _ = write_frame(&mut stream, &reject.to_json());
-                        return Ok(());
-                    }
-                    if self.drain.load(Ordering::SeqCst) {
-                        let has_lease = match conn.slot {
-                            Some(s) => self.lock().leases.values().any(|l| l.slot == s),
-                            None => false,
-                        };
-                        if !has_lease {
-                            idle_polls += 1;
-                            if idle_polls > DRAIN_GRACE_POLLS {
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-                Ok(Some(doc)) => {
-                    idle_polls = 0;
-                    let msg = match Msg::from_json(&doc) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            let reject = Msg::Reject { reason: format!("malformed message: {e}") };
-                            let _ = write_frame(&mut stream, &reject.to_json());
-                            return Err(e);
-                        }
-                    };
-                    let (reply, jobs) = self.reply_for(msg, &mut conn);
-                    if conn.slot.is_some() {
-                        reader.set_cap(MAX_FRAME);
-                    }
-                    // Reply first — checkpoint writes are this handler's
-                    // own time, not the worker's.
-                    let closing = match reply {
-                        Reply::Send(m) => {
-                            write_frame(&mut stream, &m.to_json())?;
-                            false
-                        }
-                        Reply::SendThenClose(m) => {
-                            write_frame(&mut stream, &m.to_json())?;
-                            true
-                        }
-                        Reply::Close => true,
-                    };
-                    for job in jobs {
-                        self.log_ckpt_error(self.write_ckpt(job));
-                    }
-                    if closing {
-                        return Ok(());
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    let reject = Msg::Reject { reason: format!("bad frame: {e}") };
-                    let _ = write_frame(&mut stream, &reject.to_json());
-                    return Err(e);
-                }
-                Err(e) => return Err(e),
-            }
-        })();
-        if let Err(e) = &result {
-            if e.kind() != io::ErrorKind::UnexpectedEof {
-                emit(
-                    Level::Warn,
-                    "service",
-                    "connection_error",
-                    &[("error", e.to_string().into())],
-                );
-            }
-        }
-        if let Some(s) = conn.slot {
-            self.disconnect(s);
-        }
+impl Daemon for Service {
+    const COMPONENT: &'static str = "service";
+    type Checkpoint = TenantCkpt;
+
+    fn gate(&self) -> &Gate {
+        &self.gate
     }
 
-    fn disconnect(&self, slot: u64) {
+    fn fleet<R>(&self, read: impl FnOnce(&Fleet) -> R) -> R {
+        read(&self.lock().fleet)
+    }
+
+    /// Expires overdue leases back to their tenants' requeues, and retires
+    /// tenants that hit a stop condition.
+    fn tick(&self) -> Vec<TenantCkpt> {
+        if shutdown::requested() {
+            self.gate.drain();
+        }
         let mut st = self.lock();
-        st.live_slots.remove(&slot);
-        st.connected = st.connected.saturating_sub(1);
-        self.metrics.connected.set(st.connected as f64);
+        for (id, lease) in st.fleet.leases.expire(Instant::now()) {
+            self.metrics.lease_expired.inc();
+            emit(
+                Level::Info,
+                "service",
+                "lease_expired",
+                &[
+                    ("lease", id.into()),
+                    ("campaign", lease.campaign.into()),
+                    ("seeds", lease.seed_ids.len().into()),
+                ],
+            );
+            requeue(&mut st, lease);
+        }
+        self.retire_finished(&mut st)
+    }
+
+    /// The service keeps no per-worker trust records, so no slot is ever
+    /// burned. The welcome's seed is advisory in v6 (workers build
+    /// generator contexts lazily from the per-campaign seed on each
+    /// `lease` frame), so a multi-campaign daemon has nothing meaningful
+    /// to put there.
+    fn enroll(&self, worker_id: &str) -> Result<(u64, Msg), Refusal> {
+        let mut st = self.lock();
+        let slot = st.fleet.admit(worker_id, |_| false)?;
+        self.metrics.connected.set(st.fleet.connected() as f64);
+        Ok((slot, Msg::Welcome { slot, campaign_seed: 0, rng_state: None }))
+    }
+
+    fn worker_gone(&self, slot: u64) {
+        let mut st = self.lock();
         // A dead worker's leases go straight back to their tenants.
-        let orphaned: Vec<u64> =
-            st.leases.iter().filter(|(_, l)| l.slot == slot).map(|(&id, _)| id).collect();
-        for id in orphaned {
-            let Some(lease) = st.leases.remove(&id) else { continue };
-            if let Some(t) = st.tenants.get_mut(&lease.tenant) {
-                t.outstanding = t.outstanding.saturating_sub(lease.seed_ids.len());
-                if !t.status.is_terminal() {
-                    t.pending.extend(lease.seed_ids);
-                }
-                t.metrics.requeue_depth.set(t.pending.len() as f64);
-            }
+        for (_, lease) in st.fleet.disconnect(slot) {
+            requeue(&mut st, lease);
         }
-        drop(st);
-        emit(Level::Debug, "service", "worker_disconnected", &[("slot", slot.into())]);
-    }
-
-    /// Verifies the fingerprint and resolves the identity to a slot —
-    /// the coordinator's admission minus the eviction ledger (the
-    /// service keeps no per-worker trust records).
-    fn admit(&self, fingerprint: Fingerprint, worker_id: &str, conn: &mut Conn) -> Reply {
-        if fingerprint != self.fingerprint {
-            let reason =
-                format!("suite fingerprint {:?} != service {:?}", fingerprint, self.fingerprint);
-            return Reply::SendThenClose(Msg::Reject { reason });
-        }
-        let mut st = self.lock();
-        let known = st.identities.iter().find(|(_, id)| id.as_str() == worker_id).map(|(&s, _)| s);
-        let s = match known {
-            Some(s) if st.live_slots.contains(&s) => {
-                drop(st);
-                let reason = "worker identity already connected".to_string();
-                return Reply::SendThenClose(Msg::Reject { reason });
-            }
-            Some(s) => s,
-            None => {
-                // Fresh identity: next slot not held by a live returning
-                // identity.
-                while st.live_slots.contains(&st.next_slot) {
-                    st.next_slot += 1;
-                }
-                let s = st.next_slot;
-                st.next_slot += 1;
-                s
-            }
-        };
-        st.identities.insert(s, worker_id.to_string());
-        st.live_slots.insert(s);
-        st.connected += 1;
-        self.metrics.connected.set(st.connected as f64);
-        drop(st);
-        conn.slot = Some(s);
-        conn.worker = Some(worker_id.to_string());
-        emit(
-            Level::Info,
-            "service",
-            "worker_joined",
-            &[("slot", s.into()), ("worker_id", worker_id.to_string().into())],
-        );
-        // The seed is advisory in v6 (workers build generator contexts
-        // lazily from the per-campaign seed on each `lease` frame), so a
-        // multi-campaign daemon has nothing meaningful to put here.
-        Reply::Send(Msg::Welcome { slot: s, campaign_seed: 0, rng_state: None })
-    }
-
-    fn reply_for(&self, msg: Msg, conn: &mut Conn) -> (Reply, Vec<TenantCkpt>) {
-        let reply = match msg {
-            Msg::Hello { version, fingerprint, worker_id } => {
-                if conn.slot.is_some() {
-                    let reason = "already admitted".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-                }
-                if version != PROTOCOL_VERSION {
-                    let reason =
-                        format!("protocol version {version} != service {PROTOCOL_VERSION}");
-                    return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-                }
-                if worker_id.is_empty() {
-                    let reason = "empty worker identity".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-                }
-                if self.cfg.auth_token.is_some() {
-                    let nonce = auth::nonce();
-                    conn.nonce = Some(nonce.clone());
-                    conn.pending_fp = Some(fingerprint);
-                    conn.pending_id = Some(worker_id);
-                    Reply::Send(Msg::Challenge { nonce })
-                } else {
-                    self.admit(fingerprint, &worker_id, conn)
-                }
-            }
-            Msg::AuthProof { proof } => {
-                let (Some(token), Some(nonce), Some(fingerprint), Some(worker_id)) = (
-                    &self.cfg.auth_token,
-                    conn.nonce.take(),
-                    conn.pending_fp.take(),
-                    conn.pending_id.take(),
-                ) else {
-                    let reason = "no challenge outstanding".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-                };
-                if !auth::verify(token, &nonce, &worker_id, &proof) {
-                    emit(Level::Warn, "service", "auth_failed", &[]);
-                    let reason = "authentication failed".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-                }
-                self.admit(fingerprint, &worker_id, conn)
-            }
-            Msg::LeaseRequest { slot: s, want } => {
-                if Some(s) != conn.slot {
-                    let reason = "say hello first".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-                }
-                if self.drain.load(Ordering::SeqCst) {
-                    return (Reply::Send(Msg::Drain), Vec::new());
-                }
-                let Some(worker) = conn.worker.clone() else {
-                    let reason = "authenticate first".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-                };
-                let mut st = self.lock();
-                match self
-                    .grant(&mut st, s, &worker, want)
-                    .and_then(|grant| st.tenants.get(&grant.campaign).map(|t| (grant, t)))
-                {
-                    Some((grant, t)) => {
-                        let view = conn
-                            .views
-                            .entry(grant.campaign)
-                            .or_insert_with(|| self.template.clone());
-                        let cov = coverage_news(&t.global, view);
-                        Reply::Send(Msg::Lease {
-                            lease: grant.lease,
-                            jobs: grant.jobs,
-                            cov,
-                            campaign: grant.campaign,
-                            campaign_seed: grant.campaign_seed,
-                            rng_state: grant.rng_state,
-                        })
-                    }
-                    // Nothing schedulable right now — paused, quota-capped,
-                    // everything leased, or no live tenants at all. The
-                    // daemon outlives its tenants, so the worker parks
-                    // instead of draining.
-                    None => Reply::Send(Msg::Wait { millis: IDLE_WAIT_MILLIS }),
-                }
-            }
-            Msg::Heartbeat { slot: s, lease } => {
-                if Some(s) != conn.slot {
-                    let reason = "say hello first".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-                }
-                self.metrics.heartbeats.inc();
-                let mut st = self.lock();
-                let campaign = match st.leases.get_mut(&lease) {
-                    Some(l) if l.slot == s => {
-                        l.deadline = Instant::now() + self.cfg.lease_timeout;
-                        Some(l.tenant)
-                    }
-                    _ => None,
-                };
-                // The ack's news must be for the campaign the worker is
-                // heartbeating — it applies the delta to that lease's
-                // generator context.
-                let cov = match campaign.and_then(|c| st.tenants.get(&c)) {
-                    Some(t) => {
-                        let view = conn.views.entry(t.id).or_insert_with(|| self.template.clone());
-                        coverage_news(&t.global, view)
-                    }
-                    // Expired lease: a well-formed empty delta (the
-                    // worker validates the model count).
-                    None => vec![Vec::new(); self.template.len()],
-                };
-                Reply::Send(Msg::Ack { cov })
-            }
-            Msg::Results { slot: s, lease, campaign, items, cov, rng_state, telemetry } => {
-                if Some(s) != conn.slot {
-                    let reason = "say hello first".to_string();
-                    return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-                }
-                let frame = ResultsFrame { lease, campaign, items, cov, rng_state, telemetry };
-                return self.handle_results(s, frame, conn);
-            }
-            Msg::Bye => Reply::Close,
-            // Worker-bound messages arriving at the service.
-            Msg::Welcome { .. }
-            | Msg::Lease { .. }
-            | Msg::Wait { .. }
-            | Msg::Ack { .. }
-            | Msg::Drain
-            | Msg::Challenge { .. }
-            | Msg::Reject { .. } => {
-                Reply::SendThenClose(Msg::Reject { reason: "unexpected message".into() })
-            }
-        };
-        (reply, Vec::new())
+        self.metrics.connected.set(st.fleet.connected() as f64);
     }
 
     /// Picks the tenant and seeds for one lease: stride scheduling over
-    /// runnable tenants, quota-capped grant size, requeue-first seed
-    /// draw. `None` when nothing is schedulable.
-    fn grant(&self, st: &mut SvcState, slot: u64, worker: &str, want: usize) -> Option<Grant> {
+    /// runnable tenants, quota-capped grant size, requeue-first seed draw.
+    fn lease(&self, peer: &Peer, want: usize, views: &mut Views<'_>) -> Msg {
+        let mut guard = self.lock();
+        let st = &mut *guard;
         let cap = want.clamp(1, self.cfg.lease_size);
-        let total_out: usize = st.tenants.values().map(|t| t.outstanding).sum();
+        let total_out = st.fleet.leases.total_jobs_out();
         let mut order: Vec<(u64, f64)> = st
             .tenants
             .values()
@@ -687,40 +233,22 @@ impl Service {
             a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
         });
         for (id, _) in order {
-            let leased = leased_ids(st, id);
+            let leased = st.fleet.leases.seed_ids(id);
             let Some(t) = st.tenants.get_mut(&id) else { continue };
-            let allowed = quota_allowance(t.outstanding, total_out, t.spec.quota, cap);
+            let allowed = quota_allowance(leased.len(), total_out, t.spec.quota, cap);
             if allowed == 0 {
                 continue;
             }
-            let ids = pick_seeds(t, &leased, allowed);
+            let ids = t.ledger.pick_seeds(&leased, allowed);
             if ids.is_empty() {
                 continue;
             }
             let granted = ids.len();
-            let jobs: Vec<Job> = ids
-                .iter()
-                .filter_map(|&sid| {
-                    Some(Job { seed_id: sid, input: t.corpus.get(sid)?.input.clone() })
-                })
-                .collect();
+            let jobs = t.ledger.jobs(&ids);
             t.pass += granted as f64 / f64::from(t.spec.weight);
-            t.outstanding += granted;
             t.metrics.leases.inc();
-            t.metrics.requeue_depth.set(t.pending.len() as f64);
-            let campaign_seed = t.spec.seed;
-            let rng_state = t.worker_rng.get(worker).copied();
-            let lease = st.next_lease;
-            st.next_lease += 1;
-            st.leases.insert(
-                lease,
-                SvcLease {
-                    tenant: id,
-                    slot,
-                    seed_ids: ids,
-                    deadline: Instant::now() + self.cfg.lease_timeout,
-                },
-            );
+            t.metrics.requeue_depth.set(t.ledger.pending.len() as f64);
+            let lease = st.fleet.leases.grant(peer.slot, id, ids, Instant::now());
             self.metrics.leases.inc();
             emit(
                 Level::Debug,
@@ -729,190 +257,100 @@ impl Service {
                 &[
                     ("lease", lease.into()),
                     ("campaign", id.into()),
-                    ("slot", slot.into()),
+                    ("slot", peer.slot.into()),
                     ("seeds", granted.into()),
                 ],
             );
-            return Some(Grant { lease, campaign: id, campaign_seed, jobs, rng_state });
+            return Msg::Lease {
+                lease,
+                jobs,
+                cov: views.news(id, &t.ledger.global),
+                campaign: id,
+                campaign_seed: t.spec.seed,
+                rng_state: t.worker_rng.get(&peer.worker_id).copied(),
+            };
         }
-        None
+        // Nothing schedulable right now — paused, quota-capped, everything
+        // leased, or no live tenants at all. The daemon outlives its
+        // tenants, so the worker parks instead of draining.
+        Msg::Wait { millis: IDLE_WAIT_MILLIS }
+    }
+
+    fn heartbeat(&self, peer: &Peer, lease: u64, views: &mut Views<'_>) -> Msg {
+        self.metrics.heartbeats.inc();
+        let mut st = self.lock();
+        let campaign = st.fleet.leases.heartbeat(lease, peer.slot, Instant::now());
+        // The ack's news must be for the campaign the worker is
+        // heartbeating — it applies the delta to that lease's generator
+        // context.
+        let cov = match campaign.and_then(|c| st.tenants.get(&c)) {
+            Some(t) => views.news(t.id, &t.ledger.global),
+            // Expired lease: a well-formed empty delta (the worker
+            // validates the model count).
+            None => vec![Vec::new(); self.gate.template.len()],
+        };
+        Msg::Ack { cov }
     }
 
     /// Folds a `results` frame into its tenant. One locked phase — the
-    /// service runs no spot-checks, so nothing needs to happen outside
-    /// the lock between validation and absorption.
-    fn handle_results(
+    /// service runs no spot-checks, so claim, release and absorb happen
+    /// back to back.
+    fn results(
         &self,
-        s: u64,
+        peer: &Peer,
         frame: ResultsFrame,
-        conn: &mut Conn,
+        views: &mut Views<'_>,
     ) -> (Reply, Vec<TenantCkpt>) {
         let ResultsFrame { lease, campaign, items, cov, rng_state, telemetry } = frame;
-        enum Plan {
-            Lease(Vec<usize>),
-            /// Lease id owned by another slot: the items are not ours to
-            /// count.
-            Collision,
-            /// The lease already expired; salvage what is still pending.
-            Expired,
-        }
-        let mut st = self.lock();
-        let Some(t) = st.tenants.get(&campaign) else {
-            let reason = format!("unknown campaign {campaign}");
-            return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-        };
-        // Validate delta indices before anything touches the union.
-        for (m, idx) in cov.iter().enumerate() {
-            let total = t.global.get(m).map_or(0, CoverageSignal::total);
-            if m >= t.global.len() || idx.iter().any(|&i| i >= total) {
-                let reason = "coverage delta out of range".to_string();
-                return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-            }
-        }
-        // Validate result tensor shapes: a fabricated tensor of the wrong
-        // shape would otherwise panic whatever resumes the corpus.
-        let shape_ok = items.iter().all(|i| {
-            i.run.test.as_ref().is_none_or(|gt| gt.input.shape() == self.sample_shape)
-                && i.run.corpus_candidate.as_ref().is_none_or(|c| c.shape() == self.sample_shape)
-        });
-        if !shape_ok {
-            let reason = "result tensor shape mismatch".to_string();
-            return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-        }
-        if lease >= st.next_lease {
-            let reason = "unknown lease id".to_string();
-            return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-        }
-        let plan = match st.leases.get(&lease) {
-            Some(l) if l.slot == s && l.tenant != campaign => {
-                let reason = format!("lease {lease} is not for campaign {campaign}");
-                return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-            }
-            Some(l) if l.slot == s => match st.leases.remove(&lease) {
-                Some(l) => Plan::Lease(l.seed_ids),
-                None => Plan::Expired,
-            },
-            Some(_) => Plan::Collision,
-            None => Plan::Expired,
-        };
-        if let Some(snap) = &telemetry {
-            self.merge_worker_telemetry(snap);
-        }
-        let Some(worker) = conn.worker.clone() else {
-            let reason = "authenticate first".to_string();
-            return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
-        };
-        let leased_now = leased_ids(&st, campaign);
-        let batch = self.cfg.batch_per_round;
-        let persist = self.cfg.state_dir.is_some();
+        let mut guard = self.lock();
+        let st = &mut *guard;
         let Some(t) = st.tenants.get_mut(&campaign) else {
-            let reason = format!("unknown campaign {campaign}");
-            return (Reply::SendThenClose(Msg::Reject { reason }), Vec::new());
+            return (Reply::reject(format!("unknown campaign {campaign}")), Vec::new());
         };
-        // The worker's delta goes into the tenant union *and* this
-        // connection's view of it — otherwise the next news would echo
-        // the worker's own delta straight back at it.
-        let view = conn.views.entry(campaign).or_insert_with(|| self.template.clone());
-        let mut contributed = 0;
-        for ((g, v), idx) in t.global.iter_mut().zip(view.iter_mut()).zip(&cov) {
-            contributed += g.apply_covered_indices(idx);
-            v.apply_covered_indices(idx);
+        if let Err(reason) = t.ledger.check(&cov, &items, &self.sample_shape) {
+            return (Reply::reject(reason), Vec::new());
         }
-        t.round.newly_covered += contributed;
-        t.worker_rng.insert(worker, rng_state);
-        let absorbed: Vec<&JobResult> = match &plan {
-            Plan::Lease(seed_ids) => {
-                t.outstanding = t.outstanding.saturating_sub(seed_ids.len());
-                items.iter().filter(|i| seed_ids.contains(&i.seed_id)).collect()
-            }
-            Plan::Collision => Vec::new(),
-            Plan::Expired => {
-                // Salvage results whose seeds are still waiting in the
-                // requeue (counted instead of redone); seeds already
-                // re-leased are dropped.
-                let salvage: Vec<&JobResult> =
-                    items.iter().filter(|i| t.pending.contains(&i.seed_id)).collect();
-                for item in &salvage {
-                    t.pending.retain(|&sid| sid != item.seed_id);
-                }
-                t.metrics.requeue_depth.set(t.pending.len() as f64);
-                salvage
-            }
+        if st.fleet.leases.get(lease).is_some_and(|l| l.slot == peer.slot && l.campaign != campaign)
+        {
+            let reason = format!("lease {lease} is not for campaign {campaign}");
+            return (Reply::reject(reason), Vec::new());
+        }
+        let plan = match st.fleet.leases.claim(lease, peer.slot, Instant::now()) {
+            Ok(plan) => plan,
+            Err(reason) => return (Reply::reject(reason), Vec::new()),
         };
+        if matches!(plan, Plan::Lease { .. }) {
+            st.fleet.leases.release(lease);
+        }
+        if let Some(snap) = &telemetry {
+            engine::merge_worker_telemetry(&self.cfg.registry, snap);
+        }
+        let absorbed = t.ledger.absorb(&plan, &items, &cov);
+        views.learn(campaign, &cov);
+        t.worker_rng.insert(peer.worker_id.clone(), rng_state);
+        t.metrics.requeue_depth.set(t.ledger.pending.len() as f64);
+        t.metrics.steps.inc_by(absorbed.steps as u64);
+        t.metrics.diffs.inc_by(absorbed.diffs as u64);
+        t.metrics.corpus_size.set(t.ledger.corpus.len() as f64);
         let mut jobs = Vec::new();
-        if !absorbed.is_empty() {
-            absorb_items(t, &absorbed);
-            if t.round.seeds_run >= batch {
-                flush_round(t);
-                if persist {
-                    jobs.push(t.snapshot(leased_now));
-                }
-            }
+        if t.close_round(self.cfg.batch_per_round, Instant::now()) && self.cfg.state_dir.is_some() {
+            jobs.push(t.snapshot(st.fleet.leases.seed_ids(campaign)));
         }
-        jobs.extend(self.retire_finished(&mut st));
-        // Fresh news for this campaign (covers the no-op case too: the
-        // view was already folded above). `retire_finished` never removes
-        // tenants, but a graceful empty delta beats trusting that.
-        let cov = match (st.tenants.get(&campaign), conn.views.get_mut(&campaign)) {
-            (Some(t), Some(view)) => {
-                let cov = coverage_news(&t.global, view);
-                t.metrics.coverage_mean.set(f64::from(t.mean_coverage()));
-                cov
-            }
-            _ => vec![Vec::new(); self.template.len()],
-        };
-        let reply = if self.drain.load(Ordering::SeqCst) {
-            Reply::Send(Msg::Drain)
-        } else {
-            Reply::Send(Msg::Ack { cov })
-        };
-        (reply, jobs)
+        t.metrics.coverage_mean.set(f64::from(t.ledger.mean_coverage()));
+        let cov = views.news(campaign, &t.ledger.global);
+        jobs.extend(self.retire_finished(st));
+        (self.gate.ack(cov), jobs)
     }
 
-    /// Folds a worker's advisory telemetry snapshot into the fleet
-    /// registry — same guard rails as the coordinator (known phase names
-    /// only; foreign bucket layouts dropped by `merge_local`).
-    fn merge_worker_telemetry(&self, t: &TelemetrySnapshot) {
-        let reg = &self.cfg.registry;
-        for (name, hist) in &t.phases {
-            let Some(phase) = Phase::ALL.iter().find(|p| p.name() == name) else { continue };
-            reg.histogram("dx_phase_seconds", &[("phase", phase.name())], &TIME_BUCKETS)
-                .merge_local(hist);
-        }
+    /// Writes a tenant snapshot under `state_dir/<id>/`.
+    fn write_checkpoint(&self, job: TenantCkpt) -> io::Result<()> {
+        let Some(root) = self.cfg.state_dir.as_deref() else { return Ok(()) };
+        let dir = root.join(job.tenant.to_string());
+        self.ckpt_io.write(job.tenant, &job.snapshot, &dir, || {
+            write_atomic(&dir.join("tenant.json"), &(job.doc.to_string() + "\n"))?;
+            write_atomic(&dir.join("events.jsonl"), &job.events)
+        })
     }
-}
-
-/// Folds completed job results into a tenant: corpus energy, found
-/// diffs, round statistics, metrics. Callers have already filtered
-/// `items` down to seeds this worker legitimately held.
-fn absorb_items(t: &mut Tenant, items: &[&JobResult]) {
-    // Per-component saturation, so the rarity energy model credits a
-    // find against its own component's union.
-    let global_coverage = dx_coverage::mean_component_coverage(&t.global);
-    let epoch = t.epochs.len();
-    let mut diffs = 0u64;
-    for item in items {
-        t.steps_done += 1;
-        t.round.seeds_run += 1;
-        t.round.iterations += item.run.iterations;
-        let diff_test = if item.run.found_difference() { item.run.test.as_ref() } else { None };
-        if let Some(test) = diff_test {
-            t.round.diffs_found += 1;
-            diffs += 1;
-            t.diffs.push(FoundDiff {
-                seed_id: item.seed_id,
-                epoch,
-                input: test.input.clone(),
-                predictions: test.predictions.clone(),
-                iterations: test.iterations,
-                target_model: test.target_model,
-            });
-        }
-        t.corpus.absorb(item.seed_id, &item.run, &global_coverage);
-    }
-    t.metrics.steps.inc_by(items.len() as u64);
-    t.metrics.diffs.inc_by(diffs);
-    t.metrics.corpus_size.set(t.corpus.len() as f64);
 }
 
 #[cfg(test)]

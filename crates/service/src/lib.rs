@@ -30,28 +30,28 @@
 //! [`MetricsRegistry`]; the daemon's `/metrics` endpoint renders them
 //! with a `tenant="<name>"` label merged after the fleet-level series.
 //!
-//! **Trust.** Admission is the same as a dedicated coordinator's:
-//! fingerprint match, plus the HMAC challenge/response when an auth
-//! token is configured, with identity-keyed slots. The service does
+//! **Trust.** Serving, admission, lease bookkeeping and each tenant's
+//! ledger are [`dx_dist::engine`]'s — the code a dedicated coordinator
+//! runs — so admission is a coordinator's: fingerprint match, plus the
+//! HMAC challenge/response when an auth token is configured, with
+//! identity-keyed slots. The service does
 //! *not* spot-check claimed diffs (there is no per-tenant trust ledger
 //! yet); run service fleets with workers you trust, or behind the
 //! coordinator for adversarial settings.
 
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use dx_campaign::checkpoint::{self, write_atomic};
 use dx_campaign::json::{build, Json};
 use dx_campaign::{CampaignReport, EnergyModel, ModelSuite};
-use dx_coverage::CoverageSignal;
+use dx_dist::engine::{CheckpointGate, Daemon as _, Fleet, Gate, LeaseTable};
 use dx_dist::proto::Fingerprint;
-use dx_dist::suite_fingerprint;
 use dx_nn::util::gather_rows;
 use dx_telemetry::events::{emit, Level};
 use dx_telemetry::{merge_renders, Counter, Gauge, MetricsRegistry};
@@ -65,7 +65,7 @@ pub mod tenant;
 pub use spec::CampaignSpec;
 pub use tenant::Status;
 
-use tenant::{Tenant, TenantCkpt};
+use tenant::Tenant;
 
 /// Service-wide scheduling, persistence and admission knobs.
 #[derive(Clone, Debug)]
@@ -153,36 +153,24 @@ impl FleetMetrics {
     }
 }
 
-/// One outstanding lease: which tenant's seeds and which fleet slot
-/// holds them. (RNG streams are keyed to the connection's authenticated
-/// identity, not stored here.)
-pub(crate) struct SvcLease {
-    pub tenant: u64,
-    pub slot: u64,
-    pub seed_ids: Vec<usize>,
-    pub deadline: Instant,
-}
-
 /// Everything behind the service lock.
 pub(crate) struct SvcState {
     pub tenants: BTreeMap<u64, Tenant>,
     pub next_id: u64,
-    /// Persistent worker identity per slot (in-memory; a restart admits
-    /// everyone fresh — per-tenant RNG streams are keyed by identity, so
-    /// nothing is lost).
-    pub identities: BTreeMap<u64, String>,
-    pub live_slots: HashSet<u64>,
-    pub next_slot: u64,
-    // BTreeMap, not HashMap: lease ids iterate in issue order, so
-    // `leased_ids` snapshots and dispatcher sweeps are deterministic.
-    pub leases: BTreeMap<u64, SvcLease>,
-    pub next_lease: u64,
-    pub connected: usize,
+    /// Worker slots and every tenant's outstanding leases (a lease's
+    /// `campaign` is its tenant id). In-memory only: a restart admits
+    /// everyone fresh — per-tenant RNG streams are keyed by identity, not
+    /// by slot, so nothing is lost.
+    pub fleet: Fleet,
 }
 
 impl SvcState {
     fn live_tenants(&self) -> usize {
         self.tenants.values().filter(|t| !t.status.is_terminal()).count()
+    }
+
+    fn status_json(&self, t: &Tenant) -> Json {
+        t.status_json(self.fleet.leases.seed_ids(t.id).len())
     }
 }
 
@@ -202,21 +190,16 @@ impl StopHandle {
 /// The control-plane daemon; see the module docs.
 pub struct Service {
     pub(crate) cfg: ServiceConfig,
-    pub(crate) fingerprint: Fingerprint,
+    /// Fingerprint, auth token, drain flag and the empty signals cloned
+    /// per tenant union and per connection view.
+    pub(crate) gate: Gate,
     /// The shape every result tensor must have (`[1, sample dims...]`).
     pub(crate) sample_shape: Vec<usize>,
-    /// Empty signals, cloned per tenant union and per connection view.
-    pub(crate) template: Vec<CoverageSignal>,
     /// The shared seed pool tenants slice rows from.
     pool: Tensor,
     pub(crate) metrics: FleetMetrics,
     pub(crate) state: Mutex<SvcState>,
-    pub(crate) drain: Arc<AtomicBool>,
-    pub(crate) force_close: AtomicBool,
-    /// Serializes checkpoint writes per tenant and remembers the newest
-    /// snapshot written (absent until the first write this process, which
-    /// therefore rewrites instead of appending).
-    ckpt_io: Mutex<BTreeMap<u64, u64>>,
+    pub(crate) ckpt_io: CheckpointGate,
 }
 
 impl Service {
@@ -241,7 +224,7 @@ impl Service {
         assert!(rows > 0, "service needs a non-empty seed pool");
         assert!(cfg.batch_per_round >= 1, "batch_per_round must be at least 1");
         assert!(cfg.lease_size >= 1, "lease_size must be at least 1");
-        let template: Vec<CoverageSignal> = suite.signal.build(&suite.models);
+        let gate = Gate::new(suite, label, cfg.auth_token.clone(), cfg.lease_timeout);
         let sample_shape = {
             let mut s = pool.shape().to_vec();
             if let Some(first) = s.first_mut() {
@@ -249,7 +232,6 @@ impl Service {
             }
             s
         };
-        let fingerprint = suite_fingerprint(suite, label);
         let metrics = FleetMetrics::new(&cfg.registry);
         let mut tenants: BTreeMap<u64, Tenant> = BTreeMap::new();
         if let Some(dir) = &cfg.state_dir {
@@ -259,7 +241,7 @@ impl Service {
                     if !path.join("tenant.json").is_file() {
                         continue;
                     }
-                    let t = Tenant::load(&path, &template, cfg.max_corpus, cfg.energy)?;
+                    let t = Tenant::load(&path, &gate.template, cfg.max_corpus, cfg.energy)?;
                     emit(
                         Level::Info,
                         "service",
@@ -278,37 +260,26 @@ impl Service {
         metrics
             .tenants_live
             .set(tenants.values().filter(|t| !t.status.is_terminal()).count() as f64);
+        let fleet = Fleet::new(BTreeMap::new(), LeaseTable::new(0, cfg.lease_timeout));
         Ok(Self {
-            fingerprint,
+            gate,
             sample_shape,
-            template,
             pool: pool.clone(),
             metrics,
-            state: Mutex::new(SvcState {
-                tenants,
-                next_id,
-                identities: BTreeMap::new(),
-                live_slots: HashSet::new(),
-                next_slot: 0,
-                leases: BTreeMap::new(),
-                next_lease: 0,
-                connected: 0,
-            }),
-            drain: Arc::new(AtomicBool::new(false)),
-            force_close: AtomicBool::new(false),
-            ckpt_io: Mutex::new(BTreeMap::new()),
+            state: Mutex::new(SvcState { tenants, next_id, fleet }),
+            ckpt_io: CheckpointGate::default(),
             cfg,
         })
     }
 
     /// A handle that asks [`Service::serve`] to drain, from any thread.
     pub fn stop_handle(&self) -> StopHandle {
-        StopHandle(Arc::clone(&self.drain))
+        StopHandle(self.gate.drain_flag())
     }
 
     /// The admission fingerprint workers must present.
     pub fn fingerprint(&self) -> &Fingerprint {
-        &self.fingerprint
+        &self.gate.fingerprint
     }
 
     /// Rows in the shared seed pool.
@@ -334,7 +305,7 @@ impl Service {
     /// stay unambiguous for the daemon's lifetime), `429` over the live
     /// tenant cap.
     pub fn submit(&self, spec: CampaignSpec) -> Result<Json, ApiError> {
-        spec.validate(&self.fingerprint, self.pool_rows())
+        spec.validate(&self.gate.fingerprint, self.pool_rows())
             .map_err(|reason| ApiError::new(400, reason))?;
         let (doc, ckpt) = {
             let mut st = self.lock();
@@ -352,8 +323,9 @@ impl Service {
             let inputs: Vec<Tensor> = (spec.seed_offset..spec.seed_offset + spec.seeds)
                 .map(|i| gather_rows(&self.pool, &[i]))
                 .collect();
+            let template = &self.gate.template;
             let mut t =
-                Tenant::new(id, spec, inputs, &self.template, self.cfg.max_corpus, self.cfg.energy);
+                Tenant::new(id, spec, inputs, template, self.cfg.max_corpus, self.cfg.energy);
             // A newcomer starts at the smallest live pass, not zero —
             // otherwise it would monopolize the fleet until it caught up
             // with tenants that have been running for hours.
@@ -374,13 +346,13 @@ impl Service {
                 &[("id", id.into()), ("name", t.spec.name.clone().into())],
             );
             let ckpt = self.cfg.state_dir.as_ref().map(|_| t.snapshot(Vec::new()));
-            let doc = t.status_json();
+            let doc = t.status_json(0);
             st.tenants.insert(id, t);
             self.metrics.tenants_live.set(st.live_tenants() as f64);
             (doc, ckpt)
         };
         if let Some(job) = ckpt {
-            self.write_ckpt(job).map_err(|e| ApiError::new(500, e.to_string()))?;
+            self.write_checkpoint(job).map_err(|e| ApiError::new(500, e.to_string()))?;
         }
         Ok(doc)
     }
@@ -388,7 +360,7 @@ impl Service {
     /// All tenants' status documents, id-ordered.
     pub fn list(&self) -> Json {
         let st = self.lock();
-        Json::Arr(st.tenants.values().map(Tenant::status_json).collect())
+        Json::Arr(st.tenants.values().map(|t| st.status_json(t)).collect())
     }
 
     /// One tenant's status document.
@@ -400,7 +372,7 @@ impl Service {
         let st = self.lock();
         st.tenants
             .get(&id)
-            .map(Tenant::status_json)
+            .map(|t| st.status_json(t))
             .ok_or_else(|| ApiError::new(404, format!("no campaign {id}")))
     }
 
@@ -443,7 +415,8 @@ impl Service {
     ) -> Result<Json, ApiError> {
         let (doc, ckpt) = {
             let mut st = self.lock();
-            let leased = leased_ids(&st, id);
+            let leased = st.fleet.leases.seed_ids(id);
+            let outstanding = leased.len();
             let t = st
                 .tenants
                 .get_mut(&id)
@@ -456,7 +429,7 @@ impl Service {
             }
             t.status = to;
             if to == Status::Cancelled {
-                t.pending.clear();
+                t.ledger.pending.clear();
                 t.metrics.requeue_depth.set(0.0);
             }
             t.event(event, Vec::new());
@@ -467,12 +440,12 @@ impl Service {
                 &[("id", id.into()), ("to", to.as_str().to_string().into())],
             );
             let ckpt = self.cfg.state_dir.as_ref().map(|_| t.snapshot(leased));
-            let doc = t.status_json();
+            let doc = t.status_json(outstanding);
             self.metrics.tenants_live.set(st.live_tenants() as f64);
             (doc, ckpt)
         };
         if let Some(job) = ckpt {
-            self.write_ckpt(job).map_err(|e| ApiError::new(500, e.to_string()))?;
+            self.write_checkpoint(job).map_err(|e| ApiError::new(500, e.to_string()))?;
         }
         Ok(doc)
     }
@@ -488,15 +461,15 @@ impl Service {
         let t =
             st.tenants.get(&id).ok_or_else(|| ApiError::new(404, format!("no campaign {id}")))?;
         let report =
-            CampaignReport { epochs: t.epochs.clone(), workers: t.worker_rng.len().max(1) };
+            CampaignReport { epochs: t.ledger.epochs.clone(), workers: t.worker_rng.len().max(1) };
         let mut out = format!(
             "campaign {} ({}): {} — {} steps, {} diffs, mean coverage {:.4}\n",
             t.id,
             t.spec.name,
             t.status.as_str(),
-            t.steps_done,
-            t.diffs.len(),
-            t.mean_coverage(),
+            t.ledger.steps_done,
+            t.ledger.diffs.len(),
+            t.ledger.mean_coverage(),
         );
         out.push_str(&report.render());
         Ok(out)
@@ -535,48 +508,4 @@ impl Service {
         };
         merge_renders(&parts)
     }
-
-    // ---------------------------------------------------------------
-    // Checkpointing.
-
-    /// Writes a tenant snapshot under `state_dir/<id>/`. Writes are
-    /// serialized per daemon; a snapshot that lost the race to a newer
-    /// one for the same tenant is discarded.
-    pub(crate) fn write_ckpt(&self, job: TenantCkpt) -> io::Result<()> {
-        let Some(root) = self.cfg.state_dir.clone() else { return Ok(()) };
-        // Poison-tolerant for the same reason as `lock()`.
-        let mut last = self.ckpt_io.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let prev = last.get(&job.tenant).copied();
-        if prev.is_some_and(|l| l >= job.seq) {
-            return Ok(());
-        }
-        let dir = root.join(job.tenant.to_string());
-        std::fs::create_dir_all(&dir)?;
-        // First write this process rewrites stats/diffs; later writes
-        // append (the directory may hold the pre-restart campaign).
-        checkpoint::save(
-            &dir,
-            &job.corpus,
-            &job.report,
-            &job.diffs,
-            &job.masks,
-            &job.signal,
-            &job.meta,
-            prev.is_some(),
-        )?;
-        write_atomic(&dir.join("tenant.json"), &(job.doc.to_string() + "\n"))?;
-        write_atomic(&dir.join("events.jsonl"), &job.events)?;
-        last.insert(job.tenant, job.seq);
-        Ok(())
-    }
-}
-
-/// Seed ids currently leased out for `tenant` (for checkpoint snapshots:
-/// a checkpoint outlives every lease, so they fold into `pending`).
-pub(crate) fn leased_ids(st: &SvcState, tenant: u64) -> Vec<usize> {
-    st.leases
-        .values()
-        .filter(|l| l.tenant == tenant)
-        .flat_map(|l| l.seed_ids.iter().copied())
-        .collect()
 }

@@ -1,9 +1,9 @@
 //! One tenant: an isolated campaign sharing the fleet.
 //!
-//! A tenant owns everything a dedicated coordinator would — corpus,
-//! global coverage union, found diffs, round statistics, requeue, its
-//! own scheduling RNG — plus the service-specific extras: a pausable
-//! status machine, a per-tenant metrics registry whose series surface
+//! A tenant owns everything a dedicated coordinator would — one
+//! [`dx_dist::engine::Ledger`]: corpus, global coverage union, found
+//! diffs, round statistics, requeue, its own scheduling RNG — plus the
+//! service-specific extras: a pausable status machine, a per-tenant metrics registry whose series surface
 //! with a `tenant` label, an append-only JSONL event feed, and worker
 //! generator RNG streams keyed by *worker identity* (a worker may serve
 //! many tenants, and its stream for each must survive reconnects).
@@ -14,21 +14,22 @@
 //! plus `tenant.json` (spec, status, requeue, per-identity RNG) and
 //! `events.jsonl`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dx_campaign::checkpoint::{self, Meta, SignalCheckpoint};
+use dx_campaign::checkpoint;
 use dx_campaign::codec::{
     field_usize, parse_doc, rng_state_from_json, rng_state_json, u64_from_json, u64_json,
 };
 use dx_campaign::json::{build, Json};
-use dx_campaign::{CampaignReport, Corpus, EnergyModel, EpochStats, FoundDiff};
+use dx_campaign::{Corpus, EnergyModel};
 use dx_coverage::CoverageSignal;
+use dx_dist::engine::{Ledger, Snapshot};
 use dx_telemetry::{Counter, Gauge, MetricsRegistry};
-use dx_tensor::{rng, Tensor};
+use dx_tensor::Tensor;
 
 use crate::spec::CampaignSpec;
 
@@ -74,15 +75,6 @@ impl Status {
     }
 }
 
-/// Per-round accumulators, flushed into an [`EpochStats`] line.
-#[derive(Default)]
-pub(crate) struct RoundAccum {
-    pub seeds_run: usize,
-    pub diffs_found: usize,
-    pub iterations: usize,
-    pub newly_covered: usize,
-}
-
 /// Cached handles for the tenant registry's series. The registry itself
 /// is rendered with a `tenant="<name>"` label by the daemon's `/metrics`.
 pub(crate) struct TenantMetrics {
@@ -121,17 +113,10 @@ pub struct Tenant {
     pub(crate) id: u64,
     pub(crate) spec: CampaignSpec,
     pub(crate) status: Status,
-    pub(crate) corpus: Corpus,
-    pub(crate) global: Vec<CoverageSignal>,
-    pub(crate) diffs: Vec<FoundDiff>,
-    pub(crate) epochs: Vec<EpochStats>,
-    pub(crate) round: RoundAccum,
-    pub(crate) round_started: Instant,
-    pub(crate) steps_done: usize,
-    /// Requeued seed ids (expired/abandoned leases), served before fresh
-    /// scheduling.
-    pub(crate) pending: VecDeque<usize>,
-    pub(crate) sched_rng: rng::Rng,
+    /// The campaign itself. Its scheduler stream is not persisted (the
+    /// coordinator's precedent): a restart re-derives it from the spec's
+    /// seed; scheduling stays well-distributed, just not replay-identical.
+    pub(crate) ledger: Ledger,
     /// Worker generator RNG streams, keyed by authenticated worker
     /// identity — a worker keeps its per-tenant stream across reconnects
     /// even if it lands on a different fleet slot.
@@ -139,13 +124,9 @@ pub struct Tenant {
     /// Stride-scheduling virtual time: grows by `granted / weight` on
     /// every grant; the runnable tenant with the smallest pass goes next.
     pub(crate) pass: f64,
-    /// Jobs currently out on this tenant's leases.
-    pub(crate) outstanding: usize,
     /// The JSONL event feed, in memory; persisted whole at checkpoints.
     pub(crate) events: Vec<String>,
     pub(crate) metrics: TenantMetrics,
-    /// Monotonic checkpoint snapshot counter (see the daemon's writer).
-    pub(crate) ckpt_seq: u64,
 }
 
 impl Tenant {
@@ -159,28 +140,17 @@ impl Tenant {
         energy: EnergyModel,
     ) -> Self {
         let corpus = Corpus::new(inputs, max_corpus).with_energy_model(energy);
-        let sched_rng = rng::rng(rng::derive_seed(spec.seed, 0xd157));
         let metrics = TenantMetrics::new();
         metrics.corpus_size.set(corpus.len() as f64);
         Self {
             id,
-            spec,
             status: Status::Running,
-            corpus,
-            global: template.to_vec(),
-            diffs: Vec::new(),
-            epochs: Vec::new(),
-            round: RoundAccum::default(),
-            round_started: Instant::now(),
-            steps_done: 0,
-            pending: VecDeque::new(),
-            sched_rng,
+            ledger: Ledger::new(corpus, template, spec.seed, Instant::now()),
+            spec,
             worker_rng: BTreeMap::new(),
             pass: 0.0,
-            outstanding: 0,
             events: Vec::new(),
             metrics,
-            ckpt_seq: 0,
         }
     }
 
@@ -214,26 +184,19 @@ impl Tenant {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let state = checkpoint::load(dir)?;
         let corpus = Corpus::from_entries(state.corpus, max_corpus).with_energy_model(energy);
-        let mut global = template.to_vec();
-        let masks_fit = state.coverage.as_ref().is_some_and(|masks| {
-            masks.len() == global.len()
-                && masks.iter().zip(global.iter()).all(|(m, g)| m.len() == g.total())
-        });
-        if let Some(masks) = state.coverage.as_ref().filter(|_| masks_fit) {
-            for (g, mask) in global.iter_mut().zip(masks) {
-                g.set_covered_mask(mask);
-            }
-        }
-        let pending: VecDeque<usize> = doc
+        let pending: Vec<usize> = doc
             .get("pending")
             .and_then(Json::as_arr)
-            .map(|xs| {
-                xs.iter()
-                    .filter_map(Json::as_usize)
-                    .filter(|&sid| corpus.get(sid).is_some())
-                    .collect()
-            })
+            .map(|xs| xs.iter().filter_map(Json::as_usize).collect())
             .unwrap_or_default();
+        let mut ledger = Ledger::new(corpus, template, spec.seed, Instant::now());
+        ledger.restore(
+            state.diffs,
+            state.epochs,
+            state.coverage.as_deref(),
+            field_usize(&doc, "steps_done")?,
+            pending,
+        );
         let mut worker_rng = BTreeMap::new();
         if let Some(entries) = doc.get("worker_rng").and_then(Json::as_arr) {
             for e in entries {
@@ -249,40 +212,16 @@ impl Tenant {
         let events: Vec<String> = std::fs::read_to_string(dir.join("events.jsonl"))
             .map(|t| t.lines().map(str::to_string).collect())
             .unwrap_or_default();
-        let steps_done = field_usize(&doc, "steps_done")?;
-        // Not persisted (the coordinator's precedent): a restart
-        // re-derives the stream; scheduling stays well-distributed, just
-        // not replay-identical.
-        let sched_rng = rng::rng(rng::derive_seed(spec.seed, 0xd157));
         let metrics = TenantMetrics::new();
         // The feed and the counters describe the same history; resuming
         // tops the fresh registry up so `/metrics` never moves backwards
         // across a daemon restart.
-        metrics.steps.inc_by(steps_done as u64);
-        metrics.diffs.inc_by(state.diffs.len() as u64);
-        metrics.requeue_depth.set(pending.len() as f64);
-        metrics.corpus_size.set(corpus.len() as f64);
-        metrics.coverage_mean.set(f64::from(mean_coverage(&global)));
-        Ok(Self {
-            id,
-            spec,
-            status,
-            corpus,
-            global,
-            diffs: state.diffs,
-            epochs: state.epochs,
-            round: RoundAccum::default(),
-            round_started: Instant::now(),
-            steps_done,
-            pending,
-            sched_rng,
-            worker_rng,
-            pass: 0.0,
-            outstanding: 0,
-            events,
-            metrics,
-            ckpt_seq: 0,
-        })
+        metrics.steps.inc_by(ledger.steps_done as u64);
+        metrics.diffs.inc_by(ledger.diffs.len() as u64);
+        metrics.requeue_depth.set(ledger.pending.len() as f64);
+        metrics.corpus_size.set(ledger.corpus.len() as f64);
+        metrics.coverage_mean.set(f64::from(ledger.mean_coverage()));
+        Ok(Self { id, spec, status, ledger, worker_rng, pass: 0.0, events, metrics })
     }
 
     /// Appends a JSONL event (`{"event":...,"steps":...,...}`) to the
@@ -291,33 +230,44 @@ impl Tenant {
         let mut fields = vec![
             ("event", build::str(kind)),
             ("seq", build::int(self.events.len())),
-            ("steps", build::int(self.steps_done)),
-            ("coverage", build::num(f64::from(mean_coverage(&self.global)))),
+            ("steps", build::int(self.ledger.steps_done)),
+            ("coverage", build::num(f64::from(self.ledger.mean_coverage()))),
         ];
         fields.extend(extra);
         self.events.push(build::obj(fields).to_string());
     }
 
-    /// Mean global coverage across models.
-    pub(crate) fn mean_coverage(&self) -> f32 {
-        mean_coverage(&self.global)
+    /// Closes the statistics round, once it holds `min_steps`, into an
+    /// [`dx_campaign::EpochStats`] line and a `round` event.
+    pub(crate) fn close_round(&mut self, min_steps: usize, now: Instant) -> bool {
+        let Some(round) = self.ledger.flush_round(min_steps, now) else { return false };
+        self.event(
+            "round",
+            vec![
+                ("epoch", build::int(round.epoch)),
+                ("seeds_run", build::int(round.seeds_run)),
+                ("diffs_found", build::int(round.diffs_found)),
+            ],
+        );
+        true
     }
 
-    /// The tenant's public status document.
-    pub(crate) fn status_json(&self) -> Json {
+    /// The tenant's public status document; `outstanding` is how many of
+    /// its jobs are out on leases.
+    pub(crate) fn status_json(&self, outstanding: usize) -> Json {
         build::obj(vec![
             // Ids are small counters; a plain number is kinder to curl
             // and jq than the string form big u64s need.
             ("id", build::int(usize::try_from(self.id).unwrap_or(usize::MAX))),
             ("name", build::str(&self.spec.name)),
             ("status", build::str(self.status.as_str())),
-            ("steps_done", build::int(self.steps_done)),
-            ("diffs", build::int(self.diffs.len())),
-            ("mean_coverage", build::num(f64::from(self.mean_coverage()))),
-            ("corpus", build::int(self.corpus.len())),
-            ("epochs", build::int(self.epochs.len())),
-            ("outstanding", build::int(self.outstanding)),
-            ("pending", build::int(self.pending.len())),
+            ("steps_done", build::int(self.ledger.steps_done)),
+            ("diffs", build::int(self.ledger.diffs.len())),
+            ("mean_coverage", build::num(f64::from(self.ledger.mean_coverage()))),
+            ("corpus", build::int(self.ledger.corpus.len())),
+            ("epochs", build::int(self.ledger.epochs.len())),
+            ("outstanding", build::int(outstanding)),
+            ("pending", build::int(self.ledger.pending.len())),
             ("spec", self.spec.to_json()),
         ])
     }
@@ -336,7 +286,7 @@ impl Tenant {
             ("version", build::int(1)),
             ("id", u64_json(self.id)),
             ("status", build::str(self.status.as_str())),
-            ("steps_done", build::int(self.steps_done)),
+            ("steps_done", build::int(self.ledger.steps_done)),
             ("pending", build::ints(pending)),
             ("spec", self.spec.to_json()),
             ("worker_rng", worker_rng),
@@ -345,52 +295,26 @@ impl Tenant {
 
     /// Snapshots everything the tenant's checkpoint writer needs — cheap
     /// clones under the service lock; serialization happens outside it.
+    /// `leased` (seeds out on this tenant's leases) folds into the
+    /// checkpoint's requeue.
     pub(crate) fn snapshot(&mut self, leased: Vec<usize>) -> TenantCkpt {
-        self.ckpt_seq += 1;
-        let mut pending: Vec<usize> = self.pending.iter().copied().collect();
-        pending.extend(leased);
         let workers = self.worker_rng.len().max(1);
+        let snapshot = self.ledger.snapshot(self.spec.seed, workers, leased);
         TenantCkpt {
             tenant: self.id,
-            seq: self.ckpt_seq,
-            corpus: self.corpus.clone(),
-            report: CampaignReport { epochs: self.epochs.clone(), workers },
-            diffs: self.diffs.clone(),
-            masks: self.global.iter().map(CoverageSignal::covered_mask).collect(),
-            signal: SignalCheckpoint::of(&self.global),
-            meta: Meta {
-                epochs_done: self.epochs.len(),
-                campaign_seed: self.spec.seed,
-                workers,
-                // Streams are keyed by identity in tenant.json, not by
-                // the in-process worker index.
-                worker_rng: Vec::new(),
-            },
-            doc: self.doc(&pending),
+            doc: self.doc(&snapshot.pending),
+            snapshot,
             events: self.events.join("\n") + "\n",
         }
     }
 }
 
 /// A tenant checkpoint snapshot, written outside the service lock.
-pub(crate) struct TenantCkpt {
-    pub tenant: u64,
-    pub seq: u64,
-    pub corpus: Corpus,
-    pub report: CampaignReport,
-    pub diffs: Vec<FoundDiff>,
-    pub masks: Vec<Vec<bool>>,
-    pub signal: SignalCheckpoint,
-    pub meta: Meta,
-    pub doc: Json,
-    pub events: String,
-}
-
-pub(crate) fn mean_coverage(global: &[CoverageSignal]) -> f32 {
-    if global.is_empty() {
-        return 0.0;
-    }
-    global.iter().map(CoverageSignal::coverage).sum::<f32>() / global.len() as f32
+pub struct TenantCkpt {
+    pub(crate) tenant: u64,
+    pub(crate) snapshot: Snapshot,
+    pub(crate) doc: Json,
+    pub(crate) events: String,
 }
 
 #[cfg(test)]

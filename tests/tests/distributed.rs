@@ -304,25 +304,38 @@ fn worker_death_mid_lease_requeues_and_resumes_with_trust_state() {
 
 #[test]
 fn dist_smoke_merged_coverage_dominates_single_worker() {
-    // The CI smoke: coordinator + 2 workers on a tiny budget; the merged
-    // union must be at least what a single worker achieves alone on the
-    // same seeds and budget.
+    // The CI smoke: coordinator + 2 workers on a tiny budget. It asserts
+    // what the merge guarantees — the budget is met, and the union is
+    // exactly the sum of what each slot was first to cover (so it
+    // dominates every single worker's contribution). It used to compare
+    // against a separate 1-worker run (`duo >= solo - 0.02`), which the
+    // scheduler does not promise: two workers interleave leases by thread
+    // timing, so which seeds get fuzzed differs from the solo run, and
+    // the comparison failed about one run in six.
     let (suite, seeds) = mnist_suite();
     let budget = 8;
-    let cfg = |seed: u64| CoordinatorConfig {
+    let cfg = CoordinatorConfig {
         max_steps: Some(budget),
         batch_per_round: 4,
         lease_size: 2,
-        seed,
+        seed: 42,
         ..Default::default()
     };
-    let (solo_run, _) =
-        run_local(&suite, LABEL, &seeds, cfg(42), WorkerConfig::default(), 1).unwrap();
-    let (duo_run, _) =
-        run_local(&suite, LABEL, &seeds, cfg(42), WorkerConfig::default(), 2).unwrap();
-    let solo = solo_run.coverage.iter().sum::<f32>() / solo_run.coverage.len() as f32;
-    let duo = duo_run.coverage.iter().sum::<f32>() / duo_run.coverage.len() as f32;
-    assert!(solo > 0.0 && duo > 0.0);
-    assert!(duo >= solo - 0.02, "2-worker merged coverage {duo} fell below single-worker {solo}");
-    assert!(duo_run.steps_done >= budget);
+    let (run, _) = run_local(&suite, LABEL, &seeds, cfg, WorkerConfig::default(), 2).unwrap();
+    assert!(run.steps_done >= budget);
+    let covered: usize = suite
+        .signal
+        .build(&suite.models)
+        .iter()
+        .zip(&run.coverage)
+        .map(|(signal, c)| (c * signal.coverable_total() as f32).round() as usize)
+        .sum();
+    assert!(covered > 0);
+    let contributed: Vec<usize> =
+        run.per_worker.iter().map(|(_, w)| w.contributed_neurons).collect();
+    assert_eq!(
+        contributed.iter().sum::<usize>(),
+        covered,
+        "per-slot contributions {contributed:?}"
+    );
 }
