@@ -10,7 +10,7 @@ use deepxplore::baselines::{fgsm_batch, random_selection};
 use deepxplore::generator::Generator;
 use deepxplore::Hyperparams;
 use dx_bench::{bench_zoo, seed_count, setup_for, BenchOut};
-use dx_coverage::{CoverageConfig, CoverageTracker};
+use dx_coverage::{CoverageConfig, CoverageSignal};
 use dx_models::DatasetKind;
 use dx_nn::util::gather_rows;
 use dx_nn::Network;
@@ -20,7 +20,7 @@ use dx_tensor::{rng, Tensor};
 fn coverage_of(models: &[Network], inputs: &Tensor, t: f32) -> f32 {
     let mut total = 0.0;
     for m in models {
-        let mut tracker = CoverageTracker::for_network(m, CoverageConfig::scaled(t));
+        let mut tracker = CoverageSignal::neuron(m, CoverageConfig::scaled(t));
         for i in 0..inputs.shape()[0] {
             tracker.update(&m.forward(&gather_rows(inputs, &[i])));
         }

@@ -6,7 +6,7 @@
 //! reports 1-MSE).
 
 use dx_bench::{bench_zoo, trio_ids, BenchOut};
-use dx_coverage::{CoverageConfig, CoverageTracker, Granularity};
+use dx_coverage::{CoverageConfig, CoverageSignal, Granularity};
 use dx_models::{DatasetKind, SPECS};
 
 fn main() {
@@ -21,8 +21,8 @@ fn main() {
         for id in trio_ids(kind) {
             let spec = SPECS.iter().find(|s| s.id == id).expect("known id");
             let net = zoo.model(id);
-            let channel = CoverageTracker::for_network(&net, CoverageConfig::default()).total();
-            let unit = CoverageTracker::for_network(
+            let channel = CoverageSignal::neuron(&net, CoverageConfig::default()).total();
+            let unit = CoverageSignal::neuron(
                 &net,
                 CoverageConfig { granularity: Granularity::Unit, ..Default::default() },
             )

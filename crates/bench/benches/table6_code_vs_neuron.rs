@@ -7,7 +7,7 @@
 
 use dx_bench::{bench_zoo, trio_ids, BenchOut};
 use dx_coverage::opcov::OpCoverage;
-use dx_coverage::{CoverageConfig, CoverageTracker};
+use dx_coverage::{CoverageConfig, CoverageSignal};
 use dx_models::DatasetKind;
 use dx_nn::util::gather_rows;
 use dx_tensor::rng;
@@ -30,7 +30,7 @@ fn main() {
         for id in trio_ids(kind) {
             let net = zoo.model(id);
             let mut oc = OpCoverage::for_network(&net);
-            let mut tracker = CoverageTracker::for_network(&net, CoverageConfig::scaled(0.75));
+            let mut tracker = CoverageSignal::neuron(&net, CoverageConfig::scaled(0.75));
             for i in 0..10 {
                 let x = gather_rows(&inputs, &[i]);
                 let pass = net.forward(&x);

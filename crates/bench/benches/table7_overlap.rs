@@ -3,7 +3,7 @@
 
 use dx_bench::{bench_zoo, BenchOut};
 use dx_coverage::overlap::pair_overlap_stats;
-use dx_coverage::{CoverageConfig, CoverageTracker, Granularity};
+use dx_coverage::{CoverageConfig, CoverageSignal, Granularity};
 use dx_models::DatasetKind;
 use dx_nn::util::row;
 use dx_tensor::{rng, Tensor};
@@ -49,7 +49,7 @@ fn main() {
     // Unit granularity to echo the paper's 268-neuron LeNet-5 count.
     let cfg =
         CoverageConfig { threshold: 0.25, scale_per_layer: true, granularity: Granularity::Unit };
-    let total = CoverageTracker::for_network(&net, cfg).total();
+    let total = CoverageSignal::neuron(&net, cfg).total();
     let (same_active, same_overlap) = pair_overlap_stats(&net, cfg, &same_pairs);
     let (diff_active, diff_overlap) = pair_overlap_stats(&net, cfg, &diff_pairs);
 

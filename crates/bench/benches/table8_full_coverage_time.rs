@@ -9,7 +9,7 @@
 use deepxplore::generator::Generator;
 use deepxplore::Hyperparams;
 use dx_bench::{bench_zoo, seed_count, setup_for, BenchOut};
-use dx_coverage::CoverageConfig;
+use dx_coverage::{CoverageConfig, CoverageSignal};
 use dx_models::DatasetKind;
 use dx_nn::util::gather_rows;
 use dx_tensor::rng;
@@ -42,16 +42,20 @@ fn main() {
         let models = zoo.trio(kind);
         let ds = zoo.dataset(kind).clone();
         let setup = setup_for(kind, &ds);
-        let tracked: Vec<Vec<usize>> = models.iter().map(non_dense_activations).collect();
-        let mut gen = Generator::new(
+        let signals = models
+            .iter()
+            .map(|m| {
+                CoverageSignal::neuron_over(m, &non_dense_activations(m), CoverageConfig::default())
+            })
+            .collect();
+        let mut gen = Generator::with_signals(
             models,
             setup.task,
             Hyperparams { desired_coverage: Some(1.0), count_preexisting: true, ..setup.hp },
             setup.constraint,
-            CoverageConfig::default(),
+            signals,
             808,
-        )
-        .with_tracked_activations(&tracked);
+        );
         let mut r = rng::rng(809);
         let n = budget.min(ds.test_len());
         let picks = rng::sample_without_replacement(&mut r, ds.test_len(), n);

@@ -393,16 +393,10 @@ impl Campaign {
             }
         }
         let mut global = signals;
-        let masks_fit = coverage.as_ref().is_some_and(|masks| {
-            masks.len() == global.len()
-                && masks.iter().zip(global.iter()).all(|(m, g)| m.len() == g.total())
-        });
-        if let Some(masks) = coverage.as_ref().filter(|_| masks_fit) {
-            // The exact global union, persisted by the checkpoint.
-            for (g, mask) in global.iter_mut().zip(masks) {
-                g.set_covered_mask(mask);
-            }
-        } else if epochs_done > 0 {
+        // The exact global union, when the checkpoint persisted one that fits.
+        let restored =
+            coverage.as_ref().is_some_and(|masks| dx_coverage::restore_masks(&mut global, masks));
+        if !restored && epochs_done > 0 {
             // No (or incompatible) persisted bitmaps — an older checkpoint,
             // or the coverage config changed. Rebuild a lower bound by
             // replaying the surviving corpus inputs through the metric.

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use deepxplore::generator::Generator;
 use deepxplore::hyper::NeuronPick;
 use deepxplore::{Constraint, Hyperparams};
-use dx_coverage::{CoverageConfig, CoverageTracker, MetricSpec, SignalSpec};
+use dx_coverage::{CoverageConfig, CoverageSignal, MetricSpec, SignalSpec};
 use dx_models::{DatasetKind, Scale, Zoo, ZooConfig};
 use dx_nn::util::gather_rows;
 use dx_tensor::{rng, Image};
@@ -259,7 +259,7 @@ pub fn models(args: &Args) -> CmdResult {
         for id in trio_ids(kind) {
             let spec = dx_models::SPECS.iter().find(|s| s.id == id).expect("known id");
             let net = zoo.model(id);
-            let neurons = CoverageTracker::for_network(&net, CoverageConfig::default()).total();
+            let neurons = CoverageSignal::neuron(&net, CoverageConfig::default()).total();
             let mflops = dx_nn::cost::forward_cost(&net).flops() as f64 / 1e6;
             println!(
                 "{:<8} {:<22} {:>9} {:>10} {:>12.2} {:>9.2}%",
@@ -839,7 +839,7 @@ pub fn coverage(args: &Args) -> CmdResult {
     let ds = zoo.dataset(kind).clone();
     let n: usize = args.get_num("inputs", 100)?;
     let t: f32 = args.get_num("threshold", 0.25)?;
-    let mut tracker = CoverageTracker::for_network(&net, CoverageConfig::scaled(t));
+    let mut tracker = CoverageSignal::neuron(&net, CoverageConfig::scaled(t));
     let mut r = rng::rng(7);
     let picks = rng::sample_without_replacement(&mut r, ds.test_len(), n.min(ds.test_len()));
     let mut curve = Vec::new();

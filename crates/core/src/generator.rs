@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use dx_coverage::neuron::injection_for_neuron;
-use dx_coverage::{CoverageConfig, CoverageSignal, CoverageTracker};
+use dx_coverage::{CoverageConfig, CoverageSignal};
 use dx_nn::network::{ForwardPass, Network};
 use dx_nn::util::{gather_rows, row};
 use dx_telemetry::phase::{Phase, PhaseAccum};
@@ -152,10 +152,7 @@ impl Generator {
         coverage: CoverageConfig,
         seed: u64,
     ) -> Self {
-        let signals = models
-            .iter()
-            .map(|m| CoverageSignal::Neuron(CoverageTracker::for_network(m, coverage)))
-            .collect();
+        let signals = models.iter().map(|m| CoverageSignal::neuron(m, coverage)).collect();
         Self::with_signals(models, kind, hp, constraint, signals, seed)
     }
 
@@ -197,30 +194,6 @@ impl Generator {
             phases: PhaseAccum::new(),
             ws: Workspace::new(),
         }
-    }
-
-    /// Replaces the coverage trackers with ones over an explicit activation
-    /// subset (Table 8 excludes dense layers this way).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the generator steers by the neuron metric — explicit
-    /// activation subsets are a neuron-coverage feature.
-    pub fn with_tracked_activations(mut self, per_model: &[Vec<usize>]) -> Self {
-        assert_eq!(per_model.len(), self.models.len(), "one activation list per model");
-        let config = *self.signals[0]
-            .as_neuron()
-            .expect("tracked-activation subsets apply to the neuron metric")
-            .config();
-        self.signals = self
-            .models
-            .iter()
-            .zip(per_model.iter())
-            .map(|(m, acts)| {
-                CoverageSignal::Neuron(CoverageTracker::for_activations(m, acts, config))
-            })
-            .collect();
-        self
     }
 
     /// The models under test.

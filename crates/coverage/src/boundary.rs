@@ -7,347 +7,64 @@
 //! regions* outside it. Adversarial and difference-inducing inputs
 //! concentrate exactly there: an activation below `low` or above `high`
 //! is a neuron operating outside everything the training set exercised.
-//! [`MultisectionTracker::update`](crate::MultisectionTracker::update)
-//! deliberately skips such values, so on its own it never rewards a
-//! campaign for reaching them.
+//! [`crate::multisection`] deliberately skips such values, so on its own
+//! it never rewards a campaign for reaching them.
 //!
-//! [`BoundaryTracker`] closes that blind spot: **two units per coverable
+//! The boundary rule closes that blind spot: **two units per coverable
 //! neuron** — below-`low` and above-`high` — over the same
-//! [`NeuronProfile`] the multisection tracker sections, with the same
-//! merge / sparse-delta / mask API, so campaigns can steer by it alone
-//! (`--metric boundary`) or compose it with other signals
-//! (`--metric multisection:4+boundary`) through
-//! [`crate::CoverageSignal`]. The flat unit space is neuron-major pairs:
-//! unit `2i` is neuron `i`'s below-low corner, unit `2i + 1` its
-//! above-high corner.
-
-use dx_nn::network::ForwardPass;
-use dx_tensor::rng::Rng;
-use rand::Rng as _;
-
-use crate::multisection::{ranges_eq, NeuronProfile};
-use crate::neuron::{neuron_values, NeuronId};
+//! [`crate::NeuronProfile`] the multisection rule sections, so campaigns
+//! can steer by it alone (`--metric boundary`) or compose it with other
+//! rules (`--metric multisection:4+boundary`). The flat unit space is
+//! neuron-major pairs: unit `2i` is neuron `i`'s below-low corner, unit
+//! `2i + 1` its above-high corner.
 
 /// Corner units per neuron: below-`low` and above-`high`.
-pub const UNITS_PER_NEURON: usize = 2;
+pub(crate) const UNITS_PER_NEURON: usize = 2;
 
-/// Boundary/corner coverage state over a profiled network.
-#[derive(Clone, Debug)]
-pub struct BoundaryTracker {
-    profile: NeuronProfile,
-    /// `total × 2` corner-hit flags, neuron-major `[below, above]`.
-    hit: Vec<bool>,
-    /// Corners of coverable neurons — the coverage denominator, mirroring
-    /// [`crate::MultisectionTracker`]: a constant or unprofiled neuron has
-    /// no meaningful range to escape, so its corners can never be hit and
-    /// counting them would make 100% coverage unreachable.
-    coverable_units: usize,
+/// The corner `v` escapes `[lo, hi]` through — `0` below, `1` above;
+/// `None` inside the range (multisection's territory).
+#[inline]
+pub(crate) fn corner_of(lo: f32, hi: f32, v: f32) -> Option<usize> {
+    if v < lo {
+        Some(0)
+    } else if v > hi {
+        Some(1)
+    } else {
+        None
+    }
 }
 
-impl BoundaryTracker {
-    /// Builds a tracker over a primed profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile saw no inputs.
-    pub fn new(profile: NeuronProfile) -> Self {
-        assert!(profile.is_primed(), "profile must observe training inputs first");
-        let total = profile.total();
-        let coverable_units =
-            (0..total).filter(|&i| profile.coverable(i)).count() * UNITS_PER_NEURON;
-        Self { profile, hit: vec![false; total * UNITS_PER_NEURON], coverable_units }
-    }
-
-    /// The profile whose range edges this tracker watches.
-    pub fn profile(&self) -> &NeuronProfile {
-        &self.profile
-    }
-
-    /// Total units (two corners per profiled neuron), the flat index bound
-    /// for [`BoundaryTracker::apply_covered_indices`]. Includes corners of
-    /// uncoverable neurons, which stay permanently unhit.
-    pub fn total(&self) -> usize {
-        self.hit.len()
-    }
-
-    /// Corners that can actually be reached — the coverage denominator.
-    pub fn coverable_units(&self) -> usize {
-        self.coverable_units
-    }
-
-    /// Corners hit so far.
-    pub fn covered_count(&self) -> usize {
-        self.hit.iter().filter(|&&h| h).count()
-    }
-
-    /// Folds one (batch-size-1) pass into the hit set; returns how many
-    /// corners were newly reached. NaN and ±inf activations are rejected —
-    /// a numerically broken pass is not "outside the profiled range", it
-    /// is outside the number line.
-    pub fn update(&mut self, pass: &ForwardPass) -> usize {
-        let mut newly = 0;
-        let mut base = 0;
-        for &a in &self.profile.activations {
-            let values = neuron_values(pass, a, self.profile.granularity, false);
-            for (j, &v) in values.iter().enumerate() {
-                let i = base + j;
-                if !v.is_finite() || !self.profile.coverable(i) {
-                    continue;
-                }
-                let unit = if v < self.profile.low[i] {
-                    i * UNITS_PER_NEURON
-                } else if v > self.profile.high[i] {
-                    i * UNITS_PER_NEURON + 1
-                } else {
-                    continue; // Inside the range: multisection's territory.
-                };
-                if !self.hit[unit] {
-                    self.hit[unit] = true;
-                    newly += 1;
-                }
-            }
-            base += values.len();
-        }
-        newly
-    }
-
-    /// Fraction of *coverable* corners reached.
-    pub fn coverage(&self) -> f32 {
-        if self.coverable_units == 0 {
-            0.0
-        } else {
-            self.covered_count() as f32 / self.coverable_units as f32
-        }
-    }
-
-    /// Whether every coverable corner has been hit.
-    pub fn is_full(&self) -> bool {
-        self.covered_count() == self.coverable_units
-    }
-
-    /// Whether `other` watches the same profile of the same network — the
-    /// precondition for [`BoundaryTracker::merge`].
-    pub fn compatible(&self, other: &BoundaryTracker) -> bool {
-        self.profile.activations == other.profile.activations
-            && self.profile.granularity == other.profile.granularity
-            && self.profile.low.len() == other.profile.low.len()
-            && ranges_eq(&self.profile.low, &other.profile.low)
-            && ranges_eq(&self.profile.high, &other.profile.high)
-    }
-
-    /// Unions another tracker's hit set into this one; returns how many
-    /// corners were newly hit here. Commutative, idempotent and monotone,
-    /// like [`crate::CoverageTracker::merge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the trackers are not [`BoundaryTracker::compatible`]
-    /// (different networks or profiles).
-    pub fn merge(&mut self, other: &BoundaryTracker) -> usize {
-        assert!(
-            self.compatible(other),
-            "cannot merge boundary trackers over different profiles ({} vs {} units)",
-            self.hit.len(),
-            other.hit.len()
-        );
-        let mut newly = 0;
-        for (mine, &theirs) in self.hit.iter_mut().zip(other.hit.iter()) {
-            if theirs && !*mine {
-                *mine = true;
-                newly += 1;
-            }
-        }
-        newly
-    }
-
-    /// The raw hit mask, one flag per corner — for campaign checkpointing.
-    /// Restore with [`BoundaryTracker::set_covered_mask`].
-    pub fn covered_mask(&self) -> &[bool] {
-        &self.hit
-    }
-
-    /// Flat unit offsets of all hit corners, ascending.
-    pub fn covered_indices(&self) -> Vec<usize> {
-        self.hit.iter().enumerate().filter(|(_, &h)| h).map(|(i, _)| i).collect()
-    }
-
-    /// Unit offsets hit here but not in `base` — the sparse delta the
-    /// distributed campaign ships over the wire.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the trackers are not [`BoundaryTracker::compatible`].
-    pub fn diff_indices(&self, base: &BoundaryTracker) -> Vec<usize> {
-        assert!(self.compatible(base), "cannot diff boundary trackers over different profiles");
-        self.hit
-            .iter()
-            .zip(base.hit.iter())
-            .enumerate()
-            .filter(|(_, (&mine, &theirs))| mine && !theirs)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Marks the given unit offsets hit; returns how many were newly hit.
-    /// The inverse of [`BoundaryTracker::diff_indices`]. Offsets of
-    /// uncoverable neurons are ignored (a well-formed peer never sends
-    /// them, and accepting them would push coverage past 1.0).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range offset; wire handlers must validate
-    /// indices against [`BoundaryTracker::total`] before applying.
-    pub fn apply_covered_indices(&mut self, indices: &[usize]) -> usize {
-        let mut newly = 0;
-        for &i in indices {
-            if !self.hit[i] && self.profile.coverable(i / UNITS_PER_NEURON) {
-                self.hit[i] = true;
-                newly += 1;
-            }
-        }
-        newly
-    }
-
-    /// Replaces the hit set with a previously exported mask. Mask bits on
-    /// uncoverable corners are dropped, keeping coverage within `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mask` has the wrong length for this tracker.
-    pub fn set_covered_mask(&mut self, mask: &[bool]) {
-        assert_eq!(mask.len(), self.hit.len(), "boundary mask length mismatch");
-        for (i, (mine, &theirs)) in self.hit.iter_mut().zip(mask).enumerate() {
-            *mine = theirs && self.profile.coverable(i / UNITS_PER_NEURON);
-        }
-    }
-
-    /// Replaces this tracker's hit set with `other`'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the trackers are not [`BoundaryTracker::compatible`].
-    pub fn copy_covered_from(&mut self, other: &BoundaryTracker) {
-        assert!(
-            self.compatible(other),
-            "cannot copy coverage between boundary trackers over different profiles"
-        );
-        self.hit.copy_from_slice(&other.hit);
-    }
-
-    /// Resets the hit set.
-    pub fn reset(&mut self) {
-        self.hit.iter_mut().for_each(|h| *h = false);
-    }
-
-    /// Whether a neuron still has an unhit coverable corner.
-    fn incomplete(&self, neuron: usize) -> bool {
-        self.profile.coverable(neuron)
-            && (!self.hit[neuron * UNITS_PER_NEURON] || !self.hit[neuron * UNITS_PER_NEURON + 1])
-    }
-
-    /// Whether the obj2 term can still make progress on `id` under this
-    /// metric — composite signals use this to route direction queries to
-    /// the component that actually wants the neuron.
-    pub fn neuron_incomplete(&self, id: NeuronId) -> bool {
-        self.profile.flat_of(id).is_some_and(|flat| self.incomplete(flat))
-    }
-
-    /// Picks up to `n` distinct random neurons with an unhit corner — the
-    /// boundary analogue of [`crate::CoverageTracker::pick_uncovered_k`].
-    /// Pair each pick with [`BoundaryTracker::target_direction`] so the
-    /// obj2 gradient term pushes the activation *past* the nearest unhit
-    /// range edge.
-    pub fn pick_incomplete_k(&self, r: &mut Rng, n: usize) -> Vec<NeuronId> {
-        let mut incomplete: Vec<usize> =
-            (0..self.profile.total()).filter(|&i| self.incomplete(i)).collect();
-        let take = n.min(incomplete.len());
-        // Partial Fisher–Yates: shuffle only the prefix we need.
-        for i in 0..take {
-            let j = r.gen_range(i..incomplete.len());
-            incomplete.swap(i, j);
-        }
-        incomplete[..take].iter().map(|&i| self.profile.id_of(i)).collect()
-    }
-
-    /// Picks the neuron with an unhit corner whose value in `pass` is
-    /// highest — the "nearest" strategy under this metric.
-    pub fn pick_incomplete_nearest(&self, pass: &ForwardPass) -> Option<NeuronId> {
-        let mut best: Option<(usize, f32)> = None;
-        let mut base = 0;
-        for &a in &self.profile.activations {
-            let values = neuron_values(pass, a, self.profile.granularity, false);
-            for (j, &v) in values.iter().enumerate() {
-                let flat = base + j;
-                if self.incomplete(flat) && best.is_none_or(|(_, bv)| v > bv) {
-                    best = Some((flat, v));
-                }
-            }
-            base += values.len();
-        }
-        best.map(|(flat, _)| self.profile.id_of(flat))
-    }
-
-    /// Which way the obj2 gradient term should push `id`'s activation to
-    /// escape the profiled range: `-1.0` to dive below `low`, `1.0` to
-    /// climb past `high`. With both corners unhit it heads for the nearest
-    /// edge; with both hit (or an untracked/uncoverable neuron) it falls
-    /// back to the neuron metric's always-up `1.0`.
-    pub fn target_direction(&self, id: NeuronId, pass: &ForwardPass) -> f32 {
-        let Some(flat) = self.profile.flat_of(id) else { return 1.0 };
-        if !self.profile.coverable(flat) {
-            return 1.0;
-        }
-        let below = self.hit[flat * UNITS_PER_NEURON];
-        let above = self.hit[flat * UNITS_PER_NEURON + 1];
-        match (below, above) {
-            (false, true) => -1.0,
-            (true, false) | (true, true) => 1.0,
-            (false, false) => {
-                let values = neuron_values(pass, id.activation, self.profile.granularity, false);
-                let Some(&v) = values.get(id.index) else { return 1.0 };
-                if !v.is_finite() {
-                    return 1.0;
-                }
-                let (lo, hi) = (self.profile.low[flat], self.profile.high[flat]);
-                // Head for the nearest edge from the current operating
-                // point (ties break downward: the low corner comes first
-                // in the unit space, as in multisection's nearest-section
-                // tie-break).
-                if v - lo <= hi - v {
-                    -1.0
-                } else {
-                    1.0
-                }
-            }
-        }
+/// Which way obj2 should push a neuron currently at `v` to escape the
+/// profiled range (`hits` is its `[below, above]` flags): `-1.0` to dive
+/// below `lo`, `1.0` to climb past `hi`. With both corners unhit it heads
+/// for the nearest edge (ties break downward: the low corner comes first
+/// in the unit space, as in multisection's nearest-section tie-break);
+/// with both hit it falls back to the threshold rule's always-up `1.0`.
+pub(crate) fn direction(lo: f32, hi: f32, v: f32, hits: &[bool]) -> f32 {
+    match (hits[0], hits[1]) {
+        (false, true) => -1.0,
+        (true, _) => 1.0,
+        (false, false) if v - lo <= hi - v => -1.0,
+        (false, false) => 1.0,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::neuron::Granularity;
-    use dx_nn::layer::Layer;
+    use crate::neuron::{neuron_values, Granularity};
+    use crate::signal::tests::{self as laws, mlp as net, signal_over};
+    use crate::signal::CoverageSignal;
+    use crate::NeuronProfile;
     use dx_nn::network::Network;
     use dx_tensor::{rng, Tensor};
 
-    fn net(seed: u64) -> Network {
-        let mut n = Network::new(
-            &[6],
-            vec![Layer::dense(6, 10), Layer::tanh(), Layer::dense(10, 3), Layer::softmax()],
-        );
-        n.init_weights(&mut rng::rng(seed));
-        n
+    fn primed_profile(n: &Network, inputs: usize, seed: u64) -> NeuronProfile {
+        laws::primed_profile(n, inputs, seed, 0.3, 0.7)
     }
 
-    fn primed_profile(n: &Network, inputs: usize, seed: u64) -> NeuronProfile {
-        let mut profile = NeuronProfile::new(n, Granularity::Unit);
-        let mut r = rng::rng(seed);
-        for _ in 0..inputs {
-            let x = rng::uniform(&mut r, &[1, 6], 0.3, 0.7);
-            profile.observe(&n.forward(&x));
-        }
-        profile
+    /// A `boundary` signal over `profile`.
+    fn corners(n: &Network, profile: NeuronProfile) -> CoverageSignal {
+        signal_over(n, "boundary", profile)
     }
 
     #[test]
@@ -361,7 +78,7 @@ mod tests {
         for x in &xs {
             profile.observe(&n.forward(x));
         }
-        let mut t = BoundaryTracker::new(profile);
+        let mut t = corners(&n, profile);
         for x in &xs {
             assert_eq!(t.update(&n.forward(x)), 0);
         }
@@ -374,7 +91,7 @@ mod tests {
         // past the profiled ranges.
         let n = net(2);
         let t0 = primed_profile(&n, 15, 3);
-        let mut t = BoundaryTracker::new(t0);
+        let mut t = corners(&n, t0);
         let mut r = rng::rng(4);
         let mut newly = 0;
         for _ in 0..10 {
@@ -384,7 +101,7 @@ mod tests {
         assert!(newly > 0, "wild inputs must escape some profiled range");
         assert_eq!(t.covered_count(), newly);
         assert!(t.coverage() > 0.0 && t.coverage() <= 1.0);
-        assert!(t.covered_count() <= t.coverable_units());
+        assert!(t.covered_count() <= t.coverable_total());
     }
 
     #[test]
@@ -392,7 +109,7 @@ mod tests {
         // NaN compares false against both edges — it must not count as a
         // corner hit (a NaN is not "outside the range", it is garbage).
         let n = net(5);
-        let mut t = BoundaryTracker::new(primed_profile(&n, 15, 6));
+        let mut t = corners(&n, primed_profile(&n, 15, 6));
         let pass = n.forward(&Tensor::from_vec(vec![f32::NAN; 6], &[1, 6]));
         assert_eq!(t.update(&pass), 0);
         assert_eq!(t.covered_count(), 0);
@@ -401,93 +118,49 @@ mod tests {
     #[test]
     fn uncoverable_neurons_are_excluded() {
         let n = net(7);
-        let mut p = primed_profile(&n, 15, 8);
-        p.high[0] = p.low[0]; // Constant neuron.
-        p.low[1] = f32::INFINITY; // Unprofiled neuron.
-        p.high[1] = f32::NEG_INFINITY;
-        let mut t = BoundaryTracker::new(p);
-        assert_eq!(t.coverable_units(), (t.profile.total() - 2) * UNITS_PER_NEURON);
-        assert_eq!(t.total(), t.profile.total() * UNITS_PER_NEURON);
-        // Saturate every coverable corner: exactly full.
-        let coverable: Vec<bool> = (0..t.profile.total()).map(|i| t.profile.coverable(i)).collect();
-        for (i, h) in t.hit.iter_mut().enumerate() {
-            if coverable[i / UNITS_PER_NEURON] {
-                *h = true;
-            }
-        }
-        assert_eq!(t.coverage(), 1.0);
-        assert!(t.is_full());
+        laws::uncoverable_neurons_are_excluded(&n, "boundary", primed_profile(&n, 15, 8));
     }
 
     #[test]
     fn merge_and_delta_sync_union_hit_sets() {
         let n = net(9);
         let p = primed_profile(&n, 15, 10);
-        let mut a = BoundaryTracker::new(p.clone());
-        let mut b = BoundaryTracker::new(p);
+        let mut a = corners(&n, p.clone());
+        let mut b = corners(&n, p);
         let mut r = rng::rng(11);
         a.update(&n.forward(&rng::uniform(&mut r, &[1, 6], -4.0, 0.0)));
         b.update(&n.forward(&rng::uniform(&mut r, &[1, 6], 1.0, 5.0)));
-        let (ca, cb) = (a.covered_count(), b.covered_count());
-        let mut merged = a.clone();
-        let newly = merged.merge(&b);
-        assert!(merged.covered_count() >= ca.max(cb));
-        assert_eq!(merged.covered_count(), ca + newly);
-        assert_eq!(merged.merge(&b), 0, "merge must be idempotent");
-        // Delta sync converges to the same union.
-        let delta = b.diff_indices(&a);
-        assert_eq!(a.apply_covered_indices(&delta), delta.len());
-        assert_eq!(a.covered_mask(), merged.covered_mask());
-        assert_eq!(a.apply_covered_indices(&delta), 0);
+        laws::assert_merge_and_delta_sync(&a, &b);
     }
 
     #[test]
     fn mask_round_trips_and_drops_uncoverable_bits() {
         let n = net(12);
-        let mut p = primed_profile(&n, 15, 13);
-        p.high[0] = p.low[0];
-        let mut t = BoundaryTracker::new(p.clone());
-        t.update(&n.forward(&rng::uniform(&mut rng::rng(14), &[1, 6], -4.0, 4.0)));
-        let mask = t.covered_mask().to_vec();
-        let mut fresh = BoundaryTracker::new(p);
-        let mut bad = mask.clone();
-        bad[0] = true; // Claim an uncoverable corner.
-        fresh.set_covered_mask(&bad);
-        assert_eq!(fresh.covered_mask(), &mask[..], "uncoverable bit must be dropped");
-        assert_eq!(fresh.covered_count(), t.covered_count());
+        let x = rng::uniform(&mut rng::rng(14), &[1, 6], -4.0, 4.0);
+        laws::mask_round_trips_and_drops_uncoverable_bits(
+            &n,
+            "boundary",
+            primed_profile(&n, 15, 13),
+            &x,
+        );
     }
 
     #[test]
     fn incompatible_profiles_rejected() {
         let n = net(15);
-        let mut a = BoundaryTracker::new(primed_profile(&n, 15, 16));
-        let b = BoundaryTracker::new(primed_profile(&n, 15, 17));
-        assert!(!a.compatible(&b));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.merge(&b)));
-        assert!(result.is_err(), "merge of incompatible trackers must panic");
+        let (p1, p2) = (primed_profile(&n, 15, 16), primed_profile(&n, 15, 17));
+        laws::incompatible_profiles_rejected(&n, "boundary", p1, p2);
     }
 
     #[test]
     fn picks_skip_complete_and_uncoverable_neurons() {
         let n = net(18);
-        let mut p = primed_profile(&n, 15, 19);
-        p.high[0] = p.low[0]; // Neuron 0 can never be picked.
-        let mut t = BoundaryTracker::new(p);
-        // Neuron 1: both corners hit — also never picked.
-        t.hit[UNITS_PER_NEURON] = true;
-        t.hit[UNITS_PER_NEURON + 1] = true;
-        let mut r = rng::rng(20);
-        let picks = t.pick_incomplete_k(&mut r, 5);
-        assert_eq!(picks.len(), 5);
-        let constant = t.profile.id_of(0);
-        let complete = t.profile.id_of(1);
-        assert!(!picks.contains(&constant) && !picks.contains(&complete));
-        let x = rng::uniform(&mut r, &[1, 6], 0.0, 1.0);
-        let nearest = t.pick_incomplete_nearest(&n.forward(&x)).unwrap();
-        assert_ne!(nearest, constant);
-        assert_ne!(nearest, complete);
-        assert!(!t.neuron_incomplete(complete));
-        assert!(t.neuron_incomplete(nearest));
+        laws::picks_skip_complete_and_uncoverable_neurons(
+            &n,
+            "boundary",
+            primed_profile(&n, 15, 19),
+            20,
+        );
     }
 
     #[test]
@@ -496,23 +169,23 @@ mod tests {
         let mut p = primed_profile(&n, 15, 22);
         let x = rng::uniform(&mut rng::rng(23), &[1, 6], 0.3, 0.7);
         let pass = n.forward(&x);
-        let v = neuron_values(&pass, p.activations[0], Granularity::Unit, false)[0];
+        let v = neuron_values(&pass, laws::neuron(&n, 0).activation, Granularity::Unit, false)[0];
         // Pin neuron 0's range so `v` sits nearer the low edge.
         p.low[0] = v - 1.0;
         p.high[0] = v + 3.0;
-        let mut t = BoundaryTracker::new(p);
-        let id = t.profile.id_of(0);
+        let mut t = corners(&n, p);
+        let id = laws::neuron(&n, 0);
         // Both corners unhit: nearest edge is low — push down.
         assert_eq!(t.target_direction(id, &pass), -1.0);
         // Low corner hit: only the high corner remains — push up.
-        t.hit[0] = true;
+        t.apply_covered_indices(&[0]);
         assert_eq!(t.target_direction(id, &pass), 1.0);
         // High corner hit instead: push down.
-        t.hit[0] = false;
-        t.hit[1] = true;
+        t.reset();
+        t.apply_covered_indices(&[1]);
         assert_eq!(t.target_direction(id, &pass), -1.0);
         // Both hit: fall back to up.
-        t.hit[0] = true;
+        t.apply_covered_indices(&[0]);
         assert_eq!(t.target_direction(id, &pass), 1.0);
     }
 
@@ -520,6 +193,6 @@ mod tests {
     #[should_panic(expected = "observe training inputs")]
     fn unprimed_profile_rejected() {
         let n = net(24);
-        BoundaryTracker::new(NeuronProfile::new(&n, Granularity::Unit));
+        corners(&n, NeuronProfile::new(&n, Granularity::Unit));
     }
 }

@@ -9,472 +9,61 @@
 //! reached. This catches test suites that hammer one operating point of a
 //! neuron and never explore the rest of its range.
 //!
-//! [`MultisectionTracker`] carries the same merge / sparse-delta / mask
-//! API as [`crate::CoverageTracker`], so campaign engines can union and
-//! synchronize either metric through one code path
-//! ([`crate::CoverageSignal`]). The flat *unit* space is neuron-major
-//! sections: unit `i` is section `i % k` of neuron `i / k`.
+//! This module is the whole of what is specific to the metric: which
+//! section a value lands in, and which way obj2 should push to reach an
+//! unhit one. The hit-set around it is [`crate::tracker`]'s. The flat
+//! *unit* space is neuron-major sections: unit `i` is section `i % k` of
+//! neuron `i / k`.
 
-use dx_nn::network::{ForwardPass, Network};
-use dx_tensor::rng::Rng;
-use rand::Rng as _;
-
-use crate::neuron::{neuron_count, neuron_values, Granularity, NeuronId};
-
-/// Profiled output range of every tracked neuron. Shared by the
-/// multisection tracker (sections *inside* the range) and the boundary
-/// tracker (`crate::boundary`, the corner regions *outside* it).
-#[derive(Clone, Debug)]
-pub struct NeuronProfile {
-    pub(crate) activations: Vec<usize>,
-    /// Base offset of each tracked activation in the flat neuron space.
-    pub(crate) bases: Vec<usize>,
-    pub(crate) granularity: Granularity,
-    pub(crate) low: Vec<f32>,
-    pub(crate) high: Vec<f32>,
+/// The section of `[lo, hi]` (cut into `k`) that `v` lands in; `None`
+/// outside the profiled range — the corner region, tracked by
+/// [`crate::boundary`], not here.
+#[inline]
+pub(crate) fn section_of(lo: f32, hi: f32, k: usize, v: f32) -> Option<usize> {
+    if v < lo || v > hi {
+        return None;
+    }
+    Some((((v - lo) / (hi - lo)) * k as f32).floor().min((k - 1) as f32) as usize)
 }
 
-impl NeuronProfile {
-    /// Starts an empty profile over the network's coverage layers.
-    pub fn new(net: &Network, granularity: Granularity) -> Self {
-        let activations = net.coverage_activation_indices();
-        let mut bases = Vec::with_capacity(activations.len());
-        let mut total = 0usize;
-        for &a in &activations {
-            bases.push(total);
-            total += neuron_count(&net.activation_shapes()[a], granularity);
-        }
-        Self {
-            activations,
-            bases,
-            granularity,
-            low: vec![f32::INFINITY; total],
-            high: vec![f32::NEG_INFINITY; total],
-        }
+/// Which way obj2 should push a neuron currently at `v` to reach its
+/// nearest unhit section (`hits` is the neuron's `k` flags): `1.0` to
+/// raise it, `-1.0` to lower it; ties go to the lower section. Values
+/// outside the profiled range steer back toward it.
+///
+/// Without this, section targeting would always maximize the activation —
+/// actively moving *away* from unhit sections that sit below the current
+/// operating point.
+pub(crate) fn direction(lo: f32, hi: f32, v: f32, hits: &[bool]) -> f32 {
+    let Some(current) = section_of(lo, hi, hits.len(), v) else {
+        return if v < lo { 1.0 } else { -1.0 };
+    };
+    let current = current as isize;
+    let nearest = (0..hits.len() as isize)
+        .filter(|&s| !hits[s as usize])
+        .min_by_key(|&s| ((s - current).abs(), s));
+    match nearest {
+        Some(s) if s < current => -1.0,
+        _ => 1.0,
     }
-
-    /// Rebuilds a profile from checkpointed ranges. The network and
-    /// granularity re-derive the tracked-activation layout; `low`/`high`
-    /// must have one entry per tracked neuron.
-    ///
-    /// # Errors
-    ///
-    /// When the range vectors do not match the network's neuron count.
-    pub fn restore(
-        net: &Network,
-        granularity: Granularity,
-        low: Vec<f32>,
-        high: Vec<f32>,
-    ) -> Result<Self, String> {
-        let fresh = Self::new(net, granularity);
-        if low.len() != fresh.total() || high.len() != fresh.total() {
-            return Err(format!(
-                "profile ranges ({}/{} entries) do not fit the network ({} neurons)",
-                low.len(),
-                high.len(),
-                fresh.total()
-            ));
-        }
-        Ok(Self { low, high, ..fresh })
-    }
-
-    /// Extends the ranges with one (batch-size-1) pass — call once per
-    /// training input.
-    pub fn observe(&mut self, pass: &ForwardPass) {
-        let mut base = 0;
-        for &a in &self.activations {
-            let values = neuron_values(pass, a, self.granularity, false);
-            for (j, &v) in values.iter().enumerate() {
-                let i = base + j;
-                self.low[i] = self.low[i].min(v);
-                self.high[i] = self.high[i].max(v);
-            }
-            base += values.len();
-        }
-    }
-
-    /// Number of profiled neurons.
-    pub fn total(&self) -> usize {
-        self.low.len()
-    }
-
-    /// Whether any input has been observed.
-    pub fn is_primed(&self) -> bool {
-        self.low.iter().any(|v| v.is_finite())
-    }
-
-    /// The profiled `(low, high)` ranges, one pair per tracked neuron —
-    /// for checkpoint persistence; rebuild with [`NeuronProfile::restore`].
-    pub fn ranges(&self) -> (&[f32], &[f32]) {
-        (&self.low, &self.high)
-    }
-
-    /// The neuron granularity the profile was built with.
-    pub fn granularity(&self) -> Granularity {
-        self.granularity
-    }
-
-    /// Whether a neuron's profiled range can be sectioned at all: finite
-    /// bounds with `high > low`. Constant and unprofiled neurons are not.
-    pub(crate) fn coverable(&self, i: usize) -> bool {
-        self.low[i].is_finite() && self.high[i].is_finite() && self.high[i] > self.low[i]
-    }
-
-    /// Translates a flat neuron offset back to a [`NeuronId`].
-    pub(crate) fn id_of(&self, flat: usize) -> NeuronId {
-        let slot = match self.bases.binary_search(&flat) {
-            Ok(s) => s,
-            Err(s) => s - 1,
-        };
-        NeuronId { activation: self.activations[slot], index: flat - self.bases[slot] }
-    }
-
-    /// The inverse of [`NeuronProfile::id_of`]: the flat offset of a
-    /// [`NeuronId`], or `None` when its activation is not tracked.
-    pub(crate) fn flat_of(&self, id: NeuronId) -> Option<usize> {
-        let slot = self.activations.iter().position(|&a| a == id.activation)?;
-        Some(self.bases[slot] + id.index)
-    }
-}
-
-/// k-multisection coverage state over a profiled network.
-#[derive(Clone, Debug)]
-pub struct MultisectionTracker {
-    profile: NeuronProfile,
-    k: usize,
-    /// `total × k` section-hit flags, neuron-major.
-    hit: Vec<bool>,
-    /// Sections of coverable neurons — the coverage denominator. Sections
-    /// of constant/unprofiled neurons can never be hit (`update` skips
-    /// them), so counting them would make 100% coverage unreachable and
-    /// `is_full`-style drain targets would never fire.
-    coverable_units: usize,
-}
-
-impl MultisectionTracker {
-    /// Builds a tracker with `k` sections per neuron.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero or the profile saw no inputs.
-    pub fn new(profile: NeuronProfile, k: usize) -> Self {
-        assert!(k > 0, "need at least one section per neuron");
-        assert!(profile.is_primed(), "profile must observe training inputs first");
-        let total = profile.total();
-        let coverable_units = (0..total).filter(|&i| profile.coverable(i)).count() * k;
-        Self { profile, k, hit: vec![false; total * k], coverable_units }
-    }
-
-    /// Sections per neuron.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The profile this tracker sections.
-    pub fn profile(&self) -> &NeuronProfile {
-        &self.profile
-    }
-
-    /// Total units (neuron-sections), the flat index bound for
-    /// [`MultisectionTracker::apply_covered_indices`]. Includes sections
-    /// of uncoverable neurons, which stay permanently unhit.
-    pub fn total(&self) -> usize {
-        self.hit.len()
-    }
-
-    /// Sections that can actually be reached — the coverage denominator.
-    pub fn coverable_units(&self) -> usize {
-        self.coverable_units
-    }
-
-    /// Sections hit so far.
-    pub fn covered_count(&self) -> usize {
-        self.hit.iter().filter(|&&h| h).count()
-    }
-
-    /// Folds one (batch-size-1) pass into the hit set; returns how many new
-    /// sections were reached.
-    pub fn update(&mut self, pass: &ForwardPass) -> usize {
-        let mut newly = 0;
-        let mut base = 0;
-        for &a in &self.profile.activations {
-            let values = neuron_values(pass, a, self.profile.granularity, false);
-            for (j, &v) in values.iter().enumerate() {
-                let i = base + j;
-                let (lo, hi) = (self.profile.low[i], self.profile.high[i]);
-                if !lo.is_finite() || !hi.is_finite() || hi <= lo {
-                    continue; // Unprofiled or constant neuron.
-                }
-                if !v.is_finite() {
-                    // NaN passes both range guards below and `NaN as usize`
-                    // saturates to 0, which used to spuriously mark section
-                    // 0 as hit; ±inf would index out of range.
-                    continue;
-                }
-                if v < lo || v > hi {
-                    continue; // Outside the profiled range (corner region —
-                              // tracked by `crate::boundary`, not here).
-                }
-                let section = (((v - lo) / (hi - lo)) * self.k as f32)
-                    .floor()
-                    .min((self.k - 1) as f32) as usize;
-                let flag = &mut self.hit[i * self.k + section];
-                if !*flag {
-                    *flag = true;
-                    newly += 1;
-                }
-            }
-            base += values.len();
-        }
-        newly
-    }
-
-    /// Fraction of *coverable* neuron-sections reached.
-    pub fn coverage(&self) -> f32 {
-        if self.coverable_units == 0 {
-            0.0
-        } else {
-            self.covered_count() as f32 / self.coverable_units as f32
-        }
-    }
-
-    /// Whether every coverable section has been hit.
-    pub fn is_full(&self) -> bool {
-        self.covered_count() == self.coverable_units
-    }
-
-    /// Whether `other` sections the same profile of the same network —
-    /// the precondition for [`MultisectionTracker::merge`].
-    pub fn compatible(&self, other: &MultisectionTracker) -> bool {
-        self.k == other.k
-            && self.profile.activations == other.profile.activations
-            && self.profile.granularity == other.profile.granularity
-            && self.profile.low.len() == other.profile.low.len()
-            && ranges_eq(&self.profile.low, &other.profile.low)
-            && ranges_eq(&self.profile.high, &other.profile.high)
-    }
-
-    /// Unions another tracker's hit set into this one; returns how many
-    /// sections were newly hit here. Commutative, idempotent and monotone,
-    /// like [`crate::CoverageTracker::merge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the trackers are not [`MultisectionTracker::compatible`]
-    /// (different networks, `k`, or profiles).
-    pub fn merge(&mut self, other: &MultisectionTracker) -> usize {
-        assert!(
-            self.compatible(other),
-            "cannot merge multisection trackers over different profiles \
-             ({} vs {} units)",
-            self.hit.len(),
-            other.hit.len()
-        );
-        let mut newly = 0;
-        for (mine, &theirs) in self.hit.iter_mut().zip(other.hit.iter()) {
-            if theirs && !*mine {
-                *mine = true;
-                newly += 1;
-            }
-        }
-        newly
-    }
-
-    /// The raw hit mask, one flag per neuron-section — for campaign
-    /// checkpointing. Restore with [`MultisectionTracker::set_covered_mask`].
-    pub fn covered_mask(&self) -> &[bool] {
-        &self.hit
-    }
-
-    /// Flat unit offsets of all hit sections, ascending.
-    pub fn covered_indices(&self) -> Vec<usize> {
-        self.hit.iter().enumerate().filter(|(_, &h)| h).map(|(i, _)| i).collect()
-    }
-
-    /// Unit offsets hit here but not in `base` — the sparse delta the
-    /// distributed campaign ships over the wire.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the trackers are not [`MultisectionTracker::compatible`].
-    pub fn diff_indices(&self, base: &MultisectionTracker) -> Vec<usize> {
-        assert!(self.compatible(base), "cannot diff multisection trackers over different profiles");
-        self.hit
-            .iter()
-            .zip(base.hit.iter())
-            .enumerate()
-            .filter(|(_, (&mine, &theirs))| mine && !theirs)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Marks the given unit offsets hit; returns how many were newly hit.
-    /// The inverse of [`MultisectionTracker::diff_indices`]. Offsets of
-    /// uncoverable neurons are ignored (a well-formed peer never sends
-    /// them, and accepting them would push coverage past 1.0).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range offset; wire handlers must validate
-    /// indices against [`MultisectionTracker::total`] before applying.
-    pub fn apply_covered_indices(&mut self, indices: &[usize]) -> usize {
-        let mut newly = 0;
-        for &i in indices {
-            if !self.hit[i] && self.profile.coverable(i / self.k) {
-                self.hit[i] = true;
-                newly += 1;
-            }
-        }
-        newly
-    }
-
-    /// Replaces the hit set with a previously exported mask. Mask bits on
-    /// uncoverable sections are dropped, keeping coverage within `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mask` has the wrong length for this tracker.
-    pub fn set_covered_mask(&mut self, mask: &[bool]) {
-        assert_eq!(mask.len(), self.hit.len(), "multisection mask length mismatch");
-        for (i, (mine, &theirs)) in self.hit.iter_mut().zip(mask).enumerate() {
-            *mine = theirs && self.profile.coverable(i / self.k);
-        }
-    }
-
-    /// Replaces this tracker's hit set with `other`'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the trackers are not [`MultisectionTracker::compatible`].
-    pub fn copy_covered_from(&mut self, other: &MultisectionTracker) {
-        assert!(
-            self.compatible(other),
-            "cannot copy coverage between multisection trackers over different profiles"
-        );
-        self.hit.copy_from_slice(&other.hit);
-    }
-
-    /// Resets the hit set.
-    pub fn reset(&mut self) {
-        self.hit.iter_mut().for_each(|h| *h = false);
-    }
-
-    /// Whether a neuron still has unhit coverable sections.
-    fn incomplete(&self, neuron: usize) -> bool {
-        self.profile.coverable(neuron)
-            && self.hit[neuron * self.k..(neuron + 1) * self.k].iter().any(|&h| !h)
-    }
-
-    /// Whether the obj2 term can still make progress on `id` under this
-    /// metric — composite signals use this to route direction queries to
-    /// the component that actually wants the neuron.
-    pub fn neuron_incomplete(&self, id: NeuronId) -> bool {
-        self.profile.flat_of(id).is_some_and(|flat| self.incomplete(flat))
-    }
-
-    /// Picks up to `n` distinct random neurons with unhit sections — the
-    /// multisection analogue of
-    /// [`crate::CoverageTracker::pick_uncovered_k`]. Pair each pick with
-    /// [`MultisectionTracker::target_direction`] so the obj2 gradient
-    /// term pushes the activation *toward* its nearest unexplored
-    /// section, not just upward.
-    pub fn pick_incomplete_k(&self, r: &mut Rng, n: usize) -> Vec<NeuronId> {
-        let mut incomplete: Vec<usize> =
-            (0..self.profile.total()).filter(|&i| self.incomplete(i)).collect();
-        let take = n.min(incomplete.len());
-        // Partial Fisher–Yates: shuffle only the prefix we need.
-        for i in 0..take {
-            let j = r.gen_range(i..incomplete.len());
-            incomplete.swap(i, j);
-        }
-        incomplete[..take].iter().map(|&i| self.profile.id_of(i)).collect()
-    }
-
-    /// Which way the obj2 gradient term should push `id`'s activation to
-    /// reach its nearest unhit coverable section given the current value
-    /// in `pass`: `1.0` to raise it, `-1.0` to lower it. Values outside
-    /// the profiled range steer back toward it. Returns `1.0` (the
-    /// neuron-metric behavior) for complete or uncoverable neurons.
-    ///
-    /// Without this, section targeting would always maximize the
-    /// activation — actively moving *away* from unhit sections that sit
-    /// below the current operating point.
-    pub fn target_direction(&self, id: NeuronId, pass: &ForwardPass) -> f32 {
-        let Some(flat) = self.profile.flat_of(id) else {
-            return 1.0;
-        };
-        if !self.profile.coverable(flat) {
-            return 1.0;
-        }
-        let values = neuron_values(pass, id.activation, self.profile.granularity, false);
-        let Some(&v) = values.get(id.index) else { return 1.0 };
-        let (lo, hi) = (self.profile.low[flat], self.profile.high[flat]);
-        if v < lo {
-            return 1.0; // Below the range: raise back into it.
-        }
-        if v > hi {
-            return -1.0; // Above the range: lower back into it.
-        }
-        let current =
-            (((v - lo) / (hi - lo)) * self.k as f32).floor().min((self.k - 1) as f32) as isize;
-        let hits = &self.hit[flat * self.k..(flat + 1) * self.k];
-        let nearest = (0..self.k as isize)
-            .filter(|&s| !hits[s as usize])
-            .min_by_key(|&s| ((s - current).abs(), s));
-        match nearest {
-            Some(s) if s < current => -1.0,
-            _ => 1.0,
-        }
-    }
-
-    /// Picks the incompletely-sectioned neuron with the highest value in
-    /// `pass` — the "nearest" strategy under this metric.
-    pub fn pick_incomplete_nearest(&self, pass: &ForwardPass) -> Option<NeuronId> {
-        let mut best: Option<(usize, f32)> = None;
-        let mut base = 0;
-        for &a in &self.profile.activations {
-            let values = neuron_values(pass, a, self.profile.granularity, false);
-            for (j, &v) in values.iter().enumerate() {
-                let flat = base + j;
-                if self.incomplete(flat) && best.is_none_or(|(_, bv)| v > bv) {
-                    best = Some((flat, v));
-                }
-            }
-            base += values.len();
-        }
-        best.map(|(flat, _)| self.profile.id_of(flat))
-    }
-}
-
-/// Bitwise range equality — profiled bounds include ±infinity for
-/// unprofiled neurons, and resumes must match checkpoints exactly.
-pub(crate) fn ranges_eq(a: &[f32], b: &[f32]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dx_nn::layer::Layer;
+    use crate::neuron::{neuron_values, Granularity};
+    use crate::signal::tests::{self as laws, mlp as net, signal_over};
+    use crate::signal::CoverageSignal;
+    use crate::NeuronProfile;
+    use dx_nn::network::Network;
     use dx_tensor::{rng, Tensor};
 
-    fn net(seed: u64) -> Network {
-        let mut n = Network::new(
-            &[6],
-            vec![Layer::dense(6, 10), Layer::tanh(), Layer::dense(10, 3), Layer::softmax()],
-        );
-        n.init_weights(&mut rng::rng(seed));
-        n
+    fn primed_profile(n: &Network, inputs: usize, seed: u64) -> NeuronProfile {
+        laws::primed_profile(n, inputs, seed, 0.0, 1.0)
     }
 
-    fn primed_profile(n: &Network, inputs: usize, seed: u64) -> NeuronProfile {
-        let mut profile = NeuronProfile::new(n, Granularity::Unit);
-        let mut r = rng::rng(seed);
-        for _ in 0..inputs {
-            let x = rng::uniform(&mut r, &[1, 6], 0.0, 1.0);
-            profile.observe(&n.forward(&x));
-        }
-        profile
+    /// A `multisection:k` signal over `profile`.
+    fn sections(n: &Network, profile: NeuronProfile, k: usize) -> CoverageSignal {
+        signal_over(n, &format!("multisection:{k}"), profile)
     }
 
     #[test]
@@ -491,7 +80,7 @@ mod tests {
     fn coverage_grows_and_is_bounded() {
         let n = net(2);
         let p = primed_profile(&n, 30, 3);
-        let mut t = MultisectionTracker::new(p, 5);
+        let mut t = sections(&n, p, 5);
         assert_eq!(t.coverage(), 0.0);
         let mut r = rng::rng(4);
         let mut last = 0.0;
@@ -516,7 +105,7 @@ mod tests {
         for x in &xs {
             profile.observe(&n.forward(x));
         }
-        let mut t = MultisectionTracker::new(profile, 4);
+        let mut t = sections(&n, profile, 4);
         let mut total_new = 0;
         for x in &xs {
             total_new += t.update(&n.forward(x));
@@ -528,7 +117,7 @@ mod tests {
     fn k_one_degenerates_to_range_hit() {
         let n = net(7);
         let p = primed_profile(&n, 15, 8);
-        let mut t = MultisectionTracker::new(p, 1);
+        let mut t = sections(&n, p, 1);
         let x = rng::uniform(&mut rng::rng(9), &[1, 6], 0.0, 1.0);
         t.update(&n.forward(&x));
         // With one section, coverage equals the fraction of neurons whose
@@ -541,7 +130,7 @@ mod tests {
         let n = net(10);
         let make = |k: usize| {
             let p = primed_profile(&n, 25, 11);
-            let mut t = MultisectionTracker::new(p, k);
+            let mut t = sections(&n, p, k);
             let mut r = rng::rng(12);
             for _ in 0..10 {
                 let x = rng::uniform(&mut r, &[1, 6], 0.0, 1.0);
@@ -558,24 +147,7 @@ mod tests {
         // `update` skips constant (`hi <= lo`) and unprofiled neurons, so
         // a network containing one could never report full coverage.
         let n = net(20);
-        let k = 3;
-        let mut p = primed_profile(&n, 20, 21);
-        // Force one constant neuron and one unprofiled neuron.
-        p.high[0] = p.low[0];
-        p.low[1] = f32::INFINITY;
-        p.high[1] = f32::NEG_INFINITY;
-        let mut t = MultisectionTracker::new(p, k);
-        assert_eq!(t.coverable_units(), (t.profile.total() - 2) * k);
-        assert_eq!(t.total(), t.profile.total() * k);
-        // Saturate every coverable section: coverage must reach exactly 1.
-        let coverable: Vec<bool> = (0..t.profile.total()).map(|i| t.profile.coverable(i)).collect();
-        for (i, h) in t.hit.iter_mut().enumerate() {
-            if coverable[i / k] {
-                *h = true;
-            }
-        }
-        assert_eq!(t.coverage(), 1.0);
-        assert!(t.is_full());
+        laws::uncoverable_neurons_are_excluded(&n, "multisection:3", primed_profile(&n, 20, 21));
     }
 
     #[test]
@@ -586,7 +158,7 @@ mod tests {
         let n = net(22);
         let mut p = primed_profile(&n, 40, 23);
         p.high[0] = p.low[0]; // One constant neuron.
-        let mut t = MultisectionTracker::new(p, 1);
+        let mut t = sections(&n, p, 1);
         let mut r = rng::rng(24);
         for _ in 0..200 {
             let x = rng::uniform(&mut r, &[1, 6], 0.0, 1.0);
@@ -596,7 +168,7 @@ mod tests {
         // neuron once; with the buggy denominator this could only approach
         // (total-1)/total.
         assert!(t.coverage() > 0.95, "coverage stuck at {}", t.coverage());
-        assert!(t.covered_count() <= t.coverable_units());
+        assert!(t.covered_count() <= t.coverable_total());
     }
 
     #[test]
@@ -606,12 +178,12 @@ mod tests {
         // NaN-valued neuron was spuriously marked hit.
         let n = net(60);
         let p = primed_profile(&n, 20, 61);
-        let mut t = MultisectionTracker::new(p, 4);
+        let mut t = sections(&n, p, 4);
         // A NaN input propagates NaN through the whole forward pass.
         let nan_x = Tensor::from_vec(vec![f32::NAN; 6], &[1, 6]);
         let pass = n.forward(&nan_x);
         assert!(
-            neuron_values(&pass, t.profile.activations[0], Granularity::Unit, false)
+            neuron_values(&pass, laws::neuron(&n, 0).activation, Granularity::Unit, false)
                 .iter()
                 .any(|v| v.is_nan()),
             "test needs a NaN-producing pass"
@@ -626,54 +198,36 @@ mod tests {
     fn merge_unions_hit_sets() {
         let n = net(30);
         let p = primed_profile(&n, 20, 31);
-        let mut a = MultisectionTracker::new(p.clone(), 4);
-        let mut b = MultisectionTracker::new(p, 4);
+        let mut a = sections(&n, p.clone(), 4);
+        let mut b = sections(&n, p, 4);
         let mut r = rng::rng(32);
         a.update(&n.forward(&rng::uniform(&mut r, &[1, 6], 0.0, 0.5)));
         b.update(&n.forward(&rng::uniform(&mut r, &[1, 6], 0.5, 1.0)));
-        let (ca, cb) = (a.covered_count(), b.covered_count());
-        let newly = a.merge(&b);
-        assert!(a.covered_count() >= ca.max(cb));
-        assert_eq!(a.covered_count(), ca + newly);
-        assert_eq!(a.merge(&b), 0, "merge must be idempotent");
+        laws::assert_merge_and_delta_sync(&a, &b);
     }
 
     #[test]
     fn index_delta_round_trips() {
         let n = net(33);
         let p = primed_profile(&n, 20, 34);
-        let mut local = MultisectionTracker::new(p.clone(), 3);
-        let mut base = MultisectionTracker::new(p, 3);
+        let mut local = sections(&n, p.clone(), 3);
+        let mut base = sections(&n, p, 3);
         let mut r = rng::rng(35);
         local.update(&n.forward(&rng::uniform(&mut r, &[1, 6], 0.3, 1.0)));
         base.update(&n.forward(&rng::uniform(&mut r, &[1, 6], 0.0, 0.6)));
-        let delta = local.diff_indices(&base);
-        for &i in &delta {
-            assert!(local.covered_mask()[i]);
-            assert!(!base.covered_mask()[i]);
-        }
-        let newly = base.apply_covered_indices(&delta);
-        assert_eq!(newly, delta.len());
-        assert!(local.diff_indices(&base).is_empty());
-        assert_eq!(base.merge(&local), 0);
-        assert_eq!(base.apply_covered_indices(&delta), 0);
+        laws::assert_merge_and_delta_sync(&base, &local);
     }
 
     #[test]
     fn mask_round_trips_and_drops_uncoverable_bits() {
         let n = net(36);
-        let mut p = primed_profile(&n, 20, 37);
-        p.high[0] = p.low[0]; // Constant neuron: units 0..k are uncoverable.
-        let k = 2;
-        let mut t = MultisectionTracker::new(p.clone(), k);
-        t.update(&n.forward(&rng::uniform(&mut rng::rng(38), &[1, 6], 0.0, 1.0)));
-        let mask = t.covered_mask().to_vec();
-        let mut fresh = MultisectionTracker::new(p, k);
-        let mut bad_mask = mask.clone();
-        bad_mask[0] = true; // Claim an uncoverable section.
-        fresh.set_covered_mask(&bad_mask);
-        assert_eq!(fresh.covered_mask(), &mask[..], "uncoverable bit must be dropped");
-        assert_eq!(fresh.covered_count(), t.covered_count());
+        let x = rng::uniform(&mut rng::rng(38), &[1, 6], 0.0, 1.0);
+        laws::mask_round_trips_and_drops_uncoverable_bits(
+            &n,
+            "multisection:2",
+            primed_profile(&n, 20, 37),
+            &x,
+        );
     }
 
     #[test]
@@ -681,33 +235,20 @@ mod tests {
         let n = net(40);
         let p1 = primed_profile(&n, 20, 41);
         let p2 = primed_profile(&n, 20, 42); // Different inputs → ranges.
-        let mut a = MultisectionTracker::new(p1.clone(), 4);
-        let b = MultisectionTracker::new(p2, 4);
-        assert!(!a.compatible(&b));
-        let same_profile_other_k = MultisectionTracker::new(p1, 2);
-        assert!(!a.compatible(&same_profile_other_k));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.merge(&b)));
-        assert!(result.is_err(), "merge of incompatible trackers must panic");
+        laws::incompatible_profiles_rejected(&n, "multisection:4", p1.clone(), p2);
+        let same_profile_other_k = sections(&n, p1.clone(), 2);
+        assert!(!sections(&n, p1, 4).compatible(&same_profile_other_k));
     }
 
     #[test]
     fn pick_incomplete_returns_sectionable_neurons() {
         let n = net(43);
-        let mut p = primed_profile(&n, 20, 44);
-        p.high[0] = p.low[0]; // Neuron 0 can never be picked.
-        let t = MultisectionTracker::new(p, 4);
-        let mut r = rng::rng(45);
-        let picks = t.pick_incomplete_k(&mut r, 5);
-        assert_eq!(picks.len(), 5);
-        let mut sorted = picks.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 5, "picks must be distinct: {picks:?}");
-        let constant = t.profile.id_of(0);
-        assert!(!picks.contains(&constant));
-        let x = rng::uniform(&mut r, &[1, 6], 0.0, 1.0);
-        let nearest = t.pick_incomplete_nearest(&n.forward(&x)).unwrap();
-        assert_ne!(nearest, constant);
+        laws::picks_skip_complete_and_uncoverable_neurons(
+            &n,
+            "multisection:4",
+            primed_profile(&n, 20, 44),
+            45,
+        );
     }
 
     #[test]
@@ -716,32 +257,28 @@ mod tests {
         let mut p = primed_profile(&n, 20, 51);
         let x = rng::uniform(&mut rng::rng(52), &[1, 6], 0.0, 1.0);
         let pass = n.forward(&x);
-        let v = neuron_values(&pass, p.activations[0], Granularity::Unit, false)[0];
+        let v = neuron_values(&pass, laws::neuron(&n, 0).activation, Granularity::Unit, false)[0];
         // Pin neuron 0's range so `v` lands in section 1 of k = 4
         // (sections are 1.0 wide on [v-1, v+3]).
         p.low[0] = v - 1.0;
         p.high[0] = v + 3.0;
         let k = 4;
-        let mut t = MultisectionTracker::new(p, k);
-        let id = t.profile.id_of(0);
+        let mut t = sections(&n, p.clone(), k);
+        let id = laws::neuron(&n, 0);
         // Only section 0 (below the current value) unhit: push down.
-        for s in 1..k {
-            t.hit[s] = true;
-        }
+        t.apply_covered_indices(&[1, 2, 3]);
         assert_eq!(t.target_direction(id, &pass), -1.0);
         // Only section 3 (above) unhit: push up.
-        t.hit.iter_mut().take(k).for_each(|h| *h = false);
-        t.hit[0] = true;
-        t.hit[1] = true;
-        t.hit[2] = true;
+        t.reset();
+        t.apply_covered_indices(&[0, 1, 2]);
         assert_eq!(t.target_direction(id, &pass), 1.0);
         // Out-of-range values steer back toward the profiled range.
-        t.profile.low[0] = v + 1.0;
-        t.profile.high[0] = v + 2.0;
-        assert_eq!(t.target_direction(id, &pass), 1.0);
-        t.profile.low[0] = v - 2.0;
-        t.profile.high[0] = v - 1.0;
-        assert_eq!(t.target_direction(id, &pass), -1.0);
+        p.low[0] = v + 1.0;
+        p.high[0] = v + 2.0;
+        assert_eq!(sections(&n, p.clone(), k).target_direction(id, &pass), 1.0);
+        p.low[0] = v - 2.0;
+        p.high[0] = v - 1.0;
+        assert_eq!(sections(&n, p, k).target_direction(id, &pass), -1.0);
     }
 
     #[test]
@@ -751,8 +288,8 @@ mod tests {
         let (low, high) = p.ranges();
         let back =
             NeuronProfile::restore(&n, Granularity::Unit, low.to_vec(), high.to_vec()).unwrap();
-        let a = MultisectionTracker::new(p, 4);
-        let b = MultisectionTracker::new(back, 4);
+        let a = sections(&n, p, 4);
+        let b = sections(&n, back, 4);
         assert!(a.compatible(&b));
         // Wrong length is rejected.
         assert!(NeuronProfile::restore(&n, Granularity::Unit, vec![0.0], vec![1.0]).is_err());
@@ -762,7 +299,6 @@ mod tests {
     #[should_panic(expected = "observe training inputs")]
     fn unprimed_profile_rejected() {
         let n = net(13);
-        let p = NeuronProfile::new(&n, Granularity::Unit);
-        MultisectionTracker::new(p, 4);
+        sections(&n, NeuronProfile::new(&n, Granularity::Unit), 4);
     }
 }

@@ -1,4 +1,5 @@
-//! Neuron identity, value extraction and per-layer scaling.
+//! Neuron identity, value extraction, per-layer scaling and the flat
+//! neuron-space layout of a network's tracked activations.
 
 use dx_nn::network::{ForwardPass, Network};
 use dx_tensor::Tensor;
@@ -70,6 +71,86 @@ pub fn neuron_values(
         }
         (4, Granularity::Unit) | (2, _) => act.data().to_vec(),
         _ => panic!("unsupported activation rank {} for coverage", act.rank()),
+    }
+}
+
+/// Which activations of a network are tracked and where each one's neurons
+/// sit in the flat neuron space: activation `activations[s]` owns offsets
+/// `bases[s]..bases[s + 1]`. Every hit-set and every [`crate::NeuronProfile`]
+/// is laid out by one of these.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Layout {
+    /// Tracked activation indices, ascending.
+    activations: Vec<usize>,
+    /// Base offset of each tracked activation in the flat neuron space.
+    bases: Vec<usize>,
+    total: usize,
+    pub(crate) granularity: Granularity,
+}
+
+impl Layout {
+    /// Lays out an explicit set of activation indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range or the list is unsorted or empty.
+    pub(crate) fn new(net: &Network, activations: &[usize], granularity: Granularity) -> Self {
+        assert!(!activations.is_empty(), "no activations to track");
+        assert!(
+            activations.windows(2).all(|w| w[0] < w[1]),
+            "activation indices must be strictly ascending: {activations:?}"
+        );
+        let shapes = net.activation_shapes();
+        let mut bases = Vec::with_capacity(activations.len());
+        let mut total = 0usize;
+        for &a in activations {
+            assert!(
+                a >= 1 && a < shapes.len(),
+                "activation index {a} out of range 1..{}",
+                shapes.len()
+            );
+            bases.push(total);
+            total += neuron_count(&shapes[a], granularity);
+        }
+        Self { activations: activations.to_vec(), bases, total, granularity }
+    }
+
+    /// Number of tracked neurons.
+    pub(crate) fn total(&self) -> usize {
+        self.total
+    }
+
+    /// Translates a flat neuron offset back to a [`NeuronId`].
+    pub(crate) fn id_of(&self, flat: usize) -> NeuronId {
+        let slot = match self.bases.binary_search(&flat) {
+            Ok(s) => s,
+            Err(s) => s - 1,
+        };
+        NeuronId { activation: self.activations[slot], index: flat - self.bases[slot] }
+    }
+
+    /// The inverse of [`Layout::id_of`]: the flat offset of a [`NeuronId`],
+    /// or `None` when it names no tracked neuron.
+    pub(crate) fn flat_of(&self, id: NeuronId) -> Option<usize> {
+        let slot = self.activations.iter().position(|&a| a == id.activation)?;
+        Some(self.bases[slot] + id.index).filter(|&flat| flat < self.total)
+    }
+
+    /// Calls `f(flat offset, value)` for every tracked neuron of one
+    /// (batch-size-1) pass, in flat order — the one walk every rule's
+    /// update, the nearest pick and profiling share.
+    pub(crate) fn walk(
+        &self,
+        pass: &ForwardPass,
+        scale_per_layer: bool,
+        mut f: impl FnMut(usize, f32),
+    ) {
+        for (&a, &base) in self.activations.iter().zip(&self.bases) {
+            let values = neuron_values(pass, a, self.granularity, scale_per_layer);
+            for (j, &v) in values.iter().enumerate() {
+                f(base + j, v);
+            }
+        }
     }
 }
 

@@ -8,13 +8,13 @@ use dx_nn::network::Network;
 use dx_nn::util::batch_of_one;
 use dx_tensor::Tensor;
 
-use crate::tracker::{CoverageConfig, CoverageTracker};
+use crate::signal::CoverageSignal;
+use crate::tracker::CoverageConfig;
 
 /// The activated-neuron set (flat offsets) of a single un-batched sample.
 pub fn activated_set(net: &Network, cfg: CoverageConfig, sample: &Tensor) -> Vec<usize> {
-    let tracker = CoverageTracker::for_network(net, cfg);
     let pass = net.forward(&batch_of_one(sample));
-    let mut set = tracker.activated_by(&pass);
+    let mut set = CoverageSignal::neuron(net, cfg).activated_by(&pass);
     set.sort_unstable();
     set
 }

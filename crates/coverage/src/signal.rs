@@ -5,18 +5,17 @@
 //! fold a forward pass in, report progress, union state across workers,
 //! ship sparse deltas over the wire, and pick a target for the obj2
 //! gradient term. [`CoverageSignal`] is that interface over the metrics
-//! this workspace implements — the paper's binary neuron coverage
-//! ([`CoverageTracker`]), DeepGauge's k-multisection refinement
-//! ([`MultisectionTracker`]) and its boundary/corner complement
-//! ([`BoundaryTracker`]) — so every engine layer is written once against
-//! the signal, not a concrete tracker type.
+//! this workspace implements — the paper's binary neuron coverage,
+//! DeepGauge's k-multisection refinement ([`crate::multisection`]) and its
+//! boundary/corner complement ([`crate::boundary`]) — so every engine
+//! layer is written once against the signal.
 //!
 //! Metrics also **compose**: a [`MetricSpec`] like `multisection:4+boundary`
-//! builds one [`CoverageSignal::Composite`] per model whose flat unit
-//! space is the concatenation of its components' spaces (component-major),
-//! so the same sparse-index deltas, bitmap checkpoints and union merges
-//! flow through unchanged while the campaign steers by the union of
-//! several signals at once.
+//! builds one signal per model whose flat unit space is the concatenation
+//! of its components' spaces (component-major), so the same sparse-index
+//! deltas, bitmap checkpoints and union merges flow through unchanged
+//! while the campaign steers by the union of several signals at once. A
+//! simple metric is just a one-component list.
 //!
 //! [`SignalSpec`] is the serializable-ish recipe (metric spec, coverage
 //! config, and — for profile-based metrics — the per-model training-set
@@ -25,10 +24,9 @@
 use dx_nn::network::{ForwardPass, Network};
 use dx_tensor::rng::Rng;
 
-use crate::boundary::BoundaryTracker;
-use crate::multisection::{MultisectionTracker, NeuronProfile};
-use crate::neuron::{Granularity, NeuronId};
-use crate::tracker::{CoverageConfig, CoverageTracker};
+use crate::neuron::{Granularity, Layout, NeuronId};
+use crate::profile::NeuronProfile;
+use crate::tracker::{fraction, Component, CoverageConfig, Rule};
 
 /// One atomic coverage metric a campaign can steer by.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -92,8 +90,8 @@ impl std::str::FromStr for MetricKind {
 /// A coverage metric specification: one or more [`MetricKind`] components
 /// joined with `+`, e.g. `neuron`, `multisection:8+boundary`. A
 /// single-component spec behaves exactly like the bare metric; a
-/// multi-component spec builds [`CoverageSignal::Composite`] signals that
-/// steer by the union of their components.
+/// multi-component spec builds signals that steer by the union of their
+/// components.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricSpec {
     /// The component metrics, in declaration order (which fixes the
@@ -214,21 +212,6 @@ impl SignalSpec {
         Self { config, metric, profiles }
     }
 
-    /// Builds one component signal for one model.
-    fn build_component(&self, kind: MetricKind, model: &Network, index: usize) -> CoverageSignal {
-        match kind {
-            MetricKind::Neuron => {
-                CoverageSignal::Neuron(CoverageTracker::for_network(model, self.config))
-            }
-            MetricKind::Multisection { k } => CoverageSignal::Multisection(
-                MultisectionTracker::new(self.profiles[index].clone(), k),
-            ),
-            MetricKind::Boundary => {
-                CoverageSignal::Boundary(BoundaryTracker::new(self.profiles[index].clone()))
-            }
-        }
-    }
-
     /// Builds one signal per model.
     ///
     /// # Panics
@@ -237,7 +220,8 @@ impl SignalSpec {
     /// the model count, or a profile is unprimed. For an empty spec.
     pub fn build(&self, models: &[Network]) -> Vec<CoverageSignal> {
         assert!(!self.metric.is_empty(), "metric spec needs at least one component");
-        if self.metric.needs_profiles() {
+        let profiled = self.metric.needs_profiles();
+        if profiled {
             assert_eq!(
                 self.profiles.len(),
                 models.len(),
@@ -248,17 +232,9 @@ impl SignalSpec {
             .iter()
             .enumerate()
             .map(|(i, m)| {
-                let mut components: Vec<CoverageSignal> = self
-                    .metric
-                    .components
-                    .iter()
-                    .map(|&kind| self.build_component(kind, m, i))
-                    .collect();
-                if components.len() == 1 {
-                    components.remove(0)
-                } else {
-                    CoverageSignal::Composite(components)
-                }
+                let activations = m.coverage_activation_indices();
+                let profile = profiled.then(|| self.profiles[i].clone());
+                CoverageSignal::new(m, &activations, &self.metric.components, self.config, profile)
             })
             .collect()
     }
@@ -286,156 +262,144 @@ impl SignalSpec {
     }
 }
 
-/// One model's coverage state under a campaign's chosen metric spec.
+/// One model's coverage state under a campaign's chosen metric spec: one
+/// hit-set per component metric, plus the training-set profile every
+/// profile-based component is cut from (held once, however many share it).
 ///
-/// Every method panics on mixed-metric operations (merging a neuron
-/// signal into a multisection one), exactly as the underlying trackers
-/// panic on incompatible shapes — metric agreement is established once at
-/// admission/construction time, not re-negotiated per call.
+/// The flat unit space concatenates the components' spaces in declaration
+/// order: component `c`'s unit `u` lives at flat offset
+/// `Σ_{c' < c} total(c') + u`. Sparse deltas, masks and covered indices all
+/// use this combined space, so wire and checkpoint handling is identical
+/// for simple (one-component) and composite signals.
 ///
-/// A [`CoverageSignal::Composite`] concatenates its components' flat unit
-/// spaces in component order: component `c`'s unit `u` lives at flat
-/// offset `Σ_{c' < c} total(c') + u`. Sparse deltas, masks and covered
-/// indices all use this combined space, so wire and checkpoint handling
-/// is identical for simple and composite signals.
+/// Binary operations panic on signals of different metrics, networks or
+/// profiles — agreement is established once at admission/construction
+/// time, not re-negotiated per call.
 #[derive(Clone, Debug)]
-pub enum CoverageSignal {
-    /// Binary neuron coverage.
-    Neuron(CoverageTracker),
-    /// k-multisection coverage.
-    Multisection(MultisectionTracker),
-    /// Boundary/corner coverage.
-    Boundary(BoundaryTracker),
-    /// The union of several component signals (never nested; built by
-    /// [`SignalSpec::build`] for multi-component specs).
-    Composite(Vec<CoverageSignal>),
+pub struct CoverageSignal {
+    components: Vec<Component>,
+    profile: Option<NeuronProfile>,
 }
 
 impl CoverageSignal {
-    /// The metric spec this signal implements.
-    pub fn metric(&self) -> MetricSpec {
-        match self {
-            CoverageSignal::Composite(cs) => {
-                MetricSpec { components: cs.iter().map(CoverageSignal::component_kind).collect() }
-            }
-            other => MetricSpec::single(other.component_kind()),
-        }
+    /// The paper's neuron-coverage signal over the network's default
+    /// coverage layers (post-activation outputs; see
+    /// `Network::coverage_activation_indices`).
+    pub fn neuron(net: &Network, config: CoverageConfig) -> Self {
+        Self::neuron_over(net, &net.coverage_activation_indices(), config)
     }
 
-    /// The atomic metric of a non-composite signal.
+    /// [`CoverageSignal::neuron`] over an explicit set of activation
+    /// indices — Table 8 uses this to exclude dense layers, whose neurons
+    /// are very hard to activate.
     ///
     /// # Panics
     ///
-    /// Panics on a composite (components are never nested).
-    fn component_kind(&self) -> MetricKind {
-        match self {
-            CoverageSignal::Neuron(_) => MetricKind::Neuron,
-            CoverageSignal::Multisection(t) => MetricKind::Multisection { k: t.k() },
-            CoverageSignal::Boundary(_) => MetricKind::Boundary,
-            CoverageSignal::Composite(_) => unreachable!("composite signals are never nested"),
-        }
+    /// Panics if an index is out of range or the list is unsorted or empty.
+    pub fn neuron_over(net: &Network, activations: &[usize], config: CoverageConfig) -> Self {
+        Self::new(net, activations, &[MetricKind::Neuron], config, None)
     }
 
-    /// The component signals: the signal itself for simple metrics, the
-    /// component list for composites.
-    pub fn components(&self) -> &[CoverageSignal] {
-        match self {
-            CoverageSignal::Composite(cs) => cs,
-            other => std::slice::from_ref(other),
+    /// One component per metric in `kinds`: profile-based ones laid out by
+    /// (and cut from) `profile`, the rest over `activations`.
+    fn new(
+        net: &Network,
+        activations: &[usize],
+        kinds: &[MetricKind],
+        config: CoverageConfig,
+        profile: Option<NeuronProfile>,
+    ) -> Self {
+        if let Some(p) = &profile {
+            assert!(p.is_primed(), "profile must observe training inputs first");
         }
+        let components = kinds
+            .iter()
+            .map(|&kind| {
+                let layout = match profile.as_ref().filter(|_| kind.needs_profile()) {
+                    Some(p) => p.layout().clone(),
+                    None => Layout::new(net, activations, config.granularity),
+                };
+                Component::new(layout, Rule::of(kind, config), profile.as_ref())
+            })
+            .collect();
+        Self { components, profile }
+    }
+
+    /// Concatenates what `units` lists for each component (given its
+    /// position) into the combined flat space.
+    fn flat_units<'s, I: Iterator<Item = usize>>(
+        &'s self,
+        units: impl Fn(usize, &'s Component) -> I,
+    ) -> Vec<usize> {
+        let (mut out, mut offset) = (Vec::new(), 0);
+        for (i, c) in self.components.iter().enumerate() {
+            out.extend(units(i, c).map(|u| u + offset));
+            offset += c.total();
+        }
+        out
+    }
+
+    /// The metric spec this signal implements.
+    pub fn metric(&self) -> MetricSpec {
+        MetricSpec { components: self.components.iter().map(Component::kind).collect() }
     }
 
     /// Number of component metrics (1 for simple signals).
     pub fn n_components(&self) -> usize {
-        self.components().len()
+        self.components.len()
     }
 
     /// The neuron granularity the signal tracks at.
     pub fn granularity(&self) -> Granularity {
-        match self {
-            CoverageSignal::Neuron(t) => t.config().granularity,
-            CoverageSignal::Multisection(t) => t.profile().granularity(),
-            CoverageSignal::Boundary(t) => t.profile().granularity(),
-            CoverageSignal::Composite(cs) => cs[0].granularity(),
-        }
+        self.components[0].granularity()
     }
 
     /// Total tracked units — the flat index bound for
-    /// [`CoverageSignal::apply_covered_indices`]. For composites, the sum
-    /// of the components' totals.
+    /// [`CoverageSignal::apply_covered_indices`]: the sum of the
+    /// components' totals.
     pub fn total(&self) -> usize {
-        match self {
-            CoverageSignal::Neuron(t) => t.total(),
-            CoverageSignal::Multisection(t) => t.total(),
-            CoverageSignal::Boundary(t) => t.total(),
-            CoverageSignal::Composite(cs) => cs.iter().map(CoverageSignal::total).sum(),
-        }
+        self.components.iter().map(Component::total).sum()
     }
 
     /// Units that can actually be covered — the coverage denominator
     /// (equals [`CoverageSignal::total`] for the neuron metric; excludes
     /// constant/unprofiled neurons' units for profile-based metrics).
     pub fn coverable_total(&self) -> usize {
-        match self {
-            CoverageSignal::Neuron(t) => t.total(),
-            CoverageSignal::Multisection(t) => t.coverable_units(),
-            CoverageSignal::Boundary(t) => t.coverable_units(),
-            CoverageSignal::Composite(cs) => cs.iter().map(CoverageSignal::coverable_total).sum(),
-        }
+        self.components.iter().map(Component::coverable_units).sum()
     }
 
     /// Units covered so far.
     pub fn covered_count(&self) -> usize {
-        match self {
-            CoverageSignal::Neuron(t) => t.covered_count(),
-            CoverageSignal::Multisection(t) => t.covered_count(),
-            CoverageSignal::Boundary(t) => t.covered_count(),
-            CoverageSignal::Composite(cs) => cs.iter().map(CoverageSignal::covered_count).sum(),
-        }
+        self.components.iter().map(Component::covered_count).sum()
     }
 
-    /// Coverage in `[0, 1]` (fraction of coverable units; for composites,
-    /// pooled over all components' coverable units).
+    /// Coverage in `[0, 1]`: the fraction of coverable units covered,
+    /// pooled over all components.
     pub fn coverage(&self) -> f32 {
-        match self {
-            CoverageSignal::Neuron(t) => t.coverage(),
-            CoverageSignal::Multisection(t) => t.coverage(),
-            CoverageSignal::Boundary(t) => t.coverage(),
-            CoverageSignal::Composite(_) => {
-                let coverable = self.coverable_total();
-                if coverable == 0 {
-                    0.0
-                } else {
-                    self.covered_count() as f32 / coverable as f32
-                }
-            }
-        }
+        fraction(self.covered_count(), self.coverable_total())
     }
 
     /// Per-component coverage, in component order (one entry for simple
     /// signals).
     pub fn coverage_by_component(&self) -> Vec<f32> {
-        self.components().iter().map(CoverageSignal::coverage).collect()
+        self.components.iter().map(Component::coverage).collect()
     }
 
     /// Whether every coverable unit is covered.
     pub fn is_full(&self) -> bool {
-        match self {
-            CoverageSignal::Neuron(t) => t.is_full(),
-            CoverageSignal::Multisection(t) => t.is_full(),
-            CoverageSignal::Boundary(t) => t.is_full(),
-            CoverageSignal::Composite(cs) => cs.iter().all(CoverageSignal::is_full),
-        }
+        self.components.iter().all(Component::is_full)
+    }
+
+    /// Units (flat offsets) a single batch-size-1 pass hits, without
+    /// updating the signal.
+    pub fn activated_by(&self, pass: &ForwardPass) -> Vec<usize> {
+        self.flat_units(|_, c| c.activated_by(pass, self.profile.as_ref()).into_iter())
     }
 
     /// Folds one (batch-size-1) pass in; returns newly covered units.
     pub fn update(&mut self, pass: &ForwardPass) -> usize {
-        match self {
-            CoverageSignal::Neuron(t) => t.update(pass),
-            CoverageSignal::Multisection(t) => t.update(pass),
-            CoverageSignal::Boundary(t) => t.update(pass),
-            CoverageSignal::Composite(cs) => cs.iter_mut().map(|c| c.update(pass)).sum(),
-        }
+        let profile = self.profile.as_ref();
+        self.components.iter_mut().map(|c| c.update(pass, profile)).sum()
     }
 
     /// [`CoverageSignal::update`], additionally accumulating each
@@ -448,319 +412,225 @@ impl CoverageSignal {
     /// Panics when `per_component` has the wrong length.
     pub fn update_accum(&mut self, pass: &ForwardPass, per_component: &mut [usize]) -> usize {
         assert_eq!(per_component.len(), self.n_components(), "one counter per component");
-        match self {
-            CoverageSignal::Composite(cs) => {
-                let mut total = 0;
-                for (c, acc) in cs.iter_mut().zip(per_component) {
-                    let n = c.update(pass);
-                    *acc += n;
-                    total += n;
-                }
-                total
-            }
-            simple => {
-                let n = simple.update(pass);
-                per_component[0] += n;
-                n
-            }
+        let profile = self.profile.as_ref();
+        let mut total = 0;
+        for (c, acc) in self.components.iter_mut().zip(per_component) {
+            let n = c.update(pass, profile);
+            *acc += n;
+            total += n;
         }
+        total
     }
 
     /// Whether `other` tracks the same units under the same metric spec —
     /// the precondition for [`CoverageSignal::merge`].
     pub fn compatible(&self, other: &CoverageSignal) -> bool {
-        match (self, other) {
-            (CoverageSignal::Neuron(a), CoverageSignal::Neuron(b)) => a.compatible(b),
-            (CoverageSignal::Multisection(a), CoverageSignal::Multisection(b)) => a.compatible(b),
-            (CoverageSignal::Boundary(a), CoverageSignal::Boundary(b)) => a.compatible(b),
-            (CoverageSignal::Composite(a), CoverageSignal::Composite(b)) => {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.compatible(y))
+        self.components.len() == other.components.len()
+            && self.components.iter().zip(&other.components).all(|(x, y)| x.compatible(y))
+            && match (&self.profile, &other.profile) {
+                (Some(p), Some(q)) => p.same_ranges(q),
+                (None, None) => true,
+                _ => false,
             }
-            _ => false,
-        }
+    }
+
+    /// The one precondition check behind every binary operation.
+    fn assert_compatible(&self, other: &CoverageSignal, verb: &str) {
+        assert!(
+            self.compatible(other),
+            "cannot {verb} coverage signals of different metrics, profiles or over different \
+             neuron sets ({} `{}` vs {} `{}` units)",
+            self.total(),
+            self.metric(),
+            other.total(),
+            other.metric()
+        );
     }
 
     /// Unions another signal's covered set into this one; returns newly
-    /// covered units. Commutative, idempotent and monotone.
+    /// covered units.
+    ///
+    /// Merging is the campaign engine's synchronization primitive: each
+    /// worker accumulates coverage on a private clone and periodically folds
+    /// it into a shared global signal. The operation is commutative,
+    /// idempotent and monotone in the covered count.
     ///
     /// # Panics
     ///
     /// Panics when the signals are not [`CoverageSignal::compatible`]
-    /// (different metrics, networks, or profiles).
+    /// (different metrics, networks, tracked-activation sets or profiles).
     pub fn merge(&mut self, other: &CoverageSignal) -> usize {
-        match (self, other) {
-            (CoverageSignal::Neuron(a), CoverageSignal::Neuron(b)) => a.merge(b),
-            (CoverageSignal::Multisection(a), CoverageSignal::Multisection(b)) => a.merge(b),
-            (CoverageSignal::Boundary(a), CoverageSignal::Boundary(b)) => a.merge(b),
-            (CoverageSignal::Composite(a), CoverageSignal::Composite(b)) if a.len() == b.len() => {
-                a.iter_mut().zip(b).map(|(x, y)| x.merge(y)).sum()
-            }
-            _ => panic!("cannot merge coverage signals of different metrics"),
-        }
+        self.assert_compatible(other, "merge");
+        self.components.iter_mut().zip(&other.components).map(|(x, y)| x.merge(y)).sum()
     }
 
     /// The covered mask, one flag per unit, in the combined flat space —
-    /// for checkpointing. Owned because a composite's mask is the
-    /// concatenation of its components'.
+    /// for checkpointing. Restore with [`CoverageSignal::set_covered_mask`].
     pub fn covered_mask(&self) -> Vec<bool> {
-        match self {
-            CoverageSignal::Neuron(t) => t.covered_mask().to_vec(),
-            CoverageSignal::Multisection(t) => t.covered_mask().to_vec(),
-            CoverageSignal::Boundary(t) => t.covered_mask().to_vec(),
-            CoverageSignal::Composite(cs) => {
-                cs.iter().flat_map(CoverageSignal::covered_mask).collect()
-            }
+        let mut mask = Vec::with_capacity(self.total());
+        for c in &self.components {
+            mask.extend_from_slice(c.covered_mask());
         }
+        mask
     }
 
-    /// Replaces the covered set with a previously exported mask.
+    /// Replaces the covered set with a previously exported mask. Mask bits
+    /// on uncoverable units are dropped, keeping coverage within `[0, 1]`.
     ///
     /// # Panics
     ///
     /// Panics when `mask` has the wrong length.
     pub fn set_covered_mask(&mut self, mask: &[bool]) {
-        match self {
-            CoverageSignal::Neuron(t) => t.set_covered_mask(mask),
-            CoverageSignal::Multisection(t) => t.set_covered_mask(mask),
-            CoverageSignal::Boundary(t) => t.set_covered_mask(mask),
-            CoverageSignal::Composite(cs) => {
-                assert_eq!(
-                    mask.len(),
-                    cs.iter().map(CoverageSignal::total).sum::<usize>(),
-                    "composite coverage mask length mismatch"
-                );
-                let mut offset = 0;
-                for c in cs {
-                    let n = c.total();
-                    c.set_covered_mask(&mask[offset..offset + n]);
-                    offset += n;
-                }
-            }
+        assert_eq!(mask.len(), self.total(), "coverage mask length mismatch");
+        let mut offset = 0;
+        for c in &mut self.components {
+            let n = c.total();
+            c.set_covered_mask(&mask[offset..offset + n]);
+            offset += n;
         }
     }
 
-    /// Flat offsets of all covered units, ascending (component-offset for
-    /// composites).
+    /// Flat offsets of all covered units, ascending.
     pub fn covered_indices(&self) -> Vec<usize> {
-        match self {
-            CoverageSignal::Neuron(t) => t.covered_indices(),
-            CoverageSignal::Multisection(t) => t.covered_indices(),
-            CoverageSignal::Boundary(t) => t.covered_indices(),
-            CoverageSignal::Composite(cs) => {
-                let mut out = Vec::new();
-                let mut offset = 0;
-                for c in cs {
-                    out.extend(c.covered_indices().into_iter().map(|i| i + offset));
-                    offset += c.total();
-                }
-                out
-            }
-        }
+        self.flat_units(|_, c| c.covered_indices())
     }
 
-    /// Offsets covered here but not in `base` — the sparse per-metric
-    /// delta the distributed campaign ships over the wire. Composite
-    /// deltas are component-prefixed: each component's indices are shifted
-    /// by the preceding components' totals, so one flat index list carries
-    /// every component's news.
+    /// Offsets covered here but not in `base` — the sparse delta the
+    /// distributed campaign ships over the wire instead of full bitmaps.
+    /// Each component's indices are shifted by the preceding components'
+    /// totals, so one flat index list carries every component's news.
+    /// Applying the result to `base` via
+    /// [`CoverageSignal::apply_covered_indices`] makes `base`'s covered set
+    /// a superset of this signal's.
     ///
     /// # Panics
     ///
     /// Panics when the signals are not [`CoverageSignal::compatible`].
     pub fn diff_indices(&self, base: &CoverageSignal) -> Vec<usize> {
-        match (self, base) {
-            (CoverageSignal::Neuron(a), CoverageSignal::Neuron(b)) => a.diff_indices(b),
-            (CoverageSignal::Multisection(a), CoverageSignal::Multisection(b)) => a.diff_indices(b),
-            (CoverageSignal::Boundary(a), CoverageSignal::Boundary(b)) => a.diff_indices(b),
-            (CoverageSignal::Composite(a), CoverageSignal::Composite(b)) if a.len() == b.len() => {
-                let mut out = Vec::new();
-                let mut offset = 0;
-                for (x, y) in a.iter().zip(b) {
-                    out.extend(x.diff_indices(y).into_iter().map(|i| i + offset));
-                    offset += x.total();
-                }
-                out
-            }
-            _ => panic!("cannot diff coverage signals of different metrics"),
-        }
+        self.assert_compatible(base, "diff");
+        self.flat_units(|i, c| c.diff_indices(&base.components[i]))
     }
 
     /// Marks the given offsets covered; returns newly covered units. The
-    /// inverse of [`CoverageSignal::diff_indices`].
+    /// inverse of [`CoverageSignal::diff_indices`]. Offsets of uncoverable
+    /// neurons are ignored.
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range offset; wire handlers must validate
     /// indices against [`CoverageSignal::total`] before applying.
     pub fn apply_covered_indices(&mut self, indices: &[usize]) -> usize {
-        match self {
-            CoverageSignal::Neuron(t) => t.apply_covered_indices(indices),
-            CoverageSignal::Multisection(t) => t.apply_covered_indices(indices),
-            CoverageSignal::Boundary(t) => t.apply_covered_indices(indices),
-            CoverageSignal::Composite(cs) => {
-                // Route each flat offset to its component. Deltas are
-                // usually short; per-index routing beats materializing
-                // per-component sublists.
-                let bounds: Vec<usize> = cs
-                    .iter()
-                    .scan(0usize, |acc, c| {
-                        *acc += c.total();
-                        Some(*acc)
-                    })
-                    .collect();
-                let total = *bounds.last().expect("composite has components");
-                let mut newly = 0;
-                for &i in indices {
-                    assert!(i < total, "covered index {i} out of range {total}");
-                    let comp = bounds.partition_point(|&b| b <= i);
-                    let start = if comp == 0 { 0 } else { bounds[comp - 1] };
-                    newly += cs[comp].apply_covered_indices(&[i - start]);
+        let total = self.total();
+        let mut newly = 0;
+        for &i in indices {
+            assert!(i < total, "covered index {i} out of range {total}");
+            // Route the flat offset to its component. Deltas are usually
+            // short; per-index routing beats materializing per-component
+            // sublists.
+            let mut unit = i;
+            for c in &mut self.components {
+                if unit < c.total() {
+                    newly += usize::from(c.apply_covered_index(unit));
+                    break;
                 }
-                newly
+                unit -= c.total();
             }
         }
+        newly
     }
 
     /// Replaces this signal's covered set with `other`'s.
+    ///
+    /// Used by campaign workers to adopt the freshly-merged global union so
+    /// they stop chasing units another worker already covered.
     ///
     /// # Panics
     ///
     /// Panics when the signals are not [`CoverageSignal::compatible`].
     pub fn copy_covered_from(&mut self, other: &CoverageSignal) {
-        match (self, other) {
-            (CoverageSignal::Neuron(a), CoverageSignal::Neuron(b)) => a.copy_covered_from(b),
-            (CoverageSignal::Multisection(a), CoverageSignal::Multisection(b)) => {
-                a.copy_covered_from(b)
-            }
-            (CoverageSignal::Boundary(a), CoverageSignal::Boundary(b)) => a.copy_covered_from(b),
-            (CoverageSignal::Composite(a), CoverageSignal::Composite(b)) if a.len() == b.len() => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    x.copy_covered_from(y);
-                }
-            }
-            _ => panic!("cannot copy coverage between signals of different metrics"),
+        self.assert_compatible(other, "copy coverage between");
+        for (x, y) in self.components.iter_mut().zip(&other.components) {
+            x.copy_covered_from(y);
         }
     }
 
     /// Resets the covered set.
     pub fn reset(&mut self) {
-        match self {
-            CoverageSignal::Neuron(t) => t.reset(),
-            CoverageSignal::Multisection(t) => t.reset(),
-            CoverageSignal::Boundary(t) => t.reset(),
-            CoverageSignal::Composite(cs) => cs.iter_mut().for_each(CoverageSignal::reset),
-        }
+        self.components.iter_mut().for_each(Component::reset);
     }
 
-    /// Whether the obj2 term can still make progress on `id` under this
-    /// signal: uncovered (neuron metric), unhit sections (multisection),
-    /// or an unhit corner (boundary). Composites want a neuron when any
-    /// component does.
+    /// Whether the obj2 term can still make progress on `id` under any
+    /// component: uncovered (neuron metric), unhit sections (multisection),
+    /// or an unhit corner (boundary).
     pub fn wants(&self, id: NeuronId) -> bool {
-        match self {
-            CoverageSignal::Neuron(t) => t.is_uncovered(id),
-            CoverageSignal::Multisection(t) => t.neuron_incomplete(id),
-            CoverageSignal::Boundary(t) => t.neuron_incomplete(id),
-            CoverageSignal::Composite(cs) => cs.iter().any(|c| c.wants(id)),
-        }
+        self.components.iter().any(|c| c.wants(id))
     }
 
-    /// Picks up to `k` distinct obj2 target neurons: uncovered neurons
-    /// under the neuron metric, neurons with unhit range sections under
-    /// multisection, neurons with unhit corners under boundary. A
-    /// composite interleaves its components' picks (first pick of each
-    /// component, then second picks, …) and dedups, so no component
-    /// starves while another still has work.
+    /// Every neuron a component can still make progress on, component by
+    /// component in flat order (a neuron two components both want appears
+    /// once per component) — under the neuron metric, the uncovered neurons.
+    pub fn uncovered(&self) -> Vec<NeuronId> {
+        self.components.iter().flat_map(Component::uncovered).collect()
+    }
+
+    /// Picks up to `k` distinct obj2 target neurons (Algorithm 1 line 33;
+    /// `k > 1` is §4.2's joint maximization): uncovered neurons under the
+    /// neuron metric, neurons with unhit range sections under
+    /// multisection, neurons with unhit corners under boundary. Each
+    /// component draws its own up-to-`k` picks from `r` in declaration
+    /// order; the lists are then interleaved (first pick of each
+    /// component, then second picks, …) and deduped, so no component
+    /// starves while another still has work. Pair each pick with
+    /// [`CoverageSignal::target_direction`].
     pub fn pick_uncovered_k(&self, r: &mut Rng, k: usize) -> Vec<NeuronId> {
-        match self {
-            CoverageSignal::Neuron(t) => t.pick_uncovered_k(r, k),
-            CoverageSignal::Multisection(t) => t.pick_incomplete_k(r, k),
-            CoverageSignal::Boundary(t) => t.pick_incomplete_k(r, k),
-            CoverageSignal::Composite(cs) => {
-                let per: Vec<Vec<NeuronId>> = cs.iter().map(|c| c.pick_uncovered_k(r, k)).collect();
-                let mut out = Vec::with_capacity(k);
-                let deepest = per.iter().map(Vec::len).max().unwrap_or(0);
-                'fill: for i in 0..deepest {
-                    for picks in &per {
-                        if let Some(&id) = picks.get(i) {
-                            if !out.contains(&id) {
-                                out.push(id);
-                                if out.len() == k {
-                                    break 'fill;
-                                }
-                            }
+        if let [only] = self.components.as_slice() {
+            return only.pick_k(r, k); // One list: nothing to interleave.
+        }
+        let per: Vec<Vec<NeuronId>> = self.components.iter().map(|c| c.pick_k(r, k)).collect();
+        let mut out = Vec::with_capacity(k);
+        let deepest = per.iter().map(Vec::len).max().unwrap_or(0);
+        'fill: for i in 0..deepest {
+            for picks in &per {
+                if let Some(&id) = picks.get(i) {
+                    if !out.contains(&id) {
+                        out.push(id);
+                        if out.len() == k {
+                            break 'fill;
                         }
                     }
                 }
-                out
             }
         }
+        out
     }
 
     /// Picks the obj2 target nearest to progress in `pass` (highest
-    /// current value among still-improvable neurons). A composite asks its
-    /// components in declaration order and takes the first answer, so
-    /// earlier components saturate before later ones start steering.
+    /// current value among still-improvable neurons). Components are asked
+    /// in declaration order and the first answer wins, so earlier
+    /// components saturate before later ones start steering.
     pub fn pick_uncovered_nearest(&self, pass: &ForwardPass) -> Option<NeuronId> {
-        match self {
-            CoverageSignal::Neuron(t) => t.pick_uncovered_nearest(pass),
-            CoverageSignal::Multisection(t) => t.pick_incomplete_nearest(pass),
-            CoverageSignal::Boundary(t) => t.pick_incomplete_nearest(pass),
-            CoverageSignal::Composite(cs) => cs.iter().find_map(|c| c.pick_uncovered_nearest(pass)),
-        }
+        self.components.iter().find_map(|c| c.pick_nearest(pass))
     }
 
     /// Which way the obj2 gradient term should push `id`'s activation:
     /// always up (`1.0`) under the neuron metric; toward the nearest
     /// unhit range section under multisection; past the nearest unhit
-    /// range edge under boundary. A composite delegates to its first
-    /// component that still [`CoverageSignal::wants`] the neuron (matching
-    /// how composite picks interleave), falling back to `1.0`.
+    /// range edge under boundary. The first component that still
+    /// [`CoverageSignal::wants`] the neuron decides (matching how picks
+    /// interleave); `1.0` when none does, and for a neuron whose current
+    /// value is NaN or ±inf.
     pub fn target_direction(&self, id: NeuronId, pass: &ForwardPass) -> f32 {
-        match self {
-            CoverageSignal::Neuron(_) => 1.0,
-            CoverageSignal::Multisection(t) => t.target_direction(id, pass),
-            CoverageSignal::Boundary(t) => t.target_direction(id, pass),
-            CoverageSignal::Composite(cs) => {
-                cs.iter().find(|c| c.wants(id)).map(|c| c.target_direction(id, pass)).unwrap_or(1.0)
-            }
-        }
+        let profile = self.profile.as_ref();
+        self.components
+            .iter()
+            .find(|c| c.wants(id))
+            .map_or(1.0, |c| c.target_direction(id, pass, profile))
     }
 
-    /// The shared neuron profile of a profile-based signal (`None` for the
-    /// pure neuron metric). All profile-based components of one model's
-    /// composite are cut from the same profile, so the first is canonical.
+    /// The neuron profile every profile-based component is cut from
+    /// (`None` for the pure neuron metric).
     pub fn profile(&self) -> Option<&NeuronProfile> {
-        match self {
-            CoverageSignal::Neuron(_) => None,
-            CoverageSignal::Multisection(t) => Some(t.profile()),
-            CoverageSignal::Boundary(t) => Some(t.profile()),
-            CoverageSignal::Composite(cs) => cs.iter().find_map(CoverageSignal::profile),
-        }
-    }
-
-    /// The underlying neuron tracker, when this is the neuron metric.
-    pub fn as_neuron(&self) -> Option<&CoverageTracker> {
-        match self {
-            CoverageSignal::Neuron(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The underlying multisection tracker, when this is that metric.
-    pub fn as_multisection(&self) -> Option<&MultisectionTracker> {
-        match self {
-            CoverageSignal::Multisection(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The underlying boundary tracker, when this is that metric.
-    pub fn as_boundary(&self) -> Option<&BoundaryTracker> {
-        match self {
-            CoverageSignal::Boundary(t) => Some(t),
-            _ => None,
-        }
+        self.profile.as_ref()
     }
 }
 
@@ -770,6 +640,21 @@ pub fn mean_coverage(signals: &[CoverageSignal]) -> f32 {
         return 0.0;
     }
     signals.iter().map(CoverageSignal::coverage).sum::<f32>() / signals.len() as f32
+}
+
+/// Restores checkpointed per-model masks into `signals` when they fit (one
+/// mask per signal, each [`CoverageSignal::total`] long); returns whether
+/// they did. Masks that do not fit — an older checkpoint, or a changed
+/// coverage config — leave the signals untouched for the caller's fallback.
+pub fn restore_masks(signals: &mut [CoverageSignal], masks: &[Vec<bool>]) -> bool {
+    let fit = masks.len() == signals.len()
+        && masks.iter().zip(signals.iter()).all(|(m, s)| m.len() == s.total());
+    if fit {
+        for (s, mask) in signals.iter_mut().zip(masks) {
+            s.set_covered_mask(mask);
+        }
+    }
+    fit
 }
 
 /// Mean coverage per component across a set of per-model signals (the
@@ -790,10 +675,10 @@ pub fn mean_component_coverage(signals: &[CoverageSignal]) -> Vec<f32> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dx_nn::layer::Layer;
-    use dx_tensor::rng;
+    use dx_tensor::{rng, Tensor};
 
     fn net(seed: u64) -> Network {
         let mut n = Network::new(
@@ -806,6 +691,237 @@ mod tests {
 
     fn ms_spec(k: usize) -> MetricSpec {
         MetricKind::Multisection { k }.into()
+    }
+
+    // Fixtures and laws shared with the per-metric test modules
+    // (`tracker`, `multisection`, `boundary`): each law is written once
+    // and takes the metric spec as an input.
+
+    /// The 6-input MLP the profile-rule tests run on.
+    pub(crate) fn mlp(seed: u64) -> Network {
+        let mut n = Network::new(
+            &[6],
+            vec![Layer::dense(6, 10), Layer::tanh(), Layer::dense(10, 3), Layer::softmax()],
+        );
+        n.init_weights(&mut rng::rng(seed));
+        n
+    }
+
+    /// A unit-granularity profile of `n` over `inputs` uniform rows in
+    /// `[lo, hi)`.
+    pub(crate) fn primed_profile(
+        n: &Network,
+        inputs: usize,
+        seed: u64,
+        lo: f32,
+        hi: f32,
+    ) -> NeuronProfile {
+        let mut profile = NeuronProfile::new(n, Granularity::Unit);
+        let mut r = rng::rng(seed);
+        for _ in 0..inputs {
+            let x = rng::uniform(&mut r, &[1, 6], lo, hi);
+            profile.observe(&n.forward(&x));
+        }
+        profile
+    }
+
+    /// One signal for `spec` over `n`, cut from `profile`.
+    pub(crate) fn signal_over(n: &Network, spec: &str, profile: NeuronProfile) -> CoverageSignal {
+        let config = CoverageConfig { granularity: Granularity::Unit, ..Default::default() };
+        SignalSpec::of(config, spec.parse().expect("metric spec"), vec![profile])
+            .build(std::slice::from_ref(n))
+            .remove(0)
+    }
+
+    /// The `i`-th tracked neuron of `n` in flat order.
+    pub(crate) fn neuron(n: &Network, i: usize) -> NeuronId {
+        Layout::new(n, &n.coverage_activation_indices(), Granularity::Unit).id_of(i)
+    }
+
+    /// Merge and sparse-delta sync of two independently fed compatible
+    /// signals reach the same union, idempotently.
+    pub(crate) fn assert_merge_and_delta_sync(a: &CoverageSignal, b: &CoverageSignal) {
+        let (ca, cb) = (a.covered_count(), b.covered_count());
+        let mut merged = a.clone();
+        let newly = merged.merge(b);
+        assert!(merged.covered_count() >= ca.max(cb));
+        assert_eq!(merged.covered_count(), ca + newly);
+        assert_eq!(merged.merge(b), 0, "merge must be idempotent");
+        // Every delta index is covered in `b` and uncovered in `a`.
+        let delta = b.diff_indices(a);
+        for &i in &delta {
+            assert!(b.covered_mask()[i]);
+            assert!(!a.covered_mask()[i]);
+        }
+        // Delta sync converges to the same union: a second delta is empty,
+        // merging adds nothing, and applying again is idempotent.
+        let mut synced = a.clone();
+        assert_eq!(synced.apply_covered_indices(&delta), delta.len());
+        assert_eq!(synced.covered_mask(), merged.covered_mask());
+        assert!(b.diff_indices(&synced).is_empty());
+        assert_eq!(synced.merge(b), 0);
+        assert_eq!(synced.apply_covered_indices(&delta), 0);
+    }
+
+    /// Units of constant and unprofiled neurons are in the index space but
+    /// not in the coverage denominator.
+    pub(crate) fn uncoverable_neurons_are_excluded(n: &Network, spec: &str, mut p: NeuronProfile) {
+        p.high[0] = p.low[0]; // Constant neuron.
+        p.low[1] = f32::INFINITY; // Unprofiled neuron.
+        p.high[1] = f32::NEG_INFINITY;
+        let neurons = p.total();
+        let mut t = signal_over(n, spec, p);
+        let units = t.total() / neurons;
+        assert_eq!(t.coverable_total(), (neurons - 2) * units);
+        assert_eq!(t.total(), neurons * units);
+        // Saturate every coverable unit: exactly full.
+        t.set_covered_mask(&vec![true; neurons * units]);
+        assert_eq!(t.covered_count(), (neurons - 2) * units);
+        assert_eq!(t.coverage(), 1.0);
+        assert!(t.is_full());
+    }
+
+    /// A restored mask reproduces the hit-set, minus bits it claims on
+    /// uncoverable units.
+    pub(crate) fn mask_round_trips_and_drops_uncoverable_bits(
+        n: &Network,
+        spec: &str,
+        mut p: NeuronProfile,
+        x: &Tensor,
+    ) {
+        p.high[0] = p.low[0]; // Constant neuron: its units are uncoverable.
+        let mut t = signal_over(n, spec, p.clone());
+        t.update(&n.forward(x));
+        let mask = t.covered_mask();
+        let mut fresh = signal_over(n, spec, p);
+        let mut bad_mask = mask.clone();
+        bad_mask[0] = true; // Claim an uncoverable unit.
+        fresh.set_covered_mask(&bad_mask);
+        assert_eq!(fresh.covered_mask(), mask, "uncoverable bit must be dropped");
+        assert_eq!(fresh.covered_count(), t.covered_count());
+    }
+
+    /// Signals cut from different ranges are incompatible, and merging
+    /// them panics.
+    pub(crate) fn incompatible_profiles_rejected(
+        n: &Network,
+        spec: &str,
+        p1: NeuronProfile,
+        p2: NeuronProfile,
+    ) {
+        let mut a = signal_over(n, spec, p1);
+        let b = signal_over(n, spec, p2);
+        assert!(!a.compatible(&b));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.merge(&b)));
+        assert!(result.is_err(), "merge of incompatible signals must panic");
+    }
+
+    /// Neither pick strategy returns an uncoverable neuron or one whose
+    /// units are all hit.
+    pub(crate) fn picks_skip_complete_and_uncoverable_neurons(
+        n: &Network,
+        spec: &str,
+        mut p: NeuronProfile,
+        seed: u64,
+    ) {
+        p.high[0] = p.low[0]; // Neuron 0 can never be picked.
+        let neurons = p.total();
+        let mut t = signal_over(n, spec, p);
+        // Neuron 1: every unit hit — also never picked.
+        let units = t.total() / neurons;
+        t.apply_covered_indices(&(units..2 * units).collect::<Vec<_>>());
+        let mut r = rng::rng(seed);
+        let picks = t.pick_uncovered_k(&mut r, 5);
+        assert_eq!(picks.len(), 5);
+        let mut sorted = picks.clone();
+        sorted.sort();
+        sorted.dedup();
+        assert_eq!(sorted.len(), 5, "picks must be distinct: {picks:?}");
+        let (constant, complete) = (neuron(n, 0), neuron(n, 1));
+        assert!(!picks.contains(&constant) && !picks.contains(&complete));
+        let x = rng::uniform(&mut r, &[1, 6], 0.0, 1.0);
+        let nearest = t.pick_uncovered_nearest(&n.forward(&x)).unwrap();
+        assert_ne!(nearest, constant);
+        assert_ne!(nearest, complete);
+        assert!(!t.wants(constant) && !t.wants(complete));
+        assert!(t.wants(nearest));
+    }
+
+    #[test]
+    fn hit_set_laws_hold_for_every_spec() {
+        // The per-metric modules run each law on their own metric; here the
+        // same laws run where no single-metric module can: the threshold
+        // rule inside a composite, and three rules sharing one profile.
+        let n = mlp(70);
+        for spec in ["neuron+boundary", "multisection:3+boundary", "neuron+multisection:2+boundary"]
+        {
+            let p = primed_profile(&n, 20, 71, 0.2, 0.8);
+            let (mut a, mut b) = (signal_over(&n, spec, p.clone()), signal_over(&n, spec, p));
+            let mut r = rng::rng(72);
+            a.update(&n.forward(&rng::uniform(&mut r, &[1, 6], -3.0, 0.5)));
+            b.update(&n.forward(&rng::uniform(&mut r, &[1, 6], 0.5, 4.0)));
+            assert_merge_and_delta_sync(&a, &b);
+            incompatible_profiles_rejected(
+                &n,
+                spec,
+                primed_profile(&n, 20, 73, 0.2, 0.8),
+                primed_profile(&n, 20, 74, 0.2, 0.8),
+            );
+            if !spec.starts_with("neuron") {
+                // Unit 0 belongs to a profile rule: the uncoverable-bit
+                // law applies to the composite's combined mask.
+                let x = rng::uniform(&mut r, &[1, 6], -4.0, 4.0);
+                let p = primed_profile(&n, 20, 75, 0.2, 0.8);
+                mask_round_trips_and_drops_uncoverable_bits(&n, spec, p, &x);
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_activations_hit_nothing_and_steer_nowhere() {
+        let n = mlp(80);
+        let first = neuron(&n, 0);
+        // A real pass whose first tracked activation is then poisoned.
+        let mut pass = n.forward(&rng::uniform(&mut rng::rng(81), &[1, 6], 0.0, 1.0));
+        let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        pass.activations[first.activation].data_mut()[..3].copy_from_slice(&poison);
+        let poisoned: Vec<NeuronId> = (0..3).map(|i| neuron(&n, i)).collect();
+        let profile = primed_profile(&n, 20, 82, 0.0, 1.0);
+        for spec in ["neuron", "multisection:4", "boundary", "neuron+multisection:4+boundary"] {
+            let mut s = signal_over(&n, spec, profile.clone());
+            let hit = s.activated_by(&pass);
+            s.update(&pass);
+            assert_eq!(s.covered_indices(), hit, "{spec}");
+            let kinds = s.metric().components;
+            let mut offset = 0;
+            for (c, kind) in s.components.iter().zip(kinds) {
+                let units = c.total() / profile.total();
+                let of_poisoned: Vec<usize> = hit
+                    .iter()
+                    .filter(|&&u| (offset..offset + 3 * units).contains(&u))
+                    .map(|u| u - offset)
+                    .collect();
+                if kind == MetricKind::Neuron {
+                    // The threshold rule is a bare `v > t` (t = 0 here): NaN
+                    // never covers, +inf does, -inf does not.
+                    assert_eq!(of_poisoned, [1], "{spec}");
+                } else {
+                    // Profile rules: a non-finite value hits no unit...
+                    assert!(of_poisoned.is_empty(), "{spec}: {kind} hit {of_poisoned:?}");
+                }
+                offset += c.total();
+            }
+            // ...and gives obj2 nothing to aim at: always up.
+            for &id in &poisoned {
+                assert_eq!(s.target_direction(id, &pass), 1.0, "{spec} {id:?}");
+            }
+        }
+        // The case the sections rule used to get wrong: `f32::min(NaN, k-1)`
+        // read a NaN as "in the top section", so once that section was hit
+        // obj2 was steered down by garbage.
+        let mut s = signal_over(&n, "multisection:4", profile);
+        s.apply_covered_indices(&[3]);
+        assert_eq!(s.target_direction(poisoned[0], &pass), 1.0);
     }
 
     #[test]
@@ -904,13 +1020,12 @@ mod tests {
         .primed(&models, &train, 10)
         .build(&models);
         assert_eq!(composite[0].n_components(), 3);
-        let comp_totals: usize = composite[0].components().iter().map(CoverageSignal::total).sum();
+        let comp_totals: usize = composite[0].components.iter().map(Component::total).sum();
         assert_eq!(composite[0].total(), comp_totals);
         // Boundary tracks 2 units per neuron over the same profile the
         // multisection component sections.
-        let ms_t = composite[0].components()[1].as_multisection().unwrap();
-        let b_t = composite[0].components()[2].as_boundary().unwrap();
-        assert_eq!(b_t.total(), ms_t.profile().total() * 2);
+        let b_t = &composite[0].components[2];
+        assert_eq!(b_t.total(), composite[0].profile().unwrap().total() * 2);
     }
 
     #[test]
@@ -999,7 +1114,7 @@ mod tests {
         // The composite's covered units equal the component sum.
         assert_eq!(
             s.covered_count(),
-            s.components().iter().map(CoverageSignal::covered_count).sum::<usize>()
+            s.components.iter().map(Component::covered_count).sum::<usize>()
         );
     }
 

@@ -1,10 +1,21 @@
-//! Incremental neuron-coverage tracking (Algorithm 1's `cov_tracker`).
+//! The one hit-set every coverage metric keeps (Algorithm 1's
+//! `cov_tracker`), and the per-metric `Rule` that says what a unit is.
+//!
+//! A `Component` is a neuron `Layout`, a rule and `units-per-neuron`
+//! flags per neuron, neuron-major. Everything a campaign does with coverage
+//! state — fold a pass in, count, union, ship sparse deltas, restore masks,
+//! pick an obj2 target — is written here once; a rule only answers how many
+//! units a neuron has, whether a neuron is coverable at all, which unit a
+//! value hits, and which way obj2 should push.
 
-use dx_nn::network::{ForwardPass, Network};
+use dx_nn::network::ForwardPass;
 use dx_tensor::rng::Rng;
 use rand::Rng as _;
 
-use crate::neuron::{neuron_count, neuron_values, Granularity, NeuronId};
+use crate::neuron::{neuron_values, Granularity, Layout, NeuronId};
+use crate::profile::NeuronProfile;
+use crate::signal::MetricKind;
+use crate::{boundary, multisection};
 
 /// Configuration of the coverage metric.
 #[derive(Clone, Copy, Debug)]
@@ -31,204 +42,217 @@ impl CoverageConfig {
     }
 }
 
-/// Tracks which neurons of one network have been activated by any input
-/// seen so far.
-#[derive(Clone, Debug)]
-pub struct CoverageTracker {
-    config: CoverageConfig,
-    /// Tracked activation indices, ascending.
-    activations: Vec<usize>,
-    /// Base offset of each tracked activation in the flat covered vector.
-    bases: Vec<usize>,
-    covered: Vec<bool>,
+/// What a unit is under one metric. The two profile rules read the signal's
+/// [`NeuronProfile`] (passed in by the caller, so several rules share one
+/// copy of the ranges); the threshold rule needs none.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Rule {
+    /// The paper's metric: one unit per neuron, hit once its (optionally
+    /// per-layer scaled) value exceeds `threshold`. The comparison is a bare
+    /// `v > t`: NaN never covers, `+inf` does.
+    Threshold { threshold: f32, scale_per_layer: bool },
+    /// [`crate::multisection`]: `k` units per neuron, one per section of
+    /// its profiled range.
+    Sections { k: usize },
+    /// [`crate::boundary`]: two units per neuron, one per corner region
+    /// outside its profiled range.
+    Corners,
 }
 
-impl CoverageTracker {
-    /// Tracks the network's default coverage layers (post-activation
-    /// outputs; see `Network::coverage_activation_indices`).
-    pub fn for_network(net: &Network, config: CoverageConfig) -> Self {
-        Self::for_activations(net, &net.coverage_activation_indices(), config)
-    }
-
-    /// Tracks an explicit set of activation indices — Table 8 uses this to
-    /// exclude dense layers, whose neurons are very hard to activate.
+impl Rule {
+    /// The rule implementing `kind` under `config`.
     ///
     /// # Panics
     ///
-    /// Panics if an index is out of range or the list is unsorted or empty.
-    pub fn for_activations(net: &Network, activations: &[usize], config: CoverageConfig) -> Self {
-        assert!(!activations.is_empty(), "no activations to track");
-        assert!(
-            activations.windows(2).all(|w| w[0] < w[1]),
-            "activation indices must be strictly ascending: {activations:?}"
-        );
-        let shapes = net.activation_shapes();
-        let mut bases = Vec::with_capacity(activations.len());
-        let mut total = 0usize;
-        for &a in activations {
-            assert!(
-                a >= 1 && a < shapes.len(),
-                "activation index {a} out of range 1..{}",
-                shapes.len()
-            );
-            bases.push(total);
-            total += neuron_count(&shapes[a], config.granularity);
-        }
-        Self { config, activations: activations.to_vec(), bases, covered: vec![false; total] }
-    }
-
-    /// The coverage configuration.
-    pub fn config(&self) -> &CoverageConfig {
-        &self.config
-    }
-
-    /// Total number of tracked neurons.
-    pub fn total(&self) -> usize {
-        self.covered.len()
-    }
-
-    /// Number of neurons covered so far.
-    pub fn covered_count(&self) -> usize {
-        self.covered.iter().filter(|&&c| c).count()
-    }
-
-    /// Current neuron coverage in `[0, 1]`.
-    pub fn coverage(&self) -> f32 {
-        if self.covered.is_empty() {
-            0.0
-        } else {
-            self.covered_count() as f32 / self.covered.len() as f32
-        }
-    }
-
-    /// Whether every tracked neuron is covered.
-    pub fn is_full(&self) -> bool {
-        self.covered.iter().all(|&c| c)
-    }
-
-    /// Neurons (flat offsets) activated by a single batch-size-1 pass,
-    /// without updating the tracker.
-    pub fn activated_by(&self, pass: &ForwardPass) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (slot, &a) in self.activations.iter().enumerate() {
-            let values =
-                neuron_values(pass, a, self.config.granularity, self.config.scale_per_layer);
-            let base = self.bases[slot];
-            for (j, &v) in values.iter().enumerate() {
-                if v > self.config.threshold {
-                    out.push(base + j);
-                }
+    /// Panics on a zero section count.
+    pub(crate) fn of(kind: MetricKind, config: CoverageConfig) -> Self {
+        match kind {
+            MetricKind::Neuron => Rule::Threshold {
+                threshold: config.threshold,
+                scale_per_layer: config.scale_per_layer,
+            },
+            MetricKind::Multisection { k } => {
+                assert!(k > 0, "need at least one section per neuron");
+                Rule::Sections { k }
             }
+            MetricKind::Boundary => Rule::Corners,
         }
+    }
+
+    /// The metric this rule implements (thresholds are not part of a
+    /// metric's identity, section counts are).
+    pub(crate) fn kind(self) -> MetricKind {
+        match self {
+            Rule::Threshold { .. } => MetricKind::Neuron,
+            Rule::Sections { k } => MetricKind::Multisection { k },
+            Rule::Corners => MetricKind::Boundary,
+        }
+    }
+
+    #[inline]
+    fn units_per_neuron(self) -> usize {
+        match self {
+            Rule::Threshold { .. } => 1,
+            Rule::Sections { k } => k,
+            Rule::Corners => boundary::UNITS_PER_NEURON,
+        }
+    }
+
+    /// Whether any of neuron `n`'s units can ever be hit.
+    fn coverable(self, profile: Option<&NeuronProfile>, n: usize) -> bool {
+        match self {
+            Rule::Threshold { .. } => true,
+            Rule::Sections { .. } | Rule::Corners => profile.is_some_and(|p| p.coverable(n)),
+        }
+    }
+
+    /// Calls `on_hit(unit)` for every unit one (batch-size-1) pass hits.
+    fn for_each_hit(
+        self,
+        layout: &Layout,
+        profile: Option<&NeuronProfile>,
+        pass: &ForwardPass,
+        mut on_hit: impl FnMut(usize),
+    ) {
+        match (self, profile) {
+            (Rule::Threshold { threshold, scale_per_layer }, _) => {
+                layout.walk(pass, scale_per_layer, |n, v| {
+                    if v > threshold {
+                        on_hit(n);
+                    }
+                });
+            }
+            (Rule::Sections { k }, Some(p)) => layout.walk(pass, false, |n, v| {
+                let range = p.range_for(n, v);
+                if let Some(s) = range.and_then(|(lo, hi)| multisection::section_of(lo, hi, k, v)) {
+                    on_hit(n * k + s);
+                }
+            }),
+            (Rule::Corners, Some(p)) => layout.walk(pass, false, |n, v| {
+                let range = p.range_for(n, v);
+                if let Some(c) = range.and_then(|(lo, hi)| boundary::corner_of(lo, hi, v)) {
+                    on_hit(n * boundary::UNITS_PER_NEURON + c);
+                }
+            }),
+            // Not constructible: a signal with a profile rule carries its profile.
+            (Rule::Sections { .. } | Rule::Corners, None) => {}
+        }
+    }
+}
+
+/// `covered / coverable` in `[0, 1]` (0 when nothing is coverable).
+pub(crate) fn fraction(covered: usize, coverable: usize) -> f32 {
+    if coverable == 0 {
+        0.0
+    } else {
+        covered as f32 / coverable as f32
+    }
+}
+
+/// One metric's coverage state over one network.
+#[derive(Clone, Debug)]
+pub(crate) struct Component {
+    layout: Layout,
+    rule: Rule,
+    /// `neurons × units-per-neuron` hit flags, neuron-major.
+    hit: Vec<bool>,
+    /// Per neuron: whether any of its units can ever be hit. Units of
+    /// constant or unprofiled neurons cannot, so counting them would make
+    /// 100% coverage unreachable and `is_full`-style drain targets would
+    /// never fire.
+    coverable: Vec<bool>,
+    /// Units of coverable neurons — the coverage denominator.
+    coverable_units: usize,
+}
+
+impl Component {
+    /// An empty hit-set for `rule` over `layout`; `profile` is the signal's
+    /// (required by the profile rules, ignored by the threshold rule).
+    pub(crate) fn new(layout: Layout, rule: Rule, profile: Option<&NeuronProfile>) -> Self {
+        let units = rule.units_per_neuron();
+        let coverable: Vec<bool> =
+            (0..layout.total()).map(|n| rule.coverable(profile, n)).collect();
+        Self {
+            hit: vec![false; layout.total() * units],
+            coverable_units: coverable.iter().filter(|&&c| c).count() * units,
+            coverable,
+            layout,
+            rule,
+        }
+    }
+
+    pub(crate) fn kind(&self) -> MetricKind {
+        self.rule.kind()
+    }
+
+    pub(crate) fn granularity(&self) -> Granularity {
+        self.layout.granularity
+    }
+
+    pub(crate) fn coverable_units(&self) -> usize {
+        self.coverable_units
+    }
+
+    /// Total units, the flat index bound. Includes units of uncoverable
+    /// neurons, which stay permanently unhit.
+    #[inline]
+    pub(crate) fn total(&self) -> usize {
+        self.hit.len()
+    }
+
+    pub(crate) fn covered_count(&self) -> usize {
+        self.hit.iter().filter(|&&h| h).count()
+    }
+
+    /// Fraction of *coverable* units hit.
+    pub(crate) fn coverage(&self) -> f32 {
+        fraction(self.covered_count(), self.coverable_units)
+    }
+
+    pub(crate) fn is_full(&self) -> bool {
+        self.covered_count() == self.coverable_units
+    }
+
+    /// The raw hit flags, one per unit.
+    pub(crate) fn covered_mask(&self) -> &[bool] {
+        &self.hit
+    }
+
+    /// Units one (batch-size-1) pass hits, without recording them.
+    pub(crate) fn activated_by(
+        &self,
+        pass: &ForwardPass,
+        profile: Option<&NeuronProfile>,
+    ) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.rule.for_each_hit(&self.layout, profile, pass, |unit| out.push(unit));
         out
     }
 
-    /// Folds a pass into the covered set; returns how many neurons were
-    /// newly covered.
-    pub fn update(&mut self, pass: &ForwardPass) -> usize {
-        let mut newly = 0;
-        for flat in self.activated_by(pass) {
-            if !self.covered[flat] {
-                self.covered[flat] = true;
+    /// Folds a pass into the hit-set; returns how many units were newly hit.
+    pub(crate) fn update(&mut self, pass: &ForwardPass, profile: Option<&NeuronProfile>) -> usize {
+        let (hit, mut newly) = (&mut self.hit, 0);
+        self.rule.for_each_hit(&self.layout, profile, pass, |unit| {
+            if !hit[unit] {
+                hit[unit] = true;
                 newly += 1;
             }
-        }
+        });
         newly
     }
 
-    /// Translates a flat offset back to a [`NeuronId`].
-    fn id_of(&self, flat: usize) -> NeuronId {
-        let slot = match self.bases.binary_search(&flat) {
-            Ok(s) => s,
-            Err(s) => s - 1,
-        };
-        NeuronId { activation: self.activations[slot], index: flat - self.bases[slot] }
+    /// Whether `other` keeps the same units of the same network under the
+    /// same metric (the ranges behind profile rules are the signal's to
+    /// compare).
+    pub(crate) fn compatible(&self, other: &Component) -> bool {
+        self.kind() == other.kind() && self.layout == other.layout
     }
 
-    /// All currently uncovered neurons.
-    pub fn uncovered(&self) -> Vec<NeuronId> {
-        self.covered.iter().enumerate().filter(|(_, &c)| !c).map(|(i, _)| self.id_of(i)).collect()
-    }
-
-    /// Whether a specific neuron is still uncovered (`false` for neurons
-    /// on untracked activations) — composite signals use this to route
-    /// obj2 direction queries to the component that wants the neuron.
-    pub fn is_uncovered(&self, id: NeuronId) -> bool {
-        let Some(slot) = self.activations.iter().position(|&a| a == id.activation) else {
-            return false;
-        };
-        self.covered.get(self.bases[slot] + id.index).is_some_and(|&c| !c)
-    }
-
-    /// Picks a random uncovered neuron (Algorithm 1 line 33), or `None` when
-    /// coverage is complete.
-    pub fn pick_uncovered(&self, r: &mut Rng) -> Option<NeuronId> {
-        self.pick_uncovered_k(r, 1).into_iter().next()
-    }
-
-    /// Picks up to `k` distinct random uncovered neurons — the paper's
-    /// "jointly maximize multiple neurons simultaneously" extension
-    /// (§4.2); `k = 1` is Algorithm 1 as printed.
-    pub fn pick_uncovered_k(&self, r: &mut Rng, k: usize) -> Vec<NeuronId> {
-        let mut uncovered: Vec<usize> =
-            self.covered.iter().enumerate().filter(|(_, &c)| !c).map(|(i, _)| i).collect();
-        let take = k.min(uncovered.len());
-        // Partial Fisher–Yates: shuffle only the prefix we need.
-        for i in 0..take {
-            let j = r.gen_range(i..uncovered.len());
-            uncovered.swap(i, j);
-        }
-        uncovered[..take].iter().map(|&i| self.id_of(i)).collect()
-    }
-
-    /// Picks the uncovered neuron with the highest value in `pass` — the
-    /// "nearest to activating" strategy used by the neuron-pick ablation.
-    pub fn pick_uncovered_nearest(&self, pass: &ForwardPass) -> Option<NeuronId> {
-        let mut best: Option<(usize, f32)> = None;
-        for (slot, &a) in self.activations.iter().enumerate() {
-            let values =
-                neuron_values(pass, a, self.config.granularity, self.config.scale_per_layer);
-            let base = self.bases[slot];
-            for (j, &v) in values.iter().enumerate() {
-                let flat = base + j;
-                if !self.covered[flat] && best.is_none_or(|(_, bv)| v > bv) {
-                    best = Some((flat, v));
-                }
-            }
-        }
-        best.map(|(flat, _)| self.id_of(flat))
-    }
-
-    /// Whether `other` tracks the same neurons of the same network shape —
-    /// the precondition for [`CoverageTracker::merge`].
-    pub fn compatible(&self, other: &CoverageTracker) -> bool {
-        self.activations == other.activations
-            && self.bases == other.bases
-            && self.covered.len() == other.covered.len()
-    }
-
-    /// Unions another tracker's covered set into this one; returns how many
-    /// neurons were newly covered here.
-    ///
-    /// Merging is the campaign engine's synchronization primitive: each
-    /// worker accumulates coverage on a private clone and periodically folds
-    /// it into a shared global tracker. The operation is commutative,
-    /// idempotent and monotone in the covered count.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the trackers are not [`CoverageTracker::compatible`]
-    /// (different networks or tracked-activation sets).
-    pub fn merge(&mut self, other: &CoverageTracker) -> usize {
-        assert!(
-            self.compatible(other),
-            "cannot merge coverage trackers over different neuron sets \
-             ({} vs {} neurons)",
-            self.covered.len(),
-            other.covered.len()
-        );
+    /// Unions a [`Component::compatible`] hit-set into this one; returns
+    /// how many units were newly hit here.
+    pub(crate) fn merge(&mut self, other: &Component) -> usize {
         let mut newly = 0;
-        for (mine, &theirs) in self.covered.iter_mut().zip(other.covered.iter()) {
+        for (mine, &theirs) in self.hit.iter_mut().zip(&other.hit) {
             if theirs && !*mine {
                 *mine = true;
                 newly += 1;
@@ -237,91 +261,136 @@ impl CoverageTracker {
         newly
     }
 
-    /// The raw covered mask, one flag per tracked neuron — for campaign
-    /// checkpointing. Restore with [`CoverageTracker::set_covered_mask`].
-    pub fn covered_mask(&self) -> &[bool] {
-        &self.covered
+    /// Offsets of all hit units, ascending.
+    pub(crate) fn covered_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.hit.iter().enumerate().filter(|(_, &h)| h).map(|(i, _)| i)
     }
 
-    /// Flat offsets of all covered neurons, ascending.
-    pub fn covered_indices(&self) -> Vec<usize> {
-        self.covered.iter().enumerate().filter(|(_, &c)| c).map(|(i, _)| i).collect()
+    /// Units hit here but not in the [`Component::compatible`] `base`.
+    pub(crate) fn diff_indices<'a>(
+        &'a self,
+        base: &'a Component,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let pairs = self.hit.iter().zip(&base.hit).enumerate();
+        pairs.filter(|(_, (&mine, &theirs))| mine && !theirs).map(|(i, _)| i)
     }
 
-    /// Flat offsets covered here but not in `base` — the sparse coverage
-    /// delta the distributed campaign ships over the wire instead of full
-    /// bitmaps. Applying the result to `base` via
-    /// [`CoverageTracker::apply_covered_indices`] makes `base`'s covered
-    /// set a superset of this tracker's.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the trackers are not [`CoverageTracker::compatible`].
-    pub fn diff_indices(&self, base: &CoverageTracker) -> Vec<usize> {
-        assert!(self.compatible(base), "cannot diff coverage trackers over different neuron sets");
-        self.covered
-            .iter()
-            .zip(base.covered.iter())
-            .enumerate()
-            .filter(|(_, (&mine, &theirs))| mine && !theirs)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Marks the given flat offsets covered; returns how many were newly
-    /// covered. The inverse of [`CoverageTracker::diff_indices`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range offset; wire handlers must validate
-    /// indices against [`CoverageTracker::total`] before applying.
-    pub fn apply_covered_indices(&mut self, indices: &[usize]) -> usize {
-        let mut newly = 0;
-        for &i in indices {
-            if !self.covered[i] {
-                self.covered[i] = true;
-                newly += 1;
-            }
+    /// Marks one unit hit; returns whether it newly was. Units of
+    /// uncoverable neurons are ignored (a well-formed peer never sends
+    /// them, and accepting them would push coverage past 1.0).
+    #[inline]
+    pub(crate) fn apply_covered_index(&mut self, unit: usize) -> bool {
+        let fresh = !self.hit[unit] && self.coverable[unit / self.rule.units_per_neuron()];
+        if fresh {
+            self.hit[unit] = true;
         }
-        newly
+        fresh
     }
 
-    /// Replaces the covered set with a previously exported mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mask` has the wrong length for this tracker.
-    pub fn set_covered_mask(&mut self, mask: &[bool]) {
-        assert_eq!(mask.len(), self.covered.len(), "coverage mask length mismatch");
-        self.covered.copy_from_slice(mask);
+    /// Replaces the hit-set with an exported mask of the right length. Bits
+    /// on uncoverable units are dropped, keeping coverage within `[0, 1]`.
+    pub(crate) fn set_covered_mask(&mut self, mask: &[bool]) {
+        let units = self.rule.units_per_neuron();
+        for (i, (mine, &theirs)) in self.hit.iter_mut().zip(mask).enumerate() {
+            *mine = theirs && self.coverable[i / units];
+        }
     }
 
-    /// Replaces this tracker's covered set with `other`'s.
-    ///
-    /// Used by campaign workers to adopt the freshly-merged global union so
-    /// they stop chasing neurons another worker already covered.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the trackers are not [`CoverageTracker::compatible`].
-    pub fn copy_covered_from(&mut self, other: &CoverageTracker) {
-        assert!(
-            self.compatible(other),
-            "cannot copy coverage between trackers over different neuron sets"
-        );
-        self.covered.copy_from_slice(&other.covered);
+    /// Replaces the hit-set with a [`Component::compatible`] one's.
+    pub(crate) fn copy_covered_from(&mut self, other: &Component) {
+        self.hit.copy_from_slice(&other.hit);
     }
 
-    /// Resets the covered set.
-    pub fn reset(&mut self) {
-        self.covered.iter_mut().for_each(|c| *c = false);
+    pub(crate) fn reset(&mut self) {
+        self.hit.fill(false);
+    }
+
+    /// Neuron `n`'s unit flags.
+    fn units_of(&self, n: usize) -> &[bool] {
+        let units = self.rule.units_per_neuron();
+        &self.hit[n * units..(n + 1) * units]
+    }
+
+    /// Whether neuron `n` still has an unhit coverable unit.
+    fn incomplete(&self, n: usize) -> bool {
+        self.coverable[n] && self.units_of(n).iter().any(|&h| !h)
+    }
+
+    /// Whether the obj2 term can still make progress on `id` here (`false`
+    /// for neurons on untracked activations).
+    pub(crate) fn wants(&self, id: NeuronId) -> bool {
+        self.layout.flat_of(id).is_some_and(|n| self.incomplete(n))
+    }
+
+    /// Every neuron that is still incomplete, in flat order.
+    fn incomplete_neurons(&self) -> Vec<usize> {
+        let per_neuron = self.hit.chunks_exact(self.rule.units_per_neuron()).zip(&self.coverable);
+        let open = per_neuron.enumerate().filter(|(_, (units, &c))| c && units.contains(&false));
+        open.map(|(n, _)| n).collect()
+    }
+
+    /// [`NeuronId`]s of every neuron that is still incomplete, in flat order.
+    pub(crate) fn uncovered(&self) -> impl Iterator<Item = NeuronId> + '_ {
+        self.incomplete_neurons().into_iter().map(|n| self.layout.id_of(n))
+    }
+
+    /// Picks up to `k` distinct random incomplete neurons — Algorithm 1
+    /// line 33, and for `k > 1` the paper's "jointly maximize multiple
+    /// neurons simultaneously" extension (§4.2).
+    pub(crate) fn pick_k(&self, r: &mut Rng, k: usize) -> Vec<NeuronId> {
+        let mut candidates = self.incomplete_neurons();
+        let take = k.min(candidates.len());
+        // Partial Fisher–Yates: shuffle only the prefix we need.
+        for i in 0..take {
+            let j = r.gen_range(i..candidates.len());
+            candidates.swap(i, j);
+        }
+        candidates[..take].iter().map(|&n| self.layout.id_of(n)).collect()
+    }
+
+    /// Picks the incomplete neuron with the highest value in `pass` — the
+    /// "nearest to activating" strategy of the neuron-pick ablation.
+    pub(crate) fn pick_nearest(&self, pass: &ForwardPass) -> Option<NeuronId> {
+        let scale_per_layer = matches!(self.rule, Rule::Threshold { scale_per_layer: true, .. });
+        let mut best: Option<(usize, f32)> = None;
+        self.layout.walk(pass, scale_per_layer, |n, v| {
+            if best.is_none_or(|(_, bv)| v > bv) && self.incomplete(n) {
+                best = Some((n, v));
+            }
+        });
+        best.map(|(n, _)| self.layout.id_of(n))
+    }
+
+    /// Which way the obj2 gradient term should push `id`'s activation given
+    /// its current value in `pass`: `1.0` to raise it, `-1.0` to lower it.
+    /// Always up under the threshold rule, and for neurons that are
+    /// untracked, uncoverable or currently non-finite under any rule.
+    pub(crate) fn target_direction(
+        &self,
+        id: NeuronId,
+        pass: &ForwardPass,
+        profile: Option<&NeuronProfile>,
+    ) -> f32 {
+        let toward_unhit = match self.rule {
+            Rule::Threshold { .. } => return 1.0,
+            Rule::Sections { .. } => multisection::direction,
+            Rule::Corners => boundary::direction,
+        };
+        let (Some(n), Some(p)) = (self.layout.flat_of(id), profile) else { return 1.0 };
+        let values = neuron_values(pass, id.activation, self.layout.granularity, false);
+        let Some(&v) = values.get(id.index) else { return 1.0 };
+        let Some((lo, hi)) = p.range_for(n, v) else { return 1.0 };
+        toward_unhit(lo, hi, v, self.units_of(n))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signal::tests::assert_merge_and_delta_sync;
+    use crate::signal::CoverageSignal;
     use dx_nn::layer::Layer;
+    use dx_nn::network::Network;
     use dx_tensor::rng;
 
     fn cnn(seed: u64) -> Network {
@@ -343,10 +412,10 @@ mod tests {
     #[test]
     fn total_counts_tracked_neurons() {
         let net = cnn(0);
-        let t = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let t = CoverageSignal::neuron(&net, CoverageConfig::default());
         // relu (3 channels) + pool (3 channels) + softmax (4 units).
         assert_eq!(t.total(), 10);
-        let unit = CoverageTracker::for_network(
+        let unit = CoverageSignal::neuron(
             &net,
             CoverageConfig { granularity: Granularity::Unit, ..Default::default() },
         );
@@ -357,7 +426,7 @@ mod tests {
     #[test]
     fn update_accumulates_monotonically() {
         let net = cnn(1);
-        let mut t = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let mut t = CoverageSignal::neuron(&net, CoverageConfig::default());
         let mut r = rng::rng(2);
         let mut last = 0.0;
         for _ in 0..10 {
@@ -374,7 +443,7 @@ mod tests {
     #[test]
     fn update_returns_newly_covered() {
         let net = cnn(3);
-        let mut t = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let mut t = CoverageSignal::neuron(&net, CoverageConfig::default());
         let x = rng::uniform(&mut rng::rng(4), &[1, 1, 6, 6], 0.5, 1.0);
         let pass = net.forward(&x);
         let first = t.update(&pass);
@@ -388,8 +457,8 @@ mod tests {
         let net = cnn(5);
         let x = rng::uniform(&mut rng::rng(6), &[1, 1, 6, 6], 0.0, 1.0);
         let pass = net.forward(&x);
-        let mut low = CoverageTracker::for_network(&net, CoverageConfig::scaled(0.1));
-        let mut high = CoverageTracker::for_network(&net, CoverageConfig::scaled(0.9));
+        let mut low = CoverageSignal::neuron(&net, CoverageConfig::scaled(0.1));
+        let mut high = CoverageSignal::neuron(&net, CoverageConfig::scaled(0.9));
         low.update(&pass);
         high.update(&pass);
         assert!(low.covered_count() >= high.covered_count());
@@ -398,7 +467,7 @@ mod tests {
     #[test]
     fn uncovered_plus_covered_is_total() {
         let net = cnn(7);
-        let mut t = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let mut t = CoverageSignal::neuron(&net, CoverageConfig::default());
         let x = rng::uniform(&mut rng::rng(8), &[1, 1, 6, 6], 0.0, 1.0);
         t.update(&net.forward(&x));
         assert_eq!(t.uncovered().len() + t.covered_count(), t.total());
@@ -407,11 +476,11 @@ mod tests {
     #[test]
     fn pick_uncovered_is_really_uncovered() {
         let net = cnn(9);
-        let mut t = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let mut t = CoverageSignal::neuron(&net, CoverageConfig::default());
         let x = rng::uniform(&mut rng::rng(10), &[1, 1, 6, 6], 0.0, 1.0);
         t.update(&net.forward(&x));
         let mut r = rng::rng(11);
-        if let Some(id) = t.pick_uncovered(&mut r) {
+        if let Some(id) = t.pick_uncovered_k(&mut r, 1).into_iter().next() {
             assert!(t.uncovered().contains(&id));
         } else {
             assert!(t.is_full());
@@ -421,8 +490,8 @@ mod tests {
     #[test]
     fn restricted_activations_shrink_total() {
         let net = cnn(12);
-        let full = CoverageTracker::for_network(&net, CoverageConfig::default());
-        let conv_only = CoverageTracker::for_activations(&net, &[2, 3], CoverageConfig::default());
+        let full = CoverageSignal::neuron(&net, CoverageConfig::default());
+        let conv_only = CoverageSignal::neuron_over(&net, &[2, 3], CoverageConfig::default());
         assert!(conv_only.total() < full.total());
         assert_eq!(conv_only.total(), 6);
     }
@@ -430,7 +499,7 @@ mod tests {
     #[test]
     fn nearest_pick_prefers_higher_value() {
         let net = cnn(13);
-        let t = CoverageTracker::for_network(
+        let t = CoverageSignal::neuron(
             &net,
             CoverageConfig { threshold: 10.0, ..Default::default() }, // Nothing covers.
         );
@@ -452,7 +521,7 @@ mod tests {
     #[test]
     fn pick_k_returns_distinct_uncovered() {
         let net = cnn(20);
-        let t = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let t = CoverageSignal::neuron(&net, CoverageConfig::default());
         let mut r = rng::rng(21);
         let picks = t.pick_uncovered_k(&mut r, 5);
         assert_eq!(picks.len(), 5);
@@ -465,7 +534,7 @@ mod tests {
     #[test]
     fn pick_k_caps_at_remaining() {
         let net = cnn(22);
-        let t = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let t = CoverageSignal::neuron(&net, CoverageConfig::default());
         let mut r = rng::rng(23);
         let picks = t.pick_uncovered_k(&mut r, 10_000);
         assert_eq!(picks.len(), t.total());
@@ -474,23 +543,18 @@ mod tests {
     #[test]
     fn merge_unions_covered_sets() {
         let net = cnn(30);
-        let mut a = CoverageTracker::for_network(&net, CoverageConfig::default());
-        let mut b = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let mut a = CoverageSignal::neuron(&net, CoverageConfig::default());
+        let mut b = CoverageSignal::neuron(&net, CoverageConfig::default());
         a.update(&net.forward(&rng::uniform(&mut rng::rng(31), &[1, 1, 6, 6], 0.0, 0.4)));
         b.update(&net.forward(&rng::uniform(&mut rng::rng(32), &[1, 1, 6, 6], 0.6, 1.0)));
-        let (ca, cb) = (a.covered_count(), b.covered_count());
-        let newly = a.merge(&b);
-        assert!(a.covered_count() >= ca.max(cb));
-        assert_eq!(a.covered_count(), ca + newly);
-        // Merging again adds nothing (idempotent).
-        assert_eq!(a.merge(&b), 0);
+        assert_merge_and_delta_sync(&a, &b);
     }
 
     #[test]
     fn merge_from_empty_is_identity() {
         let net = cnn(33);
-        let mut a = CoverageTracker::for_network(&net, CoverageConfig::default());
-        let empty = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let mut a = CoverageSignal::neuron(&net, CoverageConfig::default());
+        let empty = CoverageSignal::neuron(&net, CoverageConfig::default());
         a.update(&net.forward(&rng::uniform(&mut rng::rng(34), &[1, 1, 6, 6], 0.2, 1.0)));
         let before = a.covered_count();
         assert_eq!(a.merge(&empty), 0);
@@ -500,8 +564,8 @@ mod tests {
     #[test]
     fn copy_covered_from_adopts_union() {
         let net = cnn(35);
-        let mut a = CoverageTracker::for_network(&net, CoverageConfig::default());
-        let mut b = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let mut a = CoverageSignal::neuron(&net, CoverageConfig::default());
+        let mut b = CoverageSignal::neuron(&net, CoverageConfig::default());
         a.update(&net.forward(&rng::uniform(&mut rng::rng(36), &[1, 1, 6, 6], 0.3, 1.0)));
         b.copy_covered_from(&a);
         assert_eq!(b.covered_count(), a.covered_count());
@@ -511,34 +575,21 @@ mod tests {
     #[test]
     fn index_delta_round_trips() {
         let net = cnn(38);
-        let mut local = CoverageTracker::for_network(&net, CoverageConfig::default());
-        let mut base = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let mut local = CoverageSignal::neuron(&net, CoverageConfig::default());
+        let mut base = CoverageSignal::neuron(&net, CoverageConfig::default());
         local.update(&net.forward(&rng::uniform(&mut rng::rng(39), &[1, 1, 6, 6], 0.3, 1.0)));
         base.update(&net.forward(&rng::uniform(&mut rng::rng(40), &[1, 1, 6, 6], 0.0, 0.5)));
-        let delta = local.diff_indices(&base);
-        // Every delta index is covered locally and uncovered in the base.
-        for &i in &delta {
-            assert!(local.covered_mask()[i]);
-            assert!(!base.covered_mask()[i]);
-        }
-        let newly = base.apply_covered_indices(&delta);
-        assert_eq!(newly, delta.len());
-        // The base is now a superset: a second delta is empty, and merging
-        // local into base adds nothing.
-        assert!(local.diff_indices(&base).is_empty());
-        assert_eq!(base.merge(&local), 0);
-        // Applying again is idempotent.
-        assert_eq!(base.apply_covered_indices(&delta), 0);
+        assert_merge_and_delta_sync(&base, &local);
     }
 
     #[test]
     fn covered_indices_match_mask() {
         let net = cnn(41);
-        let mut t = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let mut t = CoverageSignal::neuron(&net, CoverageConfig::default());
         t.update(&net.forward(&rng::uniform(&mut rng::rng(42), &[1, 1, 6, 6], 0.2, 1.0)));
         let idx = t.covered_indices();
         assert_eq!(idx.len(), t.covered_count());
-        let empty = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let empty = CoverageSignal::neuron(&net, CoverageConfig::default());
         assert_eq!(t.diff_indices(&empty), idx);
     }
 
@@ -546,15 +597,15 @@ mod tests {
     #[should_panic(expected = "different neuron sets")]
     fn merge_rejects_mismatched_trackers() {
         let net = cnn(37);
-        let mut full = CoverageTracker::for_network(&net, CoverageConfig::default());
-        let partial = CoverageTracker::for_activations(&net, &[2, 3], CoverageConfig::default());
+        let mut full = CoverageSignal::neuron(&net, CoverageConfig::default());
+        let partial = CoverageSignal::neuron_over(&net, &[2, 3], CoverageConfig::default());
         full.merge(&partial);
     }
 
     #[test]
     fn reset_clears() {
         let net = cnn(15);
-        let mut t = CoverageTracker::for_network(&net, CoverageConfig::default());
+        let mut t = CoverageSignal::neuron(&net, CoverageConfig::default());
         let x = rng::uniform(&mut rng::rng(16), &[1, 1, 6, 6], 0.5, 1.0);
         t.update(&net.forward(&x));
         assert!(t.covered_count() > 0);

@@ -370,14 +370,8 @@ impl Ledger {
         self.epochs = epochs;
         self.steps_done = steps_done;
         self.pending = pending.into_iter().filter(|&id| self.corpus.get(id).is_some()).collect();
-        let fits = |masks: &&[Vec<bool>]| {
-            masks.len() == self.global.len()
-                && masks.iter().zip(&self.global).all(|(m, g)| m.len() == g.total())
-        };
-        if let Some(masks) = masks.filter(fits) {
-            for (g, mask) in self.global.iter_mut().zip(masks) {
-                g.set_covered_mask(mask);
-            }
+        if let Some(masks) = masks {
+            dx_coverage::restore_masks(&mut self.global, masks);
         }
     }
 

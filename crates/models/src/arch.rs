@@ -347,7 +347,7 @@ pub fn build(spec: &ModelSpec) -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dx_coverage::{CoverageConfig, CoverageTracker};
+    use dx_coverage::{CoverageConfig, CoverageSignal};
 
     #[test]
     fn all_fifteen_build_and_validate() {
@@ -403,7 +403,7 @@ mod tests {
         // coverage tracker at channel granularity.
         for spec in &SPECS {
             let net = build(spec);
-            let tracker = CoverageTracker::for_network(&net, CoverageConfig::default());
+            let tracker = CoverageSignal::neuron(&net, CoverageConfig::default());
             assert!(tracker.total() >= 10, "{} tracks only {} neurons", spec.id, tracker.total());
         }
     }

@@ -11,9 +11,8 @@ use deepxplore::baselines::random_selection;
 use deepxplore::generator::{Generator, TaskKind};
 use deepxplore::hyper::Hyperparams;
 use deepxplore::Constraint;
-use dx_coverage::multisection::{MultisectionTracker, NeuronProfile};
 use dx_coverage::opcov::OpCoverage;
-use dx_coverage::{CoverageConfig, CoverageTracker, Granularity};
+use dx_coverage::{CoverageConfig, CoverageSignal, Granularity, NeuronProfile, SignalSpec};
 use dx_models::{DatasetKind, Scale, Zoo};
 use dx_nn::util::gather_rows;
 
@@ -35,7 +34,7 @@ fn main() {
 
     // 2. Neuron coverage of the same single input, then of 10 random ones.
     let cfg = CoverageConfig::scaled(0.75);
-    let mut tracker = CoverageTracker::for_network(&net, cfg);
+    let mut tracker = CoverageSignal::neuron(&net, cfg);
     let one = gather_rows(&ds.test_x, &[0]);
     tracker.update(&net.forward(&one));
     println!(
@@ -53,7 +52,7 @@ fn main() {
     println!("\nthreshold | random x20 | deepxplore x20 seeds");
     for &t in &[0.0, 0.25, 0.5, 0.75] {
         let cfg = CoverageConfig::scaled(t);
-        let mut rand_tracker = CoverageTracker::for_network(&net, cfg);
+        let mut rand_tracker = CoverageSignal::neuron(&net, cfg);
         let pool = random_selection(&ds.test_x, 20, 7);
         for i in 0..20 {
             rand_tracker.update(&net.forward(&gather_rows(&pool, &[i])));
@@ -81,7 +80,9 @@ fn main() {
     for i in 0..ds.train_len().min(150) {
         profile.observe(&net.forward(&gather_rows(&ds.train_x, &[i])));
     }
-    let mut ms = MultisectionTracker::new(profile, 10);
+    let mut ms = SignalSpec::multisection(CoverageConfig::default(), 10, vec![profile])
+        .build(std::slice::from_ref(&net))
+        .remove(0);
     for i in 0..ds.test_len().min(50) {
         ms.update(&net.forward(&gather_rows(&ds.test_x, &[i])));
     }
