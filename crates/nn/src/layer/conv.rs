@@ -109,25 +109,14 @@ impl Conv2d {
         Lowering { c, h, w, k: self.kernel, stride: self.stride, pad: self.pad, oh, ow }
     }
 
-    /// Forward pass over `[N, C, H, W]`, caching the input for
-    /// [`Conv2d::backward`]. Same arithmetic as [`Conv2d::forward_ws`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, Cache) {
-        let (out, _) = self.forward_ws(x, &mut Workspace::new());
-        (out, Cache::Input(x.clone()))
-    }
-
     /// Forward pass over `[N, C, H, W]` with the im2col matrix and the
     /// result drawn from the workspace.
     ///
     /// The `[out_ch, C·k·k]` weight view is the weight's own contiguous
     /// buffer, and each sample's matmul accumulates straight into its
     /// (zeroed) slice of the result, the bias added in place afterwards.
-    /// Returns [`Cache::Shape`] — the input-gradient backward needs only the
-    /// input shape, not the input.
+    /// Returns [`Cache::None`]: the backward re-derives the im2col matrix
+    /// from the recorded input.
     ///
     /// # Panics
     ///
@@ -149,7 +138,7 @@ impl Conv2d {
             }
         }
         ws.put(col_buf);
-        (Tensor::from_vec(out, &[n, self.out_ch, g.oh, g.ow]), Cache::Shape(x.shape().to_vec()))
+        (Tensor::from_vec(out, &[n, self.out_ch, g.oh, g.ow]), Cache::None)
     }
 
     /// Input gradient only, with all intermediates (transposed weight view,
@@ -194,17 +183,18 @@ impl Conv2d {
         Tensor::from_vec(dx, in_shape)
     }
 
-    /// Backward pass: `(dx, [dW, db])`. The im2col matrix is re-derived from
-    /// the cached input rather than stored, trading a little compute for a
-    /// much smaller forward-pass footprint.
+    /// Backward pass: `(dx, [dW, db])`, `dx` being
+    /// [`Conv2d::backward_input_ws`]'s. The im2col matrix is re-derived from
+    /// the recorded input `x` rather than stored, trading a little compute
+    /// for a much smaller forward-pass footprint.
     pub fn backward(
         &self,
         x: &Tensor,
         grad_out: &Tensor,
         want_param_grads: bool,
+        ws: &mut Workspace,
     ) -> (Tensor, Vec<Tensor>) {
-        let mut ws = Workspace::new();
-        let dx = self.backward_input_ws(x.shape(), grad_out, &mut ws);
+        let dx = self.backward_input_ws(x.shape(), grad_out, ws);
         if !want_param_grads {
             return (dx, vec![]);
         }
@@ -231,6 +221,9 @@ impl Conv2d {
             for (b, g_ch) in db.iter_mut().zip(gi.chunks_exact(cols)) {
                 *b += g_ch.iter().sum::<f32>();
             }
+        }
+        for buf in [col_buf, col_t, dw_i] {
+            ws.put(buf);
         }
         let dw = Tensor::from_vec(dw, &[self.out_ch, self.in_ch, g.k, g.k]);
         (dx, vec![dw, Tensor::from_vec(db, &[self.out_ch])])
@@ -582,10 +575,8 @@ mod tests {
                 let want = forward_ref(&layer, &x);
                 let mut ws = Workspace::new();
                 let (y_ws, _) = layer.forward_ws(&x, &mut ws);
-                let (y, _) = layer.forward(&x);
                 assert_eq!(y_ws.shape(), want.shape());
                 assert_eq!(bits(y_ws.data()), bits(want.data()), "forward_ws n{n} {g:?}");
-                assert_eq!(bits(y.data()), bits(want.data()), "forward n{n} {g:?}");
 
                 let grad = rng::uniform(&mut rng::rng(seed as u64 + 3), want.shape(), -1.0, 1.0);
                 let (dx_want, dw_want, db_want) = backward_ref(&layer, &x, &grad);
@@ -596,10 +587,10 @@ mod tests {
                     bits(dx_want.data()),
                     "backward_input_ws n{n} {g:?}"
                 );
-                let (dx, none) = layer.backward(&x, &grad, false);
+                let (dx, none) = layer.backward(&x, &grad, false, &mut ws);
                 assert_eq!(bits(dx.data()), bits(dx_want.data()), "backward n{n} {g:?}");
                 assert!(none.is_empty());
-                let (dx, grads) = layer.backward(&x, &grad, true);
+                let (dx, grads) = layer.backward(&x, &grad, true, &mut ws);
                 assert_eq!(bits(dx.data()), bits(dx_want.data()));
                 assert_eq!(grads[0].shape(), dw_want.shape());
                 assert_eq!(bits(grads[0].data()), bits(dw_want.data()), "dW n{n} {g:?}");
@@ -619,7 +610,7 @@ mod tests {
     fn matches_direct_convolution_no_pad() {
         let layer = random_layer(2, 3, 3, 1, 0);
         let x = rng::uniform(&mut rng::rng(1), &[2, 2, 6, 6], -1.0, 1.0);
-        let (y, _) = layer.forward(&x);
+        let (y, _) = layer.forward_ws(&x, &mut Workspace::new());
         let want = conv_oracle(&x, &layer);
         assert_eq!(y.shape(), want.shape());
         for (a, b) in y.data().iter().zip(want.data().iter()) {
@@ -631,7 +622,7 @@ mod tests {
     fn matches_direct_convolution_with_pad_and_stride() {
         let layer = random_layer(3, 4, 3, 2, 1);
         let x = rng::uniform(&mut rng::rng(2), &[1, 3, 7, 7], -1.0, 1.0);
-        let (y, _) = layer.forward(&x);
+        let (y, _) = layer.forward_ws(&x, &mut Workspace::new());
         let want = conv_oracle(&x, &layer);
         assert_eq!(y.shape(), want.shape());
         for (a, b) in y.data().iter().zip(want.data().iter()) {
@@ -659,7 +650,7 @@ mod tests {
         let mut layer = Conv2d::new(1, 1, 1, 1, 0, Init::Zeros);
         layer.weight = Tensor::ones(&[1, 1, 1, 1]);
         let x = rng::uniform(&mut rng::rng(3), &[2, 1, 4, 4], -1.0, 1.0);
-        let (y, _) = layer.forward(&x);
+        let (y, _) = layer.forward_ws(&x, &mut Workspace::new());
         assert_eq!(y.data(), x.data());
     }
 
@@ -667,16 +658,13 @@ mod tests {
     fn backward_shapes() {
         let layer = random_layer(2, 3, 3, 1, 1);
         let x = rng::uniform(&mut rng::rng(4), &[2, 2, 5, 5], -1.0, 1.0);
-        let (y, cache) = layer.forward(&x);
+        let mut ws = Workspace::new();
+        let (y, _) = layer.forward_ws(&x, &mut ws);
         let g = Tensor::ones(y.shape());
-        if let Cache::Input(xc) = cache {
-            let (dx, grads) = layer.backward(&xc, &g, true);
-            assert_eq!(dx.shape(), x.shape());
-            assert_eq!(grads[0].shape(), layer.weight.shape());
-            assert_eq!(grads[1].shape(), layer.bias.shape());
-        } else {
-            panic!("wrong cache kind");
-        }
+        let (dx, grads) = layer.backward(&x, &g, true, &mut ws);
+        assert_eq!(dx.shape(), x.shape());
+        assert_eq!(grads[0].shape(), layer.weight.shape());
+        assert_eq!(grads[1].shape(), layer.bias.shape());
     }
 
     #[test]
@@ -684,14 +672,11 @@ mod tests {
         // With dY = 1 everywhere, db equals the number of output positions.
         let layer = random_layer(1, 2, 3, 1, 0);
         let x = rng::uniform(&mut rng::rng(5), &[1, 1, 5, 5], -1.0, 1.0);
-        let (y, cache) = layer.forward(&x);
+        let mut ws = Workspace::new();
+        let (y, _) = layer.forward_ws(&x, &mut ws);
         let g = Tensor::ones(y.shape());
-        if let Cache::Input(xc) = cache {
-            let (_, grads) = layer.backward(&xc, &g, true);
-            let positions = (y.shape()[2] * y.shape()[3]) as f32;
-            assert_eq!(grads[1].data(), &[positions, positions]);
-        } else {
-            panic!("wrong cache kind");
-        }
+        let (_, grads) = layer.backward(&x, &g, true, &mut ws);
+        let positions = (y.shape()[2] * y.shape()[3]) as f32;
+        assert_eq!(grads[1].data(), &[positions, positions]);
     }
 }

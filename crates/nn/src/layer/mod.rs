@@ -1,10 +1,14 @@
 //! Layer types and the dispatch enum composing them into networks.
 //!
-//! Layers are plain data (weights + hyperparameters) with pure
-//! `forward`/`backward` methods. Dispatch is a closed `enum` rather than
-//! trait objects: the set of layer types the paper's fifteen models need is
-//! fixed and small, and the enum keeps serialization, shape inference and
-//! exhaustive testing straightforward.
+//! Layers are plain data (weights + hyperparameters). Dispatch is a closed
+//! `enum` rather than trait objects: the set of layer types the paper's
+//! fifteen models need is fixed and small, and the enum keeps serialization,
+//! shape inference and exhaustive testing straightforward.
+//!
+//! Each kind has one forward and one backward, both drawing their buffers
+//! from a [`Workspace`]. What a backward needs from its forward is decided
+//! here, once: the input `x` and output `y` that a [`ForwardPass`] records
+//! anyway, plus a [`Cache`] for what is not a function of those two.
 
 mod activation;
 mod conv;
@@ -13,60 +17,62 @@ mod norm;
 mod pool;
 mod residual;
 
-pub use activation::{relu_backward, sigmoid_backward, softmax_backward, tanh_backward};
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use norm::{BatchNorm, Dropout};
 pub use pool::{AvgPool2d, MaxPool2d};
 pub use residual::Residual;
 
+use std::slice;
+
 use dx_tensor::{rng::Rng, Tensor, Workspace};
 
 use crate::init::Init;
+use crate::network::ForwardPass;
 
-/// Values a layer computes during `forward` that its `backward` needs.
+/// What a layer's backward needs beyond its recorded input and output.
 ///
-/// Caches are returned by value inside a [`crate::ForwardPass`] so a pass is
-/// immutable and can be differentiated repeatedly (the DeepXplore inner loop
-/// reuses one pass for both objectives).
+/// A [`ForwardPass`] holds one per layer next to the activations, so a pass
+/// is immutable and can be differentiated repeatedly (the DeepXplore inner
+/// loop reuses one pass for both objectives). Most kinds need nothing.
 #[derive(Clone, Debug)]
 pub enum Cache {
-    /// The layer input (dense and conv layers; conv re-derives im2col).
-    Input(Tensor),
-    /// The layer output (sigmoid, tanh, softmax — their derivative is a
-    /// function of the output).
-    Output(Tensor),
-    /// A 0/1 (or scaled, for dropout) multiplicative mask.
+    /// Nothing: the backward is a function of the recorded input/output.
+    None,
+    /// Max pooling: the flat input offset of each output's maximum.
+    ArgMax(Vec<usize>),
+    /// Training-mode dropout: the sampled, scaled multiplicative mask.
     Mask(Tensor),
-    /// Flat input offsets of each pooled maximum plus the input shape.
-    ArgMax {
-        /// Flat offset of the maximum within the layer input, per output.
-        indices: Vec<usize>,
-        /// The layer's input shape (batched).
-        in_shape: Vec<usize>,
-    },
-    /// Just the input shape (flatten, average pooling).
-    Shape(Vec<usize>),
     /// Batch-norm cache.
     BatchNorm {
         /// The normalized input `x̂`.
         xhat: Tensor,
         /// Per-feature inverse standard deviation.
         inv_std: Tensor,
-        /// Per-feature reduction count (batch × spatial positions).
-        count: usize,
-        /// Whether the forward pass used batch statistics (training mode).
-        train: bool,
+        /// The batch `(mean, variance)` a training-mode forward normalised
+        /// with; `None` when it used the running statistics.
+        batch: Option<(Vec<f32>, Vec<f32>)>,
     },
-    /// Residual-block cache: one cache per body layer plus the projection's.
-    Residual {
-        /// Caches of the body layers, in forward order.
-        inner: Vec<Cache>,
-        /// Cache of the 1×1 projection, when present.
-        proj: Option<Box<Cache>>,
-    },
-    /// Layers that need nothing (identity-like eval dropout).
-    None,
+    /// Residual block: the pass recorded over its body.
+    Residual(ForwardPass),
+    /// A layer run on its own ([`Layer::forward`], [`Layer::forward_train`]):
+    /// the one-layer pass that recorded its input, output and cache.
+    Standalone(ForwardPass),
+}
+
+impl Cache {
+    /// Returns every buffer the cache owns to the workspace.
+    pub(crate) fn recycle(self, ws: &mut Workspace) {
+        match self {
+            Cache::None | Cache::ArgMax(_) => {}
+            Cache::Mask(t) => ws.put_tensor(t),
+            Cache::BatchNorm { xhat, inv_std, .. } => {
+                ws.put_tensor(xhat);
+                ws.put_tensor(inv_std);
+            }
+            Cache::Residual(pass) | Cache::Standalone(pass) => pass.recycle(ws),
+        }
+    }
 }
 
 /// One network layer.
@@ -254,85 +260,117 @@ impl Layer {
         }
     }
 
-    /// Evaluation-mode forward pass over a batched input.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, Cache) {
-        match self {
-            Layer::Dense(d) => d.forward(x),
-            Layer::Conv2d(c) => c.forward(x),
-            Layer::MaxPool2d(p) => p.forward(x),
-            Layer::AvgPool2d(p) => p.forward(x),
-            Layer::Relu => activation::relu_forward(x),
-            Layer::Sigmoid => activation::sigmoid_forward(x),
-            Layer::Tanh => activation::tanh_forward(x),
-            Layer::Softmax => activation::softmax_forward(x),
-            Layer::Flatten => flatten_forward(x),
-            Layer::Dropout(_) => (x.clone(), Cache::None),
-            Layer::BatchNorm(b) => b.forward_eval(x),
-            Layer::Residual(r) => r.forward(x),
-        }
-    }
-
-    /// Evaluation-mode forward pass drawing intermediates from a workspace
-    /// and recording only the *lite* caches the input-gradient backward
-    /// needs.
-    ///
-    /// Bit-identical outputs to [`Layer::forward`], but: dense and conv run
-    /// through the workspace kernels, elementwise activations write straight
-    /// into pooled buffers, and no derivative tensors (masks, output copies)
-    /// are materialized — the backward sweep re-derives them from the
-    /// recorded activations (see `Network::input_gradient_ws`). Layers
-    /// without a lite path (pooling, batch-norm, dropout, residual) fall
-    /// back to [`Layer::forward`], whose caches the backward dispatch also
-    /// accepts.
-    ///
-    /// Passes built this way support input gradients but **not**
-    /// `backward_params` (dense/conv inputs are not cached) — the campaign
-    /// hot path never trains.
-    pub fn forward_lite(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, Cache) {
+    /// The one forward: evaluation mode, or training mode when `train`
+    /// carries the RNG (dropout samples its mask from it, batch-norm
+    /// normalises with batch statistics). Buffers come from `ws`.
+    pub(crate) fn run(
+        &self,
+        x: &Tensor,
+        train: Option<&mut Rng>,
+        ws: &mut Workspace,
+    ) -> (Tensor, Cache) {
         match self {
             Layer::Dense(d) => d.forward_ws(x, ws),
             Layer::Conv2d(c) => c.forward_ws(x, ws),
-            Layer::Relu => {
-                let mut buf = ws.take_empty(x.len());
-                buf.extend(x.data().iter().map(|&v| v.max(0.0)));
-                (Tensor::from_vec(buf, x.shape()), Cache::None)
-            }
-            Layer::Sigmoid => {
-                let mut buf = ws.take_empty(x.len());
-                buf.extend(x.data().iter().map(|&v| 1.0 / (1.0 + (-v).exp())));
-                (Tensor::from_vec(buf, x.shape()), Cache::None)
-            }
-            Layer::Tanh => {
-                let mut buf = ws.take_empty(x.len());
-                buf.extend(x.data().iter().map(|&v| v.tanh()));
-                (Tensor::from_vec(buf, x.shape()), Cache::None)
-            }
-            Layer::Softmax => (activation::softmax_forward_ws(x, ws), Cache::None),
+            Layer::MaxPool2d(p) => p.forward(x, ws),
+            Layer::AvgPool2d(p) => p.forward(x, ws),
+            Layer::Relu => (activation::relu_forward(x, ws), Cache::None),
+            Layer::Sigmoid => (activation::sigmoid_forward(x, ws), Cache::None),
+            Layer::Tanh => (activation::tanh_forward(x, ws), Cache::None),
+            Layer::Softmax => (activation::softmax_forward(x, ws), Cache::None),
             Layer::Flatten => {
                 let n = x.shape()[0];
                 let rest: usize = x.shape()[1..].iter().product();
-                let buf = ws.take_copy(x.data());
-                (Tensor::from_vec(buf, &[n, rest]), Cache::Shape(x.shape().to_vec()))
+                (Tensor::from_vec(ws.take_copy(x.data()), &[n, rest]), Cache::None)
             }
-            Layer::Dropout(_) => (Tensor::from_vec(ws.take_copy(x.data()), x.shape()), Cache::None),
-            other => other.forward(x),
+            Layer::Dropout(d) => d.forward(x, train, ws),
+            Layer::BatchNorm(b) => b.forward(x, train.is_some(), ws),
+            Layer::Residual(r) => r.forward(x, train, ws),
         }
     }
 
-    /// Training-mode forward pass; updates batch-norm running statistics and
-    /// samples dropout masks.
+    /// The one backward, given the input `x` and output `y` the forward saw
+    /// and the `cache` it returned: consumes the gradient at the output (its
+    /// buffer is rewritten, reshaped or recycled) and returns the gradient
+    /// at the input plus — when `want_param_grads` — the parameter
+    /// gradients in [`Layer::params`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` does not belong to this layer type.
+    pub(crate) fn run_backward(
+        &self,
+        x: &Tensor,
+        y: &Tensor,
+        cache: &Cache,
+        mut grad: Tensor,
+        want_param_grads: bool,
+        ws: &mut Workspace,
+    ) -> (Tensor, Vec<Tensor>) {
+        let (dx, param_grads) = match (self, cache) {
+            (Layer::Dense(d), Cache::None) => d.backward(x, &grad, want_param_grads, ws),
+            (Layer::Conv2d(c), Cache::None) => c.backward(x, &grad, want_param_grads, ws),
+            (Layer::MaxPool2d(p), Cache::ArgMax(indices)) => {
+                (p.backward(indices, x.shape(), &grad, ws), vec![])
+            }
+            (Layer::AvgPool2d(p), Cache::None) => (p.backward(x.shape(), &grad, ws), vec![]),
+            (Layer::BatchNorm(b), Cache::BatchNorm { xhat, inv_std, batch }) => {
+                b.backward(xhat, inv_std, batch.is_some(), &grad, want_param_grads, ws)
+            }
+            (Layer::Residual(r), Cache::Residual(body)) => {
+                r.backward(body, &grad, want_param_grads, ws)
+            }
+            // The remaining kinds hand the incoming buffer on.
+            (Layer::Relu, Cache::None) => return (activation::relu_backward(x, grad), vec![]),
+            (Layer::Sigmoid, Cache::None) => {
+                return (activation::sigmoid_backward(y, grad), vec![])
+            }
+            (Layer::Tanh, Cache::None) => return (activation::tanh_backward(y, grad), vec![]),
+            (Layer::Softmax, Cache::None) => {
+                return (activation::softmax_backward(y, grad), vec![])
+            }
+            (Layer::Flatten, Cache::None) => return (grad.into_reshaped(x.shape()), vec![]),
+            (Layer::Dropout(_), Cache::None) => return (grad, vec![]),
+            (Layer::Dropout(_), Cache::Mask(mask)) => {
+                for (g, &m) in grad.data_mut().iter_mut().zip(mask.data()) {
+                    *g *= m;
+                }
+                return (grad, vec![]);
+            }
+            (layer, cache) => panic!("cache {cache:?} does not belong to layer {}", layer.name()),
+        };
+        ws.put_tensor(grad);
+        (dx, param_grads)
+    }
+
+    /// Evaluation-mode forward pass of this layer on its own. The returned
+    /// [`Cache::Standalone`] records input and output, so
+    /// [`Layer::backward`] needs nothing else.
+    pub fn forward(&self, x: &Tensor) -> (Tensor, Cache) {
+        let pass = ForwardPass::record(slice::from_ref(self), x, None, &mut Workspace::new());
+        (pass.output().clone(), Cache::Standalone(pass))
+    }
+
+    /// Evaluation-mode forward pass with the output (and whatever the cache
+    /// holds) drawn from a workspace — what a network's walk runs per layer.
+    /// The cache is the bare one: it does not repeat `x` and the output, so
+    /// it is not an argument for [`Layer::backward`].
+    pub fn forward_lite(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, Cache) {
+        self.run(x, None, ws)
+    }
+
+    /// Training-mode forward pass of this layer on its own; samples dropout
+    /// masks and updates batch-norm running statistics. The cache is
+    /// self-sufficient like [`Layer::forward`]'s.
     pub fn forward_train(&mut self, x: &Tensor, r: &mut Rng) -> (Tensor, Cache) {
-        match self {
-            Layer::Dropout(d) => d.forward_train(x, r),
-            Layer::BatchNorm(b) => b.forward_train(x),
-            Layer::Residual(res) => res.forward_train(x, r),
-            other => other.forward(x),
-        }
+        let pass = ForwardPass::record(slice::from_ref(self), x, Some(r), &mut Workspace::new());
+        absorb_batch_stats(slice::from_mut(self), &pass.caches);
+        (pass.output().clone(), Cache::Standalone(pass))
     }
 
-    /// Backward pass: returns the gradient with respect to the layer input
-    /// and — when `want_param_grads` — the gradients of the layer parameters
-    /// (in [`Layer::params`] order).
+    /// Backward pass for a cache from [`Layer::forward`] or
+    /// [`Layer::forward_train`]: the gradient at the layer input and — when
+    /// `want_param_grads` — the parameter gradients in [`Layer::params`] order.
     ///
     /// # Panics
     ///
@@ -343,30 +381,12 @@ impl Layer {
         grad_out: &Tensor,
         want_param_grads: bool,
     ) -> (Tensor, Vec<Tensor>) {
-        match (self, cache) {
-            (Layer::Dense(d), Cache::Input(x)) => d.backward(x, grad_out, want_param_grads),
-            (Layer::Conv2d(c), Cache::Input(x)) => c.backward(x, grad_out, want_param_grads),
-            (Layer::MaxPool2d(p), Cache::ArgMax { indices, in_shape }) => {
-                (p.backward(indices, in_shape, grad_out), vec![])
-            }
-            (Layer::AvgPool2d(p), Cache::Shape(in_shape)) => {
-                (p.backward(in_shape, grad_out), vec![])
-            }
-            (Layer::Relu, Cache::Mask(mask)) => (relu_backward(mask, grad_out), vec![]),
-            (Layer::Sigmoid, Cache::Output(y)) => (sigmoid_backward(y, grad_out), vec![]),
-            (Layer::Tanh, Cache::Output(y)) => (tanh_backward(y, grad_out), vec![]),
-            (Layer::Softmax, Cache::Output(y)) => (softmax_backward(y, grad_out), vec![]),
-            (Layer::Flatten, Cache::Shape(in_shape)) => (grad_out.reshape(in_shape), vec![]),
-            (Layer::Dropout(_), Cache::None) => (grad_out.clone(), vec![]),
-            (Layer::Dropout(_), Cache::Mask(mask)) => (grad_out.hadamard(mask), vec![]),
-            (Layer::BatchNorm(b), Cache::BatchNorm { xhat, inv_std, count, train }) => {
-                b.backward(xhat, inv_std, *count, *train, grad_out, want_param_grads)
-            }
-            (Layer::Residual(r), Cache::Residual { inner, proj }) => {
-                r.backward(inner, proj.as_deref(), grad_out, want_param_grads)
-            }
-            (layer, cache) => panic!("cache {cache:?} does not belong to layer {}", layer.name()),
-        }
+        let Cache::Standalone(pass) = cache else {
+            panic!("cache {cache:?} does not belong to layer {}: it records no input", self.name())
+        };
+        let (layers, mut ws) = (slice::from_ref(self), Workspace::new());
+        let (dx, mut grads) = pass.sweep(layers, grad_out.clone(), &[], want_param_grads, &mut ws);
+        (dx, grads.pop().unwrap_or_default())
     }
 
     /// Trainable parameters, in a fixed order.
@@ -422,10 +442,20 @@ impl Layer {
     }
 }
 
-fn flatten_forward(x: &Tensor) -> (Tensor, Cache) {
-    let n = x.shape()[0];
-    let rest: usize = x.shape()[1..].iter().product();
-    (x.reshape(&[n, rest]), Cache::Shape(x.shape().to_vec()))
+/// Folds the batch statistics a training-mode walk over `layers` left in
+/// `caches` into the batch-norm running averages, residual bodies included.
+pub(crate) fn absorb_batch_stats(layers: &mut [Layer], caches: &[Cache]) {
+    for pair in layers.iter_mut().zip(caches) {
+        match pair {
+            (Layer::BatchNorm(b), Cache::BatchNorm { batch: Some((mean, var)), .. }) => {
+                b.update_running(mean, var);
+            }
+            (Layer::Residual(r), Cache::Residual(body)) => {
+                absorb_batch_stats(&mut r.body, &body.caches);
+            }
+            _ => {}
+        }
+    }
 }
 
 #[cfg(test)]
@@ -478,8 +508,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not belong to layer")]
     fn mismatched_cache_panics() {
-        let layer = Layer::relu();
-        layer.backward(&Cache::Shape(vec![1]), &Tensor::zeros(&[1, 1]), false);
+        let x = Tensor::zeros(&[1, 1, 2, 2]);
+        let (_, cache) = Layer::maxpool2d(2).forward(&x);
+        Layer::relu().backward(&cache, &x, false);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `DAVE-NormInit` removes it in favour of normalized initialization, and
 //! `DAVE-Dropout` adds dropout between its final dense layers.
 
-use dx_tensor::{rng::Rng, Tensor};
+use dx_tensor::{rng::Rng, Tensor, Workspace};
 use rand::Rng as _;
 
 use crate::layer::Cache;
@@ -52,10 +52,7 @@ impl BatchNorm {
 
     /// Resets affine parameters and running statistics.
     pub fn reset(&mut self) {
-        self.gamma = Tensor::ones(&[self.features]);
-        self.beta = Tensor::zeros(&[self.features]);
-        self.running_mean = Tensor::zeros(&[self.features]);
-        self.running_var = Tensor::ones(&[self.features]);
+        *self = Self { eps: self.eps, momentum: self.momentum, ..Self::new(self.features) };
     }
 
     /// Output shape (without batch): identity.
@@ -72,47 +69,34 @@ impl BatchNorm {
         in_shape.to_vec()
     }
 
-    /// Returns `(channels, count-per-channel, spatial)` for a batched shape.
+    /// Returns `(channels, count-per-channel, spatial)` for a batched shape;
+    /// `[N, C]` is `[N, C, H, W]` with a single spatial position.
     fn geometry(&self, shape: &[usize]) -> (usize, usize, usize) {
-        match shape.len() {
-            2 => {
-                assert_eq!(shape[1], self.features, "BatchNorm features mismatch {shape:?}");
-                (shape[1], shape[0], 1)
-            }
-            4 => {
-                assert_eq!(shape[1], self.features, "BatchNorm channels mismatch {shape:?}");
-                (shape[1], shape[0] * shape[2] * shape[3], shape[2] * shape[3])
-            }
-            _ => panic!("BatchNorm expects [N, C] or [N, C, H, W], got {shape:?}"),
-        }
+        assert!(
+            matches!(shape.len(), 2 | 4) && shape[1] == self.features,
+            "BatchNorm({}) expects [N, C] or [N, C, H, W], got {shape:?}",
+            self.features
+        );
+        let hw: usize = shape[2..].iter().product();
+        (shape[1], shape[0] * hw, hw)
     }
 
     /// Iterates `f(channel, flat_offset)` over every element of a batched
     /// tensor, channel-major within each sample.
     fn for_each(shape: &[usize], mut f: impl FnMut(usize, usize)) {
-        if shape.len() == 2 {
-            let (n, c) = (shape[0], shape[1]);
-            for i in 0..n {
-                for ch in 0..c {
-                    f(ch, i * c + ch);
-                }
-            }
-        } else {
-            let (n, c, hw) = (shape[0], shape[1], shape[2] * shape[3]);
-            for i in 0..n {
-                for ch in 0..c {
-                    let base = (i * c + ch) * hw;
-                    for s in 0..hw {
-                        f(ch, base + s);
-                    }
+        let (n, c, hw) = (shape[0], shape[1], shape[2..].iter().product::<usize>());
+        for i in 0..n {
+            for ch in 0..c {
+                let base = (i * c + ch) * hw;
+                for s in 0..hw {
+                    f(ch, base + s);
                 }
             }
         }
     }
 
-    /// Training-mode forward: batch statistics + running-average update.
-    pub fn forward_train(&mut self, x: &Tensor) -> (Tensor, Cache) {
-        let (c, count, _) = self.geometry(x.shape());
+    /// Per-channel batch mean and (biased) variance of `x`.
+    fn batch_stats(x: &Tensor, c: usize, count: usize) -> (Vec<f32>, Vec<f32>) {
         let mut mean = vec![0.0f32; c];
         Self::for_each(x.shape(), |ch, off| mean[ch] += x.data()[off]);
         for m in &mut mean {
@@ -126,101 +110,86 @@ impl BatchNorm {
         for v in &mut var {
             *v /= count as f32;
         }
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let mut xhat = Tensor::zeros(x.shape());
-        let mut y = Tensor::zeros(x.shape());
-        {
-            let xd = x.data();
-            let xh = xhat.data_mut();
-            Self::for_each(x.shape(), |ch, off| {
-                xh[off] = (xd[off] - mean[ch]) * inv_std[ch];
-            });
-            let yd = y.data_mut();
-            Self::for_each(x.shape(), |ch, off| {
-                yd[off] = self.gamma.data()[ch] * xh[off] + self.beta.data()[ch];
-            });
-        }
-        for ch in 0..c {
+        (mean, var)
+    }
+
+    /// Forward pass: normalises with the batch's own statistics when
+    /// `train`, with the frozen running statistics otherwise. The running
+    /// averages are not touched here: a training step folds the batch
+    /// statistics the cache carries into them after its walk.
+    pub fn forward(&self, x: &Tensor, train: bool, ws: &mut Workspace) -> (Tensor, Cache) {
+        let (c, count, _) = self.geometry(x.shape());
+        let batch = train.then(|| Self::batch_stats(x, c, count));
+        let (mean, var) = match &batch {
+            Some((mean, var)) => (mean.as_slice(), var.as_slice()),
+            None => (self.running_mean.data(), self.running_var.data()),
+        };
+        let mut inv_std = ws.take_empty(c);
+        inv_std.extend(var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()));
+        let mut xhat = ws.take(x.len());
+        let mut y = ws.take(x.len());
+        let (xd, gamma, beta) = (x.data(), self.gamma.data(), self.beta.data());
+        Self::for_each(x.shape(), |ch, off| {
+            xhat[off] = (xd[off] - mean[ch]) * inv_std[ch];
+            y[off] = gamma[ch] * xhat[off] + beta[ch];
+        });
+        let cache = Cache::BatchNorm {
+            xhat: Tensor::from_vec(xhat, x.shape()),
+            inv_std: Tensor::from_vec(inv_std, &[c]),
+            batch,
+        };
+        (Tensor::from_vec(y, x.shape()), cache)
+    }
+
+    /// Folds one training batch's statistics into the running averages.
+    pub(crate) fn update_running(&mut self, mean: &[f32], var: &[f32]) {
+        for ch in 0..self.features {
             let rm = &mut self.running_mean.data_mut()[ch];
             *rm = self.momentum * *rm + (1.0 - self.momentum) * mean[ch];
             let rv = &mut self.running_var.data_mut()[ch];
             *rv = self.momentum * *rv + (1.0 - self.momentum) * var[ch];
         }
-        (y, Cache::BatchNorm { xhat, inv_std: Tensor::from_vec(inv_std, &[c]), count, train: true })
-    }
-
-    /// Evaluation-mode forward using the frozen running statistics.
-    pub fn forward_eval(&self, x: &Tensor) -> (Tensor, Cache) {
-        let (c, count, _) = self.geometry(x.shape());
-        let inv_std: Vec<f32> =
-            self.running_var.data().iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let mut xhat = Tensor::zeros(x.shape());
-        let mut y = Tensor::zeros(x.shape());
-        {
-            let xd = x.data();
-            let xh = xhat.data_mut();
-            let rm = self.running_mean.data();
-            Self::for_each(x.shape(), |ch, off| {
-                xh[off] = (xd[off] - rm[ch]) * inv_std[ch];
-            });
-            let yd = y.data_mut();
-            Self::for_each(x.shape(), |ch, off| {
-                yd[off] = self.gamma.data()[ch] * xh[off] + self.beta.data()[ch];
-            });
-        }
-        (
-            y,
-            Cache::BatchNorm {
-                xhat,
-                inv_std: Tensor::from_vec(inv_std, &[c]),
-                count,
-                train: false,
-            },
-        )
     }
 
     /// Backward pass: `(dx, [dgamma, dbeta])`.
     ///
     /// In evaluation mode the statistics are constants, so
-    /// `dx = dy · γ · inv_std` exactly; in training mode the full
-    /// batch-statistics Jacobian is applied.
+    /// `dx = dy · γ · inv_std` exactly; in training mode (`train`) the full
+    /// batch-statistics Jacobian is applied. The `dgamma`/`dbeta` sums are
+    /// taken only when used: as parameter gradients or by that Jacobian.
     pub fn backward(
         &self,
         xhat: &Tensor,
         inv_std: &Tensor,
-        count: usize,
         train: bool,
         grad_out: &Tensor,
         want_param_grads: bool,
+        ws: &mut Workspace,
     ) -> (Tensor, Vec<Tensor>) {
-        let c = self.features;
-        let mut dgamma = vec![0.0f32; c];
-        let mut dbeta = vec![0.0f32; c];
-        {
-            let g = grad_out.data();
-            let xh = xhat.data();
+        let (c, count, _) = self.geometry(grad_out.shape());
+        let (g, xh) = (grad_out.data(), xhat.data());
+        let sums = if train || want_param_grads { c } else { 0 };
+        let (mut dgamma, mut dbeta) = (vec![0.0f32; sums], vec![0.0f32; sums]);
+        if sums > 0 {
             Self::for_each(grad_out.shape(), |ch, off| {
                 dgamma[ch] += g[off] * xh[off];
                 dbeta[ch] += g[off];
             });
         }
-        let mut dx = Tensor::zeros(grad_out.shape());
-        {
-            let g = grad_out.data();
-            let xh = xhat.data();
-            let dxd = dx.data_mut();
+        let mut dx = ws.take(grad_out.len());
+        let (gamma, inv_std) = (self.gamma.data(), inv_std.data());
+        if train {
             let m = count as f32;
-            if train {
-                Self::for_each(grad_out.shape(), |ch, off| {
-                    let scale = self.gamma.data()[ch] * inv_std.data()[ch] / m;
-                    dxd[off] = scale * (m * g[off] - xh[off] * dgamma[ch] - dbeta[ch]);
-                });
-            } else {
-                Self::for_each(grad_out.shape(), |ch, off| {
-                    dxd[off] = g[off] * self.gamma.data()[ch] * inv_std.data()[ch];
-                });
-            }
+            Self::for_each(grad_out.shape(), |ch, off| {
+                let scale = gamma[ch] * inv_std[ch] / m;
+                dx[off] = scale * (m * g[off] - xh[off] * dgamma[ch] - dbeta[ch]);
+            });
+        } else {
+            Self::for_each(grad_out.shape(), |ch, off| {
+                dx[off] = g[off] * gamma[ch] * inv_std[ch];
+            });
         }
+        let dx = Tensor::from_vec(dx, grad_out.shape());
         if want_param_grads {
             (dx, vec![Tensor::from_vec(dgamma, &[c]), Tensor::from_vec(dbeta, &[c])])
         } else {
@@ -249,31 +218,52 @@ impl Dropout {
         Self { p }
     }
 
-    /// Training-mode forward with a freshly sampled mask.
-    pub fn forward_train(&self, x: &Tensor, r: &mut Rng) -> (Tensor, Cache) {
-        if self.p == 0.0 {
-            return (x.clone(), Cache::None);
-        }
+    /// Forward pass: a copy at evaluation and when nothing is dropped; in
+    /// training a mask sampled element by element, kept as the cache.
+    pub fn forward(
+        &self,
+        x: &Tensor,
+        train: Option<&mut Rng>,
+        ws: &mut Workspace,
+    ) -> (Tensor, Cache) {
+        let r = match train {
+            Some(r) if self.p != 0.0 => r,
+            _ => return (Tensor::from_vec(ws.take_copy(x.data()), x.shape()), Cache::None),
+        };
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let mut mask = Tensor::zeros(x.shape());
-        for v in mask.data_mut() {
-            *v = if r.gen_range(0.0..1.0f32) < keep { scale } else { 0.0 };
-        }
-        (x.hadamard(&mask), Cache::Mask(mask))
+        let mut mask = ws.take_empty(x.len());
+        mask.extend(
+            (0..x.len()).map(|_| if r.gen_range(0.0..1.0f32) < keep { scale } else { 0.0 }),
+        );
+        let mut y = ws.take_empty(x.len());
+        y.extend(x.data().iter().zip(&mask).map(|(&v, &m)| v * m));
+        (Tensor::from_vec(y, x.shape()), Cache::Mask(Tensor::from_vec(mask, x.shape())))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Layer;
     use dx_tensor::rng;
+
+    /// A training-mode step on the bare layer: forward, then the
+    /// running-average update a network applies after its walk.
+    fn train_step(bn: &mut BatchNorm, x: &Tensor) -> (Tensor, Cache) {
+        let (y, cache) = bn.forward(x, true, &mut Workspace::new());
+        let Cache::BatchNorm { batch: Some((mean, var)), .. } = &cache else {
+            panic!("a training-mode forward caches its batch statistics");
+        };
+        bn.update_running(mean, var);
+        (y, cache)
+    }
 
     #[test]
     fn train_forward_normalizes_batch() {
         let mut bn = BatchNorm::new(2);
         let x = rng::normal(&mut rng::rng(0), &[64, 2], 3.0, 2.0);
-        let (y, _) = bn.forward_train(&x);
+        let (y, _) = train_step(&mut bn, &x);
         // Per-feature mean ≈ 0, var ≈ 1.
         for ch in 0..2 {
             let vals: Vec<f32> = (0..64).map(|i| y.at(&[i, ch])).collect();
@@ -290,7 +280,7 @@ mod tests {
         let mut r = rng::rng(1);
         for _ in 0..200 {
             let x = rng::normal(&mut r, &[32, 1], 5.0, 1.0);
-            bn.forward_train(&x);
+            train_step(&mut bn, &x);
         }
         assert!((bn.running_mean.data()[0] - 5.0).abs() < 0.2);
         assert!((bn.running_var.data()[0] - 1.0).abs() < 0.3);
@@ -302,7 +292,7 @@ mod tests {
         bn.running_mean = Tensor::from_slice(&[10.0]);
         bn.running_var = Tensor::from_slice(&[4.0]);
         let x = Tensor::from_vec(vec![12.0], &[1, 1]);
-        let (y, _) = bn.forward_eval(&x);
+        let (y, _) = bn.forward(&x, false, &mut Workspace::new());
         // (12 - 10) / 2 = 1.
         assert!((y.data()[0] - 1.0).abs() < 1e-3);
     }
@@ -321,7 +311,7 @@ mod tests {
                 }
             }
         }
-        let (y, _) = bn.forward_train(&x);
+        let (y, _) = train_step(&mut bn, &x);
         assert!(y.data().iter().all(|v| v.abs() < 1e-2));
     }
 
@@ -331,39 +321,38 @@ mod tests {
         bn.gamma = Tensor::from_slice(&[3.0]);
         bn.running_var = Tensor::from_slice(&[0.25 - 1e-5]);
         let x = Tensor::from_vec(vec![1.0, 2.0], &[2, 1]);
-        let (_, cache) = bn.forward_eval(&x);
-        if let Cache::BatchNorm { xhat, inv_std, count, train } = cache {
-            let g = Tensor::ones(&[2, 1]);
-            let (dx, grads) = bn.backward(&xhat, &inv_std, count, train, &g, true);
-            // dy * gamma / sqrt(var+eps) = 1 * 3 / 0.5 = 6.
-            assert!(dx.data().iter().all(|v| (v - 6.0).abs() < 1e-3));
-            assert_eq!(grads.len(), 2);
-        } else {
-            panic!("wrong cache kind");
-        }
+        let layer = Layer::BatchNorm(bn);
+        let (_, cache) = layer.forward(&x);
+        let g = Tensor::ones(&[2, 1]);
+        // dy * gamma / sqrt(var+eps) = 1 * 3 / 0.5 = 6.
+        let (dx, grads) = layer.backward(&cache, &g, true);
+        assert!(dx.data().iter().all(|v| (v - 6.0).abs() < 1e-3));
+        // dbeta = Σ dy; dgamma = Σ dy·x̂ with x̂ = (x − 0) / 0.5.
+        assert_eq!(grads.len(), 2);
+        assert!((grads[1].data()[0] - 2.0).abs() < 1e-3);
+        assert!((grads[0].data()[0] - 6.0).abs() < 1e-2);
+        // Without parameter gradients the sums are skipped, dx unchanged.
+        let (dx_only, none) = layer.backward(&cache, &g, false);
+        assert_eq!(dx_only, dx);
+        assert!(none.is_empty());
     }
 
     #[test]
     fn train_backward_annihilates_constant_grad() {
         // In training mode the normalization removes the batch mean, so a
         // constant upstream gradient produces (near-)zero input gradient.
-        let mut bn = BatchNorm::new(1);
+        let mut layer = Layer::batch_norm(1);
         let x = rng::normal(&mut rng::rng(2), &[16, 1], 0.0, 1.0);
-        let (_, cache) = bn.forward_train(&x);
-        if let Cache::BatchNorm { xhat, inv_std, count, train } = cache {
-            let g = Tensor::ones(&[16, 1]);
-            let (dx, _) = bn.backward(&xhat, &inv_std, count, train, &g, false);
-            assert!(dx.data().iter().all(|v| v.abs() < 1e-4));
-        } else {
-            panic!("wrong cache kind");
-        }
+        let (_, cache) = layer.forward_train(&x, &mut rng::rng(0));
+        let (dx, _) = layer.backward(&cache, &Tensor::ones(&[16, 1]), false);
+        assert!(dx.data().iter().all(|v| v.abs() < 1e-4));
     }
 
     #[test]
     fn dropout_eval_identity_train_scales() {
         let d = Dropout::new(0.5);
         let x = Tensor::ones(&[1, 1000]);
-        let (y, cache) = d.forward_train(&x, &mut rng::rng(3));
+        let (y, cache) = d.forward(&x, Some(&mut rng::rng(3)), &mut Workspace::new());
         if let Cache::Mask(mask) = &cache {
             // Mask entries are 0 or 2 (1 / keep).
             assert!(mask.data().iter().all(|&v| v == 0.0 || v == 2.0));
@@ -378,7 +367,7 @@ mod tests {
     fn dropout_zero_probability_is_identity() {
         let d = Dropout::new(0.0);
         let x = rng::uniform(&mut rng::rng(4), &[2, 8], -1.0, 1.0);
-        let (y, cache) = d.forward_train(&x, &mut rng::rng(5));
+        let (y, cache) = d.forward(&x, Some(&mut rng::rng(5)), &mut Workspace::new());
         assert_eq!(y, x);
         assert!(matches!(cache, Cache::None));
     }

@@ -1,6 +1,6 @@
 //! Spatial pooling layers.
 
-use dx_tensor::Tensor;
+use dx_tensor::{Tensor, Workspace};
 
 use crate::layer::Cache;
 
@@ -49,16 +49,15 @@ impl MaxPool2d {
         vec![in_shape[0], oh, ow]
     }
 
-    /// Forward pass; caches the argmax offsets for the backward scatter.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, Cache) {
+    /// Forward pass into a workspace buffer; caches the argmax offsets for
+    /// the backward scatter.
+    pub fn forward(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, Cache) {
         assert_eq!(x.rank(), 4, "MaxPool2d expects [N, C, H, W], got {:?}", x.shape());
         let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let (oh, ow) = pooled_hw(self.kernel, self.stride, h, w);
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut indices = vec![0usize; n * c * oh * ow];
+        let mut out = ws.take_empty(n * c * oh * ow);
+        let mut indices = Vec::with_capacity(n * c * oh * ow);
         let xd = x.data();
-        let od = out.data_mut();
-        let mut oidx = 0;
         for i in 0..n {
             for ch in 0..c {
                 let plane_off = (i * c + ch) * h * w;
@@ -77,19 +76,24 @@ impl MaxPool2d {
                                 }
                             }
                         }
-                        od[oidx] = best_v;
-                        indices[oidx] = best_i;
-                        oidx += 1;
+                        out.push(best_v);
+                        indices.push(best_i);
                     }
                 }
             }
         }
-        (out, Cache::ArgMax { indices, in_shape: x.shape().to_vec() })
+        (Tensor::from_vec(out, &[n, c, oh, ow]), Cache::ArgMax(indices))
     }
 
     /// Backward pass: routes each output gradient to its argmax position.
-    pub fn backward(&self, indices: &[usize], in_shape: &[usize], grad_out: &Tensor) -> Tensor {
-        let mut dx = Tensor::zeros(in_shape);
+    pub fn backward(
+        &self,
+        indices: &[usize],
+        in_shape: &[usize],
+        grad_out: &Tensor,
+        ws: &mut Workspace,
+    ) -> Tensor {
+        let mut dx = ws.take_tensor(in_shape);
         let dxd = dx.data_mut();
         for (&idx, &g) in indices.iter().zip(grad_out.data().iter()) {
             dxd[idx] += g;
@@ -116,16 +120,14 @@ impl AvgPool2d {
         vec![in_shape[0], oh, ow]
     }
 
-    /// Forward pass.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, Cache) {
+    /// Forward pass into a workspace buffer.
+    pub fn forward(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, Cache) {
         assert_eq!(x.rank(), 4, "AvgPool2d expects [N, C, H, W], got {:?}", x.shape());
         let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let (oh, ow) = pooled_hw(self.kernel, self.stride, h, w);
         let inv = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
+        let mut out = ws.take_empty(n * c * oh * ow);
         let xd = x.data();
-        let od = out.data_mut();
-        let mut oidx = 0;
         for i in 0..n {
             for ch in 0..c {
                 let plane_off = (i * c + ch) * h * w;
@@ -139,21 +141,20 @@ impl AvgPool2d {
                                 acc += xd[row + kx];
                             }
                         }
-                        od[oidx] = acc * inv;
-                        oidx += 1;
+                        out.push(acc * inv);
                     }
                 }
             }
         }
-        (out, Cache::Shape(x.shape().to_vec()))
+        (Tensor::from_vec(out, &[n, c, oh, ow]), Cache::None)
     }
 
     /// Backward pass: spreads each output gradient evenly over its window.
-    pub fn backward(&self, in_shape: &[usize], grad_out: &Tensor) -> Tensor {
+    pub fn backward(&self, in_shape: &[usize], grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let (n, c, h, w) = (in_shape[0], in_shape[1], in_shape[2], in_shape[3]);
         let (oh, ow) = pooled_hw(self.kernel, self.stride, h, w);
         let inv = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut dx = Tensor::zeros(in_shape);
+        let mut dx = ws.take_tensor(in_shape);
         let dxd = dx.data_mut();
         let gd = grad_out.data();
         let mut oidx = 0;
@@ -195,7 +196,7 @@ mod tests {
             ],
             &[1, 1, 4, 4],
         );
-        let (y, _) = MaxPool2d::new(2, 2).forward(&x);
+        let (y, _) = MaxPool2d::new(2, 2).forward(&x, &mut Workspace::new());
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
     }
@@ -211,7 +212,7 @@ mod tests {
             ],
             &[1, 1, 4, 4],
         );
-        let (y, _) = AvgPool2d::new(2, 2).forward(&x);
+        let (y, _) = AvgPool2d::new(2, 2).forward(&x, &mut Workspace::new());
         assert_eq!(y.data(), &[3.5, 5.5, 11.5, 13.5]);
     }
 
@@ -219,10 +220,10 @@ mod tests {
     fn maxpool_backward_routes_to_argmax() {
         let x = Tensor::from_vec(vec![1.0, 9.0, 2.0, 3.0], &[1, 1, 2, 2]);
         let layer = MaxPool2d::new(2, 2);
-        let (_, cache) = layer.forward(&x);
-        if let Cache::ArgMax { indices, in_shape } = cache {
+        let (_, cache) = layer.forward(&x, &mut Workspace::new());
+        if let Cache::ArgMax(indices) = cache {
             let g = Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]);
-            let dx = layer.backward(&indices, &in_shape, &g);
+            let dx = layer.backward(&indices, x.shape(), &g, &mut Workspace::new());
             assert_eq!(dx.data(), &[0.0, 5.0, 0.0, 0.0]);
         } else {
             panic!("wrong cache kind");
@@ -233,14 +234,9 @@ mod tests {
     fn avgpool_backward_spreads_evenly() {
         let x = Tensor::zeros(&[1, 1, 2, 2]);
         let layer = AvgPool2d::new(2, 2);
-        let (_, cache) = layer.forward(&x);
-        if let Cache::Shape(shape) = cache {
-            let g = Tensor::from_vec(vec![8.0], &[1, 1, 1, 1]);
-            let dx = layer.backward(&shape, &g);
-            assert_eq!(dx.data(), &[2.0, 2.0, 2.0, 2.0]);
-        } else {
-            panic!("wrong cache kind");
-        }
+        let g = Tensor::from_vec(vec![8.0], &[1, 1, 1, 1]);
+        let dx = layer.backward(x.shape(), &g, &mut Workspace::new());
+        assert_eq!(dx.data(), &[2.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]
@@ -254,14 +250,14 @@ mod tests {
         let mut x = Tensor::zeros(&[1, 2, 2, 2]);
         x.set(&[0, 0, 0, 0], 5.0);
         x.set(&[0, 1, 1, 1], 7.0);
-        let (y, _) = MaxPool2d::new(2, 2).forward(&x);
+        let (y, _) = MaxPool2d::new(2, 2).forward(&x, &mut Workspace::new());
         assert_eq!(y.data(), &[5.0, 7.0]);
     }
 
     #[test]
     fn overlapping_stride() {
         let x = Tensor::from_vec((1..=16).map(|v| v as f32).collect(), &[1, 1, 4, 4]);
-        let (y, _) = MaxPool2d::new(2, 1).forward(&x);
+        let (y, _) = MaxPool2d::new(2, 1).forward(&x, &mut Workspace::new());
         assert_eq!(y.shape(), &[1, 1, 3, 3]);
         assert_eq!(y.at(&[0, 0, 0, 0]), 6.0);
         assert_eq!(y.at(&[0, 0, 2, 2]), 16.0);
@@ -271,11 +267,11 @@ mod tests {
     fn batched_pooling_isolates_samples() {
         let mut r = rng::rng(0);
         let x = rng::uniform(&mut r, &[3, 2, 4, 4], -1.0, 1.0);
-        let (y, _) = MaxPool2d::new(2, 2).forward(&x);
+        let (y, _) = MaxPool2d::new(2, 2).forward(&x, &mut Workspace::new());
         // Pool each sample independently and compare.
         for i in 0..3 {
             let xi = Tensor::from_vec(x.data()[i * 32..(i + 1) * 32].to_vec(), &[1, 2, 4, 4]);
-            let (yi, _) = MaxPool2d::new(2, 2).forward(&xi);
+            let (yi, _) = MaxPool2d::new(2, 2).forward(&xi, &mut Workspace::new());
             assert_eq!(&y.data()[i * 8..(i + 1) * 8], yi.data());
         }
     }

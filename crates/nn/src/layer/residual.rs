@@ -5,9 +5,10 @@
 //! engine supports them as a composite layer: a sequential `body` plus an
 //! optional 1×1 projection on the skip path for channel/stride changes.
 
-use dx_tensor::{rng::Rng, Tensor};
+use dx_tensor::{rng::Rng, Tensor, Workspace};
 
 use crate::layer::{Cache, Conv2d, Layer};
+use crate::network::ForwardPass;
 
 /// A residual block: `y = body(x) + skip(x)` where `skip` is the identity
 /// or a 1×1 projection convolution.
@@ -52,76 +53,50 @@ impl Residual {
         cur
     }
 
-    /// Evaluation-mode forward pass.
-    pub fn forward(&self, x: &Tensor) -> (Tensor, Cache) {
-        let mut inner = Vec::with_capacity(self.body.len());
-        let mut cur = x.clone();
-        for layer in &self.body {
-            let (y, cache) = layer.forward(&cur);
-            inner.push(cache);
-            cur = y;
-        }
-        let (skip, proj_cache) = match &self.projection {
-            Some(p) => {
-                let (s, c) = p.forward(x);
-                (s, Some(Box::new(c)))
-            }
-            None => (x.clone(), None),
+    /// Forward pass, in training mode when `train` carries the RNG (inner
+    /// dropout and batch-norm active). The cache is the pass recorded over
+    /// the body.
+    pub fn forward(
+        &self,
+        x: &Tensor,
+        train: Option<&mut Rng>,
+        ws: &mut Workspace,
+    ) -> (Tensor, Cache) {
+        let body = ForwardPass::record(&self.body, x, train, ws);
+        let mut out = match &self.projection {
+            Some(p) => p.forward_ws(x, ws).0,
+            None => Tensor::from_vec(ws.take_copy(x.data()), x.shape()),
         };
-        (&cur + &skip, Cache::Residual { inner, proj: proj_cache })
+        for (s, &b) in out.data_mut().iter_mut().zip(body.output().data()) {
+            *s += b;
+        }
+        (out, Cache::Residual(body))
     }
 
-    /// Training-mode forward pass (inner dropout/batch-norm active).
-    pub fn forward_train(&mut self, x: &Tensor, r: &mut Rng) -> (Tensor, Cache) {
-        let mut inner = Vec::with_capacity(self.body.len());
-        let mut cur = x.clone();
-        for layer in &mut self.body {
-            let (y, cache) = layer.forward_train(&cur, r);
-            inner.push(cache);
-            cur = y;
-        }
-        let (skip, proj_cache) = match &self.projection {
-            Some(p) => {
-                let (s, c) = p.forward(x);
-                (s, Some(Box::new(c)))
-            }
-            None => (x.clone(), None),
-        };
-        (&cur + &skip, Cache::Residual { inner, proj: proj_cache })
-    }
-
-    /// Backward pass: gradients flow through both paths and sum at the
-    /// input. Parameter gradients are body-first then projection, matching
+    /// Backward pass over the recorded `body` pass (whose input is the
+    /// block's): gradients flow through both paths and sum at the input.
+    /// Parameter gradients are body-first then projection, matching
     /// [`Residual::params`] order.
     pub fn backward(
         &self,
-        inner: &[Cache],
-        proj: Option<&Cache>,
+        body: &ForwardPass,
         grad_out: &Tensor,
         want_param_grads: bool,
+        ws: &mut Workspace,
     ) -> (Tensor, Vec<Tensor>) {
-        let mut grad = grad_out.clone();
-        let mut rev_param_grads: Vec<Vec<Tensor>> = Vec::with_capacity(self.body.len());
-        for i in (0..self.body.len()).rev() {
-            let (gin, pg) = self.body[i].backward(&inner[i], &grad, want_param_grads);
-            rev_param_grads.push(pg);
-            grad = gin;
-        }
-        let mut param_grads: Vec<Tensor> = rev_param_grads.into_iter().rev().flatten().collect();
-        let skip_grad = match (&self.projection, proj) {
-            (Some(p), Some(cache)) => {
-                let x = match cache {
-                    Cache::Input(x) => x,
-                    other => panic!("projection cache mismatch: {other:?}"),
-                };
-                let (gin, pg) = p.backward(x, grad_out, want_param_grads);
+        let seed = Tensor::from_vec(ws.take_copy(grad_out.data()), grad_out.shape());
+        let (mut grad, per_layer) = body.sweep(&self.body, seed, &[], want_param_grads, ws);
+        let mut param_grads: Vec<Tensor> = per_layer.into_iter().flatten().collect();
+        match &self.projection {
+            Some(p) => {
+                let (skip_grad, pg) = p.backward(body.input(), grad_out, want_param_grads, ws);
                 param_grads.extend(pg);
-                gin
+                grad += &skip_grad;
+                ws.put_tensor(skip_grad);
             }
-            (None, None) => grad_out.clone(),
-            _ => panic!("projection/cache presence mismatch"),
-        };
-        (&grad + &skip_grad, param_grads)
+            None => grad += grad_out,
+        }
+        (grad, param_grads)
     }
 
     /// Trainable parameters: body layers in order, then the projection.
@@ -171,8 +146,8 @@ mod tests {
     use crate::init::Init;
     use dx_tensor::rng;
 
-    fn identity_block() -> Residual {
-        Residual::new(vec![
+    fn identity_block() -> Layer {
+        Layer::residual(vec![
             Layer::conv2d(2, 2, 3, 1, 1),
             Layer::tanh(),
             Layer::conv2d(2, 2, 3, 1, 1),
@@ -205,9 +180,8 @@ mod tests {
     fn projection_handles_channel_change() {
         let body = vec![Layer::conv2d(2, 4, 3, 2, 1), Layer::relu(), Layer::conv2d(4, 4, 3, 1, 1)];
         let proj = Conv2d::new(2, 4, 1, 2, 0, Init::HeNormal);
-        let block = Residual::with_projection(body, proj);
+        let mut block = Layer::residual_projected(body, proj);
         assert_eq!(block.output_shape(&[2, 8, 8]), vec![4, 4, 4]);
-        let mut block = block;
         block.init_weights(&mut rng::rng(1));
         let x = rng::uniform(&mut rng::rng(2), &[2, 2, 8, 8], -1.0, 1.0);
         let (y, _) = block.forward(&x);
@@ -222,12 +196,8 @@ mod tests {
         let x = rng::uniform(&mut rng::rng(3), &[1, 2, 4, 4], -1.0, 1.0);
         let (_, cache) = block.forward(&x);
         let g = rng::uniform(&mut rng::rng(4), &[1, 2, 4, 4], -1.0, 1.0);
-        if let Cache::Residual { inner, proj } = cache {
-            let (dx, _) = block.backward(&inner, proj.as_deref(), &g, false);
-            assert_eq!(dx, g);
-        } else {
-            panic!("wrong cache kind");
-        }
+        let (dx, _) = block.backward(&cache, &g, false);
+        assert_eq!(dx, g);
     }
 
     #[test]
@@ -241,17 +211,12 @@ mod tests {
 
     #[test]
     fn finite_difference_through_block() {
-        let mut block = Residual::new(vec![Layer::conv2d(1, 1, 3, 1, 1), Layer::tanh()]);
+        let mut block = Layer::residual(vec![Layer::conv2d(1, 1, 3, 1, 1), Layer::tanh()]);
         block.init_weights(&mut rng::rng(6));
         let x = rng::uniform(&mut rng::rng(7), &[1, 1, 3, 3], -0.5, 0.5);
         let probe = rng::uniform(&mut rng::rng(8), &[1, 1, 3, 3], -1.0, 1.0);
         let (_, cache) = block.forward(&x);
-        let (dx, _) = match &cache {
-            Cache::Residual { inner, proj } => {
-                block.backward(inner, proj.as_deref(), &probe, false)
-            }
-            _ => panic!("wrong cache"),
-        };
+        let (dx, _) = block.backward(&cache, &probe, false);
         let f = |x: &Tensor| -> f32 {
             let (y, _) = block.forward(x);
             y.hadamard(&probe).sum()

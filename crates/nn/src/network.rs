@@ -1,22 +1,80 @@
 //! Sequential networks with recorded forward passes and input gradients.
+//!
+//! There is one forward walk (`ForwardPass::record`) and one reverse
+//! sweep (`ForwardPass::sweep`) over a layer chain — a network's, a
+//! residual body's, or a single layer run on its own. The walk records
+//! every activation and the sweep hands each layer its recorded input and
+//! output, so the activations *are* the derivative cache and any pass
+//! supports input gradients and parameter gradients alike.
 
 use dx_tensor::{rng::Rng, Tensor, Workspace};
 
-use crate::layer::{Cache, Layer};
+use crate::layer::{absorb_batch_stats, Cache, Layer};
 
-/// A recorded forward pass: every intermediate activation plus the caches
-/// the backward pass needs.
+/// A recorded forward pass: every intermediate activation, plus the few
+/// per-layer caches that are not a function of them (see [`Cache`]).
 ///
 /// `activations[0]` is the input and `activations[i + 1]` is the output of
-/// layer `i`; DeepXplore's neuron coverage reads hidden activations from
-/// here, and both backward passes consume the caches.
+/// layer `i`; neuron coverage reads hidden activations from here, and the
+/// backward sweep each layer's input and output.
+#[derive(Clone, Debug)]
 pub struct ForwardPass {
     /// All activations, `layers.len() + 1` entries, batched.
     pub activations: Vec<Tensor>,
-    caches: Vec<Cache>,
+    pub(crate) caches: Vec<Cache>,
 }
 
 impl ForwardPass {
+    /// The one forward walk: runs `layers` over `x` in evaluation mode, or
+    /// in training mode when `train` carries the RNG, drawing every
+    /// activation (the input's copy included) from `ws`.
+    pub(crate) fn record(
+        layers: &[Layer],
+        x: &Tensor,
+        mut train: Option<&mut Rng>,
+        ws: &mut Workspace,
+    ) -> Self {
+        let mut activations = Vec::with_capacity(layers.len() + 1);
+        let mut caches = Vec::with_capacity(layers.len());
+        activations.push(Tensor::from_vec(ws.take_copy(x.data()), x.shape()));
+        for layer in layers {
+            let cur = activations.last().expect("at least the input");
+            let (y, cache) = layer.run(cur, train.as_deref_mut(), ws);
+            caches.push(cache);
+            activations.push(y);
+        }
+        ForwardPass { activations, caches }
+    }
+
+    /// The one reverse sweep over the `layers` this pass was recorded from:
+    /// starts from `grad` at the output, adds each injection `(activation
+    /// index, gradient)` on reaching its site, and returns the gradient at
+    /// the input plus — when `want_param_grads` — each layer's parameter
+    /// gradients.
+    pub(crate) fn sweep(
+        &self,
+        layers: &[Layer],
+        mut grad: Tensor,
+        injections: &[(usize, Tensor)],
+        want_param_grads: bool,
+        ws: &mut Workspace,
+    ) -> (Tensor, Vec<Vec<Tensor>>) {
+        let mut per_layer = vec![Vec::new(); if want_param_grads { layers.len() } else { 0 }];
+        for (i, layer) in layers.iter().enumerate().rev() {
+            for (_, g) in injections.iter().filter(|(idx, _)| *idx == i + 1) {
+                grad += g;
+            }
+            let (x, y) = (&self.activations[i], &self.activations[i + 1]);
+            let (grad_in, param_grads) =
+                layer.run_backward(x, y, &self.caches[i], grad, want_param_grads, ws);
+            if want_param_grads {
+                per_layer[i] = param_grads;
+            }
+            grad = grad_in;
+        }
+        (grad, per_layer)
+    }
+
     /// The network output (last activation).
     pub fn output(&self) -> &Tensor {
         self.activations.last().expect("forward pass has at least the input")
@@ -32,35 +90,17 @@ impl ForwardPass {
         self.activations[0].shape()[0]
     }
 
-    /// Extracts one sample of a batched pass as a batch-1 pass.
-    ///
-    /// Every activation's `row`-th slice is copied out with a leading
-    /// dimension of 1. Caches are **not** extracted (they come back as
-    /// [`Cache::None`]), so the result supports activation readers — the
-    /// coverage trackers, which assert batch size 1 — but not backward
-    /// passes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
+    /// [`ForwardPass::row_pass_ws`] with a throwaway arena.
     pub fn row_pass(&self, row: usize) -> ForwardPass {
-        let activations = self
-            .activations
-            .iter()
-            .map(|a| {
-                let n = a.shape()[0];
-                assert!(row < n, "row {row} out of range for batch {n}");
-                let per = a.len() / n;
-                let mut shape = a.shape().to_vec();
-                shape[0] = 1;
-                Tensor::from_vec(a.data()[row * per..(row + 1) * per].to_vec(), &shape)
-            })
-            .collect();
-        ForwardPass { activations, caches: vec![Cache::None; self.caches.len()] }
+        self.row_pass_ws(row, &mut Workspace::new())
     }
 
-    /// [`ForwardPass::row_pass`] with the row copies drawn from the
-    /// workspace (recycle the result to return them).
+    /// Extracts one sample of a batched pass as a batch-1 pass, the copies
+    /// drawn from the workspace (recycle the result to return them).
+    ///
+    /// Caches are **not** extracted (they come back as [`Cache::None`]): the
+    /// result is for activation readers — the coverage trackers, which
+    /// assert batch size 1 — not for a sweep through layers that keep one.
     ///
     /// # Panics
     ///
@@ -88,27 +128,8 @@ impl ForwardPass {
             ws.put_tensor(a);
         }
         for c in self.caches {
-            recycle_cache(c, ws);
+            c.recycle(ws);
         }
-    }
-}
-
-fn recycle_cache(cache: Cache, ws: &mut Workspace) {
-    match cache {
-        Cache::Input(t) | Cache::Output(t) | Cache::Mask(t) => ws.put_tensor(t),
-        Cache::BatchNorm { xhat, inv_std, .. } => {
-            ws.put_tensor(xhat);
-            ws.put_tensor(inv_std);
-        }
-        Cache::Residual { inner, proj } => {
-            for c in inner {
-                recycle_cache(c, ws);
-            }
-            if let Some(p) = proj {
-                recycle_cache(*p, ws);
-            }
-        }
-        Cache::ArgMax { .. } | Cache::Shape(_) | Cache::None => {}
     }
 }
 
@@ -192,119 +213,64 @@ impl Network {
         }
     }
 
-    /// Evaluation-mode forward pass over a batched input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` (sans batch) does not match the network input shape.
-    pub fn forward(&self, x: &Tensor) -> ForwardPass {
-        self.check_batched_input(x);
-        let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        let mut caches = Vec::with_capacity(self.layers.len());
-        activations.push(x.clone());
-        let mut cur = x.clone();
-        for layer in &self.layers {
-            let (y, cache) = layer.forward(&cur);
-            caches.push(cache);
-            activations.push(y.clone());
-            cur = y;
-        }
-        ForwardPass { activations, caches }
-    }
-
-    /// Evaluation-mode forward pass drawing every intermediate activation
-    /// from the workspace, with lite caches.
-    ///
-    /// Bit-identical activations to [`Network::forward`], but steady-state
-    /// allocation-free: buffers come from (and should return to, via
-    /// [`ForwardPass::recycle`]) the arena, and no derivative caches are
-    /// materialized. The resulting pass supports coverage reads and
-    /// [`Network::input_gradient_ws`] — not [`Network::backward_params`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` (sans batch) does not match the network input shape.
-    pub fn forward_lite(&self, x: &Tensor, ws: &mut Workspace) -> ForwardPass {
-        self.check_batched_input(x);
-        let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        let mut caches = Vec::with_capacity(self.layers.len());
-        activations.push(Tensor::from_vec(ws.take_copy(x.data()), x.shape()));
-        for layer in &self.layers {
-            let cur = activations.last().expect("at least the input");
-            let (y, cache) = layer.forward_lite(cur, ws);
-            caches.push(cache);
-            activations.push(y);
-        }
-        ForwardPass { activations, caches }
-    }
-
-    /// Training-mode forward pass (dropout active, batch-norm batch stats).
-    pub fn forward_train(&mut self, x: &Tensor, r: &mut Rng) -> ForwardPass {
-        self.check_batched_input(x);
-        let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        let mut caches = Vec::with_capacity(self.layers.len());
-        activations.push(x.clone());
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            let (y, cache) = layer.forward_train(&cur, r);
-            caches.push(cache);
-            activations.push(y.clone());
-            cur = y;
-        }
-        ForwardPass { activations, caches }
-    }
-
     fn check_batched_input(&self, x: &Tensor) {
-        assert_eq!(
-            &x.shape()[1..],
-            self.input_shape.as_slice(),
+        assert!(
+            x.rank() >= 1 && x.shape()[1..] == self.input_shape[..],
             "network expects input {:?} (plus batch), got {:?}",
             self.input_shape,
             x.shape()
         );
     }
 
+    /// [`Network::forward_lite`] with a throwaway arena.
+    pub fn forward(&self, x: &Tensor) -> ForwardPass {
+        self.forward_lite(x, &mut Workspace::new())
+    }
+
+    /// Evaluation-mode forward pass over a batched input, every activation
+    /// and cache buffer drawn from the workspace ([`ForwardPass::recycle`]
+    /// returns them; max-pool's argmax vectors are the one thing allocated).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` (sans batch) does not match the network input shape.
+    pub fn forward_lite(&self, x: &Tensor, ws: &mut Workspace) -> ForwardPass {
+        self.check_batched_input(x);
+        ForwardPass::record(&self.layers, x, None, ws)
+    }
+
+    /// Training-mode forward pass (dropout active, batch-norm batch stats):
+    /// the same walk, then the batch statistics it left in the batch-norm
+    /// caches are folded into the running averages.
+    pub fn forward_train(&mut self, x: &Tensor, r: &mut Rng) -> ForwardPass {
+        self.check_batched_input(x);
+        let pass = ForwardPass::record(&self.layers, x, Some(r), &mut Workspace::new());
+        absorb_batch_stats(&mut self.layers, &pass.caches);
+        pass
+    }
+
     /// Convenience: evaluation-mode output for a batched input.
     pub fn output(&self, x: &Tensor) -> Tensor {
-        self.forward(x).output().clone()
+        self.forward(x).activations.pop().expect("forward pass has at least the input")
     }
 
     /// Predicted class per sample of a batched input (classifiers).
     pub fn predict_classes(&self, x: &Tensor) -> Vec<usize> {
         let out = self.output(x);
-        let (n, k) = (out.shape()[0], out.shape()[1]);
-        (0..n)
-            .map(|i| {
-                let row = &out.data()[i * k..(i + 1) * k];
-                let mut best = 0;
-                for (j, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = j;
-                    }
-                }
-                best
-            })
-            .collect()
+        (0..out.shape()[0]).map(|i| crate::util::row(&out, i).argmax()).collect()
     }
 
     /// Predicted class of a single un-batched sample.
     pub fn predict_class(&self, sample: &Tensor) -> usize {
-        let batched = crate::util::batch_of_one(sample);
-        self.predict_classes(&batched)[0]
+        self.predict_classes(&crate::util::batch_of_one(sample))[0]
     }
 
     /// Backward pass for training: gradients of every parameter given the
     /// loss gradient at the output. Returns one `Vec<Tensor>` per layer, in
-    /// [`Layer::params`] order (empty for parameterless layers).
+    /// [`Layer::params`] order (empty for parameterless layers). Works on
+    /// any pass of this network.
     pub fn backward_params(&self, pass: &ForwardPass, grad_out: &Tensor) -> Vec<Vec<Tensor>> {
-        let mut per_layer = vec![Vec::new(); self.layers.len()];
-        let mut grad = grad_out.clone();
-        for i in (0..self.layers.len()).rev() {
-            let (gin, grads) = self.layers[i].backward(&pass.caches[i], &grad, true);
-            per_layer[i] = grads;
-            grad = gin;
-        }
-        per_layer
+        pass.sweep(&self.layers, grad_out.clone(), &[], true, &mut Workspace::new()).1
     }
 
     /// Gradient of a scalar objective with respect to the **input**.
@@ -321,27 +287,12 @@ impl Network {
     /// Panics if an injection index is out of range or its gradient shape
     /// does not match the activation.
     pub fn input_gradient(&self, pass: &ForwardPass, injections: &[(usize, Tensor)]) -> Tensor {
-        // A full-cache pass takes `Layer::backward` at every layer of the
-        // workspace sweep, so a throwaway arena changes nothing but where
-        // the buffers come from.
+        // A throwaway arena changes nothing but where the buffers come from.
         self.input_gradient_ws(pass, injections, &mut Workspace::new())
     }
 
     /// [`Network::input_gradient`] with gradient buffers drawn from and
-    /// returned to the arena as the backward sweep walks the layers; also
-    /// differentiates passes produced by [`Network::forward_lite`].
-    ///
-    /// Lite caches are differentiated by re-deriving what the layer needs
-    /// from the recorded activations (ReLU's mask from its input,
-    /// sigmoid/tanh/softmax's output from the next activation); full
-    /// caches from [`Network::forward`] go through [`Layer::backward`]. The
-    /// two agree bit for bit up to the sign of zeros (the dense backward's
-    /// transposed-rhs kernel; see `Tensor::matmul_bt`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an injection index is out of range or its gradient shape
-    /// does not match the activation.
+    /// returned to the arena as the backward sweep walks the layers.
     pub fn input_gradient_ws(
         &self,
         pass: &ForwardPass,
@@ -359,105 +310,8 @@ impl Network {
                 pass.activations[*idx].shape()
             );
         }
-        let mut grad = ws.take_tensor(pass.activations[l].shape());
-        for (idx, g) in injections {
-            if *idx == l {
-                grad += g;
-            }
-        }
-        for i in (0..l).rev() {
-            grad = self.backward_input_step(i, pass, grad, ws);
-            for (idx, g) in injections {
-                if *idx == i {
-                    grad += g;
-                }
-            }
-        }
-        grad
-    }
-
-    /// One layer of the workspace backward sweep: consumes the incoming
-    /// gradient (its buffer is recycled or, for flatten, reshaped in place)
-    /// and returns the gradient with respect to the layer input.
-    fn backward_input_step(
-        &self,
-        i: usize,
-        pass: &ForwardPass,
-        grad: Tensor,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        match (&self.layers[i], &pass.caches[i]) {
-            (Layer::Dense(d), Cache::None) => {
-                let out = d.backward_input_ws(&grad, ws);
-                ws.put_tensor(grad);
-                out
-            }
-            (Layer::Conv2d(c), Cache::Shape(in_shape)) => {
-                let out = c.backward_input_ws(in_shape, &grad, ws);
-                ws.put_tensor(grad);
-                out
-            }
-            (Layer::Relu, Cache::None) => {
-                // The 0/1 mask is re-derived from the recorded layer input;
-                // `g * 0.0` (not a literal 0) keeps the historical
-                // mask-multiply bit pattern on negative-side gradients.
-                let x = &pass.activations[i];
-                let mut buf = ws.take_empty(grad.len());
-                buf.extend(grad.data().iter().zip(x.data().iter()).map(|(&g, &xv)| {
-                    if xv > 0.0 {
-                        g
-                    } else {
-                        g * 0.0
-                    }
-                }));
-                let out = Tensor::from_vec(buf, grad.shape());
-                ws.put_tensor(grad);
-                out
-            }
-            (Layer::Sigmoid, Cache::None) => {
-                let y = &pass.activations[i + 1];
-                let mut buf = ws.take_empty(grad.len());
-                buf.extend(
-                    grad.data().iter().zip(y.data().iter()).map(|(&g, &yv)| g * yv * (1.0 - yv)),
-                );
-                let out = Tensor::from_vec(buf, grad.shape());
-                ws.put_tensor(grad);
-                out
-            }
-            (Layer::Tanh, Cache::None) => {
-                let y = &pass.activations[i + 1];
-                let mut buf = ws.take_empty(grad.len());
-                buf.extend(
-                    grad.data().iter().zip(y.data().iter()).map(|(&g, &yv)| g * (1.0 - yv * yv)),
-                );
-                let out = Tensor::from_vec(buf, grad.shape());
-                ws.put_tensor(grad);
-                out
-            }
-            (Layer::Softmax, Cache::None) => {
-                let y = &pass.activations[i + 1];
-                let (n, k) = (y.shape()[0], y.shape()[1]);
-                let mut buf = ws.take(n * k);
-                for r in 0..n {
-                    let yr = &y.data()[r * k..(r + 1) * k];
-                    let gr = &grad.data()[r * k..(r + 1) * k];
-                    let dot: f32 = yr.iter().zip(gr.iter()).map(|(&a, &b)| a * b).sum();
-                    let dr = &mut buf[r * k..(r + 1) * k];
-                    for j in 0..k {
-                        dr[j] = yr[j] * (gr[j] - dot);
-                    }
-                }
-                let out = Tensor::from_vec(buf, grad.shape());
-                ws.put_tensor(grad);
-                out
-            }
-            (Layer::Flatten, Cache::Shape(in_shape)) => grad.into_reshaped(in_shape),
-            _ => {
-                let (gin, _) = self.layers[i].backward(&pass.caches[i], &grad, false);
-                ws.put_tensor(grad);
-                gin
-            }
-        }
+        let zero = ws.take_tensor(pass.output().shape());
+        pass.sweep(&self.layers, zero, injections, false, ws).0
     }
 
     /// Gradient of `output[0, class]` with respect to the input — the
@@ -734,33 +588,8 @@ mod tests {
     }
 
     #[test]
-    fn forward_lite_matches_forward_on_mlp_activations() {
-        // Covers sigmoid/tanh lite paths not present in the CNN.
-        let mut net = Network::new(
-            &[5],
-            vec![
-                Layer::dense(5, 7),
-                Layer::sigmoid(),
-                Layer::dense(7, 7),
-                Layer::tanh(),
-                Layer::dense(7, 3),
-                Layer::softmax(),
-            ],
-        );
-        net.init_weights(&mut rng::rng(31));
-        let x = rng::uniform(&mut rng::rng(32), &[4, 5], -1.0, 1.0);
-        let full = net.forward(&x);
-        let mut ws = Workspace::new();
-        let lite = net.forward_lite(&x, &mut ws);
-        for (a, b) in full.activations.iter().zip(lite.activations.iter()) {
-            for (va, vb) in a.data().iter().zip(b.data().iter()) {
-                assert_eq!(va.to_bits(), vb.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn input_gradient_ws_matches_reference() {
+        // Two entry points onto one sweep: this guards the wrappers.
         let net = tiny_cnn(25);
         let x = rng::uniform(&mut rng::rng(26), &[1, 1, 8, 8], 0.0, 1.0);
         let full = net.forward(&x);
@@ -776,17 +605,30 @@ mod tests {
     }
 
     #[test]
-    fn input_gradient_ws_accepts_full_cache_passes() {
-        // The fallback arms let a `forward` pass be differentiated too.
-        let net = tiny_mlp(27);
-        let x = rng::uniform(&mut rng::rng(28), &[1, 4], 0.0, 1.0);
-        let full = net.forward(&x);
-        let mut seed = Tensor::zeros(&[1, 3]);
-        seed.set(&[0, 2], 1.0);
-        let want = net.input_gradient(&full, &[(4, seed.clone())]);
+    fn backward_params_accepts_any_pass() {
+        // The recorded activations are the cache, so a workspace pass
+        // trains as well as a `forward` one.
+        let net = tiny_cnn(27);
+        let x = rng::uniform(&mut rng::rng(28), &[3, 1, 8, 8], 0.0, 1.0);
+        let grad = rng::uniform(&mut rng::rng(29), &[3, 4], -1.0, 1.0);
+        let want = net.backward_params(&net.forward(&x), &grad);
         let mut ws = Workspace::new();
-        let got = net.input_gradient_ws(&full, &[(4, seed)], &mut ws);
-        assert_bits_eq_mod_zero_sign(&got, &want, "full-cache gradient");
+        let lite = net.forward_lite(&x, &mut ws);
+        let got = net.backward_params(&lite, &grad);
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().flatten().zip(want.iter().flatten()) {
+            assert_eq!(g.shape(), w.shape());
+            for (a, b) in g.data().iter().zip(w.data()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+        assert!(got.iter().flatten().any(|g| g.data().iter().any(|&v| v != 0.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "network expects input [4] (plus batch), got []")]
+    fn rank_zero_input_is_rejected_with_the_shape_message() {
+        tiny_mlp(30).forward(&Tensor::from_vec(vec![1.0], &[]));
     }
 
     #[test]

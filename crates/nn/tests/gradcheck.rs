@@ -5,10 +5,12 @@
 //! against central finite differences through full networks. Networks use
 //! smooth activations (sigmoid/tanh) where possible so the checks are not
 //! confounded by ReLU kinks; ReLU and max-pool get their own checks at
-//! inputs sampled away from their non-differentiable sets. Every input
-//! gradient is checked through both passes that produce one: the cached
-//! pair training shares and the cache-light workspace pair the generator's
-//! growth loop runs.
+//! inputs sampled away from their non-differentiable sets. Every gradient
+//! is checked through both pairs of entry points: `forward` with
+//! `input_gradient` / `backward_params`, and the workspace pair
+//! (`forward_lite`, `input_gradient_ws`) the generator's growth loop runs.
+//! Both are the same walk and the same sweep; finite differences are the
+//! independent oracle.
 
 #![allow(clippy::needless_range_loop)] // Tests co-index several parallel arrays.
 use dx_nn::layer::Layer;
@@ -21,13 +23,12 @@ fn objective(net: &Network, x: &Tensor, probe: &Tensor) -> f32 {
     net.output(x).hadamard(probe).sum()
 }
 
-/// The two forward/backward pairs that yield an input gradient.
+/// The two pairs of entry points that yield a gradient.
 #[derive(Clone, Copy, Debug)]
 enum Pass {
-    /// `forward` + `input_gradient`: full derivative caches.
+    /// `forward` + `input_gradient`: a throwaway arena per call.
     Cached,
-    /// `forward_lite` + `input_gradient_ws`: derivatives re-derived from
-    /// the recorded activations, buffers from an arena.
+    /// `forward_lite` + `input_gradient_ws`: buffers from one arena.
     Lite,
 }
 
@@ -81,31 +82,37 @@ fn check_against_differences(
     }
 }
 
-/// Checks every parameter gradient against central differences.
+/// Checks every parameter gradient, from a pass of either kind, against
+/// central differences.
 fn check_param_gradients(net: &mut Network, x: &Tensor, probe: &Tensor, tol: f32) {
-    let pass = net.forward(x);
-    let layer_grads = net.backward_params(&pass, probe);
-    let flat: Vec<Tensor> = layer_grads.into_iter().flatten().collect();
-    let h = 1e-2f32;
-    let n_params = net.params().len();
-    for p_idx in 0..n_params {
-        let scale = flat[p_idx].data().iter().fold(0.0f32, |a, &b| a.max(b.abs())).max(1e-3);
-        // Probe a handful of coordinates per parameter tensor.
-        let len = net.params()[p_idx].len();
-        let step = (len / 5).max(1);
-        for i in (0..len).step_by(step) {
-            let orig = net.params()[p_idx].data()[i];
-            net.params_mut()[p_idx].data_mut()[i] = orig + h;
-            let up = objective(net, x, probe);
-            net.params_mut()[p_idx].data_mut()[i] = orig - h;
-            let down = objective(net, x, probe);
-            net.params_mut()[p_idx].data_mut()[i] = orig;
-            let fd = (up - down) / (2.0 * h);
-            let a = flat[p_idx].data()[i];
-            assert!(
-                (fd - a).abs() <= tol * scale,
-                "param {p_idx}[{i}] grad mismatch: fd {fd} vs analytic {a} (scale {scale})"
-            );
+    for via in PASSES {
+        let pass = match via {
+            Pass::Cached => net.forward(x),
+            Pass::Lite => net.forward_lite(x, &mut Workspace::new()),
+        };
+        let layer_grads = net.backward_params(&pass, probe);
+        let flat: Vec<Tensor> = layer_grads.into_iter().flatten().collect();
+        let h = 1e-2f32;
+        let n_params = net.params().len();
+        for p_idx in 0..n_params {
+            let scale = flat[p_idx].data().iter().fold(0.0f32, |a, &b| a.max(b.abs())).max(1e-3);
+            // Probe a handful of coordinates per parameter tensor.
+            let len = net.params()[p_idx].len();
+            let step = (len / 5).max(1);
+            for i in (0..len).step_by(step) {
+                let orig = net.params()[p_idx].data()[i];
+                net.params_mut()[p_idx].data_mut()[i] = orig + h;
+                let up = objective(net, x, probe);
+                net.params_mut()[p_idx].data_mut()[i] = orig - h;
+                let down = objective(net, x, probe);
+                net.params_mut()[p_idx].data_mut()[i] = orig;
+                let fd = (up - down) / (2.0 * h);
+                let a = flat[p_idx].data()[i];
+                assert!(
+                    (fd - a).abs() <= tol * scale,
+                    "{via:?} param {p_idx}[{i}] grad mismatch: fd {fd} vs analytic {a} (scale {scale})"
+                );
+            }
         }
     }
 }

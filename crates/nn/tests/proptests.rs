@@ -137,8 +137,7 @@ proptest! {
     }
 }
 
-/// A small conv stack covering every lite-pass layer kind: conv, relu,
-/// maxpool (full-forward fallback), flatten, dense, softmax.
+/// A small conv stack: conv, relu, maxpool, flatten, dense, softmax.
 fn convnet(seed: u64) -> Network {
     let mut net = Network::new(
         &[1, 6, 6],
@@ -161,10 +160,11 @@ fn images(n: usize) -> impl Strategy<Value = Tensor> {
         .prop_map(move |v| Tensor::from_vec(v, &[n, 1, 6, 6]))
 }
 
-// Batched-path pins: the workspace-backed lite forward and backward must
-// be bit-identical to the cache-carrying reference path (the dense
-// backward's transposed-rhs kernel may flip a zero's sign, which nothing
-// downstream observes), at every batch width.
+// Batched-path pins. `forward`/`input_gradient` and `forward_lite`/
+// `input_gradient_ws` are two pairs of entry points onto one walk and one
+// sweep, so the two cross-pair properties below guard the wrappers (the
+// arithmetic itself is pinned by `golden.rs`); the per-row property pins
+// that batch width is pure execution tiling.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
