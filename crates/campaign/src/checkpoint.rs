@@ -30,26 +30,12 @@ use crate::codec::{
     field_usize, parse_doc, ranges_from_json, ranges_json, rng_state_from_json, rng_state_json,
     u64_from_json, u64_json,
 };
-use crate::corpus::{Corpus, CorpusEntry};
+use crate::corpus::CorpusEntry;
 use crate::engine::{FoundDiff, ModelSuite};
 use crate::json::{build, Json};
-use crate::report::{CampaignReport, EpochStats};
+use crate::ledger::Snapshot;
+use crate::report::EpochStats;
 use dx_coverage::{CoverageSignal, MetricKind, MetricSpec, NeuronProfile};
-
-/// Campaign-level checkpoint metadata.
-#[derive(Clone, Debug)]
-pub struct Meta {
-    /// Epochs completed when the checkpoint was written.
-    pub epochs_done: usize,
-    /// The campaign's master seed.
-    pub campaign_seed: u64,
-    /// Worker count the campaign ran with.
-    pub workers: usize,
-    /// Per-worker generator RNG state at checkpoint time, in worker order.
-    /// Empty when unknown (older checkpoints); a resume then re-derives
-    /// the streams from the master seed instead of continuing them.
-    pub worker_rng: Vec<[u64; 4]>,
-}
 
 /// The coverage-signal identity persisted alongside the bitmaps: which
 /// metric spec (possibly composite) the hit-sets were recorded under,
@@ -143,22 +129,15 @@ pub struct CampaignState {
     pub worker_rng: Vec<[u64; 4]>,
 }
 
-/// Writes a full campaign checkpoint into `dir`.
+/// Writes `snapshot` as a full campaign checkpoint into `dir`, appending
+/// to stats and diffs when `append` (the directory holds this campaign's
+/// own earlier write) and rewriting them otherwise.
 ///
 /// # Errors
 ///
 /// Any filesystem failure.
-#[allow(clippy::too_many_arguments)]
-pub fn save(
-    dir: &Path,
-    corpus: &Corpus,
-    report: &CampaignReport,
-    diffs: &[FoundDiff],
-    coverage: &[Vec<bool>],
-    signal: &SignalCheckpoint,
-    meta: &Meta,
-    append: bool,
-) -> io::Result<()> {
+pub fn save(dir: &Path, snapshot: &Snapshot, append: bool) -> io::Result<()> {
+    let Snapshot { corpus, report, diffs, masks, signal, campaign_seed, worker_rng, .. } = snapshot;
     fs::create_dir_all(dir)?;
     write_atomic(&dir.join("corpus.jsonl"), &jsonl(corpus.entries().iter().map(entry_json)))?;
     let stats_lines: Vec<Json> = report.epochs.iter().map(epoch_json).collect();
@@ -169,11 +148,11 @@ pub fn save(
     } else {
         // First write into this directory this run: any existing lines may
         // belong to an unrelated earlier campaign, so rewrite from scratch.
-        write_atomic(&dir.join("stats.jsonl"), &jsonl_slice(&stats_lines))?;
-        write_atomic(&dir.join("diffs.jsonl"), &jsonl_slice(&diff_lines))?;
+        write_atomic(&dir.join("stats.jsonl"), &jsonl(&stats_lines))?;
+        write_atomic(&dir.join("diffs.jsonl"), &jsonl(&diff_lines))?;
     }
     let masks = Json::Arr(
-        coverage
+        masks
             .iter()
             .map(|m| Json::Str(m.iter().map(|&c| if c { '1' } else { '0' }).collect()))
             .collect(),
@@ -203,15 +182,15 @@ pub fn save(
     write_atomic(&dir.join("coverage.json"), &(coverage_json.to_string() + "\n"))?;
     let mut meta_fields = vec![
         ("version", build::int(2)),
-        ("epochs_done", build::int(meta.epochs_done)),
+        ("epochs_done", build::int(report.epochs.len())),
         // As a string: JSON numbers go through f64, which cannot represent
         // u64 seeds above 2^53 exactly.
-        ("campaign_seed", u64_json(meta.campaign_seed)),
-        ("workers", build::int(meta.workers)),
+        ("campaign_seed", u64_json(*campaign_seed)),
+        ("workers", build::int(report.workers)),
     ];
-    if !meta.worker_rng.is_empty() {
+    if !worker_rng.is_empty() {
         meta_fields
-            .push(("worker_rng", Json::Arr(meta.worker_rng.iter().map(rng_state_json).collect())));
+            .push(("worker_rng", Json::Arr(worker_rng.iter().map(rng_state_json).collect())));
     }
     let meta_json = build::obj(meta_fields);
     write_atomic(&dir.join("meta.json"), &(meta_json.to_string() + "\n"))
@@ -230,21 +209,22 @@ fn append_jsonl(path: &Path, items: &[Json]) -> io::Result<()> {
         Err(e) => return Err(e),
     };
     if existing > items.len() {
-        return write_atomic(path, &jsonl_slice(items));
+        return write_atomic(path, &jsonl(items));
     }
     if existing == items.len() {
         return Ok(());
     }
     let mut f = fs::OpenOptions::new().create(true).append(true).open(path)?;
-    let tail = jsonl_slice(&items[existing..]);
+    let tail = jsonl(&items[existing..]);
     f.write_all(tail.as_bytes())?;
     f.sync_all()
 }
 
-fn jsonl_slice(items: &[Json]) -> String {
+/// One JSON document per line.
+fn jsonl(lines: impl IntoIterator<Item = impl std::fmt::Display>) -> String {
     let mut out = String::new();
-    for item in items {
-        out.push_str(&item.to_string());
+    for line in lines {
+        out.push_str(&line.to_string());
         out.push('\n');
     }
     out
@@ -352,15 +332,6 @@ pub fn load(dir: &Path) -> io::Result<CampaignState> {
     })
 }
 
-fn jsonl<'a>(lines: impl Iterator<Item = Json> + 'a) -> String {
-    let mut out = String::new();
-    for line in lines {
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
-}
-
 /// Writes a file tmp-then-rename with an fsync, so concurrent readers (and
 /// crashes) never observe a partial document. Shared with `dx-dist`'s
 /// lease-state file.
@@ -381,9 +352,11 @@ fn read_jsonl(path: &Path) -> io::Result<Vec<Json>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::Corpus;
     use crate::report::CampaignReport;
     use deepxplore::diff::Prediction;
     use dx_tensor::rng;
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -396,7 +369,7 @@ mod tests {
         vec![vec![true, false, true, true], vec![false, false, true, false]]
     }
 
-    fn sample_state() -> (Corpus, CampaignReport, Vec<FoundDiff>, Meta) {
+    fn sample_state() -> Snapshot {
         let seeds = (0..3).map(|i| rng::uniform(&mut rng::rng(i), &[1, 6], 0.0, 1.0)).collect();
         let mut corpus = Corpus::new(seeds, 64);
         let run = deepxplore::SeedRun {
@@ -430,37 +403,31 @@ mod tests {
             iterations: 7,
             target_model: 1,
         }];
-        let meta = Meta {
-            epochs_done: 1,
+        Snapshot {
+            seq: 1,
+            corpus: Arc::new(corpus),
+            report,
+            diffs: Arc::new(diffs),
+            masks: sample_masks(),
+            signal: SignalCheckpoint::neuron(),
             campaign_seed: 0xfeed,
-            workers: 2,
             worker_rng: vec![[1, 2, 3, u64::MAX], [5, 6, 7, 8]],
-        };
-        (corpus, report, diffs, meta)
+            pending: Vec::new(),
+        }
     }
 
     #[test]
     fn save_load_round_trip() {
         let dir = tmp_dir("round_trip");
-        let (corpus, report, diffs, meta) = sample_state();
-        save(
-            &dir,
-            &corpus,
-            &report,
-            &diffs,
-            &sample_masks(),
-            &SignalCheckpoint::neuron(),
-            &meta,
-            false,
-        )
-        .unwrap();
+        let snap = sample_state();
+        save(&dir, &snap, false).unwrap();
         let state = load(&dir).unwrap();
         assert_eq!(state.coverage, Some(sample_masks()));
         assert_eq!(state.epochs_done, 1);
         assert_eq!(state.campaign_seed, 0xfeed);
-        assert_eq!(state.worker_rng, meta.worker_rng);
-        assert_eq!(state.corpus.len(), corpus.len());
-        for (a, b) in state.corpus.iter().zip(corpus.entries()) {
+        assert_eq!(state.worker_rng, snap.worker_rng);
+        assert_eq!(state.corpus.len(), snap.corpus.len());
+        for (a, b) in state.corpus.iter().zip(snap.corpus.entries()) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.parent, b.parent);
             assert_eq!(a.input, b.input, "input of entry {} changed", a.id);
@@ -470,55 +437,26 @@ mod tests {
         assert_eq!(state.epochs.len(), 1);
         assert_eq!(state.epochs[0].elapsed, Duration::from_micros(123_456));
         assert_eq!(state.diffs.len(), 1);
-        assert_eq!(state.diffs[0].predictions, diffs[0].predictions);
-        assert_eq!(state.diffs[0].input, diffs[0].input);
+        assert_eq!(state.diffs[0].predictions, snap.diffs[0].predictions);
+        assert_eq!(state.diffs[0].input, snap.diffs[0].input);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn save_is_rerunnable_and_appends_only_new_lines() {
         let dir = tmp_dir("rerun");
-        let (corpus, mut report, mut diffs, meta) = sample_state();
-        save(
-            &dir,
-            &corpus,
-            &report,
-            &diffs,
-            &sample_masks(),
-            &SignalCheckpoint::neuron(),
-            &meta,
-            false,
-        )
-        .unwrap();
+        let mut snap = sample_state();
+        save(&dir, &snap, false).unwrap();
         // Same state again: stats/diffs must not duplicate.
-        save(
-            &dir,
-            &corpus,
-            &report,
-            &diffs,
-            &sample_masks(),
-            &SignalCheckpoint::neuron(),
-            &meta,
-            true,
-        )
-        .unwrap();
+        save(&dir, &snap, true).unwrap();
         let state = load(&dir).unwrap();
         assert_eq!(state.epochs.len(), 1);
         assert_eq!(state.diffs.len(), 1);
         // One more epoch and diff: exactly one new line each.
-        report.epochs.push(EpochStats { epoch: 1, ..report.epochs[0].clone() });
-        diffs.push(diffs[0].clone());
-        save(
-            &dir,
-            &corpus,
-            &report,
-            &diffs,
-            &sample_masks(),
-            &SignalCheckpoint::neuron(),
-            &meta,
-            true,
-        )
-        .unwrap();
+        snap.report.epochs.push(EpochStats { epoch: 1, ..snap.report.epochs[0].clone() });
+        let diff = snap.diffs[0].clone();
+        Arc::make_mut(&mut snap.diffs).push(diff);
+        save(&dir, &snap, true).unwrap();
         let state = load(&dir).unwrap();
         assert_eq!(state.epochs.len(), 2);
         assert_eq!(state.diffs.len(), 2);
@@ -529,30 +467,19 @@ mod tests {
     #[test]
     fn append_rewrites_when_disk_has_more_lines() {
         let dir = tmp_dir("foreign");
-        let (corpus, report, diffs, meta) = sample_state();
+        let snap = sample_state();
         fs::create_dir_all(&dir).unwrap();
         // A foreign stats file with more lines than the campaign knows.
         fs::write(dir.join("stats.jsonl"), "{}\n{}\n{}\n{}\n{}\n").unwrap();
-        save(
-            &dir,
-            &corpus,
-            &report,
-            &diffs,
-            &sample_masks(),
-            &SignalCheckpoint::neuron(),
-            &meta,
-            false,
-        )
-        .unwrap();
+        save(&dir, &snap, false).unwrap();
         let state = load(&dir).unwrap();
-        assert_eq!(state.epochs.len(), report.epochs.len());
+        assert_eq!(state.epochs.len(), snap.report.epochs.len());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn signal_checkpoint_round_trips_profiles() {
         let dir = tmp_dir("signal");
-        let (corpus, report, diffs, meta) = sample_state();
         let signal = SignalCheckpoint {
             metric: MetricKind::Multisection { k: 4 }.into(),
             ranges: vec![
@@ -561,7 +488,7 @@ mod tests {
                 (vec![-1.5, 0.0], vec![1.5, 2.0]),
             ],
         };
-        save(&dir, &corpus, &report, &diffs, &sample_masks(), &signal, &meta, false).unwrap();
+        save(&dir, &Snapshot { signal: signal.clone(), ..sample_state() }, false).unwrap();
         let state = load(&dir).unwrap();
         assert_eq!(state.signal.metric, MetricKind::Multisection { k: 4 }.into());
         assert_eq!(state.signal.ranges.len(), 2);
@@ -576,12 +503,11 @@ mod tests {
     #[test]
     fn composite_metric_round_trips_and_malformed_metric_is_a_clear_error() {
         let dir = tmp_dir("composite_metric");
-        let (corpus, report, diffs, meta) = sample_state();
         let signal = SignalCheckpoint {
             metric: "multisection:4+boundary".parse().unwrap(),
             ranges: vec![(vec![0.0, 1.0], vec![1.0, 2.0]), (vec![0.5, 0.0], vec![1.5, 1.0])],
         };
-        save(&dir, &corpus, &report, &diffs, &sample_masks(), &signal, &meta, false).unwrap();
+        save(&dir, &Snapshot { signal: signal.clone(), ..sample_state() }, false).unwrap();
         let state = load(&dir).unwrap();
         assert_eq!(state.signal.metric, signal.metric);
         assert_eq!(state.signal.metric.to_string(), "multisection:4+boundary");
@@ -605,18 +531,8 @@ mod tests {
         // Checkpoints written before metrics were persisted carry no
         // `metric` field; they must load as the paper's neuron metric.
         let dir = tmp_dir("v1_metric");
-        let (corpus, report, diffs, meta) = sample_state();
-        save(
-            &dir,
-            &corpus,
-            &report,
-            &diffs,
-            &sample_masks(),
-            &SignalCheckpoint::neuron(),
-            &meta,
-            false,
-        )
-        .unwrap();
+        let snap = sample_state();
+        save(&dir, &snap, false).unwrap();
         fs::write(dir.join("coverage.json"), "{\"version\":1,\"masks\":[\"10\",\"01\"]}\n")
             .unwrap();
         let state = load(&dir).unwrap();
@@ -628,18 +544,8 @@ mod tests {
     #[test]
     fn load_tolerates_missing_coverage_file() {
         let dir = tmp_dir("no_coverage");
-        let (corpus, report, diffs, meta) = sample_state();
-        save(
-            &dir,
-            &corpus,
-            &report,
-            &diffs,
-            &sample_masks(),
-            &SignalCheckpoint::neuron(),
-            &meta,
-            false,
-        )
-        .unwrap();
+        let snap = sample_state();
+        save(&dir, &snap, false).unwrap();
         fs::remove_file(dir.join("coverage.json")).unwrap();
         let state = load(&dir).unwrap();
         assert_eq!(state.coverage, None);
@@ -651,19 +557,9 @@ mod tests {
         // A v1 checkpoint (no worker_rng field) still loads; the resume
         // path then re-derives streams from the master seed.
         let dir = tmp_dir("no_rng");
-        let (corpus, report, diffs, mut meta) = sample_state();
-        meta.worker_rng = Vec::new();
-        save(
-            &dir,
-            &corpus,
-            &report,
-            &diffs,
-            &sample_masks(),
-            &SignalCheckpoint::neuron(),
-            &meta,
-            false,
-        )
-        .unwrap();
+        let mut snap = sample_state();
+        snap.worker_rng = Vec::new();
+        save(&dir, &snap, false).unwrap();
         let state = load(&dir).unwrap();
         assert!(state.worker_rng.is_empty());
         let _ = fs::remove_dir_all(&dir);
@@ -672,18 +568,8 @@ mod tests {
     #[test]
     fn load_rejects_corrupt_checkpoint() {
         let dir = tmp_dir("corrupt");
-        let (corpus, report, diffs, meta) = sample_state();
-        save(
-            &dir,
-            &corpus,
-            &report,
-            &diffs,
-            &sample_masks(),
-            &SignalCheckpoint::neuron(),
-            &meta,
-            false,
-        )
-        .unwrap();
+        let snap = sample_state();
+        save(&dir, &snap, false).unwrap();
         fs::write(dir.join("corpus.jsonl"), "{not json}\n").unwrap();
         assert!(load(&dir).is_err());
         let _ = fs::remove_dir_all(&dir);

@@ -1,19 +1,19 @@
-//! The campaign engine: a persistent, multi-worker fuzzing loop.
+//! The in-process pool: a multi-worker fuzzing loop driving the campaign's
+//! [`Ledger`], whose books, scheduler stream and checkpoint writer and
+//! loader it shares with `dx-dist`'s coordinator and service tenants.
 //!
-//! Each **epoch** the scheduler draws a batch of corpus entries
-//! (energy-proportionally), splits it round-robin across a pool of worker
-//! threads, and each worker grows its share through
-//! [`Generator::run_batch_tiled`] (coverage folded at every iterate)
-//! against its own model clones. Workers accumulate neuron coverage in
-//! private trackers and periodically fold them into a shared global union
-//! ([`CoverageSignal::merge`]), adopting the union back so no worker
-//! chases neurons another already covered. Between epochs the coordinator
-//! absorbs results into the corpus, records per-epoch throughput, and
-//! checkpoints everything to disk so a campaign can resume.
+//! Each **epoch** the ledger picks a batch of corpus entries, the pool
+//! splits it round-robin across worker threads, and each worker grows its
+//! share through [`Generator::run_batch_tiled`] against its own model
+//! clones, syncing every `merge_every` jobs with a mutex-held copy of the
+//! union ([`CoverageSignal::merge`]) so no worker chases units another
+//! already covered. The epoch then folds into the ledger as one results
+//! frame would — every run in scheduling order, with the epoch's union
+//! delta — and the round closes.
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use deepxplore::constraints::Constraint;
@@ -29,9 +29,9 @@ use dx_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Span};
 use dx_tensor::{rng, Tensor};
 use std::sync::Arc;
 
-use crate::checkpoint;
 use crate::corpus::{Corpus, EnergyModel};
-use crate::report::{CampaignReport, EpochStats};
+use crate::ledger::{CheckpointGate, Ledger};
+use crate::report::CampaignReport;
 
 /// The models under test plus the generation setup they share — everything
 /// [`Campaign`] needs besides the corpus and scheduling knobs.
@@ -257,22 +257,15 @@ impl FoundDiff {
 /// (and therefore neuron picks) depends on thread timing. Checkpoints
 /// persist every worker's generator RNG state, so a resumed single-worker
 /// campaign is bit-identical to the uninterrupted run; resuming a
-/// checkpoint without RNG states (written before they were persisted)
-/// re-derives the streams from the master seed and is merely
+/// checkpoint without RNG states (written before they were persisted, or
+/// by a daemon) re-derives the streams from the master seed and is merely
 /// deterministic given `(config, checkpoint)`.
 pub struct Campaign {
     config: CampaignConfig,
     workers: Vec<Generator>,
-    global: Vec<CoverageSignal>,
-    corpus: Corpus,
-    report: CampaignReport,
-    diffs: Vec<FoundDiff>,
+    ledger: Ledger,
     metrics: EngineMetrics,
-    epochs_done: usize,
-    /// The directory this campaign last checkpointed to in this process.
-    /// Stats/diffs appends are only safe into our own earlier write; any
-    /// other directory gets a full rewrite first.
-    checkpointed_dir: Option<std::path::PathBuf>,
+    writer: CheckpointGate,
 }
 
 impl Campaign {
@@ -286,16 +279,9 @@ impl Campaign {
         assert!(seeds.shape()[0] > 0, "campaign needs at least one seed");
         let inputs = (0..seeds.shape()[0]).map(|i| gather_rows(seeds, &[i])).collect();
         let corpus = Corpus::new(inputs, config.max_corpus).with_energy_model(config.energy);
-        Self::with_corpus(
-            suite,
-            config,
-            corpus,
-            CampaignReport::default(),
-            Vec::new(),
-            None,
-            0,
-            Vec::new(),
-        )
+        let global = suite.signal.build(&suite.models);
+        let ledger = Ledger::new(corpus, global, config.seed, Instant::now());
+        Self::with_ledger(suite, config, ledger, &[])
     }
 
     /// Resumes a campaign from the checkpoint in `config.checkpoint_dir`.
@@ -316,63 +302,34 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Fails when `dir` is missing or its checkpoint files do not parse.
+    /// Fails when `dir` is missing, its checkpoint files do not parse, or
+    /// they were written under another metric.
     pub fn resume_from(
         suite: ModelSuite,
         dir: &std::path::Path,
         mut config: CampaignConfig,
     ) -> io::Result<Self> {
-        let state = checkpoint::load(dir)?;
-        // The metric is part of the campaign's identity too: a multisection
-        // hit-set cannot seed a neuron campaign or vice versa.
-        if state.signal.metric != suite.signal.metric {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint metric `{}` does not match the configured `{}`",
-                    state.signal.metric, suite.signal.metric
-                ),
-            ));
-        }
-        // Checkpointed profiles are authoritative: restoring them (rather
-        // than re-priming) keeps a resumed multisection campaign
-        // bit-identical even if the training data shifted underneath.
-        let suite = state.signal.restore_profiles(suite)?;
+        let (suite, ledger, worker_rng) =
+            Ledger::load(dir, suite, config.max_corpus, config.energy, None)?;
         // The master seed is part of the campaign's identity: scheduling and
         // worker streams all derive from it, so a resume continues with the
         // seed the campaign was started with, not whatever the new config
         // happens to carry.
-        config.seed = state.campaign_seed;
-        let corpus =
-            Corpus::from_entries(state.corpus, config.max_corpus).with_energy_model(config.energy);
-        let report = CampaignReport { epochs: state.epochs, workers: config.workers };
-        Ok(Self::with_corpus(
-            suite,
-            config,
-            corpus,
-            report,
-            state.diffs,
-            state.coverage,
-            state.epochs_done,
-            state.worker_rng,
-        ))
+        config.seed = ledger.seed();
+        Ok(Self::with_ledger(suite, config, ledger, &worker_rng))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn with_corpus(
+    fn with_ledger(
         suite: ModelSuite,
         config: CampaignConfig,
-        corpus: Corpus,
-        mut report: CampaignReport,
-        diffs: Vec<FoundDiff>,
-        coverage: Option<Vec<Vec<bool>>>,
-        epochs_done: usize,
-        worker_rng: Vec<[u64; 4]>,
+        mut ledger: Ledger,
+        worker_rng: &[[u64; 4]],
     ) -> Self {
         assert!(config.workers >= 1, "campaign needs at least one worker");
         assert!(config.epochs >= 1, "campaign needs at least one epoch");
         assert!(config.batch_per_epoch >= 1, "campaign needs a nonzero batch");
-        let signals = suite.signal.build(&suite.models);
+        // Workers start from the union, so a resumed pool does not chase
+        // units the checkpoint already covers.
         let mut workers: Vec<Generator> = (0..config.workers)
             .map(|w| {
                 Generator::with_signals(
@@ -380,7 +337,7 @@ impl Campaign {
                     suite.kind,
                     suite.hp,
                     suite.constraint.clone(),
-                    signals.clone(),
+                    ledger.global.clone(),
                     rng::derive_seed(config.seed, 1 + w as u64),
                 )
             })
@@ -388,68 +345,33 @@ impl Campaign {
         if worker_rng.len() == workers.len() {
             // Continue the checkpointed streams exactly instead of
             // re-deriving them from the master seed.
-            for (w, state) in workers.iter_mut().zip(&worker_rng) {
+            for (w, state) in workers.iter_mut().zip(worker_rng) {
                 w.set_rng_state(*state);
             }
         }
-        let mut global = signals;
-        // The exact global union, when the checkpoint persisted one that fits.
-        let restored =
-            coverage.as_ref().is_some_and(|masks| dx_coverage::restore_masks(&mut global, masks));
-        if !restored && epochs_done > 0 {
-            // No (or incompatible) persisted bitmaps — an older checkpoint,
-            // or the coverage config changed. Rebuild a lower bound by
-            // replaying the surviving corpus inputs through the metric.
-            let mut replay = global.clone();
-            for entry in corpus.entries() {
-                for ((model, tracker), g) in
-                    suite.models.iter().zip(replay.iter_mut()).zip(global.iter_mut())
-                {
-                    tracker.reset();
-                    tracker.update(&model.forward(&entry.input));
-                    g.merge(tracker);
-                }
-            }
-        }
-        report.workers = config.workers;
+        ledger.report.workers = config.workers;
         let metrics = EngineMetrics::new(&config.registry, &suite.signal.metric);
-        let mut campaign = Self {
-            config,
-            workers,
-            global,
-            corpus,
-            report,
-            diffs,
-            metrics,
-            epochs_done,
-            checkpointed_dir: None,
-        };
-        if campaign.epochs_done > 0 {
-            for w in &mut campaign.workers {
-                w.adopt_coverage(&campaign.global);
-            }
-        }
-        campaign
+        Self { config, workers, ledger, metrics, writer: CheckpointGate::default() }
     }
 
     /// The corpus in its current state.
     pub fn corpus(&self) -> &Corpus {
-        &self.corpus
+        &self.ledger.corpus
     }
 
     /// All difference-inducing inputs found so far.
     pub fn diffs(&self) -> &[FoundDiff] {
-        &self.diffs
+        &self.ledger.diffs
     }
 
     /// The campaign report so far.
     pub fn report(&self) -> &CampaignReport {
-        &self.report
+        &self.ledger.report
     }
 
     /// Epochs completed (including resumed-from epochs).
     pub fn epochs_done(&self) -> usize {
-        self.epochs_done
+        self.ledger.report.epochs.len()
     }
 
     /// The campaign's master seed (for a resumed campaign, the seed it was
@@ -458,33 +380,27 @@ impl Campaign {
         self.config.seed
     }
 
-    /// Where this campaign last wrote a checkpoint in this process, if it
-    /// has written one at all.
-    pub fn last_checkpoint_dir(&self) -> Option<&std::path::Path> {
-        self.checkpointed_dir.as_deref()
-    }
-
     /// Per-model global coverage.
     pub fn coverage(&self) -> Vec<f32> {
-        self.global.iter().map(|t| t.coverage()).collect()
+        self.ledger.global.iter().map(|t| t.coverage()).collect()
     }
 
     /// Covered units in the global union, summed across models — under
     /// whatever metric (spec) the campaign steers by, so composite
     /// campaigns count every component's units.
     pub fn covered_units(&self) -> usize {
-        self.global.iter().map(CoverageSignal::covered_count).sum()
+        self.ledger.global.iter().map(CoverageSignal::covered_count).sum()
     }
 
     /// Mean global coverage per metric component (one entry for simple
     /// metrics).
     pub fn component_coverage(&self) -> Vec<f32> {
-        dx_coverage::mean_component_coverage(&self.global)
+        dx_coverage::mean_component_coverage(&self.ledger.global)
     }
 
     /// Mean global coverage across models.
     pub fn mean_coverage(&self) -> f32 {
-        dx_coverage::mean_coverage(&self.global)
+        self.ledger.mean_coverage()
     }
 
     /// Runs up to `config.epochs` epochs, stopping early on the duration
@@ -497,8 +413,8 @@ impl Campaign {
     /// stays valid either way.
     pub fn run(&mut self) -> io::Result<&CampaignReport> {
         let started = Instant::now();
-        let end_epoch = self.epochs_done + self.config.epochs;
-        while self.epochs_done < end_epoch && self.can_step() {
+        let end_epoch = self.epochs_done() + self.config.epochs;
+        while self.epochs_done() < end_epoch && self.can_step() {
             if let Some(budget) = self.config.duration {
                 if started.elapsed() >= budget {
                     break;
@@ -506,14 +422,14 @@ impl Campaign {
             }
             self.step()?;
         }
-        Ok(&self.report)
+        Ok(&self.ledger.report)
     }
 
     /// True when another [`step`](Self::step) can make progress: the
     /// corpus is not exhausted and the coverage target (when set) is
     /// still unmet.
     pub fn can_step(&self) -> bool {
-        !self.corpus.all_exhausted()
+        !self.ledger.corpus.all_exhausted()
             && self.config.desired_coverage.is_none_or(|target| self.mean_coverage() < target)
     }
 
@@ -536,59 +452,44 @@ impl Campaign {
     }
 
     /// Writes the full campaign state to `dir` (JSONL corpus/stats/diffs
-    /// plus coverage bitmaps and a meta file). The first write into a
-    /// directory this run replaces any stale files there; subsequent
-    /// writes into the same directory append the new stats/diffs lines.
+    /// plus coverage bitmaps and a meta file with the worker RNG states).
+    /// The first write into a directory replaces any stale files there;
+    /// later writes into the directory last written append the new
+    /// stats/diffs lines.
+    ///
+    /// # Errors
+    ///
+    /// Checkpoint I/O failures.
     pub fn checkpoint(&mut self, dir: &std::path::Path) -> io::Result<()> {
-        let meta = checkpoint::Meta {
-            epochs_done: self.epochs_done,
-            campaign_seed: self.config.seed,
-            workers: self.config.workers,
-            worker_rng: self.workers.iter().map(Generator::rng_state).collect(),
-        };
-        let masks: Vec<Vec<bool>> = self.global.iter().map(CoverageSignal::covered_mask).collect();
-        let signal = checkpoint::SignalCheckpoint::of(&self.global);
-        let append = self.checkpointed_dir.as_deref() == Some(dir);
-        checkpoint::save(
-            dir,
-            &self.corpus,
-            &self.report,
-            &self.diffs,
-            &masks,
-            &signal,
-            &meta,
-            append,
-        )?;
-        self.checkpointed_dir = Some(dir.to_path_buf());
-        Ok(())
+        let mut snapshot = self.ledger.snapshot(self.config.workers, Vec::new());
+        snapshot.worker_rng = self.workers.iter().map(Generator::rng_state).collect();
+        self.writer.write(0, &snapshot, dir, || Ok(()))
     }
 
     fn run_epoch(&mut self) {
-        let epoch = self.epochs_done;
+        let epoch = self.epochs_done();
         let started = Instant::now();
         let _epoch_span = Span::new(self.metrics.epoch_seconds.clone());
-        // The epoch scheduler RNG derives from (campaign seed, epoch), so
-        // scheduling is independent of where a resume happened.
-        let mut sched_rng =
-            rng::rng(rng::derive_seed(self.config.seed, 0x5ced_0000 + epoch as u64));
-        let ids = self.corpus.schedule(self.config.batch_per_epoch, &mut sched_rng);
+        self.ledger.start_round(started);
+        let ids = self.ledger.pick_seeds(&[], self.config.batch_per_epoch);
         let n_workers = self.workers.len();
         let mut assignments: Vec<Vec<(usize, Tensor)>> = vec![Vec::new(); n_workers];
         for (i, &id) in ids.iter().enumerate() {
-            let Some(entry) = self.corpus.get(id) else { continue };
+            let Some(entry) = self.ledger.corpus.get(id) else { continue };
             assignments[i % n_workers].push((id, entry.input.clone()));
         }
-        let covered_before = self.covered_units();
         let merge_every = self.config.merge_every.max(1);
         let batch = self.config.batch.max(1);
-        let global = Mutex::new(std::mem::take(&mut self.global));
+        // Workers sync through a copy of the union; the ledger takes the
+        // epoch's delta when the runs fold in, as from a results frame.
+        let union = Mutex::new(self.ledger.global.clone());
         let per_worker: Vec<Vec<(usize, SeedRun)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .workers
                 .iter_mut()
                 .zip(assignments)
                 .map(|(worker, jobs)| {
-                    let global = &global;
+                    let union = &union;
                     let lock_wait = self.metrics.lock_wait.clone();
                     scope.spawn(move || {
                         // Sync points are rare (every merge_every jobs),
@@ -600,8 +501,7 @@ impl Campaign {
                             // Poison-tolerant: coverage union updates are
                             // idempotent bit-ors, safe to resume after a
                             // sibling worker panicked.
-                            let mut union =
-                                global.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                            let mut union = union.lock().unwrap_or_else(PoisonError::into_inner);
                             lock_wait.observe(waited.elapsed().as_secs_f64());
                             worker.sync_coverage_into(&mut union);
                             worker.adopt_coverage(&union);
@@ -634,36 +534,26 @@ impl Campaign {
                 .map(|h| h.join().expect("campaign worker panicked"))
                 .collect()
         });
-        self.global = global.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let union = union.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let delta: Vec<Vec<usize>> =
+            union.iter().zip(&self.ledger.global).map(|(u, g)| u.diff_indices(g)).collect();
         // Fold results back in scheduling order (round-robin inverse), so
         // corpus mutation order — and therefore child ids — is independent
         // of worker count.
         let mut cursors: Vec<std::vec::IntoIter<(usize, SeedRun)>> =
             per_worker.into_iter().map(Vec::into_iter).collect();
-        let mut diffs_found = 0;
-        let mut iterations = 0;
-        // The rarity energy model credits steps against the union as it
-        // stood when they ran (one epoch's granularity), per metric
-        // component — a boundary corner found while the section union is
-        // nearly saturated still earns the full rarity multiplier of the
-        // (much emptier) boundary component.
-        let global_coverage = dx_coverage::mean_component_coverage(&self.global);
+        let runs: Vec<(usize, SeedRun)> =
+            (0..ids.len()).filter_map(|i| cursors[i % n_workers].next()).collect();
         let mut new_by_component = vec![0usize; self.metrics.new_units.len()];
-        for i in 0..ids.len() {
-            let Some((id, run)) = cursors[i % n_workers].next() else { continue };
-            iterations += run.iterations;
+        for (_, run) in &runs {
             for (total, newly) in new_by_component.iter_mut().zip(&run.newly_by_component) {
                 *total += newly;
             }
-            let diff_test = if run.found_difference() { run.test.as_ref() } else { None };
-            if let Some(test) = diff_test {
-                diffs_found += 1;
-                self.diffs.push(FoundDiff::from_test(id, epoch, test));
-            }
-            self.corpus.absorb(id, &run, &global_coverage);
         }
-        self.metrics.seeds.inc_by(ids.len() as u64);
-        self.metrics.diffs.inc_by(diffs_found as u64);
+        let absorbed = self.ledger.absorb(runs.iter().map(|(id, run)| (*id, run)), &delta);
+        self.ledger.flush_round(0, Instant::now());
+        self.metrics.seeds.inc_by(absorbed.steps as u64);
+        self.metrics.diffs.inc_by(absorbed.diffs as u64);
         for (counter, &n) in self.metrics.new_units.iter().zip(&new_by_component) {
             counter.inc_by(n as u64);
         }
@@ -675,43 +565,27 @@ impl Campaign {
         for (hist, phase) in self.metrics.phase_seconds.iter().zip(Phase::ALL) {
             hist.merge_local(phases.get(phase));
         }
-        self.metrics.corpus_size.set(self.corpus.len() as f64);
-        let energies: Vec<f64> =
-            self.corpus.entries().iter().map(|e| f64::from(e.energy)).collect();
+        let corpus = &self.ledger.corpus;
+        self.metrics.corpus_size.set(corpus.len() as f64);
+        let energies: Vec<f64> = corpus.entries().iter().map(|e| f64::from(e.energy)).collect();
         if !energies.is_empty() {
             let sum: f64 = energies.iter().sum();
             self.metrics.energy_min.set(energies.iter().copied().fold(f64::INFINITY, f64::min));
             self.metrics.energy_mean.set(sum / energies.len() as f64);
             self.metrics.energy_max.set(energies.iter().copied().fold(f64::NEG_INFINITY, f64::max));
         }
-        let covered_after = self.covered_units();
         emit(
             Level::Debug,
             "campaign",
             "epoch_done",
             &[
                 ("epoch", (epoch as u64).into()),
-                ("seeds_run", (ids.len() as u64).into()),
-                ("diffs_found", (diffs_found as u64).into()),
-                ("newly_covered", ((covered_after - covered_before) as u64).into()),
-                ("corpus_len", (self.corpus.len() as u64).into()),
+                ("seeds_run", (absorbed.steps as u64).into()),
+                ("diffs_found", (absorbed.diffs as u64).into()),
+                ("newly_covered", (absorbed.newly_covered as u64).into()),
+                ("corpus_len", (corpus.len() as u64).into()),
                 ("elapsed", started.elapsed().into()),
             ],
         );
-        self.report.epochs.push(EpochStats {
-            epoch,
-            seeds_run: ids.len(),
-            diffs_found,
-            iterations,
-            newly_covered: covered_after - covered_before,
-            mean_coverage: self.mean_coverage(),
-            // `self.global` has not changed since `global_coverage` was
-            // computed (absorb only touches the corpus), so the energy
-            // model's saturation view and the reported column agree.
-            component_coverage: global_coverage,
-            corpus_len: self.corpus.len(),
-            elapsed: started.elapsed(),
-        });
-        self.epochs_done += 1;
     }
 }

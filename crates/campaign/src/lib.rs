@@ -16,11 +16,14 @@
 //!   neuron coverage or DeepGauge k-multisection sections — selected per
 //!   campaign; every union/checkpoint/energy path below is written against
 //!   the signal, not a concrete tracker.
-//! - **Worker pool** ([`engine::Campaign`]): each worker thread owns model
-//!   clones and private per-model [`dx_coverage::CoverageSignal`]s, and
-//!   periodically folds them into a shared global union
-//!   ([`dx_coverage::CoverageSignal::merge`]), adopting the union back so
-//!   workers don't chase units someone else covered.
+//! - **Ledger** ([`ledger::Ledger`]): one campaign's books — corpus,
+//!   union, diffs, rounds, requeue, the round-keyed scheduler stream — and
+//!   the one checkpoint writer and loader, shared by every driver.
+//! - **Worker pool** ([`engine::Campaign`]): the in-process driver. Each
+//!   worker thread owns model clones and private per-model
+//!   [`dx_coverage::CoverageSignal`]s, and periodically folds them into a
+//!   shared copy of the union ([`dx_coverage::CoverageSignal::merge`]),
+//!   adopting it back so workers don't chase units someone else covered.
 //! - **Persistence** ([`checkpoint`]): JSONL corpus/stats/diffs checkpoints
 //!   after every epoch; [`engine::Campaign::resume`] continues a campaign
 //!   from disk.
@@ -71,6 +74,7 @@ pub mod codec;
 pub mod corpus;
 pub mod engine;
 pub mod json;
+pub mod ledger;
 pub mod report;
 
 pub use corpus::{Corpus, CorpusEntry, EnergyModel};

@@ -513,7 +513,7 @@ pub fn campaign(args: &Args) -> CmdResult {
         merge_every: args.get_num("merge-every", 4)?,
         duration: parse_duration(args)?,
         desired_coverage: parse_target_coverage(args)?,
-        checkpoint_dir,
+        checkpoint_dir: checkpoint_dir.clone(),
         seed: args.get_num("rng", 42)?,
         max_corpus: args.get_num("max-corpus", 4096)?,
         energy: args.get_num("energy", dx_campaign::EnergyModel::Classic)?,
@@ -549,6 +549,7 @@ pub fn campaign(args: &Args) -> CmdResult {
         }
         None => dx_campaign::Campaign::new(suite, &initial_seeds(args, &ds)?, config),
     };
+    let epochs_before = campaign.epochs_done();
     campaign.run()?;
     print!("{}", campaign.report().render());
     println!(
@@ -564,7 +565,7 @@ pub fn campaign(args: &Args) -> CmdResult {
     for (secs, cov) in campaign.report().coverage_curve() {
         println!("  {secs:>8.2}s {:>6.2}%", 100.0 * cov);
     }
-    if let Some(dir) = campaign.last_checkpoint_dir() {
+    if let Some(dir) = checkpoint_dir.filter(|_| campaign.epochs_done() > epochs_before) {
         let dir = dir.display();
         println!("checkpoint written to {dir} (resume with --resume {dir})");
     }

@@ -5,8 +5,9 @@
 //! (beyond their generator RNG, which they report back for checkpointing).
 //! Serving, the handshake, admission, lease bookkeeping (deadlines,
 //! heartbeats, requeue of expired or orphaned leases, salvage of late
-//! results) and the campaign ledger are [`crate::engine`]'s, shared with
-//! the `dx-service` dispatcher. This file is what a *dedicated*
+//! results) are [`crate::engine`]'s, shared with the `dx-service`
+//! dispatcher, and the campaign's books are a `dx_campaign` ledger, shared
+//! with the in-process pool too. This file is what a *dedicated*
 //! coordinator adds:
 //!
 //! **Trust.** The coordinator does not take workers at their word. With
@@ -37,12 +38,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use dx_campaign::checkpoint::{self, write_atomic};
+use dx_campaign::checkpoint::write_atomic;
 use dx_campaign::codec::{
     diff_from_json, diff_json, field_usize, parse_doc, rng_state_from_json, rng_state_json,
     u64_from_json, u64_json,
 };
 use dx_campaign::json::{build, Json};
+use dx_campaign::ledger::{CheckpointGate, Ledger, Snapshot};
 use dx_campaign::{CampaignReport, Corpus, EnergyModel, FoundDiff, ModelSuite};
 use dx_coverage::CoverageSignal;
 use dx_nn::util::gather_rows;
@@ -52,8 +54,7 @@ use dx_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use dx_tensor::{rng, Tensor};
 
 use crate::engine::{
-    self, CheckpointGate, Daemon, Fleet, Gate, LeaseTable, Ledger, Peer, Plan, Refusal, Reply,
-    ResultsFrame, Snapshot, Views,
+    self, Daemon, Fleet, Gate, LeaseTable, Peer, Plan, Refusal, Reply, ResultsFrame, Views,
 };
 use crate::proto::{Fingerprint, Msg};
 
@@ -386,7 +387,7 @@ impl Coordinator {
         let inputs = (0..n).map(|i| gather_rows(seeds, &[i])).collect();
         let corpus = Corpus::new(inputs, cfg.max_corpus).with_energy_model(cfg.energy);
         let gate = Gate::new(suite, label, cfg.auth_token.clone(), cfg.lease_timeout);
-        let ledger = Ledger::new(corpus, &gate.template, cfg.seed, Instant::now());
+        let ledger = Ledger::new(corpus, gate.template.clone(), cfg.seed, Instant::now());
         Self::with_state(suite, cfg, gate, ledger, DistState::default())
     }
 
@@ -406,50 +407,26 @@ impl Coordinator {
 
     /// Resumes from the checkpoint in `dir`, while future checkpoints go
     /// to `cfg.checkpoint_dir` — which may differ, forking the campaign
-    /// (mirroring `dx_campaign::Campaign::resume_from`).
+    /// (mirroring `dx_campaign::Campaign::resume_from`, through the same
+    /// loader). A plain campaign checkpoint (no `dist.json`) resumes too.
     ///
     /// # Errors
     ///
-    /// Missing directory or malformed checkpoint files.
+    /// Missing directory, malformed checkpoint files, or a checkpoint
+    /// written under another metric.
     pub fn resume_from(
         suite: &ModelSuite,
         label: &str,
         dir: &Path,
-        cfg: CoordinatorConfig,
+        mut cfg: CoordinatorConfig,
     ) -> io::Result<Self> {
-        let state = checkpoint::load(dir)?;
-        if state.signal.metric != suite.signal.metric {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint metric `{}` does not match the configured `{}`",
-                    state.signal.metric, suite.signal.metric
-                ),
-            ));
-        }
-        // Checkpointed multisection profiles are authoritative, exactly as
-        // in `dx_campaign::Campaign::resume_from`.
-        let suite = &state.signal.restore_profiles(suite.clone())?;
-        // A plain campaign checkpoint has no dist.json: its steps are its
-        // epochs' and nothing is owed to the queue.
-        let mut dist = DistState::load(dir)?.unwrap_or_else(|| DistState {
-            steps_done: state.epochs.iter().map(|e| e.seeds_run).sum(),
-            ..DistState::default()
-        });
-        let corpus =
-            Corpus::from_entries(state.corpus, cfg.max_corpus).with_energy_model(cfg.energy);
-        let mut cfg = cfg;
-        cfg.seed = state.campaign_seed;
-        let gate = Gate::new(suite, label, cfg.auth_token.clone(), cfg.lease_timeout);
-        let mut ledger = Ledger::new(corpus, &gate.template, cfg.seed, Instant::now());
-        ledger.restore(
-            state.diffs,
-            state.epochs,
-            state.coverage.as_deref(),
-            dist.steps_done,
-            std::mem::take(&mut dist.pending),
-        );
-        Ok(Self::with_state(suite, cfg, gate, ledger, dist))
+        let mut dist = DistState::load(dir)?;
+        let owed = dist.as_mut().map(|d| (d.steps_done, std::mem::take(&mut d.pending)));
+        let (suite, ledger, _) =
+            Ledger::load(dir, suite.clone(), cfg.max_corpus, cfg.energy, owed)?;
+        cfg.seed = ledger.seed();
+        let gate = Gate::new(&suite, label, cfg.auth_token.clone(), cfg.lease_timeout);
+        Ok(Self::with_state(&suite, cfg, gate, ledger, dist.unwrap_or_default()))
     }
 
     fn with_state(
@@ -629,7 +606,7 @@ impl Coordinator {
         self.cfg.checkpoint_dir.as_ref()?;
         let workers = st.per_worker.len().max(1);
         let leased = st.fleet.leases.seed_ids(CAMPAIGN);
-        let mut snapshot = st.ledger.snapshot(self.cfg.seed, workers, leased);
+        let mut snapshot = st.ledger.snapshot(workers, leased);
         let dist = DistState {
             steps_done: st.ledger.steps_done,
             next_lease: st.fleet.leases.next_id(),
@@ -656,8 +633,8 @@ impl Coordinator {
             let ckpt = self.snapshot_checkpoint(&mut st);
             let report = DistReport {
                 report: CampaignReport {
-                    epochs: st.ledger.epochs.clone(),
                     workers: st.per_worker.len().max(1),
+                    ..st.ledger.report.clone()
                 },
                 coverage: st.ledger.global.iter().map(CoverageSignal::coverage).collect(),
                 steps_done: st.ledger.steps_done,
@@ -745,7 +722,7 @@ impl Daemon for Coordinator {
             // Everything schedulable is out on a lease right now.
             return Msg::Wait { millis: 50 };
         }
-        let jobs = st.ledger.jobs(&ids);
+        let jobs = engine::jobs(&st.ledger, &ids);
         let granted = ids.len();
         let lease = st.fleet.leases.grant(s, CAMPAIGN, ids, Instant::now());
         self.metrics.leases.inc();
@@ -792,7 +769,8 @@ impl Daemon for Coordinator {
         // which claimed diffs to re-execute.
         let (plan, checks) = {
             let mut st = self.lock();
-            if let Err(reason) = st.ledger.check(&cov, &items, &self.sample_shape) {
+            if let Err(reason) = engine::check(&st.ledger.global, &cov, &items, &self.sample_shape)
+            {
                 return (Reply::reject(reason), Vec::new());
             }
             let plan = match st.fleet.leases.claim(lease, s, Instant::now()) {
@@ -804,7 +782,7 @@ impl Daemon for Coordinator {
             if self.cfg.spot_check_rate > 0.0 {
                 use rand::Rng as _;
                 for item in &items {
-                    if !st.ledger.absorbable(&plan, item.seed_id) || !item.run.found_difference() {
+                    if !plan.absorbable(&st.ledger, item.seed_id) || !item.run.found_difference() {
                         continue;
                     }
                     if st.spot_rng.gen_range(0.0f32..1.0) < self.cfg.spot_check_rate {
@@ -834,11 +812,11 @@ impl Daemon for Coordinator {
             st.fleet.leases.release(lease);
         }
         if !failed.is_empty() {
-            let epoch = st.ledger.epochs.len();
             for (seed_id, t) in &failed {
                 st.quarantined_total += 1;
                 if st.quarantined.len() < QUARANTINE_KEEP {
-                    st.quarantined.push(FoundDiff::from_test(*seed_id, epoch, t));
+                    let diff = st.ledger.diff_of(*seed_id, t);
+                    st.quarantined.push(diff);
                 }
             }
             // Nothing from this frame is trusted: no coverage union, no
@@ -886,7 +864,7 @@ impl Daemon for Coordinator {
                 self.cfg.registry.histogram(rtt, &[("slot", &slot)], &TIME_BUCKETS).merge_local(hb);
             }
         }
-        let absorbed = st.ledger.absorb(&plan, &items, &cov);
+        let absorbed = plan.absorb(&mut st.ledger, &items, &cov);
         views.learn(CAMPAIGN, &cov);
         st.worker_rng.insert(s, rng_state);
         let w = st.per_worker.entry(s).or_default();

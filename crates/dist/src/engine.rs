@@ -2,16 +2,20 @@
 //!
 //! A dedicated [`crate::Coordinator`] is a one-campaign service, and the
 //! `dx-service` dispatcher the same protocol over many campaigns; what
-//! the two share lives here, once, in two layers.
+//! the two share lives here, once, in two layers. A campaign's books (and
+//! their checkpoint writer and loader) are a `dx-campaign` [`Ledger`], the
+//! one the in-process pool drives too.
 //!
 //! **The books (pure).** [`Fleet`] maps worker identities to slots, its
-//! [`LeaseTable`] tracks who holds which seeds until when, and a
-//! [`Ledger`] is one campaign's state — corpus, coverage union, found
-//! diffs, round statistics, requeue, scheduler RNG. They do no I/O and
-//! read no clock: every deadline decision takes `now` from the caller, so
-//! a test (or a simulator) owns time and the whole lease life cycle runs
-//! without a socket, a thread or a sleep. Nothing above the "shell"
-//! banner below may touch one; `books_are_sans_io` greps for it.
+//! [`LeaseTable`] tracks who holds which seeds until when, and a [`Plan`]
+//! says what a results frame may fold into a ledger: [`check`] validates
+//! the frame, [`Plan::absorb`] applies lease entitlement and salvage in
+//! front of [`Ledger::absorb`]. They do no I/O and read no clock: every
+//! deadline decision takes `now` from the caller, so a test (or a
+//! simulator) owns time and the whole lease life cycle runs without a
+//! socket, a thread or a sleep. Nothing above the "shell" banner below —
+//! nor above the ledger's own banner — may touch one;
+//! `books_are_sans_io` greps both files for it.
 //!
 //! **The shell (I/O).** [`serve`] is the nonblocking accept loop with
 //! drain, backlog sweep and force-close; each connection's handler thread
@@ -32,16 +36,14 @@
 //! (in its metrics registry); the service passes `|_| false`. *Spot-checks
 //! sit between claim and absorb*: [`LeaseTable::claim`] marks a lease
 //! `checking` and returns a [`Plan`]; the coordinator drops its lock,
-//! re-executes sampled claims, then [`Ledger::absorb`]s the frame or
+//! re-executes sampled claims, then [`Plan::absorb`]s the frame or
 //! requeues the lease. The service makes the same calls back to back.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
-use dx_campaign::checkpoint::{Meta, SignalCheckpoint};
-use dx_campaign::{CampaignReport, Corpus, EpochStats, FoundDiff};
+use dx_campaign::ledger::{Absorbed, Ledger};
 use dx_coverage::CoverageSignal;
-use dx_tensor::rng;
 
 use crate::proto::{CovDelta, Job, JobResult};
 
@@ -291,290 +293,70 @@ impl Fleet {
     }
 }
 
-#[derive(Default)]
-struct RoundAccum {
-    seeds_run: usize,
-    diffs_found: usize,
-    iterations: usize,
-    newly_covered: usize,
-}
-
-/// What one [`Ledger::absorb`] call folded in.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Absorbed {
-    /// Seed steps counted.
-    pub steps: usize,
-    /// Of those, how many found a difference.
-    pub diffs: usize,
-    /// Units the frame's delta added to the union.
-    pub newly_covered: usize,
-}
-
-/// One campaign's state: a coordinator holds one, the service one per
-/// tenant.
-pub struct Ledger {
-    /// The seed corpus.
-    pub corpus: Corpus,
-    /// The global coverage union, one signal per model.
-    pub global: Vec<CoverageSignal>,
-    /// Difference-inducing inputs found.
-    pub diffs: Vec<FoundDiff>,
-    /// Closed statistics rounds.
-    pub epochs: Vec<EpochStats>,
-    /// Seed steps absorbed (across resumes).
-    pub steps_done: usize,
-    /// Requeued seed ids, served before fresh scheduling.
-    pub pending: VecDeque<usize>,
-    round: RoundAccum,
-    round_started: Instant,
-    sched_rng: rng::Rng,
-    /// Monotonic snapshot counter; [`CheckpointGate`] discards stale
-    /// snapshots that lost the race to a newer one.
-    snapshots: u64,
-}
-
-impl Ledger {
-    /// A fresh ledger over `corpus` with an empty union shaped like
-    /// `template`; the scheduler stream derives from `campaign_seed`.
-    pub fn new(
-        corpus: Corpus,
-        template: &[CoverageSignal],
-        campaign_seed: u64,
-        now: Instant,
-    ) -> Self {
-        Self {
-            corpus,
-            global: template.to_vec(),
-            diffs: Vec::new(),
-            epochs: Vec::new(),
-            steps_done: 0,
-            pending: VecDeque::new(),
-            round: RoundAccum::default(),
-            round_started: now,
-            sched_rng: rng::rng(rng::derive_seed(campaign_seed, 0xd157)),
-            snapshots: 0,
-        }
-    }
-
-    /// Continues from a checkpoint: history, coverage masks (when they
-    /// fit the union's shape) and the queued ids the corpus still has.
-    pub fn restore(
-        &mut self,
-        diffs: Vec<FoundDiff>,
-        epochs: Vec<EpochStats>,
-        masks: Option<&[Vec<bool>]>,
-        steps_done: usize,
-        pending: impl IntoIterator<Item = usize>,
-    ) {
-        self.diffs = diffs;
-        self.epochs = epochs;
-        self.steps_done = steps_done;
-        self.pending = pending.into_iter().filter(|&id| self.corpus.get(id).is_some()).collect();
-        if let Some(masks) = masks {
-            dx_coverage::restore_masks(&mut self.global, masks);
-        }
-    }
-
-    /// Mean global coverage across models.
-    pub fn mean_coverage(&self) -> f32 {
-        dx_coverage::mean_coverage(&self.global)
-    }
-
-    /// Restarts the open round's clock (serving starts after building).
-    pub fn start_round(&mut self, now: Instant) {
-        self.round_started = now;
-    }
-
-    /// Picks up to `want` seed ids: requeued seeds first, then an
-    /// energy-weighted draw excluding everything in `leased` or queued.
-    pub fn pick_seeds(&mut self, leased: &[usize], want: usize) -> Vec<usize> {
-        let mut ids = Vec::with_capacity(want);
-        while ids.len() < want {
-            let Some(id) = self.pending.pop_front() else { break };
-            let alive = self.corpus.get(id).is_some_and(|e| !e.exhausted);
-            if alive && !ids.contains(&id) {
-                ids.push(id);
-            }
-        }
-        if ids.len() < want {
-            let mut excluded = leased.to_vec();
-            excluded.extend(self.pending.iter().copied());
-            excluded.extend(ids.iter().copied());
-            let n = want - ids.len();
-            ids.extend(self.corpus.schedule_excluding(n, &mut self.sched_rng, &excluded));
-        }
-        ids
-    }
-
-    /// The `lease` frame's jobs for picked ids.
-    pub fn jobs(&self, ids: &[usize]) -> Vec<Job> {
-        ids.iter()
-            .filter_map(|&id| Some(Job { seed_id: id, input: self.corpus.get(id)?.input.clone() }))
-            .collect()
-    }
-
-    /// Puts a lost lease's seeds back in the queue for the next worker.
-    pub fn requeue(&mut self, seed_ids: Vec<usize>) {
-        self.pending.extend(seed_ids);
-    }
-
-    /// Validates a results frame before anything touches the union: delta
-    /// indices in range, every tensor shaped `sample_shape` (a fabricated
-    /// one would otherwise panic a forward pass, at a spot-check or in
-    /// whatever resumes the corpus).
-    ///
-    /// # Errors
-    ///
-    /// The reason to reject the connection with.
-    pub fn check(
-        &self,
-        cov: &CovDelta,
-        items: &[JobResult],
-        sample_shape: &[usize],
-    ) -> Result<(), &'static str> {
-        for (m, idx) in cov.iter().enumerate() {
-            let total = self.global.get(m).map_or(0, CoverageSignal::total);
-            if m >= self.global.len() || idx.iter().any(|&i| i >= total) {
-                return Err("coverage delta out of range");
-            }
-        }
-        let shape_ok = items.iter().all(|i| {
-            i.run.test.as_ref().is_none_or(|t| t.input.shape() == sample_shape)
-                && i.run.corpus_candidate.as_ref().is_none_or(|c| c.shape() == sample_shape)
-        });
-        if !shape_ok {
-            return Err("result tensor shape mismatch");
-        }
-        Ok(())
-    }
-
-    /// Whether [`Ledger::absorb`] would count a result for `seed_id`: a
-    /// seed the claimed lease covers, or — the lease having expired — one
-    /// still queued (a re-leased one is someone else's now).
-    pub fn absorbable(&self, plan: &Plan, seed_id: usize) -> bool {
-        match plan {
+impl Plan {
+    /// Whether this claim entitles its frame to count a result for
+    /// `seed_id`: a seed the claimed lease covers, or — the lease having
+    /// expired — one still queued in `ledger` (a re-leased one is someone
+    /// else's now).
+    pub fn absorbable(&self, ledger: &Ledger, seed_id: usize) -> bool {
+        match self {
             Plan::Lease { seed_ids, .. } => seed_ids.contains(&seed_id),
-            Plan::Expired => self.pending.contains(&seed_id),
+            Plan::Expired => ledger.pending.contains(&seed_id),
             Plan::Collision => false,
         }
     }
 
-    /// Folds a validated results frame in: the coverage delta always (the
-    /// worker saw those units whatever became of its lease), then the
-    /// items `plan` entitles the sender to — corpus energy, found diffs,
-    /// round statistics. Under [`Plan::Expired`] seeds still queued are
-    /// salvaged (counted instead of redone), so one step that outlasts
-    /// the timeout cannot livelock a budgeted campaign.
-    pub fn absorb(&mut self, plan: &Plan, items: &[JobResult], cov: &CovDelta) -> Absorbed {
-        let mut newly_covered = 0;
-        for (g, idx) in self.global.iter_mut().zip(cov) {
-            newly_covered += g.apply_covered_indices(idx);
-        }
-        self.round.newly_covered += newly_covered;
+    /// Folds a [`check`]ed results frame into `ledger`: the coverage delta
+    /// always (the worker saw those units whatever became of its lease),
+    /// then the items this claim entitles the sender to. Under
+    /// [`Plan::Expired`] seeds still queued are salvaged (counted instead
+    /// of redone), so one step that outlasts the timeout cannot livelock a
+    /// budgeted campaign.
+    pub fn absorb(&self, ledger: &mut Ledger, items: &[JobResult], cov: &CovDelta) -> Absorbed {
         let take: Vec<&JobResult> =
-            items.iter().filter(|i| self.absorbable(plan, i.seed_id)).collect();
-        if matches!(plan, Plan::Expired) {
-            self.pending.retain(|id| !take.iter().any(|i| i.seed_id == *id));
+            items.iter().filter(|i| self.absorbable(ledger, i.seed_id)).collect();
+        if matches!(self, Plan::Expired) {
+            ledger.pending.retain(|id| !take.iter().any(|i| i.seed_id == *id));
         }
-        // Per-component saturation, so the rarity energy model credits a
-        // find against its own component's union, not the pooled mean.
-        let global_coverage = dx_coverage::mean_component_coverage(&self.global);
-        let epoch = self.epochs.len();
-        let mut diffs = 0;
-        for item in &take {
-            self.steps_done += 1;
-            self.round.seeds_run += 1;
-            self.round.iterations += item.run.iterations;
-            if let Some(test) = item.run.test.as_ref().filter(|_| item.run.found_difference()) {
-                diffs += 1;
-                self.diffs.push(FoundDiff::from_test(item.seed_id, epoch, test));
-            }
-            self.corpus.absorb(item.seed_id, &item.run, &global_coverage);
-        }
-        self.round.diffs_found += diffs;
-        Absorbed { steps: take.len(), diffs, newly_covered }
-    }
-
-    /// Closes the open statistics round into an [`EpochStats`] line once
-    /// it holds `min_steps` seed steps.
-    pub fn flush_round(&mut self, min_steps: usize, now: Instant) -> Option<EpochStats> {
-        if self.round.seeds_run < min_steps {
-            return None;
-        }
-        let round = std::mem::take(&mut self.round);
-        let stats = EpochStats {
-            epoch: self.epochs.len(),
-            seeds_run: round.seeds_run,
-            diffs_found: round.diffs_found,
-            iterations: round.iterations,
-            newly_covered: round.newly_covered,
-            mean_coverage: self.mean_coverage(),
-            component_coverage: dx_coverage::mean_component_coverage(&self.global),
-            corpus_len: self.corpus.len(),
-            elapsed: now.duration_since(self.round_started),
-        };
-        self.epochs.push(stats.clone());
-        self.round_started = now;
-        Some(stats)
-    }
-
-    /// Whether the campaign has finished, and why. `in_flight` is whether
-    /// any of its seeds are still out on a lease.
-    pub fn done_reason(
-        &self,
-        max_steps: Option<usize>,
-        target_coverage: Option<f32>,
-        in_flight: bool,
-    ) -> Option<&'static str> {
-        if max_steps.is_some_and(|m| self.steps_done >= m) {
-            return Some("budget");
-        }
-        if target_coverage.is_some_and(|t| self.mean_coverage() >= t) {
-            return Some("target");
-        }
-        if self.corpus.all_exhausted() && !in_flight {
-            return Some("exhausted");
-        }
-        None
-    }
-
-    /// Clones what a campaign checkpoint persists — cheap, under the
-    /// daemon's lock; [`CheckpointGate::write`] serializes outside it.
-    /// `leased` seeds fold into the requeue: a checkpoint outlives leases.
-    pub fn snapshot(&mut self, campaign_seed: u64, workers: usize, leased: Vec<usize>) -> Snapshot {
-        self.snapshots += 1;
-        Snapshot {
-            seq: self.snapshots,
-            corpus: self.corpus.clone(),
-            report: CampaignReport { epochs: self.epochs.clone(), workers },
-            diffs: self.diffs.clone(),
-            masks: self.global.iter().map(CoverageSignal::covered_mask).collect(),
-            signal: SignalCheckpoint::of(&self.global),
-            meta: Meta {
-                epochs_done: self.epochs.len(),
-                campaign_seed,
-                workers,
-                // Fleet worker streams are keyed by slot or identity in
-                // the daemon's own file; an in-process resume of this
-                // checkpoint re-derives streams from the master seed.
-                worker_rng: Vec::new(),
-            },
-            pending: self.pending.iter().copied().chain(leased).collect(),
-        }
+        ledger.absorb(take.iter().map(|i| (i.seed_id, &i.run)), cov)
     }
 }
 
-/// A ledger's checkpointable state, cloned under the lock.
-pub struct Snapshot {
-    seq: u64,
-    corpus: Corpus,
-    report: CampaignReport,
-    diffs: Vec<FoundDiff>,
-    masks: Vec<Vec<bool>>,
-    signal: SignalCheckpoint,
-    meta: Meta,
-    /// Seeds owed to the queue: requeued plus leased at snapshot time.
-    pub pending: Vec<usize>,
+/// Validates a results frame against the union `global` before anything
+/// touches it: delta indices in range, every tensor shaped `sample_shape`
+/// (a fabricated one would otherwise panic a forward pass, at a
+/// spot-check or in whatever resumes the corpus).
+///
+/// # Errors
+///
+/// The reason to reject the connection with.
+pub fn check(
+    global: &[CoverageSignal],
+    cov: &CovDelta,
+    items: &[JobResult],
+    sample_shape: &[usize],
+) -> Result<(), &'static str> {
+    for (m, idx) in cov.iter().enumerate() {
+        let total = global.get(m).map_or(0, CoverageSignal::total);
+        if m >= global.len() || idx.iter().any(|&i| i >= total) {
+            return Err("coverage delta out of range");
+        }
+    }
+    let shape_ok = items.iter().all(|i| {
+        i.run.test.as_ref().is_none_or(|t| t.input.shape() == sample_shape)
+            && i.run.corpus_candidate.as_ref().is_none_or(|c| c.shape() == sample_shape)
+    });
+    if !shape_ok {
+        return Err("result tensor shape mismatch");
+    }
+    Ok(())
+}
+
+/// The `lease` frame's jobs for ids picked from `ledger`.
+pub fn jobs(ledger: &Ledger, ids: &[usize]) -> Vec<Job> {
+    ids.iter()
+        .filter_map(|&id| Some(Job { seed_id: id, input: ledger.corpus.get(id)?.input.clone() }))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -584,11 +366,10 @@ pub struct Snapshot {
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use dx_campaign::{checkpoint, ModelSuite};
+use dx_campaign::ModelSuite;
 use dx_telemetry::events::{emit, Level};
 use dx_telemetry::phase::{Phase, TIME_BUCKETS};
 use dx_telemetry::MetricsRegistry;
@@ -614,45 +395,6 @@ const HELLO_FRAME_CAP: usize = 1 << 16;
 /// is closed — a garbage or silent client must not park a handler thread
 /// (and a listener backlog slot) forever.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Serializes checkpoint writes and remembers, per campaign, the newest
-/// snapshot sequence number written this process.
-#[derive(Default)]
-pub struct CheckpointGate {
-    last: Mutex<BTreeMap<u64, u64>>,
-}
-
-impl CheckpointGate {
-    /// Writes `campaign`'s snapshot into `dir` — the campaign checkpoint
-    /// files, then the daemon's `extras` — unless a newer one already
-    /// landed: each carries the full state, so the newest is the most
-    /// complete. The first write this process rewrites stats and diffs
-    /// instead of appending (the directory may hold an earlier campaign).
-    ///
-    /// # Errors
-    ///
-    /// Checkpoint I/O failures.
-    pub fn write(
-        &self,
-        campaign: u64,
-        snapshot: &Snapshot,
-        dir: &Path,
-        extras: impl FnOnce() -> io::Result<()>,
-    ) -> io::Result<()> {
-        // Poison-tolerant: checkpoint I/O must keep working after an
-        // unrelated thread panic.
-        let mut last = self.last.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let prev = last.get(&campaign).copied();
-        if prev.is_some_and(|p| p >= snapshot.seq) {
-            return Ok(());
-        }
-        let Snapshot { corpus, report, diffs, masks, signal, meta, .. } = snapshot;
-        checkpoint::save(dir, corpus, report, diffs, masks, signal, meta, prev.is_some())?;
-        extras()?;
-        last.insert(campaign, snapshot.seq);
-        Ok(())
-    }
-}
 
 /// What the handler does with a daemon's answer.
 pub enum Reply {
@@ -1112,22 +854,33 @@ pub fn merge_worker_telemetry(registry: &MetricsRegistry, t: &TelemetrySnapshot)
 
 #[cfg(test)]
 mod tests {
-    /// The layering the module doc promises, held mechanically: the books
-    /// above the shell banner name no clock read, thread, socket, file,
+    /// The layering the module docs promise, held mechanically: the books
+    /// above the shell banner — the lease engine's here, a campaign's in
+    /// `dx-campaign`'s ledger — name no clock read, thread, socket, file,
     /// sleep or lock.
     #[test]
     fn books_are_sans_io() {
-        let source = include_str!("engine.rs");
-        let (books, shell) = source.split_once("\n// The shell:").expect("shell banner");
-        assert!(books.contains("pub struct Ledger") && books.contains("pub struct LeaseTable"));
-        assert!(shell.contains("pub fn serve"));
+        let files = [
+            ("engine.rs", include_str!("engine.rs"), "pub struct LeaseTable", "pub fn serve"),
+            (
+                "ledger.rs",
+                include_str!("../../campaign/src/ledger.rs"),
+                "pub struct Ledger",
+                "pub struct CheckpointGate",
+            ),
+        ];
         let banned =
             ["Instant::now()", ".elapsed()", "thread::", "TcpStream", "File", "sleep", "Mutex"];
-        for (n, line) in
-            books.lines().enumerate().filter(|(_, l)| !l.trim_start().starts_with("//"))
-        {
-            for word in banned {
-                assert!(!line.contains(word), "engine.rs:{}: `{word}` in the pure half", n + 1);
+        for (file, source, book, shell_item) in files {
+            let (books, shell) = source.split_once("\n// The shell:").expect("shell banner");
+            assert!(books.contains(book), "{file}: `{book}` left the books");
+            assert!(shell.contains(shell_item), "{file}: `{shell_item}` left the shell");
+            for (n, line) in
+                books.lines().enumerate().filter(|(_, l)| !l.trim_start().starts_with("//"))
+            {
+                for word in banned {
+                    assert!(!line.contains(word), "{file}:{}: `{word}` in the pure half", n + 1);
+                }
             }
         }
     }

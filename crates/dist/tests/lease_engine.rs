@@ -8,9 +8,10 @@ use std::time::{Duration, Instant};
 use deepxplore::diff::Prediction;
 use deepxplore::generator::GeneratedTest;
 use deepxplore::SeedRun;
+use dx_campaign::ledger::Ledger;
 use dx_campaign::Corpus;
 use dx_coverage::{CoverageConfig, CoverageSignal, SignalSpec};
-use dx_dist::engine::{Fleet, LeaseTable, Ledger, Plan, Refusal};
+use dx_dist::engine::{check, Fleet, LeaseTable, Plan, Refusal};
 use dx_dist::proto::{CovDelta, JobResult};
 use dx_nn::layer::Layer;
 use dx_nn::Network;
@@ -30,7 +31,7 @@ fn template() -> Vec<CoverageSignal> {
 
 fn ledger(seeds: usize, campaign_seed: u64, now: Instant) -> Ledger {
     let inputs = (0..seeds).map(|i| Tensor::full(&[1, 4], i as f32 / 10.0)).collect();
-    Ledger::new(Corpus::new(inputs, 12), &template(), campaign_seed, now)
+    Ledger::new(Corpus::new(inputs, 12), template(), campaign_seed, now)
 }
 
 /// A step that ran `iterations` iterates and found nothing.
@@ -118,14 +119,14 @@ fn late_results_salvage_only_seeds_still_in_the_requeue() {
     // Then the first worker's results arrive after all.
     let plan = table.claim(a, 0, late).unwrap();
     assert!(matches!(plan, Plan::Expired));
-    let absorbed = ledger.absorb(&plan, &results(&a_ids), &no_cov());
+    let absorbed = plan.absorb(&mut ledger, &results(&a_ids), &no_cov());
     assert_eq!(absorbed.steps, 2, "salvage took a re-leased seed");
     assert!(ledger.pending.is_empty());
     assert_eq!(table.seed_ids(0), b_ids, "the re-lease was disturbed");
     // The re-leased seed is counted when *its* lease reports: once each.
     let plan = table.claim(b, 1, late + SECOND).unwrap();
     table.release(b);
-    assert_eq!(ledger.absorb(&plan, &results(&b_ids), &no_cov()).steps, 1);
+    assert_eq!(plan.absorb(&mut ledger, &results(&b_ids), &no_cov()).steps, 1);
     assert_eq!(ledger.steps_done, 3);
     assert!(ledger.corpus.entries().iter().all(|e| e.times_fuzzed == 1));
 }
@@ -137,7 +138,7 @@ fn another_slots_lease_id_absorbs_nothing_and_stays_with_its_owner() {
     let (lease, ids) = grant(&mut table, &mut ledger, 0, 2, t0);
     let plan = table.claim(lease, 1, t0 + SECOND).unwrap();
     assert!(matches!(plan, Plan::Collision));
-    let absorbed = ledger.absorb(&plan, &results(&ids), &no_cov());
+    let absorbed = plan.absorb(&mut ledger, &results(&ids), &no_cov());
     assert_eq!((absorbed.steps, ledger.steps_done), (0, 0));
     assert_eq!(table.get(lease).map(|l| l.slot), Some(0));
     // The collision did not touch the deadline either.
@@ -155,13 +156,13 @@ fn a_duplicate_results_frame_absorbs_once() {
     // A duplicate racing the verification of the first reads as a collision…
     let racing = table.claim(lease, 0, t0 + SECOND).unwrap();
     assert!(matches!(racing, Plan::Collision));
-    assert_eq!(ledger.absorb(&racing, &results(&ids), &no_cov()).steps, 0);
+    assert_eq!(racing.absorb(&mut ledger, &results(&ids), &no_cov()).steps, 0);
     table.release(lease);
-    assert_eq!(ledger.absorb(&first, &results(&ids), &no_cov()).steps, 2);
+    assert_eq!(first.absorb(&mut ledger, &results(&ids), &no_cov()).steps, 2);
     // …and one arriving after it as an expiry with nothing left to salvage.
     let after = table.claim(lease, 0, t0 + 2 * SECOND).unwrap();
     assert!(matches!(after, Plan::Expired));
-    assert_eq!(ledger.absorb(&after, &results(&ids), &no_cov()).steps, 0);
+    assert_eq!(after.absorb(&mut ledger, &results(&ids), &no_cov()).steps, 0);
     assert_eq!(ledger.steps_done, 2);
 }
 
@@ -180,6 +181,31 @@ fn a_lease_being_verified_is_not_expired() {
     assert!(table.holds(0) && !table.is_empty());
     assert_eq!(table.release(lease).map(|l| l.seed_ids), Some(ids));
     assert!(table.is_empty());
+}
+
+/// A ledger restored from a checkpoint of round `r` picks what the
+/// uninterrupted one picks in round `r` and after: the scheduler stream is
+/// keyed by the round, not restarted with the process.
+#[test]
+fn a_restored_ledger_schedules_like_the_uninterrupted_one() {
+    let t0 = Instant::now();
+    let fold_round = |l: &mut Ledger| {
+        let ids = l.pick_seeds(&[], 3);
+        let items = results(&ids);
+        l.absorb(items.iter().map(|i| (i.seed_id, &i.run)), &no_cov());
+        l.flush_round(0, t0);
+        ids
+    };
+    let mut straight = ledger(8, 7, t0);
+    for _ in 0..3 {
+        fold_round(&mut straight);
+    }
+    let mut restored = Ledger::new(Corpus::clone(&straight.corpus), template(), 7, t0);
+    let (diffs, epochs) = (straight.diffs.to_vec(), straight.report.epochs.clone());
+    restored.restore(diffs, epochs, None, straight.steps_done, Vec::new());
+    for round in 3..6 {
+        assert_eq!(fold_round(&mut restored), fold_round(&mut straight), "round {round}");
+    }
 }
 
 #[test]
@@ -339,14 +365,14 @@ impl Sim {
                 };
                 let (items, cov) = self.frame(&held.ids);
                 let c = held.campaign;
-                prop_assert!(self.ledgers[c].check(&cov, &items, &[1, 4]).is_ok());
+                prop_assert!(check(&self.ledgers[c].global, &cov, &items, &[1, 4]).is_ok());
                 let pending_before: Vec<usize> = self.ledgers[c].pending.iter().copied().collect();
                 let plan = self.table.claim(held.lease, sender, self.now);
                 let Ok(plan) = plan else { return Err(TestCaseError::fail("issued id refused")) };
                 if matches!(plan, Plan::Lease { .. }) {
                     self.table.release(held.lease);
                 }
-                let absorbed = self.ledgers[c].absorb(&plan, &items, &cov);
+                let absorbed = plan.absorb(&mut self.ledgers[c], &items, &cov);
                 let tally = &mut self.tallies[c];
                 match &plan {
                     Plan::Lease { seed_ids, .. } => {

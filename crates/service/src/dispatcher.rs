@@ -3,8 +3,8 @@
 //!
 //! The accept loop, per-connection handler, handshake, admission and
 //! lease bookkeeping are [`dx_dist::engine`]'s — the code a dedicated
-//! coordinator serves with — and every tenant's campaign state is an
-//! engine [`dx_dist::engine::Ledger`]. What this file adds is drawing
+//! coordinator serves with — and every tenant's campaign state is a
+//! [`dx_campaign::ledger::Ledger`]. What this file adds is drawing
 //! leases from *many* tenants instead of one campaign:
 //!
 //! * **Tenant choice** is stride scheduling. Every runnable tenant
@@ -244,7 +244,7 @@ impl Daemon for Service {
                 continue;
             }
             let granted = ids.len();
-            let jobs = t.ledger.jobs(&ids);
+            let jobs = engine::jobs(&t.ledger, &ids);
             t.pass += granted as f64 / f64::from(t.spec.weight);
             t.metrics.leases.inc();
             t.metrics.requeue_depth.set(t.ledger.pending.len() as f64);
@@ -307,7 +307,7 @@ impl Daemon for Service {
         let Some(t) = st.tenants.get_mut(&campaign) else {
             return (Reply::reject(format!("unknown campaign {campaign}")), Vec::new());
         };
-        if let Err(reason) = t.ledger.check(&cov, &items, &self.sample_shape) {
+        if let Err(reason) = engine::check(&t.ledger.global, &cov, &items, &self.sample_shape) {
             return (Reply::reject(reason), Vec::new());
         }
         if st.fleet.leases.get(lease).is_some_and(|l| l.slot == peer.slot && l.campaign != campaign)
@@ -325,7 +325,7 @@ impl Daemon for Service {
         if let Some(snap) = &telemetry {
             engine::merge_worker_telemetry(&self.cfg.registry, snap);
         }
-        let absorbed = t.ledger.absorb(&plan, &items, &cov);
+        let absorbed = plan.absorb(&mut t.ledger, &items, &cov);
         views.learn(campaign, &cov);
         t.worker_rng.insert(peer.worker_id.clone(), rng_state);
         t.metrics.requeue_depth.set(t.ledger.pending.len() as f64);

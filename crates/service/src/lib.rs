@@ -30,8 +30,9 @@
 //! [`MetricsRegistry`]; the daemon's `/metrics` endpoint renders them
 //! with a `tenant="<name>"` label merged after the fleet-level series.
 //!
-//! **Trust.** Serving, admission, lease bookkeeping and each tenant's
-//! ledger are [`dx_dist::engine`]'s — the code a dedicated coordinator
+//! **Trust.** Serving, admission and lease bookkeeping are
+//! [`dx_dist::engine`]'s and each tenant's books a
+//! [`dx_campaign::ledger::Ledger`] — the code a dedicated coordinator
 //! runs — so admission is a coordinator's: fingerprint match, plus the
 //! HMAC challenge/response when an auth token is configured, with
 //! identity-keyed slots. The service does
@@ -49,8 +50,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use dx_campaign::json::{build, Json};
+use dx_campaign::ledger::CheckpointGate;
 use dx_campaign::{CampaignReport, EnergyModel, ModelSuite};
-use dx_dist::engine::{CheckpointGate, Daemon as _, Fleet, Gate, LeaseTable};
+use dx_dist::engine::{Daemon as _, Fleet, Gate, LeaseTable};
 use dx_dist::proto::Fingerprint;
 use dx_nn::util::gather_rows;
 use dx_telemetry::events::{emit, Level};
@@ -208,8 +210,9 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// A malformed tenant directory. (A missing state dir is created on
-    /// first checkpoint, not here.)
+    /// A malformed tenant directory, or one written under a metric other
+    /// than `suite`'s. (A missing state dir is created on first
+    /// checkpoint, not here.)
     ///
     /// # Panics
     ///
@@ -241,7 +244,7 @@ impl Service {
                     if !path.join("tenant.json").is_file() {
                         continue;
                     }
-                    let t = Tenant::load(&path, &gate.template, cfg.max_corpus, cfg.energy)?;
+                    let t = Tenant::load(&path, suite, cfg.max_corpus, cfg.energy)?;
                     emit(
                         Level::Info,
                         "service",
@@ -461,7 +464,7 @@ impl Service {
         let t =
             st.tenants.get(&id).ok_or_else(|| ApiError::new(404, format!("no campaign {id}")))?;
         let report =
-            CampaignReport { epochs: t.ledger.epochs.clone(), workers: t.worker_rng.len().max(1) };
+            CampaignReport { workers: t.worker_rng.len().max(1), ..t.ledger.report.clone() };
         let mut out = format!(
             "campaign {} ({}): {} — {} steps, {} diffs, mean coverage {:.4}\n",
             t.id,

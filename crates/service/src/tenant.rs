@@ -1,18 +1,18 @@
 //! One tenant: an isolated campaign sharing the fleet.
 //!
 //! A tenant owns everything a dedicated coordinator would — one
-//! [`dx_dist::engine::Ledger`]: corpus, global coverage union, found
-//! diffs, round statistics, requeue, its own scheduling RNG — plus the
-//! service-specific extras: a pausable status machine, a per-tenant metrics registry whose series surface
-//! with a `tenant` label, an append-only JSONL event feed, and worker
+//! [`dx_campaign::ledger::Ledger`]: corpus, global coverage union, found
+//! diffs, round statistics, requeue, its own scheduling stream — plus the
+//! service-specific extras: a pausable status machine, a per-tenant
+//! metrics registry whose series surface with a `tenant` label, an append-only JSONL event feed, and worker
 //! generator RNG streams keyed by *worker identity* (a worker may serve
 //! many tenants, and its stream for each must survive reconnects).
 //!
 //! On disk a tenant is one directory under the daemon's state dir, named
 //! by its campaign id: the standard campaign checkpoint files (readable
-//! by `dx_campaign::Campaign::resume_from` and every existing tool),
-//! plus `tenant.json` (spec, status, requeue, per-identity RNG) and
-//! `events.jsonl`.
+//! by `dx_campaign::Campaign::resume_from` and every existing tool, and
+//! loaded back through the same loader), plus `tenant.json` (spec,
+//! status, requeue, per-identity RNG) and `events.jsonl`.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -20,14 +20,13 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dx_campaign::checkpoint;
 use dx_campaign::codec::{
     field_usize, parse_doc, rng_state_from_json, rng_state_json, u64_from_json, u64_json,
 };
 use dx_campaign::json::{build, Json};
-use dx_campaign::{Corpus, EnergyModel};
+use dx_campaign::ledger::{Ledger, Snapshot};
+use dx_campaign::{Corpus, EnergyModel, ModelSuite};
 use dx_coverage::CoverageSignal;
-use dx_dist::engine::{Ledger, Snapshot};
 use dx_telemetry::{Counter, Gauge, MetricsRegistry};
 use dx_tensor::Tensor;
 
@@ -113,9 +112,12 @@ pub struct Tenant {
     pub(crate) id: u64,
     pub(crate) spec: CampaignSpec,
     pub(crate) status: Status,
-    /// The campaign itself. Its scheduler stream is not persisted (the
-    /// coordinator's precedent): a restart re-derives it from the spec's
-    /// seed; scheduling stays well-distributed, just not replay-identical.
+    /// The campaign itself. Its scheduler stream is keyed by statistics
+    /// round, so it needs no persisting: a restart opens the round after
+    /// the last one the checkpoint closed with that round's stream. Every
+    /// round flush checkpoints, so a restart from one schedules exactly as
+    /// the uninterrupted tenant would have; only the draws of a round left
+    /// open at the stop (the final drain checkpoint) are not replayed.
     pub(crate) ledger: Ledger,
     /// Worker generator RNG streams, keyed by authenticated worker
     /// identity — a worker keeps its per-tenant stream across reconnects
@@ -145,7 +147,7 @@ impl Tenant {
         Self {
             id,
             status: Status::Running,
-            ledger: Ledger::new(corpus, template, spec.seed, Instant::now()),
+            ledger: Ledger::new(corpus, template.to_vec(), spec.seed, Instant::now()),
             spec,
             worker_rng: BTreeMap::new(),
             pass: 0.0,
@@ -160,10 +162,11 @@ impl Tenant {
     ///
     /// # Errors
     ///
-    /// Missing or malformed files.
+    /// Missing or malformed files, or a checkpoint written under a metric
+    /// other than `suite`'s.
     pub(crate) fn load(
         dir: &Path,
-        template: &[CoverageSignal],
+        suite: &ModelSuite,
         max_corpus: usize,
         energy: EnergyModel,
     ) -> io::Result<Self> {
@@ -182,21 +185,13 @@ impl Tenant {
                 .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "tenant.json spec"))?,
         )
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let state = checkpoint::load(dir)?;
-        let corpus = Corpus::from_entries(state.corpus, max_corpus).with_energy_model(energy);
         let pending: Vec<usize> = doc
             .get("pending")
             .and_then(Json::as_arr)
             .map(|xs| xs.iter().filter_map(Json::as_usize).collect())
             .unwrap_or_default();
-        let mut ledger = Ledger::new(corpus, template, spec.seed, Instant::now());
-        ledger.restore(
-            state.diffs,
-            state.epochs,
-            state.coverage.as_deref(),
-            field_usize(&doc, "steps_done")?,
-            pending,
-        );
+        let owed = Some((field_usize(&doc, "steps_done")?, pending));
+        let (_, ledger, _) = Ledger::load(dir, suite.clone(), max_corpus, energy, owed)?;
         let mut worker_rng = BTreeMap::new();
         if let Some(entries) = doc.get("worker_rng").and_then(Json::as_arr) {
             for e in entries {
@@ -265,7 +260,7 @@ impl Tenant {
             ("diffs", build::int(self.ledger.diffs.len())),
             ("mean_coverage", build::num(f64::from(self.ledger.mean_coverage()))),
             ("corpus", build::int(self.ledger.corpus.len())),
-            ("epochs", build::int(self.ledger.epochs.len())),
+            ("epochs", build::int(self.ledger.report.epochs.len())),
             ("outstanding", build::int(outstanding)),
             ("pending", build::int(self.ledger.pending.len())),
             ("spec", self.spec.to_json()),
@@ -299,7 +294,7 @@ impl Tenant {
     /// checkpoint's requeue.
     pub(crate) fn snapshot(&mut self, leased: Vec<usize>) -> TenantCkpt {
         let workers = self.worker_rng.len().max(1);
-        let snapshot = self.ledger.snapshot(self.spec.seed, workers, leased);
+        let snapshot = self.ledger.snapshot(workers, leased);
         TenantCkpt {
             tenant: self.id,
             doc: self.doc(&snapshot.pending),

@@ -146,6 +146,48 @@ fn drained_fleet_checkpoint_is_valid_and_resumable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The first cell of the equivalence matrix: an in-process pool with one
+/// worker and a one-worker fleet whose every lease is a full round are one
+/// campaign. Epoch = round = lease = `B` seeds, `E` of them, on one suite
+/// and seed: the checkpoints' corpus, coverage and diffs are byte-equal.
+#[test]
+fn one_worker_pool_and_one_worker_fleet_write_the_same_checkpoint() {
+    const B: usize = 4;
+    const E: usize = 3;
+    let (suite, seeds) = mnist_suite();
+    let (pool_dir, fleet_dir) = (tmp_dir("cell_pool"), tmp_dir("cell_fleet"));
+    let mut pool = Campaign::new(
+        suite.clone(),
+        &seeds,
+        CampaignConfig {
+            workers: 1,
+            epochs: E,
+            batch_per_epoch: B,
+            merge_every: B,
+            checkpoint_dir: Some(pool_dir.clone()),
+            ..Default::default()
+        },
+    );
+    pool.run().unwrap();
+    assert_eq!(pool.report().total_seeds(), E * B, "an epoch ran short");
+    let cfg = CoordinatorConfig {
+        batch_per_round: B,
+        lease_size: B,
+        max_steps: Some(E * B),
+        checkpoint_dir: Some(fleet_dir.clone()),
+        ..Default::default()
+    };
+    let worker = WorkerConfig { lease_size: B, batch: B, ..Default::default() };
+    let (fleet, _) = run_local(&suite, LABEL, &seeds, cfg, worker, 1).unwrap();
+    assert_eq!(fleet.steps_done, E * B);
+    for file in ["corpus.jsonl", "coverage.json", "diffs.jsonl"] {
+        let read = |dir: &std::path::Path| std::fs::read(dir.join(file)).unwrap();
+        assert!(read(&pool_dir) == read(&fleet_dir), "{file} differs between pool and fleet");
+    }
+    let _ = std::fs::remove_dir_all(&pool_dir);
+    let _ = std::fs::remove_dir_all(&fleet_dir);
+}
+
 // ---------------------------------------------------------------------------
 // Worker death mid-lease: a real OS process takes a lease at gunpoint of
 // SIGKILL. Uses a synthetic model suite (deterministic from seeds, no zoo)

@@ -21,7 +21,7 @@ use dx_coverage::{CoverageConfig, SignalSpec};
 use dx_dist::{run_worker, WorkerConfig, WorkerSummary};
 use dx_nn::layer::Layer;
 use dx_nn::Network;
-use dx_service::{Service, ServiceConfig};
+use dx_service::{CampaignSpec, Service, ServiceConfig};
 use dx_telemetry::http::request;
 use dx_tensor::{rng, Tensor};
 
@@ -177,7 +177,7 @@ fn two_tenants_complete_over_http_and_a_restart_resumes_them() {
     // A third tenant with a budget the fleet will NOT finish before the
     // daemon stops: it must come back mid-flight after the restart.
     let (status, body) =
-        post(api_addr, "/campaigns", r#"{"name":"gamma","seeds":6,"seed":11,"max_steps":400}"#);
+        post(api_addr, "/campaigns", r#"{"name":"gamma","seeds":6,"seed":11,"max_steps":4000}"#);
     assert_eq!(status, 200, "{body}");
     let gamma = field(&parse_doc(&body).unwrap(), "id");
     wait_until("gamma to make progress", 60, || {
@@ -222,7 +222,7 @@ fn two_tenants_complete_over_http_and_a_restart_resumes_them() {
     wait_until("gamma to finish after restart", 120, || {
         status_of(&get_json(api_addr, &format!("/campaigns/{gamma}"))) == "done"
     });
-    assert!(field(&get_json(api_addr, &format!("/campaigns/{gamma}")), "steps_done") >= 400);
+    assert!(field(&get_json(api_addr, &format!("/campaigns/{gamma}")), "steps_done") >= 4000);
     svc.stop_handle().stop();
     served.join().unwrap().unwrap();
     for w in workers {
@@ -319,4 +319,45 @@ fn weights_skew_fleet_shares() {
     for w in workers {
         w.join().unwrap().unwrap();
     }
+}
+
+/// A restart under another metric is an error, not a tenant resumed with
+/// reinterpreted hit-sets: `multisection:2` and `boundary` both count two
+/// units per neuron, so only the checkpoint's metric tells them apart.
+#[test]
+fn a_restart_under_another_metric_rejects_the_tenant() {
+    let dir = tmp_dir("metric_mismatch");
+    let with_metric = |metric: &str| {
+        let mut s = suite();
+        let train = rng::uniform(&mut rng::rng(0x7a1d), &[40, 16], 0.0, 1.0);
+        let metric = metric.parse().unwrap();
+        s.signal = SignalSpec::of(CoverageConfig::scaled(0.25), metric, Vec::new())
+            .primed(&s.models, &train, 40);
+        s
+    };
+    let sections = with_metric("multisection:2");
+    let cfg = || service_cfg(Some(dir.clone()));
+    let svc = Arc::new(Service::new(&sections, LABEL, &pool(), cfg()).unwrap());
+    svc.submit(CampaignSpec { seeds: 4, max_steps: Some(8), ..CampaignSpec::named("sections") })
+        .unwrap();
+    let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let served = {
+        let svc = Arc::clone(&svc);
+        thread::spawn(move || svc.serve(listener))
+    };
+    let worker = thread::spawn(move || run_worker(addr, sections, LABEL, WorkerConfig::default()));
+    wait_until("the tenant to finish", 120, || status_of(&svc.status(0).unwrap()) == "done");
+    svc.stop_handle().stop();
+    served.join().unwrap().unwrap();
+    worker.join().unwrap().unwrap();
+
+    let err = match Service::new(&with_metric("boundary"), LABEL, &pool(), cfg()) {
+        Err(e) => e,
+        Ok(_) => panic!("a multisection:2 tenant resumed under boundary"),
+    };
+    assert!(err.to_string().contains("metric"), "{err}");
+    // Under its own metric the same directory still resumes.
+    assert!(Service::new(&with_metric("multisection:2"), LABEL, &pool(), cfg()).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
 }
