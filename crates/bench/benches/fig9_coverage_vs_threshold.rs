@@ -18,12 +18,13 @@ use dx_tensor::{rng, Tensor};
 
 /// Mean coverage of `inputs` over the trio at threshold `t`.
 fn coverage_of(models: &[Network], inputs: &Tensor, t: f32) -> f32 {
+    let rows: Vec<usize> = (0..inputs.shape()[0]).collect();
     let mut total = 0.0;
     for m in models {
         let mut tracker = CoverageSignal::neuron(m, CoverageConfig::scaled(t));
-        for i in 0..inputs.shape()[0] {
-            tracker.update(&m.forward(&gather_rows(inputs, &[i])));
-        }
+        m.for_each_row(inputs, &rows, |row| {
+            tracker.update(row);
+        });
         total += tracker.coverage();
     }
     total / models.len() as f32

@@ -9,7 +9,6 @@ use dx_bench::{bench_zoo, trio_ids, BenchOut};
 use dx_coverage::opcov::OpCoverage;
 use dx_coverage::{CoverageConfig, CoverageSignal};
 use dx_models::DatasetKind;
-use dx_nn::util::gather_rows;
 use dx_tensor::rng;
 
 fn main() {
@@ -24,19 +23,16 @@ fn main() {
         let ds = zoo.dataset(kind).clone();
         let mut r = rng::rng(606);
         let picks = rng::sample_without_replacement(&mut r, ds.test_len(), 10);
-        let inputs = gather_rows(&ds.test_x, &picks);
         let mut code = Vec::new();
         let mut neuron = Vec::new();
         for id in trio_ids(kind) {
             let net = zoo.model(id);
             let mut oc = OpCoverage::for_network(&net);
             let mut tracker = CoverageSignal::neuron(&net, CoverageConfig::scaled(0.75));
-            for i in 0..10 {
-                let x = gather_rows(&inputs, &[i]);
-                let pass = net.forward(&x);
+            net.for_each_row(&ds.test_x, &picks, |row| {
                 oc.record_forward();
-                tracker.update(&pass);
-            }
+                tracker.update(row);
+            });
             code.push(oc.coverage());
             neuron.push(tracker.coverage());
         }

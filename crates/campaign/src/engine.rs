@@ -56,25 +56,7 @@ impl ModelSuite {
     /// coordinator re-derives when spot-checking a worker's claimed
     /// difference-inducing input.
     pub fn predictions(&self, input: &Tensor) -> Vec<Prediction> {
-        self.models
-            .iter()
-            .map(|m| {
-                let pass = m.forward(input);
-                match self.kind {
-                    TaskKind::Classification => deepxplore::diff::class_of(pass.output()),
-                    TaskKind::Regression { .. } => deepxplore::diff::value_of(pass.output()),
-                }
-            })
-            .collect()
-    }
-
-    /// The oracle's disagreement dead zone: zero for classifiers, the
-    /// direction threshold for steering regressors.
-    pub fn oracle_threshold(&self) -> f32 {
-        match self.kind {
-            TaskKind::Classification => 0.0,
-            TaskKind::Regression { direction_threshold } => direction_threshold,
-        }
+        self.models.iter().map(|m| self.kind.prediction(m.output(input).data())).collect()
     }
 
     /// Whether `input` really is difference-inducing *and* the claimed
@@ -93,7 +75,7 @@ impl ModelSuite {
         if !self.models.iter().all(shape_fits) {
             return false;
         }
-        let threshold = self.oracle_threshold();
+        let threshold = self.kind.oracle_threshold();
         let actual = self.predictions(input);
         if actual.len() != claimed.len() || !deepxplore::diff::differs(&actual, threshold) {
             return false;

@@ -843,13 +843,14 @@ pub fn coverage(args: &Args) -> CmdResult {
     let mut tracker = CoverageSignal::neuron(&net, CoverageConfig::scaled(t));
     let mut r = rng::rng(7);
     let picks = rng::sample_without_replacement(&mut r, ds.test_len(), n.min(ds.test_len()));
-    let mut curve = Vec::new();
-    for (i, &p) in picks.iter().enumerate() {
-        tracker.update(&net.forward(&gather_rows(&ds.test_x, &[p])));
-        if (i + 1) % (n / 10).max(1) == 0 {
-            curve.push((i + 1, tracker.coverage()));
+    let (mut curve, mut seen) = (Vec::new(), 0);
+    net.for_each_row(&ds.test_x, &picks, |row| {
+        tracker.update(row);
+        seen += 1;
+        if seen % (n / 10).max(1) == 0 {
+            curve.push((seen, tracker.coverage()));
         }
-    }
+    });
     println!(
         "{id}: {} / {} neurons covered ({:.1}%) by {} inputs at t = {t}",
         tracker.covered_count(),

@@ -1,7 +1,5 @@
 //! The differential-testing oracle: when do model outputs *disagree*?
 
-use dx_tensor::Tensor;
-
 /// A recorded model output for one input.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Prediction {
@@ -33,14 +31,15 @@ pub fn direction(value: f32, threshold: f32) -> Direction {
     }
 }
 
-/// Extracts the prediction from a classifier's `[1, K]` output.
-pub fn class_of(output: &Tensor) -> Prediction {
-    Prediction::Class(output.argmax())
+/// Extracts the prediction from one input's classifier output: the index
+/// of the maximum score, ties to the first (as `Tensor::argmax`).
+pub fn class_of(output: &[f32]) -> Prediction {
+    Prediction::Class((1..output.len()).fold(0, |b, i| if output[i] > output[b] { i } else { b }))
 }
 
-/// Extracts the prediction from a regressor's `[1, 1]` output.
-pub fn value_of(output: &Tensor) -> Prediction {
-    Prediction::Value(output.data()[0])
+/// Extracts the prediction from one input's regressor output.
+pub fn value_of(output: &[f32]) -> Prediction {
+    Prediction::Value(output[0])
 }
 
 /// Whether a set of predictions contains a behavioural difference.
@@ -108,9 +107,8 @@ mod tests {
 
     #[test]
     fn extractors() {
-        let out = Tensor::from_vec(vec![0.1, 0.7, 0.2], &[1, 3]);
-        assert_eq!(class_of(&out), Prediction::Class(1));
-        let reg = Tensor::from_vec(vec![-0.4], &[1, 1]);
-        assert_eq!(value_of(&reg), Prediction::Value(-0.4));
+        assert_eq!(class_of(&[0.1, 0.7, 0.2]), Prediction::Class(1));
+        assert_eq!(class_of(&[0.7, 0.1, 0.7]), Prediction::Class(0), "ties resolve first");
+        assert_eq!(value_of(&[-0.4]), Prediction::Value(-0.4));
     }
 }

@@ -1,6 +1,5 @@
 //! Algorithm 1: test-input generation via joint optimization.
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use dx_coverage::neuron::injection_for_neuron;
@@ -27,6 +26,26 @@ pub enum TaskKind {
         /// Direction dead zone.
         direction_threshold: f32,
     },
+}
+
+impl TaskKind {
+    /// The oracle's reading of one input's model output: the argmax class
+    /// of a classifier, the steering value of a regressor.
+    pub fn prediction(self, output: &[f32]) -> Prediction {
+        match self {
+            TaskKind::Classification => class_of(output),
+            TaskKind::Regression { .. } => value_of(output),
+        }
+    }
+
+    /// The oracle's disagreement dead zone: zero for classifiers, the
+    /// direction threshold for steering regressors.
+    pub fn oracle_threshold(self) -> f32 {
+        match self {
+            TaskKind::Classification => 0.0,
+            TaskKind::Regression { direction_threshold } => direction_threshold,
+        }
+    }
 }
 
 /// One generated difference-inducing test.
@@ -263,27 +282,6 @@ impl Generator {
         c.iter().sum::<f32>() / c.len() as f32
     }
 
-    /// Predictions of every model on a batched input.
-    pub fn predict_all(&self, x: &Tensor) -> Vec<Prediction> {
-        self.models
-            .iter()
-            .map(|m| {
-                let out = m.output(x);
-                match self.kind {
-                    TaskKind::Classification => class_of(&out),
-                    TaskKind::Regression { .. } => value_of(&out),
-                }
-            })
-            .collect()
-    }
-
-    fn direction_threshold(&self) -> f32 {
-        match self.kind {
-            TaskKind::Classification => 0.0,
-            TaskKind::Regression { direction_threshold } => direction_threshold,
-        }
-    }
-
     /// Runs Algorithm 1 over a batch of seeds (one cycle), stopping early
     /// if `desired_coverage` is reached.
     ///
@@ -402,20 +400,21 @@ impl Generator {
     /// The growth loop — Algorithm 1's gradient ascent over one tile of
     /// jobs in lockstep. Row `a` of `x` is the seed of `jobs[a]`.
     fn run_tile(&mut self, jobs: &mut [Job], mut x: Tensor, policy: CoveragePolicy) {
-        let threshold = self.direction_threshold();
+        let threshold = self.kind.oracle_threshold();
         // `rows[a]` is the job whose input occupies row `a` of `x` (and of
         // every batched pass); `live[a]` is false once that job retired. A
         // retired row keeps its slot (with zeroed objectives) until the
         // next constraint step rebuilds `x` from live rows only — batched
-        // passes cannot drop rows in place.
+        // passes cannot drop rows in place. The passes are the tile's only
+        // copy of its activations: the oracle, coverage and obj2 read row
+        // `a` of them in place (`ForwardPass::row`).
         let mut rows: Vec<usize> = (0..jobs.len()).collect();
         let mut passes = phase_timer!(self.phases, Phase::Forward, self.forward_all_lite(&x));
-        let mut row_passes = self.row_passes_of(&passes, rows.len());
         // Algorithm 1 lines 4-6 per job: agreement check, common class c,
         // target model j (from the job's own lane).
         let mut live = vec![false; rows.len()];
         for (a, job) in jobs.iter_mut().enumerate() {
-            let initial = self.predictions_of(&row_passes[a]);
+            let initial = self.predictions_of(&passes, a);
             if differs(&initial, threshold) {
                 job.run.preexisting = true;
                 if self.hp.count_preexisting {
@@ -436,7 +435,7 @@ impl Generator {
             job.j = job.lane.gen_range(0..self.models.len());
             live[a] = true;
         }
-        self.fold_coverage(jobs, &rows, &row_passes, policy);
+        self.fold_coverage(jobs, &rows, &passes, policy);
         for iter in 1..=self.hp.max_iters {
             if !live.iter().any(|&l| l) {
                 break;
@@ -444,7 +443,7 @@ impl Generator {
             let grad = phase_timer!(
                 self.phases,
                 Phase::Gradient,
-                self.tile_gradient(jobs, &rows, &live, &passes, &row_passes)
+                self.tile_gradient(jobs, &rows, &live, &passes)
             );
             // Per-row constraint steps, in job order; exhausted rows (and
             // rows already retired) drop out of the next tile.
@@ -467,7 +466,7 @@ impl Generator {
                 }
             });
             self.ws.put_tensor(grad);
-            self.recycle_tile(passes, row_passes);
+            self.recycle_tile(passes);
             self.ws.put_tensor(x);
             if kept.is_empty() {
                 return;
@@ -482,11 +481,10 @@ impl Generator {
             rows = kept;
             live = vec![true; rows.len()];
             passes = phase_timer!(self.phases, Phase::Forward, self.forward_all_lite(&x));
-            row_passes = self.row_passes_of(&passes, rows.len());
             // The oracle, then coverage (which under `DifferencesOnly`
             // needs the oracle's verdict), then corpus candidates.
             for (a, &ji) in rows.iter().enumerate() {
-                let preds = self.predictions_of(&row_passes[a]);
+                let preds = self.predictions_of(&passes, a);
                 if differs(&preds, threshold) {
                     let job = &mut jobs[ji];
                     job.run.test = Some(GeneratedTest {
@@ -499,14 +497,14 @@ impl Generator {
                     live[a] = false;
                 }
             }
-            let newly = self.fold_coverage(jobs, &rows, &row_passes, policy);
+            let newly = self.fold_coverage(jobs, &rows, &passes, policy);
             for (a, &ji) in rows.iter().enumerate() {
                 if live[a] && newly[a] > 0 {
                     jobs[ji].run.corpus_candidate = Some(gather_rows(&x, &[a]));
                 }
             }
         }
-        self.recycle_tile(passes, row_passes);
+        self.recycle_tile(passes);
         self.ws.put_tensor(x);
     }
 
@@ -518,7 +516,7 @@ impl Generator {
         &mut self,
         jobs: &mut [Job],
         rows: &[usize],
-        row_passes: &[Vec<ForwardPass>],
+        passes: &[ForwardPass],
         policy: CoveragePolicy,
     ) -> Vec<usize> {
         let mut newly = vec![0usize; rows.len()];
@@ -528,8 +526,8 @@ impl Generator {
                 if policy == CoveragePolicy::DifferencesOnly && run.test.is_none() {
                     continue;
                 }
-                for (rp, tracker) in row_passes[a].iter().zip(signals.iter_mut()) {
-                    let nc = tracker.update_accum(rp, &mut run.newly_by_component);
+                for (pass, tracker) in passes.iter().zip(signals.iter_mut()) {
+                    let nc = tracker.update_accum(pass.row(a), &mut run.newly_by_component);
                     run.newly_covered += nc;
                     newly[a] += nc;
                 }
@@ -544,16 +542,9 @@ impl Generator {
         models.iter().map(|m| m.forward_lite(x, ws)).collect()
     }
 
-    /// Per-job `[1, ...]` views of each model's batched pass, for the
-    /// batch-1 consumers (coverage trackers, oracle, neuron picks).
-    fn row_passes_of(&mut self, passes: &[ForwardPass], n_rows: usize) -> Vec<Vec<ForwardPass>> {
-        let Self { ws, .. } = self;
-        (0..n_rows).map(|a| passes.iter().map(|p| p.row_pass_ws(a, ws)).collect()).collect()
-    }
-
-    /// Returns a tile's batched passes and their row views to the arena.
-    fn recycle_tile(&mut self, passes: Vec<ForwardPass>, row_passes: Vec<Vec<ForwardPass>>) {
-        for p in passes.into_iter().chain(row_passes.into_iter().flatten()) {
+    /// Returns a tile's batched passes to the arena.
+    fn recycle_tile(&mut self, passes: Vec<ForwardPass>) {
+        for p in passes {
             p.recycle(&mut self.ws);
         }
     }
@@ -561,20 +552,18 @@ impl Generator {
     /// The gradient of Equation 3 with respect to every live row's input:
     /// `∂[(Σ_{k≠j} F_k(x)[c] − λ1·F_j(x)[c]) + λ2·Σ_m f_{n_m}(x)]/∂x`.
     /// One batched backward per model, with the rows' obj1/obj2 injections
-    /// accumulated into shared `[A, ...]` seed tensors (keyed by activation
-    /// index; `BTreeMap` so sites apply in ascending, deterministic order).
+    /// accumulated into one shared `[A, ...]` seed tensor per activation
+    /// site, drawn from the arena.
     fn tile_gradient(
         &mut self,
         jobs: &mut [Job],
         rows: &[usize],
         live: &[bool],
         passes: &[ForwardPass],
-        row_passes: &[Vec<ForwardPass>],
     ) -> Tensor {
         let mut total = self.ws.take_tensor(passes[0].input().shape());
         for (m, model) in self.models.iter().enumerate() {
             let pass = &passes[m];
-            let mut batched: BTreeMap<usize, Tensor> = BTreeMap::new();
             // obj1 rows at the output layer.
             let out_shape = pass.output().shape().to_vec();
             let k: usize = out_shape[1..].iter().product();
@@ -591,7 +580,7 @@ impl Generator {
                     }
                 }
             }
-            batched.insert(model.num_layers(), out_seed);
+            let mut sites = vec![(model.num_layers(), out_seed)];
             // obj2 rows: uncovered neuron(s) per model (line 33; the paper
             // picks one, `neurons_per_model` generalizes per §4.2), picked
             // per live job from the job's own coverage and RNG lane — the
@@ -602,54 +591,48 @@ impl Generator {
                         continue;
                     }
                     let Job { signals, lane, .. } = &mut jobs[ji];
-                    let (tracker, row_pass) = (&signals[m], &row_passes[a][m]);
+                    let (tracker, row) = (&signals[m], pass.row(a));
                     let picked: Vec<_> = match self.hp.neuron_pick {
                         crate::hyper::NeuronPick::Random => {
                             tracker.pick_uncovered_k(lane, self.hp.neurons_per_model.max(1))
                         }
                         crate::hyper::NeuronPick::Nearest => {
-                            tracker.pick_uncovered_nearest(row_pass).into_iter().collect()
+                            tracker.pick_uncovered_nearest(row).into_iter().collect()
                         }
                     };
                     for neuron in picked {
-                        let (idx, seed) =
-                            injection_for_neuron(model, neuron, tracker.granularity());
+                        let inj = injection_for_neuron(model, neuron, tracker.granularity());
                         // Steer toward the metric's actual gap: the neuron
                         // metric always raises activations, multisection
                         // may need to lower one to reach an unhit low
                         // section.
-                        let direction = tracker.target_direction(neuron, row_pass);
-                        let scale = self.hp.lambda2 * direction;
-                        let entry = batched
-                            .entry(idx)
-                            .or_insert_with(|| self.ws.take_tensor(pass.activations[idx].shape()));
-                        let per = entry.len() / rows.len();
-                        let dst = &mut entry.data_mut()[a * per..(a + 1) * per];
-                        for (d, &s) in dst.iter_mut().zip(seed.data().iter()) {
-                            *d += s * scale;
+                        let scale = self.hp.lambda2 * tracker.target_direction(neuron, row);
+                        let at = inj.activation;
+                        let site = sites.iter().position(|(i, _)| *i == at).unwrap_or_else(|| {
+                            sites.push((at, self.ws.take_tensor(pass.activations[at].shape())));
+                            sites.len() - 1
+                        });
+                        let seed = &mut sites[site].1;
+                        let per = seed.len() / rows.len();
+                        for d in &mut seed.data_mut()[a * per..][inj.range] {
+                            *d += inj.value * scale;
                         }
                     }
                 }
             }
-            let injections: Vec<(usize, Tensor)> = batched.into_iter().collect();
-            let g = model.input_gradient_ws(pass, &injections, &mut self.ws);
+            let g = model.input_gradient_ws(pass, &sites, &mut self.ws);
             total += &g;
             self.ws.put_tensor(g);
-            for (_, t) in injections {
+            for (_, t) in sites {
                 self.ws.put_tensor(t);
             }
         }
         total
     }
 
-    fn predictions_of(&self, passes: &[ForwardPass]) -> Vec<Prediction> {
-        passes
-            .iter()
-            .map(|pass| match self.kind {
-                TaskKind::Classification => class_of(pass.output()),
-                TaskKind::Regression { .. } => value_of(pass.output()),
-            })
-            .collect()
+    /// Every model's prediction on row `a` of the tile.
+    fn predictions_of(&self, passes: &[ForwardPass], a: usize) -> Vec<Prediction> {
+        passes.iter().map(|pass| self.kind.prediction(pass.row(a).output())).collect()
     }
 }
 

@@ -8,6 +8,11 @@
 use super::*;
 
 impl Generator {
+    /// Predictions of every model on a `[1, ...]` input.
+    pub(super) fn predict_all(&self, x: &Tensor) -> Vec<Prediction> {
+        self.models.iter().map(|m| self.kind.prediction(m.output(x).data())).collect()
+    }
+
     /// `run` as it was: one `grow` per seed.
     fn reference_run(&mut self, seeds: &Tensor) -> GenResult {
         let mut stats = RunStats::default();
@@ -34,7 +39,7 @@ impl Generator {
     }
 
     fn grow(&mut self, seed_index: usize, seed_x: &Tensor, stats: &mut RunStats) -> SeedOutcome {
-        let threshold = self.direction_threshold();
+        let threshold = self.kind.oracle_threshold();
         let initial = self.predict_all(seed_x);
         if differs(&initial, threshold) {
             // The models disagree on the seed itself (Algorithm 1 line 4-5
@@ -124,12 +129,15 @@ impl Generator {
                     }
                 };
                 for neuron in picked {
-                    let (idx, seed) = injection_for_neuron(model, neuron, tracker.granularity());
+                    // One activation-shaped injection tensor per picked neuron.
+                    let inj = injection_for_neuron(model, neuron, tracker.granularity());
+                    let mut seed = Tensor::zeros(pass.activations[inj.activation].shape());
+                    seed.data_mut()[inj.range].fill(inj.value);
                     // Steer toward the metric's actual gap: the neuron
                     // metric always raises activations, multisection may
                     // need to lower one to reach an unhit low section.
                     let direction = tracker.target_direction(neuron, pass);
-                    injections.push((idx, seed.scale(self.hp.lambda2 * direction)));
+                    injections.push((inj.activation, seed.scale(self.hp.lambda2 * direction)));
                 }
             }
             let g = model.input_gradient_ws(pass, &injections, &mut self.ws);

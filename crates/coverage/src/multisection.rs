@@ -50,7 +50,8 @@ pub(crate) fn direction(lo: f32, hi: f32, v: f32, hits: &[bool]) -> f32 {
 
 #[cfg(test)]
 mod tests {
-    use crate::neuron::{neuron_values, Granularity};
+    use crate::neuron::tests::neuron_values;
+    use crate::neuron::Granularity;
     use crate::signal::tests::{self as laws, mlp as net, signal_over};
     use crate::signal::CoverageSignal;
     use crate::NeuronProfile;

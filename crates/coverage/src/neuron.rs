@@ -1,8 +1,9 @@
 //! Neuron identity, value extraction, per-layer scaling and the flat
 //! neuron-space layout of a network's tracked activations.
 
-use dx_nn::network::{ForwardPass, Network};
-use dx_tensor::Tensor;
+use std::ops::Range;
+
+use dx_nn::network::{Network, PassRow};
 
 /// How neurons are counted in spatial (convolutional) activations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,39 +39,44 @@ pub fn neuron_count(shape: &[usize], granularity: Granularity) -> usize {
     }
 }
 
-/// Extracts neuron values from one activation of a batch-size-1 pass.
+/// Calls `f(index, value)` for every neuron of one activation of `row`, in
+/// index order, reading the row in place.
 ///
 /// With `scale_per_layer` the values are min-max scaled to `[0, 1]` within
-/// the activation, as the paper does when layer output ranges differ (§7.1).
-///
-/// # Panics
-///
-/// Panics unless the activation has batch size 1.
-pub fn neuron_values(
-    pass: &ForwardPass,
+/// the activation, as the paper does when layer output ranges differ (§7.1):
+/// the same `f32` operations, in the same order, as `Tensor::minmax_scaled`
+/// on the activation followed by a channel mean.
+pub(crate) fn for_each_value(
+    row: PassRow<'_>,
     activation: usize,
     granularity: Granularity,
     scale_per_layer: bool,
-) -> Vec<f32> {
-    let act = &pass.activations[activation];
-    assert_eq!(act.shape()[0], 1, "neuron extraction expects batch size 1, got {:?}", act.shape());
-    let scaled;
-    let act = if scale_per_layer {
-        scaled = act.minmax_scaled();
-        &scaled
-    } else {
-        act
+    mut f: impl FnMut(usize, f32),
+) {
+    let (data, shape) = (row.activation(activation), row.shape(activation));
+    let scale = scale_per_layer.then(|| {
+        let lo = data.iter().copied().fold(f32::INFINITY, f32::min);
+        (lo, data.iter().copied().fold(f32::NEG_INFINITY, f32::max) - lo)
+    });
+    let value = |v: f32| match scale {
+        None => v,
+        // A constant activation scales to all-zeros (`Tensor::minmax_scaled`).
+        Some((_, range)) if range <= f32::EPSILON => 0.0,
+        Some((lo, range)) => (v - lo) / range,
     };
-    match (act.rank(), granularity) {
-        (4, Granularity::ChannelMean) => {
-            let (c, h, w) = (act.shape()[1], act.shape()[2], act.shape()[3]);
-            let hw = h * w;
-            (0..c)
-                .map(|ch| act.data()[ch * hw..(ch + 1) * hw].iter().sum::<f32>() / hw as f32)
-                .collect()
+    match (shape.len(), granularity) {
+        (3, Granularity::ChannelMean) => {
+            let hw = shape[1] * shape[2];
+            for (ch, plane) in data.chunks_exact(hw).enumerate() {
+                f(ch, plane.iter().map(|&v| value(v)).sum::<f32>() / hw as f32);
+            }
         }
-        (4, Granularity::Unit) | (2, _) => act.data().to_vec(),
-        _ => panic!("unsupported activation rank {} for coverage", act.rank()),
+        (3, Granularity::Unit) | (1, _) => {
+            for (i, &v) in data.iter().enumerate() {
+                f(i, value(v));
+            }
+        }
+        _ => panic!("unsupported activation rank {} for coverage", shape.len() + 1),
     }
 }
 
@@ -136,68 +142,83 @@ impl Layout {
         Some(self.bases[slot] + id.index).filter(|&flat| flat < self.total)
     }
 
-    /// Calls `f(flat offset, value)` for every tracked neuron of one
-    /// (batch-size-1) pass, in flat order — the one walk every rule's
-    /// update, the nearest pick and profiling share.
+    /// Calls `f(flat offset, value)` for every tracked neuron of one input,
+    /// in flat order — the one walk every rule's update, the nearest pick
+    /// and profiling share.
     pub(crate) fn walk(
         &self,
-        pass: &ForwardPass,
+        row: PassRow<'_>,
         scale_per_layer: bool,
         mut f: impl FnMut(usize, f32),
     ) {
         for (&a, &base) in self.activations.iter().zip(&self.bases) {
-            let values = neuron_values(pass, a, self.granularity, scale_per_layer);
-            for (j, &v) in values.iter().enumerate() {
-                f(base + j, v);
-            }
+            for_each_value(row, a, self.granularity, scale_per_layer, |j, v| f(base + j, v));
         }
     }
 }
 
-/// Builds the gradient-injection seed that maximizes a single neuron — the
-/// `∂fn(x)/∂x` hook of the paper's `obj2`.
-///
-/// Returns `(activation_index, ∂neuron/∂activation)` suitable for
+/// The gradient of one neuron with respect to its activation — the
+/// `∂fn(x)/∂x` hook of the paper's `obj2`: `value` at the offsets `range`
+/// of one input's sample of activation `activation`, zero elsewhere.
+/// Callers add it, scaled, into their own injection tensor for
 /// [`Network::input_gradient`].
-pub fn injection_for_neuron(
-    net: &Network,
-    id: NeuronId,
-    granularity: Granularity,
-) -> (usize, Tensor) {
+#[derive(Clone, Debug, PartialEq)]
+pub struct Injection {
+    /// Activation index in the network (`1..=num_layers`).
+    pub activation: usize,
+    /// Offsets within one sample of the activation that the neuron reads.
+    pub range: Range<usize>,
+    /// `∂neuron/∂activation` at each of those offsets.
+    pub value: f32,
+}
+
+/// The [`Injection`] that maximizes neuron `id`: one channel's plane at
+/// `1/(H·W)` for a channel-mean neuron, a single `1.0` otherwise.
+///
+/// # Panics
+///
+/// Panics when `id` is out of range for its activation.
+pub fn injection_for_neuron(net: &Network, id: NeuronId, granularity: Granularity) -> Injection {
     let shape = &net.activation_shapes()[id.activation];
-    let mut batched = vec![1usize];
-    batched.extend_from_slice(shape);
-    let mut seed = Tensor::zeros(&batched);
-    match (shape.len(), granularity) {
+    let count = neuron_count(shape, granularity);
+    assert!(id.index < count, "neuron {} out of range for {count} in {shape:?}", id.index);
+    let (range, value) = match (shape.len(), granularity) {
         (3, Granularity::ChannelMean) => {
-            let (c, h, w) = (shape[0], shape[1], shape[2]);
-            assert!(id.index < c, "channel {} out of range for {c} channels", id.index);
-            let hw = h * w;
-            let inv = 1.0 / hw as f32;
-            let base = id.index * hw;
-            for i in 0..hw {
-                seed.data_mut()[base + i] = inv;
-            }
+            let hw = shape[1] * shape[2];
+            (id.index * hw..(id.index + 1) * hw, 1.0 / hw as f32)
         }
-        (3, Granularity::Unit) | (1, _) => {
-            assert!(
-                id.index < seed.len(),
-                "neuron index {} out of range for activation {:?}",
-                id.index,
-                shape
-            );
-            seed.data_mut()[id.index] = 1.0;
-        }
-        _ => panic!("unsupported activation shape {shape:?}"),
-    }
-    (id.activation, seed)
+        _ => (id.index..id.index + 1, 1.0),
+    };
+    Injection { activation: id.activation, range, value }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dx_nn::layer::Layer;
-    use dx_tensor::rng;
+    use dx_nn::network::ForwardPass;
+    use dx_tensor::{rng, Tensor};
+
+    /// The tensor-level reference for the values of one activation of a
+    /// batch-size-1 pass: a min-max-scaled copy of the activation, then
+    /// channel means. Row reads are held to it bit for bit.
+    pub(crate) fn neuron_values(
+        pass: &ForwardPass,
+        activation: usize,
+        granularity: Granularity,
+        scale_per_layer: bool,
+    ) -> Vec<f32> {
+        let act = &pass.activations[activation];
+        assert_eq!(act.shape()[0], 1, "one input per pass");
+        let act = if scale_per_layer { act.minmax_scaled() } else { act.clone() };
+        match (act.rank(), granularity) {
+            (4, Granularity::ChannelMean) => {
+                let hw = act.shape()[2] * act.shape()[3];
+                act.data().chunks_exact(hw).map(|p| p.iter().sum::<f32>() / hw as f32).collect()
+            }
+            _ => act.data().to_vec(),
+        }
+    }
 
     fn cnn(seed: u64) -> Network {
         let mut net = Network::new(
@@ -246,16 +267,23 @@ mod tests {
         assert!(values.iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
+    /// The injection written out as the `[1, ...]` tensor it stands for.
+    fn dense_seed(net: &Network, inj: &Injection) -> Tensor {
+        let mut shape = vec![1];
+        shape.extend_from_slice(&net.activation_shapes()[inj.activation]);
+        let mut seed = Tensor::zeros(&shape);
+        seed.data_mut()[inj.range.clone()].fill(inj.value);
+        seed
+    }
+
     #[test]
     fn injection_gradient_equals_channel_mean_derivative() {
         // d(mean of channel)/d(activation) is 1/(H·W) on that channel.
         let net = cnn(4);
-        let (idx, seed) = injection_for_neuron(
-            &net,
-            NeuronId { activation: 2, index: 2 },
-            Granularity::ChannelMean,
-        );
-        assert_eq!(idx, 2);
+        let id = NeuronId { activation: 2, index: 2 };
+        let inj = injection_for_neuron(&net, id, Granularity::ChannelMean);
+        assert_eq!(inj, Injection { activation: 2, range: 32..48, value: 1.0 / 16.0 });
+        let seed = dense_seed(&net, &inj);
         assert_eq!(seed.shape(), &[1, 3, 4, 4]);
         assert!((seed.sum() - 1.0).abs() < 1e-6);
         assert_eq!(seed.at(&[0, 2, 0, 0]), 1.0 / 16.0);
@@ -265,15 +293,38 @@ mod tests {
     #[test]
     fn injection_for_dense_neuron_is_one_hot() {
         let net = cnn(5);
-        let (idx, seed) = injection_for_neuron(
-            &net,
-            NeuronId { activation: 5, index: 3 },
-            Granularity::ChannelMean,
-        );
-        assert_eq!(idx, 5);
+        let id = NeuronId { activation: 5, index: 3 };
+        let inj = injection_for_neuron(&net, id, Granularity::ChannelMean);
+        assert_eq!(inj, Injection { activation: 5, range: 3..4, value: 1.0 });
+        let seed = dense_seed(&net, &inj);
         assert_eq!(seed.shape(), &[1, 4]);
         assert_eq!(seed.at(&[0, 3]), 1.0);
         assert_eq!(seed.sum(), 1.0);
+    }
+
+    #[test]
+    fn row_values_match_a_single_input_pass_bit_for_bit() {
+        // A row of a batched pass, read in place, yields the reference
+        // values of the same input passed alone — scaled or not, per
+        // channel or per unit.
+        let net = cnn(8);
+        let x = rng::uniform(&mut rng::rng(9), &[3, 1, 6, 6], 0.0, 1.0);
+        let batched = net.forward(&x);
+        for r in 0..3 {
+            let alone = net.forward(&dx_nn::util::gather_rows(&x, &[r]));
+            for (a, gran, scale) in [
+                (2, Granularity::ChannelMean, false),
+                (2, Granularity::ChannelMean, true),
+                (2, Granularity::Unit, true),
+                (5, Granularity::Unit, false),
+            ] {
+                let bits = |v: Vec<f32>| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let want = bits(neuron_values(&alone, a, gran, scale));
+                let mut got = Vec::new();
+                for_each_value(batched.row(r), a, gran, scale, |_, v| got.push(v));
+                assert_eq!(bits(got), want);
+            }
+        }
     }
 
     #[test]
@@ -282,8 +333,8 @@ mod tests {
         let x = rng::uniform(&mut rng::rng(7), &[1, 1, 6, 6], 0.2, 0.8);
         let pass = net.forward(&x);
         let id = NeuronId { activation: 2, index: 1 };
-        let (idx, seed) = injection_for_neuron(&net, id, Granularity::ChannelMean);
-        let grad = net.input_gradient(&pass, &[(idx, seed)]);
+        let inj = injection_for_neuron(&net, id, Granularity::ChannelMean);
+        let grad = net.input_gradient(&pass, &[(inj.activation, dense_seed(&net, &inj))]);
         let value = |x: &Tensor| {
             let p = net.forward(x);
             neuron_values(&p, 2, Granularity::ChannelMean, false)[1]

@@ -1,7 +1,7 @@
 //! Training-set neuron profiles — the ranges DeepGauge's metrics are cut
 //! from.
 
-use dx_nn::network::{ForwardPass, Network};
+use dx_nn::network::{Network, PassRow};
 
 use crate::neuron::{Granularity, Layout};
 
@@ -50,11 +50,15 @@ impl NeuronProfile {
         Ok(Self { low, high, ..fresh })
     }
 
-    /// Extends the ranges with one (batch-size-1) pass — call once per
-    /// training input.
-    pub fn observe(&mut self, pass: &ForwardPass) {
+    /// Extends the ranges with one input (a batch-size-1 pass or a
+    /// [`PassRow`]) — call once per training input.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a whole pass holds more than one input.
+    pub fn observe<'p>(&mut self, pass: impl Into<PassRow<'p>>) {
         let (low, high) = (&mut self.low, &mut self.high);
-        self.layout.walk(pass, false, |i, v| {
+        self.layout.walk(pass.into(), false, |i, v| {
             low[i] = low[i].min(v);
             high[i] = high[i].max(v);
         });

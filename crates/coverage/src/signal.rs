@@ -21,7 +21,7 @@
 //! config, and — for profile-based metrics — the per-model training-set
 //! profiles) from which per-model signals are built.
 
-use dx_nn::network::{ForwardPass, Network};
+use dx_nn::network::{Network, PassRow};
 use dx_tensor::rng::Rng;
 
 use crate::neuron::{Granularity, Layout, NeuronId};
@@ -239,22 +239,21 @@ impl SignalSpec {
             .collect()
     }
 
-    /// Primes per-model profiles from training inputs (rows of `train_x`)
-    /// and returns the spec with them attached. A no-op for specs without
+    /// Primes per-model profiles from the first `rows` training inputs
+    /// (rows of `train_x`, read through [`Network::for_each_row`]) and
+    /// returns the spec with them attached. A no-op for specs without
     /// profile-based components. Every process of a distributed fleet
     /// primes from the same rows, so profiles agree bit-for-bit.
     pub fn primed(mut self, models: &[Network], train_x: &dx_tensor::Tensor, rows: usize) -> Self {
         if !self.metric.needs_profiles() {
             return self;
         }
-        let n = rows.min(train_x.shape()[0]);
+        let rows: Vec<usize> = (0..rows.min(train_x.shape()[0])).collect();
         self.profiles = models
             .iter()
             .map(|m| {
                 let mut p = NeuronProfile::new(m, self.config.granularity);
-                for i in 0..n {
-                    p.observe(&m.forward(&dx_nn::util::gather_rows(train_x, &[i])));
-                }
+                m.for_each_row(train_x, &rows, |row| p.observe(row));
                 p
             })
             .collect();
@@ -390,16 +389,22 @@ impl CoverageSignal {
         self.components.iter().all(Component::is_full)
     }
 
-    /// Units (flat offsets) a single batch-size-1 pass hits, without
-    /// updating the signal.
-    pub fn activated_by(&self, pass: &ForwardPass) -> Vec<usize> {
-        self.flat_units(|_, c| c.activated_by(pass, self.profile.as_ref()).into_iter())
+    /// Units (flat offsets) one input hits, without updating the signal.
+    /// The input is a batch-size-1 pass or one [`PassRow`] of a batched
+    /// pass, as for every method here that reads activations.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a whole pass holds more than one input.
+    pub fn activated_by<'p>(&self, pass: impl Into<PassRow<'p>>) -> Vec<usize> {
+        let row = pass.into();
+        self.flat_units(|_, c| c.activated_by(row, self.profile.as_ref()).into_iter())
     }
 
-    /// Folds one (batch-size-1) pass in; returns newly covered units.
-    pub fn update(&mut self, pass: &ForwardPass) -> usize {
-        let profile = self.profile.as_ref();
-        self.components.iter_mut().map(|c| c.update(pass, profile)).sum()
+    /// Folds one input in; returns newly covered units.
+    pub fn update<'p>(&mut self, pass: impl Into<PassRow<'p>>) -> usize {
+        let (row, profile) = (pass.into(), self.profile.as_ref());
+        self.components.iter_mut().map(|c| c.update(row, profile)).sum()
     }
 
     /// [`CoverageSignal::update`], additionally accumulating each
@@ -410,12 +415,16 @@ impl CoverageSignal {
     /// # Panics
     ///
     /// Panics when `per_component` has the wrong length.
-    pub fn update_accum(&mut self, pass: &ForwardPass, per_component: &mut [usize]) -> usize {
+    pub fn update_accum<'p>(
+        &mut self,
+        pass: impl Into<PassRow<'p>>,
+        per_component: &mut [usize],
+    ) -> usize {
         assert_eq!(per_component.len(), self.n_components(), "one counter per component");
-        let profile = self.profile.as_ref();
+        let (row, profile) = (pass.into(), self.profile.as_ref());
         let mut total = 0;
         for (c, acc) in self.components.iter_mut().zip(per_component) {
-            let n = c.update(pass, profile);
+            let n = c.update(row, profile);
             *acc += n;
             total += n;
         }
@@ -608,8 +617,9 @@ impl CoverageSignal {
     /// current value among still-improvable neurons). Components are asked
     /// in declaration order and the first answer wins, so earlier
     /// components saturate before later ones start steering.
-    pub fn pick_uncovered_nearest(&self, pass: &ForwardPass) -> Option<NeuronId> {
-        self.components.iter().find_map(|c| c.pick_nearest(pass))
+    pub fn pick_uncovered_nearest<'p>(&self, pass: impl Into<PassRow<'p>>) -> Option<NeuronId> {
+        let row = pass.into();
+        self.components.iter().find_map(|c| c.pick_nearest(row))
     }
 
     /// Which way the obj2 gradient term should push `id`'s activation:
@@ -619,12 +629,12 @@ impl CoverageSignal {
     /// [`CoverageSignal::wants`] the neuron decides (matching how picks
     /// interleave); `1.0` when none does, and for a neuron whose current
     /// value is NaN or ±inf.
-    pub fn target_direction(&self, id: NeuronId, pass: &ForwardPass) -> f32 {
-        let profile = self.profile.as_ref();
+    pub fn target_direction<'p>(&self, id: NeuronId, pass: impl Into<PassRow<'p>>) -> f32 {
+        let (row, profile) = (pass.into(), self.profile.as_ref());
         self.components
             .iter()
             .find(|c| c.wants(id))
-            .map_or(1.0, |c| c.target_direction(id, pass, profile))
+            .map_or(1.0, |c| c.target_direction(id, row, profile))
     }
 
     /// The neuron profile every profile-based component is cut from

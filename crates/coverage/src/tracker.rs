@@ -8,11 +8,11 @@
 //! units a neuron has, whether a neuron is coverable at all, which unit a
 //! value hits, and which way obj2 should push.
 
-use dx_nn::network::ForwardPass;
+use dx_nn::network::PassRow;
 use dx_tensor::rng::Rng;
 use rand::Rng as _;
 
-use crate::neuron::{neuron_values, Granularity, Layout, NeuronId};
+use crate::neuron::{for_each_value, Granularity, Layout, NeuronId};
 use crate::profile::NeuronProfile;
 use crate::signal::MetricKind;
 use crate::{boundary, multisection};
@@ -106,29 +106,29 @@ impl Rule {
         }
     }
 
-    /// Calls `on_hit(unit)` for every unit one (batch-size-1) pass hits.
+    /// Calls `on_hit(unit)` for every unit one input hits.
     fn for_each_hit(
         self,
         layout: &Layout,
         profile: Option<&NeuronProfile>,
-        pass: &ForwardPass,
+        row: PassRow<'_>,
         mut on_hit: impl FnMut(usize),
     ) {
         match (self, profile) {
             (Rule::Threshold { threshold, scale_per_layer }, _) => {
-                layout.walk(pass, scale_per_layer, |n, v| {
+                layout.walk(row, scale_per_layer, |n, v| {
                     if v > threshold {
                         on_hit(n);
                     }
                 });
             }
-            (Rule::Sections { k }, Some(p)) => layout.walk(pass, false, |n, v| {
+            (Rule::Sections { k }, Some(p)) => layout.walk(row, false, |n, v| {
                 let range = p.range_for(n, v);
                 if let Some(s) = range.and_then(|(lo, hi)| multisection::section_of(lo, hi, k, v)) {
                     on_hit(n * k + s);
                 }
             }),
-            (Rule::Corners, Some(p)) => layout.walk(pass, false, |n, v| {
+            (Rule::Corners, Some(p)) => layout.walk(row, false, |n, v| {
                 let range = p.range_for(n, v);
                 if let Some(c) = range.and_then(|(lo, hi)| boundary::corner_of(lo, hi, v)) {
                     on_hit(n * boundary::UNITS_PER_NEURON + c);
@@ -218,21 +218,22 @@ impl Component {
         &self.hit
     }
 
-    /// Units one (batch-size-1) pass hits, without recording them.
+    /// Units one input hits, without recording them.
     pub(crate) fn activated_by(
         &self,
-        pass: &ForwardPass,
+        row: PassRow<'_>,
         profile: Option<&NeuronProfile>,
     ) -> Vec<usize> {
         let mut out = Vec::new();
-        self.rule.for_each_hit(&self.layout, profile, pass, |unit| out.push(unit));
+        self.rule.for_each_hit(&self.layout, profile, row, |unit| out.push(unit));
         out
     }
 
-    /// Folds a pass into the hit-set; returns how many units were newly hit.
-    pub(crate) fn update(&mut self, pass: &ForwardPass, profile: Option<&NeuronProfile>) -> usize {
+    /// Folds one input into the hit-set; returns how many units were newly
+    /// hit.
+    pub(crate) fn update(&mut self, row: PassRow<'_>, profile: Option<&NeuronProfile>) -> usize {
         let (hit, mut newly) = (&mut self.hit, 0);
-        self.rule.for_each_hit(&self.layout, profile, pass, |unit| {
+        self.rule.for_each_hit(&self.layout, profile, row, |unit| {
             if !hit[unit] {
                 hit[unit] = true;
                 newly += 1;
@@ -348,12 +349,12 @@ impl Component {
         candidates[..take].iter().map(|&n| self.layout.id_of(n)).collect()
     }
 
-    /// Picks the incomplete neuron with the highest value in `pass` — the
+    /// Picks the incomplete neuron with the highest value in `row` — the
     /// "nearest to activating" strategy of the neuron-pick ablation.
-    pub(crate) fn pick_nearest(&self, pass: &ForwardPass) -> Option<NeuronId> {
+    pub(crate) fn pick_nearest(&self, row: PassRow<'_>) -> Option<NeuronId> {
         let scale_per_layer = matches!(self.rule, Rule::Threshold { scale_per_layer: true, .. });
         let mut best: Option<(usize, f32)> = None;
-        self.layout.walk(pass, scale_per_layer, |n, v| {
+        self.layout.walk(row, scale_per_layer, |n, v| {
             if best.is_none_or(|(_, bv)| v > bv) && self.incomplete(n) {
                 best = Some((n, v));
             }
@@ -362,13 +363,13 @@ impl Component {
     }
 
     /// Which way the obj2 gradient term should push `id`'s activation given
-    /// its current value in `pass`: `1.0` to raise it, `-1.0` to lower it.
+    /// its current value in `row`: `1.0` to raise it, `-1.0` to lower it.
     /// Always up under the threshold rule, and for neurons that are
     /// untracked, uncoverable or currently non-finite under any rule.
     pub(crate) fn target_direction(
         &self,
         id: NeuronId,
-        pass: &ForwardPass,
+        row: PassRow<'_>,
         profile: Option<&NeuronProfile>,
     ) -> f32 {
         let toward_unhit = match self.rule {
@@ -377,8 +378,11 @@ impl Component {
             Rule::Corners => boundary::direction,
         };
         let (Some(n), Some(p)) = (self.layout.flat_of(id), profile) else { return 1.0 };
-        let values = neuron_values(pass, id.activation, self.layout.granularity, false);
-        let Some(&v) = values.get(id.index) else { return 1.0 };
+        let mut value = None;
+        for_each_value(row, id.activation, self.layout.granularity, false, |j, v| {
+            value = value.or((j == id.index).then_some(v));
+        });
+        let Some(v) = value else { return 1.0 };
         let Some((lo, hi)) = p.range_for(n, v) else { return 1.0 };
         toward_unhit(lo, hi, v, self.units_of(n))
     }
@@ -387,6 +391,7 @@ impl Component {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::neuron::tests::neuron_values;
     use crate::signal::tests::assert_merge_and_delta_sync;
     use crate::signal::CoverageSignal;
     use dx_nn::layer::Layer;

@@ -90,35 +90,16 @@ impl ForwardPass {
         self.activations[0].shape()[0]
     }
 
-    /// [`ForwardPass::row_pass_ws`] with a throwaway arena.
-    pub fn row_pass(&self, row: usize) -> ForwardPass {
-        self.row_pass_ws(row, &mut Workspace::new())
-    }
-
-    /// Extracts one sample of a batched pass as a batch-1 pass, the copies
-    /// drawn from the workspace (recycle the result to return them).
-    ///
-    /// Caches are **not** extracted (they come back as [`Cache::None`]): the
-    /// result is for activation readers — the coverage trackers, which
-    /// assert batch size 1 — not for a sweep through layers that keep one.
+    /// One sample of the pass, read in place — what the per-input readers
+    /// (coverage, the oracle, obj2 picks) see of a batched pass.
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of range.
-    pub fn row_pass_ws(&self, row: usize, ws: &mut Workspace) -> ForwardPass {
-        let activations = self
-            .activations
-            .iter()
-            .map(|a| {
-                let n = a.shape()[0];
-                assert!(row < n, "row {row} out of range for batch {n}");
-                let per = a.len() / n;
-                let mut shape = a.shape().to_vec();
-                shape[0] = 1;
-                Tensor::from_vec(ws.take_copy(&a.data()[row * per..(row + 1) * per]), &shape)
-            })
-            .collect();
-        ForwardPass { activations, caches: vec![Cache::None; self.caches.len()] }
+    pub fn row(&self, row: usize) -> PassRow<'_> {
+        let n = self.batch_size();
+        assert!(row < n, "row {row} out of range for batch {n}");
+        PassRow { pass: self, row }
     }
 
     /// Returns every buffer the pass owns (activations plus any cached
@@ -130,6 +111,47 @@ impl ForwardPass {
         for c in self.caches {
             c.recycle(ws);
         }
+    }
+}
+
+/// Row `a` of a recorded pass: every activation's `a`-th sample, borrowed
+/// from the batched tensors, never copied out of them.
+#[derive(Clone, Copy, Debug)]
+pub struct PassRow<'a> {
+    pass: &'a ForwardPass,
+    row: usize,
+}
+
+impl<'a> PassRow<'a> {
+    /// This row's values of activation `i` (`0` is the input), flat in
+    /// sample order.
+    pub fn activation(self, i: usize) -> &'a [f32] {
+        let a = &self.pass.activations[i];
+        let per = a.len() / a.shape()[0];
+        &a.data()[self.row * per..(self.row + 1) * per]
+    }
+
+    /// The shape of activation `i` without its batch dimension.
+    pub fn shape(self, i: usize) -> &'a [usize] {
+        &self.pass.activations[i].shape()[1..]
+    }
+
+    /// This row's network output (the last activation).
+    pub fn output(self) -> &'a [f32] {
+        self.activation(self.pass.activations.len() - 1)
+    }
+}
+
+/// A batch-size-1 pass is its one row.
+///
+/// # Panics
+///
+/// Panics when the pass holds more than one sample.
+impl<'a> From<&'a ForwardPass> for PassRow<'a> {
+    fn from(pass: &'a ForwardPass) -> Self {
+        let n = pass.batch_size();
+        assert_eq!(n, 1, "a pass read as one input needs batch size 1, got {n}");
+        pass.row(0)
     }
 }
 
@@ -237,6 +259,19 @@ impl Network {
     pub fn forward_lite(&self, x: &Tensor, ws: &mut Workspace) -> ForwardPass {
         self.check_batched_input(x);
         ForwardPass::record(&self.layers, x, None, ws)
+    }
+
+    /// Calls `f` with the [`PassRow`] of every input `rows` names (rows of
+    /// the batched `x`), in `rows` order: one batched pass per tile of
+    /// 16 inputs instead of one pass each, with the same values
+    /// bit for bit (a row of a pass does not depend on the pass's width).
+    pub fn for_each_row(&self, x: &Tensor, rows: &[usize], mut f: impl FnMut(PassRow<'_>)) {
+        let mut ws = Workspace::new();
+        for chunk in rows.chunks(16) {
+            let pass = self.forward_lite(&crate::util::gather_rows(x, chunk), &mut ws);
+            (0..chunk.len()).for_each(|r| f(pass.row(r)));
+            pass.recycle(&mut ws);
+        }
     }
 
     /// Training-mode forward pass (dropout active, batch-norm batch stats):
@@ -641,11 +676,11 @@ mod tests {
         let batched = net.forward_lite(&batched_x, &mut ws);
         for (i, s) in samples.iter().enumerate() {
             let single = net.forward_lite(&crate::util::batch_of_one(s), &mut ws);
-            let brow = batched.row_pass(i);
-            assert_eq!(brow.activations.len(), single.activations.len());
-            for (a, b) in brow.activations.iter().zip(single.activations.iter()) {
-                assert_eq!(a.shape(), b.shape());
-                for (va, vb) in a.data().iter().zip(b.data().iter()) {
+            let brow = batched.row(i);
+            assert_eq!(batched.activations.len(), single.activations.len());
+            for (k, b) in single.activations.iter().enumerate() {
+                assert_eq!(brow.shape(k), &b.shape()[1..]);
+                for (va, vb) in brow.activation(k).iter().zip(b.data().iter()) {
                     assert_eq!(va.to_bits(), vb.to_bits(), "row {i}");
                 }
             }
@@ -695,12 +730,36 @@ mod tests {
         let x = rng::uniform(&mut rng::rng(71), &[3, 4], 0.0, 1.0);
         let pass = net.forward(&x);
         assert_eq!(pass.batch_size(), 3);
-        let r1 = pass.row_pass(1);
-        for (full, one) in pass.activations.iter().zip(r1.activations.iter()) {
-            assert_eq!(one.shape()[0], 1);
+        let r1 = pass.row(1);
+        for (k, full) in pass.activations.iter().enumerate() {
+            assert_eq!(r1.shape(k), &full.shape()[1..]);
             let per = full.len() / 3;
-            assert_eq!(&full.data()[per..2 * per], one.data());
+            assert_eq!(&full.data()[per..2 * per], r1.activation(k));
         }
+        assert_eq!(r1.output(), r1.activation(4));
+        // A one-sample pass is its own row; a wider one is not.
+        let one = net.forward(&crate::util::gather_rows(&x, &[1]));
+        assert_eq!(PassRow::from(&one).output(), r1.output());
+        assert!(std::panic::catch_unwind(|| PassRow::from(&pass)).is_err());
+    }
+
+    #[test]
+    fn for_each_row_reads_tiles_as_single_passes() {
+        // Rows across a tile boundary, out of order and repeated, each read
+        // bit-identical to a pass of that input alone.
+        let net = tiny_cnn(72);
+        let x = rng::uniform(&mut rng::rng(73), &[20, 1, 8, 8], 0.0, 1.0);
+        let rows: Vec<usize> = (0..20).rev().chain([3, 3]).collect();
+        let mut seen = 0;
+        net.for_each_row(&x, &rows, |row| {
+            let alone = net.forward(&crate::util::gather_rows(&x, &[rows[seen]]));
+            for (k, a) in alone.activations.iter().enumerate() {
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(row.activation(k)), bits(a.data()), "input {}", rows[seen]);
+            }
+            seen += 1;
+        });
+        assert_eq!(seen, rows.len());
     }
 
     #[test]

@@ -43,9 +43,9 @@ fn main() {
         tracker.total()
     );
     let ten = random_selection(&ds.test_x, 10, 42);
-    for i in 0..10 {
-        tracker.update(&net.forward(&gather_rows(&ten, &[i])));
-    }
+    net.for_each_row(&ten, &(0..10).collect::<Vec<_>>(), |row| {
+        tracker.update(row);
+    });
     println!("neuron coverage after 10 random inputs:      {:.1}%", 100.0 * tracker.coverage());
 
     // 3. Coverage at several thresholds: random seeds vs DeepXplore tests.
@@ -54,9 +54,9 @@ fn main() {
         let cfg = CoverageConfig::scaled(t);
         let mut rand_tracker = CoverageSignal::neuron(&net, cfg);
         let pool = random_selection(&ds.test_x, 20, 7);
-        for i in 0..20 {
-            rand_tracker.update(&net.forward(&gather_rows(&pool, &[i])));
-        }
+        net.for_each_row(&pool, &(0..20).collect::<Vec<_>>(), |row| {
+            rand_tracker.update(row);
+        });
         let models = zoo.trio(DatasetKind::Mnist);
         let mut gen = Generator::new(
             models,
@@ -77,15 +77,15 @@ fn main() {
     // 4. The finer-grained follow-on metric: k-multisection coverage
     // (DeepGauge), built on this paper's neuron coverage.
     let mut profile = NeuronProfile::new(&net, Granularity::ChannelMean);
-    for i in 0..ds.train_len().min(150) {
-        profile.observe(&net.forward(&gather_rows(&ds.train_x, &[i])));
-    }
+    let train_rows: Vec<usize> = (0..ds.train_len().min(150)).collect();
+    net.for_each_row(&ds.train_x, &train_rows, |row| profile.observe(row));
     let mut ms = SignalSpec::multisection(CoverageConfig::default(), 10, vec![profile])
         .build(std::slice::from_ref(&net))
         .remove(0);
-    for i in 0..ds.test_len().min(50) {
-        ms.update(&net.forward(&gather_rows(&ds.test_x, &[i])));
-    }
+    let test_rows: Vec<usize> = (0..ds.test_len().min(50)).collect();
+    net.for_each_row(&ds.test_x, &test_rows, |row| {
+        ms.update(row);
+    });
     println!(
         "\nk-multisection coverage (k = 10, 50 test inputs): {:.1}% of neuron-sections",
         100.0 * ms.coverage()
