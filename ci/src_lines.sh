@@ -18,7 +18,7 @@ fi
 
 awk '
     FNR == 1 { counting = 1 }
-    /#\[cfg\(test\)\]/ { counting = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
     counting {
         lines[FILENAME]++
         split(FILENAME, part, "/")

@@ -1,23 +1,34 @@
-//! A lightweight recursive-descent parser over the [`crate::lexer`]
-//! token stream.
+//! The syntax layer: a recursive-descent parser over the
+//! [`crate::lexer`] token stream, and the one walk over what it builds.
 //!
-//! The produced AST is deliberately small: items (functions with
-//! signatures, structs with field types, impls, consts), blocks,
-//! statements, `let` bindings with their bound names, and expressions
-//! down to method-call chains. That is exactly the granularity the
-//! dataflow checks need — guard binding and scope, callee resolution by
-//! path, receiver resolution through field accesses — and nothing more.
+//! This is the only code in the crate that finds code structure — where
+//! fns, impls, structs and enums start and end, which braces match, which
+//! lines a `#[cfg(test)]` item covers. Every file is parsed once, in
+//! [`crate::SourceFile::new`]; checks read the tree through
+//! [`File::items`] (and its typed views) and [`visit_block`]. Lexical
+//! scans that need no structure (`.unwrap(` tokens, JSON keys inside a
+//! body located here through [`FnDef::body_toks`], inner attributes)
+//! stay on tokens.
+//!
+//! The AST is deliberately small: items (functions with signatures,
+//! structs with field types, enums with variant names, impls, consts),
+//! blocks, statements, `let` bindings with their bound names, and
+//! expressions down to method-call chains. That is the granularity the
+//! checks need — guard binding and scope, callee resolution by path,
+//! receiver resolution through field accesses — and nothing more.
 //! Types are captured as normalized strings (`Mutex<State>`,
 //! `&mut TcpStream`), not parsed.
 //!
-//! The parser is *total* over real Rust: constructs it does not model
-//! (trait bounds, enum bodies, attribute arguments) are skipped with
+//! Constructs the parser does not model (trait bounds, attribute
+//! arguments, item-level macro invocations) are skipped with
 //! balanced-delimiter matching, and an expression token it cannot place
-//! becomes an [`Expr::Other`] atom. It returns `Err` only on structural
-//! failure — unbalanced delimiters or a cursor that stops advancing —
-//! which the CI self-scan (`dx-analysis --parse-stats`) asserts never
-//! happens on workspace sources, so no file silently degrades the
-//! AST-based checks back to token-level vision.
+//! becomes an [`Expr::Other`] atom. Only a structural failure —
+//! unbalanced delimiters or a cursor that stops advancing — stops it;
+//! the file then has no items and [`File::error`] says where, which
+//! [`crate::run_all`] reports as a `[parse]` finding, so no file is ever
+//! scanned half-blind.
+
+use std::ops::Range;
 
 use crate::lexer::{Kind, Tok};
 
@@ -26,6 +37,12 @@ use crate::lexer::{Kind, Tok};
 pub struct File {
     /// Top-level items, in source order.
     pub items: Vec<Item>,
+    /// `(first, last)` line spans of `#[cfg(test)]` items and statements,
+    /// from the attribute to the item's last token.
+    pub test_spans: Vec<(usize, usize)>,
+    /// The structural failure that stopped the parse, as `(line,
+    /// reason)`; `items` is then empty.
+    pub error: Option<(usize, String)>,
 }
 
 /// One item. Items the checks never look inside parse as [`Item::Other`].
@@ -48,11 +65,24 @@ pub enum Item {
     },
     /// A `const` or `static` with its initializer expression.
     Const(ConstDef),
-    /// Anything else (enums, traits' non-fn pieces, uses, macros…).
+    /// An enum with its variant names.
+    Enum(EnumDef),
+    /// Anything else (traits' non-fn pieces, uses, macros…).
     Other {
         /// Line where the item starts.
         line: usize,
     },
+}
+
+/// An enum definition.
+#[derive(Debug)]
+pub struct EnumDef {
+    /// The enum's name.
+    pub name: String,
+    /// Line of the name.
+    pub line: usize,
+    /// `(name, line)` of each variant, in order.
+    pub variants: Vec<(String, usize)>,
 }
 
 /// A `const NAME: Ty = expr;` (or `static`) item.
@@ -114,6 +144,9 @@ pub struct FnDef {
     pub ret: String,
     /// The body; `None` for trait-method declarations.
     pub body: Option<Block>,
+    /// The body's braces and everything between them, as a range of
+    /// the file's comment-free token indices; empty without a body.
+    pub body_toks: Range<usize>,
 }
 
 /// One function parameter.
@@ -397,70 +430,146 @@ impl Expr {
     }
 }
 
-/// Parses a token stream into a [`File`].
-///
-/// # Errors
-///
-/// Only on structural failure: unbalanced delimiters, or an internal
-/// cursor that stopped advancing. Locally unmodeled syntax degrades to
-/// [`Expr::Other`] / [`Item::Other`] instead.
-pub fn parse(toks: &[Tok]) -> Result<File, String> {
+/// Parses a token stream into a [`File`]. Locally unmodeled syntax
+/// degrades to [`Expr::Other`] / [`Item::Other`]; a structural failure
+/// (unbalanced delimiters, a cursor that stopped advancing) leaves the
+/// file without items and sets [`File::error`].
+pub fn parse(toks: &[Tok]) -> File {
     let code: Vec<&Tok> =
         toks.iter().filter(|t| !matches!(t.kind, Kind::LineComment | Kind::BlockComment)).collect();
-    let mut p = Parser { toks: code, pos: 0 };
-    let end = p.toks.len();
-    let items = p.parse_items(end)?;
-    Ok(File { items })
+    let mut p = Parser::new(code);
+    let mut items = p.parse_items();
+    if let (Ok(_), Some(t)) = (&items, p.peek(0)) {
+        items = Err((t.line, "unmatched `}`".to_string()));
+    }
+    let (items, error) = match items {
+        Ok(items) => (items, None),
+        Err(e) => (Vec::new(), Some(e)),
+    };
+    File { items, test_spans: p.test_spans, error }
 }
 
-/// Walks every function in a file, impls and modules included, calling
-/// `f` with the enclosing impl type (if any) and the definition.
-pub fn for_each_fn<'a>(file: &'a File, f: &mut impl FnMut(Option<&'a str>, &'a FnDef)) {
-    fn walk<'a>(
-        items: &'a [Item],
-        self_ty: Option<&'a str>,
-        f: &mut impl FnMut(Option<&'a str>, &'a FnDef),
-    ) {
-        for item in items {
-            match item {
-                Item::Fn(d) => f(self_ty, d),
-                Item::Impl(i) => walk(&i.items, Some(&i.self_ty), f),
-                Item::Mod { items, .. } => walk(items, self_ty, f),
-                _ => {}
+impl File {
+    /// Every item with its enclosing impl type, in source order: impl,
+    /// trait and inline-module bodies are flattened in; items declared
+    /// inside fn bodies are not.
+    pub fn items(&self) -> Vec<(Option<&str>, &Item)> {
+        fn walk<'a>(
+            items: &'a [Item],
+            self_ty: Option<&'a str>,
+            out: &mut Vec<(Option<&'a str>, &'a Item)>,
+        ) {
+            for item in items {
+                out.push((self_ty, item));
+                match item {
+                    Item::Impl(i) => walk(&i.items, Some(&i.self_ty), out),
+                    Item::Mod { items, .. } => walk(items, self_ty, out),
+                    _ => {}
+                }
             }
         }
+        let mut out = Vec::new();
+        walk(&self.items, None, &mut out);
+        out
     }
-    walk(&file.items, None, f);
+
+    /// The functions of [`File::items`], with their enclosing impl type.
+    pub fn fns(&self) -> impl Iterator<Item = (Option<&str>, &FnDef)> + '_ {
+        self.items().into_iter().filter_map(|(ty, item)| match item {
+            Item::Fn(d) => Some((ty, d)),
+            _ => None,
+        })
+    }
 }
 
-/// Walks every struct definition in a file.
-pub fn for_each_struct<'a>(file: &'a File, f: &mut impl FnMut(&'a StructDef)) {
-    fn walk<'a>(items: &'a [Item], f: &mut impl FnMut(&'a StructDef)) {
-        for item in items {
-            match item {
-                Item::Struct(s) => f(s),
-                Item::Impl(i) => walk(&i.items, f),
-                Item::Mod { items, .. } => walk(items, f),
-                _ => {}
-            }
-        }
-    }
-    walk(&file.items, f);
+/// A node [`visit_block`] hands to its callback.
+#[derive(Clone, Copy, Debug)]
+pub enum Node<'a> {
+    /// A statement of a block.
+    Stmt(&'a Stmt),
+    /// An expression, at any depth.
+    Expr(&'a Expr),
 }
 
-/// Walks every const/static definition in a file.
-pub fn for_each_const<'a>(file: &'a File, f: &mut impl FnMut(&'a ConstDef)) {
-    fn walk<'a>(items: &'a [Item], f: &mut impl FnMut(&'a ConstDef)) {
-        for item in items {
-            match item {
-                Item::Const(c) => f(c),
-                Item::Impl(i) => walk(&i.items, f),
-                Item::Mod { items, .. } => walk(items, f),
-                _ => {}
+/// The one generic walk over code: calls `f` on every statement and
+/// expression under `b`, depth-first in source order, and descends into
+/// a node's children only when `f` returns `true`. It reaches `let`
+/// initializers and `let … else` blocks, match guards and arm bodies,
+/// closure bodies, macro arguments, and the bodies of fns declared
+/// inside the block.
+pub fn visit_block<'a>(b: &'a Block, f: &mut impl FnMut(Node<'a>) -> bool) {
+    for stmt in &b.stmts {
+        if !f(Node::Stmt(stmt)) {
+            continue;
+        }
+        match stmt {
+            Stmt::Let(l) => {
+                if let Some(init) = &l.init {
+                    visit_expr(init, f);
+                }
+                if let Some(eb) = &l.else_block {
+                    visit_block(eb, f);
+                }
             }
+            Stmt::Expr(e) => visit_expr(e, f),
+            Stmt::Item(Item::Fn(FnDef { body: Some(body), .. })) => visit_block(body, f),
+            Stmt::Item(_) => {}
         }
     }
-    walk(&file.items, f);
+}
+
+/// [`visit_block`] from one expression: `f` sees `e` itself first.
+pub fn visit_expr<'a>(e: &'a Expr, f: &mut impl FnMut(Node<'a>) -> bool) {
+    if !f(Node::Expr(e)) {
+        return;
+    }
+    match e {
+        Expr::Call { callee: first, args: rest, .. }
+        | Expr::MethodCall { recv: first, args: rest, .. } => {
+            visit_expr(first, f);
+            rest.iter().for_each(|a| visit_expr(a, f));
+        }
+        Expr::Macro { args: items, .. } | Expr::Tuple { items, .. } | Expr::Array { items, .. } => {
+            items.iter().for_each(|a| visit_expr(a, f))
+        }
+        Expr::StructLit { fields, .. } => fields.iter().for_each(|(_, v)| visit_expr(v, f)),
+        Expr::Field { recv: inner, .. }
+        | Expr::Try { inner }
+        | Expr::Unary { inner }
+        | Expr::Closure { body: inner, .. }
+        | Expr::Ret { inner: Some(inner), .. } => visit_expr(inner, f),
+        Expr::Index { recv: a, index: b, .. }
+        | Expr::Binary { lhs: a, rhs: b, .. }
+        | Expr::Assign { target: a, value: b, .. } => {
+            visit_expr(a, f);
+            visit_expr(b, f);
+        }
+        Expr::Block(body) | Expr::Loop { body, .. } => visit_block(body, f),
+        Expr::While { cond, body, .. } | Expr::For { iter: cond, body, .. } => {
+            visit_expr(cond, f);
+            visit_block(body, f);
+        }
+        Expr::If { cond, then, alt, .. } => {
+            visit_expr(cond, f);
+            visit_block(then, f);
+            if let Some(alt) = alt {
+                visit_expr(alt, f);
+            }
+        }
+        Expr::Match { scrutinee, arms, .. } => {
+            visit_expr(scrutinee, f);
+            for arm in arms {
+                if let Some(g) = &arm.guard {
+                    visit_expr(g, f);
+                }
+                visit_expr(&arm.body, f);
+            }
+        }
+        Expr::Path { .. }
+        | Expr::Lit { .. }
+        | Expr::Ret { inner: None, .. }
+        | Expr::Other { .. } => {}
+    }
 }
 
 /// Evaluates a small constant expression (`1 << 16`, `4 * 1024`).
@@ -502,9 +611,14 @@ fn parse_int(text: &str) -> Option<u64> {
     u64::from_str_radix(digits, radix).ok()
 }
 
+/// A structural parse failure: `(line, reason)`.
+type Parsed<T> = Result<T, (usize, String)>;
+
 struct Parser<'a> {
     toks: Vec<&'a Tok>,
     pos: usize,
+    /// `#[cfg(test)]` spans found so far (see [`File::test_spans`]).
+    test_spans: Vec<(usize, usize)>,
 }
 
 const ITEM_KEYWORDS: [&str; 12] = [
@@ -523,6 +637,10 @@ const ITEM_KEYWORDS: [&str; 12] = [
 ];
 
 impl<'a> Parser<'a> {
+    fn new(toks: Vec<&'a Tok>) -> Self {
+        Self { toks, pos: 0, test_spans: Vec::new() }
+    }
+
     fn peek(&self, ahead: usize) -> Option<&'a Tok> {
         self.toks.get(self.pos + ahead).copied()
     }
@@ -557,7 +675,8 @@ impl<'a> Parser<'a> {
     }
 
     /// Skips a balanced `(…)`, `[…]` or `{…}` starting at the cursor.
-    fn skip_balanced(&mut self) -> Result<(), String> {
+    fn skip_balanced(&mut self) -> Parsed<()> {
+        let line = self.line();
         let (open, close) = match self.peek(0) {
             Some(t) if t.is_punct('(') => ('(', ')'),
             Some(t) if t.is_punct('[') => ('[', ']'),
@@ -578,23 +697,41 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        Err(format!("unbalanced `{open}`"))
+        Err((line, format!("unclosed `{open}`")))
     }
 
-    /// Skips `#[…]` / `#![…]` attributes and doc attributes.
-    fn skip_attrs(&mut self) -> Result<(), String> {
+    /// Skips `#[…]` / `#![…]` attributes, returning the line of an outer
+    /// `#[cfg(test)]` among them.
+    fn skip_attrs(&mut self) -> Parsed<Option<usize>> {
+        let mut cfg_test = None;
         while self.at_punct('#') {
+            let line = self.line();
             self.pos += 1;
-            self.eat_punct('!');
+            let inner = self.eat_punct('!');
+            if !inner
+                && self.peek(1).is_some_and(|t| t.is_ident("cfg"))
+                && self.peek(2).is_some_and(|t| t.is_punct('('))
+                && self.peek(3).is_some_and(|t| t.is_ident("test"))
+            {
+                cfg_test = Some(line);
+            }
             if self.at_punct('[') {
                 self.skip_balanced()?;
             }
         }
-        Ok(())
+        Ok(cfg_test)
+    }
+
+    /// Records a `#[cfg(test)]` span that started at `from` (when set)
+    /// and ends with the last consumed token.
+    fn close_test_span(&mut self, from: Option<usize>) {
+        if let (Some(from), Some(last)) = (from, self.pos.checked_sub(1)) {
+            self.test_spans.push((from, self.toks[last].line));
+        }
     }
 
     /// Skips `pub`, `pub(crate)`, `pub(in …)`.
-    fn skip_vis(&mut self) -> Result<(), String> {
+    fn skip_vis(&mut self) -> Parsed<()> {
         if self.at_ident("pub") {
             self.pos += 1;
             if self.at_punct('(') {
@@ -605,7 +742,8 @@ impl<'a> Parser<'a> {
     }
 
     /// Skips a balanced `<…>` generics list; `->` inside does not close.
-    fn skip_angles(&mut self) -> Result<(), String> {
+    fn skip_angles(&mut self) -> Parsed<()> {
+        let line = self.line();
         let mut depth = 0usize;
         let mut prev_dash = false;
         while let Some(t) = self.bump() {
@@ -622,13 +760,41 @@ impl<'a> Parser<'a> {
             }
             prev_dash = t.is_punct('-');
         }
-        Err("unbalanced `<`".into())
+        Err((line, "unclosed `<`".into()))
+    }
+
+    /// Skips a name, generics, bounds and `where` clauses up to the
+    /// item's body `{` or its `;`.
+    fn skip_to_body(&mut self) -> Parsed<()> {
+        while let Some(t) = self.peek(0) {
+            if t.is_punct('{') || t.is_punct(';') {
+                break;
+            }
+            if t.is_punct('<') {
+                self.skip_angles()?;
+            } else {
+                self.pos += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// The identifier at the cursor (consumed) and its line; empty when
+    /// the cursor is not on one.
+    fn name(&mut self) -> (String, usize) {
+        match self.peek(0) {
+            Some(t) if matches!(t.kind, Kind::Ident | Kind::RawIdent) => {
+                self.pos += 1;
+                (t.text.trim_start_matches("r#").to_string(), t.line)
+            }
+            _ => (String::new(), self.line()),
+        }
     }
 
     /// Collects type tokens until one of `stops` at depth 0, returning
     /// normalized text. Angles, parens and brackets nest; `->` never
     /// closes an angle.
-    fn collect_type(&mut self, stops: &[char], stop_idents: &[&str]) -> Result<String, String> {
+    fn collect_type(&mut self, stops: &[char], stop_idents: &[&str]) -> String {
         let mut parts: Vec<String> = Vec::new();
         let mut angle = 0usize;
         let mut paren = 0usize;
@@ -661,107 +827,116 @@ impl<'a> Parser<'a> {
             parts.push(t.text.clone());
             self.pos += 1;
         }
-        Ok(join_ty(&parts))
+        join_ty(&parts)
     }
 
     // -----------------------------------------------------------------
     // Items.
 
-    fn parse_items(&mut self, end: usize) -> Result<Vec<Item>, String> {
+    /// Parses items up to a closing `}` (left unconsumed) or the end.
+    fn parse_items(&mut self) -> Parsed<Vec<Item>> {
         let mut items = Vec::new();
-        while self.pos < end && self.peek(0).is_some() {
-            if self.at_punct('}') {
+        while self.peek(0).is_some() && !self.at_punct('}') {
+            let before = self.pos;
+            let line = self.line();
+            let cfg_test = self.skip_attrs()?;
+            if self.peek(0).is_none() || self.at_punct('}') {
                 break;
             }
-            let before = self.pos;
-            self.skip_attrs()?;
-            self.skip_vis()?;
-            if self.at_ident("unsafe") || self.at_ident("default") {
-                self.pos += 1;
-            }
-            let line = self.line();
-            match self.peek(0) {
-                Some(t) if t.is_ident("fn") => items.push(Item::Fn(self.parse_fn()?)),
-                Some(t) if t.is_ident("struct") => items.push(self.parse_struct()?),
-                Some(t) if t.is_ident("impl") => items.push(self.parse_impl()?),
-                Some(t) if t.is_ident("mod") => items.push(self.parse_mod()?),
-                Some(t) if t.is_ident("const") || t.is_ident("static") => {
-                    items.push(self.parse_const()?);
-                }
-                Some(t)
-                    if t.is_ident("enum")
-                        || t.is_ident("trait")
-                        || t.is_ident("union")
-                        || t.is_ident("macro_rules") =>
-                {
-                    let is_trait = t.is_ident("trait");
-                    self.pos += 1;
-                    self.eat_punct('!'); // macro_rules!
-                                         // Name, generics, bounds — skip to the body or `;`.
-                    while let Some(t) = self.peek(0) {
-                        if t.is_punct('{') || t.is_punct(';') {
-                            break;
-                        }
-                        if t.is_punct('<') {
-                            self.skip_angles()?;
-                        } else {
-                            self.pos += 1;
-                        }
-                    }
-                    if self.at_punct('{') {
-                        if is_trait {
-                            // Parse trait bodies for their fn signatures.
-                            self.pos += 1;
-                            let inner = self.parse_items(self.toks.len())?;
-                            self.eat_punct('}');
-                            items.push(Item::Mod { name: String::new(), line, items: inner });
-                        } else {
-                            self.skip_balanced()?;
-                            items.push(Item::Other { line });
-                        }
-                    } else {
-                        self.eat_punct(';');
-                        items.push(Item::Other { line });
-                    }
-                }
-                Some(t) if t.is_ident("use") || t.is_ident("extern") || t.is_ident("type") => {
-                    // Skip to `;` (brace groups in `use a::{b, c};` nest).
-                    while let Some(t) = self.peek(0) {
-                        if t.is_punct(';') {
-                            self.pos += 1;
-                            break;
-                        }
-                        if t.is_punct('{') {
-                            self.skip_balanced()?;
-                        } else {
-                            self.pos += 1;
-                        }
-                    }
-                    items.push(Item::Other { line });
-                }
-                Some(_) => {
-                    // Not an item start we model; consume one token.
-                    self.pos += 1;
-                    items.push(Item::Other { line });
-                }
-                None => break,
-            }
+            items.push(self.parse_item()?);
+            self.close_test_span(cfg_test);
             if self.pos == before {
-                return Err(format!("parser stuck at item level (line {line})"));
+                return Err((line, "parser stuck at item level".into()));
             }
         }
         Ok(items)
     }
 
-    fn parse_fn(&mut self) -> Result<FnDef, String> {
-        self.pos += 1; // `fn`
-        let (name, line) = match self.peek(0) {
-            Some(t) if matches!(t.kind, Kind::Ident | Kind::RawIdent) => {
+    /// The `{ items }` body of an impl, trait or inline module.
+    fn parse_item_body(&mut self) -> Parsed<Vec<Item>> {
+        let line = self.line();
+        self.pos += 1; // `{`
+        let items = self.parse_items()?;
+        if !self.eat_punct('}') {
+            return Err((line, "unclosed `{`".into()));
+        }
+        Ok(items)
+    }
+
+    /// Parses one item, its attributes already skipped.
+    fn parse_item(&mut self) -> Parsed<Item> {
+        self.skip_vis()?;
+        // Qualifiers: `unsafe`, `default`, `const fn`, `extern "C" fn`.
+        loop {
+            let fn_at = |k: usize| self.peek(k).is_some_and(|t| t.is_ident("fn"));
+            self.pos += if self.at_ident("unsafe")
+                || self.at_ident("default")
+                || (self.at_ident("const") || self.at_ident("extern")) && fn_at(1)
+            {
+                1
+            } else if self.at_ident("extern") && fn_at(2) {
+                2
+            } else {
+                break;
+            };
+        }
+        let line = self.line();
+        let Some(t) = self.peek(0) else { return Ok(Item::Other { line }) };
+        match t.text.as_str() {
+            _ if t.kind != Kind::Ident => {}
+            "fn" => return Ok(Item::Fn(self.parse_fn()?)),
+            "struct" => return self.parse_struct(),
+            "enum" => return self.parse_enum(),
+            "impl" => return self.parse_impl(),
+            "mod" => return self.parse_mod(),
+            "const" | "static" => return self.parse_const(),
+            "trait" | "union" | "macro_rules" => {
                 self.pos += 1;
-                (t.text.trim_start_matches("r#").to_string(), t.line)
+                self.eat_punct('!'); // macro_rules!
+                self.skip_to_body()?;
+                if t.is_ident("trait") && self.at_punct('{') {
+                    // Trait bodies parse for their fn signatures.
+                    let items = self.parse_item_body()?;
+                    return Ok(Item::Mod { name: String::new(), line, items });
+                }
+                if self.at_punct('{') {
+                    self.skip_balanced()?;
+                }
+                self.eat_punct(';');
+                return Ok(Item::Other { line });
             }
-            _ => (String::new(), self.line()),
-        };
+            "use" | "extern" | "type" => {
+                // Through the `;`, or through a `{ … }` group (`extern
+                // "C" { … }`; in `use a::{b, c};` the `;` is left over).
+                while let Some(t) = self.peek(0) {
+                    if t.is_punct('{') {
+                        self.skip_balanced()?;
+                        break;
+                    }
+                    self.pos += 1;
+                    if t.is_punct(';') {
+                        break;
+                    }
+                }
+                return Ok(Item::Other { line });
+            }
+            _ if self.peek(1).is_some_and(|n| n.is_punct('!')) => {
+                // An item-level macro invocation: `name! { … }`.
+                self.pos += 2;
+                self.skip_balanced()?;
+                self.eat_punct(';');
+                return Ok(Item::Other { line });
+            }
+            _ => {}
+        }
+        // Not an item start we model; consume one token.
+        self.pos += 1;
+        Ok(Item::Other { line })
+    }
+
+    fn parse_fn(&mut self) -> Parsed<FnDef> {
+        self.pos += 1; // `fn`
+        let (name, line) = self.name();
         if self.at_punct('<') {
             self.skip_angles()?;
         }
@@ -797,7 +972,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 let ty = if self.eat_punct(':') {
-                    self.collect_type(&[',', ')'], &[])?
+                    self.collect_type(&[',', ')'], &[])
                 } else if is_self {
                     "Self".into()
                 } else {
@@ -812,38 +987,25 @@ impl<'a> Parser<'a> {
         let mut ret = String::new();
         if self.at_punct('-') && self.peek(1).is_some_and(|t| t.is_punct('>')) {
             self.pos += 2;
-            ret = self.collect_type(&['{', ';'], &["where"])?;
+            ret = self.collect_type(&['{', ';'], &["where"]);
         }
         if self.at_ident("where") {
-            while let Some(t) = self.peek(0) {
-                if t.is_punct('{') || t.is_punct(';') {
-                    break;
-                }
-                if t.is_punct('<') {
-                    self.skip_angles()?;
-                } else {
-                    self.pos += 1;
-                }
-            }
+            self.skip_to_body()?;
         }
+        let open = self.pos;
         let body = if self.at_punct('{') {
             Some(self.parse_block()?)
         } else {
             self.eat_punct(';');
             None
         };
-        Ok(FnDef { name, line, params, ret, body })
+        let body_toks = if body.is_some() { open..self.pos } else { open..open };
+        Ok(FnDef { name, line, params, ret, body, body_toks })
     }
 
-    fn parse_struct(&mut self) -> Result<Item, String> {
+    fn parse_struct(&mut self) -> Parsed<Item> {
         self.pos += 1; // `struct`
-        let (name, line) = match self.peek(0) {
-            Some(t) if t.kind == Kind::Ident => {
-                self.pos += 1;
-                (t.text.clone(), t.line)
-            }
-            _ => (String::new(), self.line()),
-        };
+        let (name, line) = self.name();
         if self.at_punct('<') {
             self.skip_angles()?;
         }
@@ -866,7 +1028,7 @@ impl<'a> Parser<'a> {
                     let fname = ft.text.clone();
                     let fline = ft.line;
                     self.pos += 2;
-                    let ty = self.collect_type(&[',', '}'], &[])?;
+                    let ty = self.collect_type(&[',', '}'], &[]);
                     fields.push(FieldDef { name: fname, ty, line: fline });
                     self.eat_punct(',');
                 } else {
@@ -879,7 +1041,42 @@ impl<'a> Parser<'a> {
         Ok(Item::Struct(StructDef { name, line, fields }))
     }
 
-    fn parse_impl(&mut self) -> Result<Item, String> {
+    fn parse_enum(&mut self) -> Parsed<Item> {
+        self.pos += 1; // `enum`
+        let (name, line) = self.name();
+        self.skip_to_body()?;
+        let mut variants = Vec::new();
+        if self.at_punct('{') {
+            let open = self.line();
+            self.pos += 1;
+            loop {
+                self.skip_attrs()?;
+                match self.peek(0) {
+                    None => return Err((open, "unclosed `{`".into())),
+                    Some(t) if t.is_punct('}') => break,
+                    Some(t) if t.kind == Kind::Ident => variants.push((t.text.clone(), t.line)),
+                    Some(_) => {}
+                }
+                // Skip the payload and any discriminant, through the `,`.
+                while let Some(t) = self.peek(0) {
+                    if t.is_punct('}') {
+                        break;
+                    }
+                    let comma = t.is_punct(',');
+                    self.skip_balanced()?;
+                    if comma {
+                        break;
+                    }
+                }
+            }
+            self.pos += 1; // `}`
+        } else {
+            self.eat_punct(';');
+        }
+        Ok(Item::Enum(EnumDef { name, line, variants }))
+    }
+
+    fn parse_impl(&mut self) -> Parsed<Item> {
         let line = self.line();
         self.pos += 1; // `impl`
         if self.at_punct('<') {
@@ -903,29 +1100,19 @@ impl<'a> Parser<'a> {
         }
         let mut items = Vec::new();
         if self.at_punct('{') {
-            self.pos += 1;
-            items = self.parse_items(self.toks.len())?;
-            self.eat_punct('}');
+            items = self.parse_item_body()?;
         } else {
             self.eat_punct(';');
         }
         Ok(Item::Impl(ImplDef { self_ty, line, items }))
     }
 
-    fn parse_mod(&mut self) -> Result<Item, String> {
+    fn parse_mod(&mut self) -> Parsed<Item> {
         let line = self.line();
         self.pos += 1; // `mod`
-        let name = match self.peek(0) {
-            Some(t) if t.kind == Kind::Ident => {
-                self.pos += 1;
-                t.text.clone()
-            }
-            _ => String::new(),
-        };
+        let (name, _) = self.name();
         if self.at_punct('{') {
-            self.pos += 1;
-            let items = self.parse_items(self.toks.len())?;
-            self.eat_punct('}');
+            let items = self.parse_item_body()?;
             Ok(Item::Mod { name, line, items })
         } else {
             self.eat_punct(';');
@@ -933,20 +1120,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_const(&mut self) -> Result<Item, String> {
+    fn parse_const(&mut self) -> Parsed<Item> {
         self.pos += 1; // `const` / `static`
         if self.at_ident("mut") {
             self.pos += 1;
         }
-        let (name, line) = match self.peek(0) {
-            Some(t) if t.kind == Kind::Ident => {
-                self.pos += 1;
-                (t.text.clone(), t.line)
-            }
-            _ => (String::new(), self.line()),
-        };
+        let (name, line) = self.name();
         let ty =
-            if self.eat_punct(':') { self.collect_type(&['=', ';'], &[])? } else { String::new() };
+            if self.eat_punct(':') { self.collect_type(&['=', ';'], &[]) } else { String::new() };
         let value = if self.eat_punct('=') { Some(self.parse_expr(false)) } else { None };
         self.eat_punct(';');
         Ok(Item::Const(ConstDef { name, line, ty, value }))
@@ -955,10 +1136,10 @@ impl<'a> Parser<'a> {
     // -----------------------------------------------------------------
     // Blocks and statements.
 
-    fn parse_block(&mut self) -> Result<Block, String> {
+    fn parse_block(&mut self) -> Parsed<Block> {
         let line = self.line();
         if !self.eat_punct('{') {
-            return Err(format!("expected `{{` at line {line}"));
+            return Err((line, "expected `{`".into()));
         }
         let mut stmts = Vec::new();
         loop {
@@ -968,10 +1149,10 @@ impl<'a> Parser<'a> {
                 break;
             }
             if self.peek(0).is_none() {
-                return Err(format!("unclosed block from line {line}"));
+                return Err((line, "unclosed `{`".into()));
             }
             let before = self.pos;
-            self.skip_attrs()?;
+            let cfg_test = self.skip_attrs()?;
             // Labeled loops: `'outer: loop { … }`.
             if self.peek(0).is_some_and(|t| t.kind == Kind::Lifetime)
                 && self.peek(1).is_some_and(|t| t.is_punct(':'))
@@ -981,74 +1162,29 @@ impl<'a> Parser<'a> {
             if self.at_ident("let") {
                 stmts.push(Stmt::Let(self.parse_let()?));
             } else if self.peek(0).is_some_and(|t| ITEM_KEYWORDS.iter().any(|k| t.is_ident(k)))
-                || (self.at_ident("pub"))
+                || self.at_ident("pub")
                 || (self.at_ident("unsafe") && self.peek(1).is_some_and(|t| t.is_ident("fn")))
             {
-                let mut inner = self.parse_items_one()?;
-                stmts.append(&mut inner);
+                stmts.push(Stmt::Item(self.parse_item()?));
             } else {
                 let e = self.parse_expr(false);
                 stmts.push(Stmt::Expr(e));
                 self.eat_punct(';');
             }
+            self.close_test_span(cfg_test);
             if self.pos == before {
-                return Err(format!("parser stuck in block (line {})", self.line()));
+                return Err((self.line(), "parser stuck in block".into()));
             }
         }
         Ok(Block { stmts, line })
     }
 
-    /// Parses exactly one item in statement position.
-    fn parse_items_one(&mut self) -> Result<Vec<Stmt>, String> {
-        let end = self.pos + 1; // parse_items consumes at least the one item
-        let items = {
-            let mut p = Parser { toks: std::mem::take(&mut self.toks), pos: self.pos };
-            let _ = end;
-            let result = p.parse_one_item();
-            self.toks = p.toks;
-            self.pos = p.pos;
-            result?
-        };
-        Ok(items.into_iter().map(Stmt::Item).collect())
-    }
-
-    fn parse_one_item(&mut self) -> Result<Vec<Item>, String> {
-        self.skip_vis()?;
-        if self.at_ident("unsafe") {
-            self.pos += 1;
-        }
-        let line = self.line();
-        match self.peek(0) {
-            Some(t) if t.is_ident("fn") => Ok(vec![Item::Fn(self.parse_fn()?)]),
-            Some(t) if t.is_ident("struct") => Ok(vec![self.parse_struct()?]),
-            Some(t) if t.is_ident("impl") => Ok(vec![self.parse_impl()?]),
-            Some(t) if t.is_ident("mod") => Ok(vec![self.parse_mod()?]),
-            Some(t) if t.is_ident("const") || t.is_ident("static") => Ok(vec![self.parse_const()?]),
-            _ => {
-                // `use`, `type`, `macro_rules`, … — skip to `;` or a
-                // balanced body.
-                while let Some(t) = self.peek(0) {
-                    if t.is_punct(';') {
-                        self.pos += 1;
-                        break;
-                    }
-                    if t.is_punct('{') {
-                        self.skip_balanced()?;
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                Ok(vec![Item::Other { line }])
-            }
-        }
-    }
-
-    fn parse_let(&mut self) -> Result<LetStmt, String> {
+    fn parse_let(&mut self) -> Parsed<LetStmt> {
         let line = self.line();
         self.pos += 1; // `let`
         let names = self.parse_pattern(&[':', '=', ';'], &["else"]);
         let ty = if self.eat_punct(':') {
-            self.collect_type(&['=', ';'], &["else"])?
+            self.collect_type(&['=', ';'], &["else"])
         } else {
             String::new()
         };
@@ -1147,9 +1283,13 @@ impl<'a> Parser<'a> {
                 continue;
             }
             let Some(op) = self.binary_op_at() else { break };
-            if op == "=" {
+            // `=` and the compound assignments (`+=`, `<<=`, …).
+            let compound = !matches!(op.as_str(), "=" | "==" | "!=" | "<=" | ">=" | "&&" | "||")
+                && !op.starts_with('.')
+                && self.peek(op.len()).is_some_and(|t| t.is_punct('='));
+            if op == "=" || compound {
                 let line = self.line();
-                self.pos += 1;
+                self.pos += if compound { op.len() + 1 } else { 1 };
                 let value = self.parse_expr(ns);
                 lhs = Expr::Assign { target: Box::new(lhs), value: Box::new(value), line };
                 continue;
@@ -1200,23 +1340,19 @@ impl<'a> Parser<'a> {
                     ".."
                 }
             }
-            ('+' | '-' | '*' | '/' | '%' | '^' | '<' | '>' | '&' | '|', _) => {
-                // Compound assignment `+=` parses as op then `=`; close
-                // enough for dataflow purposes.
-                match c {
-                    '+' => "+",
-                    '-' => "-",
-                    '*' => "*",
-                    '/' => "/",
-                    '%' => "%",
-                    '^' => "^",
-                    '<' => "<",
-                    '>' => ">",
-                    '&' => "&",
-                    '|' => "|",
-                    _ => return None,
-                }
-            }
+            ('+' | '-' | '*' | '/' | '%' | '^' | '<' | '>' | '&' | '|', _) => match c {
+                '+' => "+",
+                '-' => "-",
+                '*' => "*",
+                '/' => "/",
+                '%' => "%",
+                '^' => "^",
+                '<' => "<",
+                '>' => ">",
+                '&' => "&",
+                '|' => "|",
+                _ => return None,
+            },
             _ => return None,
         };
         Some(op.to_string())
@@ -1286,7 +1422,7 @@ impl<'a> Parser<'a> {
                             let _ = self.skip_angles();
                         }
                         if self.at_punct('(') {
-                            let args = self.parse_args();
+                            let args = self.parse_list(')');
                             e = Expr::MethodCall { recv: Box::new(e), method: name, args, line };
                         } else {
                             e = Expr::Field { recv: Box::new(e), name, line };
@@ -1299,7 +1435,7 @@ impl<'a> Parser<'a> {
                 e = Expr::Try { inner: Box::new(e) };
             } else if self.at_punct('(') {
                 let line = self.line();
-                let args = self.parse_args();
+                let args = self.parse_list(')');
                 e = Expr::Call { callee: Box::new(e), args, line };
             } else if self.at_punct('[') {
                 let line = self.line();
@@ -1314,24 +1450,21 @@ impl<'a> Parser<'a> {
         e
     }
 
-    /// Parses `(a, b, …)` starting at the open paren.
-    fn parse_args(&mut self) -> Vec<Expr> {
-        let mut args = Vec::new();
-        if !self.eat_punct('(') {
-            return args;
-        }
-        loop {
-            if self.eat_punct(')') || self.peek(0).is_none() {
-                break;
-            }
+    /// Parses a delimited list — `(a, b)`, `[x; n]` — from its open
+    /// delimiter at the cursor through `close` (or the end), items split
+    /// at `,` and `;`.
+    fn parse_list(&mut self, close: char) -> Vec<Expr> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        while !self.eat_punct(close) && self.peek(0).is_some() {
             let before = self.pos;
-            args.push(self.parse_expr(false));
-            self.eat_punct(',');
+            items.push(self.parse_expr(false));
+            while self.eat_punct(',') || self.eat_punct(';') {}
             if self.pos == before {
                 self.pos += 1; // never loop in place
             }
         }
-        args
+        items
     }
 
     fn parse_primary(&mut self, ns: bool) -> Expr {
@@ -1351,40 +1484,8 @@ impl<'a> Parser<'a> {
                 Expr::Other { line }
             }
             Kind::Punct => match t.text.chars().next() {
-                Some('(') => {
-                    self.pos += 1;
-                    let mut items = Vec::new();
-                    loop {
-                        if self.eat_punct(')') || self.peek(0).is_none() {
-                            break;
-                        }
-                        let before = self.pos;
-                        items.push(self.parse_expr(false));
-                        self.eat_punct(',');
-                        if self.pos == before {
-                            self.pos += 1;
-                        }
-                    }
-                    Expr::Tuple { items, line }
-                }
-                Some('[') => {
-                    self.pos += 1;
-                    let mut items = Vec::new();
-                    loop {
-                        if self.eat_punct(']') || self.peek(0).is_none() {
-                            break;
-                        }
-                        let before = self.pos;
-                        items.push(self.parse_expr(false));
-                        if !self.eat_punct(',') {
-                            self.eat_punct(';');
-                        }
-                        if self.pos == before {
-                            self.pos += 1;
-                        }
-                    }
-                    Expr::Array { items, line }
-                }
+                Some('(') => Expr::Tuple { items: self.parse_list(')'), line },
+                Some('[') => Expr::Array { items: self.parse_list(']'), line },
                 Some('{') => match self.parse_block() {
                     Ok(b) => Expr::Block(b),
                     Err(_) => Expr::Other { line },
@@ -1520,7 +1621,7 @@ impl<'a> Parser<'a> {
             return self.parse_struct_lit(segs, line);
         }
         if self.at_punct('(') {
-            let args = self.parse_args();
+            let args = self.parse_list(')');
             return Expr::Call { callee: Box::new(Expr::Path { segs, line }), args, line };
         }
         Expr::Path { segs, line }
@@ -1631,45 +1732,21 @@ impl<'a> Parser<'a> {
         Expr::StructLit { path, fields, line }
     }
 
-    /// Parses macro arguments: the delimited token group, loosely split
-    /// into expressions. Pieces that are not expressions become `Other`
-    /// atoms — close enough for call/lock detection inside `emit!`-style
-    /// macros.
+    /// Parses macro arguments — the delimited token group at the cursor,
+    /// loosely split into expressions. Pieces that are not expressions
+    /// become `Other` atoms: close enough for call/lock detection inside
+    /// `emit!`-style macros.
     fn parse_macro_args(&mut self) -> Vec<Expr> {
-        let (open, close) = match self.peek(0) {
-            Some(t) if t.is_punct('(') => ('(', ')'),
-            Some(t) if t.is_punct('[') => ('[', ']'),
-            Some(t) if t.is_punct('{') => ('{', '}'),
-            _ => return Vec::new(),
+        let close = match self.peek(0).map(|t| t.text.as_str()) {
+            Some("(") => ')',
+            Some("[") => ']',
+            _ => '}',
         };
-        // Find the matching close delimiter.
-        let mut depth = 0usize;
-        let mut end = self.pos;
-        while let Some(t) = self.toks.get(end) {
-            if t.is_punct(open) {
-                depth += 1;
-            } else if t.is_punct(close) {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            end += 1;
-        }
-        let inner_start = self.pos + 1;
-        let inner: Vec<&Tok> = self.toks[inner_start..end.min(self.toks.len())].to_vec();
-        self.pos = (end + 1).min(self.toks.len());
-        let mut sub = Parser { toks: inner, pos: 0 };
-        let mut args = Vec::new();
-        while sub.peek(0).is_some() {
-            let before = sub.pos;
-            args.push(sub.parse_expr(false));
-            while sub.eat_punct(',') || sub.eat_punct(';') {}
-            if sub.pos == before {
-                sub.pos += 1;
-            }
-        }
-        args
+        let open = self.pos;
+        // A sub-parser over just the group keeps a misparse inside it; an
+        // unclosed group runs to the end, where the enclosing block fails.
+        let _ = self.skip_balanced();
+        Parser::new(self.toks[open..self.pos].to_vec()).parse_list(close)
     }
 }
 
@@ -1695,7 +1772,9 @@ mod tests {
     use crate::lexer::lex;
 
     fn file(src: &str) -> File {
-        parse(&lex(src)).expect("parses")
+        let f = parse(&lex(src));
+        assert_eq!(f.error, None, "parses");
+        f
     }
 
     fn first_fn(f: &File) -> &FnDef {
@@ -1747,8 +1826,8 @@ mod tests {
         let f = file(
             "pub struct S { pub a: Mutex<Vec<u32>>, b: std::collections::HashMap<u64, Lease>, }",
         );
-        let mut fields = Vec::new();
-        for_each_struct(&f, &mut |s| fields = s.fields.iter().map(|f| f.ty.clone()).collect());
+        let Item::Struct(s) = &f.items[0] else { panic!("a struct") };
+        let fields: Vec<_> = s.fields.iter().map(|f| f.ty.clone()).collect();
         assert!(fields[0].contains("Mutex<"));
         assert!(fields[1].contains("HashMap<"));
     }
@@ -1849,10 +1928,14 @@ mod tests {
     #[test]
     fn consts_parse_and_evaluate() {
         let f = file("pub const HELLO_FRAME_CAP: usize = 1 << 16; const MAX: usize = 4 * 1024;");
-        let mut vals = Vec::new();
-        for_each_const(&f, &mut |c| {
-            vals.push((c.name.clone(), c.value.as_ref().and_then(eval_const)));
-        });
+        let vals: Vec<_> = f
+            .items()
+            .into_iter()
+            .filter_map(|(_, i)| match i {
+                Item::Const(c) => Some((c.name.clone(), c.value.as_ref().and_then(eval_const))),
+                _ => None,
+            })
+            .collect();
         assert_eq!(vals[0], ("HELLO_FRAME_CAP".to_string(), Some(1 << 16)));
         assert_eq!(vals[1], ("MAX".to_string(), Some(4096)));
     }
@@ -1869,8 +1952,69 @@ mod tests {
     #[test]
     fn trait_bodies_expose_method_signatures() {
         let f = file("pub trait Check { fn id(&self) -> &'static str; fn run(&self, ws: &Workspace) { default() } }");
-        let mut names = Vec::new();
-        for_each_fn(&f, &mut |_, d| names.push(d.name.clone()));
+        let names: Vec<_> = f.fns().map(|(_, d)| d.name.as_str()).collect();
         assert_eq!(names, vec!["id", "run"]);
+    }
+
+    #[test]
+    fn enums_items_and_bodies_are_located() {
+        let src = "pub enum Msg { #[doc = \"x\"] Hello { v: u32 }, Bye(u8), Stop = 3 }\n\
+                   proptest! { fn hidden() {} }\n\
+                   impl Msg { const fn to_json(&self) -> u32 { 1 } }";
+        let f = file(src);
+        let Item::Enum(e) = &f.items[0] else { panic!("an enum") };
+        let names: Vec<_> = e.variants.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["Hello", "Bye", "Stop"]);
+        let fns: Vec<_> = f.fns().collect();
+        assert_eq!(fns.len(), 1);
+        let (ty, to_json) = fns[0];
+        assert_eq!((ty, to_json.name.as_str()), (Some("Msg"), "to_json"));
+        let toks = lex(src);
+        let body: Vec<&str> =
+            toks[to_json.body_toks.clone()].iter().map(|t| t.text.as_str()).collect();
+        assert_eq!(body, vec!["{", "1", "}"]);
+    }
+
+    #[test]
+    fn compound_assignment_in_an_arm_does_not_derail() {
+        let f = file("fn f() { match p { Some(x) => g += x, None => g -= 1 } }\nfn after() {}");
+        let names: Vec<_> = f.fns().map(|(_, d)| d.name.as_str()).collect();
+        assert_eq!(names, vec!["f", "after"]);
+    }
+
+    #[test]
+    fn structural_failures_are_errors_with_a_line() {
+        let unclosed = parse(&lex("fn ok() {}\n\nfn open() {\n  x();\n"));
+        assert_eq!(unclosed.error, Some((3, "unclosed `{`".to_string())));
+        assert!(unclosed.items.is_empty());
+        let stray = parse(&lex("fn f() {}\n}\n"));
+        assert_eq!(stray.error, Some((2, "unmatched `}`".to_string())));
+    }
+
+    #[test]
+    fn cfg_test_spans_run_to_the_items_end() {
+        let f = file(
+            "fn live() {}\n#[cfg(test)]\nmod tests {\n  fn t() {}\n}\n#[cfg(test)] use a::b;\n",
+        );
+        assert_eq!(f.test_spans, vec![(2, 5), (6, 6)]);
+    }
+
+    #[test]
+    fn the_visitor_reaches_guards_and_let_else_blocks() {
+        let f = file(
+            "fn f() { match x { Some(v) if guard(v) => {} _ => {} } \
+             let Some(y) = y else { diverge(); return }; }",
+        );
+        let (_, d) = f.fns().next().expect("a fn");
+        let mut calls = Vec::new();
+        visit_block(d.body.as_ref().expect("a body"), &mut |n| {
+            if let Node::Expr(Expr::Call { callee, .. }) = n {
+                if let Expr::Path { segs, .. } = callee.as_ref() {
+                    calls.push(segs.join("::"));
+                }
+            }
+            true
+        });
+        assert_eq!(calls, vec!["guard", "diverge"]);
     }
 }

@@ -22,14 +22,16 @@
 
 use std::collections::BTreeMap;
 
-use super::{code_toks, fn_bodies, snake_legal};
+use super::{code_toks, snake_legal};
+use crate::ast::FnDef;
 use crate::lexer::{Kind, Tok};
-use crate::{Check, Finding, Workspace};
+use crate::{Check, Finding, SourceFile, Workspace};
 
 /// The checkpoint-schema parity check (`ckpt-schema`).
 pub struct CheckpointSchema;
 
-/// (label, file suffix, writer fn, reader fn)
+/// (label, file name, writer fn, reader fn); the codec is the first file
+/// of that name defining both fns.
 const CODECS: [(&str, &str, &str, &str); 4] = [
     ("dist.json", "coordinator.rs", "doc", "load"),
     ("tenant.json", "tenant.rs", "doc", "load"),
@@ -51,14 +53,16 @@ impl Check for CheckpointSchema {
     }
 
     fn run(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for (label, file_suffix, writer, reader) in CODECS {
-            let Some(file) = ws.file_named(file_suffix) else { continue };
+        for (label, file_name, writer, reader) in CODECS {
+            let Some((file, w, r)) = ws
+                .files_named(file_name)
+                .find_map(|f| Some((f, body_of(f, writer)?, body_of(f, reader)?)))
+            else {
+                continue;
+            };
             let toks = code_toks(file);
-            let bodies = fn_bodies(&toks);
-            let find = |name: &str| bodies.iter().find(|b| b.name == name && !file.in_test(b.line));
-            let (Some(w), Some(r)) = (find(writer), find(reader)) else { continue };
-            let written = written_keys(&toks[w.open..w.close]);
-            let read = read_keys(&toks[r.open..r.close]);
+            let written = written_keys(&toks[w.body_toks.clone()]);
+            let read = read_keys(&toks[r.body_toks.clone()]);
             for (key, line) in &written {
                 if *key != "version" && !read.contains_key(key) {
                     out.push(Finding {
@@ -95,13 +99,11 @@ impl Check for CheckpointSchema {
 /// The `events.jsonl` rule: the `event()` builder in `tenant.rs` must
 /// emit every required key.
 fn check_event_feed(ws: &Workspace, out: &mut Vec<Finding>) {
-    let Some(file) = ws.file_named("tenant.rs") else { return };
-    let toks = code_toks(file);
-    let bodies = fn_bodies(&toks);
-    let Some(b) = bodies.iter().find(|b| b.name == "event" && !file.in_test(b.line)) else {
+    let Some((file, b)) = ws.files_named("tenant.rs").find_map(|f| Some((f, body_of(f, "event")?)))
+    else {
         return;
     };
-    let written = written_keys(&toks[b.open..b.close]);
+    let written = written_keys(&code_toks(file)[b.body_toks.clone()]);
     for key in EVENT_REQUIRED {
         if !written.contains_key(key) {
             out.push(Finding {
@@ -116,6 +118,14 @@ fn check_event_feed(ws: &Workspace, out: &mut Vec<Finding>) {
             });
         }
     }
+}
+
+/// The first non-test fn named `name` with a body, wherever it sits.
+fn body_of<'a>(file: &'a SourceFile, name: &str) -> Option<&'a FnDef> {
+    file.ast
+        .fns()
+        .map(|(_, d)| d)
+        .find(|d| d.name == name && d.body.is_some() && !file.in_test(d.line))
 }
 
 /// JSON keys a writer emits: the string in `("key", …)` tuple position.

@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::dataflow::{extract, simulate, Ev, FnFacts, GroupEnv};
+use crate::dataflow::{bare, extract, simulate, Ev, FnFacts, GroupEnv};
 use crate::{Check, Finding, Workspace};
 
 /// The blocking-call-under-lock detector (`hold-blocking`).
@@ -38,10 +38,6 @@ impl Check for HoldBlocking {
             run_group(ws, &group, out);
         }
     }
-}
-
-fn bare(qname: &str) -> &str {
-    qname.rsplit("::").next().unwrap_or(qname)
 }
 
 fn run_group(ws: &Workspace, group: &str, out: &mut Vec<Finding>) {

@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::dataflow::{extract, simulate, Ev, FnFacts, GroupEnv};
+use crate::dataflow::{bare, extract, simulate, Ev, FnFacts, GroupEnv};
 use crate::{Check, Finding, Workspace};
 
 /// The lock-order deadlock detector (`lock-order`).
@@ -39,11 +39,6 @@ impl Check for LockOrder {
             run_group(ws, &group, out);
         }
     }
-}
-
-/// Display form of a qualified name: the bare function name.
-fn bare(qname: &str) -> &str {
-    qname.rsplit("::").next().unwrap_or(qname)
 }
 
 fn run_group(ws: &Workspace, group: &str, out: &mut Vec<Finding>) {

@@ -1,4 +1,5 @@
-//! The check catalog and the token-level helpers checks share.
+//! The check catalog and the two lexical helpers checks share. Code
+//! structure comes from [`crate::ast`] only.
 
 mod checkpoint_schema;
 mod crate_attrs;
@@ -31,145 +32,6 @@ pub fn all() -> Vec<Box<dyn Check>> {
 /// The file's tokens with comments stripped — what most checks walk.
 pub(crate) fn code_toks(file: &SourceFile) -> Vec<&Tok> {
     file.toks.iter().filter(|t| !matches!(t.kind, Kind::LineComment | Kind::BlockComment)).collect()
-}
-
-/// A function definition found in a token stream: its name and the
-/// half-open code-token range of its body (inside the braces).
-pub(crate) struct FnBody {
-    pub name: String,
-    pub line: usize,
-    /// Index of the opening `{` in the code-token slice.
-    pub open: usize,
-    /// Index one past the matching `}`.
-    pub close: usize,
-}
-
-/// Finds every `fn name(...) ... { ... }` definition in `toks`
-/// (comment-free). Trait-method declarations ending in `;` are skipped.
-pub(crate) fn fn_bodies(toks: &[&Tok]) -> Vec<FnBody> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i + 1 < toks.len() {
-        if toks[i].is_ident("fn") && toks[i + 1].kind == Kind::Ident {
-            let name = toks[i + 1].text.clone();
-            let line = toks[i + 1].line;
-            // The body opens at the first `{` after the signature; a `;`
-            // first means a bodyless declaration.
-            let mut j = i + 2;
-            let mut body = None;
-            while j < toks.len() {
-                if toks[j].is_punct('{') {
-                    body = Some(j);
-                    break;
-                }
-                if toks[j].is_punct(';') {
-                    break;
-                }
-                j += 1;
-            }
-            if let Some(open) = body {
-                let close = match_brace(toks, open);
-                out.push(FnBody { name, line, open, close });
-                // Continue scanning *inside* the body too: nested fns and
-                // closures containing fns are rare but cheap to cover.
-                i += 2;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Index one past the `}` matching the `{` at `open`.
-pub(crate) fn match_brace(toks: &[&Tok], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-    }
-    toks.len()
-}
-
-/// The span of `impl Name { ... }` (code-token indices, body inclusive),
-/// or `None`. Matches both `impl Name` and `impl Trait for Name`.
-pub(crate) fn impl_span(toks: &[&Tok], name: &str) -> Option<(usize, usize)> {
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident("impl") {
-            // Find the `{` that opens the impl body and check the last
-            // ident before it (skipping generics) names our type.
-            let mut j = i + 1;
-            let mut last_ident = None;
-            while j < toks.len() && !toks[j].is_punct('{') {
-                if toks[j].kind == Kind::Ident && !toks[j].is_ident("for") {
-                    last_ident = Some(&toks[j].text);
-                }
-                j += 1;
-            }
-            if last_ident.map(String::as_str) == Some(name) && j < toks.len() {
-                return Some((j, match_brace(toks, j)));
-            }
-            i = j;
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Field names of `struct Name { ... }`: idents at brace depth 1
-/// followed by `:`. Attributes and visibility keywords are skipped by
-/// construction (neither is an ident directly followed by `:` at depth
-/// 1 — `pub` precedes the field ident).
-pub(crate) fn struct_fields(toks: &[&Tok], name: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut i = 0;
-    while i + 2 < toks.len() {
-        if toks[i].is_ident("struct") && toks[i + 1].is_ident(name) {
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct('{') {
-                if toks[j].is_punct(';') {
-                    return fields; // tuple/unit struct
-                }
-                j += 1;
-            }
-            let close = match_brace(toks, j);
-            let mut depth = 0usize;
-            for k in j..close {
-                if toks[k].is_punct('{') {
-                    depth += 1;
-                } else if toks[k].is_punct('}') {
-                    depth -= 1;
-                } else if depth == 1
-                    && toks[k].kind == Kind::Ident
-                    && k + 1 < close
-                    && toks[k + 1].is_punct(':')
-                    && !toks[k].is_ident("pub")
-                {
-                    // Skip generic-bound colons inside types: a field
-                    // ident is preceded by `{`, `,` or `pub`.
-                    let prev = &toks[k - 1];
-                    if prev.is_punct('{') || prev.is_punct(',') || prev.is_ident("pub") {
-                        fields.push(toks[k].text.clone());
-                    }
-                }
-            }
-            return fields;
-        }
-        i += 1;
-    }
-    fields
-}
-
-/// Whether `needle` occurs as an identifier anywhere in the range.
-pub(crate) fn contains_ident(toks: &[&Tok], range: std::ops::Range<usize>, needle: &str) -> bool {
-    toks[range].iter().any(|t| t.is_ident(needle))
 }
 
 /// Whether a name is a legal snake_case identifier (our convention for

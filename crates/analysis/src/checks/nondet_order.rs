@@ -19,7 +19,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::ast::{self, Block, Expr, Stmt};
+use crate::ast::{self, Block, Expr, Node, Stmt};
 use crate::dataflow::GroupEnv;
 use crate::{Check, Finding, SourceFile, Workspace};
 
@@ -152,19 +152,17 @@ impl Visitor<'_, '_> {
 
     /// Registers locals of hash type from every `let` in the body.
     fn collect_locals(&mut self, b: &Block) {
-        visit_blocks(b, &mut |stmt| {
-            if let Stmt::Let(l) = stmt {
-                if l.names.len() != 1 {
-                    return;
-                }
+        ast::visit_block(b, &mut |n| {
+            if let Node::Stmt(Stmt::Let(l)) = n {
                 let is_hash = l.ty.contains("HashMap<")
                     || l.ty.contains("HashSet<")
                     || l.init.as_ref().is_some_and(constructs_hash)
                     || l.init.as_ref().is_some_and(|e| self.hash_place(e).is_some());
-                if is_hash {
+                if l.names.len() == 1 && is_hash {
                     self.locals.insert(l.names[0].clone());
                 }
             }
+            true
         });
     }
 
@@ -209,109 +207,30 @@ impl Visitor<'_, '_> {
     }
 
     fn walk_block(&mut self, b: &Block) {
-        for stmt in &b.stmts {
-            match stmt {
-                Stmt::Let(l) => {
-                    if let Some(init) = &l.init {
-                        self.walk_expr(init);
-                    }
-                    if let Some(eb) = &l.else_block {
-                        self.walk_block(eb);
-                    }
-                }
-                Stmt::Expr(e) => self.walk_expr(e),
-                Stmt::Item(_) => {}
-            }
-        }
+        ast::visit_block(b, &mut |n| self.step(n));
     }
 
-    fn walk_expr(&mut self, e: &Expr) {
-        match e {
-            Expr::MethodCall { recv, args, .. } => {
+    /// One visitor step: classify every method chain; a `for` over an
+    /// unordered chain is reported and only its body walked on. Fns
+    /// declared inside the body are not this function's code.
+    fn step(&mut self, n: Node<'_>) -> bool {
+        match n {
+            Node::Stmt(Stmt::Item(_)) => false,
+            Node::Expr(e @ Expr::MethodCall { .. }) => {
                 self.classify(e);
-                // Recurse into the chain's base and every link's args
-                // for nested chains.
-                self.walk_expr(recv);
-                for a in args {
-                    self.walk_expr(a);
-                }
+                true
             }
-            Expr::For { iter, body, line, .. } => {
+            Node::Expr(Expr::For { iter, body, line, .. }) => {
                 let unordered = match self.classify(iter) {
                     Chain::Unordered(p) => Some(p),
                     Chain::Plain => self.hash_place(iter),
                 };
-                if let Some(place) = unordered {
-                    self.report(*line, &place, "a `for` loop body");
-                } else {
-                    self.walk_expr(iter);
-                }
+                let Some(place) = unordered else { return true };
+                self.report(*line, &place, "a `for` loop body");
                 self.walk_block(body);
+                false
             }
-            Expr::Call { callee, args, .. } => {
-                self.walk_expr(callee);
-                for a in args {
-                    self.walk_expr(a);
-                }
-            }
-            Expr::Macro { args, .. } => {
-                for a in args {
-                    self.walk_expr(a);
-                }
-            }
-            Expr::Field { recv, .. } => self.walk_expr(recv),
-            Expr::Index { recv, index, .. } => {
-                self.walk_expr(recv);
-                self.walk_expr(index);
-            }
-            Expr::Try { inner } | Expr::Unary { inner } => self.walk_expr(inner),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.walk_expr(lhs);
-                self.walk_expr(rhs);
-            }
-            Expr::Assign { target, value, .. } => {
-                self.walk_expr(target);
-                self.walk_expr(value);
-            }
-            Expr::Block(b) => self.walk_block(b),
-            Expr::If { cond, then, alt, .. } => {
-                self.walk_expr(cond);
-                self.walk_block(then);
-                if let Some(alt) = alt {
-                    self.walk_expr(alt);
-                }
-            }
-            Expr::Match { scrutinee, arms, .. } => {
-                self.walk_expr(scrutinee);
-                for arm in arms {
-                    if let Some(g) = &arm.guard {
-                        self.walk_expr(g);
-                    }
-                    self.walk_expr(&arm.body);
-                }
-            }
-            Expr::While { cond, body, .. } => {
-                self.walk_expr(cond);
-                self.walk_block(body);
-            }
-            Expr::Loop { body, .. } => self.walk_block(body),
-            Expr::Closure { body, .. } => self.walk_expr(body),
-            Expr::StructLit { fields, .. } => {
-                for (_, v) in fields {
-                    self.walk_expr(v);
-                }
-            }
-            Expr::Tuple { items, .. } | Expr::Array { items, .. } => {
-                for i in items {
-                    self.walk_expr(i);
-                }
-            }
-            Expr::Ret { inner, .. } => {
-                if let Some(i) = inner {
-                    self.walk_expr(i);
-                }
-            }
-            Expr::Path { .. } | Expr::Lit { .. } | Expr::Other { .. } => {}
+            _ => true,
         }
     }
 }
@@ -332,101 +251,5 @@ fn constructs_hash(e: &Expr) -> bool {
             constructs_hash(recv)
         }
         _ => false,
-    }
-}
-
-/// Applies `f` to every statement in the block, nested blocks included.
-fn visit_blocks(b: &Block, f: &mut impl FnMut(&Stmt)) {
-    for stmt in &b.stmts {
-        f(stmt);
-        match stmt {
-            Stmt::Let(l) => {
-                if let Some(init) = &l.init {
-                    visit_expr_blocks(init, f);
-                }
-                if let Some(eb) = &l.else_block {
-                    visit_blocks(eb, f);
-                }
-            }
-            Stmt::Expr(e) => visit_expr_blocks(e, f),
-            Stmt::Item(ast::Item::Fn(d)) => {
-                if let Some(body) = &d.body {
-                    visit_blocks(body, f);
-                }
-            }
-            Stmt::Item(_) => {}
-        }
-    }
-}
-
-fn visit_expr_blocks(e: &Expr, f: &mut impl FnMut(&Stmt)) {
-    match e {
-        Expr::Block(b) | Expr::Loop { body: b, .. } => visit_blocks(b, f),
-        Expr::If { cond, then, alt, .. } => {
-            visit_expr_blocks(cond, f);
-            visit_blocks(then, f);
-            if let Some(alt) = alt {
-                visit_expr_blocks(alt, f);
-            }
-        }
-        Expr::Match { scrutinee, arms, .. } => {
-            visit_expr_blocks(scrutinee, f);
-            for arm in arms {
-                visit_expr_blocks(&arm.body, f);
-            }
-        }
-        Expr::While { cond, body, .. } => {
-            visit_expr_blocks(cond, f);
-            visit_blocks(body, f);
-        }
-        Expr::For { iter, body, .. } => {
-            visit_expr_blocks(iter, f);
-            visit_blocks(body, f);
-        }
-        Expr::Closure { body, .. } | Expr::Try { inner: body } | Expr::Unary { inner: body } => {
-            visit_expr_blocks(body, f);
-        }
-        Expr::MethodCall { recv, args, .. } => {
-            visit_expr_blocks(recv, f);
-            for a in args {
-                visit_expr_blocks(a, f);
-            }
-        }
-        Expr::Call { callee, args, .. } => {
-            visit_expr_blocks(callee, f);
-            for a in args {
-                visit_expr_blocks(a, f);
-            }
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            visit_expr_blocks(lhs, f);
-            visit_expr_blocks(rhs, f);
-        }
-        Expr::Assign { target, value, .. } => {
-            visit_expr_blocks(target, f);
-            visit_expr_blocks(value, f);
-        }
-        Expr::Field { recv, .. } => visit_expr_blocks(recv, f),
-        Expr::Index { recv, index, .. } => {
-            visit_expr_blocks(recv, f);
-            visit_expr_blocks(index, f);
-        }
-        Expr::StructLit { fields, .. } => {
-            for (_, v) in fields {
-                visit_expr_blocks(v, f);
-            }
-        }
-        Expr::Tuple { items, .. } | Expr::Array { items, .. } => {
-            for i in items {
-                visit_expr_blocks(i, f);
-            }
-        }
-        Expr::Macro { args, .. } => {
-            for a in args {
-                visit_expr_blocks(a, f);
-            }
-        }
-        Expr::Ret { inner: Some(i), .. } => visit_expr_blocks(i, f),
-        _ => {}
     }
 }

@@ -6,18 +6,22 @@
 //! service spec keeps "validating" a fingerprint field that no longer
 //! exists. This check cross-references:
 //!
-//! 1. `PROTOCOL_VERSION` — declared exactly once, in `proto.rs`.
-//! 2. every `Msg` variant appears in both `Msg::to_json` and
+//! 1. every `Msg` variant appears in both `Msg::to_json` and
 //!    `Msg::from_json`;
-//! 3. every `Fingerprint` struct field is written by
+//! 2. every `Fingerprint` struct field is written by
 //!    `Fingerprint::to_json` and read by `Fingerprint::from_json` as a
 //!    JSON key;
-//! 4. every `CampaignSpec` field that shadows a `Fingerprint` field is
+//! 3. every `CampaignSpec` field that shadows a `Fingerprint` field is
 //!    actually compared against `fp.<field>` in `CampaignSpec::validate`,
 //!    and `validate` never references a fingerprint field that is gone.
+//!
+//! The syntax tree locates the enum, the structs and the codec fns; the
+//! variant and key lookups scan the located bodies' tokens. Where
+//! `PROTOCOL_VERSION` is declared is `wire-compat`'s rule.
 
-use super::{code_toks, contains_ident, fn_bodies, impl_span, struct_fields};
-use crate::lexer::Kind;
+use super::code_toks;
+use crate::ast::{self, Expr, FnDef, Item, Node, StructDef};
+use crate::lexer::Tok;
 use crate::{Check, Finding, SourceFile, Workspace};
 
 /// The protocol-drift check (`proto-drift`).
@@ -29,194 +33,113 @@ impl Check for ProtocolDrift {
     }
 
     fn describe(&self) -> &'static str {
-        "PROTOCOL_VERSION, Msg variants and Fingerprint fields vs their codecs and spec.rs"
+        "Msg variants and Fingerprint fields vs their codecs and spec.rs"
     }
 
     fn run(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        let proto = ws.file_named("proto.rs");
-        let spec = ws.file_named("spec.rs");
-        // One PROTOCOL_VERSION, and it lives in proto.rs.
-        let mut decls = Vec::new();
-        for f in &ws.files {
-            let toks = code_toks(f);
-            for (i, t) in toks.iter().enumerate() {
-                if t.is_ident("const")
-                    && toks.get(i + 1).is_some_and(|n| n.is_ident("PROTOCOL_VERSION"))
-                {
-                    decls.push((f.rel.clone(), t.line));
-                }
-            }
-        }
-        if let Some(proto) = proto {
-            if decls.is_empty() {
-                out.push(Finding {
-                    file: proto.rel.clone(),
-                    line: 1,
-                    check: "proto-drift",
-                    message: "no `const PROTOCOL_VERSION` declared".to_string(),
-                    hint: "declare the wire version once in proto.rs".to_string(),
-                });
-            }
-            for (file, line) in decls.iter().filter(|(f, _)| f != &proto.rel) {
-                out.push(Finding {
-                    file: file.clone(),
-                    line: *line,
-                    check: "proto-drift",
-                    message: "`PROTOCOL_VERSION` declared outside proto.rs".to_string(),
-                    hint: "proto.rs is the single source of truth for the wire version".to_string(),
-                });
-            }
-            if decls.iter().filter(|(f, _)| f == &proto.rel).count() > 1 {
-                out.push(Finding {
-                    file: proto.rel.clone(),
-                    line: decls[0].1,
-                    check: "proto-drift",
-                    message: "`PROTOCOL_VERSION` declared more than once".to_string(),
-                    hint: "keep a single declaration".to_string(),
-                });
-            }
-            self.check_msg(proto, out);
-            self.check_fingerprint(proto, spec, out);
-        }
-    }
-}
-
-impl ProtocolDrift {
-    fn check_msg(&self, proto: &SourceFile, out: &mut Vec<Finding>) {
+        let Some(proto) = ws.files_named("proto.rs").next() else { return };
         let toks = code_toks(proto);
-        let variants = enum_variants(&toks, "Msg");
-        let Some((open, close)) = impl_span(&toks, "Msg") else { return };
-        let bodies = fn_bodies(&toks[open..close]);
-        let to_json = bodies.iter().find(|b| b.name == "to_json");
-        let from_json = bodies.iter().find(|b| b.name == "from_json");
-        for (name, line) in &variants {
-            for (dir, body) in [("to_json", to_json), ("from_json", from_json)] {
-                let present =
-                    body.is_some_and(|b| contains_ident(&toks[open..close], b.open..b.close, name));
-                if !present {
-                    out.push(Finding {
-                        file: proto.rel.clone(),
-                        line: *line,
-                        check: "proto-drift",
-                        message: format!("`Msg::{name}` is missing from `{dir}`"),
-                        hint: format!("add a `{dir}` arm for the variant or delete it"),
-                    });
-                }
-            }
-        }
-    }
-
-    fn check_fingerprint(
-        &self,
-        proto: &SourceFile,
-        spec: Option<&SourceFile>,
-        out: &mut Vec<Finding>,
-    ) {
-        let toks = code_toks(proto);
-        let fields = struct_fields(&toks, "Fingerprint");
-        if let Some((open, close)) = impl_span(&toks, "Fingerprint") {
-            let bodies = fn_bodies(&toks[open..close]);
-            for dir in ["to_json", "from_json"] {
-                let Some(body) = bodies.iter().find(|b| b.name == dir) else { continue };
-                for field in &fields {
-                    let present = toks[open..close][body.open..body.close]
-                        .iter()
-                        .any(|t| t.str_value() == Some(field));
+        let mut finding = |file: &SourceFile, line: usize, message: String, hint: String| {
+            out.push(Finding { file: file.rel.clone(), line, check: "proto-drift", message, hint });
+        };
+        // Rule 1: every Msg variant in both codec directions.
+        let variants = proto.ast.items().into_iter().find_map(|(_, item)| match item {
+            Item::Enum(e) if e.name == "Msg" => Some(&e.variants),
+            _ => None,
+        });
+        let has_impl = proto.ast.fns().any(|(ty, _)| ty == Some("Msg"));
+        let codecs = ["to_json", "from_json"].map(|dir| (dir, method(proto, "Msg", dir)));
+        if let Some(variants) = variants.filter(|_| has_impl) {
+            for (name, line) in variants {
+                for (dir, codec) in codecs {
+                    let present =
+                        codec.is_some_and(|d| body(&toks, d).iter().any(|t| t.is_ident(name)));
                     if !present {
-                        out.push(Finding {
-                            file: proto.rel.clone(),
-                            line: proto
-                                .toks
-                                .iter()
-                                .find(|t| t.is_ident(field))
-                                .map_or(1, |t| t.line),
-                            check: "proto-drift",
-                            message: format!(
-                                "Fingerprint field `{field}` is not a JSON key in `{dir}`"
-                            ),
-                            hint: "serialize every fingerprint field or remove it".to_string(),
-                        });
+                        finding(
+                            proto,
+                            *line,
+                            format!("`Msg::{name}` is missing from `{dir}`"),
+                            format!("add a `{dir}` arm for the variant or delete it"),
+                        );
                     }
                 }
             }
         }
-        // spec.rs: shadowed fields must be validated; validated fields
-        // must still exist.
-        let Some(spec) = spec else { return };
-        let stoks = code_toks(spec);
-        let spec_fields = struct_fields(&stoks, "CampaignSpec");
-        let Some(validate) = fn_bodies(&stoks).into_iter().find(|b| b.name == "validate") else {
+        // Rule 2: every Fingerprint field is a JSON key of both codecs.
+        let fields = struct_named(proto, "Fingerprint").map_or(&[][..], |s| &s.fields[..]);
+        for dir in ["to_json", "from_json"] {
+            let Some(codec) = method(proto, "Fingerprint", dir) else { continue };
+            for field in fields {
+                if !body(&toks, codec).iter().any(|t| t.str_value() == Some(&field.name)) {
+                    finding(
+                        proto,
+                        field.line,
+                        format!("Fingerprint field `{}` is not a JSON key in `{dir}`", field.name),
+                        "serialize every fingerprint field or remove it".to_string(),
+                    );
+                }
+            }
+        }
+        // Rule 3: spec.rs validates every shadowed field, and only fields
+        // that still exist.
+        let Some((spec, validate)) = ws
+            .files_named("spec.rs")
+            .find_map(|f| Some((f, method(f, "CampaignSpec", "validate")?)))
+        else {
             return;
         };
-        for field in spec_fields.iter().filter(|f| fields.contains(f)) {
-            let compared = (validate.open..validate.close.saturating_sub(2)).any(|i| {
-                stoks[i].is_ident("fp")
-                    && stoks[i + 1].is_punct('.')
-                    && stoks[i + 2].is_ident(field)
-            });
-            if !compared {
-                out.push(Finding {
-                    file: spec.rel.clone(),
-                    line: validate.line,
-                    check: "proto-drift",
-                    message: format!(
-                        "CampaignSpec::validate no longer asserts `{field}` against the \
-                         fleet fingerprint"
+        let Some(validate_body) = &validate.body else { return };
+        let mut read = Vec::new();
+        ast::visit_block(validate_body, &mut |n| {
+            if let Node::Expr(Expr::Field { recv, name, line }) = n {
+                if matches!(recv.as_ref(), Expr::Path { segs, .. } if segs == &["fp"]) {
+                    read.push((name, *line));
+                }
+            }
+            true
+        });
+        let shadowed = struct_named(spec, "CampaignSpec").map_or(&[][..], |s| &s.fields[..]);
+        for field in shadowed.iter().filter(|f| fields.iter().any(|g| g.name == f.name)) {
+            if !read.iter().any(|(name, _)| **name == field.name) {
+                finding(
+                    spec,
+                    validate.line,
+                    format!(
+                        "CampaignSpec::validate no longer asserts `{}` against the fleet \
+                         fingerprint",
+                        field.name
                     ),
-                    hint: format!("compare self.{field} with fp.{field} (mismatch is a 400)"),
-                });
+                    format!("compare self.{0} with fp.{0} (mismatch is a 400)", field.name),
+                );
             }
         }
-        for i in validate.open..validate.close.saturating_sub(2) {
-            if stoks[i].is_ident("fp")
-                && stoks[i + 1].is_punct('.')
-                && stoks[i + 2].kind == Kind::Ident
-                && !fields.contains(&stoks[i + 2].text)
-            {
-                out.push(Finding {
-                    file: spec.rel.clone(),
-                    line: stoks[i + 2].line,
-                    check: "proto-drift",
-                    message: format!(
-                        "validate references `fp.{}`, which is not a Fingerprint field",
-                        stoks[i + 2].text
-                    ),
-                    hint: "the fingerprint schema moved; update spec.rs".to_string(),
-                });
+        for (name, line) in read {
+            if !fields.iter().any(|f| f.name == *name) {
+                finding(
+                    spec,
+                    line,
+                    format!("validate references `fp.{name}`, which is not a Fingerprint field"),
+                    "the fingerprint schema moved; update spec.rs".to_string(),
+                );
             }
         }
     }
 }
 
-/// Variant names of `enum Name { … }` with their lines: idents at
-/// depth 1 that open a variant (preceded by `{`, `,` or `]` — the `]`
-/// closes a variant attribute).
-fn enum_variants(toks: &[&crate::lexer::Tok], name: &str) -> Vec<(String, usize)> {
-    let mut i = 0;
-    while i + 2 < toks.len() {
-        if toks[i].is_ident("enum") && toks[i + 1].is_ident(name) {
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct('{') {
-                j += 1;
-            }
-            let close = super::match_brace(toks, j);
-            let mut variants = Vec::new();
-            let mut depth = 0usize;
-            for k in j..close {
-                if toks[k].is_punct('{') || toks[k].is_punct('(') || toks[k].is_punct('[') {
-                    depth += 1;
-                } else if toks[k].is_punct('}') || toks[k].is_punct(')') || toks[k].is_punct(']') {
-                    depth = depth.saturating_sub(1);
-                } else if depth == 1 && toks[k].kind == Kind::Ident && k > j {
-                    let prev = &toks[k - 1];
-                    if prev.is_punct('{') || prev.is_punct(',') || prev.is_punct(']') {
-                        variants.push((toks[k].text.clone(), toks[k].line));
-                    }
-                }
-            }
-            return variants;
-        }
-        i += 1;
-    }
-    Vec::new()
+/// The fn `ty::name` in `file`.
+fn method<'a>(file: &'a SourceFile, ty: &str, name: &str) -> Option<&'a FnDef> {
+    file.ast.fns().find(|(t, d)| *t == Some(ty) && d.name == name).map(|(_, d)| d)
+}
+
+/// The struct `name` in `file`.
+fn struct_named<'a>(file: &'a SourceFile, name: &str) -> Option<&'a StructDef> {
+    file.ast.items().into_iter().find_map(|(_, item)| match item {
+        Item::Struct(s) if s.name == name => Some(s),
+        _ => None,
+    })
+}
+
+/// The code tokens of a fn's body.
+fn body<'t>(toks: &'t [&'t Tok], def: &FnDef) -> &'t [&'t Tok] {
+    &toks[def.body_toks.clone()]
 }

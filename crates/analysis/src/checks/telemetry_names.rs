@@ -43,7 +43,7 @@ impl Check for TelemetryNames {
 
     fn run(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         // The catalog: every `dx_…` string literal in names.rs.
-        let registry_file = ws.file_named("names.rs");
+        let registry_file = ws.files_named("names.rs").next();
         let mut catalog: BTreeMap<String, usize> = BTreeMap::new();
         if let Some(reg) = registry_file {
             let mut seen: BTreeSet<&str> = BTreeSet::new();

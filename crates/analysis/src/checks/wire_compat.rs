@@ -5,7 +5,9 @@
 //!
 //! 1. `MAX_FRAME`, `PROTOCOL_VERSION` and `HELLO_FRAME_CAP` (the one
 //!    connection shell in `dx_dist::engine` serves both daemons) have
-//!    exactly one declaration each — a second copy drifts.
+//!    exactly one declaration each — a second copy drifts. When the scan
+//!    holds a `proto.rs`, that one `PROTOCOL_VERSION` is declared there:
+//!    none at all, or a sole declaration elsewhere, is a finding too.
 //! 2. `HELLO_FRAME_CAP` is smaller than `MAX_FRAME`: the pre-admission
 //!    cap must be the tight one.
 //! 3. In any function that creates a handshake reader
@@ -24,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::ast::{self, eval_const, Block, Expr, Stmt};
+use crate::ast::{self, eval_const, Expr, Item, Node, Stmt};
 use crate::{Check, Finding, SourceFile, Workspace};
 
 /// The wire-compatibility checker (`wire-compat`).
@@ -51,78 +53,86 @@ impl Check for WireCompat {
     }
 }
 
+/// The wire constants rule 1 keeps to one declaration each.
+const WIRE_CONSTS: [&str; 3] = ["MAX_FRAME", "PROTOCOL_VERSION", "HELLO_FRAME_CAP"];
+
 /// One constant declaration site.
-struct Decl {
-    file: String,
+struct Decl<'a> {
+    file: &'a str,
     line: usize,
     value: Option<u64>,
 }
 
-/// Rules 1 and 2: declaration uniqueness and the hello-cap bound.
+/// Rules 1 and 2: declaration uniqueness (and `PROTOCOL_VERSION`'s home)
+/// and the hello-cap bound.
 fn check_constants(ws: &Workspace, out: &mut Vec<Finding>) {
     let mut decls: BTreeMap<&str, Vec<Decl>> = BTreeMap::new();
-    for file in &ws.files {
-        if file.is_test_target() {
-            continue;
-        }
-        let Some(tree) = file.ast.as_ref() else { continue };
-        ast::for_each_const(tree, &mut |c| {
-            if matches!(c.name.as_str(), "MAX_FRAME" | "HELLO_FRAME_CAP" | "PROTOCOL_VERSION")
-                && !file.in_test(c.line)
-            {
-                decls
-                    .entry(match c.name.as_str() {
-                        "MAX_FRAME" => "MAX_FRAME",
-                        "HELLO_FRAME_CAP" => "HELLO_FRAME_CAP",
-                        _ => "PROTOCOL_VERSION",
-                    })
-                    .or_default()
-                    .push(Decl {
-                        file: file.rel.clone(),
-                        line: c.line,
-                        value: c.value.as_ref().and_then(eval_const),
-                    });
+    for file in ws.files.iter().filter(|f| !f.is_test_target()) {
+        for (_, item) in file.ast.items() {
+            let Item::Const(c) = item else { continue };
+            let Some(name) = WIRE_CONSTS.into_iter().find(|n| *n == c.name) else { continue };
+            if !file.in_test(c.line) {
+                let value = c.value.as_ref().and_then(eval_const);
+                decls.entry(name).or_default().push(Decl { file: &file.rel, line: c.line, value });
             }
-        });
+        }
     }
+    let mut push = |file: &str, line: usize, message: String, hint: String| {
+        out.push(Finding { file: file.to_string(), line, check: "wire-compat", message, hint });
+    };
 
-    // Rule 1: single source of truth for each wire constant.
-    for name in ["MAX_FRAME", "PROTOCOL_VERSION", "HELLO_FRAME_CAP"] {
-        if let Some(sites) = decls.get(name) {
-            for extra in sites.iter().skip(1) {
-                out.push(Finding {
-                    file: extra.file.clone(),
-                    line: extra.line,
-                    check: "wire-compat",
-                    message: format!(
+    // Rule 1: single source of truth for each wire constant; the
+    // canonical `PROTOCOL_VERSION` is the one in proto.rs.
+    let proto = ws.files_named("proto.rs").next().map(|f| f.rel.as_str());
+    for name in WIRE_CONSTS {
+        let sites = decls.get(name).map_or(&[][..], Vec::as_slice);
+        let home = proto.filter(|_| name == "PROTOCOL_VERSION");
+        let first = home.and_then(|h| sites.iter().position(|d| d.file == h)).unwrap_or(0);
+        match (home, sites.get(first)) {
+            (Some(home), None) => push(
+                home,
+                1,
+                format!("no `const {name}` declared"),
+                "declare the wire version once in proto.rs".to_string(),
+            ),
+            (Some(home), Some(canon)) if canon.file != home => push(
+                canon.file,
+                canon.line,
+                format!("`{name}` declared outside proto.rs"),
+                "proto.rs is the single source of truth for the wire version".to_string(),
+            ),
+            _ => {}
+        }
+        for (i, extra) in sites.iter().enumerate() {
+            if i != first {
+                push(
+                    extra.file,
+                    extra.line,
+                    format!(
                         "`{name}` declared again here (first declared in {}:{}) — \
                          two copies drift apart silently",
-                        sites[0].file, sites[0].line,
+                        sites[first].file, sites[first].line,
                     ),
-                    hint: format!("import the canonical `{name}` instead of redeclaring it"),
-                });
+                    format!("import the canonical `{name}` instead of redeclaring it"),
+                );
             }
         }
     }
 
     // Rule 2: HELLO_FRAME_CAP stays below MAX_FRAME.
     let max_frame = decls.get("MAX_FRAME").and_then(|s| s.first()).and_then(|d| d.value);
-    if let Some(sites) = decls.get("HELLO_FRAME_CAP") {
-        for site in sites {
-            if let (Some(cap), Some(max)) = (site.value, max_frame) {
-                if cap >= max {
-                    out.push(Finding {
-                        file: site.file.clone(),
-                        line: site.line,
-                        check: "wire-compat",
-                        message: format!(
-                            "`HELLO_FRAME_CAP` ({cap}) is not below `MAX_FRAME` ({max}) — \
-                             the pre-admission cap must be the tight one"
-                        ),
-                        hint: "keep the handshake cap small; raise to MAX_FRAME after admission"
-                            .to_string(),
-                    });
-                }
+    for site in decls.get("HELLO_FRAME_CAP").into_iter().flatten() {
+        if let (Some(cap), Some(max)) = (site.value, max_frame) {
+            if cap >= max {
+                push(
+                    site.file,
+                    site.line,
+                    format!(
+                        "`HELLO_FRAME_CAP` ({cap}) is not below `MAX_FRAME` ({max}) — \
+                         the pre-admission cap must be the tight one"
+                    ),
+                    "keep the handshake cap small; raise to MAX_FRAME after admission".to_string(),
+                );
             }
         }
     }
@@ -131,16 +141,12 @@ fn check_constants(ws: &Workspace, out: &mut Vec<Finding>) {
 /// Rule 3: handshake readers start small and only grow under an
 /// admission guard.
 fn check_handshake_order(file: &SourceFile, out: &mut Vec<Finding>) {
-    let Some(tree) = file.ast.as_ref() else { return };
-    ast::for_each_fn(tree, &mut |_, def| {
-        if file.in_test(def.line) {
-            return;
-        }
-        let Some(body) = &def.body else { return };
+    for (_, def) in file.ast.fns() {
+        let Some(body) = def.body.as_ref().filter(|_| !file.in_test(def.line)) else { continue };
         let mut v = HandshakeScan::default();
-        v.walk_block(body, false);
+        ast::visit_block(body, &mut |n| v.step(n, false));
         if v.with_cap.is_empty() || v.set_cap.is_empty() {
-            return;
+            continue;
         }
         for (line, arg_is_hello) in &v.with_cap {
             if !arg_is_hello {
@@ -171,7 +177,7 @@ fn check_handshake_order(file: &SourceFile, out: &mut Vec<Finding>) {
                 });
             }
         }
-    });
+    }
 }
 
 /// Collects `FrameReader::with_cap` / `.set_cap` sites, tracking whether
@@ -185,110 +191,43 @@ struct HandshakeScan {
 }
 
 impl HandshakeScan {
-    fn walk_block(&mut self, b: &Block, guarded: bool) {
-        for stmt in &b.stmts {
-            match stmt {
-                Stmt::Let(l) => {
-                    if let Some(init) = &l.init {
-                        self.walk_expr(init, guarded);
-                    }
-                    if let Some(eb) = &l.else_block {
-                        self.walk_block(eb, guarded);
-                    }
-                }
-                Stmt::Expr(e) => self.walk_expr(e, guarded),
-                Stmt::Item(_) => {}
-            }
-        }
-    }
-
-    fn walk_expr(&mut self, e: &Expr, guarded: bool) {
+    /// One visitor step; `guarded` says an enclosing branch tests
+    /// admission. A branch on admission walks its arms guarded itself.
+    fn step(&mut self, n: Node<'_>, guarded: bool) -> bool {
+        let Node::Expr(e) = n else { return !matches!(n, Node::Stmt(Stmt::Item(_))) };
         match e {
             Expr::Call { callee, args, line } => {
                 if let Expr::Path { segs, .. } = callee.as_ref() {
-                    if segs.len() >= 2
-                        && segs[segs.len() - 2] == "FrameReader"
-                        && segs[segs.len() - 1] == "with_cap"
-                    {
+                    if segs.ends_with(&["FrameReader".to_string(), "with_cap".to_string()]) {
                         let is_hello =
                             args.first().is_some_and(|a| path_ends(a, "HELLO_FRAME_CAP"));
                         self.with_cap.push((*line, is_hello));
                     }
                 }
-                for a in args {
-                    self.walk_expr(a, guarded);
-                }
             }
-            Expr::MethodCall { recv, method, args, line } => {
-                if method == "set_cap" {
-                    self.set_cap.push((*line, guarded));
-                }
-                self.walk_expr(recv, guarded);
-                for a in args {
-                    self.walk_expr(a, guarded);
-                }
+            Expr::MethodCall { method, line, .. } if method == "set_cap" => {
+                self.set_cap.push((*line, guarded));
             }
-            Expr::If { cond, then, alt, .. } => {
-                let g = guarded || mentions_admission(cond);
-                self.walk_expr(cond, guarded);
-                self.walk_block(then, g);
+            Expr::If { cond, then, alt, .. } if !guarded && mentions_admission(cond) => {
+                ast::visit_expr(cond, &mut |n| self.step(n, false));
+                ast::visit_block(then, &mut |n| self.step(n, true));
                 if let Some(alt) = alt {
-                    self.walk_expr(alt, g);
+                    ast::visit_expr(alt, &mut |n| self.step(n, true));
                 }
+                return false;
             }
-            Expr::Match { scrutinee, arms, .. } => {
-                let g = guarded || mentions_admission(scrutinee);
-                self.walk_expr(scrutinee, guarded);
+            Expr::Match { scrutinee, arms, .. } if !guarded && mentions_admission(scrutinee) => {
+                ast::visit_expr(scrutinee, &mut |n| self.step(n, false));
                 for arm in arms {
-                    if let Some(gd) = &arm.guard {
-                        self.walk_expr(gd, g);
+                    for e in arm.guard.iter().chain([&arm.body]) {
+                        ast::visit_expr(e, &mut |n| self.step(n, true));
                     }
-                    self.walk_expr(&arm.body, g);
                 }
+                return false;
             }
-            Expr::Block(b) => self.walk_block(b, guarded),
-            Expr::While { cond, body, .. } => {
-                self.walk_expr(cond, guarded);
-                self.walk_block(body, guarded);
-            }
-            Expr::Loop { body, .. } => self.walk_block(body, guarded),
-            Expr::For { iter, body, .. } => {
-                self.walk_expr(iter, guarded);
-                self.walk_block(body, guarded);
-            }
-            Expr::Closure { body, .. } => self.walk_expr(body, guarded),
-            Expr::Try { inner } | Expr::Unary { inner } => self.walk_expr(inner, guarded),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.walk_expr(lhs, guarded);
-                self.walk_expr(rhs, guarded);
-            }
-            Expr::Assign { target, value, .. } => {
-                self.walk_expr(target, guarded);
-                self.walk_expr(value, guarded);
-            }
-            Expr::Field { recv, .. } => self.walk_expr(recv, guarded),
-            Expr::Index { recv, index, .. } => {
-                self.walk_expr(recv, guarded);
-                self.walk_expr(index, guarded);
-            }
-            Expr::StructLit { fields, .. } => {
-                for (_, v) in fields {
-                    self.walk_expr(v, guarded);
-                }
-            }
-            Expr::Tuple { items, .. } | Expr::Array { items, .. } => {
-                for i in items {
-                    self.walk_expr(i, guarded);
-                }
-            }
-            Expr::Macro { args, .. } => {
-                for a in args {
-                    self.walk_expr(a, guarded);
-                }
-            }
-            Expr::Ret { inner: Some(i), .. } => self.walk_expr(i, guarded),
             _ => {}
         }
+        true
     }
 }
 
@@ -328,50 +267,53 @@ fn check_version_hygiene(file: &SourceFile, out: &mut Vec<Finding>) {
     if !file.toks.iter().any(|t| t.is_ident("Hello")) {
         return;
     }
-    let Some(tree) = file.ast.as_ref() else { return };
-    ast::for_each_fn(tree, &mut |_, def| {
-        if file.in_test(def.line) {
-            return;
-        }
-        let Some(body) = &def.body else { return };
-        visit_exprs(body, &mut |e| match e {
-            Expr::StructLit { path, fields, line } if path.last().is_some_and(|p| p == "Hello") => {
-                for (fname, value) in fields {
-                    // Only a literal is hardcoding; decoders filling
-                    // the field from parsed wire data are fine.
-                    if fname == "version" && matches!(value, Expr::Lit { .. }) {
-                        out.push(Finding {
-                            file: file.rel.clone(),
-                            line: *line,
-                            check: "wire-compat",
-                            message: "`Hello { version: … }` not built from \
-                                      `PROTOCOL_VERSION` — a hardcoded version freezes \
-                                      the handshake"
-                                .to_string(),
-                            hint: "use `version: PROTOCOL_VERSION`".to_string(),
-                        });
-                    }
+    for (_, def) in file.ast.fns() {
+        let Some(body) = def.body.as_ref().filter(|_| !file.in_test(def.line)) else { continue };
+        ast::visit_block(body, &mut |n| {
+            let hit = match n {
+                // Only a literal is hardcoding; decoders filling the field
+                // from parsed wire data are fine.
+                Node::Expr(Expr::StructLit { path, fields, line })
+                    if path.last().is_some_and(|p| p == "Hello")
+                        && fields.iter().any(|(f, v)| f == "version" && is_lit(v)) =>
+                {
+                    Some((
+                        *line,
+                        "`Hello { version: … }` not built from `PROTOCOL_VERSION` — a \
+                         hardcoded version freezes the handshake",
+                        "use `version: PROTOCOL_VERSION`",
+                    ))
                 }
-            }
-            Expr::Binary { op, lhs, rhs } if op == "==" || op == "!=" => {
-                let version_vs_lit = (is_version_place(lhs)
-                    && matches!(rhs.as_ref(), Expr::Lit { .. }))
-                    || (is_version_place(rhs) && matches!(lhs.as_ref(), Expr::Lit { .. }));
-                if version_vs_lit {
-                    out.push(Finding {
-                        file: file.rel.clone(),
-                        line: lhs.line(),
-                        check: "wire-compat",
-                        message: "protocol version compared against a numeric literal — \
-                                  drifts silently when `PROTOCOL_VERSION` bumps"
-                            .to_string(),
-                        hint: "compare against `PROTOCOL_VERSION`".to_string(),
-                    });
+                Node::Expr(Expr::Binary { op, lhs, rhs })
+                    if (op == "==" || op == "!=")
+                        && (is_version_place(lhs) && is_lit(rhs)
+                            || is_version_place(rhs) && is_lit(lhs)) =>
+                {
+                    Some((
+                        lhs.line(),
+                        "protocol version compared against a numeric literal — drifts \
+                         silently when `PROTOCOL_VERSION` bumps",
+                        "compare against `PROTOCOL_VERSION`",
+                    ))
                 }
+                _ => None,
+            };
+            if let Some((line, message, hint)) = hit {
+                out.push(Finding {
+                    file: file.rel.clone(),
+                    line,
+                    check: "wire-compat",
+                    message: message.to_string(),
+                    hint: hint.to_string(),
+                });
             }
-            _ => {}
+            true
         });
-    });
+    }
+}
+
+fn is_lit(e: &Expr) -> bool {
+    matches!(e, Expr::Lit { .. })
 }
 
 fn is_version_place(e: &Expr) -> bool {
@@ -383,101 +325,49 @@ fn is_version_place(e: &Expr) -> bool {
     }
 }
 
-/// Applies `f` to every expression in the block, recursively.
-fn visit_exprs(b: &Block, f: &mut impl FnMut(&Expr)) {
-    for stmt in &b.stmts {
-        match stmt {
-            Stmt::Let(l) => {
-                if let Some(init) = &l.init {
-                    visit_expr(init, f);
-                }
-                if let Some(eb) = &l.else_block {
-                    visit_exprs(eb, f);
-                }
-            }
-            Stmt::Expr(e) => visit_expr(e, f),
-            Stmt::Item(ast::Item::Fn(d)) => {
-                if let Some(body) = &d.body {
-                    visit_exprs(body, f);
-                }
-            }
-            Stmt::Item(_) => {}
-        }
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn visit_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match e {
-        Expr::Call { callee, args, .. } => {
-            visit_expr(callee, f);
-            for a in args {
-                visit_expr(a, f);
-            }
-        }
-        Expr::MethodCall { recv, args, .. } => {
-            visit_expr(recv, f);
-            for a in args {
-                visit_expr(a, f);
-            }
-        }
-        Expr::Field { recv, .. } => visit_expr(recv, f),
-        Expr::Index { recv, index, .. } => {
-            visit_expr(recv, f);
-            visit_expr(index, f);
-        }
-        Expr::Try { inner } | Expr::Unary { inner } => visit_expr(inner, f),
-        Expr::Binary { lhs, rhs, .. } => {
-            visit_expr(lhs, f);
-            visit_expr(rhs, f);
-        }
-        Expr::Assign { target, value, .. } => {
-            visit_expr(target, f);
-            visit_expr(value, f);
-        }
-        Expr::Block(b) => visit_exprs(b, f),
-        Expr::If { cond, then, alt, .. } => {
-            visit_expr(cond, f);
-            visit_exprs(then, f);
-            if let Some(alt) = alt {
-                visit_expr(alt, f);
-            }
-        }
-        Expr::Match { scrutinee, arms, .. } => {
-            visit_expr(scrutinee, f);
-            for arm in arms {
-                if let Some(g) = &arm.guard {
-                    visit_expr(g, f);
-                }
-                visit_expr(&arm.body, f);
-            }
-        }
-        Expr::While { cond, body, .. } => {
-            visit_expr(cond, f);
-            visit_exprs(body, f);
-        }
-        Expr::Loop { body, .. } => visit_exprs(body, f),
-        Expr::For { iter, body, .. } => {
-            visit_expr(iter, f);
-            visit_exprs(body, f);
-        }
-        Expr::Closure { body, .. } => visit_expr(body, f),
-        Expr::StructLit { fields, .. } => {
-            for (_, v) in fields {
-                visit_expr(v, f);
-            }
-        }
-        Expr::Tuple { items, .. } | Expr::Array { items, .. } => {
-            for i in items {
-                visit_expr(i, f);
-            }
-        }
-        Expr::Macro { args, .. } => {
-            for a in args {
-                visit_expr(a, f);
-            }
-        }
-        Expr::Ret { inner: Some(i), .. } => visit_expr(i, f),
-        _ => {}
+    /// `PROTOCOL_VERSION` findings of rule 1 over in-memory files.
+    fn version_rule(files: &[(&str, &str)]) -> Vec<String> {
+        let files = files.iter().map(|(rel, src)| SourceFile::new((*rel).into(), src)).collect();
+        let mut out = Vec::new();
+        check_constants(&Workspace { files, docs: Vec::new() }, &mut out);
+        out.iter().map(ToString::to_string).collect()
+    }
+
+    const DECL: &str = "pub const PROTOCOL_VERSION: u64 = 6;\n";
+
+    #[test]
+    fn one_version_in_proto_rs_is_clean() {
+        assert!(version_rule(&[("d/src/proto.rs", DECL), ("s/src/spec.rs", "")]).is_empty());
+    }
+
+    #[test]
+    fn a_duplicate_points_at_the_proto_rs_declaration() {
+        // `a/…` sorts first, but proto.rs holds the canonical copy.
+        let got = version_rule(&[("a/src/engine.rs", DECL), ("d/src/proto.rs", DECL)]);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(got[0].starts_with("a/src/engine.rs:1: [wire-compat] `PROTOCOL_VERSION` declared again here (first declared in d/src/proto.rs:1)"), "{got:?}");
+    }
+
+    #[test]
+    fn a_sole_declaration_outside_proto_rs_is_reported_once() {
+        let got = version_rule(&[("d/src/proto.rs", "pub struct Msg;\n"), ("s/src/spec.rs", DECL)]);
+        assert_eq!(
+            got,
+            vec!["s/src/spec.rs:1: [wire-compat] `PROTOCOL_VERSION` declared outside proto.rs"]
+        );
+    }
+
+    #[test]
+    fn none_declared_is_reported_at_proto_rs() {
+        let got = version_rule(&[("d/src/proto.rs", "pub struct Msg;\n")]);
+        assert_eq!(
+            got,
+            vec!["d/src/proto.rs:1: [wire-compat] no `const PROTOCOL_VERSION` declared"]
+        );
+        assert!(version_rule(&[("d/src/lib.rs", "")]).is_empty(), "no proto.rs, no rule");
     }
 }

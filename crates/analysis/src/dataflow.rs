@@ -17,7 +17,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{self, Arm, Block, Expr, FnDef, LetStmt, Stmt};
+use crate::ast::{Arm, Block, Expr, FnDef, Item, LetStmt, Stmt};
 use crate::SourceFile;
 
 /// What flavor of lock a field is.
@@ -116,33 +116,37 @@ impl<'a> GroupEnv<'a> {
         let mut fns: BTreeMap<String, FnInfo<'a>> = BTreeMap::new();
         let mut by_bare: BTreeMap<String, Vec<String>> = BTreeMap::new();
         for file in files {
-            let Some(tree) = file.ast.as_ref() else { continue };
-            ast::for_each_struct(tree, &mut |s| {
-                for f in &s.fields {
-                    if f.ty.contains("Mutex<") {
-                        lock_fields.insert(f.name.clone(), LockKind::Mutex);
-                    } else if f.ty.contains("RwLock<") {
-                        lock_fields.insert(f.name.clone(), LockKind::RwLock);
+            for (self_ty, item) in file.ast.items() {
+                match item {
+                    Item::Struct(s) => {
+                        for f in &s.fields {
+                            if f.ty.contains("Mutex<") {
+                                lock_fields.insert(f.name.clone(), LockKind::Mutex);
+                            } else if f.ty.contains("RwLock<") {
+                                lock_fields.insert(f.name.clone(), LockKind::RwLock);
+                            }
+                            if f.ty.contains("HashMap<") || f.ty.contains("HashSet<") {
+                                hash_fields.insert(f.name.clone());
+                            }
+                        }
                     }
-                    if f.ty.contains("HashMap<") || f.ty.contains("HashSet<") {
-                        hash_fields.insert(f.name.clone());
+                    Item::Fn(def) => {
+                        let qname = match self_ty {
+                            Some(ty) => format!("{ty}::{}", def.name),
+                            None => def.name.clone(),
+                        };
+                        let info = FnInfo {
+                            def,
+                            file,
+                            self_ty: self_ty.map(str::to_string),
+                            in_test: file.in_test(def.line) || file.is_test_target(),
+                        };
+                        by_bare.entry(def.name.clone()).or_default().push(qname.clone());
+                        fns.insert(qname, info);
                     }
+                    _ => {}
                 }
-            });
-            ast::for_each_fn(tree, &mut |self_ty, def| {
-                let qname = match self_ty {
-                    Some(ty) => format!("{ty}::{}", def.name),
-                    None => def.name.clone(),
-                };
-                let info = FnInfo {
-                    def,
-                    file,
-                    self_ty: self_ty.map(str::to_string),
-                    in_test: file.in_test(def.line) || file.is_test_target(),
-                };
-                by_bare.entry(def.name.clone()).or_default().push(qname.clone());
-                fns.insert(qname, info);
-            });
+            }
         }
         Self { lock_fields, hash_fields, fns, by_bare }
     }
@@ -186,6 +190,12 @@ impl<'a> GroupEnv<'a> {
         };
         self.fns.contains_key(&qname).then_some(qname)
     }
+}
+
+/// Display form of a qualified name: the bare function name
+/// (`Type::name` → `name`).
+pub(crate) fn bare(qname: &str) -> &str {
+    qname.rsplit("::").next().unwrap_or(qname)
 }
 
 /// Extracts the event stream for one function.
@@ -700,7 +710,7 @@ mod tests {
     use super::*;
 
     fn env_files(srcs: &[(&str, &str)]) -> Vec<SourceFile> {
-        srcs.iter().map(|(rel, text)| SourceFile::new((*rel).into(), (*text).into())).collect()
+        srcs.iter().map(|(rel, text)| SourceFile::new((*rel).into(), text)).collect()
     }
 
     fn facts_of(src: &str, fn_name: &str) -> (Vec<Ev>, BTreeSet<String>) {

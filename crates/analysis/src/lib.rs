@@ -3,14 +3,17 @@
 //! DeepXplore's thesis is that systematic whitebox analysis finds the
 //! faults random testing misses; this crate turns that lens on the
 //! codebase itself. It is a rustc-`tidy`-style pass: a small
-//! comment/string-aware lexer ([`lexer`]), a pluggable [`Check`] trait,
-//! and a set of checks targeting the fault classes `clippy -D warnings`
-//! cannot see — lock-order deadlock hazards, panic paths in fleet hot
-//! loops, and drift between hand-maintained string-typed invariants
-//! (wire protocol fields, checkpoint schemas, Prometheus metric names).
+//! comment/string-aware lexer ([`lexer`]), one syntax layer over it
+//! ([`ast`]), a pluggable [`Check`] trait, and a set of checks targeting
+//! the fault classes `clippy -D warnings` cannot see — lock-order
+//! deadlock hazards, panic paths in fleet hot loops, and drift between
+//! hand-maintained string-typed invariants (wire protocol fields,
+//! checkpoint schemas, Prometheus metric names).
 //!
 //! Run it with `cargo run -p dx-analysis` (workspace scan) or
-//! `deepxplore analyze`. Findings are machine-readable, one per line:
+//! `deepxplore analyze`; both drive [`scan`] and [`report`]. Findings
+//! are machine-readable, one per line — a file the syntax layer cannot
+//! parse is one too (`[parse]`):
 //!
 //! ```text
 //! crates/dist/src/coordinator.rs:798: [panic] `.expect("collected above")` on a hot path
@@ -40,7 +43,7 @@ pub mod lexer;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use lexer::{Kind, Tok};
 
@@ -85,50 +88,37 @@ pub struct Allow {
     pub used: std::cell::Cell<bool>,
 }
 
-/// One source file: its path, text, token stream, and derived facts the
-/// checks share.
+/// One source file: its path, token stream, syntax tree, and derived
+/// facts the checks share.
 pub struct SourceFile {
     /// Path as printed in findings (scan-root relative).
     pub rel: String,
-    /// The raw text.
-    pub text: String,
     /// The token stream from [`lexer::lex`].
     pub toks: Vec<Tok>,
-    /// Per-line flag: true when the line sits inside a `#[cfg(test)]`
-    /// item (index 0 unused; lines are 1-based).
-    pub test_lines: Vec<bool>,
     /// The crate-ish grouping key: `crates/dist/src/x.rs` → `dist`.
     pub group: String,
     /// Allow comments parsed from this file.
     pub allows: Vec<Allow>,
-    /// The parsed syntax tree; `None` when [`ast::parse`] failed
-    /// structurally (the reason is in [`SourceFile::parse_err`]). The
-    /// AST-based checks skip such files, so the CI self-scan asserts
-    /// this never happens on workspace sources.
-    pub ast: Option<ast::File>,
-    /// Why [`SourceFile::ast`] is `None`, if it is.
-    pub parse_err: Option<String>,
+    /// The syntax tree from [`ast::parse`]. A file that does not parse
+    /// has no items and an [`ast::File::error`], which [`run_all`]
+    /// reports as a `[parse]` finding.
+    pub ast: ast::File,
 }
 
 impl SourceFile {
-    /// Builds a source file from text, deriving tokens, test regions,
-    /// group and allows.
-    pub fn new(rel: String, text: String) -> Self {
-        let toks = lexer::lex(&text);
-        let lines = text.lines().count() + 2;
-        let test_lines = mark_test_lines(&toks, lines);
+    /// Builds a source file from text: tokens, syntax tree, group and
+    /// allows.
+    pub fn new(rel: String, text: &str) -> Self {
+        let toks = lexer::lex(text);
+        let ast = ast::parse(&toks);
         let group = group_of(&rel);
         let allows = parse_allows(&toks);
-        let (ast, parse_err) = match ast::parse(&toks) {
-            Ok(file) => (Some(file), None),
-            Err(e) => (None, Some(e)),
-        };
-        Self { rel, text, toks, test_lines, group, allows, ast, parse_err }
+        Self { rel, toks, group, allows, ast }
     }
 
     /// Whether the given 1-based line is inside a `#[cfg(test)]` item.
     pub fn in_test(&self, line: usize) -> bool {
-        self.test_lines.get(line).copied().unwrap_or(false)
+        self.ast.test_spans.iter().any(|&(first, last)| (first..=last).contains(&line))
     }
 
     /// Whether this file looks like an integration-test or bench target
@@ -174,7 +164,7 @@ impl Workspace {
                     stack.push(path);
                 } else if name.ends_with(".rs") {
                     let rel = rel_to(root, &path);
-                    files.push(SourceFile::new(rel, std::fs::read_to_string(&path)?));
+                    files.push(SourceFile::new(rel, &std::fs::read_to_string(&path)?));
                 } else if name == "README.md" || name.ends_with(".sh") || name.ends_with(".yml") {
                     docs.push((rel_to(root, &path), std::fs::read_to_string(&path)?));
                 }
@@ -198,16 +188,16 @@ impl Workspace {
         names
     }
 
-    /// The first file whose path ends with `suffix` (e.g. `proto.rs`).
-    pub fn file_named(&self, suffix: &str) -> Option<&SourceFile> {
-        self.files.iter().find(|f| f.rel == suffix || f.rel.ends_with(&format!("/{suffix}")))
+    /// The files named `name` (e.g. `proto.rs`), in path order.
+    pub fn files_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SourceFile> + 'a {
+        self.files.iter().filter(move |f| f.rel.rsplit('/').next() == Some(name))
     }
 }
 
 /// Walks up from `start` to the first directory whose `Cargo.toml`
-/// declares a `[workspace]` table — how the CLI drivers find the scan
-/// root when invoked from a subdirectory.
-pub fn workspace_root(start: &Path) -> Option<std::path::PathBuf> {
+/// declares a `[workspace]` table — the scan root when [`scan`] is given
+/// no path.
+fn workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = start.to_path_buf();
     loop {
         let manifest = dir.join("Cargo.toml");
@@ -250,70 +240,6 @@ fn group_of(rel: &str) -> String {
     } else {
         "root".to_string()
     }
-}
-
-/// Marks the line span of every `#[cfg(test)]` item. The span runs from
-/// the attribute to the end of the item it attaches to: the matching
-/// close of the first `{` after the attribute, or the first `;` if one
-/// comes first (e.g. `#[cfg(test)] use …;`).
-fn mark_test_lines(toks: &[Tok], nlines: usize) -> Vec<bool> {
-    let mut flags = vec![false; nlines + 1];
-    let code: Vec<(usize, &Tok)> = toks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !matches!(t.kind, Kind::LineComment | Kind::BlockComment))
-        .collect();
-    let mut i = 0;
-    while i + 4 < code.len() {
-        let window = &code[i..];
-        let is_cfg_test = window[0].1.is_punct('#')
-            && window[1].1.is_punct('[')
-            && window[2].1.is_ident("cfg")
-            && window[3].1.is_punct('(')
-            && window[4].1.is_ident("test");
-        if !is_cfg_test {
-            i += 1;
-            continue;
-        }
-        // Find the attribute's closing bracket, then the item extent.
-        let mut j = i + 2;
-        let mut depth = 1; // the `[`
-        while j < code.len() && depth > 0 {
-            j += 1;
-            if let Some((_, t)) = code.get(j) {
-                if t.is_punct('[') {
-                    depth += 1;
-                } else if t.is_punct(']') {
-                    depth -= 1;
-                }
-            }
-        }
-        let start_line = window[0].1.line;
-        let mut end_line = start_line;
-        let mut k = j + 1;
-        let mut brace = 0usize;
-        let mut entered = false;
-        while let Some((_, t)) = code.get(k) {
-            end_line = t.line;
-            if t.is_punct('{') {
-                brace += 1;
-                entered = true;
-            } else if t.is_punct('}') {
-                brace = brace.saturating_sub(1);
-                if entered && brace == 0 {
-                    break;
-                }
-            } else if t.is_punct(';') && !entered {
-                break;
-            }
-            k += 1;
-        }
-        for flag in &mut flags[start_line..=end_line.min(nlines)] {
-            *flag = true;
-        }
-        i = k.max(i + 1);
-    }
-    flags
 }
 
 /// Parses `// analysis: allow(check[, file]): justification` comments.
@@ -424,10 +350,77 @@ pub fn run_all(ws: &Workspace) -> Vec<Finding> {
             }
         }
     }
+    for f in &ws.files {
+        if let Some((line, why)) = &f.ast.error {
+            findings.push(Finding {
+                file: f.rel.clone(),
+                line: *line,
+                check: "parse",
+                message: format!(
+                    "{why}: the file does not parse, so no syntax-based check sees it"
+                ),
+                hint: "fix the syntax (`cargo check` names the exact error)".to_string(),
+            });
+        }
+    }
+    sort(&mut findings);
+    findings
+}
+
+fn sort(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.check).cmp(&(b.file.as_str(), b.line, b.check))
     });
-    findings
+}
+
+/// The one scan sequence behind `dx-analysis` and `deepxplore analyze`:
+/// loads each path (with none, the enclosing cargo workspace, which
+/// becomes the working directory so findings print root-relative), runs
+/// [`run_all`] on it, and returns every finding, sorted.
+///
+/// # Errors
+///
+/// No enclosing workspace, or a path that cannot be read.
+pub fn scan(paths: &[PathBuf]) -> Result<Vec<Finding>, String> {
+    let mut paths = paths.to_vec();
+    if paths.is_empty() {
+        let cwd = std::env::current_dir().unwrap_or_default();
+        let root =
+            workspace_root(&cwd).ok_or("no enclosing cargo workspace; pass a directory to scan")?;
+        std::env::set_current_dir(&root)
+            .map_err(|e| format!("cannot enter workspace root {}: {e}", root.display()))?;
+        paths.push(PathBuf::from("."));
+    }
+    let mut findings = Vec::new();
+    for path in &paths {
+        let ws =
+            Workspace::load(path).map_err(|e| format!("cannot scan {}: {e}", path.display()))?;
+        findings.extend(run_all(&ws));
+    }
+    sort(&mut findings);
+    Ok(findings)
+}
+
+/// Prints findings one per line on stdout — each followed by its hint
+/// under `fix_hints` — and, when there are none, `dx-analysis: clean
+/// (N checks)` on stderr.
+///
+/// # Errors
+///
+/// `"N finding(s)"` when there is anything to report.
+pub fn report(findings: &[Finding], fix_hints: bool) -> Result<(), String> {
+    for f in findings {
+        println!("{f}");
+        if fix_hints && !f.hint.is_empty() {
+            println!("    hint: {}", f.hint);
+        }
+    }
+    if findings.is_empty() {
+        eprintln!("dx-analysis: clean ({} checks)", checks::all().len());
+        Ok(())
+    } else {
+        Err(format!("{} finding(s)", findings.len()))
+    }
 }
 
 #[cfg(test)]
@@ -447,7 +440,7 @@ mod tests {
     fn cfg_test_regions_cover_the_attached_item() {
         let src =
             "fn live() {}\n#[cfg(test)]\nmod tests {\n  fn t() { x.unwrap(); }\n}\nfn after() {}\n";
-        let f = SourceFile::new("crates/dist/src/x.rs".into(), src.into());
+        let f = SourceFile::new("crates/dist/src/x.rs".into(), src);
         assert!(!f.in_test(1));
         assert!(f.in_test(2));
         assert!(f.in_test(4));
@@ -459,7 +452,7 @@ mod tests {
         let src = "// analysis: allow(panic): bounded by the 64-round loop\n\
                    // analysis: allow(lock-order, file): single-threaded tool\n\
                    // analysis: allow(panic)\n";
-        let f = SourceFile::new("x/src/a.rs".into(), src.into());
+        let f = SourceFile::new("x/src/a.rs".into(), src);
         assert_eq!(f.allows.len(), 3);
         assert_eq!(f.allows[0].check, "panic");
         assert!(!f.allows[0].file_scope);
@@ -475,7 +468,7 @@ mod tests {
                    // flagged call site\n\
                    x.expect(\"boom\");\n\
                    y.expect(\"not covered\");\n";
-        let f = SourceFile::new("x/src/a.rs".into(), src.into());
+        let f = SourceFile::new("x/src/a.rs".into(), src);
         assert_eq!(f.allows.len(), 1);
         assert_eq!(f.allows[0].line, 1);
         assert_eq!(f.allows[0].end, 3);

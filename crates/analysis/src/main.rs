@@ -6,12 +6,11 @@
 //!
 //! With no paths, scans the enclosing cargo workspace (found by walking
 //! up from the current directory to the first `Cargo.toml` containing
-//! `[workspace]`). Exits non-zero when any finding is reported. With
-//! `--expect FILE`, instead compares the findings against the expected
-//! lines in FILE (the fixture-regression mode CI uses) and fails on any
-//! difference. With `--parse-stats`, reports how many files the syntax
-//! layer parsed and fails if any fell back to token mode — the CI
-//! self-scan that keeps the AST checks honest.
+//! `[workspace]`). Exits non-zero when any finding is reported — a file
+//! the syntax layer cannot parse is one (`[parse]`). With `--expect
+//! FILE`, instead compares the findings against the expected lines in
+//! FILE (the fixture-regression mode CI uses) and fails on any
+//! difference.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -19,18 +18,16 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use dx_analysis::{checks, run_all, workspace_root, Finding, Workspace};
+use dx_analysis::{checks, report, scan, Finding};
 
 fn main() -> ExitCode {
     let mut fix_hints = false;
-    let mut parse_stats = false;
     let mut expect: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--fix-hints" => fix_hints = true,
-            "--parse-stats" => parse_stats = true,
             "--expect" => match args.next() {
                 Some(f) => expect = Some(PathBuf::from(f)),
                 None => {
@@ -50,65 +47,22 @@ fn main() -> ExitCode {
         }
     }
 
-    if paths.is_empty() {
-        let cwd = std::env::current_dir().unwrap_or_default();
-        let Some(root) = workspace_root(&cwd) else {
-            eprintln!("error: no enclosing cargo workspace; pass a path to scan");
-            return ExitCode::FAILURE;
-        };
-        if std::env::set_current_dir(&root).is_err() {
-            eprintln!("error: cannot enter workspace root {}", root.display());
+    let findings = match scan(&paths) {
+        Ok(findings) => findings,
+        Err(e) => {
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-        paths.push(PathBuf::from("."));
-    }
-
-    let mut findings = Vec::new();
-    let mut parsed = 0usize;
-    let mut fallbacks: Vec<(String, String)> = Vec::new();
-    for path in &paths {
-        match Workspace::load(path) {
-            Ok(ws) => {
-                for f in &ws.files {
-                    match &f.parse_err {
-                        None => parsed += 1,
-                        Some(e) => fallbacks.push((f.rel.clone(), e.clone())),
-                    }
-                }
-                findings.extend(run_all(&ws));
-            }
-            Err(err) => {
-                eprintln!("error: cannot scan {}: {err}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if parse_stats {
-        println!("dx-analysis: {parsed} file(s) parsed, {} fallback(s)", fallbacks.len());
-        for (rel, why) in &fallbacks {
-            println!("  token-mode fallback: {rel}: {why}");
-        }
-        return if fallbacks.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.check).cmp(&(b.file.as_str(), b.line, b.check))
-    });
-
+    };
     if let Some(expect) = expect {
         return check_expectations(&findings, &expect);
     }
-    for f in &findings {
-        println!("{f}");
-        if fix_hints && !f.hint.is_empty() {
-            println!("    hint: {}", f.hint);
+    match report(&findings, fix_hints) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("dx-analysis: {e}");
+            ExitCode::FAILURE
         }
-    }
-    if findings.is_empty() {
-        eprintln!("dx-analysis: clean ({} checks)", checks::all().len());
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("dx-analysis: {} finding(s)", findings.len());
-        ExitCode::FAILURE
     }
 }
 
@@ -147,13 +101,12 @@ fn check_expectations(findings: &[Finding], expect: &Path) -> ExitCode {
 fn print_help() {
     println!(
         "dx-analysis — in-tree whitebox static analysis\n\n\
-         usage: cargo run -p dx-analysis -- [--fix-hints] [--parse-stats] [--expect FILE] [paths...]\n\n\
+         usage: cargo run -p dx-analysis -- [--fix-hints] [--expect FILE] [paths...]\n\n\
          With no paths, scans the enclosing cargo workspace and exits\n\
-         non-zero on any finding. --fix-hints prints a remediation hint\n\
-         under each finding. --expect FILE compares findings against the\n\
-         expected lines in FILE (fixture-regression mode). --parse-stats\n\
-         reports syntax-layer coverage and fails if any file fell back\n\
-         to token mode.\n\nchecks:"
+         non-zero on any finding; a file that does not parse is a\n\
+         `[parse]` finding. --fix-hints prints a remediation hint under\n\
+         each finding. --expect FILE compares findings against the\n\
+         expected lines in FILE (fixture-regression mode).\n\nchecks:"
     );
     for check in checks::all() {
         println!("  {:<15} {}", check.id(), check.describe());

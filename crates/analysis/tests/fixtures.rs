@@ -51,6 +51,7 @@ fn bad_fixtures_surface_every_seeded_violation() {
         "ckpt-schema",
         "crate-attrs",
         "allow",
+        "parse",
     ] {
         assert!(
             got.iter().any(|l| l.contains(&format!("[{check}]"))),

@@ -975,30 +975,7 @@ pub fn cancel(args: &Args) -> CmdResult {
 /// `deepxplore analyze`: the in-tree whitebox static analysis pass
 /// (`dx-analysis`) over the workspace or a given path.
 pub fn analyze(args: &Args) -> CmdResult {
-    let root = match args.get("path") {
-        Some(p) => PathBuf::from(p),
-        None => {
-            let cwd = std::env::current_dir()?;
-            let root = dx_analysis::workspace_root(&cwd)
-                .ok_or("no enclosing cargo workspace; pass --path <dir>")?;
-            std::env::set_current_dir(&root)
-                .map_err(|e| format!("cannot enter workspace root {}: {e}", root.display()))?;
-            PathBuf::from(".")
-        }
-    };
-    let ws = dx_analysis::Workspace::load(&root)
-        .map_err(|e| format!("cannot scan {}: {e}", root.display()))?;
-    let findings = dx_analysis::run_all(&ws);
-    for f in &findings {
-        println!("{f}");
-        if args.has("fix-hints") && !f.hint.is_empty() {
-            println!("    hint: {}", f.hint);
-        }
-    }
-    if findings.is_empty() {
-        eprintln!("dx-analysis: clean ({} checks)", dx_analysis::checks::all().len());
-        Ok(())
-    } else {
-        Err(format!("{} finding(s)", findings.len()).into())
-    }
+    let paths: Vec<PathBuf> = args.get("path").map(PathBuf::from).into_iter().collect();
+    let findings = dx_analysis::scan(&paths)?;
+    Ok(dx_analysis::report(&findings, args.has("fix-hints"))?)
 }
