@@ -5,10 +5,10 @@
 use deepxplore::generator::Generator;
 use deepxplore::hyper::NeuronPick;
 use deepxplore::Hyperparams;
-use dx_bench::{bench_zoo, seed_count, setup_for, BenchOut};
 use dx_coverage::{CoverageConfig, Granularity};
 use dx_models::DatasetKind;
 use dx_nn::util::gather_rows;
+use dx_paper_benches::{bench_zoo, seed_count, setup_for, BenchOut};
 use dx_tensor::rng;
 
 fn main() {

@@ -7,11 +7,11 @@ use deepxplore::baselines::fgsm_classifier;
 use deepxplore::generator::Generator;
 use deepxplore::Hyperparams;
 use dx_apps::augment::{majority_vote, retrain_with_eval};
-use dx_bench::{bench_zoo, seed_count, setup_for, BenchOut};
 use dx_coverage::CoverageConfig;
 use dx_datasets::mnist;
 use dx_models::DatasetKind;
 use dx_nn::util::{gather_rows, row};
+use dx_paper_benches::{bench_zoo, seed_count, setup_for, BenchOut};
 use dx_tensor::{rng, Tensor};
 
 fn main() {

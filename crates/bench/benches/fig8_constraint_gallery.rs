@@ -7,15 +7,15 @@
 
 use deepxplore::generator::Generator;
 use deepxplore::{Constraint, Hyperparams};
-use dx_bench::{bench_zoo, setup_for, BenchOut};
 use dx_coverage::CoverageConfig;
 use dx_models::DatasetKind;
 use dx_nn::util::gather_rows;
+use dx_paper_benches::{bench_zoo, setup_for, BenchOut};
 use dx_tensor::Image;
 
 fn main() {
     let mut out = BenchOut::new("fig8_constraint_gallery");
-    let dir = dx_bench::results_dir().join("fig8");
+    let dir = dx_paper_benches::results_dir().join("fig8");
     std::fs::create_dir_all(&dir).expect("creating fig8 output dir");
     let mut zoo = bench_zoo();
     out.line("Figure 8: difference-inducing inputs under the three image constraints");

@@ -9,11 +9,11 @@
 use deepxplore::baselines::{fgsm_batch, random_selection};
 use deepxplore::generator::Generator;
 use deepxplore::Hyperparams;
-use dx_bench::{bench_zoo, seed_count, setup_for, BenchOut};
 use dx_coverage::{CoverageConfig, CoverageSignal};
 use dx_models::DatasetKind;
 use dx_nn::util::gather_rows;
 use dx_nn::Network;
+use dx_paper_benches::{bench_zoo, seed_count, setup_for, BenchOut};
 use dx_tensor::{rng, Tensor};
 
 /// Mean coverage of `inputs` over the trio at threshold `t`.

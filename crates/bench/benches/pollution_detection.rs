@@ -6,12 +6,12 @@
 use deepxplore::generator::{Generator, TaskKind};
 use deepxplore::{Constraint, Hyperparams};
 use dx_apps::pollution::{detection_quality, rank_suspects};
-use dx_bench::{bench_zoo, BenchOut};
 use dx_coverage::CoverageConfig;
 use dx_datasets::pollute_labels;
 use dx_models::variants::{lenet1_wider, train_variant};
 use dx_models::DatasetKind;
 use dx_nn::util::gather_rows;
+use dx_paper_benches::{bench_zoo, BenchOut};
 use dx_tensor::Tensor;
 
 fn main() {

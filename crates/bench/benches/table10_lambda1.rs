@@ -3,8 +3,8 @@
 //! relative to keeping the others up, Eq. 2).
 
 use deepxplore::Hyperparams;
-use dx_bench::{bench_zoo, setup_for, time_to_first_difference, BenchOut};
 use dx_models::DatasetKind;
+use dx_paper_benches::{bench_zoo, setup_for, time_to_first_difference, BenchOut};
 
 fn main() {
     let mut out = BenchOut::new("table10_lambda1");

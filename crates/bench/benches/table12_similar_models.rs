@@ -8,10 +8,10 @@
 
 use deepxplore::generator::mean_iterations_to_difference;
 use deepxplore::{Constraint, Hyperparams};
-use dx_bench::{bench_zoo, seed_count, BenchOut};
 use dx_models::variants::{lenet1_wider, train_variant};
 use dx_models::DatasetKind;
 use dx_nn::util::gather_rows;
+use dx_paper_benches::{bench_zoo, seed_count, BenchOut};
 use dx_tensor::rng;
 
 fn main() {

@@ -5,9 +5,9 @@
 //! to compare *shapes* against (all models reach high accuracy; driving
 //! reports 1-MSE).
 
-use dx_bench::{bench_zoo, trio_ids, BenchOut};
 use dx_coverage::{CoverageConfig, CoverageSignal, Granularity};
 use dx_models::{DatasetKind, SPECS};
+use dx_paper_benches::{bench_zoo, trio_ids, BenchOut};
 
 fn main() {
     let mut out = BenchOut::new("table1_models");

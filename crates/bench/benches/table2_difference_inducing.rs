@@ -6,10 +6,10 @@
 //! every dataset yields a substantial number of differences.
 
 use deepxplore::generator::Generator;
-use dx_bench::{bench_zoo, seed_count, setup_for, BenchOut};
 use dx_coverage::CoverageConfig;
 use dx_models::DatasetKind;
 use dx_nn::util::gather_rows;
+use dx_paper_benches::{bench_zoo, seed_count, setup_for, BenchOut};
 use dx_tensor::rng;
 
 fn main() {

@@ -2,10 +2,10 @@
 //! that a detector then (wrongly) marks as benign.
 
 use deepxplore::generator::Generator;
-use dx_bench::{bench_zoo, setup_for, BenchOut};
 use dx_coverage::CoverageConfig;
 use dx_models::DatasetKind;
 use dx_nn::util::gather_rows;
+use dx_paper_benches::{bench_zoo, setup_for, BenchOut};
 
 fn main() {
     let mut out = BenchOut::new("table4_pdf_features");

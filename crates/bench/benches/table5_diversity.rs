@@ -7,10 +7,10 @@
 
 use deepxplore::generator::Generator;
 use deepxplore::Hyperparams;
-use dx_bench::{bench_zoo, seed_count, setup_for, BenchOut};
 use dx_coverage::CoverageConfig;
 use dx_models::DatasetKind;
 use dx_nn::util::gather_rows;
+use dx_paper_benches::{bench_zoo, seed_count, setup_for, BenchOut};
 use dx_tensor::{metrics, rng};
 
 struct Arm {

@@ -5,10 +5,10 @@
 //! model while neuron coverage (t = 0.75, per-layer scaled) never exceeds
 //! 34%.
 
-use dx_bench::{bench_zoo, trio_ids, BenchOut};
 use dx_coverage::opcov::OpCoverage;
 use dx_coverage::{CoverageConfig, CoverageSignal};
 use dx_models::DatasetKind;
+use dx_paper_benches::{bench_zoo, trio_ids, BenchOut};
 use dx_tensor::rng;
 
 fn main() {

@@ -1,11 +1,11 @@
 //! Table 7: inputs of the same class activate more overlapping neurons
 //! than inputs of different classes (LeNet-5 on MNIST, 100 + 100 pairs).
 
-use dx_bench::{bench_zoo, BenchOut};
 use dx_coverage::overlap::pair_overlap_stats;
 use dx_coverage::{CoverageConfig, CoverageSignal, Granularity};
 use dx_models::DatasetKind;
 use dx_nn::util::row;
+use dx_paper_benches::{bench_zoo, BenchOut};
 use dx_tensor::{rng, Tensor};
 use rand::Rng as _;
 

@@ -8,10 +8,10 @@
 
 use deepxplore::generator::Generator;
 use deepxplore::Hyperparams;
-use dx_bench::{bench_zoo, seed_count, setup_for, BenchOut};
 use dx_coverage::{CoverageConfig, CoverageSignal};
 use dx_models::DatasetKind;
 use dx_nn::util::gather_rows;
+use dx_paper_benches::{bench_zoo, seed_count, setup_for, BenchOut};
 use dx_tensor::rng;
 
 /// Activation indices of spatial (non-dense) coverage layers; falls back

@@ -6,8 +6,8 @@
 //! s = 10 is our 0.039); the tabular datasets use the grid verbatim.
 
 use deepxplore::Hyperparams;
-use dx_bench::{bench_zoo, time_to_first_difference, BenchOut};
 use dx_models::DatasetKind;
+use dx_paper_benches::{bench_zoo, time_to_first_difference, BenchOut};
 
 fn main() {
     let mut out = BenchOut::new("table9_step_size");

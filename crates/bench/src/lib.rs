@@ -2,8 +2,8 @@
 //!
 //! Every bench target regenerates one table or figure of the paper. They
 //! are `harness = false` binaries because their product is a printed table
-//! (and a copy under `bench_results/`), not a timing curve; the one
-//! criterion target (`micro_engine`) covers raw engine throughput.
+//! (and a copy under `bench_results/`), not a timing curve. Throughput,
+//! end to end and per layer, is measured by `dx-bench` under `benchmark/`.
 //!
 //! Scale: the paper uses 2,000 seeds per experiment and minutes of GPU
 //! time per cell; the defaults here are scaled so the whole suite finishes

@@ -802,19 +802,14 @@ pub fn dist(args: &Args) -> CmdResult {
     }
     // Watch the fleet: if every worker process exits (crash, reject, OOM
     // kill) the coordinator would otherwise serve an empty campaign
-    // forever — drain it instead so `dist` always terminates. The watcher
-    // also reaps the children once they are all gone.
+    // forever — drain it instead so `dist` always terminates. Waiting on
+    // each child in turn also reaps them.
     let fleet_handle = coordinator.drain_handle();
-    let watcher = std::thread::spawn(move || loop {
-        let all_exited = children.iter_mut().all(|c| matches!(c.try_wait(), Ok(Some(_)) | Err(_)));
-        if all_exited {
-            fleet_handle.drain();
-            for mut child in children {
-                let _ = child.wait();
-            }
-            return;
+    let watcher = std::thread::spawn(move || {
+        for mut child in children {
+            let _ = child.wait();
         }
-        std::thread::sleep(std::time::Duration::from_millis(500));
+        fleet_handle.drain();
     });
     let served = coordinator.serve(listener);
     // On a clean finish the workers drain and the watcher sees them exit;

@@ -159,7 +159,8 @@ static TIMING: AtomicBool = AtomicBool::new(true);
 
 /// Turns hot-path timing on or off process-wide. Off means
 /// [`PhaseTimer::start`] skips the `Instant::now()` call entirely — the
-/// benches use this to measure instrumentation overhead in the same run.
+/// benchmark's probe uses this to measure instrumentation overhead in the
+/// same run.
 pub fn set_timing_enabled(on: bool) {
     TIMING.store(on, Ordering::Relaxed);
 }
