@@ -4,11 +4,9 @@
 //! This is the only code in the crate that finds code structure — where
 //! fns, impls, structs and enums start and end, which braces match, which
 //! lines a `#[cfg(test)]` item covers. Every file is parsed once, in
-//! [`crate::SourceFile::new`]; checks read the tree through
-//! [`File::items`] (and its typed views) and [`visit_block`]. Lexical
-//! scans that need no structure (`.unwrap(` tokens, JSON keys inside a
-//! body located here through [`FnDef::body_toks`], inner attributes)
-//! stay on tokens.
+//! [`crate::SourceFile::new`]; the dataflow walk reads the tree through
+//! [`File::items`]. The metric-name scan needs no structure and stays on
+//! tokens.
 //!
 //! The AST is deliberately small: items (functions with signatures,
 //! structs with field types, enums with variant names, impls, consts),
@@ -27,8 +25,6 @@
 //! the file then has no items and [`File::error`] says where, which
 //! [`crate::run_all`] reports as a `[parse]` finding, so no file is ever
 //! scanned half-blind.
-
-use std::ops::Range;
 
 use crate::lexer::{Kind, Tok};
 
@@ -144,9 +140,6 @@ pub struct FnDef {
     pub ret: String,
     /// The body; `None` for trait-method declarations.
     pub body: Option<Block>,
-    /// The body's braces and everything between them, as a range of
-    /// the file's comment-free token indices; empty without a body.
-    pub body_toks: Range<usize>,
 }
 
 /// One function parameter.
@@ -480,135 +473,6 @@ impl File {
             _ => None,
         })
     }
-}
-
-/// A node [`visit_block`] hands to its callback.
-#[derive(Clone, Copy, Debug)]
-pub enum Node<'a> {
-    /// A statement of a block.
-    Stmt(&'a Stmt),
-    /// An expression, at any depth.
-    Expr(&'a Expr),
-}
-
-/// The one generic walk over code: calls `f` on every statement and
-/// expression under `b`, depth-first in source order, and descends into
-/// a node's children only when `f` returns `true`. It reaches `let`
-/// initializers and `let … else` blocks, match guards and arm bodies,
-/// closure bodies, macro arguments, and the bodies of fns declared
-/// inside the block.
-pub fn visit_block<'a>(b: &'a Block, f: &mut impl FnMut(Node<'a>) -> bool) {
-    for stmt in &b.stmts {
-        if !f(Node::Stmt(stmt)) {
-            continue;
-        }
-        match stmt {
-            Stmt::Let(l) => {
-                if let Some(init) = &l.init {
-                    visit_expr(init, f);
-                }
-                if let Some(eb) = &l.else_block {
-                    visit_block(eb, f);
-                }
-            }
-            Stmt::Expr(e) => visit_expr(e, f),
-            Stmt::Item(Item::Fn(FnDef { body: Some(body), .. })) => visit_block(body, f),
-            Stmt::Item(_) => {}
-        }
-    }
-}
-
-/// [`visit_block`] from one expression: `f` sees `e` itself first.
-pub fn visit_expr<'a>(e: &'a Expr, f: &mut impl FnMut(Node<'a>) -> bool) {
-    if !f(Node::Expr(e)) {
-        return;
-    }
-    match e {
-        Expr::Call { callee: first, args: rest, .. }
-        | Expr::MethodCall { recv: first, args: rest, .. } => {
-            visit_expr(first, f);
-            rest.iter().for_each(|a| visit_expr(a, f));
-        }
-        Expr::Macro { args: items, .. } | Expr::Tuple { items, .. } | Expr::Array { items, .. } => {
-            items.iter().for_each(|a| visit_expr(a, f))
-        }
-        Expr::StructLit { fields, .. } => fields.iter().for_each(|(_, v)| visit_expr(v, f)),
-        Expr::Field { recv: inner, .. }
-        | Expr::Try { inner }
-        | Expr::Unary { inner }
-        | Expr::Closure { body: inner, .. }
-        | Expr::Ret { inner: Some(inner), .. } => visit_expr(inner, f),
-        Expr::Index { recv: a, index: b, .. }
-        | Expr::Binary { lhs: a, rhs: b, .. }
-        | Expr::Assign { target: a, value: b, .. } => {
-            visit_expr(a, f);
-            visit_expr(b, f);
-        }
-        Expr::Block(body) | Expr::Loop { body, .. } => visit_block(body, f),
-        Expr::While { cond, body, .. } | Expr::For { iter: cond, body, .. } => {
-            visit_expr(cond, f);
-            visit_block(body, f);
-        }
-        Expr::If { cond, then, alt, .. } => {
-            visit_expr(cond, f);
-            visit_block(then, f);
-            if let Some(alt) = alt {
-                visit_expr(alt, f);
-            }
-        }
-        Expr::Match { scrutinee, arms, .. } => {
-            visit_expr(scrutinee, f);
-            for arm in arms {
-                if let Some(g) = &arm.guard {
-                    visit_expr(g, f);
-                }
-                visit_expr(&arm.body, f);
-            }
-        }
-        Expr::Path { .. }
-        | Expr::Lit { .. }
-        | Expr::Ret { inner: None, .. }
-        | Expr::Other { .. } => {}
-    }
-}
-
-/// Evaluates a small constant expression (`1 << 16`, `4 * 1024`).
-pub fn eval_const(e: &Expr) -> Option<u64> {
-    match e {
-        Expr::Lit { text, .. } => parse_int(text),
-        Expr::Tuple { items, .. } if items.len() == 1 => eval_const(&items[0]),
-        Expr::Binary { op, lhs, rhs } => {
-            let (a, b) = (eval_const(lhs)?, eval_const(rhs)?);
-            match op.as_str() {
-                "<<" => a.checked_shl(u32::try_from(b).ok()?),
-                "*" => a.checked_mul(b),
-                "+" => a.checked_add(b),
-                "-" => a.checked_sub(b),
-                "|" => Some(a | b),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Parses an integer literal lexeme: underscores, `0x`/`0o`/`0b`
-/// prefixes, and type suffixes (`1024usize`) are handled.
-fn parse_int(text: &str) -> Option<u64> {
-    let s = text.replace('_', "");
-    let (radix, digits) = if let Some(d) = s.strip_prefix("0x") {
-        (16, d)
-    } else if let Some(d) = s.strip_prefix("0o") {
-        (8, d)
-    } else if let Some(d) = s.strip_prefix("0b") {
-        (2, d)
-    } else {
-        (10, s.as_str())
-    };
-    let digits = digits.trim_end_matches(|c: char| {
-        c.is_ascii_alphabetic() && !(radix == 16 && c.is_ascii_hexdigit())
-    });
-    u64::from_str_radix(digits, radix).ok()
 }
 
 /// A structural parse failure: `(line, reason)`.
@@ -992,15 +856,13 @@ impl<'a> Parser<'a> {
         if self.at_ident("where") {
             self.skip_to_body()?;
         }
-        let open = self.pos;
         let body = if self.at_punct('{') {
             Some(self.parse_block()?)
         } else {
             self.eat_punct(';');
             None
         };
-        let body_toks = if body.is_some() { open..self.pos } else { open..open };
-        Ok(FnDef { name, line, params, ret, body, body_toks })
+        Ok(FnDef { name, line, params, ret, body })
     }
 
     fn parse_struct(&mut self) -> Parsed<Item> {
@@ -1926,18 +1788,24 @@ mod tests {
     }
 
     #[test]
-    fn consts_parse_and_evaluate() {
-        let f = file("pub const HELLO_FRAME_CAP: usize = 1 << 16; const MAX: usize = 4 * 1024;");
-        let vals: Vec<_> = f
+    fn consts_parse_with_their_initializers() {
+        let f = file("pub const CAP: usize = 1 << 16; static MAX: usize = 4096;");
+        let consts: Vec<_> = f
             .items()
             .into_iter()
             .filter_map(|(_, i)| match i {
-                Item::Const(c) => Some((c.name.clone(), c.value.as_ref().and_then(eval_const))),
+                Item::Const(c) => Some((c.name.as_str(), c.ty.as_str(), c.value.as_ref())),
                 _ => None,
             })
             .collect();
-        assert_eq!(vals[0], ("HELLO_FRAME_CAP".to_string(), Some(1 << 16)));
-        assert_eq!(vals[1], ("MAX".to_string(), Some(4096)));
+        assert_eq!(consts.len(), 2);
+        assert!(matches!(
+            consts[0],
+            ("CAP", "usize", Some(Expr::Binary { op, .. })) if op == "<<"
+        ));
+        assert!(
+            matches!(consts[1], ("MAX", "usize", Some(Expr::Lit { text, .. })) if text == "4096")
+        );
     }
 
     #[test]
@@ -1969,10 +1837,8 @@ mod tests {
         assert_eq!(fns.len(), 1);
         let (ty, to_json) = fns[0];
         assert_eq!((ty, to_json.name.as_str()), (Some("Msg"), "to_json"));
-        let toks = lex(src);
-        let body: Vec<&str> =
-            toks[to_json.body_toks.clone()].iter().map(|t| t.text.as_str()).collect();
-        assert_eq!(body, vec!["{", "1", "}"]);
+        let body = to_json.body.as_ref().expect("a body");
+        assert!(matches!(&body.stmts[..], [Stmt::Expr(Expr::Lit { text, .. })] if text == "1"));
     }
 
     #[test]
@@ -2000,21 +1866,23 @@ mod tests {
     }
 
     #[test]
-    fn the_visitor_reaches_guards_and_let_else_blocks() {
+    fn match_guards_and_let_else_blocks_parse() {
         let f = file(
             "fn f() { match x { Some(v) if guard(v) => {} _ => {} } \
              let Some(y) = y else { diverge(); return }; }",
         );
         let (_, d) = f.fns().next().expect("a fn");
-        let mut calls = Vec::new();
-        visit_block(d.body.as_ref().expect("a body"), &mut |n| {
-            if let Node::Expr(Expr::Call { callee, .. }) = n {
-                if let Expr::Path { segs, .. } = callee.as_ref() {
-                    calls.push(segs.join("::"));
-                }
+        let body = d.body.as_ref().expect("a body");
+        match &body.stmts[0] {
+            Stmt::Expr(Expr::Match { arms, .. }) => {
+                assert!(matches!(arms[0].guard.as_deref(), Some(Expr::Call { .. })));
+                assert!(arms[1].guard.is_none());
             }
-            true
-        });
-        assert_eq!(calls, vec!["guard", "diverge"]);
+            other => panic!("unexpected {other:?}"),
+        }
+        match &body.stmts[1] {
+            Stmt::Let(l) => assert_eq!(l.else_block.as_ref().map(|b| b.stmts.len()), Some(2)),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 }

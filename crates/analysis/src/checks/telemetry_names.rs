@@ -20,9 +20,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::{code_toks, snake_legal};
-use crate::lexer::Kind;
-use crate::{Check, Finding, Workspace};
+use crate::lexer::{Kind, Tok};
+use crate::{Check, Finding, SourceFile, Workspace};
 
 /// The telemetry-name registry check (`telemetry-name`).
 pub struct TelemetryNames;
@@ -239,4 +238,17 @@ fn dx_tokens(line: &str) -> Vec<&str> {
         i = end.max(start + 3);
     }
     out
+}
+
+/// The file's tokens with comments stripped.
+fn code_toks(file: &SourceFile) -> Vec<&Tok> {
+    file.toks.iter().filter(|t| !matches!(t.kind, Kind::LineComment | Kind::BlockComment)).collect()
+}
+
+/// Whether a name is a legal snake_case identifier (our convention for
+/// metric names and event names).
+fn snake_legal(name: &str) -> bool {
+    !name.is_empty()
+        && name.chars().next().is_some_and(|c| c.is_ascii_lowercase() || c == '_')
+        && name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
 }

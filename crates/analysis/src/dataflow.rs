@@ -95,13 +95,11 @@ pub struct FnInfo<'a> {
     pub in_test: bool,
 }
 
-/// Per-group environment: lock fields, hash-typed fields, and functions
-/// resolved by qualified name.
+/// Per-group environment: lock fields and functions resolved by
+/// qualified name.
 pub struct GroupEnv<'a> {
     /// Lock-typed struct fields: field name → kind.
     pub lock_fields: BTreeMap<String, LockKind>,
-    /// `HashMap`/`HashSet`-typed struct fields.
-    pub hash_fields: BTreeSet<String>,
     /// Functions by qualified name (`Type::name`, or bare `name`).
     pub fns: BTreeMap<String, FnInfo<'a>>,
     /// Bare name → qualified names, for unique-candidate resolution.
@@ -112,7 +110,6 @@ impl<'a> GroupEnv<'a> {
     /// Builds the environment from one group's files.
     pub fn build(files: &[&'a SourceFile]) -> Self {
         let mut lock_fields = BTreeMap::new();
-        let mut hash_fields = BTreeSet::new();
         let mut fns: BTreeMap<String, FnInfo<'a>> = BTreeMap::new();
         let mut by_bare: BTreeMap<String, Vec<String>> = BTreeMap::new();
         for file in files {
@@ -124,9 +121,6 @@ impl<'a> GroupEnv<'a> {
                                 lock_fields.insert(f.name.clone(), LockKind::Mutex);
                             } else if f.ty.contains("RwLock<") {
                                 lock_fields.insert(f.name.clone(), LockKind::RwLock);
-                            }
-                            if f.ty.contains("HashMap<") || f.ty.contains("HashSet<") {
-                                hash_fields.insert(f.name.clone());
                             }
                         }
                     }
@@ -148,7 +142,7 @@ impl<'a> GroupEnv<'a> {
                 }
             }
         }
-        Self { lock_fields, hash_fields, fns, by_bare }
+        Self { lock_fields, fns, by_bare }
     }
 
     /// Whether `qname` names a function returning a lock guard — a
@@ -617,7 +611,7 @@ impl Walker<'_, '_> {
 
 /// The constructed type of an initializer, when recognizable:
 /// `Mutex::new(x)` → `Mutex<_>`, `FrameReader::with_cap(n)` →
-/// `FrameReader`, `HashMap::new()` → `HashMap<_>`, `File::open(..)`.
+/// `FrameReader`, `File::open(..)`.
 fn constructed_type(e: &Expr) -> Option<String> {
     match e {
         Expr::Call { callee, .. } => {
@@ -627,13 +621,7 @@ fn constructed_type(e: &Expr) -> Option<String> {
                     let ctor = &segs[segs.len() - 1];
                     let known = matches!(
                         ty.as_str(),
-                        "Mutex"
-                            | "RwLock"
-                            | "HashMap"
-                            | "HashSet"
-                            | "FrameReader"
-                            | "File"
-                            | "TcpStream"
+                        "Mutex" | "RwLock" | "FrameReader" | "File" | "TcpStream"
                     );
                     let ctor_ok = matches!(
                         ctor.as_str(),

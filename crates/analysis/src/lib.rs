@@ -2,13 +2,16 @@
 //!
 //! DeepXplore's thesis is that systematic whitebox analysis finds the
 //! faults random testing misses; this crate turns that lens on the
-//! codebase itself. It is a rustc-`tidy`-style pass: a small
+//! codebase itself, for the fault classes rustc and clippy cannot see.
+//! What they can enforce stays with them: panic paths are denied clippy
+//! lints, hash-ordered collections a `clippy.toml` ban, and the wire,
+//! protocol and checkpoint invariants const asserts and round-trip
+//! tests. What remains is a rustc-`tidy`-style pass: a small
 //! comment/string-aware lexer ([`lexer`]), one syntax layer over it
-//! ([`ast`]), a pluggable [`Check`] trait, and a set of checks targeting
-//! the fault classes `clippy -D warnings` cannot see — lock-order
-//! deadlock hazards, panic paths in fleet hot loops, and drift between
-//! hand-maintained string-typed invariants (wire protocol fields,
-//! checkpoint schemas, Prometheus metric names).
+//! ([`ast`]), a guard-tracking dataflow walk ([`dataflow`]), a pluggable
+//! [`Check`] trait, and three checks — lock-order deadlock hazards,
+//! blocking calls under a contended lock, and the Prometheus metric-name
+//! catalog.
 //!
 //! Run it with `cargo run -p dx-analysis` (workspace scan) or
 //! `deepxplore analyze`; both drive [`scan`] and [`report`]. Findings
@@ -16,19 +19,19 @@
 //! parse is one too (`[parse]`):
 //!
 //! ```text
-//! crates/dist/src/coordinator.rs:798: [panic] `.expect("collected above")` on a hot path
+//! crates/analysis/fixtures/bad/lockmesh/src/deadlock.rs:37: [lock-order] `lockmesh::journal` re-acquired while already held (guard taken at line 36) — std::sync::Mutex self-deadlocks
 //! ```
 //!
 //! A finding is suppressed — never silently — with an allow comment:
 //!
 //! ```text
-//! // analysis: allow(panic): indices are compile-time bounded by the 64-round loop
+//! // analysis: allow(hold-blocking): the lock is uncontended once the fleet has drained
 //! ```
 //!
 //! The comment applies to its own line and the next; a justification
 //! may wrap across consecutive `//` lines, which extend the scope to
 //! the line after the last one. Add `, file` after the check id
-//! (`allow(panic, file)`) to cover the whole file. The justification
+//! (`allow(lock-order, file)`) to cover the whole file. The justification
 //! after the second `:` is mandatory, and an allow that suppresses
 //! nothing is itself reported, so stale allows cannot accumulate.
 
@@ -55,7 +58,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based source line.
     pub line: usize,
-    /// The check id (`lock-order`, `panic`, …).
+    /// The check id (`lock-order`, `telemetry-name`, …).
     pub check: &'static str,
     /// Human-readable description of the problem.
     pub message: String,
@@ -122,8 +125,8 @@ impl SourceFile {
     }
 
     /// Whether this file looks like an integration-test or bench target
-    /// (under a `tests/`, `benches/` or `examples/` directory), where
-    /// panic-style assertions are idiomatic.
+    /// (under a `tests/`, `benches/` or `examples/` directory), which the
+    /// checks treat as test code.
     pub fn is_test_target(&self) -> bool {
         self.rel.split('/').any(|c| c == "tests" || c == "benches" || c == "examples")
     }
@@ -449,25 +452,25 @@ mod tests {
 
     #[test]
     fn allow_comments_parse_scope_and_justification() {
-        let src = "// analysis: allow(panic): bounded by the 64-round loop\n\
+        let src = "// analysis: allow(hold-blocking): uncontended once the fleet drained\n\
                    // analysis: allow(lock-order, file): single-threaded tool\n\
-                   // analysis: allow(panic)\n";
+                   // analysis: allow(hold-blocking)\n";
         let f = SourceFile::new("x/src/a.rs".into(), src);
         assert_eq!(f.allows.len(), 3);
-        assert_eq!(f.allows[0].check, "panic");
+        assert_eq!(f.allows[0].check, "hold-blocking");
         assert!(!f.allows[0].file_scope);
-        assert!(f.allows[0].justification.contains("64-round"));
+        assert!(f.allows[0].justification.contains("drained"));
         assert!(f.allows[1].file_scope);
         assert!(f.allows[2].justification.is_empty());
     }
 
     #[test]
     fn wrapped_allow_justification_extends_the_scope() {
-        let src = "// analysis: allow(panic): the justification wraps\n\
+        let src = "// analysis: allow(lock-order): the justification wraps\n\
                    // over two more comment lines before the\n\
                    // flagged call site\n\
-                   x.expect(\"boom\");\n\
-                   y.expect(\"not covered\");\n";
+                   let a = m.lock();\n\
+                   let b = m.lock();\n";
         let f = SourceFile::new("x/src/a.rs".into(), src);
         assert_eq!(f.allows.len(), 1);
         assert_eq!(f.allows[0].line, 1);

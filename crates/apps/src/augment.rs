@@ -13,7 +13,7 @@ use dx_tensor::Tensor;
 /// mislabelled.
 pub fn majority_vote(models: &[Network], x: &Tensor) -> Option<usize> {
     assert!(!models.is_empty(), "majority vote needs at least one model");
-    let mut votes = std::collections::HashMap::new();
+    let mut votes = std::collections::BTreeMap::new();
     for m in models {
         *votes.entry(m.predict_classes(x)[0]).or_insert(0usize) += 1;
     }

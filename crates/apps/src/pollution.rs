@@ -68,7 +68,7 @@ pub fn detection_quality(suspects: &[usize], polluted: &[usize]) -> (f32, f32) {
     if suspects.is_empty() || polluted.is_empty() {
         return (0.0, 0.0);
     }
-    let polluted_set: std::collections::HashSet<usize> = polluted.iter().copied().collect();
+    let polluted_set: std::collections::BTreeSet<usize> = polluted.iter().copied().collect();
     let hit = suspects.iter().filter(|i| polluted_set.contains(i)).count();
     (hit as f32 / suspects.len() as f32, hit as f32 / polluted.len() as f32)
 }

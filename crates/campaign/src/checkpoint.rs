@@ -416,13 +416,36 @@ mod tests {
         }
     }
 
+    /// The snapshot a loaded checkpoint describes, to write it again.
+    fn snapshot_of(state: CampaignState) -> Snapshot {
+        assert_eq!(state.epochs_done, state.epochs.len());
+        Snapshot {
+            seq: 1,
+            corpus: Arc::new(Corpus::from_entries(state.corpus, 64)),
+            report: CampaignReport { epochs: state.epochs, workers: state.worker_rng.len() },
+            diffs: Arc::new(state.diffs),
+            masks: state.coverage.unwrap_or_default(),
+            signal: state.signal,
+            campaign_seed: state.campaign_seed,
+            worker_rng: state.worker_rng,
+            pending: Vec::new(),
+        }
+    }
+
     #[test]
     fn save_load_round_trip() {
         let dir = tmp_dir("round_trip");
-        let snap = sample_state();
+        // Every meta.json and coverage.json field non-default: a key the
+        // loader drops or defaults changes the second write.
+        let signal = SignalCheckpoint {
+            metric: "multisection:4+boundary".parse().unwrap(),
+            ranges: vec![(vec![0.25, -1.5], vec![0.75, 2.0]), (vec![0.0, 0.5], vec![1.0, 3.5])],
+        };
+        let snap = Snapshot { signal: signal.clone(), ..sample_state() };
         save(&dir, &snap, false).unwrap();
         let state = load(&dir).unwrap();
         assert_eq!(state.coverage, Some(sample_masks()));
+        assert_eq!(state.signal, signal);
         assert_eq!(state.epochs_done, 1);
         assert_eq!(state.campaign_seed, 0xfeed);
         assert_eq!(state.worker_rng, snap.worker_rng);
@@ -439,7 +462,15 @@ mod tests {
         assert_eq!(state.diffs.len(), 1);
         assert_eq!(state.diffs[0].predictions, snap.diffs[0].predictions);
         assert_eq!(state.diffs[0].input, snap.diffs[0].input);
+        // write → load → write: the second checkpoint is byte-equal.
+        let again = tmp_dir("round_trip_again");
+        save(&again, &snapshot_of(state), false).unwrap();
+        for file in ["meta.json", "coverage.json", "corpus.jsonl", "stats.jsonl", "diffs.jsonl"] {
+            let read = |d: &Path| fs::read_to_string(d.join(file)).unwrap();
+            assert_eq!(read(&dir), read(&again), "{file} does not round-trip");
+        }
         let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&again);
     }
 
     #[test]

@@ -510,10 +510,16 @@ impl Campaign {
                 .collect();
             handles
                 .into_iter()
-                // analysis: allow(panic): a panicked in-process worker is
-                // unrecoverable mid-epoch; std::thread::scope re-raises the
-                // panic at scope exit regardless of how join is handled
-                .map(|h| h.join().expect("campaign worker panicked"))
+                .map(|h| {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a panicked in-process worker is unrecoverable mid-epoch; \
+                                  std::thread::scope re-raises the panic at scope exit \
+                                  regardless of how join is handled"
+                    )]
+                    let runs = h.join().expect("campaign worker panicked");
+                    runs
+                })
                 .collect()
         });
         let union = union.into_inner().unwrap_or_else(PoisonError::into_inner);

@@ -5,14 +5,14 @@
 //! the only grammar the tool needs: a subcommand followed by `--key value`
 //! pairs and `--switch` booleans.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed command line: a subcommand plus its options.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// The subcommand (first positional argument).
     pub command: String,
-    options: HashMap<String, String>,
+    options: BTreeMap<String, String>,
     switches: Vec<String>,
 }
 
@@ -42,7 +42,7 @@ impl Args {
         if command.starts_with("--") {
             return Err(ParseError(format!("expected a subcommand before {command}; try `help`")));
         }
-        let mut options = HashMap::new();
+        let mut options = BTreeMap::new();
         let mut switches = Vec::new();
         while let Some(tok) = it.next() {
             let Some(key) = tok.strip_prefix("--") else {

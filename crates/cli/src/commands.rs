@@ -80,7 +80,7 @@ CAMPAIGN OPTIONS:
     --checkpoint <dir>     Write JSONL corpus/stats/diffs checkpoints to <dir>.
     --resume <dir>         Continue the campaign checkpointed in <dir>
                            (with --checkpoint, fork it into the new dir).
-    --target-coverage <p>  Stop once mean neuron coverage reaches p in [0,1].
+    --target-coverage <p>  Stop once mean coverage reaches p in (0,1].
     --max-corpus <N>       Corpus size cap (default: 4096).
     --energy <classic|rarity>
                            Corpus energy model; `rarity` weights newly
@@ -175,9 +175,10 @@ SERVICE CLIENT OPTIONS (submit/status/cancel):
 ANALYZE OPTIONS:
     --path <dir>           Scan <dir> instead of the enclosing workspace.
     --fix-hints            Print a remediation hint under each finding.
-    (Checks: lock-order deadlock cycles, hot-path panics, protocol and
-     checkpoint-schema drift, the telemetry-name catalog, and crate
-     attributes. Exits non-zero on any finding; suppress one — never
+    (Checks: lock-order deadlock cycles, blocking calls under a contended
+     lock, and the telemetry-name catalog; panic paths, hash-ordered
+     collections and wire/checkpoint drift are left to clippy and the
+     tests. Exits non-zero on any finding; suppress one — never
      silently — with `// analysis: allow(check): justification`.)
 ";
 
@@ -478,14 +479,17 @@ fn parse_duration(args: &Args) -> Result<Option<std::time::Duration>, Box<dyn Er
     }
 }
 
+/// `--target-coverage`: a mean-coverage fraction in (0, 1], the range
+/// `CampaignSpec::validate` holds submitted campaigns to. `80` (meant as
+/// percent) and `NaN` would never stop a campaign; `0` would stop it
+/// before its first step.
 fn parse_target_coverage(args: &Args) -> Result<Option<f32>, Box<dyn Error>> {
-    match args.get("target-coverage") {
-        None => Ok(None),
-        Some(v) => Ok(Some(
-            v.parse::<f32>()
-                .map_err(|_| format!("option --target-coverage: cannot parse `{v}`"))?,
-        )),
+    let Some(v) = args.get("target-coverage") else { return Ok(None) };
+    let p: f32 = v.parse().map_err(|_| format!("option --target-coverage: cannot parse `{v}`"))?;
+    if !(p > 0.0 && p <= 1.0) {
+        return Err(format!("option --target-coverage: `{v}` is not a fraction in (0, 1]").into());
     }
+    Ok(Some(p))
 }
 
 fn initial_seeds(
@@ -973,4 +977,26 @@ pub fn analyze(args: &Args) -> CmdResult {
     let paths: Vec<PathBuf> = args.get("path").map(PathBuf::from).into_iter().collect();
     let findings = dx_analysis::scan(&paths)?;
     Ok(dx_analysis::report(&findings, args.has("fix-hints"))?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn target(v: &str) -> Result<Option<f32>, Box<dyn Error>> {
+        let argv = ["campaign", "--target-coverage", v].map(String::from);
+        parse_target_coverage(&Args::parse(&argv, &[]).unwrap())
+    }
+
+    #[test]
+    fn target_coverage_is_a_fraction_in_the_half_open_unit_interval() {
+        for bad in ["80", "0", "-0.1", "NaN"] {
+            let err = target(bad).unwrap_err().to_string();
+            assert!(err.contains("--target-coverage"), "{bad}: {err}");
+        }
+        assert_eq!(target("0.9").unwrap(), Some(0.9));
+        assert_eq!(target("1").unwrap(), Some(1.0));
+        let none = Args::parse(&["campaign".to_string()], &[]).unwrap();
+        assert_eq!(parse_target_coverage(&none).unwrap(), None);
+    }
 }

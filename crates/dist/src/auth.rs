@@ -30,12 +30,15 @@
 //! network attacker. Run fleets on trusted networks (or through a tunnel);
 //! see the README's security-posture section.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the SHA-256/HMAC kernels index fixed-size [u32; 64]/[u32; 8]/[u8; 64] arrays \
+              with compile-time-bounded loop indices and constant ranges; none of the \
+              subscripts depend on input"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
-
-// analysis: allow(panic, file): the SHA-256/HMAC kernels index fixed-size
-// [u32; 64]/[u32; 8]/[u8; 64] arrays with compile-time-bounded loop
-// indices and constant ranges; none of the subscripts depend on input.
 
 /// SHA-256 round constants (FIPS 180-4 §4.2.2).
 const K: [u32; 64] = [
@@ -222,7 +225,7 @@ mod tests {
 
     #[test]
     fn nonces_are_unique_and_well_formed() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..1000 {
             let n = nonce();
             assert_eq!(n.len(), 32);

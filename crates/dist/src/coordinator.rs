@@ -439,13 +439,16 @@ impl Coordinator {
         assert!(cfg.batch_per_round >= 1, "batch_per_round must be at least 1");
         assert!(cfg.lease_size >= 1, "lease_size must be at least 1");
         assert!((0.0..=1.0).contains(&cfg.spot_check_rate), "spot_check_rate must be in [0, 1]");
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor contract — `new` asserts a non-empty seed set and \
+                      checkpoints never persist an empty corpus"
+        )]
         let sample_shape = ledger
             .corpus
             .entries()
             .first()
             .map(|e| e.input.shape().to_vec())
-            // analysis: allow(panic): constructor contract — `new` asserts a
-            // non-empty seed set and checkpoints never persist an empty corpus
             .expect("corpus is never empty");
         let spot_rng = rng::rng(rng::derive_seed(cfg.seed, 0x5b07));
         let metrics = CoordMetrics::new(&cfg.registry);
@@ -1049,5 +1052,53 @@ impl DistState {
             quarantined,
             quarantined_total,
         }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dist_json_round_trips_byte_equal() {
+        let dir = std::env::temp_dir().join("dx_dist_json_round_trip");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Every field non-default (`quarantined_total` above the kept
+        // diffs), so a key the loader drops or defaults changes the
+        // second write.
+        let state = DistState {
+            steps_done: 7,
+            next_lease: u64::MAX - 3,
+            pending: vec![4, 1],
+            worker_rng: BTreeMap::from([(0, [1, 2, 3, u64::MAX]), (5, [9, 8, 7, 6])]),
+            trust: BTreeMap::from([(
+                5,
+                WorkerStats {
+                    spot_checked: 3,
+                    spot_failed: 2,
+                    evicted: true,
+                    ..Default::default()
+                },
+            )]),
+            identities: BTreeMap::from([(0, "w-cafe".to_string()), (5, "w-f00d".to_string())]),
+            quarantined: vec![FoundDiff {
+                seed_id: 2,
+                epoch: 1,
+                input: rng::uniform(&mut rng::rng(3), &[1, 6], 0.0, 1.0),
+                predictions: vec![
+                    deepxplore::diff::Prediction::Class(0),
+                    deepxplore::diff::Prediction::Class(2),
+                ],
+                iterations: 5,
+                target_model: 1,
+            }],
+            quarantined_total: 4,
+        };
+        let first = state.doc().to_string();
+        std::fs::write(dir.join("dist.json"), format!("{first}\n")).unwrap();
+        let loaded = DistState::load(&dir).unwrap().expect("dist.json is present");
+        assert_eq!(first, loaded.doc().to_string());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

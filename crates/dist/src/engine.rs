@@ -389,7 +389,9 @@ const DRAIN_GRACE_POLLS: u32 = 20;
 /// Frame cap for connections that have not completed admission: big
 /// enough for any hello/auth frame, small enough that a stranger's
 /// four-byte length prefix cannot demand a quarter-gigabyte allocation.
-const HELLO_FRAME_CAP: usize = 1 << 16;
+pub(crate) const HELLO_FRAME_CAP: usize = 1 << 16;
+const _: () =
+    assert!(HELLO_FRAME_CAP < MAX_FRAME, "the pre-admission cap must stay below MAX_FRAME");
 
 /// How long a connection may sit without completing admission before it
 /// is closed — a garbage or silent client must not park a handler thread

@@ -70,6 +70,20 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason,
+        clippy::indexing_slicing
+    )
+)]
 
 pub mod auth;
 pub mod coordinator;
@@ -741,6 +755,32 @@ mod tests {
         assert_eq!(report.steps_done, 3, "expired-lease results were not salvaged");
     }
 
+    /// Drains the coordinator when dropped: a client thread that panics
+    /// still lets `serve` return, so the test fails instead of hanging.
+    struct DrainOnDrop(DrainHandle);
+
+    impl Drop for DrainOnDrop {
+        fn drop(&mut self) {
+            self.0.drain();
+        }
+    }
+
+    /// Sends a bare length prefix claiming a `len`-byte frame and expects
+    /// an immediate `bad frame` reject, then the coordinator's close. No
+    /// payload follows: unread bytes would turn that close into a TCP
+    /// reset racing the reject frame.
+    fn assert_prefix_rejected(stream: &mut std::net::TcpStream, len: usize) {
+        use std::io::{Read as _, Write as _};
+        let len = u32::try_from(len).unwrap();
+        stream.write_all(&len.to_be_bytes()).unwrap();
+        match Msg::from_json(&crate::wire::read_frame(stream).unwrap()) {
+            Ok(Msg::Reject { reason }) => assert!(reason.starts_with("bad frame"), "{reason}"),
+            other => panic!("no clean reject for a {len}-byte frame claim: {other:?}"),
+        }
+        let mut rest = Vec::new();
+        assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0);
+    }
+
     /// Scripted raw frame exchange against `addr`; returns the reply.
     fn raw_exchange(stream: &mut std::net::TcpStream, msg: &Msg) -> std::io::Result<Msg> {
         crate::wire::write_frame(stream, &msg.to_json())?;
@@ -770,6 +810,7 @@ mod tests {
         std::thread::scope(|scope| {
             let fp = fingerprint.clone();
             scope.spawn(move || {
+                let _drain = DrainOnDrop(handle);
                 // Wrong token: challenged, then rejected — and the reject
                 // must not leak any campaign state (fingerprint, seed).
                 let replies = worker::scripted_with_token(
@@ -798,12 +839,17 @@ mod tests {
                 let replies =
                     worker::scripted(addr, &[Msg::AuthProof { proof: "00".into() }]).unwrap();
                 assert!(matches!(&replies[0], Msg::Reject { .. }), "{:?}", replies[0]);
+                // Challenged but not yet admitted: still the pre-admission
+                // frame cap.
+                let mut stream = std::net::TcpStream::connect(addr).unwrap();
+                let challenge = raw_exchange(&mut stream, &hello_msg(fp.clone())).unwrap();
+                assert!(matches!(challenge, Msg::Challenge { .. }), "{challenge:?}");
+                assert_prefix_rejected(&mut stream, crate::engine::HELLO_FRAME_CAP + 1);
                 // The right token is admitted.
                 let replies =
                     worker::scripted_with_token(addr, Some("fleet-secret"), &[hello_msg(fp)])
                         .unwrap();
                 assert!(matches!(&replies[0], Msg::Welcome { .. }), "{:?}", replies[0]);
-                handle.drain();
             });
             coordinator.serve(listener).unwrap();
         });
@@ -1144,7 +1190,7 @@ mod tests {
 
     #[test]
     fn garbage_frames_get_a_clean_reject_and_never_stall_the_service() {
-        use std::io::{Read as _, Write as _};
+        use std::io::Write as _;
         let s = suite(150);
         let coordinator = Coordinator::new(&s, "unit@test", &seed_batch(151, 6), quick_cfg(6));
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -1153,18 +1199,14 @@ mod tests {
         let report = std::thread::scope(|scope| {
             let garbage = scope.spawn(move || {
                 // (a) An oversized length prefix (a 4 GiB frame claim).
-                // Nothing past the prefix: the server closes after its
-                // reject, and unread bytes would turn that close into a
-                // TCP reset racing the reject frame.
                 let mut a = std::net::TcpStream::connect(addr).unwrap();
-                a.write_all(&[0xff, 0xff, 0xff, 0xff]).unwrap();
-                match Msg::from_json(&crate::wire::read_frame(&mut a).unwrap()) {
-                    Ok(Msg::Reject { reason }) => assert!(reason.contains("frame"), "{reason}"),
-                    other => panic!("no clean reject for the length bomb: {other:?}"),
-                }
-                // The coordinator closed its side after the reject.
-                let mut rest = Vec::new();
-                assert_eq!(a.read_to_end(&mut rest).unwrap(), 0);
+                assert_prefix_rejected(&mut a, u32::MAX as usize);
+                // (a') One byte over the pre-admission cap, far below
+                // MAX_FRAME: only that cap refuses it. Were the cap raised
+                // before admission, the server would wait for the payload
+                // and answer `admission timed out` instead.
+                let mut a = std::net::TcpStream::connect(addr).unwrap();
+                assert_prefix_rejected(&mut a, crate::engine::HELLO_FRAME_CAP + 1);
                 // (b) A well-framed payload that is not JSON.
                 let mut b = std::net::TcpStream::connect(addr).unwrap();
                 b.write_all(&7u32.to_be_bytes()).unwrap();

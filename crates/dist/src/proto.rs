@@ -717,6 +717,98 @@ mod tests {
         assert!(Msg::from_json(&parse_doc(text).unwrap()).is_err());
     }
 
+    /// The position of `m`'s variant among all of them. No `_` arm: a new
+    /// variant does not compile until it has a position here, and then
+    /// [`every_variant_round_trips_byte_equal`] fails until it has a
+    /// sample too.
+    fn variant_index(m: &Msg) -> usize {
+        match m {
+            Msg::Hello { .. } => 0,
+            Msg::Welcome { .. } => 1,
+            Msg::Reject { .. } => 2,
+            Msg::Challenge { .. } => 3,
+            Msg::AuthProof { .. } => 4,
+            Msg::LeaseRequest { .. } => 5,
+            Msg::Lease { .. } => 6,
+            Msg::Wait { .. } => 7,
+            Msg::Drain => 8,
+            Msg::Heartbeat { .. } => 9,
+            Msg::Results { .. } => 10,
+            Msg::Ack { .. } => 11,
+            Msg::Bye => 12,
+        }
+    }
+
+    #[test]
+    fn every_variant_round_trips_byte_equal() {
+        let input = rng::uniform(&mut rng::rng(2), &[1, 6], 0.0, 1.0);
+        let mut hist = LocalHist::new();
+        hist.record(0.02);
+        let test = deepxplore::GeneratedTest {
+            seed_index: 4,
+            input: input.clone(),
+            iterations: 9,
+            predictions: vec![
+                deepxplore::diff::Prediction::Class(1),
+                deepxplore::diff::Prediction::Value(0.25),
+            ],
+            target_model: 1,
+        };
+        // Every field holds a non-default value, so a field the reader
+        // drops or defaults changes the second encoding.
+        let samples = [
+            Msg::Hello { version: PROTOCOL_VERSION, fingerprint: fp(), worker_id: "w-cafe".into() },
+            Msg::Welcome { slot: 3, campaign_seed: u64::MAX, rng_state: Some([1, 2, 3, u64::MAX]) },
+            Msg::Reject { reason: "fingerprint mismatch".into() },
+            Msg::Challenge { nonce: "00ff".into() },
+            Msg::AuthProof { proof: "deadbeef".into() },
+            Msg::LeaseRequest { slot: 2, want: 5 },
+            Msg::Lease {
+                lease: 9,
+                campaign: 7,
+                campaign_seed: u64::MAX - 1,
+                rng_state: Some([4, 3, 2, 1]),
+                jobs: vec![Job { seed_id: 4, input: input.clone() }],
+                cov: vec![vec![0, 5, 9], vec![1]],
+            },
+            Msg::Wait { millis: 50 },
+            Msg::Drain,
+            Msg::Heartbeat { slot: 2, lease: 7 },
+            Msg::Results {
+                slot: 1,
+                lease: 9,
+                campaign: 7,
+                items: vec![JobResult {
+                    seed_id: 4,
+                    run: SeedRun {
+                        test: Some(test),
+                        preexisting: true,
+                        iterations: 12,
+                        newly_covered: 3,
+                        newly_by_component: vec![2, 1],
+                        corpus_candidate: Some(input),
+                    },
+                }],
+                cov: vec![vec![1], vec![2, 3]],
+                rng_state: [9, 8, 7, 6],
+                telemetry: Some(TelemetrySnapshot {
+                    phases: vec![("forward".into(), hist.clone())],
+                    heartbeat: Some(hist),
+                }),
+            },
+            Msg::Ack { cov: vec![vec![2], vec![4, 8]] },
+            Msg::Bye,
+        ];
+        let mut seen = [false; 13];
+        for msg in &samples {
+            seen[variant_index(msg)] = true;
+            let first = msg.to_json().to_string();
+            let second = round_trip(msg).to_json().to_string();
+            assert_eq!(first, second, "{msg:?} does not round-trip");
+        }
+        assert!(seen.iter().all(|&s| s), "a variant has no sample: {seen:?}");
+    }
+
     #[test]
     fn control_messages_round_trip() {
         assert!(matches!(round_trip(&Msg::Drain), Msg::Drain));

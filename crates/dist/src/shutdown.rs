@@ -17,11 +17,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Set from the signal handler; polled by serving loops.
 static REQUESTED: AtomicBool = AtomicBool::new(false);
 
-// The crate denies `unsafe_code`; this module is the one sanctioned
-// exception — `signal(2)` has no safe std equivalent, and the handler
-// body is a single relaxed atomic store.
 #[cfg(unix)]
-#[allow(unsafe_code)]
+#[expect(
+    unsafe_code,
+    reason = "the crate denies `unsafe_code`; this module is the one sanctioned exception — \
+              `signal(2)` has no safe std equivalent, and the handler body is a single \
+              relaxed atomic store"
+)]
 mod imp {
     use super::*;
 

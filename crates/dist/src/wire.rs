@@ -180,7 +180,7 @@ impl FrameReader {
             }
             let mut chunk = [0u8; 4096];
             let want = (target - self.buf.len()).min(chunk.len());
-            // analysis: allow(panic): `want` is min-clamped to chunk.len()
+            #[expect(clippy::indexing_slicing, reason = "`want` is min-clamped to chunk.len()")]
             match r.read(&mut chunk[..want]) {
                 Ok(0) => {
                     return Err(io::Error::new(
@@ -188,7 +188,10 @@ impl FrameReader {
                         "peer closed the connection",
                     ))
                 }
-                // analysis: allow(panic): `n <= want <= chunk.len()` by the Read contract
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`n <= want <= chunk.len()` by the Read contract"
+                )]
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock

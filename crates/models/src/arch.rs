@@ -5,7 +5,7 @@ use dx_nn::layer::{Conv2d, Layer};
 use dx_nn::network::Network;
 
 /// Which dataset a model belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DatasetKind {
     /// MNIST-like digits, `[1, 28, 28]`.
     Mnist,

@@ -8,7 +8,7 @@
 //! milliseconds. Datasets are regenerated deterministically and memoized
 //! in memory.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use dx_datasets::{drebin, driving, imagenet, mnist, pdf, Dataset};
@@ -75,15 +75,15 @@ impl ZooConfig {
 /// The model zoo: datasets plus trained models, lazily materialized.
 pub struct Zoo {
     config: ZooConfig,
-    datasets: HashMap<DatasetKind, Dataset>,
-    models: HashMap<&'static str, Network>,
+    datasets: BTreeMap<DatasetKind, Dataset>,
+    models: BTreeMap<&'static str, Network>,
 }
 
 impl Zoo {
     /// Creates a zoo with the given configuration.
     pub fn new(config: ZooConfig) -> Self {
         std::fs::create_dir_all(&config.cache_dir).ok();
-        Self { config, datasets: HashMap::new(), models: HashMap::new() }
+        Self { config, datasets: BTreeMap::new(), models: BTreeMap::new() }
     }
 
     /// Creates a zoo at the given scale with default cache/seed.

@@ -41,6 +41,20 @@
 //! coordinator for adversarial settings.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason,
+        clippy::indexing_slicing
+    )
+)]
 
 use std::collections::BTreeMap;
 use std::io;

@@ -265,15 +265,22 @@ mod tests {
 
     #[test]
     fn spec_round_trips_through_json() {
+        // Every field differs from `named`'s default, so a key `from_json`
+        // drops or defaults changes the second echo.
         let mut spec = CampaignSpec::named("acme");
-        spec.seed = 9;
+        spec.seed = u64::MAX - 1;
         spec.seeds = 3;
+        spec.seed_offset = 2;
         spec.max_steps = Some(50);
         spec.target_coverage = Some(0.75);
         spec.quota = 0.5;
         spec.weight = 3.0;
         spec.metric = Some("neuron".into());
-        let doc = dx_campaign::codec::parse_doc(&spec.to_json().to_string()).unwrap();
-        assert_eq!(CampaignSpec::from_json(&doc).unwrap(), spec);
+        spec.constraint = Some("lighting".into());
+        let first = spec.to_json().to_string();
+        let loaded =
+            CampaignSpec::from_json(&dx_campaign::codec::parse_doc(&first).unwrap()).unwrap();
+        assert_eq!(loaded, spec);
+        assert_eq!(loaded.to_json().to_string(), first);
     }
 }

@@ -315,6 +315,80 @@ pub struct TenantCkpt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deepxplore::constraints::Constraint;
+    use deepxplore::generator::TaskKind;
+    use deepxplore::Hyperparams;
+    use dx_coverage::{CoverageConfig, SignalSpec};
+    use dx_nn::layer::Layer;
+    use dx_nn::Network;
+    use dx_tensor::rng;
+
+    fn suite() -> ModelSuite {
+        let mut base = Network::new(
+            &[16],
+            vec![Layer::dense(16, 14), Layer::relu(), Layer::dense(14, 3), Layer::softmax()],
+        );
+        base.init_weights(&mut rng::rng(0xdead));
+        ModelSuite {
+            models: vec![base.clone(), base.perturbed(0.1, 1), base.perturbed(0.1, 2)],
+            kind: TaskKind::Classification,
+            hp: Hyperparams { step: 0.25, max_iters: 10, ..Default::default() },
+            constraint: Constraint::Clip,
+            signal: SignalSpec::neuron(CoverageConfig::scaled(0.25)),
+        }
+    }
+
+    /// Writes a tenant's checkpoint the way the dispatcher does.
+    fn write(dir: &Path, ckpt: &TenantCkpt) {
+        dx_campaign::checkpoint::save(dir, &ckpt.snapshot, false).unwrap();
+        std::fs::write(dir.join("tenant.json"), ckpt.doc.to_string() + "\n").unwrap();
+        std::fs::write(dir.join("events.jsonl"), &ckpt.events).unwrap();
+    }
+
+    #[test]
+    fn tenant_json_and_events_round_trip_byte_equal() {
+        let dir = std::env::temp_dir().join("dx_service_tenant_round_trip");
+        let _ = std::fs::remove_dir_all(&dir);
+        let suite = suite();
+        // Every tenant.json field non-default, so a key `load` drops or
+        // defaults changes the second write. The stride `pass` is not
+        // persisted, by design; it is non-default too, so a `doc` that
+        // starts writing it without `load` reading it back fails here.
+        let mut spec = CampaignSpec::named("acme");
+        spec.seed = u64::MAX - 1;
+        spec.seed_offset = 1;
+        spec.max_steps = Some(40);
+        spec.target_coverage = Some(0.5);
+        spec.quota = 0.5;
+        spec.weight = 2.0;
+        spec.metric = Some("neuron".into());
+        spec.constraint = Some("clip".into());
+        let inputs = (0..4).map(|i| rng::uniform(&mut rng::rng(i), &[1, 16], 0.2, 0.8)).collect();
+        let template = suite.signal.build(&suite.models);
+        let mut tenant = Tenant::new(7, spec, inputs, &template, 64, EnergyModel::Classic);
+        tenant.status = Status::Paused;
+        tenant.pass = 2.5;
+        tenant.ledger.steps_done = 5;
+        tenant.worker_rng.insert("w-cafe".into(), [1, 2, 3, u64::MAX]);
+        tenant.worker_rng.insert("w-f00d".into(), [9, 8, 7, 6]);
+        tenant.event("submitted", vec![]);
+        tenant.event("paused", vec![("by", build::str("tenant"))]);
+        let first = tenant.snapshot(vec![3, 1]);
+        write(&dir, &first);
+
+        let mut loaded = Tenant::load(&dir, &suite, 64, EnergyModel::Classic).unwrap();
+        let second = loaded.snapshot(Vec::new());
+        assert_eq!(first.doc.to_string(), second.doc.to_string());
+        assert_eq!(first.events, second.events);
+        let events = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
+        assert_eq!(events.lines().count(), 2);
+        for (i, line) in events.lines().enumerate() {
+            let doc = parse_doc(line).unwrap();
+            assert!(doc.get("event").and_then(Json::as_str).is_some(), "no `event`: {line}");
+            assert_eq!(doc.get("seq").and_then(Json::as_usize), Some(i), "bad `seq`: {line}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn status_machine_names_round_trip() {

@@ -141,7 +141,7 @@ pub enum FusedAct {
 /// # Panics
 ///
 /// Panics when slice lengths do not match the given dimensions.
-#[allow(clippy::too_many_arguments)] // Three slices plus their dimensions.
+#[expect(clippy::too_many_arguments, reason = "three slices plus their dimensions")]
 pub fn matmul_bias_act(
     a: &[f32],
     b: &[f32],

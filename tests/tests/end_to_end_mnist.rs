@@ -57,7 +57,7 @@ fn deepxplore_finds_differences_with_lighting() {
             .zip(seed.data().iter())
             .map(|(&out, &inp)| out - inp)
             .collect();
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for d in &deltas {
             *counts.entry((d * 1000.0).round() as i64).or_insert(0usize) += 1;
         }
