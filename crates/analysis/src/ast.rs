@@ -2,15 +2,13 @@
 //! [`crate::lexer`] token stream, and the one walk over what it builds.
 //!
 //! This is the only code in the crate that finds code structure — where
-//! fns, impls, structs and enums start and end, which braces match, which
+//! fns, impls and structs start and end, which braces match, which
 //! lines a `#[cfg(test)]` item covers. Every file is parsed once, in
 //! [`crate::SourceFile::new`]; the dataflow walk reads the tree through
-//! [`File::items`]. The metric-name scan needs no structure and stays on
-//! tokens.
+//! [`File::items`].
 //!
 //! The AST is deliberately small: items (functions with signatures,
-//! structs with field types, enums with variant names, impls, consts),
-//! blocks, statements, `let` bindings with their bound names, and
+//! structs with field types, impls, inline modules), blocks, statements, `let` bindings with their bound names, and
 //! expressions down to method-call chains. That is the granularity the
 //! checks need — guard binding and scope, callee resolution by path,
 //! receiver resolution through field accesses — and nothing more.
@@ -18,8 +16,9 @@
 //! `&mut TcpStream`), not parsed.
 //!
 //! Constructs the parser does not model (trait bounds, attribute
-//! arguments, item-level macro invocations) are skipped with
-//! balanced-delimiter matching, and an expression token it cannot place
+//! arguments, item-level macro invocations, and whole `use`, `enum`,
+//! `const` and `static` items) are skipped with balanced-delimiter
+//! matching, and an expression token it cannot place
 //! becomes an [`Expr::Other`] atom. Only a structural failure —
 //! unbalanced delimiters or a cursor that stops advancing — stops it;
 //! the file then has no items and [`File::error`] says where, which
@@ -59,39 +58,11 @@ pub enum Item {
         /// The module's items.
         items: Vec<Item>,
     },
-    /// A `const` or `static` with its initializer expression.
-    Const(ConstDef),
-    /// An enum with its variant names.
-    Enum(EnumDef),
-    /// Anything else (traits' non-fn pieces, uses, macros…).
+    /// Anything else (uses, enums, consts, statics, macros…).
     Other {
         /// Line where the item starts.
         line: usize,
     },
-}
-
-/// An enum definition.
-#[derive(Debug)]
-pub struct EnumDef {
-    /// The enum's name.
-    pub name: String,
-    /// Line of the name.
-    pub line: usize,
-    /// `(name, line)` of each variant, in order.
-    pub variants: Vec<(String, usize)>,
-}
-
-/// A `const NAME: Ty = expr;` (or `static`) item.
-#[derive(Debug)]
-pub struct ConstDef {
-    /// The constant's name.
-    pub name: String,
-    /// Line of the name.
-    pub line: usize,
-    /// Normalized type text.
-    pub ty: String,
-    /// The initializer, if it parsed.
-    pub value: Option<Expr>,
 }
 
 /// A struct definition with its named fields.
@@ -750,10 +721,8 @@ impl<'a> Parser<'a> {
             _ if t.kind != Kind::Ident => {}
             "fn" => return Ok(Item::Fn(self.parse_fn()?)),
             "struct" => return self.parse_struct(),
-            "enum" => return self.parse_enum(),
             "impl" => return self.parse_impl(),
             "mod" => return self.parse_mod(),
-            "const" | "static" => return self.parse_const(),
             "trait" | "union" | "macro_rules" => {
                 self.pos += 1;
                 self.eat_punct('!'); // macro_rules!
@@ -769,17 +738,23 @@ impl<'a> Parser<'a> {
                 self.eat_punct(';');
                 return Ok(Item::Other { line });
             }
-            "use" | "extern" | "type" => {
-                // Through the `;`, or through a `{ … }` group (`extern
-                // "C" { … }`; in `use a::{b, c};` the `;` is left over).
+            "use" | "extern" | "type" | "enum" | "const" | "static" => {
+                // Skipped whole: through the `;` outside any group, or
+                // through the `{ … }` body that ends an `enum` or an
+                // `extern "C"` block (in `use a::{b, c};` and a `const`
+                // initializer, a group does not end the item).
+                let body_ends = t.is_ident("enum") || t.is_ident("extern");
                 while let Some(t) = self.peek(0) {
-                    if t.is_punct('{') {
+                    if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
                         self.skip_balanced()?;
-                        break;
-                    }
-                    self.pos += 1;
-                    if t.is_punct(';') {
-                        break;
+                        if body_ends && t.is_punct('{') {
+                            break;
+                        }
+                    } else {
+                        self.pos += 1;
+                        if t.is_punct(';') {
+                            break;
+                        }
                     }
                 }
                 return Ok(Item::Other { line });
@@ -903,41 +878,6 @@ impl<'a> Parser<'a> {
         Ok(Item::Struct(StructDef { name, line, fields }))
     }
 
-    fn parse_enum(&mut self) -> Parsed<Item> {
-        self.pos += 1; // `enum`
-        let (name, line) = self.name();
-        self.skip_to_body()?;
-        let mut variants = Vec::new();
-        if self.at_punct('{') {
-            let open = self.line();
-            self.pos += 1;
-            loop {
-                self.skip_attrs()?;
-                match self.peek(0) {
-                    None => return Err((open, "unclosed `{`".into())),
-                    Some(t) if t.is_punct('}') => break,
-                    Some(t) if t.kind == Kind::Ident => variants.push((t.text.clone(), t.line)),
-                    Some(_) => {}
-                }
-                // Skip the payload and any discriminant, through the `,`.
-                while let Some(t) = self.peek(0) {
-                    if t.is_punct('}') {
-                        break;
-                    }
-                    let comma = t.is_punct(',');
-                    self.skip_balanced()?;
-                    if comma {
-                        break;
-                    }
-                }
-            }
-            self.pos += 1; // `}`
-        } else {
-            self.eat_punct(';');
-        }
-        Ok(Item::Enum(EnumDef { name, line, variants }))
-    }
-
     fn parse_impl(&mut self) -> Parsed<Item> {
         let line = self.line();
         self.pos += 1; // `impl`
@@ -980,19 +920,6 @@ impl<'a> Parser<'a> {
             self.eat_punct(';');
             Ok(Item::Other { line })
         }
-    }
-
-    fn parse_const(&mut self) -> Parsed<Item> {
-        self.pos += 1; // `const` / `static`
-        if self.at_ident("mut") {
-            self.pos += 1;
-        }
-        let (name, line) = self.name();
-        let ty =
-            if self.eat_punct(':') { self.collect_type(&['=', ';'], &[]) } else { String::new() };
-        let value = if self.eat_punct('=') { Some(self.parse_expr(false)) } else { None };
-        self.eat_punct(';');
-        Ok(Item::Const(ConstDef { name, line, ty, value }))
     }
 
     // -----------------------------------------------------------------
@@ -1788,27 +1715,6 @@ mod tests {
     }
 
     #[test]
-    fn consts_parse_with_their_initializers() {
-        let f = file("pub const CAP: usize = 1 << 16; static MAX: usize = 4096;");
-        let consts: Vec<_> = f
-            .items()
-            .into_iter()
-            .filter_map(|(_, i)| match i {
-                Item::Const(c) => Some((c.name.as_str(), c.ty.as_str(), c.value.as_ref())),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(consts.len(), 2);
-        assert!(matches!(
-            consts[0],
-            ("CAP", "usize", Some(Expr::Binary { op, .. })) if op == "<<"
-        ));
-        assert!(
-            matches!(consts[1], ("MAX", "usize", Some(Expr::Lit { text, .. })) if text == "4096")
-        );
-    }
-
-    #[test]
     fn labeled_loops_ranges_and_casts_do_not_derail() {
         let src = "fn f(n: usize) -> f64 { 'outer: loop { for i in 0..n { if i > 3 { break 'outer; } } } ; n as f64 * 0.5 }";
         let f = file(src);
@@ -1826,13 +1732,17 @@ mod tests {
 
     #[test]
     fn enums_items_and_bodies_are_located() {
+        // Enums, consts and statics are skipped whole, whatever groups
+        // their bodies and initializers hold.
         let src = "pub enum Msg { #[doc = \"x\"] Hello { v: u32 }, Bye(u8), Stop = 3 }\n\
+                   const CAP: [u8; 4] = [0; 4]; static S: State = State { n: { 1 } };\n\
                    proptest! { fn hidden() {} }\n\
-                   impl Msg { const fn to_json(&self) -> u32 { 1 } }";
+                   impl Msg { const N: usize = 1 << 16; const fn to_json(&self) -> u32 { 1 } }";
         let f = file(src);
-        let Item::Enum(e) = &f.items[0] else { panic!("an enum") };
-        let names: Vec<_> = e.variants.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["Hello", "Bye", "Stop"]);
+        assert!(matches!(
+            f.items[..3],
+            [Item::Other { line: 1 }, Item::Other { line: 2 }, Item::Other { line: 2 }]
+        ));
         let fns: Vec<_> = f.fns().collect();
         assert_eq!(fns.len(), 1);
         let (ty, to_json) = fns[0];

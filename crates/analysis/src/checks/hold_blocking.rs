@@ -16,9 +16,9 @@
 //! where blocking under the guard is the entire point) is exempt by
 //! construction, not by suppression.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crate::dataflow::{bare, extract, simulate, Ev, FnFacts, GroupEnv};
+use crate::dataflow::{bare, group_facts, simulate, Ev, GroupEnv};
 use crate::{Check, Finding, Workspace};
 
 /// The blocking-call-under-lock detector (`hold-blocking`).
@@ -43,44 +43,24 @@ impl Check for HoldBlocking {
 fn run_group(ws: &Workspace, group: &str, out: &mut Vec<Finding>) {
     let files: Vec<_> = ws.group(group).collect();
     let env = GroupEnv::build(&files);
+    let facts = group_facts(&env);
 
-    let mut facts: BTreeMap<String, FnFacts> = BTreeMap::new();
-    let mut meta: BTreeMap<String, String> = BTreeMap::new();
-    for (qname, info) in &env.fns {
-        if info.in_test || info.def.body.is_none() {
-            continue;
-        }
-        meta.insert(qname.clone(), info.file.rel.clone());
-        facts.insert(qname.clone(), extract(&env, info));
-    }
-
-    // How many distinct functions acquire each lock — directly, or by
-    // holding a guard returned from a wrapper. Locks with one acquirer
-    // are serialization mutexes, exempt below.
-    let mut acquirers: BTreeMap<String, BTreeSet<&str>> = BTreeMap::new();
-    for (qname, f) in &facts {
+    // How many distinct functions acquire each lock, through a bound
+    // guard wrapper included. Locks with one acquirer are serialization
+    // mutexes, exempt below.
+    let mut acquirers: BTreeMap<&str, usize> = BTreeMap::new();
+    for (_, f) in facts.values() {
         for lock in &f.direct {
-            acquirers.entry(lock.clone()).or_default().insert(qname);
-        }
-        for ev in &f.events {
-            if let Ev::CallLocal { qname: callee, bound: Some(_), .. } = ev {
-                if env.returns_guard(callee) {
-                    if let Some(cf) = facts.get(callee) {
-                        for lock in &cf.direct {
-                            acquirers.entry(lock.clone()).or_default().insert(qname);
-                        }
-                    }
-                }
-            }
+            *acquirers.entry(lock).or_default() += 1;
         }
     }
-    let contended = |lock: &str| acquirers.get(lock).is_some_and(|a| a.len() >= 2);
+    let contended = |lock: &str| acquirers.get(lock).is_some_and(|&n| n >= 2);
 
     // Fixpoint: which functions (transitively) contain a blocking call.
     // The blocking description propagates so findings can say *what*
     // blocks inside an opaque-looking callee.
     let mut blocks: BTreeMap<String, String> = BTreeMap::new();
-    for (qname, f) in &facts {
+    for (qname, (_, f)) in &facts {
         if let Some(Ev::Blocking { what, .. }) =
             f.events.iter().find(|e| matches!(e, Ev::Blocking { .. }))
         {
@@ -90,7 +70,7 @@ fn run_group(ws: &Workspace, group: &str, out: &mut Vec<Finding>) {
     loop {
         let mut changed = false;
         let snapshot = blocks.clone();
-        for (qname, f) in &facts {
+        for (qname, (_, f)) in &facts {
             if blocks.contains_key(qname) {
                 continue;
             }
@@ -107,52 +87,18 @@ fn run_group(ws: &Workspace, group: &str, out: &mut Vec<Finding>) {
         }
     }
 
-    // Replay each function with guard-wrapper binding substituted in
-    // (`let st = self.lock();` holds the wrapper's direct locks).
-    for (qname, f) in &facts {
-        let file = &meta[qname];
-        let events: Vec<Ev> = f
-            .events
-            .iter()
-            .flat_map(|e| match e {
-                Ev::CallLocal { qname: c, line, bound: Some(b) } if env.returns_guard(c) => facts
-                    .get(c)
-                    .map(|cf| {
-                        cf.direct
-                            .iter()
-                            .map(|l| Ev::Acquire {
-                                lock: l.clone(),
-                                line: *line,
-                                bound: Some(b.clone()),
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                    .unwrap_or_default(),
-                other => vec![other.clone()],
-            })
-            .collect();
-        simulate(&events, |ev, held| {
-            let held_contended: Vec<&str> =
-                held.iter().filter(|h| contended(&h.lock)).map(|h| h.lock.as_str()).collect();
-            if held_contended.is_empty() {
-                return;
-            }
+    for (file, f) in facts.values() {
+        simulate(&f.events, |ev, held| {
+            let Some(lock) = held.iter().find(|h| contended(&h.lock)) else { return };
             match ev {
                 Ev::Blocking { what, line } => {
-                    out.push(finding(file, *line, group, held_contended[0], what, None));
+                    out.push(finding(file, *line, group, &lock.lock, what, None));
                 }
-                Ev::CallLocal { qname: callee, line, .. } => {
+                Ev::CallLocal { qname: callee, line } => {
                     // A callee that itself acquires the held lock is
                     // lock-order's reentrancy finding, not ours.
                     if let Some(what) = blocks.get(callee) {
-                        out.push(finding(
-                            file,
-                            *line,
-                            group,
-                            held_contended[0],
-                            what,
-                            Some(bare(callee)),
-                        ));
+                        out.push(finding(file, *line, group, &lock.lock, what, Some(bare(callee))));
                     }
                 }
                 _ => {}

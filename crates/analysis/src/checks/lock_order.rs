@@ -8,18 +8,21 @@
 //! acquires `B` while holding `A` — and fails on cycles, the classic
 //! two-thread deadlock shape. It also flags *reentrant* acquisition
 //! (taking a `std::sync::Mutex` you already hold), which self-deadlocks
-//! without needing a second thread.
+//! without needing a second thread. A let-bound call to a
+//! guard-returning wrapper (`let st = self.lock();`) acquires the lock
+//! it wraps, for both.
 //!
-//! Unlike the token-level version this replaces, callees resolve by
-//! path (`Self::m`, `Type::m`, or a unique bare name — never same-name
-//! merging), `.read()`/`.write()` only count on receivers known to be
-//! `RwLock` fields, guards bound through `unwrap`/`expect`/`?` stay
-//! bound while anything else is a statement temporary, and a guard
-//! acquired inside a branch dies with that branch's scope.
+//! Callees resolve by path (`Self::m`, `Type::m`, or a unique bare
+//! name — never same-name merging), `.read()`/`.write()` only count on
+//! receivers known to be `RwLock` fields, guards bound through
+//! `unwrap`/`expect`/`?` stay bound while anything else is a statement
+//! temporary, a guard acquired inside a branch dies with that branch's
+//! scope, and one dropped inside a branch stays held on the paths that
+//! skip the drop.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::dataflow::{bare, extract, simulate, Ev, FnFacts, GroupEnv};
+use crate::dataflow::{bare, group_facts, simulate, Ev, GroupEnv};
 use crate::{Check, Finding, Workspace};
 
 /// The lock-order deadlock detector (`lock-order`).
@@ -44,30 +47,22 @@ impl Check for LockOrder {
 fn run_group(ws: &Workspace, group: &str, out: &mut Vec<Finding>) {
     let files: Vec<_> = ws.group(group).collect();
     let env = GroupEnv::build(&files);
+    let facts = group_facts(&env);
 
-    // Pass 1: extract events per function (non-test only).
-    let mut facts: BTreeMap<String, FnFacts> = BTreeMap::new();
-    let mut meta: BTreeMap<String, (String, usize)> = BTreeMap::new();
-    for (qname, info) in &env.fns {
-        if info.in_test || info.def.body.is_none() {
-            continue;
-        }
-        meta.insert(qname.clone(), (info.file.rel.clone(), info.def.line));
-        facts.insert(qname.clone(), extract(&env, info));
-    }
-
-    // Pass 2: fixpoint of exposed lock sets over the call graph.
-    let mut exposed: BTreeMap<String, BTreeSet<String>> =
-        facts.iter().map(|(q, f)| (q.clone(), f.direct.clone())).collect();
+    // Fixpoint of exposed lock sets over the call graph.
+    let mut exposed: BTreeMap<&str, BTreeSet<&str>> = facts
+        .iter()
+        .map(|(q, (_, f))| (q.as_str(), f.direct.iter().map(String::as_str).collect()))
+        .collect();
     loop {
         let mut changed = false;
         let snapshot = exposed.clone();
-        for (qname, f) in &facts {
-            let mine = exposed.get_mut(qname).expect("seeded above");
+        for (qname, (_, f)) in &facts {
+            let mine = exposed.get_mut(qname.as_str()).expect("seeded above");
             for callee in &f.callees {
-                if let Some(locks) = snapshot.get(callee) {
+                if let Some(locks) = snapshot.get(callee.as_str()) {
                     for l in locks {
-                        changed |= mine.insert(l.clone());
+                        changed |= mine.insert(l);
                     }
                 }
             }
@@ -77,110 +72,51 @@ fn run_group(ws: &Workspace, group: &str, out: &mut Vec<Finding>) {
         }
     }
 
-    // Pass 3: simulate each function, building order edges and catching
-    // reentrancy.
+    // Simulate each function, building order edges and catching
+    // reentrancy: a lock acquired — directly, through a bound guard
+    // wrapper, or inside a callee — while it is already held.
     let mut edges: BTreeMap<(String, String), (String, usize, String)> = BTreeMap::new();
-    for (qname, f) in &facts {
-        let (file, _) = &meta[qname];
-        simulate(&f.events, |ev, held| match ev {
-            Ev::Acquire { lock, line, .. } => {
-                for h in held {
-                    if h.lock == *lock {
+    for (qname, (file, f)) in &facts {
+        simulate(&f.events, |ev, held| {
+            let (line, locks, via) = match ev {
+                Ev::Acquire { lock, line, .. } => (*line, BTreeSet::from([lock.as_str()]), None),
+                Ev::CallLocal { qname: callee, line } => {
+                    let Some(locks) = exposed.get(callee.as_str()) else { return };
+                    (*line, locks.clone(), Some(bare(callee)))
+                }
+                _ => return,
+            };
+            for h in held {
+                for &l in &locks {
+                    if l != h.lock {
+                        edges
+                            .entry((h.lock.clone(), l.to_string()))
+                            .or_insert_with(|| (file.to_string(), line, bare(qname).to_string()));
+                    } else if let Some(callee) = via {
                         out.push(Finding {
-                            file: file.clone(),
-                            line: *line,
+                            file: file.to_string(),
+                            line,
                             check: "lock-order",
                             message: format!(
-                                "`{group}::{lock}` re-acquired while already held \
-                                 (guard taken at line {}) — \
-                                 std::sync::Mutex self-deadlocks",
+                                "calls `{callee}()` while holding `{group}::{l}`, which \
+                                 `{callee}` (re-)acquires — self-deadlock",
+                            ),
+                            hint: format!(
+                                "pass the held guard into `{callee}` or drop it before the call"
+                            ),
+                        });
+                    } else {
+                        out.push(Finding {
+                            file: file.to_string(),
+                            line,
+                            check: "lock-order",
+                            message: format!(
+                                "`{group}::{l}` re-acquired while already held \
+                                 (guard taken at line {}) — std::sync::Mutex self-deadlocks",
                                 h.line,
                             ),
                             hint: "reuse the held guard or drop it first".to_string(),
                         });
-                    } else {
-                        edges
-                            .entry((h.lock.clone(), lock.clone()))
-                            .or_insert_with(|| (file.clone(), *line, bare(qname).to_string()));
-                    }
-                }
-            }
-            Ev::CallLocal { qname: callee, line, .. } => {
-                let Some(target) = exposed.get(callee) else { return };
-                for h in held {
-                    for l in target {
-                        if *l == h.lock {
-                            out.push(Finding {
-                                file: file.clone(),
-                                line: *line,
-                                check: "lock-order",
-                                message: format!(
-                                    "calls `{callee}()` while holding \
-                                     `{group}::{}`, which `{callee}` \
-                                     (re-)acquires — self-deadlock",
-                                    h.lock,
-                                    callee = bare(callee),
-                                ),
-                                hint: format!(
-                                    "pass the held guard into `{}` or drop it \
-                                     before the call",
-                                    bare(callee)
-                                ),
-                            });
-                        } else {
-                            edges
-                                .entry((h.lock.clone(), l.clone()))
-                                .or_insert_with(|| (file.clone(), *line, bare(qname).to_string()));
-                        }
-                    }
-                }
-            }
-            _ => {}
-        });
-    }
-
-    // A guard bound from a wrapper call (`let st = self.lock();`) holds
-    // the wrapper's direct locks from the call until drop/scope end —
-    // replay with those acquisitions substituted in.
-    let mut wrapper_events: BTreeMap<String, Vec<Ev>> = BTreeMap::new();
-    for (qname, f) in &facts {
-        if f.events.iter().any(
-            |e| matches!(e, Ev::CallLocal { qname: c, bound: Some(_), .. } if env.returns_guard(c)),
-        ) {
-            let replayed: Vec<Ev> = f
-                .events
-                .iter()
-                .flat_map(|e| match e {
-                    Ev::CallLocal { qname: c, line, bound: Some(b) } if env.returns_guard(c) => {
-                        facts
-                            .get(c)
-                            .map(|cf| {
-                                cf.direct
-                                    .iter()
-                                    .map(|l| Ev::Acquire {
-                                        lock: l.clone(),
-                                        line: *line,
-                                        bound: Some(b.clone()),
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                            .unwrap_or_default()
-                    }
-                    other => vec![other.clone()],
-                })
-                .collect();
-            wrapper_events.insert(qname.clone(), replayed);
-        }
-    }
-    for (qname, events) in &wrapper_events {
-        let (file, _) = &meta[qname];
-        simulate(events, |ev, held| {
-            if let Ev::Acquire { lock, line, .. } = ev {
-                for h in held {
-                    if h.lock != *lock {
-                        edges
-                            .entry((h.lock.clone(), lock.clone()))
-                            .or_insert_with(|| (file.clone(), *line, bare(qname).to_string()));
                     }
                 }
             }

@@ -2,15 +2,10 @@
 
 mod hold_blocking;
 mod lock_order;
-mod telemetry_names;
 
 use crate::Check;
 
 /// Every registered check, in catalog order.
 pub fn all() -> Vec<Box<dyn Check>> {
-    vec![
-        Box::new(lock_order::LockOrder),
-        Box::new(hold_blocking::HoldBlocking),
-        Box::new(telemetry_names::TelemetryNames),
-    ]
+    vec![Box::new(lock_order::LockOrder), Box::new(hold_blocking::HoldBlocking)]
 }

@@ -7,13 +7,20 @@
 //! AST walk ([`FnFacts`]), and a held-stack simulator that replays
 //! those events with lexical scoping ([`simulate`]).
 //!
-//! The walk is a *may*-analysis: branches and match arms are walked
-//! sequentially under a scope push/pop, so a guard acquired in one arm
-//! never leaks into its sibling, and anything acquired before the
-//! branch is held in every arm. Guard *values* are tracked through the
+//! The walk is a *may*-analysis over paths. Every alternative of a
+//! branch — `if`/`else`, each match arm, a loop body against skipping
+//! it, a closure body against not running it — starts from the state
+//! before the branch, so a guard acquired in one arm never leaks into
+//! its sibling. After the branch a guard is held if any path that falls
+//! through still holds it: a `drop` inside one arm ends the guard only
+//! on that arm's path, and an arm that ends in `return`, `break` or
+//! `continue` does not fall through (a `break` carries its state to
+//! the end of its loop). Guard *values* are tracked through the
 //! transparent adapters (`unwrap`, `expect`, `unwrap_or_else`, `?`):
 //! a lock result that flows through anything else is a statement
-//! temporary, released at the end of its statement.
+//! temporary, released at the end of its statement. A let-bound call to
+//! a guard-returning wrapper (`let st = self.lock();`) is an acquisition
+//! of the locks the wrapper takes, bound to `st`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -48,9 +55,6 @@ pub enum Ev {
         qname: String,
         /// Line of the call.
         line: usize,
-        /// The let binding receiving the result, if any — used to track
-        /// guards returned by wrapper functions like `self.lock()`.
-        bound: Option<String>,
     },
     /// A call that can block (I/O, sleep, channel recv, frame I/O).
     Blocking {
@@ -70,6 +74,22 @@ pub enum Ev {
     PopScope,
     /// End of a statement: releases statement-temporary guards.
     StmtEnd,
+    /// Start of a branch: each alternative starts from the state here.
+    /// `breakable` marks a loop, the target of `break`.
+    Branch {
+        /// Whether this branch is a loop.
+        breakable: bool,
+    },
+    /// End of one alternative of the innermost open branch.
+    Alt,
+    /// End of the innermost branch: the state is the union of the
+    /// alternatives that fell through (and, for a loop, the breaks).
+    Merge,
+    /// `return`, `break` or `continue`: the current path ends here.
+    Diverge {
+        /// Whether it is a `break`, whose state flows to the loop's end.
+        breaks: bool,
+    },
 }
 
 /// A function's extracted dataflow facts.
@@ -77,7 +97,8 @@ pub enum Ev {
 pub struct FnFacts {
     /// The event stream, in source order.
     pub events: Vec<Ev>,
-    /// Locks this function acquires directly (any path).
+    /// Locks this function acquires itself (any path), through a bound
+    /// guard wrapper included.
     pub direct: BTreeSet<String>,
     /// Qualified names of group-local callees.
     pub callees: BTreeSet<String>,
@@ -104,6 +125,10 @@ pub struct GroupEnv<'a> {
     pub fns: BTreeMap<String, FnInfo<'a>>,
     /// Bare name → qualified names, for unique-candidate resolution.
     pub by_bare: BTreeMap<String, Vec<String>>,
+    /// Guard wrappers — functions returning a `MutexGuard` or an
+    /// `RwLock` guard, like `fn lock(&self) -> MutexGuard<'_, State>` —
+    /// and the locks each one takes.
+    pub guard_locks: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl<'a> GroupEnv<'a> {
@@ -142,18 +167,18 @@ impl<'a> GroupEnv<'a> {
                 }
             }
         }
-        Self { lock_fields, fns, by_bare }
-    }
-
-    /// Whether `qname` names a function returning a lock guard — a
-    /// wrapper like `fn lock(&self) -> MutexGuard<'_, State>`.
-    pub fn returns_guard(&self, qname: &str) -> bool {
-        self.fns.get(qname).is_some_and(|f| {
-            let r = &f.def.ret;
-            r.contains("MutexGuard<")
-                || r.contains("RwLockReadGuard<")
-                || r.contains("RwLockWriteGuard<")
-        })
+        let mut env = Self { lock_fields, fns, by_bare, guard_locks: BTreeMap::new() };
+        env.guard_locks = env
+            .fns
+            .iter()
+            .filter(|(_, f)| {
+                ["MutexGuard<", "RwLockReadGuard<", "RwLockWriteGuard<"]
+                    .iter()
+                    .any(|g| f.def.ret.contains(g))
+            })
+            .map(|(q, f)| (q.clone(), extract(&env, f).direct))
+            .collect();
+        env
     }
 
     /// Resolves a callee expression to a group-local qualified name.
@@ -184,6 +209,16 @@ impl<'a> GroupEnv<'a> {
         };
         self.fns.contains_key(&qname).then_some(qname)
     }
+}
+
+/// The facts of every non-test function with a body, by qualified
+/// name, with the path of its file.
+pub fn group_facts<'a>(env: &GroupEnv<'a>) -> BTreeMap<String, (&'a str, FnFacts)> {
+    env.fns
+        .iter()
+        .filter(|(_, info)| !info.in_test && info.def.body.is_some())
+        .map(|(qname, info)| (qname.clone(), (info.file.rel.as_str(), extract(env, info))))
+        .collect()
 }
 
 /// Display form of a qualified name: the bare function name
@@ -249,6 +284,19 @@ impl Walker<'_, '_> {
     fn pop(&mut self) {
         self.scopes.pop();
         self.facts.events.push(Ev::PopScope);
+    }
+
+    /// Emits a branch around `alts`, which emits its alternatives.
+    fn branch(&mut self, breakable: bool, alts: impl FnOnce(&mut Self)) {
+        self.facts.events.push(Ev::Branch { breakable });
+        alts(self);
+        self.facts.events.push(Ev::Merge);
+    }
+
+    /// Emits one alternative of the open branch.
+    fn alt(&mut self, path: impl FnOnce(&mut Self)) {
+        path(self);
+        self.facts.events.push(Ev::Alt);
     }
 
     fn note_typed(&mut self, name: &str, ty: &str) {
@@ -361,12 +409,29 @@ impl Walker<'_, '_> {
                     }
                 }
                 Val::CallRes(idx) => {
-                    if let (Some(name), Some(Ev::CallLocal { bound, qname, .. })) =
-                        (&single, self.facts.events.get_mut(idx))
-                    {
-                        if self.env.returns_guard(qname) {
-                            *bound = Some(name.clone());
-                        }
+                    // A bound call to a guard wrapper acquires the
+                    // wrapper's locks (the call stays a callee, for
+                    // exposure).
+                    let env = self.env;
+                    let wrapper = match (&single, &self.facts.events[idx]) {
+                        (Some(name), Ev::CallLocal { qname, line }) => env
+                            .guard_locks
+                            .get(qname)
+                            .filter(|l| !l.is_empty())
+                            .map(|l| (name.clone(), *line, l)),
+                        _ => None,
+                    };
+                    if let Some((name, line, locks)) = wrapper {
+                        self.facts.direct.extend(locks.iter().cloned());
+                        let acquires: Vec<Ev> = locks
+                            .iter()
+                            .map(|l| Ev::Acquire {
+                                lock: l.clone(),
+                                line,
+                                bound: Some(name.clone()),
+                            })
+                            .collect();
+                        self.facts.events.splice(idx..=idx, acquires);
                     }
                 }
                 Val::Plain => {}
@@ -381,7 +446,14 @@ impl Walker<'_, '_> {
             }
         }
         if let Some(else_block) = &l.else_block {
-            self.walk_block(else_block, true);
+            // `let … else` diverges: the else path never falls through.
+            self.branch(false, |w| {
+                w.alt(|_| {});
+                w.alt(|w| {
+                    w.walk_block(else_block, true);
+                    w.facts.events.push(Ev::Diverge { breaks: false });
+                });
+            });
         }
         self.facts.events.push(Ev::StmtEnd);
     }
@@ -421,45 +493,64 @@ impl Walker<'_, '_> {
             }
             Expr::If { cond, then, alt, .. } => {
                 self.walk_expr(cond);
-                self.walk_block(then, true);
-                if let Some(alt) = alt {
-                    self.walk_expr(alt);
-                }
+                self.branch(false, |w| {
+                    w.alt(|w| w.walk_block(then, true));
+                    w.alt(|w| {
+                        if let Some(alt) = alt {
+                            w.walk_expr(alt);
+                        }
+                    });
+                });
                 Val::Plain
             }
             Expr::Match { scrutinee, arms, .. } => {
                 self.walk_expr(scrutinee);
-                for Arm { guard, body, .. } in arms {
-                    self.push();
-                    if let Some(g) = guard {
-                        self.walk_expr(g);
+                self.branch(false, |w| {
+                    for Arm { guard, body, .. } in arms {
+                        w.alt(|w| {
+                            w.push();
+                            if let Some(g) = guard {
+                                w.walk_expr(g);
+                            }
+                            w.walk_expr(body);
+                            w.pop();
+                        });
                     }
-                    self.walk_expr(body);
-                    self.pop();
-                }
+                });
                 Val::Plain
             }
-            Expr::While { cond, body, .. } => {
-                self.walk_expr(cond);
-                self.walk_block(body, true);
+            // A `while`/`for` body may run or not; a `loop` body only
+            // leaves by `break` (or `return`).
+            Expr::While { cond: head, body, .. } | Expr::For { iter: head, body, .. } => {
+                self.walk_expr(head);
+                self.branch(true, |w| {
+                    w.alt(|w| w.walk_block(body, true));
+                    w.alt(|_| {});
+                });
                 Val::Plain
             }
             Expr::Loop { body, .. } => {
-                self.walk_block(body, true);
-                Val::Plain
-            }
-            Expr::For { iter, body, .. } => {
-                self.walk_expr(iter);
-                self.walk_block(body, true);
+                self.branch(true, |w| {
+                    w.alt(|w| {
+                        w.walk_block(body, true);
+                        w.facts.events.push(Ev::Diverge { breaks: false });
+                    });
+                });
                 Val::Plain
             }
             Expr::Closure { body, .. } => {
                 // Closure bodies run in the enclosing context as far as
-                // held guards go (they may run inline); `thread::spawn`
-                // arguments are special-cased in walk_call.
-                self.push();
-                self.walk_expr(body);
-                self.pop();
+                // held guards go (they may run inline, or not at all);
+                // `thread::spawn` arguments are special-cased in
+                // walk_call.
+                self.branch(false, |w| {
+                    w.alt(|w| {
+                        w.push();
+                        w.walk_expr(body);
+                        w.pop();
+                    });
+                    w.alt(|_| {});
+                });
                 Val::Plain
             }
             Expr::StructLit { fields, .. } => {
@@ -474,10 +565,11 @@ impl Walker<'_, '_> {
                 }
                 Val::Plain
             }
-            Expr::Ret { inner, .. } => {
+            Expr::Ret { kind, inner, .. } => {
                 if let Some(i) = inner {
                     self.walk_expr(i);
                 }
+                self.facts.events.push(Ev::Diverge { breaks: kind == "break" });
                 Val::Plain
             }
             Expr::Path { .. } | Expr::Lit { .. } | Expr::Other { .. } => Val::Plain,
@@ -495,7 +587,7 @@ impl Walker<'_, '_> {
             if segs.len() == 1 && segs[0] == "self" {
                 if let Some(q) = self.env.resolve(self.self_ty.as_deref(), &[method.to_string()]) {
                     self.facts.callees.insert(q.clone());
-                    self.facts.events.push(Ev::CallLocal { qname: q, line, bound: None });
+                    self.facts.events.push(Ev::CallLocal { qname: q, line });
                     return Val::CallRes(self.facts.events.len() - 1);
                 }
             }
@@ -599,7 +691,7 @@ impl Walker<'_, '_> {
             // Group-local call.
             if let Some(q) = self.env.resolve(self.self_ty.as_deref(), s) {
                 self.facts.callees.insert(q.clone());
-                self.facts.events.push(Ev::CallLocal { qname: q, line, bound: None });
+                self.facts.events.push(Ev::CallLocal { qname: q, line });
                 return Val::CallRes(self.facts.events.len() - 1);
             }
         } else {
@@ -652,7 +744,7 @@ fn constructed_type(e: &Expr) -> Option<String> {
 }
 
 /// One held guard during simulation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Held {
     /// The lock's canonical name.
     pub lock: String,
@@ -664,11 +756,28 @@ pub struct Held {
     pub depth: usize,
 }
 
+/// An open [`Ev::Branch`] during simulation.
+struct Open {
+    /// The state every alternative starts from.
+    entry: Vec<Held>,
+    /// Whether the branch itself is reachable.
+    live: bool,
+    breakable: bool,
+    /// End states of the paths that leave the branch: alternatives that
+    /// fell through, and breaks.
+    outs: Vec<Vec<Held>>,
+}
+
 /// Replays a function's events, maintaining the held-guard stack, and
 /// calls `on_event` before applying each event with the current stack.
+/// After a branch the stack is the union of the paths that left it; a
+/// branch no path leaves is followed by unreachable code, replayed with
+/// the branch's entry state.
 pub fn simulate(events: &[Ev], mut on_event: impl FnMut(&Ev, &[Held])) {
     let mut held: Vec<Held> = Vec::new();
     let mut depth = 0usize;
+    let mut live = true;
+    let mut open: Vec<Open> = Vec::new();
     for ev in events {
         on_event(ev, &held);
         match ev {
@@ -688,6 +797,42 @@ pub fn simulate(events: &[Ev], mut on_event: impl FnMut(&Ev, &[Held])) {
             }
             Ev::StmtEnd => {
                 held.retain(|h| h.bound.is_some());
+            }
+            Ev::Branch { breakable } => open.push(Open {
+                entry: held.clone(),
+                live,
+                breakable: *breakable,
+                outs: Vec::new(),
+            }),
+            Ev::Alt => {
+                if let Some(b) = open.last_mut() {
+                    if live {
+                        b.outs.push(std::mem::take(&mut held));
+                    }
+                    held.clone_from(&b.entry);
+                    live = b.live;
+                }
+            }
+            Ev::Merge => {
+                if let Some(b) = open.pop() {
+                    live = b.live && !b.outs.is_empty();
+                    if !b.outs.is_empty() {
+                        held.clear();
+                        for h in b.outs.into_iter().flatten() {
+                            if !held.contains(&h) {
+                                held.push(h);
+                            }
+                        }
+                    }
+                }
+            }
+            Ev::Diverge { breaks } => {
+                if *breaks && live {
+                    if let Some(b) = open.iter_mut().rev().find(|b| b.breakable) {
+                        b.outs.push(held.clone());
+                    }
+                }
+                live = false;
             }
         }
     }
@@ -791,25 +936,68 @@ mod tests {
         assert_eq!(direct.iter().collect::<Vec<_>>(), vec!["cfg"]);
     }
 
+    /// The locks held at each `Blocking` event of `fn_name`.
+    fn held_at_blocking(src: &str, fn_name: &str) -> Vec<Vec<String>> {
+        let (events, _) = facts_of(src, fn_name);
+        let mut out = Vec::new();
+        simulate(&events, |ev, held| {
+            if let Ev::Blocking { .. } = ev {
+                out.push(held.iter().map(|h| h.lock.clone()).collect());
+            }
+        });
+        out
+    }
+
     #[test]
     fn blocking_calls_and_wrappers_are_events() {
         let src = format!(
             "{STATE}impl S {{ fn lock(&self) -> std::sync::MutexGuard<'_, u32> {{ self.state.lock().unwrap() }} fn f(&self, stream: &mut std::net::TcpStream) {{ let st = self.lock(); write_frame(stream, b\"x\"); }} }}"
         );
-        let (events, _) = facts_of(&src, "f");
-        let mut blocked_holding = Vec::new();
-        simulate(&events, |ev, held| {
-            if let Ev::Blocking { .. } = ev {
-                blocked_holding = held.iter().map(|h| h.lock.clone()).collect();
-            }
-        });
-        // The wrapper call is CallLocal, not Acquire — lock-order's
-        // fixpoint turns it into an exposure; hold-blocking resolves the
-        // bound wrapper call to its direct set. Here we only assert the
-        // Blocking event exists.
-        assert!(events.iter().any(|e| matches!(e, Ev::Blocking { .. })));
-        assert!(blocked_holding.is_empty());
-        assert!(events.iter().any(|e| matches!(e, Ev::CallLocal { qname, bound: Some(b), .. } if qname == "S::lock" && b == "st")));
+        // The bound wrapper call is an acquisition of the wrapper's lock.
+        let (events, direct) = facts_of(&src, "f");
+        assert!(direct.contains("state"), "{direct:?}");
+        assert!(events.iter().any(
+            |e| matches!(e, Ev::Acquire { lock, bound: Some(b), .. } if lock == "state" && b == "st")
+        ));
+        assert_eq!(held_at_blocking(&src, "f"), vec![vec!["state"]]);
+    }
+
+    #[test]
+    fn a_drop_in_one_arm_ends_the_guard_on_that_path_only() {
+        // Returning after the drop: the path that falls through holds it.
+        let returns = format!(
+            "{STATE}impl S {{ fn f(&self, bad: bool) {{ let st = self.state.lock().unwrap(); if bad {{ drop(st); return; }} write_frame(); }} }}"
+        );
+        assert_eq!(held_at_blocking(&returns, "f"), vec![vec!["state"]]);
+        // Falling through after the drop: the else path still holds it.
+        let falls = format!(
+            "{STATE}impl S {{ fn f(&self, bad: bool) {{ let st = self.state.lock().unwrap(); if bad {{ drop(st); }} write_frame(); }} }}"
+        );
+        assert_eq!(held_at_blocking(&falls, "f"), vec![vec!["state"]]);
+        // Dropped on every path: released.
+        let both = format!(
+            "{STATE}impl S {{ fn f(&self, bad: bool) {{ let st = self.state.lock().unwrap(); match bad {{ true => drop(st), false => {{ drop(st); }} }} write_frame(); }} }}"
+        );
+        assert_eq!(held_at_blocking(&both, "f"), vec![Vec::<String>::new()]);
+    }
+
+    #[test]
+    fn breaks_carry_their_state_out_of_the_loop() {
+        // The only way out of the `loop` is the break, after the drop.
+        let src = format!(
+            "{STATE}impl S {{ fn f(&self) {{ let st = self.state.lock().unwrap(); loop {{ if done() {{ drop(st); break; }} }} write_frame(); }} }}"
+        );
+        assert_eq!(held_at_blocking(&src, "f"), vec![Vec::<String>::new()]);
+        // A `for` body may not run at all: the guard may still be held.
+        let src = format!(
+            "{STATE}impl S {{ fn f(&self) {{ let st = self.state.lock().unwrap(); for _ in 0..n {{ drop(st); break; }} write_frame(); }} }}"
+        );
+        assert_eq!(held_at_blocking(&src, "f"), vec![vec!["state"]]);
+        // A closure's `return` ends the closure, not the function.
+        let src = format!(
+            "{STATE}impl S {{ fn f(&self) {{ let st = self.state.lock().unwrap(); let g = || {{ return; }}; write_frame(); }} }}"
+        );
+        assert_eq!(held_at_blocking(&src, "f"), vec![vec!["state"]]);
     }
 
     #[test]

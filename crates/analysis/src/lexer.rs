@@ -56,19 +56,6 @@ impl Tok {
     pub fn is_ident(&self, s: &str) -> bool {
         self.kind == Kind::Ident && self.text == s
     }
-
-    /// The unquoted value of a plain or raw string literal; `None` for
-    /// other kinds. Escapes are left verbatim — the checks only match
-    /// simple names, which never contain escapes.
-    pub fn str_value(&self) -> Option<&str> {
-        if self.kind != Kind::Str {
-            return None;
-        }
-        let s = self.text.trim_start_matches(['b', 'r']).trim_start_matches('#');
-        let s = s.strip_prefix('"')?;
-        let s = s.trim_end_matches('#');
-        Some(s.strip_suffix('"').unwrap_or(s))
-    }
 }
 
 /// Lexes `src` into a token stream. Unterminated literals and comments
@@ -401,14 +388,6 @@ mod tests {
         assert_eq!(strs.len(), 1);
         assert!(strs[0].1.contains(".lock()"));
         assert!(toks.contains(&(Kind::Ident, "x".into())));
-    }
-
-    #[test]
-    fn str_value_unquotes_plain_and_raw() {
-        let t = &lex(r#""dx_seeds_total""#)[0];
-        assert_eq!(t.str_value(), Some("dx_seeds_total"));
-        let t = &lex(r##"r#"body"#"##)[0];
-        assert_eq!(t.str_value(), Some("body"));
     }
 
     #[test]

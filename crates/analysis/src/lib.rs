@@ -9,14 +9,13 @@
 //! tests. What remains is a rustc-`tidy`-style pass: a small
 //! comment/string-aware lexer ([`lexer`]), one syntax layer over it
 //! ([`ast`]), a guard-tracking dataflow walk ([`dataflow`]), a pluggable
-//! [`Check`] trait, and three checks — lock-order deadlock hazards,
-//! blocking calls under a contended lock, and the Prometheus metric-name
-//! catalog.
+//! [`Check`] trait, and two checks over the walk — lock-order deadlock
+//! hazards and blocking calls under a contended lock. (The metric-name
+//! catalog's rules are tests beside the catalog, not a check here.)
 //!
-//! Run it with `cargo run -p dx-analysis` (workspace scan) or
-//! `deepxplore analyze`; both drive [`scan`] and [`report`]. Findings
-//! are machine-readable, one per line — a file the syntax layer cannot
-//! parse is one too (`[parse]`):
+//! Run it with `cargo run -p dx-analysis`, which drives [`scan`] and
+//! [`report`]. Findings are machine-readable, one per line — a file the
+//! syntax layer cannot parse is one too (`[parse]`):
 //!
 //! ```text
 //! crates/analysis/fixtures/bad/lockmesh/src/deadlock.rs:37: [lock-order] `lockmesh::journal` re-acquired while already held (guard taken at line 36) — std::sync::Mutex self-deadlocks
@@ -58,7 +57,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based source line.
     pub line: usize,
-    /// The check id (`lock-order`, `telemetry-name`, …).
+    /// The check id (`lock-order`, `hold-blocking`, `allow`, `parse`).
     pub check: &'static str,
     /// Human-readable description of the problem.
     pub message: String,
@@ -132,17 +131,14 @@ impl SourceFile {
     }
 }
 
-/// Everything one scan sees: Rust sources plus the doc files some
-/// checks cross-reference (README, CI scripts and workflows).
+/// Everything one scan sees: the Rust sources under a root.
 pub struct Workspace {
     /// All lexed `.rs` files, sorted by path.
     pub files: Vec<SourceFile>,
-    /// Non-Rust docs: `(rel path, text)` for README.md, `*.sh`, `*.yml`.
-    pub docs: Vec<(String, String)>,
 }
 
 impl Workspace {
-    /// Loads every `.rs` file (and doc file) under `root`. Directories
+    /// Loads every `.rs` file under `root`. Directories
     /// named `target`, `.git` and — below the root only — `fixtures`
     /// are skipped, so a workspace scan never lints the seeded fixture
     /// violations while an explicit fixture scan still works.
@@ -152,7 +148,6 @@ impl Workspace {
     /// Any filesystem failure.
     pub fn load(root: &Path) -> io::Result<Self> {
         let mut files = Vec::new();
-        let mut docs = Vec::new();
         let mut stack = vec![root.to_path_buf()];
         while let Some(dir) = stack.pop() {
             let mut entries: Vec<_> = std::fs::read_dir(&dir)?.collect::<io::Result<Vec<_>>>()?;
@@ -168,14 +163,11 @@ impl Workspace {
                 } else if name.ends_with(".rs") {
                     let rel = rel_to(root, &path);
                     files.push(SourceFile::new(rel, &std::fs::read_to_string(&path)?));
-                } else if name == "README.md" || name.ends_with(".sh") || name.ends_with(".yml") {
-                    docs.push((rel_to(root, &path), std::fs::read_to_string(&path)?));
                 }
             }
         }
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
-        docs.sort();
-        Ok(Self { files, docs })
+        Ok(Self { files })
     }
 
     /// The files of one crate group, in path order.
@@ -189,11 +181,6 @@ impl Workspace {
         names.sort();
         names.dedup();
         names
-    }
-
-    /// The files named `name` (e.g. `proto.rs`), in path order.
-    pub fn files_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SourceFile> + 'a {
-        self.files.iter().filter(move |f| f.rel.rsplit('/').next() == Some(name))
     }
 }
 
@@ -376,7 +363,7 @@ fn sort(findings: &mut [Finding]) {
     });
 }
 
-/// The one scan sequence behind `dx-analysis` and `deepxplore analyze`:
+/// The scan sequence behind the `dx-analysis` binary:
 /// loads each path (with none, the enclosing cargo workspace, which
 /// becomes the working directory so findings print root-relative), runs
 /// [`run_all`] on it, and returns every finding, sorted.

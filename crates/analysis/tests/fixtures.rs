@@ -40,7 +40,7 @@ fn bad_fixtures_surface_every_seeded_violation() {
     );
     // Every check id must appear: a regression that silences one whole
     // check while the others still fire should not pass.
-    for check in ["lock-order", "hold-blocking", "telemetry-name", "allow", "parse"] {
+    for check in ["lock-order", "hold-blocking", "allow", "parse"] {
         assert!(
             got.iter().any(|l| l.contains(&format!("[{check}]"))),
             "no `{check}` finding in the bad fixtures"

@@ -25,7 +25,7 @@ use dx_nn::network::Network;
 use dx_nn::util::{concat_rows, gather_rows};
 use dx_telemetry::events::{emit, Level};
 use dx_telemetry::phase::{Phase, PhaseAccum, TIME_BUCKETS};
-use dx_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Span};
+use dx_telemetry::{names, Counter, Gauge, Histogram, MetricsRegistry, Span};
 use dx_tensor::{rng, Tensor};
 use std::sync::Arc;
 
@@ -167,33 +167,31 @@ struct EngineMetrics {
 
 impl EngineMetrics {
     fn new(registry: &MetricsRegistry, metric: &dx_coverage::MetricSpec) -> Self {
-        registry.set_help("dx_seeds_total", "Seed steps processed");
-        registry.set_help("dx_diffs_total", "Difference-inducing inputs found");
-        registry.set_help("dx_new_units_total", "Coverage units newly covered, per component");
-        registry.set_help("dx_epoch_seconds", "Wall-clock time per campaign epoch");
-        registry.set_help("dx_lock_wait_seconds", "Worker wait for the global coverage lock");
-        registry.set_help("dx_phase_seconds", "Generator hot-path time per phase");
-        registry.set_help("dx_corpus_size", "Corpus entries");
-        registry.set_help("dx_corpus_energy", "Corpus energy distribution (min/mean/max)");
         let epoch_bounds: Vec<f64> = TIME_BUCKETS.iter().map(|b| b * 100.0).collect();
         Self {
-            seeds: registry.counter("dx_seeds_total", &[]),
-            diffs: registry.counter("dx_diffs_total", &[]),
-            epoch_seconds: registry.histogram("dx_epoch_seconds", &[], &epoch_bounds),
-            lock_wait: registry.histogram("dx_lock_wait_seconds", &[], &TIME_BUCKETS),
-            corpus_size: registry.gauge("dx_corpus_size", &[]),
-            energy_min: registry.gauge("dx_corpus_energy", &[("stat", "min")]),
-            energy_mean: registry.gauge("dx_corpus_energy", &[("stat", "mean")]),
-            energy_max: registry.gauge("dx_corpus_energy", &[("stat", "max")]),
+            seeds: registry.counter(names::SEEDS_TOTAL.name, &[]),
+            diffs: registry.counter(names::DIFFS_TOTAL.name, &[]),
+            epoch_seconds: registry.histogram(names::EPOCH_SECONDS.name, &[], &epoch_bounds),
+            lock_wait: registry.histogram(names::LOCK_WAIT_SECONDS.name, &[], &TIME_BUCKETS),
+            corpus_size: registry.gauge(names::CORPUS_SIZE.name, &[]),
+            energy_min: registry.gauge(names::CORPUS_ENERGY.name, &[("stat", "min")]),
+            energy_mean: registry.gauge(names::CORPUS_ENERGY.name, &[("stat", "mean")]),
+            energy_max: registry.gauge(names::CORPUS_ENERGY.name, &[("stat", "max")]),
             new_units: metric
                 .components
                 .iter()
-                .map(|c| registry.counter("dx_new_units_total", &[("component", &c.to_string())]))
+                .map(|c| {
+                    registry.counter(names::NEW_UNITS_TOTAL.name, &[("component", &c.to_string())])
+                })
                 .collect(),
             phase_seconds: Phase::ALL
                 .iter()
                 .map(|p| {
-                    registry.histogram("dx_phase_seconds", &[("phase", p.name())], &TIME_BUCKETS)
+                    registry.histogram(
+                        names::PHASE_SECONDS.name,
+                        &[("phase", p.name())],
+                        &TIME_BUCKETS,
+                    )
                 })
                 .collect(),
         }

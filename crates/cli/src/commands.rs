@@ -34,14 +34,13 @@ COMMANDS:
     submit      Submit a campaign to a running service daemon.
     status      Query a service daemon's campaigns (all, one, or a report).
     cancel      Cancel a service campaign.
-    analyze     Run the in-tree whitebox static analysis (dx-analysis).
     help        Show this message.
 
 COMMON OPTIONS:
     --dataset <mnist|imagenet|driving|pdf|drebin|all>   (default: mnist)
     --full                 Use bench-scale datasets/training (default: test scale).
 
-OBSERVABILITY OPTIONS (campaign/coordinator/worker/dist):
+OBSERVABILITY OPTIONS (campaign/coordinator/worker/dist/serve):
     --log-level <trace|debug|info|warn|error|off>
                            Stderr threshold for the structured JSONL event
                            stream (default: info).
@@ -171,15 +170,6 @@ SERVICE CLIENT OPTIONS (submit/status/cancel):
     status: --id <N> for one campaign (add --report for the rendered
             campaign report); no --id lists all campaigns.
     cancel: --id <N> (required).
-
-ANALYZE OPTIONS:
-    --path <dir>           Scan <dir> instead of the enclosing workspace.
-    --fix-hints            Print a remediation hint under each finding.
-    (Checks: lock-order deadlock cycles, blocking calls under a contended
-     lock, and the telemetry-name catalog; panic paths, hash-ordered
-     collections and wire/checkpoint drift are left to clippy and the
-     tests. Exits non-zero on any finding; suppress one — never
-     silently — with `// analysis: allow(check): justification`.)
 ";
 
 type CmdResult = Result<(), Box<dyn Error>>;
@@ -750,6 +740,37 @@ pub fn worker(args: &Args) -> CmdResult {
     Ok(())
 }
 
+/// The argv of a worker `dist` spawns against `addr`. It forwards every
+/// flag `build_suite` reads, switches included, so the worker's
+/// admission fingerprint matches the coordinator's, plus the worker's
+/// own lease, heartbeat and log flags.
+fn worker_argv(args: &Args, addr: &str) -> Vec<String> {
+    let mut argv = vec!["worker".to_string(), "--connect".to_string(), addr.to_string()];
+    for flag in [
+        "dataset",
+        "metric",
+        "constraint",
+        "lambda1",
+        "lambda2",
+        "step",
+        "max-iters",
+        "pick",
+        "lease",
+        "heartbeat-every",
+        "log-level",
+    ] {
+        if let Some(v) = args.get(flag) {
+            argv.extend([format!("--{flag}"), v.to_string()]);
+        }
+    }
+    for switch in ["full", "preexisting"] {
+        if args.has(switch) {
+            argv.push(format!("--{switch}"));
+        }
+    }
+    argv
+}
+
 /// `deepxplore dist`: coordinator plus N spawned local worker processes.
 pub fn dist(args: &Args) -> CmdResult {
     let _metrics = init_telemetry(args)?;
@@ -766,33 +787,7 @@ pub fn dist(args: &Args) -> CmdResult {
     let addr = listener.local_addr()?;
     println!("dist campaign `{label}` on {addr} with {n_workers} local worker processes");
     let exe = std::env::current_exe()?;
-    let mut forwarded: Vec<String> = vec![
-        "worker".into(),
-        "--connect".into(),
-        addr.to_string(),
-        "--dataset".into(),
-        args.get_or("dataset", "mnist").into(),
-    ];
-    if args.has("full") {
-        forwarded.push("--full".into());
-    }
-    for flag in [
-        "constraint",
-        "lambda1",
-        "lambda2",
-        "step",
-        "max-iters",
-        "pick",
-        "metric",
-        "lease",
-        "heartbeat-every",
-        "log-level",
-    ] {
-        if let Some(v) = args.get(flag) {
-            forwarded.push(format!("--{flag}"));
-            forwarded.push(v.into());
-        }
-    }
+    let forwarded = worker_argv(args, &addr.to_string());
     let mut children = Vec::new();
     for _ in 0..n_workers {
         let mut cmd = std::process::Command::new(&exe);
@@ -971,14 +966,6 @@ pub fn cancel(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `deepxplore analyze`: the in-tree whitebox static analysis pass
-/// (`dx-analysis`) over the workspace or a given path.
-pub fn analyze(args: &Args) -> CmdResult {
-    let paths: Vec<PathBuf> = args.get("path").map(PathBuf::from).into_iter().collect();
-    let findings = dx_analysis::scan(&paths)?;
-    Ok(dx_analysis::report(&findings, args.has("fix-hints"))?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -998,5 +985,28 @@ mod tests {
         assert_eq!(target("1").unwrap(), Some(1.0));
         let none = Args::parse(&["campaign".to_string()], &[]).unwrap();
         assert_eq!(parse_target_coverage(&none).unwrap(), None);
+    }
+
+    #[test]
+    fn dist_workers_get_every_flag_the_suite_is_built_from() {
+        let argv: Vec<String> = "dist --workers 2 --dataset pdf --full --preexisting \
+                                 --metric multisection:4+boundary --constraint clip \
+                                 --lambda1 2 --lambda2 0.5 --step 0.02 --max-iters 7 \
+                                 --pick nearest --lease 3 --rng 9"
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        let parent = Args::parse(&argv, crate::SWITCHES).unwrap();
+        let child = Args::parse(&worker_argv(&parent, "127.0.0.1:1"), crate::SWITCHES).unwrap();
+        assert_eq!(child.command, "worker");
+        assert_eq!(child.get("connect"), Some("127.0.0.1:1"));
+        let hp = |a: &Args| format!("{:?}", hyperparams_for(a, DatasetKind::Pdf).unwrap());
+        assert_eq!(hp(&child), hp(&parent));
+        assert!(child.has("preexisting"));
+        for flag in ["metric", "constraint", "dataset"] {
+            assert_eq!(child.get(flag), parent.get(flag), "--{flag}");
+        }
+        assert!(child.has("full"));
+        assert_eq!(child.get("lease"), Some("3"));
     }
 }

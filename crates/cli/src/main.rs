@@ -14,7 +14,6 @@
 //! deepxplore submit   --name X [options]        submit a campaign to a service daemon
 //! deepxplore status   [--id N] [--report]       query a service daemon's campaigns
 //! deepxplore cancel   --id N                    cancel a service campaign
-//! deepxplore analyze  [--path DIR] [--fix-hints]  in-tree whitebox static analysis
 //! deepxplore help                               this text
 //! ```
 
@@ -25,7 +24,7 @@ mod commands;
 
 use args::Args;
 
-const SWITCHES: &[&str] = &["full", "save-images", "preexisting", "report", "fix-hints"];
+const SWITCHES: &[&str] = &["full", "save-images", "preexisting", "report"];
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -51,7 +50,6 @@ fn main() {
         "submit" => commands::submit(&parsed),
         "status" => commands::status(&parsed),
         "cancel" => commands::cancel(&parsed),
-        "analyze" => commands::analyze(&parsed),
         "help" | "--help" | "-h" => {
             print!("{}", commands::HELP);
             Ok(())

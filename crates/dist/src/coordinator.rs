@@ -50,7 +50,7 @@ use dx_coverage::CoverageSignal;
 use dx_nn::util::gather_rows;
 use dx_telemetry::events::{emit, Level};
 use dx_telemetry::phase::TIME_BUCKETS;
-use dx_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
+use dx_telemetry::{names, Counter, Gauge, Histogram, MetricsRegistry};
 use dx_tensor::{rng, Tensor};
 
 use crate::engine::{
@@ -250,28 +250,15 @@ struct CoordMetrics {
 
 impl CoordMetrics {
     fn new(registry: &MetricsRegistry) -> Self {
-        registry.set_help("dx_seeds_total", "Seed steps absorbed by the coordinator.");
-        registry.set_help("dx_diffs_total", "Difference-inducing inputs absorbed.");
-        registry.set_help("dx_leases_total", "Leases granted to workers.");
-        registry.set_help("dx_lease_expired_total", "Leases that timed out and were requeued.");
-        registry.set_help("dx_heartbeats_total", "Heartbeat frames handled.");
-        registry.set_help("dx_requeue_depth", "Seeds waiting in the requeue.");
-        registry.set_help("dx_workers_connected", "Currently admitted worker connections.");
-        registry.set_help("dx_lease_turnaround_seconds", "Lease issue-to-results time, per slot.");
-        registry.set_help("dx_spot_checks_total", "Spot-checked diff claims by slot and verdict.");
-        registry.set_help("dx_worker_evicted", "1 once the slot was evicted for fabrication.");
-        registry.set_help("dx_heartbeat_rtt_seconds", "Worker-observed heartbeat round-trip time.");
-        registry
-            .set_help("dx_phase_seconds", "Generator hot-path phase time from worker telemetry.");
         Self {
             registry: registry.clone(),
-            steps: registry.counter("dx_seeds_total", &[]),
-            diffs: registry.counter("dx_diffs_total", &[]),
-            leases: registry.counter("dx_leases_total", &[]),
-            lease_expired: registry.counter("dx_lease_expired_total", &[]),
-            heartbeats: registry.counter("dx_heartbeats_total", &[]),
-            requeue_depth: registry.gauge("dx_requeue_depth", &[]),
-            connected: registry.gauge("dx_workers_connected", &[]),
+            steps: registry.counter(names::SEEDS_TOTAL.name, &[]),
+            diffs: registry.counter(names::DIFFS_TOTAL.name, &[]),
+            leases: registry.counter(names::LEASES_TOTAL.name, &[]),
+            lease_expired: registry.counter(names::LEASE_EXPIRED_TOTAL.name, &[]),
+            heartbeats: registry.counter(names::HEARTBEATS_TOTAL.name, &[]),
+            requeue_depth: registry.gauge(names::REQUEUE_DEPTH.name, &[]),
+            connected: registry.gauge(names::WORKERS_CONNECTED.name, &[]),
         }
     }
 
@@ -280,12 +267,13 @@ impl CoordMetrics {
     fn turnaround(&self, slot: u64) -> Arc<Histogram> {
         let bounds: Vec<f64> = TIME_BUCKETS.iter().map(|b| b * 100.0).collect();
         let slot = slot.to_string();
-        self.registry.histogram("dx_lease_turnaround_seconds", &[("slot", &slot)], &bounds)
+        self.registry.histogram(names::LEASE_TURNAROUND_SECONDS.name, &[("slot", &slot)], &bounds)
     }
 
     fn spot(&self, slot: u64, verdict: &str) -> Arc<Counter> {
         let slot = slot.to_string();
-        self.registry.counter("dx_spot_checks_total", &[("slot", &slot), ("verdict", verdict)])
+        self.registry
+            .counter(names::SPOT_CHECKS_TOTAL.name, &[("slot", &slot), ("verdict", verdict)])
     }
 
     /// `(checked, failed)` spot-check totals for a slot.
@@ -297,7 +285,7 @@ impl CoordMetrics {
 
     fn evicted_gauge(&self, slot: u64) -> Arc<Gauge> {
         let slot = slot.to_string();
-        self.registry.gauge("dx_worker_evicted", &[("slot", &slot)])
+        self.registry.gauge(names::WORKER_EVICTED.name, &[("slot", &slot)])
     }
 
     fn is_evicted(&self, slot: u64) -> bool {
@@ -863,7 +851,7 @@ impl Daemon for Coordinator {
             engine::merge_worker_telemetry(&self.cfg.registry, t);
             if let Some(hb) = &t.heartbeat {
                 let slot = s.to_string();
-                let rtt = "dx_heartbeat_rtt_seconds";
+                let rtt = names::HEARTBEAT_RTT_SECONDS.name;
                 self.cfg.registry.histogram(rtt, &[("slot", &slot)], &TIME_BUCKETS).merge_local(hb);
             }
         }

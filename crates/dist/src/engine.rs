@@ -372,7 +372,7 @@ use std::sync::Arc;
 use dx_campaign::ModelSuite;
 use dx_telemetry::events::{emit, Level};
 use dx_telemetry::phase::{Phase, TIME_BUCKETS};
-use dx_telemetry::MetricsRegistry;
+use dx_telemetry::{names, MetricsRegistry};
 
 use crate::proto::{coverage_news, Fingerprint, Msg, TelemetrySnapshot, PROTOCOL_VERSION};
 use crate::wire::{write_frame, FrameReader, MAX_FRAME};
@@ -849,7 +849,7 @@ pub fn merge_worker_telemetry(registry: &MetricsRegistry, t: &TelemetrySnapshot)
     for (name, hist) in &t.phases {
         let Some(phase) = Phase::ALL.iter().find(|p| p.name() == name) else { continue };
         registry
-            .histogram("dx_phase_seconds", &[("phase", phase.name())], &TIME_BUCKETS)
+            .histogram(names::PHASE_SECONDS.name, &[("phase", phase.name())], &TIME_BUCKETS)
             .merge_local(hist);
     }
 }

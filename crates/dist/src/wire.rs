@@ -12,7 +12,7 @@ use std::sync::{Arc, OnceLock};
 
 use dx_campaign::codec::parse_doc;
 use dx_campaign::json::Json;
-use dx_telemetry::Counter;
+use dx_telemetry::{names, Counter};
 
 /// Upper bound on one frame's payload, as a corruption guard: a garbage
 /// length prefix would otherwise ask for gigabytes.
@@ -34,13 +34,11 @@ fn wire_metrics() -> &'static WireMetrics {
     static METRICS: OnceLock<WireMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let reg = dx_telemetry::global();
-        reg.set_help("dx_frames_total", "Wire frames sent/received by this process.");
-        reg.set_help("dx_bytes_total", "Wire bytes sent/received by this process.");
         WireMetrics {
-            frames_in: reg.counter("dx_frames_total", &[("dir", "in")]),
-            frames_out: reg.counter("dx_frames_total", &[("dir", "out")]),
-            bytes_in: reg.counter("dx_bytes_total", &[("dir", "in")]),
-            bytes_out: reg.counter("dx_bytes_total", &[("dir", "out")]),
+            frames_in: reg.counter(names::FRAMES_TOTAL.name, &[("dir", "in")]),
+            frames_out: reg.counter(names::FRAMES_TOTAL.name, &[("dir", "out")]),
+            bytes_in: reg.counter(names::BYTES_TOTAL.name, &[("dir", "in")]),
+            bytes_out: reg.counter(names::BYTES_TOTAL.name, &[("dir", "out")]),
         }
     })
 }

@@ -62,13 +62,13 @@ pub struct WorkerConfig {
     /// ([`crate::auth`]). Required when the coordinator runs with one;
     /// ignored (never sent) when it does not.
     pub auth_token: Option<String>,
-    /// Persistent worker identity announced at `hello` and bound into
-    /// the auth proof. `None` derives a fresh unique one per
+    /// Worker identity announced at `hello` and bound into the auth
+    /// proof. A daemon keys its slot, eviction and per-tenant RNG
+    /// streams to it. `None` derives a fresh unique one per
     /// [`run_worker`] call (worker threads sharing a process stay
-    /// distinct); operators who want identities that survive
-    /// reconnects and restarts — which is what makes eviction stick to
-    /// the worker rather than the connection — set one explicitly
-    /// (`--worker-id` / `DX_WORKER_ID`).
+    /// distinct); the `deepxplore worker` command always does, so each
+    /// worker process is a new identity. Only a caller that sets this
+    /// keeps one identity across reconnects and restarts.
     pub worker_id: Option<String>,
 }
 

@@ -70,7 +70,7 @@ use dx_dist::engine::{Daemon as _, Fleet, Gate, LeaseTable};
 use dx_dist::proto::Fingerprint;
 use dx_nn::util::gather_rows;
 use dx_telemetry::events::{emit, Level};
-use dx_telemetry::{merge_renders, Counter, Gauge, MetricsRegistry};
+use dx_telemetry::{merge_renders, names, Counter, Gauge, MetricsRegistry};
 use dx_tensor::Tensor;
 
 pub mod api;
@@ -154,17 +154,12 @@ struct FleetMetrics {
 
 impl FleetMetrics {
     fn new(registry: &MetricsRegistry) -> Self {
-        registry.set_help("dx_workers_connected", "Currently admitted worker connections.");
-        registry.set_help("dx_service_tenants", "Live (non-terminal) tenant campaigns.");
-        registry.set_help("dx_service_leases_total", "Leases granted across all tenants.");
-        registry.set_help("dx_service_lease_expired_total", "Leases that timed out.");
-        registry.set_help("dx_service_heartbeats_total", "Heartbeat frames handled.");
         Self {
-            connected: registry.gauge("dx_workers_connected", &[]),
-            tenants_live: registry.gauge("dx_service_tenants", &[]),
-            leases: registry.counter("dx_service_leases_total", &[]),
-            lease_expired: registry.counter("dx_service_lease_expired_total", &[]),
-            heartbeats: registry.counter("dx_service_heartbeats_total", &[]),
+            connected: registry.gauge(names::WORKERS_CONNECTED.name, &[]),
+            tenants_live: registry.gauge(names::SERVICE_TENANTS.name, &[]),
+            leases: registry.counter(names::SERVICE_LEASES_TOTAL.name, &[]),
+            lease_expired: registry.counter(names::SERVICE_LEASE_EXPIRED_TOTAL.name, &[]),
+            heartbeats: registry.counter(names::SERVICE_HEARTBEATS_TOTAL.name, &[]),
         }
     }
 }

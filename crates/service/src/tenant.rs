@@ -27,7 +27,7 @@ use dx_campaign::json::{build, Json};
 use dx_campaign::ledger::{Ledger, Snapshot};
 use dx_campaign::{Corpus, EnergyModel, ModelSuite};
 use dx_coverage::CoverageSignal;
-use dx_telemetry::{Counter, Gauge, MetricsRegistry};
+use dx_telemetry::{names, Counter, Gauge, MetricsRegistry};
 use dx_tensor::Tensor;
 
 use crate::spec::CampaignSpec;
@@ -89,19 +89,13 @@ pub(crate) struct TenantMetrics {
 impl TenantMetrics {
     fn new() -> Self {
         let registry = MetricsRegistry::new();
-        registry.set_help("dx_seeds_total", "Seed steps absorbed for this tenant.");
-        registry.set_help("dx_diffs_total", "Difference-inducing inputs absorbed.");
-        registry.set_help("dx_leases_total", "Leases granted to workers.");
-        registry.set_help("dx_requeue_depth", "Seeds waiting in the requeue.");
-        registry.set_help("dx_corpus_size", "Corpus entries.");
-        registry.set_help("dx_coverage_mean", "Mean global coverage across models.");
         Self {
-            steps: registry.counter("dx_seeds_total", &[]),
-            diffs: registry.counter("dx_diffs_total", &[]),
-            leases: registry.counter("dx_leases_total", &[]),
-            requeue_depth: registry.gauge("dx_requeue_depth", &[]),
-            corpus_size: registry.gauge("dx_corpus_size", &[]),
-            coverage_mean: registry.gauge("dx_coverage_mean", &[]),
+            steps: registry.counter(names::SEEDS_TOTAL.name, &[]),
+            diffs: registry.counter(names::DIFFS_TOTAL.name, &[]),
+            leases: registry.counter(names::LEASES_TOTAL.name, &[]),
+            requeue_depth: registry.gauge(names::REQUEUE_DEPTH.name, &[]),
+            corpus_size: registry.gauge(names::CORPUS_SIZE.name, &[]),
+            coverage_mean: registry.gauge(names::COVERAGE_MEAN.name, &[]),
             registry,
         }
     }

@@ -183,27 +183,19 @@ struct Family {
     series: BTreeMap<Labels, Series>,
 }
 
-#[derive(Default)]
-struct Inner {
-    families: Mutex<BTreeMap<String, Family>>,
-    /// `# HELP` text per family name, kept separately so help can be
-    /// registered before or after a family's first series appears.
-    helps: Mutex<BTreeMap<String, String>>,
-}
-
 /// A named collection of metric families. Cloning shares the underlying
 /// storage; [`MetricsRegistry::default`] creates a fresh private registry
 /// (so config structs embedding one stay isolated under parallel tests),
 /// while [`global()`] hands out the process-wide one the CLI exposes over
-/// HTTP.
+/// HTTP. A family's `# HELP` text comes from its [`names`] catalog entry.
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
-    inner: Arc<Inner>,
+    families: Arc<Mutex<BTreeMap<String, Family>>>,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let families = self.inner.families.lock().unwrap_or_else(|e| e.into_inner());
+        let families = self.families.lock().unwrap_or_else(|e| e.into_inner());
         f.debug_struct("MetricsRegistry").field("families", &families.len()).finish()
     }
 }
@@ -254,7 +246,7 @@ impl MetricsRegistry {
 
     fn series_of(&self, name: &str, labels: &[(&str, &str)], kind: Kind, bounds: &[f64]) -> Series {
         let key: Labels = labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
-        let mut families = self.inner.families.lock().unwrap_or_else(|e| e.into_inner());
+        let mut families = self.families.lock().unwrap_or_else(|e| e.into_inner());
         let family = families
             .entry(name.to_string())
             .or_insert_with(|| Family { kind, series: BTreeMap::new() });
@@ -275,17 +267,10 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// Sets the `# HELP` text for a family. Help registered before the
-    /// family's first series is kept and attached once it appears.
-    pub fn set_help(&self, name: &str, help: &str) {
-        let mut helps = self.inner.helps.lock().unwrap_or_else(|e| e.into_inner());
-        helps.insert(name.to_string(), help.to_string());
-    }
-
     /// Renders every family in the Prometheus text exposition format
-    /// (version 0.0.4): `# HELP` / `# TYPE` headers, escaped label
-    /// values, and cumulative histogram buckets ending in `+Inf` plus
-    /// `_sum` / `_count` series.
+    /// (version 0.0.4): `# HELP` (catalogued families) / `# TYPE`
+    /// headers, escaped label values, and cumulative histogram buckets
+    /// ending in `+Inf` plus `_sum` / `_count` series.
     pub fn render_prometheus(&self) -> String {
         self.render_prometheus_labeled(&[])
     }
@@ -297,12 +282,11 @@ impl MetricsRegistry {
     /// threading the tenant name through.
     pub fn render_prometheus_labeled(&self, extra: &[(&str, &str)]) -> String {
         let extra: Labels = extra.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-        let families = self.inner.families.lock().unwrap_or_else(|e| e.into_inner());
-        let helps = self.inner.helps.lock().unwrap_or_else(|e| e.into_inner());
+        let families = self.families.lock().unwrap_or_else(|e| e.into_inner());
         let mut out = String::new();
         for (name, family) in families.iter() {
-            if let Some(help) = helps.get(name) {
-                let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
+            if let Some(metric) = names::lookup(name) {
+                let _ = writeln!(out, "# HELP {name} {}", metric.help);
             }
             let _ = writeln!(out, "# TYPE {name} {}", family.kind.name());
             for (labels, series) in &family.series {
@@ -377,11 +361,6 @@ fn label_block(labels: &Labels, le: Option<&str>) -> String {
 /// quote, and newline.
 fn escape_label(v: &str) -> String {
     v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
-/// Escapes HELP text (backslash and newline only; quotes are legal).
-fn escape_help(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
 /// Renders an f64 the way Prometheus expects (plain decimal; `{}` on f64
@@ -497,12 +476,16 @@ mod tests {
     #[test]
     fn help_and_type_headers_render() {
         let reg = MetricsRegistry::new();
-        reg.counter("dx_seeds_total", &[]).inc();
-        reg.set_help("dx_seeds_total", "Seeds processed\nacross all workers");
+        reg.counter(names::SEEDS_TOTAL.name, &[]).inc();
+        reg.histogram("dx_t", &[], &[1.0]).observe(0.5);
         let text = reg.render_prometheus();
-        assert!(text.contains("# HELP dx_seeds_total Seeds processed\\nacross all workers\n"));
-        assert!(text.contains("# TYPE dx_seeds_total counter\n"));
-        assert!(text.contains("dx_seeds_total 1\n"));
+        let help = format!("# HELP dx_seeds_total {}\n", names::SEEDS_TOTAL.help);
+        assert!(text.contains(&help), "{text}");
+        assert!(text.contains("# TYPE dx_seeds_total counter\n"), "{text}");
+        assert!(text.contains("dx_seeds_total 1\n"), "{text}");
+        // A family outside the catalog renders its type but no help.
+        assert!(text.contains("# TYPE dx_t histogram\n"), "{text}");
+        assert!(!text.contains("# HELP dx_t "), "{text}");
     }
 
     #[test]
@@ -527,7 +510,6 @@ mod tests {
         let b = MetricsRegistry::new();
         for reg in [&a, &b] {
             reg.counter("dx_seeds_total", &[]).inc();
-            reg.set_help("dx_seeds_total", "Seeds processed");
         }
         let merged = merge_renders(&[
             a.render_prometheus_labeled(&[("tenant", "a")]),

@@ -1,110 +1,120 @@
-//! The canonical catalog of every Prometheus metric name this
-//! workspace emits.
+//! The catalog of every Prometheus metric this workspace emits: each
+//! metric's name and `# HELP` text, declared once.
 //!
-//! Metric names are stringly-typed at each registration site, in the
-//! README's metrics table, and in the scrape scripts; nothing but
-//! convention keeps them aligned. This module is the single place a
-//! name is *declared*, and `dx-analysis`'s `telemetry-name` check
-//! enforces the convention mechanically: every name registered in
-//! non-test code must appear here, every name here must be registered
-//! somewhere and documented in the README, and every `dx_…` token in
-//! the docs must resolve back to this catalog.
+//! An entry's constant is its name without `dx_`, upper-cased. A
+//! registration site names it through this module
+//! (`registry.counter(names::SEEDS_TOTAL.name, &[])`), never as a
+//! string literal, and [`MetricsRegistry`](crate::MetricsRegistry)
+//! renders a family's `# HELP` line from its entry here, so a metric
+//! reads the same in every process that registers it. Families outside
+//! the catalog (ad-hoc names in tests and benches) render without one.
+//!
+//! The catalog's rules are held by tests. This module's own test: names
+//! are unique, `dx_`-prefixed snake_case, and HELP text is one plain
+//! line. `tests/tests/workspace_rules.rs`, which reads [`ALL`]: no
+//! `"dx_…"` literal in the non-test source of `crates/*/src` outside
+//! this file; every entry registered somewhere and named in the
+//! README; every `dx_…` token in a README, script or workflow declared
+//! here (histogram `_count`/`_sum`/`_bucket` series resolve to their
+//! base name).
 //!
 //! Names follow Prometheus conventions: `dx_` namespace prefix,
 //! snake_case, `_total` for counters, `_seconds` for time histograms.
 //! Label dimensions (`{phase=}`, `{slot=}`, `{tenant=}`, …) are chosen
 //! at the registration site and are not part of the catalog key.
 
-// ---- engine / generator (dx-campaign) ----------------------------------
+/// One catalogued metric family.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Metric {
+    /// The Prometheus family name.
+    pub name: &'static str,
+    /// The `# HELP` text rendered for the family.
+    pub help: &'static str,
+}
 
-/// Counter: seed steps processed by the joint-optimization loop.
-pub const SEEDS_TOTAL: &str = "dx_seeds_total";
-/// Counter: difference-inducing inputs found.
-pub const DIFFS_TOTAL: &str = "dx_diffs_total";
-/// Counter, `{component=}`: coverage units newly covered.
-pub const NEW_UNITS_TOTAL: &str = "dx_new_units_total";
-/// Histogram: wall-clock time per campaign epoch.
-pub const EPOCH_SECONDS: &str = "dx_epoch_seconds";
-/// Histogram: worker wait for the global coverage lock.
-pub const LOCK_WAIT_SECONDS: &str = "dx_lock_wait_seconds";
-/// Histogram, `{phase=}`: generator hot-path time per phase
-/// (forward / gradient / constraint / coverage).
-pub const PHASE_SECONDS: &str = "dx_phase_seconds";
-/// Gauge: corpus entries.
-pub const CORPUS_SIZE: &str = "dx_corpus_size";
-/// Gauge, `{stat=}`: corpus energy distribution (min/mean/max).
-pub const CORPUS_ENERGY: &str = "dx_corpus_energy";
+/// The catalog entry named `name`, if there is one.
+pub fn lookup(name: &str) -> Option<&'static Metric> {
+    ALL.iter().find(|m| m.name == name)
+}
 
-// ---- coordinator / fleet (dx-dist) -------------------------------------
+/// Declares each entry as a constant and lists them all in [`ALL`], so
+/// an entry cannot be left out of the list.
+macro_rules! catalog {
+    ($($(#[$doc:meta])* $id:ident = $name:literal, $help:literal;)*) => {
+        $($(#[$doc])* pub const $id: Metric = Metric { name: $name, help: $help };)*
+        /// Every catalog entry, in declaration order.
+        pub const ALL: &[Metric] = &[$($id),*];
+    };
+}
 
-/// Counter: leases granted to workers.
-pub const LEASES_TOTAL: &str = "dx_leases_total";
-/// Counter: leases that timed out and were requeued.
-pub const LEASE_EXPIRED_TOTAL: &str = "dx_lease_expired_total";
-/// Counter: heartbeat frames handled by the coordinator.
-pub const HEARTBEATS_TOTAL: &str = "dx_heartbeats_total";
-/// Gauge: seeds waiting in the requeue.
-pub const REQUEUE_DEPTH: &str = "dx_requeue_depth";
-/// Gauge: currently admitted worker connections.
-pub const WORKERS_CONNECTED: &str = "dx_workers_connected";
-/// Histogram, `{slot=}`: lease issue-to-results time.
-pub const LEASE_TURNAROUND_SECONDS: &str = "dx_lease_turnaround_seconds";
-/// Counter, `{slot=,verdict=}`: spot-checked diff claims (the trust
-/// plane — these counters are the fleet report's spot-ok/spot-bad).
-pub const SPOT_CHECKS_TOTAL: &str = "dx_spot_checks_total";
-/// Gauge, `{slot=}`: 1 once the slot was evicted for fabrication.
-pub const WORKER_EVICTED: &str = "dx_worker_evicted";
-/// Histogram, `{slot=}`: worker-observed heartbeat round-trip time.
-pub const HEARTBEAT_RTT_SECONDS: &str = "dx_heartbeat_rtt_seconds";
+catalog! {
+    // ---- engine / generator (dx-campaign) -------------------------------
 
-// ---- wire protocol (dx-dist) -------------------------------------------
+    /// Counter.
+    SEEDS_TOTAL = "dx_seeds_total", "Seed steps processed.";
+    /// Counter.
+    DIFFS_TOTAL = "dx_diffs_total", "Difference-inducing inputs found.";
+    /// Counter, `{component=}`.
+    NEW_UNITS_TOTAL = "dx_new_units_total", "Coverage units newly covered, per component.";
+    /// Histogram.
+    EPOCH_SECONDS = "dx_epoch_seconds", "Wall-clock time per campaign epoch.";
+    /// Histogram.
+    LOCK_WAIT_SECONDS = "dx_lock_wait_seconds", "Worker wait for the global coverage lock.";
+    /// Histogram, `{phase=}`; on a coordinator, the fleet's phases as
+    /// shipped in each `Results` frame.
+    PHASE_SECONDS = "dx_phase_seconds",
+        "Generator hot-path time per phase (forward, gradient, constraint, coverage).";
+    /// Gauge.
+    CORPUS_SIZE = "dx_corpus_size", "Corpus entries.";
+    /// Gauge, `{stat=}`.
+    CORPUS_ENERGY = "dx_corpus_energy", "Corpus energy distribution (min/mean/max).";
 
-/// Counter, `{dir=}`: wire frames sent/received by this process.
-pub const FRAMES_TOTAL: &str = "dx_frames_total";
-/// Counter, `{dir=}`: wire bytes sent/received by this process.
-pub const BYTES_TOTAL: &str = "dx_bytes_total";
+    // ---- coordinator / fleet (dx-dist) ----------------------------------
 
-// ---- multi-tenant service (dx-service) ---------------------------------
+    /// Counter.
+    LEASES_TOTAL = "dx_leases_total", "Leases granted to workers.";
+    /// Counter.
+    LEASE_EXPIRED_TOTAL = "dx_lease_expired_total", "Leases that timed out and were requeued.";
+    /// Counter.
+    HEARTBEATS_TOTAL = "dx_heartbeats_total", "Heartbeat frames handled by the coordinator.";
+    /// Gauge.
+    REQUEUE_DEPTH = "dx_requeue_depth", "Seeds waiting in the requeue.";
+    /// Gauge.
+    WORKERS_CONNECTED = "dx_workers_connected", "Currently admitted worker connections.";
+    /// Histogram, `{slot=}`.
+    LEASE_TURNAROUND_SECONDS = "dx_lease_turnaround_seconds",
+        "Lease issue-to-results time, per slot.";
+    /// Counter, `{slot=,verdict=}`: the trust plane — these counters are
+    /// the fleet report's spot-ok/spot-bad columns.
+    SPOT_CHECKS_TOTAL = "dx_spot_checks_total", "Spot-checked diff claims, by slot and verdict.";
+    /// Gauge, `{slot=}`.
+    WORKER_EVICTED = "dx_worker_evicted", "1 once the slot was evicted for fabrication.";
+    /// Histogram, `{slot=}`.
+    HEARTBEAT_RTT_SECONDS = "dx_heartbeat_rtt_seconds",
+        "Worker-observed heartbeat round-trip time.";
 
-/// Gauge: mean global coverage across models, per tenant.
-pub const COVERAGE_MEAN: &str = "dx_coverage_mean";
-/// Gauge: live (non-terminal) tenant campaigns.
-pub const SERVICE_TENANTS: &str = "dx_service_tenants";
-/// Counter: leases granted across all tenants.
-pub const SERVICE_LEASES_TOTAL: &str = "dx_service_leases_total";
-/// Counter: leases that timed out, across all tenants.
-pub const SERVICE_LEASE_EXPIRED_TOTAL: &str = "dx_service_lease_expired_total";
-/// Counter: heartbeat frames handled by the service daemon.
-pub const SERVICE_HEARTBEATS_TOTAL: &str = "dx_service_heartbeats_total";
+    // ---- wire protocol (dx-dist) ----------------------------------------
 
-/// Every catalog name, in declaration order. Handy for exhaustive
-/// checks in tests and tooling.
-pub const ALL: [&str; 24] = [
-    SEEDS_TOTAL,
-    DIFFS_TOTAL,
-    NEW_UNITS_TOTAL,
-    EPOCH_SECONDS,
-    LOCK_WAIT_SECONDS,
-    PHASE_SECONDS,
-    CORPUS_SIZE,
-    CORPUS_ENERGY,
-    LEASES_TOTAL,
-    LEASE_EXPIRED_TOTAL,
-    HEARTBEATS_TOTAL,
-    REQUEUE_DEPTH,
-    WORKERS_CONNECTED,
-    LEASE_TURNAROUND_SECONDS,
-    SPOT_CHECKS_TOTAL,
-    WORKER_EVICTED,
-    HEARTBEAT_RTT_SECONDS,
-    FRAMES_TOTAL,
-    BYTES_TOTAL,
-    COVERAGE_MEAN,
-    SERVICE_TENANTS,
-    SERVICE_LEASES_TOTAL,
-    SERVICE_LEASE_EXPIRED_TOTAL,
-    SERVICE_HEARTBEATS_TOTAL,
-];
+    /// Counter, `{dir=}`.
+    FRAMES_TOTAL = "dx_frames_total", "Wire frames sent/received by this process.";
+    /// Counter, `{dir=}`.
+    BYTES_TOTAL = "dx_bytes_total", "Wire bytes sent/received by this process.";
+
+    // ---- multi-tenant service (dx-service) ------------------------------
+
+    /// Gauge, per tenant.
+    COVERAGE_MEAN = "dx_coverage_mean", "Mean global coverage across models.";
+    /// Gauge.
+    SERVICE_TENANTS = "dx_service_tenants", "Live (non-terminal) tenant campaigns.";
+    /// Counter.
+    SERVICE_LEASES_TOTAL = "dx_service_leases_total", "Leases granted across all tenants.";
+    /// Counter.
+    SERVICE_LEASE_EXPIRED_TOTAL = "dx_service_lease_expired_total",
+        "Leases that timed out, across all tenants.";
+    /// Counter.
+    SERVICE_HEARTBEATS_TOTAL = "dx_service_heartbeats_total",
+        "Heartbeat frames handled by the service daemon.";
+}
 
 #[cfg(test)]
 mod tests {
@@ -113,12 +123,19 @@ mod tests {
     #[test]
     fn catalog_is_unique_prefixed_and_snake_case() {
         let mut seen = std::collections::BTreeSet::new();
-        for name in ALL {
+        for m in ALL {
+            let name = m.name;
             assert!(seen.insert(name), "duplicate catalog entry {name}");
             assert!(name.starts_with("dx_"), "{name} lacks the dx_ namespace");
             assert!(
                 name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
                 "{name} is not snake_case"
+            );
+            // The text format escapes `\` and newlines in HELP; plain
+            // one-line text needs no escaping.
+            assert!(
+                !m.help.is_empty() && !m.help.contains(['\\', '\n']),
+                "{name}: HELP must be one plain line"
             );
         }
     }
