@@ -114,7 +114,7 @@ impl Dense {
     }
 
     /// Backward pass: `(dx, [dW, db])`, the parameter gradients computed
-    /// from the recorded input `x`; without them it is
+    /// from the recorded input `x` when asked for. `dx` is always
     /// [`Dense::backward_input_ws`].
     pub fn backward(
         &self,
@@ -123,13 +123,10 @@ impl Dense {
         want_param_grads: bool,
         ws: &mut Workspace,
     ) -> (Tensor, Vec<Tensor>) {
+        let dx = self.backward_input_ws(grad_out, ws);
         if !want_param_grads {
-            return (self.backward_input_ws(grad_out, ws), vec![]);
+            return (dx, vec![]);
         }
-        // A training batch is wide enough for a materialised `Wᵀ` to pay:
-        // `matmul` vectorises along its output row, the transposed kernel's
-        // dot products cannot (cold `pdf` trio training: 0.44 s vs 0.90 s).
-        let dx = grad_out.matmul(&self.weight.transpose());
         let dw = x.transpose().matmul(grad_out);
         let (n, o) = (grad_out.shape()[0], grad_out.shape()[1]);
         let mut db = vec![0.0f32; o];

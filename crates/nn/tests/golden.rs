@@ -16,10 +16,13 @@
 //!   epochs of `train_classifier` and of `train_regressor` on a net with
 //!   dropout, batch-norm and a batch-norm inside a residual body.
 //!
-//! The sign of a zero is hashed like any other bit. At the parent the dense
-//! `dx` of a `forward` pass ran through a materialised `Wᵀ` and a
-//! zero-skipping product, which can differ from the transposed-rhs kernel
-//! in exactly that; on these nets it does not, so one literal pins both.
+//! The sign of a zero is hashed like any other bit. Every dense `dx`, in
+//! training too, runs through the register-blocked transposed-rhs kernel,
+//! which is bit-identical to one scalar dot product per element. Training
+//! once multiplied by a materialised `Wᵀ` with the zero-skipping product;
+//! into a zeroed buffer with finite weights the two agree bit for bit
+//! (`dx-tensor`'s `matmul_bt_matches_explicit_transpose`), so the training
+//! literals did not move when that path went.
 
 use dx_nn::init::Init;
 use dx_nn::layer::{Conv2d, Layer};

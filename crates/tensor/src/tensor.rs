@@ -342,31 +342,6 @@ impl Tensor {
         Self { data: out, shape: vec![m, n] }
     }
 
-    /// Matrix product with a transposed rhs: `self (m×k) · otherᵀ -> (m×n)`
-    /// where `other` is stored `n×k`.
-    ///
-    /// Equivalent to `self.matmul(&other.transpose())` without materializing
-    /// the transpose — each output element is a dot product of two
-    /// contiguous rows. Used by the dense backward pass (`dx = g · Wᵀ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both tensors are rank-2 with matching `k` dimension.
-    pub fn matmul_bt(&self, other: &Self) -> Self {
-        assert_eq!(self.rank(), 2, "matmul_bt lhs must be rank-2, got {:?}", self.shape);
-        assert_eq!(other.rank(), 2, "matmul_bt rhs must be rank-2, got {:?}", other.shape);
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (other.shape[0], other.shape[1]);
-        assert_eq!(
-            k, k2,
-            "matmul_bt inner dimension mismatch: {:?} vs {:?}",
-            self.shape, other.shape
-        );
-        let mut out = vec![0.0f32; m * n];
-        kernels::matmul_bt_acc(&self.data, &other.data, m, k, n, &mut out);
-        Self { data: out, shape: vec![m, n] }
-    }
-
     /// Matrix–vector product of a rank-2 tensor with a rank-1 tensor.
     ///
     /// # Panics
@@ -568,10 +543,11 @@ mod tests {
     fn matmul_bt_matches_transpose_matmul() {
         let a = Tensor::from_vec(vec![1.0, 0.0, 2.0, -1.0, 3.0, 1.0], &[2, 3]);
         let b = Tensor::from_vec(vec![3.0, 2.0, 1.0, 1.0, 1.0, 0.0], &[2, 3]);
-        let got = a.matmul_bt(&b);
+        let mut got = vec![0.0f32; 4];
+        kernels::matmul_bt_acc(a.data(), b.data(), 2, 3, 2, &mut got);
         let want = a.matmul(&b.transpose());
-        assert_eq!(got.shape(), want.shape());
-        for (g, w) in got.data().iter().zip(want.data().iter()) {
+        assert_eq!(want.shape(), &[2, 2]);
+        for (g, w) in got.iter().zip(want.data().iter()) {
             assert!(g.to_bits() == w.to_bits() || (*g == 0.0 && *w == 0.0));
         }
     }
