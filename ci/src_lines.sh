@@ -3,7 +3,7 @@
 # (the whole file when it has no test module), summed per crate and in total.
 #
 #   ci/src_lines.sh            # every .rs file under a src/ directory of crates/
-#                              # (the compat stand-ins and analysis fixtures included)
+#                              # (the compat stand-ins included)
 #   ci/src_lines.sh FILE...    # only the files given
 #
 # Simplicity PRs quote these numbers; run it at the parent and at the change.

@@ -137,6 +137,7 @@ pub struct CampaignState {
 ///
 /// Any filesystem failure.
 pub fn save(dir: &Path, snapshot: &Snapshot, append: bool) -> io::Result<()> {
+    dx_telemetry::sync::blocking("checkpoint::save");
     let Snapshot { corpus, report, diffs, masks, signal, campaign_seed, worker_rng, .. } = snapshot;
     fs::create_dir_all(dir)?;
     write_atomic(&dir.join("corpus.jsonl"), &jsonl(corpus.entries().iter().map(entry_json)))?;
@@ -336,6 +337,7 @@ pub fn load(dir: &Path) -> io::Result<CampaignState> {
 /// crashes) never observe a partial document. Shared with `dx-dist`'s
 /// lease-state file.
 pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+    dx_telemetry::sync::blocking("checkpoint::write_atomic");
     let tmp = path.with_extension("tmp");
     {
         let mut f = fs::File::create(&tmp)?;
@@ -355,6 +357,7 @@ mod tests {
     use crate::corpus::Corpus;
     use crate::report::CampaignReport;
     use deepxplore::diff::Prediction;
+    use dx_telemetry::sync::{Rank, Ranked};
     use dx_tensor::rng;
     use std::sync::Arc;
     use std::time::Duration;
@@ -609,5 +612,30 @@ mod tests {
     #[test]
     fn load_missing_dir_errors() {
         assert!(load(Path::new("/nonexistent/dx-campaign")).is_err());
+    }
+
+    /// Commits a count: a file write one call away from its caller.
+    fn persist(path: &Path, pending: usize) -> io::Result<()> {
+        write_atomic(path, &pending.to_string())
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "blocking in checkpoint::write_atomic while holding DaemonState")]
+    fn a_commit_reached_through_a_helper_under_a_lock_panics() {
+        let state = Ranked::new(Rank::DaemonState, 3);
+        let st = state.lock();
+        let _ = persist(&tmp_dir("under_lock").join("pending"), *st);
+    }
+
+    #[test]
+    fn a_commit_after_the_guard_is_dropped_passes() {
+        let state = Ranked::new(Rank::DaemonState, 3);
+        let pending = *state.lock();
+        let dir = tmp_dir("after_lock");
+        fs::create_dir_all(&dir).unwrap();
+        persist(&dir.join("pending"), pending).unwrap();
+        assert_eq!(fs::read_to_string(dir.join("pending")).unwrap(), "3");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -13,7 +13,6 @@
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use deepxplore::constraints::Constraint;
@@ -25,6 +24,7 @@ use dx_nn::network::Network;
 use dx_nn::util::{concat_rows, gather_rows};
 use dx_telemetry::events::{emit, Level};
 use dx_telemetry::phase::{Phase, PhaseAccum, TIME_BUCKETS};
+use dx_telemetry::sync::{Rank, Ranked};
 use dx_telemetry::{names, Counter, Gauge, Histogram, MetricsRegistry, Span};
 use dx_tensor::{rng, Tensor};
 use std::sync::Arc;
@@ -462,7 +462,7 @@ impl Campaign {
         let batch = self.config.batch.max(1);
         // Workers sync through a copy of the union; the ledger takes the
         // epoch's delta when the runs fold in, as from a results frame.
-        let union = Mutex::new(self.ledger.global.clone());
+        let union = Ranked::new(Rank::PoolUnion, self.ledger.global.clone());
         let per_worker: Vec<Vec<(usize, SeedRun)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .workers
@@ -478,10 +478,7 @@ impl Campaign {
                         // non-atomic accumulator.
                         let sync = |worker: &mut Generator| {
                             let waited = Instant::now();
-                            // Poison-tolerant: coverage union updates are
-                            // idempotent bit-ors, safe to resume after a
-                            // sibling worker panicked.
-                            let mut union = union.lock().unwrap_or_else(PoisonError::into_inner);
+                            let mut union = union.lock();
                             lock_wait.observe(waited.elapsed().as_secs_f64());
                             worker.sync_coverage_into(&mut union);
                             worker.adopt_coverage(&union);
@@ -520,7 +517,7 @@ impl Campaign {
                 })
                 .collect()
         });
-        let union = union.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let union = union.into_inner();
         let delta: Vec<Vec<usize>> =
             union.iter().zip(&self.ledger.global).map(|(u, g)| u.diff_indices(g)).collect();
         // Fold results back in scheduling order (round-robin inverse), so

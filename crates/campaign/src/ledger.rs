@@ -299,7 +299,8 @@ pub struct Snapshot {
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
+
+use dx_telemetry::sync::{Rank, Ranked};
 
 use crate::checkpoint;
 use crate::corpus::EnergyModel;
@@ -311,9 +312,14 @@ use crate::engine::ModelSuite;
 /// newest is the most complete), and stats and diffs are appended only
 /// into the directory last written — any other may hold an unrelated
 /// campaign, so the first write there rewrites them.
-#[derive(Default)]
 pub struct CheckpointGate {
-    last: Mutex<BTreeMap<u64, (u64, PathBuf)>>,
+    last: Ranked<BTreeMap<u64, (u64, PathBuf)>>,
+}
+
+impl Default for CheckpointGate {
+    fn default() -> Self {
+        Self { last: Ranked::new(Rank::CheckpointGate, BTreeMap::new()) }
+    }
 }
 
 impl CheckpointGate {
@@ -331,9 +337,7 @@ impl CheckpointGate {
         dir: &Path,
         extras: impl FnOnce() -> io::Result<()>,
     ) -> io::Result<()> {
-        // Poison-tolerant: checkpoint I/O must keep working after an
-        // unrelated thread panic.
-        let mut last = self.last.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut last = self.last.lock();
         let prev = last.get(&campaign);
         if prev.is_some_and(|(seq, _)| *seq >= snapshot.seq) {
             return Ok(());

@@ -666,7 +666,7 @@ fn drain_on_signal(handle: dx_dist::DrainHandle) {
             handle.drain();
             return;
         }
-        std::thread::sleep(std::time::Duration::from_millis(200));
+        dx_telemetry::sync::sleep(std::time::Duration::from_millis(200));
     });
 }
 

@@ -35,7 +35,7 @@ use std::io;
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dx_campaign::checkpoint::write_atomic;
@@ -50,6 +50,7 @@ use dx_coverage::CoverageSignal;
 use dx_nn::util::gather_rows;
 use dx_telemetry::events::{emit, Level};
 use dx_telemetry::phase::TIME_BUCKETS;
+use dx_telemetry::sync::{Rank, Ranked};
 use dx_telemetry::{names, Counter, Gauge, Histogram, MetricsRegistry};
 use dx_tensor::{rng, Tensor};
 
@@ -345,7 +346,7 @@ pub struct Coordinator {
     /// anything else from a worker is a protocol violation, not a panic.
     sample_shape: Vec<usize>,
     metrics: CoordMetrics,
-    state: Mutex<State>,
+    state: Ranked<State>,
     ckpt_io: CheckpointGate,
 }
 
@@ -450,17 +451,20 @@ impl Coordinator {
             suite: suite.clone(),
             sample_shape,
             metrics,
-            state: Mutex::new(State {
-                ledger,
-                fleet,
-                quarantined: dist.quarantined,
-                quarantined_total: dist.quarantined_total,
-                worker_rng: dist.worker_rng,
-                per_worker: dist.trust,
-                lease_quota: BTreeMap::new(),
-                spot_rng,
-                serve_until: None,
-            }),
+            state: Ranked::new(
+                Rank::DaemonState,
+                State {
+                    ledger,
+                    fleet,
+                    quarantined: dist.quarantined,
+                    quarantined_total: dist.quarantined_total,
+                    worker_rng: dist.worker_rng,
+                    per_worker: dist.trust,
+                    lease_quota: BTreeMap::new(),
+                    spot_rng,
+                    serve_until: None,
+                },
+            ),
             ckpt_io: CheckpointGate::default(),
             cfg,
         }
@@ -478,29 +482,22 @@ impl Coordinator {
 
     /// Seed steps absorbed so far (including resumed-from steps).
     pub fn steps_done(&self) -> usize {
-        self.lock().ledger.steps_done
+        self.state.lock().ledger.steps_done
     }
 
     /// Leases currently out with workers.
     pub fn outstanding_leases(&self) -> usize {
-        self.lock().fleet.leases.len()
+        self.state.lock().fleet.leases.len()
     }
 
     /// Claimed diffs that failed spot-checks so far (cumulative).
     pub fn quarantined(&self) -> usize {
-        self.lock().quarantined_total
+        self.state.lock().quarantined_total
     }
 
     /// Mean global coverage across models.
     pub fn mean_coverage(&self) -> f32 {
-        self.lock().ledger.mean_coverage()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, State> {
-        // A panicking worker thread must not wedge the whole fleet: take
-        // the state even if a holder panicked mid-update (the State
-        // mutations are individually small and re-checked each round).
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.state.lock().ledger.mean_coverage()
     }
 
     /// Serves the campaign on `listener` until it drains (budget, coverage
@@ -514,7 +511,7 @@ impl Coordinator {
     pub fn serve(&self, listener: TcpListener) -> io::Result<DistReport> {
         {
             let now = Instant::now();
-            let mut st = self.lock();
+            let mut st = self.state.lock();
             st.ledger.start_round(now);
             st.serve_until = self.cfg.duration.map(|budget| now + budget);
         }
@@ -615,7 +612,7 @@ impl Coordinator {
     /// final checkpoint, and builds the report.
     fn finish(&self) -> io::Result<DistReport> {
         let (ckpt, report) = {
-            let mut st = self.lock();
+            let mut st = self.state.lock();
             for (_, lease) in st.fleet.leases.clear() {
                 st.ledger.requeue(lease.seed_ids);
             }
@@ -651,12 +648,12 @@ impl Daemon for Coordinator {
     }
 
     fn fleet<R>(&self, read: impl FnOnce(&Fleet) -> R) -> R {
-        read(&self.lock().fleet)
+        read(&self.state.lock().fleet)
     }
 
     /// Expires overdue leases and trips the stop conditions.
     fn tick(&self) -> Vec<CheckpointJob> {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         let now = Instant::now();
         if st.serve_until.is_some_and(|t| now >= t) {
             self.gate.drain();
@@ -681,7 +678,7 @@ impl Daemon for Coordinator {
     }
 
     fn enroll(&self, worker_id: &str) -> Result<(u64, Msg), Refusal> {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         let slot = st.fleet.admit(worker_id, |s| self.metrics.is_evicted(s))?;
         self.metrics.connected.set(st.fleet.connected() as f64);
         st.per_worker.entry(slot).or_default();
@@ -690,7 +687,7 @@ impl Daemon for Coordinator {
     }
 
     fn worker_gone(&self, slot: u64) {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         // A dead worker's leases go straight back to the queue.
         for (_, lease) in st.fleet.disconnect(slot) {
             st.ledger.requeue(lease.seed_ids);
@@ -701,7 +698,7 @@ impl Daemon for Coordinator {
 
     fn lease(&self, peer: &Peer, want: usize, views: &mut Views<'_>) -> Msg {
         let s = peer.slot;
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         let grant = self.lease_grant(&st, s, want);
         let leased = st.fleet.leases.seed_ids(CAMPAIGN);
         let ids = st.ledger.pick_seeds(&leased, grant);
@@ -736,7 +733,7 @@ impl Daemon for Coordinator {
 
     fn heartbeat(&self, peer: &Peer, lease: u64, views: &mut Views<'_>) -> Msg {
         self.metrics.heartbeats.inc();
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         st.fleet.leases.heartbeat(lease, peer.slot, Instant::now());
         Msg::Ack { cov: views.news(CAMPAIGN, &st.ledger.global) }
     }
@@ -759,7 +756,7 @@ impl Daemon for Coordinator {
         // Phase 1 (locked): validate the frame, claim the lease, sample
         // which claimed diffs to re-execute.
         let (plan, checks) = {
-            let mut st = self.lock();
+            let mut st = self.state.lock();
             if let Err(reason) = engine::check(&st.ledger.global, &cov, &items, &self.sample_shape)
             {
                 return (Reply::reject(reason), Vec::new());
@@ -798,7 +795,7 @@ impl Daemon for Coordinator {
             self.metrics.spot(s, "ok").inc_by((checks.len() - failed.len()) as u64);
             self.metrics.spot(s, "bad").inc_by(failed.len() as u64);
         }
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         if matches!(plan, Plan::Lease { .. }) {
             st.fleet.leases.release(lease);
         }

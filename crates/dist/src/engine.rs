@@ -368,6 +368,7 @@ use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 
 use dx_campaign::ModelSuite;
 use dx_telemetry::events::{emit, Level};
@@ -576,12 +577,28 @@ pub trait Daemon: Sync {
 /// # Errors
 ///
 /// Listener failures. Individual connection errors only drop that worker.
+///
+/// # Panics
+///
+/// Re-raises a connection handler's panic, after force-closing the other
+/// connections: a handler that died silently would leave its worker
+/// retrying and this loop waiting for a fleet that never goes idle.
 pub fn serve<D: Daemon>(daemon: &D, listener: TcpListener) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let gate = daemon.gate();
     let mut drained_at: Option<Instant> = None;
     std::thread::scope(|scope| -> io::Result<()> {
+        let mut handlers: Vec<ScopedJoinHandle<'_, ()>> = Vec::new();
         loop {
+            let (done, live): (Vec<_>, Vec<_>) =
+                handlers.into_iter().partition(ScopedJoinHandle::is_finished);
+            handlers = live;
+            for handler in done {
+                if let Err(panic) = handler.join() {
+                    gate.force_close.store(true, Ordering::SeqCst);
+                    std::panic::resume_unwind(panic);
+                }
+            }
             write_checkpoints(daemon, daemon.tick());
             let sweeping = gate.draining() && {
                 let since = *drained_at.get_or_insert_with(Instant::now);
@@ -596,7 +613,7 @@ pub fn serve<D: Daemon>(daemon: &D, listener: TcpListener) -> io::Result<()> {
                 Ok((stream, peer)) => {
                     let peer = peer.to_string();
                     emit(Level::Debug, D::COMPONENT, "connection", &[("peer", peer.into())]);
-                    scope.spawn(move || handle(daemon, stream));
+                    handlers.push(scope.spawn(move || handle(daemon, stream)));
                 }
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
@@ -609,7 +626,7 @@ pub fn serve<D: Daemon>(daemon: &D, listener: TcpListener) -> io::Result<()> {
                     if sweeping {
                         return Ok(());
                     }
-                    std::thread::sleep(POLL);
+                    dx_telemetry::sync::sleep(POLL);
                 }
                 Err(e) => return Err(e),
             }
@@ -871,8 +888,16 @@ mod tests {
                 "pub struct CheckpointGate",
             ),
         ];
-        let banned =
-            ["Instant::now()", ".elapsed()", "thread::", "TcpStream", "File", "sleep", "Mutex"];
+        let banned = [
+            "Instant::now()",
+            ".elapsed()",
+            "thread::",
+            "TcpStream",
+            "File",
+            "sleep",
+            "Mutex",
+            "Ranked",
+        ];
         for (file, source, book, shell_item) in files {
             let (books, shell) = source.split_once("\n// The shell:").expect("shell banner");
             assert!(books.contains(book), "{file}: `{book}` left the books");

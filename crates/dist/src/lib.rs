@@ -1403,6 +1403,67 @@ mod tests {
         });
     }
 
+    /// A coordinator whose connection handler panics at admission.
+    struct PanicsAtHello(Coordinator);
+
+    impl engine::Daemon for PanicsAtHello {
+        const COMPONENT: &'static str = "coordinator";
+        type Checkpoint = coordinator::CheckpointJob;
+
+        fn gate(&self) -> &engine::Gate {
+            self.0.gate()
+        }
+        fn fleet<R>(&self, read: impl FnOnce(&engine::Fleet) -> R) -> R {
+            self.0.fleet(read)
+        }
+        fn tick(&self) -> Vec<Self::Checkpoint> {
+            self.0.tick()
+        }
+        fn enroll(&self, _worker_id: &str) -> Result<(u64, Msg), engine::Refusal> {
+            panic!("handler bug at admission");
+        }
+        fn worker_gone(&self, slot: u64) {
+            self.0.worker_gone(slot);
+        }
+        fn lease(&self, peer: &engine::Peer, want: usize, views: &mut engine::Views<'_>) -> Msg {
+            self.0.lease(peer, want, views)
+        }
+        fn heartbeat(&self, peer: &engine::Peer, lease: u64, views: &mut engine::Views<'_>) -> Msg {
+            self.0.heartbeat(peer, lease, views)
+        }
+        fn results(
+            &self,
+            peer: &engine::Peer,
+            frame: engine::ResultsFrame,
+            views: &mut engine::Views<'_>,
+        ) -> (engine::Reply, Vec<Self::Checkpoint>) {
+            self.0.results(peer, frame, views)
+        }
+        fn write_checkpoint(&self, job: Self::Checkpoint) -> std::io::Result<()> {
+            self.0.write_checkpoint(job)
+        }
+    }
+
+    #[test]
+    fn a_handler_panic_fails_serve_instead_of_hanging_it() {
+        let s = suite(84);
+        let daemon =
+            PanicsAtHello(Coordinator::new(&s, "unit@test", &seed_batch(85, 4), quick_cfg(4)));
+        let fingerprint = daemon.0.fingerprint().clone();
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || engine::serve(&daemon, listener));
+        // The worker stays connected, as a retrying one would.
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        wire::write_frame(&mut stream, &hello_msg(fingerprint).to_json()).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while !server.is_finished() && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(server.is_finished(), "serve hung after its handler panicked");
+        assert!(server.join().is_err(), "serve must re-raise the handler's panic");
+    }
+
     #[test]
     fn mismatched_fingerprint_is_rejected() {
         let s = suite(60);

@@ -12,6 +12,7 @@ use std::sync::{Arc, OnceLock};
 
 use dx_campaign::codec::parse_doc;
 use dx_campaign::json::Json;
+use dx_telemetry::sync::blocking;
 use dx_telemetry::{names, Counter};
 
 /// Upper bound on one frame's payload, as a corruption guard: a garbage
@@ -60,6 +61,7 @@ fn oversized(len: usize) -> io::Error {
 ///
 /// Any I/O failure, or a message over [`MAX_FRAME`] bytes.
 pub fn write_frame(w: &mut impl Write, msg: &Json) -> io::Result<()> {
+    blocking("write_frame");
     let payload = msg.to_string();
     if payload.len() > MAX_FRAME {
         return Err(oversized(payload.len()));
@@ -80,6 +82,7 @@ pub fn write_frame(w: &mut impl Write, msg: &Json) -> io::Result<()> {
 /// `UnexpectedEof` on a stream that ends mid-frame, `InvalidData` on an
 /// oversized length prefix or a payload that is not valid JSON.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Json> {
+    blocking("read_frame");
     let mut header = [0u8; 4];
     r.read_exact(&mut header)?;
     let len = u32::from_be_bytes(header) as usize;
@@ -152,6 +155,7 @@ impl FrameReader {
     /// between frames), `InvalidData` on oversized or malformed payloads,
     /// and any other I/O error.
     pub fn poll(&mut self, r: &mut impl Read) -> io::Result<Option<Json>> {
+        blocking("FrameReader::poll");
         loop {
             let target = match self.need {
                 None => 4,
@@ -226,6 +230,15 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), sample());
         assert_eq!(read_frame(&mut r).unwrap(), Json::Null);
         assert!(r.is_empty());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "blocking in write_frame while holding DaemonState")]
+    fn a_frame_write_under_a_lock_panics() {
+        let state = dx_telemetry::sync::Ranked::new(dx_telemetry::sync::Rank::DaemonState, ());
+        let _st = state.lock();
+        let _ = write_frame(&mut Vec::new(), &sample());
     }
 
     /// Yields at most one byte per read, interleaved with `WouldBlock`

@@ -137,7 +137,7 @@ fn connect(addr: impl ToSocketAddrs + Clone, cfg: &WorkerConfig) -> io::Result<T
             Ok(s) => return Ok(s),
             Err(e) => {
                 last = Some(e);
-                std::thread::sleep(cfg.retry_delay);
+                dx_telemetry::sync::sleep(cfg.retry_delay);
             }
         }
     }
@@ -236,7 +236,9 @@ pub fn run_worker(
                     other => return Err(proto_err(format!("unexpected {other:?}"))),
                 }
             }
-            Msg::Wait { millis } => std::thread::sleep(Duration::from_millis(millis.min(1000))),
+            Msg::Wait { millis } => {
+                dx_telemetry::sync::sleep(Duration::from_millis(millis.min(1000)))
+            }
             Msg::Drain => break,
             Msg::Reject { reason } => return Err(proto_err(format!("rejected: {reason}"))),
             other => return Err(proto_err(format!("unexpected {other:?}"))),

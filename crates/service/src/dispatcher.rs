@@ -138,7 +138,7 @@ impl Service {
     /// writes every tenant's final checkpoint.
     fn finish(&self) -> io::Result<()> {
         let jobs = {
-            let mut st = self.lock();
+            let mut st = self.state.lock();
             for (_, lease) in st.fleet.leases.clear() {
                 requeue(&mut st, lease);
             }
@@ -168,7 +168,7 @@ impl Daemon for Service {
     }
 
     fn fleet<R>(&self, read: impl FnOnce(&Fleet) -> R) -> R {
-        read(&self.lock().fleet)
+        read(&self.state.lock().fleet)
     }
 
     /// Expires overdue leases back to their tenants' requeues, and retires
@@ -177,7 +177,7 @@ impl Daemon for Service {
         if shutdown::requested() {
             self.gate.drain();
         }
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         for (id, lease) in st.fleet.leases.expire(Instant::now()) {
             self.metrics.lease_expired.inc();
             emit(
@@ -201,14 +201,14 @@ impl Daemon for Service {
     /// `lease` frame), so a multi-campaign daemon has nothing meaningful
     /// to put there.
     fn enroll(&self, worker_id: &str) -> Result<(u64, Msg), Refusal> {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         let slot = st.fleet.admit(worker_id, |_| false)?;
         self.metrics.connected.set(st.fleet.connected() as f64);
         Ok((slot, Msg::Welcome { slot, campaign_seed: 0, rng_state: None }))
     }
 
     fn worker_gone(&self, slot: u64) {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         // A dead worker's leases go straight back to their tenants.
         for (_, lease) in st.fleet.disconnect(slot) {
             requeue(&mut st, lease);
@@ -219,7 +219,7 @@ impl Daemon for Service {
     /// Picks the tenant and seeds for one lease: stride scheduling over
     /// runnable tenants, quota-capped grant size, requeue-first seed draw.
     fn lease(&self, peer: &Peer, want: usize, views: &mut Views<'_>) -> Msg {
-        let mut guard = self.lock();
+        let mut guard = self.state.lock();
         let st = &mut *guard;
         let cap = want.clamp(1, self.cfg.lease_size);
         let total_out = st.fleet.leases.total_jobs_out();
@@ -278,7 +278,7 @@ impl Daemon for Service {
 
     fn heartbeat(&self, peer: &Peer, lease: u64, views: &mut Views<'_>) -> Msg {
         self.metrics.heartbeats.inc();
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         let campaign = st.fleet.leases.heartbeat(lease, peer.slot, Instant::now());
         // The ack's news must be for the campaign the worker is
         // heartbeating — it applies the delta to that lease's generator
@@ -302,7 +302,7 @@ impl Daemon for Service {
         views: &mut Views<'_>,
     ) -> (Reply, Vec<TenantCkpt>) {
         let ResultsFrame { lease, campaign, items, cov, rng_state, telemetry } = frame;
-        let mut guard = self.lock();
+        let mut guard = self.state.lock();
         let st = &mut *guard;
         let Some(t) = st.tenants.get_mut(&campaign) else {
             return (Reply::reject(format!("unknown campaign {campaign}")), Vec::new());

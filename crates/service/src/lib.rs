@@ -60,7 +60,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
 use dx_campaign::json::{build, Json};
@@ -70,6 +70,7 @@ use dx_dist::engine::{Daemon as _, Fleet, Gate, LeaseTable};
 use dx_dist::proto::Fingerprint;
 use dx_nn::util::gather_rows;
 use dx_telemetry::events::{emit, Level};
+use dx_telemetry::sync::{Rank, Ranked};
 use dx_telemetry::{merge_renders, names, Counter, Gauge, MetricsRegistry};
 use dx_tensor::Tensor;
 
@@ -209,7 +210,7 @@ pub struct Service {
     /// The shared seed pool tenants slice rows from.
     pool: Tensor,
     pub(crate) metrics: FleetMetrics,
-    pub(crate) state: Mutex<SvcState>,
+    pub(crate) state: Ranked<SvcState>,
     pub(crate) ckpt_io: CheckpointGate,
 }
 
@@ -278,7 +279,7 @@ impl Service {
             sample_shape,
             pool: pool.clone(),
             metrics,
-            state: Mutex::new(SvcState { tenants, next_id, fleet }),
+            state: Ranked::new(Rank::DaemonState, SvcState { tenants, next_id, fleet }),
             ckpt_io: CheckpointGate::default(),
             cfg,
         })
@@ -299,12 +300,6 @@ impl Service {
         self.pool.shape().first().copied().unwrap_or(0)
     }
 
-    pub(crate) fn lock(&self) -> MutexGuard<'_, SvcState> {
-        // Poison-tolerant: a panicking connection thread must not wedge
-        // the daemon; tenant state mutations are small and re-validated.
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     // ---------------------------------------------------------------
     // Control-plane operations (the API handlers' core).
 
@@ -320,7 +315,7 @@ impl Service {
         spec.validate(&self.gate.fingerprint, self.pool_rows())
             .map_err(|reason| ApiError::new(400, reason))?;
         let (doc, ckpt) = {
-            let mut st = self.lock();
+            let mut st = self.state.lock();
             if st.tenants.values().any(|t| t.spec.name == spec.name) {
                 return Err(ApiError::new(409, format!("campaign `{}` already exists", spec.name)));
             }
@@ -371,7 +366,7 @@ impl Service {
 
     /// All tenants' status documents, id-ordered.
     pub fn list(&self) -> Json {
-        let st = self.lock();
+        let st = self.state.lock();
         Json::Arr(st.tenants.values().map(|t| st.status_json(t)).collect())
     }
 
@@ -381,7 +376,7 @@ impl Service {
     ///
     /// `404` for an unknown id.
     pub fn status(&self, id: u64) -> Result<Json, ApiError> {
-        let st = self.lock();
+        let st = self.state.lock();
         st.tenants
             .get(&id)
             .map(|t| st.status_json(t))
@@ -426,7 +421,7 @@ impl Service {
         allowed: impl Fn(Status) -> bool,
     ) -> Result<Json, ApiError> {
         let (doc, ckpt) = {
-            let mut st = self.lock();
+            let mut st = self.state.lock();
             let leased = st.fleet.leases.seed_ids(id);
             let outstanding = leased.len();
             let t = st
@@ -469,7 +464,7 @@ impl Service {
     ///
     /// `404` for an unknown id.
     pub fn report(&self, id: u64) -> Result<String, ApiError> {
-        let st = self.lock();
+        let st = self.state.lock();
         let t =
             st.tenants.get(&id).ok_or_else(|| ApiError::new(404, format!("no campaign {id}")))?;
         let report =
@@ -494,7 +489,7 @@ impl Service {
     ///
     /// `404` for an unknown id.
     pub fn events(&self, id: u64, from: usize) -> Result<String, ApiError> {
-        let st = self.lock();
+        let st = self.state.lock();
         let t =
             st.tenants.get(&id).ok_or_else(|| ApiError::new(404, format!("no campaign {id}")))?;
         let mut out = String::new();
@@ -509,7 +504,7 @@ impl Service {
     /// registry rendered with its `tenant="<name>"` label.
     pub fn render_metrics(&self) -> String {
         let parts: Vec<String> = {
-            let st = self.lock();
+            let st = self.state.lock();
             let mut parts = vec![self.cfg.registry.render_prometheus()];
             for t in st.tenants.values() {
                 parts.push(

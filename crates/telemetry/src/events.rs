@@ -23,8 +23,9 @@ use std::io::Write as _;
 use std::path::Path;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
+
+use crate::sync::{Rank, Ranked};
 
 /// Event severity, ordered from chattiest to most severe. [`Level::Off`]
 /// is only meaningful as a filter setting, never as a record's level.
@@ -180,7 +181,7 @@ impl From<std::time::Duration> for Value {
 
 static LEVEL: AtomicU8 = AtomicU8::new(2); // Info
 static TRACE_ON: AtomicBool = AtomicBool::new(false);
-static TRACE_FILE: Mutex<Option<File>> = Mutex::new(None);
+static TRACE_FILE: Ranked<Option<File>> = Ranked::new(Rank::TraceFile, None);
 
 /// Sets the minimum level that reaches stderr (default [`Level::Info`]).
 pub fn set_level(level: Level) {
@@ -200,7 +201,7 @@ pub fn level() -> Level {
 /// Any I/O failure opening the file.
 pub fn set_trace_file(path: impl AsRef<Path>) -> std::io::Result<()> {
     let file = OpenOptions::new().create(true).append(true).open(path)?;
-    *TRACE_FILE.lock().unwrap_or_else(|e| e.into_inner()) = Some(file);
+    *TRACE_FILE.lock() = Some(file);
     TRACE_ON.store(true, Ordering::Relaxed);
     Ok(())
 }
@@ -218,7 +219,7 @@ pub fn emit(level: Level, component: &str, event: &str, fields: &[(&str, Value)]
         eprintln!("{line}");
     }
     if to_trace {
-        if let Some(f) = TRACE_FILE.lock().unwrap_or_else(|e| e.into_inner()).as_mut() {
+        if let Some(f) = TRACE_FILE.lock().as_mut() {
             let _ = writeln!(f, "{line}");
         }
     }

@@ -221,8 +221,7 @@ impl Router {
                         // one thread keeps the footprint predictable.
                         let _ = answer(stream, &self);
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-                    Err(_) => std::thread::sleep(POLL),
+                    Err(_) => crate::sync::sleep(POLL),
                 }
             }
         });
@@ -271,6 +270,7 @@ pub fn serve(addr: impl ToSocketAddrs, registry: MetricsRegistry) -> io::Result<
 }
 
 fn answer(mut stream: TcpStream, router: &Router) -> io::Result<()> {
+    crate::sync::blocking("an HTTP answer");
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let response = match read_request(&mut stream) {

@@ -23,6 +23,9 @@
 //! - **Events** ([`events`]): leveled JSONL diagnostics on stderr plus an
 //!   optional trace file, replacing scattered `eprintln!` calls with
 //!   machine-parseable records.
+//!
+//! Below all three sits [`sync`]: the workspace's ranked locks, its
+//! blocking assertion and its one sleep.
 
 #![forbid(unsafe_code)]
 
@@ -30,13 +33,15 @@ pub mod events;
 pub mod http;
 pub mod names;
 pub mod phase;
+pub mod sync;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use phase::LocalHist;
+use sync::{Rank, Ranked};
 
 /// A monotonically increasing integer metric.
 #[derive(Debug, Default)]
@@ -188,14 +193,20 @@ struct Family {
 /// (so config structs embedding one stay isolated under parallel tests),
 /// while [`global()`] hands out the process-wide one the CLI exposes over
 /// HTTP. A family's `# HELP` text comes from its [`names`] catalog entry.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct MetricsRegistry {
-    families: Arc<Mutex<BTreeMap<String, Family>>>,
+    families: Arc<Ranked<BTreeMap<String, Family>>>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        Self { families: Arc::new(Ranked::new(Rank::Registry, BTreeMap::new())) }
+    }
 }
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let families = self.families.lock().unwrap_or_else(|e| e.into_inner());
+        let families = self.families.lock();
         f.debug_struct("MetricsRegistry").field("families", &families.len()).finish()
     }
 }
@@ -246,7 +257,7 @@ impl MetricsRegistry {
 
     fn series_of(&self, name: &str, labels: &[(&str, &str)], kind: Kind, bounds: &[f64]) -> Series {
         let key: Labels = labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
-        let mut families = self.families.lock().unwrap_or_else(|e| e.into_inner());
+        let mut families = self.families.lock();
         let family = families
             .entry(name.to_string())
             .or_insert_with(|| Family { kind, series: BTreeMap::new() });
@@ -282,7 +293,7 @@ impl MetricsRegistry {
     /// threading the tenant name through.
     pub fn render_prometheus_labeled(&self, extra: &[(&str, &str)]) -> String {
         let extra: Labels = extra.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-        let families = self.families.lock().unwrap_or_else(|e| e.into_inner());
+        let families = self.families.lock();
         let mut out = String::new();
         for (name, family) in families.iter() {
             if let Some(metric) = names::lookup(name) {

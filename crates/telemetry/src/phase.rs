@@ -172,6 +172,10 @@ pub fn timing_enabled() -> bool {
 
 /// Serializes tests that read or flip the global timing flag.
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a test-only lock that no product lock nests with, so it needs no rank"
+)]
 pub(crate) fn test_timing_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())

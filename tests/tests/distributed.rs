@@ -6,6 +6,8 @@
 //! SIGTERM-style drain leaves a valid checkpoint the whole fleet resumes
 //! from.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use deepxplore::constraints::Constraint;
@@ -275,6 +277,7 @@ fn worker_death_mid_lease_requeues_and_resumes_with_trust_state() {
     let coordinator = Coordinator::new(&suite, DEATH_LABEL, &seeds, cfg.clone());
     let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let addr = listener.local_addr().unwrap();
+    let served = AtomicBool::new(false);
     let first = std::thread::scope(|scope| {
         // Re-exec this test binary as the doomed lease holder.
         let exe = std::env::current_exe().unwrap();
@@ -288,12 +291,18 @@ fn worker_death_mid_lease_requeues_and_resumes_with_trust_state() {
         let honest = {
             let suite = suite.clone();
             let coord = &coordinator;
+            let served = &served;
             scope.spawn(move || {
                 // Wait until the child process really holds a lease, then
-                // kill it (SIGKILL — no goodbye frame, no flush).
+                // kill it (SIGKILL — no goodbye frame, no flush). A
+                // coordinator that stopped first will never grant one.
                 let deadline = std::time::Instant::now() + Duration::from_secs(60);
                 while coord.outstanding_leases() == 0 {
-                    assert!(std::time::Instant::now() < deadline, "child never took a lease");
+                    if std::time::Instant::now() >= deadline || served.load(Ordering::SeqCst) {
+                        let _ = child.kill();
+                        let _ = child.wait();
+                        panic!("child never took a lease");
+                    }
                     std::thread::sleep(Duration::from_millis(20));
                 }
                 child.kill().unwrap();
@@ -307,7 +316,9 @@ fn worker_death_mid_lease_requeues_and_resumes_with_trust_state() {
                 dx_dist::run_worker(addr, suite, DEATH_LABEL, wcfg).unwrap()
             })
         };
-        let report = coordinator.serve(listener).unwrap();
+        let report = catch_unwind(AssertUnwindSafe(|| coordinator.serve(listener)));
+        served.store(true, Ordering::SeqCst);
+        let report = report.unwrap_or_else(|panic| resume_unwind(panic)).unwrap();
         honest.join().unwrap();
         report
     });

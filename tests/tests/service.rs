@@ -101,12 +101,21 @@ fn status_of(doc: &Json) -> String {
     doc.get("status").and_then(Json::as_str).expect("status field").to_string()
 }
 
-fn wait_until(what: &str, secs: u64, mut cond: impl FnMut() -> bool) {
+/// Polls `cond` for up to `secs`, failing at once if the daemon's serve
+/// thread ends first: a daemon that died (a handler panic re-raised by
+/// `serve`) will never satisfy it.
+fn wait_until(
+    what: &str,
+    secs: u64,
+    served: &JoinHandle<std::io::Result<()>>,
+    mut cond: impl FnMut() -> bool,
+) {
     let deadline = Instant::now() + Duration::from_secs(secs);
     while Instant::now() < deadline {
         if cond() {
             return;
         }
+        assert!(!served.is_finished(), "the daemon stopped while waiting for {what}");
         thread::sleep(Duration::from_millis(50));
     }
     panic!("timed out after {secs}s waiting for {what}");
@@ -138,7 +147,7 @@ fn two_tenants_complete_over_http_and_a_restart_resumes_them() {
     assert_eq!(status, 200, "{body}");
     let beta = field(&parse_doc(&body).unwrap(), "id");
 
-    wait_until("both tenants to finish", 120, || {
+    wait_until("both tenants to finish", 120, &served, || {
         [alpha, beta]
             .iter()
             .all(|id| status_of(&get_json(api_addr, &format!("/campaigns/{id}"))) == "done")
@@ -180,7 +189,7 @@ fn two_tenants_complete_over_http_and_a_restart_resumes_them() {
         post(api_addr, "/campaigns", r#"{"name":"gamma","seeds":6,"seed":11,"max_steps":4000}"#);
     assert_eq!(status, 200, "{body}");
     let gamma = field(&parse_doc(&body).unwrap(), "id");
-    wait_until("gamma to make progress", 60, || {
+    wait_until("gamma to make progress", 60, &served, || {
         field(&get_json(api_addr, &format!("/campaigns/{gamma}")), "steps_done") >= 8
     });
 
@@ -219,7 +228,7 @@ fn two_tenants_complete_over_http_and_a_restart_resumes_them() {
 
     // And the resumed fleet finishes gamma's remaining budget.
     let (_, served, workers) = start_fleet(&svc, 2);
-    wait_until("gamma to finish after restart", 120, || {
+    wait_until("gamma to finish after restart", 120, &served, || {
         status_of(&get_json(api_addr, &format!("/campaigns/{gamma}"))) == "done"
     });
     assert!(field(&get_json(api_addr, &format!("/campaigns/{gamma}")), "steps_done") >= 4000);
@@ -253,7 +262,7 @@ fn a_tenant_matches_the_same_campaign_run_solo() {
             let (status, body) = post(api_addr, "/campaigns", spec);
             assert_eq!(status, 200, "{body}");
         }
-        wait_until("watched tenant to finish", 120, || {
+        wait_until("watched tenant to finish", 120, &served, || {
             status_of(&get_json(api_addr, &format!("/campaigns/{watch}"))) == "done"
         });
         let doc = get_json(api_addr, &format!("/campaigns/{watch}"));
@@ -301,7 +310,7 @@ fn weights_skew_fleet_shares() {
     assert_eq!(status, 200);
     // Unbounded budgets: let the fleet run a while, then freeze both and
     // compare shares.
-    wait_until("both tenants to accumulate steps", 60, || {
+    wait_until("both tenants to accumulate steps", 60, &served, || {
         field(&get_json(api_addr, "/campaigns/0"), "steps_done") >= 20
     });
     let (status, _) = post(api_addr, "/campaigns/0/pause", "");
@@ -347,7 +356,9 @@ fn a_restart_under_another_metric_rejects_the_tenant() {
         thread::spawn(move || svc.serve(listener))
     };
     let worker = thread::spawn(move || run_worker(addr, sections, LABEL, WorkerConfig::default()));
-    wait_until("the tenant to finish", 120, || status_of(&svc.status(0).unwrap()) == "done");
+    wait_until("the tenant to finish", 120, &served, || {
+        status_of(&svc.status(0).unwrap()) == "done"
+    });
     svc.stop_handle().stop();
     served.join().unwrap().unwrap();
     worker.join().unwrap().unwrap();

@@ -1,10 +1,11 @@
 //! Workspace rules that are plain text properties of the tree, held by
 //! grep tests in the style of `books_are_sans_io` in `dx-dist`: every
 //! crate root keeps its unsafe-code ban, each wire constant has one
-//! declaration in its home file, and the metric catalog in
-//! `crates/telemetry/src/names.rs` is the one place a metric name is
-//! spelled — registered by the code, named in the README, and the only
-//! source of the `dx_…` names the docs use.
+//! declaration in its home file, product code sleeps only through the
+//! checked wrapper in `crates/telemetry/src/sync.rs`, and the metric
+//! catalog in `crates/telemetry/src/names.rs` is the one place a metric
+//! name is spelled — registered by the code, named in the README, and the
+//! only source of the `dx_…` names the docs use.
 
 use std::path::{Path, PathBuf};
 
@@ -13,8 +14,7 @@ fn workspace_root() -> PathBuf {
 }
 
 /// Every `.rs` file under `crates/`, `tests/` and `examples/` as a
-/// workspace-relative path, sorted; the analysis fixtures (seeded
-/// violations, never compiled) are skipped.
+/// workspace-relative path, sorted.
 fn rust_files(root: &Path) -> Vec<String> {
     let mut stack: Vec<PathBuf> = ["crates", "tests", "examples"].map(|d| root.join(d)).into();
     let mut files = Vec::new();
@@ -22,9 +22,7 @@ fn rust_files(root: &Path) -> Vec<String> {
         for entry in std::fs::read_dir(&dir).expect("readable dir") {
             let path = entry.expect("readable entry").path();
             if path.is_dir() {
-                if !path.ends_with("fixtures") {
-                    stack.push(path);
-                }
+                stack.push(path);
             } else if path.extension().is_some_and(|e| e == "rs") {
                 let rel = path.strip_prefix(root).expect("under the root");
                 files.push(rel.to_string_lossy().replace('\\', "/"));
@@ -107,7 +105,7 @@ fn crate_roots_ban_unsafe_code() {
         .into_iter()
         .filter(|f| f.ends_with("/src/lib.rs") || f.ends_with("/src/main.rs"))
         .collect();
-    assert!(roots.len() >= 17, "the walk missed crate roots: {roots:#?}");
+    assert!(roots.len() >= 15, "the walk missed crate roots: {roots:#?}");
     for rel in &roots {
         let text = std::fs::read_to_string(root.join(rel)).expect("readable crate root");
         // dist denies rather than forbids: its `signal(2)` shim carries
@@ -119,10 +117,29 @@ fn crate_roots_ban_unsafe_code() {
         };
         assert!(has_line(&text, want), "{rel} lacks `{want}`");
     }
-    let analysis = std::fs::read_to_string(root.join("crates/analysis/src/lib.rs")).unwrap();
+}
+
+#[test]
+fn product_code_sleeps_only_through_the_checked_wrapper() {
+    let root = workspace_root();
+    let wrapper = "crates/telemetry/src/sync.rs";
+    let mut sites = Vec::new();
+    for rel in rust_files(&root) {
+        if !rel.starts_with("crates/") || !rel.contains("/src/") {
+            continue;
+        }
+        let text = std::fs::read_to_string(root.join(&rel)).expect("readable source");
+        for (n, line) in non_test(&text).lines().enumerate() {
+            if line.contains("thread::sleep(") {
+                sites.push(format!("{rel}:{}: {}", n + 1, line.trim()));
+            }
+        }
+    }
     assert!(
-        has_line(&analysis, "#![deny(missing_docs)]"),
-        "dx-analysis lacks `#![deny(missing_docs)]`"
+        sites.len() == 1 && sites[0].starts_with(wrapper),
+        "product code sleeps through `dx_telemetry::sync::sleep`, which asserts that no \
+         contended lock is held; `thread::sleep(` outside {wrapper}:\n{}",
+        sites.join("\n")
     );
 }
 
