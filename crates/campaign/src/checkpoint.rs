@@ -26,13 +26,12 @@ use std::io::{self, Write as _};
 use std::path::Path;
 
 use crate::codec::{
-    bad, diff_from_json, diff_json, entry_from_json, entry_json, epoch_from_json, epoch_json,
-    field_usize, parse_doc, ranges_from_json, ranges_json, rng_state_from_json, rng_state_json,
-    u64_from_json, u64_json,
+    diff_from_json, diff_json, entry_from_json, entry_json, epoch_from_json, epoch_json,
+    ranges_from_json, ranges_json, rng_state_from_json, rng_state_json, u64_json,
 };
 use crate::corpus::CorpusEntry;
 use crate::engine::{FoundDiff, ModelSuite};
-use crate::json::{build, Json};
+use crate::json::{build, invalid, parse_doc, Json};
 use crate::ledger::Snapshot;
 use crate::report::EpochStats;
 use dx_coverage::{CoverageSignal, MetricKind, MetricSpec, NeuronProfile};
@@ -84,10 +83,7 @@ impl SignalCheckpoint {
             return Ok(suite);
         }
         if self.ranges.len() != suite.models.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "checkpointed profile count does not match the model count",
-            ));
+            return Err(invalid("checkpointed profile count does not match the model count"));
         }
         suite.signal.profiles = suite
             .models
@@ -100,7 +96,7 @@ impl SignalCheckpoint {
                     low.clone(),
                     high.clone(),
                 )
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+                .map_err(invalid)
             })
             .collect::<io::Result<Vec<_>>>()?;
         Ok(suite)
@@ -238,84 +234,43 @@ fn jsonl(lines: impl IntoIterator<Item = impl std::fmt::Display>) -> String {
 /// Missing files or malformed JSON.
 pub fn load(dir: &Path) -> io::Result<CampaignState> {
     let meta = parse_doc(&fs::read_to_string(dir.join("meta.json"))?)?;
-    let corpus = read_jsonl(&dir.join("corpus.jsonl"))?
-        .iter()
-        .map(entry_from_json)
-        .collect::<io::Result<Vec<_>>>()?;
-    let epochs = read_jsonl(&dir.join("stats.jsonl"))?
-        .iter()
-        .map(epoch_from_json)
-        .collect::<io::Result<Vec<_>>>()?;
-    let diffs = read_jsonl(&dir.join("diffs.jsonl"))?
-        .iter()
-        .map(diff_from_json)
-        .collect::<io::Result<Vec<_>>>()?;
+    let corpus = read_jsonl(&dir.join("corpus.jsonl"), entry_from_json)?;
+    let epochs = read_jsonl(&dir.join("stats.jsonl"), epoch_from_json)?;
+    let diffs = read_jsonl(&dir.join("diffs.jsonl"), diff_from_json)?;
     let (coverage, signal) = match fs::read_to_string(dir.join("coverage.json")) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => (None, SignalCheckpoint::neuron()),
         Err(e) => return Err(e),
         Ok(text) => {
             let doc = parse_doc(&text)?;
-            let masks = doc
-                .get("masks")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("coverage.masks"))?
-                .iter()
-                .map(|m| {
-                    m.as_str()
-                        .map(|s| s.chars().map(|c| c == '1').collect::<Vec<bool>>())
-                        .ok_or_else(|| bad("coverage mask"))
-                })
-                .collect::<io::Result<Vec<_>>>()?;
+            let masks: Vec<String> = doc.field("masks")?;
+            let masks = masks.iter().map(|m| m.chars().map(|c| c == '1').collect()).collect();
             // v1 checkpoints carry no metric field: they are neuron-metric.
             // Unknown or malformed specs are a clear error, not a panic —
             // a checkpoint from a newer build (or a corrupted one) should
             // say what it found.
-            let metric = match doc.get("metric") {
-                None | Some(Json::Null) => MetricKind::Neuron.into(),
-                Some(m) => m
-                    .as_str()
-                    .ok_or_else(|| bad("coverage.metric"))?
-                    .parse::<MetricSpec>()
-                    .map_err(|e| {
-                        io::Error::new(io::ErrorKind::InvalidData, format!("coverage.metric: {e}"))
-                    })?,
+            let metric = match doc.opt_field::<String>("metric")? {
+                None => MetricKind::Neuron.into(),
+                Some(m) => m.parse().map_err(|e| invalid(format!("coverage.metric: {e}")))?,
             };
-            let ranges = match doc.get("profiles") {
-                None | Some(Json::Null) => Vec::new(),
-                Some(profiles) => profiles
-                    .as_arr()
-                    .ok_or_else(|| bad("coverage.profiles"))?
-                    .iter()
-                    .map(|p| {
-                        Ok((
-                            ranges_from_json(p.get("low").ok_or_else(|| bad("profile low"))?)?,
-                            ranges_from_json(p.get("high").ok_or_else(|| bad("profile high"))?)?,
-                        ))
-                    })
-                    .collect::<io::Result<Vec<_>>>()?,
-            };
+            let ranges = doc.opt_list_with("profiles", |p| {
+                Ok((
+                    p.field_with("low", ranges_from_json)?,
+                    p.field_with("high", ranges_from_json)?,
+                ))
+            })?;
             (Some(masks), SignalCheckpoint { metric, ranges })
         }
     };
-    let worker_rng = match meta.get("worker_rng") {
-        None | Some(Json::Null) => Vec::new(),
-        Some(states) => states
-            .as_arr()
-            .ok_or_else(|| bad("meta.worker_rng"))?
-            .iter()
-            .map(rng_state_from_json)
-            .collect::<io::Result<Vec<_>>>()?,
-    };
+    let worker_rng: Vec<_> = meta.opt_list_with("worker_rng", rng_state_from_json)?;
     // `workers` records the fleet width the checkpoint was written with.
     // When per-worker RNG streams are present the two must agree, or the
     // streams would be replayed against the wrong worker lanes.
-    if let Some(w) = meta.get("workers").filter(|v| !matches!(v, Json::Null)) {
-        let w = w.as_usize().ok_or_else(|| bad("meta.workers"))?;
+    if let Some(w) = meta.opt_field::<usize>("workers")? {
         if !worker_rng.is_empty() && w != worker_rng.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("meta.workers is {w} but worker_rng has {} entries", worker_rng.len()),
-            ));
+            return Err(invalid(format!(
+                "meta.workers is {w} but worker_rng has {} entries",
+                worker_rng.len()
+            )));
         }
     }
     Ok(CampaignState {
@@ -324,11 +279,8 @@ pub fn load(dir: &Path) -> io::Result<CampaignState> {
         diffs,
         coverage,
         signal,
-        epochs_done: field_usize(&meta, "epochs_done")?,
-        campaign_seed: meta
-            .get("campaign_seed")
-            .and_then(u64_from_json)
-            .ok_or_else(|| bad("meta.campaign_seed"))?,
+        epochs_done: meta.field("epochs_done")?,
+        campaign_seed: meta.field("campaign_seed")?,
         worker_rng,
     })
 }
@@ -347,8 +299,10 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-fn read_jsonl(path: &Path) -> io::Result<Vec<Json>> {
-    fs::read_to_string(path)?.lines().filter(|l| !l.trim().is_empty()).map(parse_doc).collect()
+/// Every non-blank line of a JSONL file, decoded by `read`.
+fn read_jsonl<T>(path: &Path, read: impl Fn(&Json) -> io::Result<T>) -> io::Result<Vec<T>> {
+    let text = fs::read_to_string(path)?;
+    text.lines().filter(|l| !l.trim().is_empty()).map(|l| read(&parse_doc(l)?)).collect()
 }
 
 #[cfg(test)]
@@ -474,6 +428,39 @@ mod tests {
         }
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&again);
+    }
+
+    #[test]
+    fn meta_and_coverage_decoders_survive_mutation() {
+        let (dir, out) = (tmp_dir("fuzz"), tmp_dir("fuzz_out"));
+        let signal = SignalCheckpoint {
+            metric: "multisection:4+boundary".parse().unwrap(),
+            ranges: vec![(vec![0.25, f32::INFINITY], vec![0.75, f32::NEG_INFINITY])],
+        };
+        save(&dir, &Snapshot { signal, ..sample_state() }, false).unwrap();
+        for file in ["meta.json", "coverage.json"] {
+            let seed = fs::read_to_string(dir.join(file)).unwrap();
+            dx_integration::fuzz::check_decoder(std::slice::from_ref(&seed), 1024, |text| {
+                fs::write(dir.join(file), text)?;
+                let state = load(&dir)?;
+                let snapshot = Snapshot {
+                    report: CampaignReport {
+                        epochs: state.epochs,
+                        workers: state.worker_rng.len(),
+                    },
+                    masks: state.coverage.unwrap_or_default(),
+                    signal: state.signal,
+                    campaign_seed: state.campaign_seed,
+                    worker_rng: state.worker_rng,
+                    ..sample_state()
+                };
+                save(&out, &snapshot, false)?;
+                fs::read_to_string(out.join(file))
+            });
+            fs::write(dir.join(file), seed).unwrap();
+        }
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&out);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! Extracted from the checkpoint writer so the distributed campaign
 //! (`dx-dist`) can put the exact same encodings on the wire: a checkpoint
 //! line and a wire payload for the same value are byte-identical, and both
-//! round-trip floats bit-for-bit (see [`crate::json`]).
+//! round-trip floats bit-for-bit (see [`crate::json`]). Decoders read
+//! through the JSON module's field reader, which names the field in every
+//! error.
 
 use std::io;
 
@@ -15,39 +17,14 @@ use dx_tensor::Tensor;
 
 use crate::corpus::CorpusEntry;
 use crate::engine::FoundDiff;
-use crate::json::{build, parse, Json};
+use crate::json::{build, invalid, FromJson, Json};
 use crate::report::EpochStats;
 
-/// An `InvalidData` error naming the missing or malformed field.
-pub fn bad(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("missing/invalid {what}"))
-}
-
-/// Parses one JSON document, mapping parse errors to `InvalidData`.
-pub fn parse_doc(text: &str) -> io::Result<Json> {
-    parse(text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
-/// Required `usize` field of an object.
-pub fn field_usize(v: &Json, key: &str) -> io::Result<usize> {
-    v.get(key).and_then(Json::as_usize).ok_or_else(|| bad(key))
-}
-
-/// Required `f32` field of an object.
-pub fn field_f32(v: &Json, key: &str) -> io::Result<f32> {
-    v.get(key).and_then(Json::as_f32).ok_or_else(|| bad(key))
-}
-
 /// A `u64` as a JSON string — JSON numbers go through `f64`, which cannot
-/// represent values above 2^53 exactly (seeds and RNG words can).
+/// represent values above 2^53 exactly (seeds and RNG words can). The
+/// field reader's `u64` reads it back.
 pub fn u64_json(v: u64) -> Json {
     build::str(&v.to_string())
-}
-
-/// Reads a `u64` written by [`u64_json`], also accepting a plain number
-/// (for hand-written or older documents).
-pub fn u64_from_json(v: &Json) -> Option<u64> {
-    v.as_str().and_then(|s| s.parse().ok()).or_else(|| v.as_u64())
 }
 
 /// An RNG state (four xoshiro words) as an array of decimal strings.
@@ -57,15 +34,9 @@ pub fn rng_state_json(state: &[u64; 4]) -> Json {
 
 /// Reads an RNG state written by [`rng_state_json`].
 pub fn rng_state_from_json(v: &Json) -> io::Result<[u64; 4]> {
-    let words = v.as_arr().ok_or_else(|| bad("rng state"))?;
-    if words.len() != 4 {
-        return Err(bad("rng state length"));
-    }
-    let mut out = [0u64; 4];
-    for (slot, w) in out.iter_mut().zip(words) {
-        *slot = u64_from_json(w).ok_or_else(|| bad("rng state word"))?;
-    }
-    Ok(out)
+    Vec::<u64>::from_json(v)
+        .and_then(|words| words.try_into().ok())
+        .ok_or_else(|| invalid("an rng state must be a list of 4 unsigned integers"))
 }
 
 /// A flat `f32` array that may contain non-finite values — neuron-profile
@@ -93,19 +64,17 @@ pub fn ranges_json(values: &[f32]) -> Json {
 
 /// Reads an array written by [`ranges_json`].
 pub fn ranges_from_json(v: &Json) -> io::Result<Vec<f32>> {
-    v.as_arr()
-        .ok_or_else(|| bad("range array"))?
-        .iter()
-        .map(|x| match x {
-            Json::Str(s) => match s.as_str() {
-                "inf" => Ok(f32::INFINITY),
-                "-inf" => Ok(f32::NEG_INFINITY),
-                "nan" => Ok(f32::NAN),
-                _ => Err(bad("range element")),
-            },
-            other => other.as_f32().ok_or_else(|| bad("range element")),
+    v.items("ranges", |x| {
+        let value = match x.as_str() {
+            Some("inf") => Some(f32::INFINITY),
+            Some("-inf") => Some(f32::NEG_INFINITY),
+            Some("nan") => Some(f32::NAN),
+            _ => f32::from_json(x),
+        };
+        value.ok_or_else(|| {
+            invalid("a range element must be a number, \"inf\", \"-inf\" or \"nan\"")
         })
-        .collect()
+    })
 }
 
 /// A tensor's `shape`/`data` fields, to inline into a containing object.
@@ -122,22 +91,15 @@ pub fn tensor_json(t: &Tensor) -> Json {
 /// Reads a tensor from an object carrying `shape` and `data` fields
 /// (standalone or inlined into a larger record).
 pub fn tensor_from_json(v: &Json) -> io::Result<Tensor> {
-    let shape: Vec<usize> = v
-        .get("shape")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("shape"))?
-        .iter()
-        .map(|s| s.as_usize().ok_or_else(|| bad("shape element")))
-        .collect::<io::Result<_>>()?;
-    let data: Vec<f32> = v
-        .get("data")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("data"))?
-        .iter()
-        .map(|d| d.as_f32().ok_or_else(|| bad("data element")))
-        .collect::<io::Result<_>>()?;
-    if data.len() != shape.iter().product::<usize>() {
-        return Err(bad("tensor data length"));
+    let shape: Vec<usize> = v.field("shape")?;
+    let data: Vec<f32> = v.field("data")?;
+    // Checked: a shape whose product overflows must not wrap to a length
+    // that some short `data` matches.
+    if shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) != Some(data.len()) {
+        return Err(invalid(format!(
+            "tensor `data` holds {} values, which shape {shape:?} cannot take",
+            data.len()
+        )));
     }
     Ok(Tensor::from_vec(data, &shape))
 }
@@ -152,26 +114,15 @@ pub fn prediction_json(p: &Prediction) -> Json {
 
 /// Reads a prediction written by [`prediction_json`].
 pub fn prediction_from_json(p: &Json) -> io::Result<Prediction> {
-    if let Some(c) = p.get("class").and_then(Json::as_usize) {
-        Ok(Prediction::Class(c))
-    } else if let Some(x) = p.get("value").and_then(Json::as_f32) {
-        Ok(Prediction::Value(x))
-    } else {
-        Err(bad("prediction"))
+    match (p.opt_field("class")?, p.opt_field("value")?) {
+        (Some(c), _) => Ok(Prediction::Class(c)),
+        (None, Some(x)) => Ok(Prediction::Value(x)),
+        (None, None) => Err(invalid("a prediction needs a `class` or a `value`")),
     }
 }
 
 fn predictions_json(ps: &[Prediction]) -> Json {
     Json::Arr(ps.iter().map(prediction_json).collect())
-}
-
-fn predictions_from_json(v: &Json, key: &str) -> io::Result<Vec<Prediction>> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad(key))?
-        .iter()
-        .map(prediction_from_json)
-        .collect()
 }
 
 /// One corpus entry, input inline.
@@ -194,18 +145,15 @@ pub fn entry_json(e: &CorpusEntry) -> Json {
 /// Reads a corpus entry written by [`entry_json`].
 pub fn entry_from_json(v: &Json) -> io::Result<CorpusEntry> {
     Ok(CorpusEntry {
-        id: field_usize(v, "id")?,
-        parent: match v.get("parent") {
-            Some(Json::Null) | None => None,
-            Some(p) => Some(p.as_usize().ok_or_else(|| bad("parent"))?),
-        },
-        depth: field_usize(v, "depth")?,
+        id: v.field("id")?,
+        parent: v.opt_field("parent")?,
+        depth: v.field("depth")?,
         input: tensor_from_json(v)?,
-        energy: field_f32(v, "energy")?,
-        times_fuzzed: field_usize(v, "times_fuzzed")?,
-        diffs_found: field_usize(v, "diffs_found")?,
-        new_coverage: field_usize(v, "new_coverage")?,
-        exhausted: v.get("exhausted").and_then(Json::as_bool).unwrap_or(false),
+        energy: v.field("energy")?,
+        times_fuzzed: v.field("times_fuzzed")?,
+        diffs_found: v.field("diffs_found")?,
+        new_coverage: v.field("new_coverage")?,
+        exhausted: v.opt_field("exhausted")?.unwrap_or(false),
     })
 }
 
@@ -231,25 +179,15 @@ pub fn epoch_json(e: &EpochStats) -> Json {
 /// empty vector (rendered without the per-component column).
 pub fn epoch_from_json(v: &Json) -> io::Result<EpochStats> {
     Ok(EpochStats {
-        epoch: field_usize(v, "epoch")?,
-        seeds_run: field_usize(v, "seeds_run")?,
-        diffs_found: field_usize(v, "diffs_found")?,
-        iterations: field_usize(v, "iterations")?,
-        newly_covered: field_usize(v, "newly_covered")?,
-        mean_coverage: field_f32(v, "mean_coverage")?,
-        component_coverage: match v.get("component_coverage") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(c) => c
-                .as_arr()
-                .ok_or_else(|| bad("component_coverage"))?
-                .iter()
-                .map(|x| x.as_f32().ok_or_else(|| bad("component_coverage entry")))
-                .collect::<io::Result<_>>()?,
-        },
-        corpus_len: field_usize(v, "corpus_len")?,
-        elapsed: std::time::Duration::from_micros(
-            v.get("elapsed_us").and_then(Json::as_u64).ok_or_else(|| bad("elapsed_us"))?,
-        ),
+        epoch: v.field("epoch")?,
+        seeds_run: v.field("seeds_run")?,
+        diffs_found: v.field("diffs_found")?,
+        iterations: v.field("iterations")?,
+        newly_covered: v.field("newly_covered")?,
+        mean_coverage: v.field("mean_coverage")?,
+        component_coverage: v.opt_field("component_coverage")?.unwrap_or_default(),
+        corpus_len: v.field("corpus_len")?,
+        elapsed: std::time::Duration::from_micros(v.field("elapsed_us")?),
     })
 }
 
@@ -270,12 +208,12 @@ pub fn diff_json(d: &FoundDiff) -> Json {
 /// Reads a found difference written by [`diff_json`].
 pub fn diff_from_json(v: &Json) -> io::Result<FoundDiff> {
     Ok(FoundDiff {
-        seed_id: field_usize(v, "seed_id")?,
-        epoch: field_usize(v, "epoch")?,
+        seed_id: v.field("seed_id")?,
+        epoch: v.field("epoch")?,
         input: tensor_from_json(v)?,
-        predictions: predictions_from_json(v, "predictions")?,
-        iterations: field_usize(v, "iterations")?,
-        target_model: field_usize(v, "target_model")?,
+        predictions: v.list_with("predictions", prediction_from_json)?,
+        iterations: v.field("iterations")?,
+        target_model: v.field("target_model")?,
     })
 }
 
@@ -295,11 +233,11 @@ pub fn generated_test_json(t: &GeneratedTest) -> Json {
 /// Reads a generated test written by [`generated_test_json`].
 pub fn generated_test_from_json(v: &Json) -> io::Result<GeneratedTest> {
     Ok(GeneratedTest {
-        seed_index: field_usize(v, "seed_index")?,
+        seed_index: v.field("seed_index")?,
         input: tensor_from_json(v)?,
-        iterations: field_usize(v, "iterations")?,
-        predictions: predictions_from_json(v, "predictions")?,
-        target_model: field_usize(v, "target_model")?,
+        iterations: v.field("iterations")?,
+        predictions: v.list_with("predictions", prediction_from_json)?,
+        target_model: v.field("target_model")?,
     })
 }
 
@@ -321,35 +259,19 @@ pub fn seed_run_json(r: &SeedRun) -> Json {
 /// accounting then falls back to the pooled `newly_covered` count.
 pub fn seed_run_from_json(v: &Json) -> io::Result<SeedRun> {
     Ok(SeedRun {
-        test: match v.get("test") {
-            Some(Json::Null) | None => None,
-            Some(t) => Some(generated_test_from_json(t)?),
-        },
-        preexisting: v
-            .get("preexisting")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| bad("preexisting"))?,
-        iterations: field_usize(v, "iterations")?,
-        newly_covered: field_usize(v, "newly_covered")?,
-        newly_by_component: match v.get("newly_by_component") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(c) => c
-                .as_arr()
-                .ok_or_else(|| bad("newly_by_component"))?
-                .iter()
-                .map(|x| x.as_usize().ok_or_else(|| bad("newly_by_component entry")))
-                .collect::<io::Result<_>>()?,
-        },
-        corpus_candidate: match v.get("candidate") {
-            Some(Json::Null) | None => None,
-            Some(t) => Some(tensor_from_json(t)?),
-        },
+        test: v.opt_field_with("test", generated_test_from_json)?,
+        preexisting: v.field("preexisting")?,
+        iterations: v.field("iterations")?,
+        newly_covered: v.field("newly_covered")?,
+        newly_by_component: v.opt_field("newly_by_component")?.unwrap_or_default(),
+        corpus_candidate: v.opt_field_with("candidate", tensor_from_json)?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse_doc;
     use dx_tensor::rng;
 
     fn sample_test() -> GeneratedTest {
@@ -417,10 +339,10 @@ mod tests {
     #[test]
     fn u64_codec_is_exact_above_2_53() {
         for v in [0u64, 1 << 53, u64::MAX, 0xfeed_beef_dead_cafe] {
-            assert_eq!(u64_from_json(&u64_json(v)), Some(v));
+            assert_eq!(u64::from_json(&u64_json(v)), Some(v));
         }
         // Plain numbers are accepted too.
-        assert_eq!(u64_from_json(&Json::Num(42.0)), Some(42));
+        assert_eq!(u64::from_json(&Json::Num(42.0)), Some(42));
     }
 
     #[test]
@@ -447,9 +369,71 @@ mod tests {
     }
 
     #[test]
+    fn line_decoders_survive_mutation() {
+        let input = rng::uniform(&mut rng::rng(4), &[1, 3], 0.0, 1.0);
+        let entry = CorpusEntry {
+            id: 5,
+            parent: Some(2),
+            depth: 1,
+            input: input.clone(),
+            energy: 0.75,
+            times_fuzzed: 3,
+            diffs_found: 1,
+            new_coverage: 4,
+            exhausted: true,
+        };
+        let epoch = EpochStats {
+            epoch: 2,
+            seeds_run: 8,
+            diffs_found: 1,
+            iterations: 40,
+            newly_covered: 6,
+            mean_coverage: 0.375,
+            component_coverage: vec![0.25, 0.5],
+            corpus_len: 9,
+            elapsed: std::time::Duration::from_micros(1_500),
+        };
+        let diff = FoundDiff {
+            seed_id: 5,
+            epoch: 2,
+            input,
+            predictions: vec![Prediction::Class(1), Prediction::Value(-0.5)],
+            iterations: 7,
+            target_model: 2,
+        };
+        let run = SeedRun {
+            test: Some(sample_test()),
+            preexisting: false,
+            iterations: 9,
+            newly_covered: 5,
+            newly_by_component: vec![3, 2],
+            corpus_candidate: Some(rng::uniform(&mut rng::rng(5), &[1, 3], 0.0, 1.0)),
+        };
+        let round_trip = |text: &str, read: fn(&Json) -> io::Result<Json>| {
+            read(&parse_doc(text)?).map(|v| v.to_string())
+        };
+        dx_integration::fuzz::check_decoder(&[entry_json(&entry).to_string()], 2048, |t| {
+            round_trip(t, |v| entry_from_json(v).map(|e| entry_json(&e)))
+        });
+        dx_integration::fuzz::check_decoder(&[epoch_json(&epoch).to_string()], 2048, |t| {
+            round_trip(t, |v| epoch_from_json(v).map(|e| epoch_json(&e)))
+        });
+        dx_integration::fuzz::check_decoder(&[diff_json(&diff).to_string()], 2048, |t| {
+            round_trip(t, |v| diff_from_json(v).map(|d| diff_json(&d)))
+        });
+        dx_integration::fuzz::check_decoder(&[seed_run_json(&run).to_string()], 2048, |t| {
+            round_trip(t, |v| seed_run_from_json(v).map(|r| seed_run_json(&r)))
+        });
+    }
+
+    #[test]
     fn tensor_object_round_trips() {
         let t = rng::uniform(&mut rng::rng(3), &[2, 3], -1.0, 1.0);
         let back = tensor_from_json(&parse_doc(&tensor_json(&t).to_string()).unwrap()).unwrap();
         assert_eq!(t, back);
+        // A shape whose product overflows is malformed, not a tensor of
+        // shape [2^63, 2] holding nothing (release) or a panic (debug).
+        let doc = parse_doc(r#"{"shape":[9223372036854775808,2],"data":[]}"#).unwrap();
+        assert_eq!(tensor_from_json(&doc).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 }

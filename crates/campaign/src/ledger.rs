@@ -305,6 +305,7 @@ use dx_telemetry::sync::{Rank, Ranked};
 use crate::checkpoint;
 use crate::corpus::EnergyModel;
 use crate::engine::ModelSuite;
+use crate::json::invalid;
 
 /// The one checkpoint writer. It serializes writes and remembers, per
 /// campaign, the newest snapshot it wrote and where: a snapshot that lost
@@ -378,13 +379,10 @@ impl Ledger {
         // under one cannot seed another, even at equal shapes (boundary and
         // multisection:2 both count two units per neuron).
         if state.signal.metric != suite.signal.metric {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "checkpoint metric `{}` does not match the configured `{}`",
-                    state.signal.metric, suite.signal.metric
-                ),
-            ));
+            return Err(invalid(format!(
+                "checkpoint metric `{}` does not match the configured `{}`",
+                state.signal.metric, suite.signal.metric
+            )));
         }
         // Checkpointed profiles are authoritative: restoring them (rather
         // than re-priming) keeps a resumed profile-based campaign

@@ -86,11 +86,11 @@ pub mod checkpoint;
 pub mod codec;
 pub mod corpus;
 pub mod engine;
-pub mod json;
 pub mod ledger;
 pub mod report;
 
 pub use corpus::{Corpus, CorpusEntry, EnergyModel};
+pub use dx_telemetry::json;
 pub use engine::{Campaign, CampaignConfig, FoundDiff, ModelSuite};
 pub use report::{CampaignReport, EpochStats};
 

@@ -40,10 +40,9 @@ use std::time::{Duration, Instant};
 
 use dx_campaign::checkpoint::write_atomic;
 use dx_campaign::codec::{
-    diff_from_json, diff_json, field_usize, parse_doc, rng_state_from_json, rng_state_json,
-    u64_from_json, u64_json,
+    diff_from_json, diff_json, rng_state_from_json, rng_state_json, u64_json,
 };
-use dx_campaign::json::{build, Json};
+use dx_campaign::json::{build, parse_doc, Json};
 use dx_campaign::ledger::{CheckpointGate, Ledger, Snapshot};
 use dx_campaign::{CampaignReport, Corpus, EnergyModel, FoundDiff, ModelSuite};
 use dx_coverage::CoverageSignal;
@@ -973,69 +972,30 @@ impl DistState {
             Ok(t) => t,
         };
         let doc = parse_doc(&text)?;
-        let pending = doc
-            .get("pending")
-            .and_then(Json::as_arr)
-            .map(|xs| xs.iter().filter_map(Json::as_usize).collect())
-            .unwrap_or_default();
-        let mut worker_rng = BTreeMap::new();
-        if let Some(entries) = doc.get("worker_rng").and_then(Json::as_arr) {
-            for e in entries {
-                let slot = e.get("slot").and_then(u64_from_json).ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "dist.json worker slot")
-                })?;
-                let state = rng_state_from_json(e.get("state").ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "dist.json worker state")
-                })?)?;
-                worker_rng.insert(slot, state);
-            }
-        }
-        let mut trust = BTreeMap::new();
-        if let Some(entries) = doc.get("trust").and_then(Json::as_arr) {
-            for e in entries {
-                let slot = e.get("slot").and_then(u64_from_json).ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "dist.json trust slot")
-                })?;
-                trust.insert(
-                    slot,
-                    WorkerStats {
-                        spot_checked: field_usize(e, "checked")?,
-                        spot_failed: field_usize(e, "failed")?,
-                        evicted: e.get("evicted").and_then(Json::as_bool).unwrap_or(false),
-                        ..WorkerStats::default()
-                    },
-                );
-            }
-        }
-        // v2 files predate identity-keyed slots: absent → empty map, and
-        // returning workers are treated as fresh identities on new slots.
-        let mut identities = BTreeMap::new();
-        if let Some(entries) = doc.get("identities").and_then(Json::as_arr) {
-            for e in entries {
-                let slot = e.get("slot").and_then(u64_from_json).ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "dist.json identity slot")
-                })?;
-                let id = e.get("worker_id").and_then(Json::as_str).ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "dist.json identity worker_id")
-                })?;
-                identities.insert(slot, id.to_string());
-            }
-        }
-        let quarantined = match doc.get("quarantined").and_then(Json::as_arr) {
-            None => Vec::new(),
-            Some(entries) => entries.iter().map(diff_from_json).collect::<io::Result<Vec<_>>>()?,
-        };
-        let quarantined_total =
-            doc.get("quarantined_total").and_then(Json::as_usize).unwrap_or(quarantined.len());
+        let quarantined: Vec<_> = doc.opt_list_with("quarantined", diff_from_json)?;
         Ok(Some(Self {
-            steps_done: field_usize(&doc, "steps_done")?,
-            next_lease: doc.get("next_lease").and_then(u64_from_json).unwrap_or(0),
-            pending,
-            worker_rng,
-            trust,
-            identities,
+            steps_done: doc.field("steps_done")?,
+            next_lease: doc.opt_field("next_lease")?.unwrap_or(0),
+            pending: doc.opt_field("pending")?.unwrap_or_default(),
+            worker_rng: doc.opt_list_with("worker_rng", |e| {
+                Ok((e.field("slot")?, e.field_with("state", rng_state_from_json)?))
+            })?,
+            trust: doc.opt_list_with("trust", |e| {
+                let stats = WorkerStats {
+                    spot_checked: e.field("checked")?,
+                    spot_failed: e.field("failed")?,
+                    evicted: e.opt_field("evicted")?.unwrap_or(false),
+                    ..WorkerStats::default()
+                };
+                Ok((e.field("slot")?, stats))
+            })?,
+            // v2 files predate identity-keyed slots: absent → empty map,
+            // and returning workers are treated as fresh identities on new
+            // slots.
+            identities: doc
+                .opt_list_with("identities", |e| Ok((e.field("slot")?, e.field("worker_id")?)))?,
+            quarantined_total: doc.opt_field("quarantined_total")?.unwrap_or(quarantined.len()),
             quarantined,
-            quarantined_total,
         }))
     }
 }
@@ -1084,6 +1044,36 @@ mod tests {
         std::fs::write(dir.join("dist.json"), format!("{first}\n")).unwrap();
         let loaded = DistState::load(&dir).unwrap().expect("dist.json is present");
         assert_eq!(first, loaded.doc().to_string());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dist_json_decoder_survives_mutation() {
+        let dir = std::env::temp_dir().join("dx_dist_json_fuzz");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let state = DistState {
+            steps_done: 7,
+            next_lease: 3,
+            pending: vec![4, 1],
+            worker_rng: BTreeMap::from([(0, [1, 2, 3, u64::MAX])]),
+            trust: BTreeMap::from([(0, WorkerStats { spot_checked: 3, ..Default::default() })]),
+            identities: BTreeMap::from([(0, "w-cafe".to_string())]),
+            quarantined: vec![FoundDiff {
+                seed_id: 2,
+                epoch: 1,
+                input: rng::uniform(&mut rng::rng(3), &[1, 3], 0.0, 1.0),
+                predictions: vec![deepxplore::diff::Prediction::Value(0.5)],
+                iterations: 5,
+                target_model: 1,
+            }],
+            quarantined_total: 2,
+        };
+        dx_integration::fuzz::check_decoder(&[state.doc().to_string()], 2048, |text| {
+            std::fs::write(dir.join("dist.json"), text)?;
+            let loaded = DistState::load(&dir)?.ok_or(io::ErrorKind::NotFound)?;
+            Ok(loaded.doc().to_string())
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1207,13 +1207,18 @@ mod tests {
                 // and answer `admission timed out` instead.
                 let mut a = std::net::TcpStream::connect(addr).unwrap();
                 assert_prefix_rejected(&mut a, crate::engine::HELLO_FRAME_CAP + 1);
-                // (b) A well-framed payload that is not JSON.
-                let mut b = std::net::TcpStream::connect(addr).unwrap();
-                b.write_all(&7u32.to_be_bytes()).unwrap();
-                b.write_all(b"GET /!!").unwrap();
-                match Msg::from_json(&crate::wire::read_frame(&mut b).unwrap()) {
-                    Ok(Msg::Reject { .. }) => {}
-                    other => panic!("no clean reject for non-JSON: {other:?}"),
+                // (b) A well-framed payload that is not JSON, and (b') one
+                // nested past the parser's depth cap: 20 000 bytes, under
+                // the pre-admission cap, that overflowed the handler's
+                // stack (aborting the process) before the parser had one.
+                for payload in [b"GET /!!".to_vec(), "[".repeat(20_000).into_bytes()] {
+                    let mut b = std::net::TcpStream::connect(addr).unwrap();
+                    b.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
+                    b.write_all(&payload).unwrap();
+                    match Msg::from_json(&crate::wire::read_frame(&mut b).unwrap()) {
+                        Ok(Msg::Reject { .. }) => {}
+                        other => panic!("no clean reject for a non-JSON frame: {other:?}"),
+                    }
                 }
                 // (c) Valid JSON that is not a protocol message.
                 let mut c = std::net::TcpStream::connect(addr).unwrap();

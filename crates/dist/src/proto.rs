@@ -29,10 +29,10 @@ use std::io;
 
 use deepxplore::SeedRun;
 use dx_campaign::codec::{
-    bad, field_usize, rng_state_from_json, rng_state_json, seed_run_from_json, seed_run_json,
-    tensor_fields, tensor_from_json, u64_from_json, u64_json,
+    rng_state_from_json, rng_state_json, seed_run_from_json, seed_run_json, tensor_fields,
+    tensor_from_json, u64_json,
 };
-use dx_campaign::json::{build, Json};
+use dx_campaign::json::{build, invalid, Json};
 use dx_coverage::CoverageSignal;
 use dx_telemetry::phase::LocalHist;
 use dx_tensor::Tensor;
@@ -99,16 +99,13 @@ impl Fingerprint {
     }
 
     fn from_json(v: &Json) -> io::Result<Self> {
-        let str_field = |key: &str| {
-            v.get(key).and_then(Json::as_str).map(str::to_string).ok_or_else(|| bad(key))
-        };
         Ok(Self {
-            label: str_field("label")?,
-            metric: str_field("metric")?,
-            units: usizes(v.get("units").ok_or_else(|| bad("units"))?, "units")?,
-            profiles: str_field("profiles")?,
-            hyper: str_field("hyper")?,
-            constraint: str_field("constraint")?,
+            label: v.field("label")?,
+            metric: v.field("metric")?,
+            units: v.field("units")?,
+            profiles: v.field("profiles")?,
+            hyper: v.field("hyper")?,
+            constraint: v.field("constraint")?,
         })
     }
 }
@@ -305,20 +302,8 @@ pub enum Msg {
     Bye,
 }
 
-fn usizes(v: &Json, what: &str) -> io::Result<Vec<usize>> {
-    v.as_arr()
-        .ok_or_else(|| bad(what))?
-        .iter()
-        .map(|x| x.as_usize().ok_or_else(|| bad(what)))
-        .collect()
-}
-
 fn cov_json(cov: &CovDelta) -> Json {
     Json::Arr(cov.iter().map(|m| build::ints(m)).collect())
-}
-
-fn cov_from_json(v: &Json) -> io::Result<CovDelta> {
-    v.as_arr().ok_or_else(|| bad("cov"))?.iter().map(|m| usizes(m, "cov indices")).collect()
 }
 
 fn job_json(j: &Job) -> Json {
@@ -327,7 +312,7 @@ fn job_json(j: &Job) -> Json {
 }
 
 fn job_from_json(v: &Json) -> io::Result<Job> {
-    Ok(Job { seed_id: field_usize(v, "seed_id")?, input: tensor_from_json(v)? })
+    Ok(Job { seed_id: v.field("seed_id")?, input: tensor_from_json(v)? })
 }
 
 fn item_json(r: &JobResult) -> Json {
@@ -335,10 +320,7 @@ fn item_json(r: &JobResult) -> Json {
 }
 
 fn item_from_json(v: &Json) -> io::Result<JobResult> {
-    Ok(JobResult {
-        seed_id: field_usize(v, "seed_id")?,
-        run: seed_run_from_json(v.get("run").ok_or_else(|| bad("run"))?)?,
-    })
+    Ok(JobResult { seed_id: v.field("seed_id")?, run: v.field_with("run", seed_run_from_json)? })
 }
 
 fn hist_json(h: &LocalHist) -> Json {
@@ -351,14 +333,7 @@ fn hist_json(h: &LocalHist) -> Json {
 }
 
 fn hist_from_json(v: &Json) -> io::Result<LocalHist> {
-    Ok(LocalHist {
-        counts: usizes(v.get("counts").ok_or_else(|| bad("counts"))?, "counts")?
-            .into_iter()
-            .map(|c| c as u64)
-            .collect(),
-        sum: v.get("sum").and_then(Json::as_f64).ok_or_else(|| bad("sum"))?,
-        count: v.get("count").and_then(u64_from_json).ok_or_else(|| bad("count"))?,
-    })
+    Ok(LocalHist { counts: v.field("counts")?, sum: v.field("sum")?, count: v.field("count")? })
 }
 
 fn telemetry_json(t: &TelemetrySnapshot) -> Json {
@@ -374,21 +349,12 @@ fn telemetry_json(t: &TelemetrySnapshot) -> Json {
 }
 
 fn telemetry_from_json(v: &Json) -> io::Result<TelemetrySnapshot> {
-    let phases = v
-        .get("phases")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("phases"))?
-        .iter()
-        .map(|p| {
-            let name = p.get("phase").and_then(Json::as_str).ok_or_else(|| bad("phase"))?;
-            Ok((name.to_string(), hist_from_json(p.get("hist").ok_or_else(|| bad("hist"))?)?))
-        })
-        .collect::<io::Result<_>>()?;
-    let heartbeat = match v.get("heartbeat") {
-        None | Some(Json::Null) => None,
-        Some(h) => Some(hist_from_json(h)?),
-    };
-    Ok(TelemetrySnapshot { phases, heartbeat })
+    Ok(TelemetrySnapshot {
+        phases: v.list_with("phases", |p| {
+            Ok((p.field("phase")?, p.field_with("hist", hist_from_json)?))
+        })?,
+        heartbeat: v.opt_field_with("heartbeat", hist_from_json)?,
+    })
 }
 
 fn tagged(tag: &str, mut fields: Vec<(&str, Json)>) -> Json {
@@ -464,93 +430,44 @@ impl Msg {
     ///
     /// `InvalidData` on an unknown tag or missing/malformed field.
     pub fn from_json(v: &Json) -> io::Result<Msg> {
-        let tag = v.get("type").and_then(Json::as_str).ok_or_else(|| bad("type"))?;
-        let u64_field = |key: &str| v.get(key).and_then(u64_from_json).ok_or_else(|| bad(key));
-        Ok(match tag {
+        Ok(match v.field::<String>("type")?.as_str() {
             "hello" => Msg::Hello {
-                version: u64_field("version")?,
-                fingerprint: Fingerprint::from_json(v.get("fp").ok_or_else(|| bad("fp"))?)?,
-                worker_id: v
-                    .get("worker_id")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("worker_id"))?
-                    .to_string(),
+                version: v.field("version")?,
+                fingerprint: v.field_with("fp", Fingerprint::from_json)?,
+                worker_id: v.field("worker_id")?,
             },
             "welcome" => Msg::Welcome {
-                slot: u64_field("slot")?,
-                campaign_seed: u64_field("campaign_seed")?,
-                rng_state: match v.get("rng_state") {
-                    None | Some(Json::Null) => None,
-                    Some(s) => Some(rng_state_from_json(s)?),
-                },
+                slot: v.field("slot")?,
+                campaign_seed: v.field("campaign_seed")?,
+                rng_state: v.opt_field_with("rng_state", rng_state_from_json)?,
             },
-            "reject" => Msg::Reject {
-                reason: v
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("reason"))?
-                    .to_string(),
-            },
-            "challenge" => Msg::Challenge {
-                nonce: v
-                    .get("nonce")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("nonce"))?
-                    .to_string(),
-            },
-            "auth" => Msg::AuthProof {
-                proof: v
-                    .get("proof")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("proof"))?
-                    .to_string(),
-            },
-            "lease_req" => {
-                Msg::LeaseRequest { slot: u64_field("slot")?, want: field_usize(v, "want")? }
-            }
+            "reject" => Msg::Reject { reason: v.field("reason")? },
+            "challenge" => Msg::Challenge { nonce: v.field("nonce")? },
+            "auth" => Msg::AuthProof { proof: v.field("proof")? },
+            "lease_req" => Msg::LeaseRequest { slot: v.field("slot")?, want: v.field("want")? },
             "lease" => Msg::Lease {
-                lease: u64_field("lease")?,
-                campaign: u64_field("campaign")?,
-                campaign_seed: u64_field("campaign_seed")?,
-                rng_state: match v.get("rng_state") {
-                    None | Some(Json::Null) => None,
-                    Some(s) => Some(rng_state_from_json(s)?),
-                },
-                jobs: v
-                    .get("jobs")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("jobs"))?
-                    .iter()
-                    .map(job_from_json)
-                    .collect::<io::Result<_>>()?,
-                cov: cov_from_json(v.get("cov").ok_or_else(|| bad("cov"))?)?,
+                lease: v.field("lease")?,
+                campaign: v.field("campaign")?,
+                campaign_seed: v.field("campaign_seed")?,
+                rng_state: v.opt_field_with("rng_state", rng_state_from_json)?,
+                jobs: v.list_with("jobs", job_from_json)?,
+                cov: v.field("cov")?,
             },
-            "wait" => Msg::Wait { millis: u64_field("millis")? },
+            "wait" => Msg::Wait { millis: v.field("millis")? },
             "drain" => Msg::Drain,
-            "heartbeat" => Msg::Heartbeat { slot: u64_field("slot")?, lease: u64_field("lease")? },
+            "heartbeat" => Msg::Heartbeat { slot: v.field("slot")?, lease: v.field("lease")? },
             "results" => Msg::Results {
-                slot: u64_field("slot")?,
-                lease: u64_field("lease")?,
-                campaign: u64_field("campaign")?,
-                items: v
-                    .get("items")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("items"))?
-                    .iter()
-                    .map(item_from_json)
-                    .collect::<io::Result<_>>()?,
-                cov: cov_from_json(v.get("cov").ok_or_else(|| bad("cov"))?)?,
-                rng_state: rng_state_from_json(
-                    v.get("rng_state").ok_or_else(|| bad("rng_state"))?,
-                )?,
-                telemetry: match v.get("telemetry") {
-                    None | Some(Json::Null) => None,
-                    Some(t) => Some(telemetry_from_json(t)?),
-                },
+                slot: v.field("slot")?,
+                lease: v.field("lease")?,
+                campaign: v.field("campaign")?,
+                items: v.list_with("items", item_from_json)?,
+                cov: v.field("cov")?,
+                rng_state: v.field_with("rng_state", rng_state_from_json)?,
+                telemetry: v.opt_field_with("telemetry", telemetry_from_json)?,
             },
-            "ack" => Msg::Ack { cov: cov_from_json(v.get("cov").ok_or_else(|| bad("cov"))?)? },
+            "ack" => Msg::Ack { cov: v.field("cov")? },
             "bye" => Msg::Bye,
-            other => return Err(bad(&format!("message type `{other}`"))),
+            other => return Err(invalid(format!("unknown message type `{other}`"))),
         })
     }
 }
@@ -558,7 +475,7 @@ impl Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dx_campaign::codec::parse_doc;
+    use dx_campaign::json::parse_doc;
     use dx_tensor::rng;
 
     fn round_trip(msg: &Msg) -> Msg {
@@ -807,6 +724,64 @@ mod tests {
             assert_eq!(first, second, "{msg:?} does not round-trip");
         }
         assert!(seen.iter().all(|&s| s), "a variant has no sample: {seen:?}");
+    }
+
+    #[test]
+    fn message_decoder_survives_mutation() {
+        let input = rng::uniform(&mut rng::rng(3), &[1, 3], 0.0, 1.0);
+        let mut hist = LocalHist::new();
+        hist.record(0.02);
+        let run = SeedRun {
+            test: Some(deepxplore::GeneratedTest {
+                seed_index: 4,
+                input: input.clone(),
+                iterations: 9,
+                predictions: vec![deepxplore::diff::Prediction::Class(1)],
+                target_model: 1,
+            }),
+            preexisting: false,
+            iterations: 12,
+            newly_covered: 3,
+            newly_by_component: vec![2, 1],
+            corpus_candidate: Some(input.clone()),
+        };
+        let samples = [
+            Msg::Hello { version: PROTOCOL_VERSION, fingerprint: fp(), worker_id: "w-1".into() },
+            Msg::Welcome { slot: 3, campaign_seed: u64::MAX, rng_state: Some([1, 2, 3, 4]) },
+            Msg::Reject { reason: "no".into() },
+            Msg::Challenge { nonce: "00ff".into() },
+            Msg::AuthProof { proof: "beef".into() },
+            Msg::LeaseRequest { slot: 2, want: 5 },
+            Msg::Lease {
+                lease: 9,
+                campaign: 7,
+                campaign_seed: 42,
+                rng_state: None,
+                jobs: vec![Job { seed_id: 4, input }],
+                cov: vec![vec![0, 5], vec![]],
+            },
+            Msg::Wait { millis: 50 },
+            Msg::Drain,
+            Msg::Heartbeat { slot: 2, lease: 7 },
+            Msg::Results {
+                slot: 1,
+                lease: 9,
+                campaign: 7,
+                items: vec![JobResult { seed_id: 4, run }],
+                cov: vec![vec![1]],
+                rng_state: [9, 8, 7, 6],
+                telemetry: Some(TelemetrySnapshot {
+                    phases: vec![("forward".into(), hist.clone())],
+                    heartbeat: Some(hist),
+                }),
+            },
+            Msg::Ack { cov: vec![vec![2, 8]] },
+            Msg::Bye,
+        ];
+        let seeds: Vec<String> = samples.iter().map(|m| m.to_json().to_string()).collect();
+        dx_integration::fuzz::check_decoder(&seeds, 8192, |text| {
+            Ok(Msg::from_json(&parse_doc(text)?)?.to_json().to_string())
+        });
     }
 
     #[test]

@@ -10,8 +10,7 @@
 use std::io::{self, Read, Write};
 use std::sync::{Arc, OnceLock};
 
-use dx_campaign::codec::parse_doc;
-use dx_campaign::json::Json;
+use dx_campaign::json::{invalid, parse_doc, Json};
 use dx_telemetry::sync::blocking;
 use dx_telemetry::{names, Counter};
 
@@ -45,14 +44,7 @@ fn wire_metrics() -> &'static WireMetrics {
 }
 
 fn oversized_for(len: usize, cap: usize) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("frame of {len} bytes exceeds the {cap}-byte cap"),
-    )
-}
-
-fn oversized(len: usize) -> io::Error {
-    oversized_for(len, MAX_FRAME)
+    invalid(format!("frame of {len} bytes exceeds the {cap}-byte cap"))
 }
 
 /// Writes one framed message and flushes.
@@ -64,7 +56,7 @@ pub fn write_frame(w: &mut impl Write, msg: &Json) -> io::Result<()> {
     blocking("write_frame");
     let payload = msg.to_string();
     if payload.len() > MAX_FRAME {
-        return Err(oversized(payload.len()));
+        return Err(oversized_for(payload.len(), MAX_FRAME));
     }
     w.write_all(&(payload.len() as u32).to_be_bytes())?;
     w.write_all(payload.as_bytes())?;
@@ -87,7 +79,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Json> {
     r.read_exact(&mut header)?;
     let len = u32::from_be_bytes(header) as usize;
     if len > MAX_FRAME {
-        return Err(oversized(len));
+        return Err(oversized_for(len, MAX_FRAME));
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
@@ -98,8 +90,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Json> {
 }
 
 fn decode(payload: &[u8]) -> io::Result<Json> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8"))?;
+    let text = std::str::from_utf8(payload).map_err(|_| invalid("frame payload is not UTF-8"))?;
     parse_doc(text)
 }
 

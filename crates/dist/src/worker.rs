@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use deepxplore::generator::Generator;
+use dx_campaign::json::invalid;
 use dx_campaign::ModelSuite;
 use dx_coverage::CoverageSignal;
 use dx_nn::util::concat_rows;
@@ -106,10 +107,6 @@ pub struct WorkerSummary {
 struct CampaignCtx {
     generator: Generator,
     known: Vec<CoverageSignal>,
-}
-
-fn proto_err(what: impl AsRef<str>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, what.as_ref().to_string())
 }
 
 /// A fresh default identity: hashed from the pid, the clock, and a
@@ -204,7 +201,7 @@ pub fn run_worker(
                         match reply {
                             Msg::Ack { cov } => adopt(&mut ctx.generator, &mut ctx.known, &cov)?,
                             Msg::Drain => {} // Finish the lease; exit after reporting.
-                            other => return Err(proto_err(format!("unexpected {other:?}"))),
+                            other => return Err(invalid(format!("unexpected {other:?}"))),
                         }
                     }
                     let ids: Vec<usize> = tile.iter().map(|j| j.seed_id).collect();
@@ -233,15 +230,15 @@ pub fn run_worker(
                 match exchange(&mut stream, &results)? {
                     Msg::Ack { cov } => adopt(&mut ctx.generator, &mut ctx.known, &cov)?,
                     Msg::Drain => break,
-                    other => return Err(proto_err(format!("unexpected {other:?}"))),
+                    other => return Err(invalid(format!("unexpected {other:?}"))),
                 }
             }
             Msg::Wait { millis } => {
                 dx_telemetry::sync::sleep(Duration::from_millis(millis.min(1000)))
             }
             Msg::Drain => break,
-            Msg::Reject { reason } => return Err(proto_err(format!("rejected: {reason}"))),
-            other => return Err(proto_err(format!("unexpected {other:?}"))),
+            Msg::Reject { reason } => return Err(invalid(format!("rejected: {reason}"))),
+            other => return Err(invalid(format!("unexpected {other:?}"))),
         }
     }
     let _ = write_frame(&mut stream, &Msg::Bye.to_json());
@@ -315,7 +312,7 @@ fn hello(
     if let Msg::Challenge { nonce } = &reply {
         // The coordinator demands authentication before admitting anyone.
         let Some(token) = auth_token else {
-            return Err(proto_err(
+            return Err(invalid(
                 "coordinator requires authentication; configure the shared \
                  token (--auth-token / DX_AUTH_TOKEN)",
             ));
@@ -327,8 +324,8 @@ fn hello(
     }
     match reply {
         Msg::Welcome { slot, .. } => Ok(slot),
-        Msg::Reject { reason } => Err(proto_err(format!("rejected: {reason}"))),
-        other => Err(proto_err(format!("unexpected {other:?}"))),
+        Msg::Reject { reason } => Err(invalid(format!("rejected: {reason}"))),
+        other => Err(invalid(format!("unexpected {other:?}"))),
     }
 }
 
@@ -340,11 +337,11 @@ fn adopt(
     cov: &CovDelta,
 ) -> io::Result<()> {
     if cov.len() != known.len() {
-        return Err(proto_err("coverage delta model-count mismatch"));
+        return Err(invalid("coverage delta model-count mismatch"));
     }
     for (k, idx) in known.iter_mut().zip(cov) {
         if idx.iter().any(|&i| i >= k.total()) {
-            return Err(proto_err("coverage delta out of range"));
+            return Err(invalid("coverage delta out of range"));
         }
         k.apply_covered_indices(idx);
     }

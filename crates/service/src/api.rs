@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use dx_campaign::codec::parse_doc;
+use dx_campaign::json::parse_doc;
 use dx_telemetry::http::{Request, Response, Router};
 
 use crate::{ApiError, CampaignSpec, Service};
@@ -80,7 +80,7 @@ fn submit(svc: &Service, req: &Request) -> Response {
     };
     let spec = match CampaignSpec::from_json(&doc) {
         Ok(spec) => spec,
-        Err(reason) => return Response::text(reason).status(400),
+        Err(reason) => return Response::text(reason.to_string()).status(400),
     };
     svc.submit(spec).map(|doc| ok_json(&doc)).unwrap_or_else(fail)
 }
@@ -185,8 +185,10 @@ mod tests {
     #[test]
     fn malformed_bodies_and_unknown_ids() {
         let router = router(service(8));
+        let deep = "[".repeat(20_000);
         for (body, why) in [
             ("{not json", "unparseable"),
+            (deep.as_str(), "nested past the parser's cap"),
             (r#"{"seeds":4}"#, "missing name"),
             (r#"{"name":"x","quota":7}"#, "quota out of range"),
             (r#"{"name":"x","seeds":999}"#, "slice beyond the pool"),

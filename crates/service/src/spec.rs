@@ -8,6 +8,8 @@
 //! spec may only *assert* those via the optional `metric`/`constraint`
 //! fields; a mismatch is a `400`, not a silently different campaign.
 
+use std::io;
+
 use dx_campaign::json::{build, Json};
 use dx_dist::Fingerprint;
 
@@ -61,51 +63,30 @@ impl CampaignSpec {
         }
     }
 
-    /// Parses a submission body. Unknown fields are ignored; wrong types
-    /// and a missing name are errors (the HTTP layer's `400`).
+    /// Parses a submission body. Unknown fields are ignored, and an absent
+    /// or `null` field takes its default; wrong types and a missing name
+    /// are errors (the HTTP layer's `400`).
     ///
     /// # Errors
     ///
-    /// A human-readable reason, returned verbatim in the response body.
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
-        let Json::Obj(_) = doc else { return Err("body must be a JSON object".into()) };
-        let name = match doc.get("name") {
-            Some(v) => v.as_str().ok_or("`name` must be a string")?.to_string(),
-            None => return Err("`name` is required".into()),
-        };
-        let mut spec = Self::named(&name);
-        if let Some(v) = doc.get("seed") {
-            // Accepts both a plain number and the decimal-string form
-            // `to_json` writes (full u64 seeds don't fit in an f64).
-            spec.seed =
-                dx_campaign::codec::u64_from_json(v).ok_or("`seed` must be an unsigned integer")?;
-        }
-        if let Some(v) = doc.get("seeds") {
-            spec.seeds = v.as_usize().ok_or("`seeds` must be an unsigned integer")?;
-        }
-        if let Some(v) = doc.get("seed_offset") {
-            spec.seed_offset = v.as_usize().ok_or("`seed_offset` must be an unsigned integer")?;
-        }
-        if let Some(v) = doc.get("max_steps") {
-            spec.max_steps = Some(v.as_usize().ok_or("`max_steps` must be an unsigned integer")?);
-        }
-        if let Some(v) = doc.get("target_coverage") {
-            let t = v.as_f64().ok_or("`target_coverage` must be a number")? as f32;
-            spec.target_coverage = Some(t);
-        }
-        if let Some(v) = doc.get("quota") {
-            spec.quota = v.as_f64().ok_or("`quota` must be a number")? as f32;
-        }
-        if let Some(v) = doc.get("weight") {
-            spec.weight = v.as_f64().ok_or("`weight` must be a number")? as f32;
-        }
-        if let Some(v) = doc.get("metric") {
-            spec.metric = Some(v.as_str().ok_or("`metric` must be a string")?.to_string());
-        }
-        if let Some(v) = doc.get("constraint") {
-            spec.constraint = Some(v.as_str().ok_or("`constraint` must be a string")?.to_string());
-        }
-        Ok(spec)
+    /// `InvalidData` naming the field, its message returned verbatim in
+    /// the response body.
+    pub fn from_json(doc: &Json) -> io::Result<Self> {
+        let defaults = Self::named(&doc.field::<String>("name")?);
+        Ok(Self {
+            // A plain number or the decimal string `to_json` writes (full
+            // u64 seeds don't fit in an f64).
+            seed: doc.opt_field("seed")?.unwrap_or(defaults.seed),
+            seeds: doc.opt_field("seeds")?.unwrap_or(defaults.seeds),
+            seed_offset: doc.opt_field("seed_offset")?.unwrap_or(defaults.seed_offset),
+            max_steps: doc.opt_field("max_steps")?,
+            target_coverage: doc.opt_field("target_coverage")?,
+            quota: doc.opt_field("quota")?.unwrap_or(defaults.quota),
+            weight: doc.opt_field("weight")?.unwrap_or(defaults.weight),
+            metric: doc.opt_field("metric")?,
+            constraint: doc.opt_field("constraint")?,
+            ..defaults
+        })
     }
 
     /// Validates a parsed spec against the daemon's fleet: name shape,
@@ -202,7 +183,7 @@ mod tests {
 
     #[test]
     fn parses_full_and_minimal_bodies() {
-        let doc = dx_campaign::codec::parse_doc(
+        let doc = dx_campaign::json::parse_doc(
             r#"{"name":"acme","seed":7,"seeds":4,"seed_offset":2,"max_steps":100,
                 "target_coverage":0.5,"quota":0.25,"weight":2.0,"metric":"neuron"}"#,
         )
@@ -217,7 +198,7 @@ mod tests {
         assert_eq!(spec.weight, 2.0);
         spec.validate(&fp(), 8).unwrap();
 
-        let minimal = dx_campaign::codec::parse_doc(r#"{"name":"n"}"#).unwrap();
+        let minimal = dx_campaign::json::parse_doc(r#"{"name":"n"}"#).unwrap();
         let spec = CampaignSpec::from_json(&minimal).unwrap();
         assert_eq!(spec, CampaignSpec::named("n"));
         spec.validate(&fp(), 8).unwrap();
@@ -232,8 +213,8 @@ mod tests {
             (r#"{"name":"n","seeds":"four"}"#, "`seeds`"),
             (r#"{"name":"n","quota":"all"}"#, "`quota`"),
         ] {
-            let doc = dx_campaign::codec::parse_doc(body).unwrap();
-            let err = CampaignSpec::from_json(&doc).unwrap_err();
+            let doc = dx_campaign::json::parse_doc(body).unwrap();
+            let err = CampaignSpec::from_json(&doc).unwrap_err().to_string();
             assert!(err.contains(why), "{body}: {err}");
         }
     }
@@ -264,6 +245,20 @@ mod tests {
     }
 
     #[test]
+    fn spec_decoder_survives_mutation() {
+        let mut full = CampaignSpec::named("acme");
+        full.max_steps = Some(50);
+        full.target_coverage = Some(0.75);
+        full.metric = Some("neuron".into());
+        full.constraint = Some("lighting".into());
+        let seeds = [full.to_json().to_string(), CampaignSpec::named("n").to_json().to_string()];
+        dx_integration::fuzz::check_decoder(&seeds, 2048, |text| {
+            let doc = dx_campaign::json::parse_doc(text)?;
+            Ok(CampaignSpec::from_json(&doc)?.to_json().to_string())
+        });
+    }
+
+    #[test]
     fn spec_round_trips_through_json() {
         // Every field differs from `named`'s default, so a key `from_json`
         // drops or defaults changes the second echo.
@@ -279,7 +274,7 @@ mod tests {
         spec.constraint = Some("lighting".into());
         let first = spec.to_json().to_string();
         let loaded =
-            CampaignSpec::from_json(&dx_campaign::codec::parse_doc(&first).unwrap()).unwrap();
+            CampaignSpec::from_json(&dx_campaign::json::parse_doc(&first).unwrap()).unwrap();
         assert_eq!(loaded, spec);
         assert_eq!(loaded.to_json().to_string(), first);
     }

@@ -20,10 +20,8 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dx_campaign::codec::{
-    field_usize, parse_doc, rng_state_from_json, rng_state_json, u64_from_json, u64_json,
-};
-use dx_campaign::json::{build, Json};
+use dx_campaign::codec::{rng_state_from_json, rng_state_json, u64_json};
+use dx_campaign::json::{build, invalid, parse_doc, Json};
 use dx_campaign::ledger::{Ledger, Snapshot};
 use dx_campaign::{Corpus, EnergyModel, ModelSuite};
 use dx_coverage::CoverageSignal;
@@ -165,39 +163,16 @@ impl Tenant {
         energy: EnergyModel,
     ) -> io::Result<Self> {
         let doc = parse_doc(&std::fs::read_to_string(dir.join("tenant.json"))?)?;
-        let id = doc
-            .get("id")
-            .and_then(u64_from_json)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "tenant.json id"))?;
-        let status = doc
-            .get("status")
-            .and_then(Json::as_str)
-            .and_then(Status::parse)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "tenant.json status"))?;
-        let spec = CampaignSpec::from_json(
-            doc.get("spec")
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "tenant.json spec"))?,
-        )
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let pending: Vec<usize> = doc
-            .get("pending")
-            .and_then(Json::as_arr)
-            .map(|xs| xs.iter().filter_map(Json::as_usize).collect())
-            .unwrap_or_default();
-        let owed = Some((field_usize(&doc, "steps_done")?, pending));
+        let id = doc.field("id")?;
+        let status = doc.field::<String>("status")?;
+        let status =
+            Status::parse(&status).ok_or_else(|| invalid(format!("unknown status `{status}`")))?;
+        let spec = doc.field_with("spec", CampaignSpec::from_json)?;
+        let owed = Some((doc.field("steps_done")?, doc.opt_field("pending")?.unwrap_or_default()));
         let (_, ledger, _) = Ledger::load(dir, suite.clone(), max_corpus, energy, owed)?;
-        let mut worker_rng = BTreeMap::new();
-        if let Some(entries) = doc.get("worker_rng").and_then(Json::as_arr) {
-            for e in entries {
-                let wid = e.get("worker_id").and_then(Json::as_str).ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "tenant.json worker_id")
-                })?;
-                let rng_state = rng_state_from_json(e.get("state").ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "tenant.json worker state")
-                })?)?;
-                worker_rng.insert(wid.to_string(), rng_state);
-            }
-        }
+        let worker_rng = doc.opt_list_with("worker_rng", |e| {
+            Ok((e.field("worker_id")?, e.field_with("state", rng_state_from_json)?))
+        })?;
         let events: Vec<String> = std::fs::read_to_string(dir.join("events.jsonl"))
             .map(|t| t.lines().map(str::to_string).collect())
             .unwrap_or_default();
@@ -381,6 +356,27 @@ mod tests {
             assert!(doc.get("event").and_then(Json::as_str).is_some(), "no `event`: {line}");
             assert_eq!(doc.get("seq").and_then(Json::as_usize), Some(i), "bad `seq`: {line}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tenant_json_decoder_survives_mutation() {
+        let dir = std::env::temp_dir().join("dx_service_tenant_fuzz");
+        let _ = std::fs::remove_dir_all(&dir);
+        let suite = suite();
+        let mut spec = CampaignSpec::named("acme");
+        spec.max_steps = Some(40);
+        let inputs = (0..3).map(|i| rng::uniform(&mut rng::rng(i), &[1, 16], 0.2, 0.8)).collect();
+        let template = suite.signal.build(&suite.models);
+        let mut tenant = Tenant::new(7, spec, inputs, &template, 64, EnergyModel::Classic);
+        tenant.worker_rng.insert("w-cafe".into(), [1, 2, 3, u64::MAX]);
+        let ckpt = tenant.snapshot(vec![1]);
+        write(&dir, &ckpt);
+        dx_integration::fuzz::check_decoder(&[ckpt.doc.to_string()], 1024, |text| {
+            std::fs::write(dir.join("tenant.json"), text)?;
+            let mut loaded = Tenant::load(&dir, &suite, 64, EnergyModel::Classic)?;
+            Ok(loaded.snapshot(Vec::new()).doc.to_string())
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 

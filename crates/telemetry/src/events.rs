@@ -13,9 +13,6 @@
 //! ([`set_trace_file`], the CLI's `--trace-out`) *every* record is also
 //! appended there regardless of level, so a quiet console run still
 //! leaves a complete trace.
-//!
-//! The escaping here is intentionally self-contained: this crate sits
-//! below `dx-campaign`, so it cannot reuse that crate's JSON module.
 
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -25,6 +22,7 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use crate::json::write_str;
 use crate::sync::{Rank, Ranked};
 
 /// Event severity, ordered from chattiest to most severe. [`Level::Off`]
@@ -230,54 +228,28 @@ pub fn render(level: Level, component: &str, event: &str, fields: &[(&str, Value
     let ts_ms =
         SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis()).unwrap_or_default();
     let mut line = String::with_capacity(96);
-    let _ = write!(
-        line,
-        "{{\"ts_ms\":{ts_ms},\"level\":\"{level}\",\"component\":\"{}\",\"event\":\"{}\"",
-        escape(component),
-        escape(event)
-    );
+    let _ = write!(line, "{{\"ts_ms\":{ts_ms},\"level\":\"{level}\",\"component\":");
+    write_str(component, &mut line);
+    line.push_str(",\"event\":");
+    write_str(event, &mut line);
     for (key, value) in fields {
-        let _ = write!(line, ",\"{}\":", escape(key));
-        match value {
+        line.push(',');
+        write_str(key, &mut line);
+        line.push(':');
+        let _ = match value {
             Value::Str(s) => {
-                let _ = write!(line, "\"{}\"", escape(s));
+                write_str(s, &mut line);
+                Ok(())
             }
-            Value::U64(v) => {
-                let _ = write!(line, "{v}");
-            }
-            Value::I64(v) => {
-                let _ = write!(line, "{v}");
-            }
-            Value::F64(v) if v.is_finite() => {
-                let _ = write!(line, "{v}");
-            }
-            Value::F64(_) => line.push_str("null"),
-            Value::Bool(v) => {
-                let _ = write!(line, "{v}");
-            }
-        }
+            Value::U64(v) => write!(line, "{v}"),
+            Value::I64(v) => write!(line, "{v}"),
+            Value::F64(v) if v.is_finite() => write!(line, "{v}"),
+            Value::F64(_) => line.write_str("null"),
+            Value::Bool(v) => write!(line, "{v}"),
+        };
     }
     line.push('}');
     line
-}
-
-/// Minimal JSON string escaping: backslash, quote, and control bytes.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -324,7 +296,8 @@ mod tests {
 
     #[test]
     fn control_characters_are_escaped() {
-        assert_eq!(escape("a\u{1}b"), "a\\u0001b");
-        assert_eq!(escape("tab\there"), "tab\\there");
+        let line = render(Level::Info, "a\u{1}b", "tab\there", &[]);
+        assert!(line.contains("\"component\":\"a\\u0001b\""), "{line}");
+        assert!(line.contains("\"event\":\"tab\\there\""), "{line}");
     }
 }

@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::json::invalid;
 use crate::MetricsRegistry;
 
 /// Accept-poll interval; bounds shutdown latency.
@@ -356,15 +357,14 @@ pub fn request(
     stream.write_all(req.as_bytes())?;
     let mut response = String::new();
     stream.read_to_string(&mut response)?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed HTTP response"))?;
+    let (head, body) =
+        response.split_once("\r\n\r\n").ok_or_else(|| invalid("malformed HTTP response"))?;
     let status = head
         .lines()
         .next()
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed status line"))?;
+        .ok_or_else(|| invalid("malformed status line"))?;
     Ok((status, body.to_string()))
 }
 

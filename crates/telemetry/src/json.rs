@@ -1,12 +1,31 @@
-//! A minimal JSON reader/writer for campaign checkpoints.
+//! The workspace's one JSON codec: a [`Json`] value tree, a
+//! recursive-descent parser, an emitter, and the typed field reader every
+//! decoder is written on.
 //!
 //! The workspace policy is zero external runtime dependencies, so instead
-//! of serde this module implements exactly what JSONL checkpoints need: a
-//! [`Json`] value tree, a recursive-descent parser, and an emitter. Floats
-//! are written with Rust's shortest-round-trip `Display`, so `f32` values
-//! survive a write/read cycle bit-for-bit.
+//! of serde this module implements exactly what checkpoints, wire frames,
+//! HTTP bodies and event lines need. Floats are written with Rust's
+//! shortest-round-trip `Display`, so `f32` values survive a write/read
+//! cycle bit-for-bit. It sits in the bottom crate so that [`crate::events`]
+//! escapes strings through the same code as every other writer.
+//!
+//! Decoders read fields through [`Json::field`] / [`Json::opt_field`] (any
+//! [`FromJson`] type) and their `_with` twins, which take the decode
+//! function of a type defined in another crate. Every failure is an
+//! `InvalidData` error naming the field.
 
 use std::fmt::Write as _;
+use std::io;
+
+/// How deep arrays and objects may nest before [`parse`] gives up. The
+/// deepest document the workspace writes is 7 levels (a `results` frame →
+/// `items` → item → `run` → `test` → `predictions` → prediction), so the
+/// cap never rejects our own output. Without it a few kilobytes of `[`
+/// overflow a 2 MiB thread stack (≈ 2 350 levels in a debug build,
+/// ≈ 8 150 in release) and abort the process; at 128 levels the parser's
+/// recursion, and the recursive drop of what it built, stay a few percent
+/// of that.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -87,6 +106,74 @@ impl Json {
         }
     }
 
+    /// Required field `key` as a `T`. An absent or `null` field, one that
+    /// is not a `T`, or a `self` that is not an object is `InvalidData`
+    /// naming `key`; so for every reader below.
+    pub fn field<T: FromJson>(&self, key: &str) -> io::Result<T> {
+        self.field_with(key, |v| T::from_json(v).ok_or_else(|| mistyped::<T>(key)))
+    }
+
+    /// Optional field `key` as a `T`: absent or `null` is `None`.
+    pub fn opt_field<T: FromJson>(&self, key: &str) -> io::Result<Option<T>> {
+        self.opt_field_with(key, |v| T::from_json(v).ok_or_else(|| mistyped::<T>(key)))
+    }
+
+    /// Required field `key`, decoded by `read` — for types defined in
+    /// other crates, which cannot implement [`FromJson`] there.
+    pub fn field_with<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Json) -> io::Result<T>,
+    ) -> io::Result<T> {
+        self.opt_field_with(key, read)?.ok_or_else(|| invalid(format!("missing `{key}`")))
+    }
+
+    /// Optional field `key`, decoded by `read`: absent or `null` is `None`.
+    pub fn opt_field_with<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Json) -> io::Result<T>,
+    ) -> io::Result<Option<T>> {
+        let Json::Obj(fields) = self else {
+            return Err(invalid(format!("expected an object holding `{key}`")));
+        };
+        match fields.iter().find(|(k, _)| k == key) {
+            None | Some((_, Json::Null)) => Ok(None),
+            Some((_, v)) => read(v).map(Some),
+        }
+    }
+
+    /// Required list field `key`, each element decoded by `read`, into
+    /// any collection.
+    pub fn list_with<T, C: FromIterator<T>>(
+        &self,
+        key: &str,
+        read: impl FnMut(&Json) -> io::Result<T>,
+    ) -> io::Result<C> {
+        self.field_with(key, |v| v.items(key, read))
+    }
+
+    /// Optional list field `key`, each element decoded by `read`: absent
+    /// or `null` is an empty collection.
+    pub fn opt_list_with<T, C: FromIterator<T> + Default>(
+        &self,
+        key: &str,
+        read: impl FnMut(&Json) -> io::Result<T>,
+    ) -> io::Result<C> {
+        Ok(self.opt_field_with(key, |v| v.items(key, read))?.unwrap_or_default())
+    }
+
+    /// This array's elements, each decoded by `read`, into any collection;
+    /// `what` names the array when `self` is not one.
+    pub fn items<T, C: FromIterator<T>>(
+        &self,
+        what: &str,
+        read: impl FnMut(&Json) -> io::Result<T>,
+    ) -> io::Result<C> {
+        let items = self.as_arr().ok_or_else(|| invalid(format!("`{what}` must be a list")))?;
+        items.iter().map(read).collect()
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -143,7 +230,9 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string: quote, backslash and
+/// every control character escaped, everything else verbatim.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -218,9 +307,82 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// A value the field reader can take out of a [`Json`] node.
+pub trait FromJson: Sized {
+    /// What a well-formed value is, for the error message
+    /// (`"an unsigned integer"`).
+    fn expected() -> String;
+
+    /// The value, or `None` when `v` has the wrong type or range.
+    fn from_json(v: &Json) -> Option<Self>;
+}
+
+macro_rules! from_json {
+    ($($(#[$doc:meta])* $t:ty: $expected:literal, $read:expr;)*) => {$(
+        $(#[$doc])*
+        impl FromJson for $t {
+            fn expected() -> String {
+                $expected.into()
+            }
+
+            fn from_json(v: &Json) -> Option<Self> {
+                $read(v)
+            }
+        }
+    )*};
+}
+
+from_json! {
+    usize: "an unsigned integer", Json::as_usize;
+    /// A decimal string or a number: JSON numbers go through `f64`, which
+    /// cannot carry seeds and RNG words above 2^53, so writers put those
+    /// in strings; hand-written documents may still use plain numbers.
+    u64: "an unsigned integer", |v: &Json| v.as_str().map_or_else(|| v.as_u64(), |s| s.parse().ok());
+    // Floats are finite only: the emitter writes a non-finite number as
+    // `null`, so one read from `1e999` (or beyond `f32::MAX`) would not
+    // read back.
+    f32: "a finite number", |v: &Json| v.as_f32().filter(|x| x.is_finite());
+    f64: "a finite number", |v: &Json| v.as_f64().filter(|x| x.is_finite());
+    bool: "a boolean", Json::as_bool;
+    String: "a string", |v: &Json| v.as_str().map(str::to_string);
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn expected() -> String {
+        format!("a list, each element {}", T::expected())
+    }
+
+    fn from_json(v: &Json) -> Option<Self> {
+        v.as_arr()?.iter().map(T::from_json).collect()
+    }
+}
+
+/// An `InvalidData` error carrying `msg`.
+pub fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+fn mistyped<T: FromJson>(key: &str) -> io::Error {
+    invalid(format!("`{key}` must be {}", T::expected()))
+}
+
+/// Parses one JSON document, a parse failure as `InvalidData`.
+///
+/// # Errors
+///
+/// `InvalidData` carrying the [`JsonError`].
+pub fn parse_doc(text: &str) -> io::Result<Json> {
+    parse(text).map_err(|e| invalid(e.to_string()))
+}
+
 /// Parses one JSON document.
+///
+/// # Errors
+///
+/// A [`JsonError`] on malformed input, trailing characters, or arrays
+/// and objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -233,6 +395,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -274,11 +438,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs `container` one nesting level down, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -370,14 +548,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // A run of plain characters, copied whole. `"` and `\`
+                    // are ASCII, so the run ends on a character boundary
+                    // of the (valid UTF-8) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -469,23 +649,80 @@ mod tests {
         assert_eq!(text, "\"\\u0000\\u001f\"");
     }
 
+    /// `depth` alternating `[{"k":` pairs around a `1`: 2 × `depth` levels.
+    fn nested(depth: usize) -> String {
+        "[{\"k\":".repeat(depth) + "1" + &"}]".repeat(depth)
+    }
+
     #[test]
     fn deeply_nested_values_parse() {
-        let depth = 500;
-        let mut text = String::new();
-        for _ in 0..depth {
-            text.push_str("[{\"k\":");
-        }
-        text.push('1');
-        for _ in 0..depth {
-            text.push_str("}]");
-        }
-        let parsed = parse(&text).unwrap();
+        // Nesting up to the cap parses; one level more does not.
+        let depth = MAX_DEPTH / 2;
+        let parsed = parse(&nested(depth)).unwrap();
         let mut v = &parsed;
         for _ in 0..depth {
             v = v.as_arr().unwrap()[0].get("k").unwrap();
         }
         assert_eq!(v.as_usize(), Some(1));
+        assert!(parse(&format!("[{}]", nested(depth))).is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        // Each of these aborted a 2 MiB thread before the cap. They run on
+        // such a thread, so a missing cap fails here instead of passing on
+        // a bigger main-thread stack.
+        let texts = ["[".repeat(20_000), nested(10_000), "{\"a\":".repeat(20_000)];
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for text in &texts {
+                    let err = parse(text).unwrap_err();
+                    assert!(err.msg.contains("nested deeper"), "{err}");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn the_reader_names_the_field() {
+        let doc = parse(
+            r#"{"n":3,"big":"18446744073709551615","x":0.5,"ok":true,"s":"hi","v":[1,2],"nil":null}"#,
+        )
+        .unwrap();
+        assert_eq!(doc.field::<usize>("n").unwrap(), 3);
+        assert_eq!(doc.field::<u64>("big").unwrap(), u64::MAX);
+        assert_eq!(doc.field::<u64>("n").unwrap(), 3, "a plain number is a u64 too");
+        assert_eq!(doc.field::<f32>("x").unwrap(), 0.5);
+        assert!(doc.field::<bool>("ok").unwrap());
+        assert_eq!(doc.field::<String>("s").unwrap(), "hi");
+        assert_eq!(doc.field::<Vec<usize>>("v").unwrap(), vec![1, 2]);
+        assert_eq!(doc.opt_field::<usize>("nil").unwrap(), None);
+        assert_eq!(doc.opt_field::<usize>("absent").unwrap(), None);
+        let absent: Vec<usize> = doc.opt_list_with("absent", |v| v.field("k")).unwrap();
+        assert!(absent.is_empty());
+        for (err, want) in [
+            (doc.field::<usize>("absent").unwrap_err(), "missing `absent`"),
+            (doc.field::<usize>("nil").unwrap_err(), "missing `nil`"),
+            (doc.field::<usize>("x").unwrap_err(), "`x` must be an unsigned integer"),
+            (doc.field::<u64>("s").unwrap_err(), "`s` must be an unsigned integer"),
+            (doc.opt_field::<bool>("n").unwrap_err(), "`n` must be a boolean"),
+            (
+                doc.field::<Vec<String>>("v").unwrap_err(),
+                "`v` must be a list, each element a string",
+            ),
+            (
+                doc.list_with::<usize, Vec<_>>("s", |v| v.field("k")).unwrap_err(),
+                "`s` must be a list",
+            ),
+            (Json::Arr(vec![]).field::<usize>("n").unwrap_err(), "expected an object holding `n`"),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), want);
+        }
+        assert_eq!(parse_doc("{").unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

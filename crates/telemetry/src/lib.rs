@@ -24,13 +24,14 @@
 //!   optional trace file, replacing scattered `eprintln!` calls with
 //!   machine-parseable records.
 //!
-//! Below all three sits [`sync`]: the workspace's ranked locks, its
-//! blocking assertion and its one sleep.
+//! Below all three sit [`sync`] (ranked locks, the blocking assertion, the
+//! one sleep) and [`json`] (the workspace's one JSON codec).
 
 #![forbid(unsafe_code)]
 
 pub mod events;
 pub mod http;
+pub mod json;
 pub mod names;
 pub mod phase;
 pub mod sync;

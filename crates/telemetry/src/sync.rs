@@ -167,11 +167,11 @@ pub fn sleep(d: Duration) {
 }
 
 #[cfg(test)]
+/// Each pattern a whitebox lock analysis must catch, as a lock discipline
+/// violation that panics when run, with a clean twin. The checks they trip
+/// exist only with debug assertions.
+#[cfg(debug_assertions)]
 mod tests {
-    //! Each pattern a whitebox lock analysis must catch, as a lock
-    //! discipline violation that panics when run, with a clean twin.
-    //! The checks they trip exist only with debug assertions.
-    #![cfg(debug_assertions)]
 
     use super::*;
 

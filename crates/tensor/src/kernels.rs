@@ -143,15 +143,15 @@ const NCOL: usize = 32;
 /// arithmetic of one scalar dot product per element, to the last bit; the
 /// kernel only decides which chains advance side by side:
 ///
-/// - `k > SMALL_K`: up to [`MR`] lhs rows are interleaved into a stack
-///   panel, so one `k` step holds their terms side by side, and [`NR`]
+/// - `k > SMALL_K`: up to `MR` lhs rows are interleaved into a stack
+///   panel, so one `k` step holds their terms side by side, and `NR`
 ///   output columns run at once. A `k` step is then `NR` independent
 ///   lane-wise multiply-adds instead of one link of a serial scalar chain.
 ///   A tail of one or two rows gets a panel that many lanes wide. `k` runs
-///   in chunks of [`KC`]; between chunks a chain waits in a stack panel,
+///   in chunks of `KC`; between chunks a chain waits in a stack panel,
 ///   never in `out`.
 /// - `k ≤ SMALL_K`: a chain is too short for the row panel to pay, so a
-///   panel of [`NCOL`] `b` rows is packed transposed on the stack, and each
+///   panel of `NCOL` `b` rows is packed transposed on the stack, and each
 ///   lhs row runs those columns' chains in its lanes.
 ///
 /// There is no zero-skip: `0·inf` stays `NaN`, as in the scalar loop. Into

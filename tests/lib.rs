@@ -12,3 +12,5 @@ use dx_models::{Scale, Zoo, ZooConfig};
 pub fn test_zoo() -> Zoo {
     Zoo::new(ZooConfig::new(Scale::Test))
 }
+
+pub mod fuzz;

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use deepxplore::constraints::Constraint;
 use deepxplore::generator::TaskKind;
 use deepxplore::Hyperparams;
-use dx_campaign::codec::parse_doc;
+use dx_campaign::json::parse_doc;
 use dx_campaign::json::Json;
 use dx_campaign::ModelSuite;
 use dx_coverage::{CoverageConfig, SignalSpec};
