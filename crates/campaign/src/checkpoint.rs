@@ -10,9 +10,9 @@
 //! | `coverage.json` | metric spec (composite-capable, v3), per-model covered-unit bitmaps in the combined flat space, and (profile-based metrics) neuron profiles | atomic rewrite |
 //! | `meta.json` | epochs done, campaign seed, workers, worker RNG states | atomic rewrite |
 //!
-//! (The distributed campaign adds a sixth, `dist.json`, for lease state —
-//! see `dx-dist`; this module ignores it, so a dist checkpoint resumes
-//! fine as a plain in-process campaign.)
+//! (A `dx-dist` daemon adds `dist.json` and `events.jsonl` per campaign
+//! and `fleet.json` at its root; this module ignores them, so a dist
+//! checkpoint resumes fine as a plain in-process campaign.)
 //!
 //! Stats and diffs are append-only between epochs, so only new lines are
 //! written (a line-count mismatch falls back to a full rewrite); the

@@ -1,9 +1,9 @@
 //! One campaign's books, and the one way they reach and leave disk.
 //!
 //! Every campaign driver folds results into a [`Ledger`]: the in-process
-//! pool ([`crate::Campaign`]) once per epoch, `dx-dist`'s coordinator and
-//! each `dx-service` tenant once per results frame (after the frame
-//! validation and lease entitlement that stay in `dx-dist`).
+//! pool ([`crate::Campaign`]) once per epoch, and each campaign of the
+//! `dx-dist` daemon once per results frame (after the frame validation and
+//! lease entitlement that stay in `dx-dist`).
 //!
 //! **The books (pure)** do no I/O and read no clock: every time stamp is
 //! the caller's `now`. Nothing above the "shell" banner below may touch a
@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use deepxplore::generator::GeneratedTest;
 use deepxplore::SeedRun;
@@ -226,7 +226,13 @@ impl Ledger {
             mean_coverage: self.mean_coverage(),
             component_coverage: dx_coverage::mean_component_coverage(&self.global),
             corpus_len: self.corpus.len(),
-            elapsed: now.duration_since(self.round_started),
+            // Whole microseconds, as `stats.jsonl` keeps it: the rates a
+            // resumed checkpoint recomputes from it then match the ones
+            // written before the restart, digit for digit.
+            elapsed: Duration::from_micros(
+                u64::try_from(now.duration_since(self.round_started).as_micros())
+                    .unwrap_or(u64::MAX),
+            ),
         };
         self.report.epochs.push(stats.clone());
         self.round_started = now;

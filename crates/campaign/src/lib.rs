@@ -251,6 +251,29 @@ mod tests {
     }
 
     #[test]
+    fn stats_lines_survive_a_resume_byte_identical() {
+        // The first checkpoint after a restart rewrites `stats.jsonl` from
+        // the loaded rounds; the lines written before it must come back
+        // unchanged, rates included.
+        let dir = tmp_dir("stats_stable");
+        let config = CampaignConfig {
+            workers: 1,
+            epochs: 2,
+            batch_per_epoch: 6,
+            checkpoint_dir: Some(dir.clone()),
+            ..Default::default()
+        };
+        Campaign::new(suite(35), &seed_batch(36, 8), config.clone()).run().unwrap();
+        let before = std::fs::read_to_string(dir.join("stats.jsonl")).unwrap();
+        let mut resumed = Campaign::resume(suite(35), config).unwrap();
+        resumed.checkpoint(&dir).unwrap();
+        let after = std::fs::read_to_string(dir.join("stats.jsonl")).unwrap();
+        assert_eq!(before.lines().count(), 2);
+        assert_eq!(after, before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn resume_is_bit_identical_to_uninterrupted_run() {
         // Checkpoints persist per-worker generator RNG state, so a
         // 2-epochs-then-resume-2 campaign must match a straight 4-epoch run

@@ -649,33 +649,14 @@ fn print_dist_report(report: &dx_dist::DistReport, checkpoint: Option<&str>) {
     }
 }
 
-/// Installs SIGTERM/SIGINT handlers and turns the first signal into a
-/// graceful drain on `handle` (the second signal kills the process — see
-/// `dx_dist::shutdown`). The watcher thread is detached; it dies with
-/// the process.
-fn drain_on_signal(handle: dx_dist::DrainHandle) {
-    dx_dist::shutdown::install();
-    std::thread::spawn(move || loop {
-        if dx_dist::shutdown::requested() {
-            dx_telemetry::events::emit(
-                dx_telemetry::events::Level::Info,
-                "coordinator",
-                "drain_requested",
-                &[("source", "signal".into())],
-            );
-            handle.drain();
-            return;
-        }
-        dx_telemetry::sync::sleep(std::time::Duration::from_millis(200));
-    });
-}
-
 /// `deepxplore coordinator`.
 pub fn coordinator(args: &Args) -> CmdResult {
     let _metrics = init_telemetry(args)?;
     let (_, suite, ds, label) = build_suite(args, "coordinator")?;
     let coordinator = build_coordinator(args, &suite, &ds, &label)?;
-    drain_on_signal(coordinator.drain_handle());
+    // The first SIGTERM/Ctrl-C drains (the daemon polls the flag); the
+    // second kills the process outright.
+    dx_dist::shutdown::install();
     let listener = std::net::TcpListener::bind(args.get_or("listen", "127.0.0.1:4787"))?;
     println!("coordinator serving `{label}` on {}", listener.local_addr()?);
     println!(
@@ -782,7 +763,7 @@ pub fn dist(args: &Args) -> CmdResult {
         return Err("option --workers must be at least 1".into());
     }
     let coordinator = build_coordinator(args, &suite, &ds, &label)?;
-    drain_on_signal(coordinator.drain_handle());
+    dx_dist::shutdown::install();
     let listener = std::net::TcpListener::bind(args.get_or("listen", "127.0.0.1:0"))?;
     let addr = listener.local_addr()?;
     println!("dist campaign `{label}` on {addr} with {n_workers} local worker processes");
@@ -887,8 +868,8 @@ pub fn serve(args: &Args) -> CmdResult {
         }
     }
     let svc = std::sync::Arc::new(dx_service::Service::new(&suite, &label, &pool, cfg)?);
-    // The first SIGTERM/Ctrl-C drains (Service::serve polls the flag);
-    // the second kills the process outright.
+    // The first SIGTERM/Ctrl-C drains (the daemon polls the flag); the
+    // second kills the process outright.
     dx_dist::shutdown::install();
     let api = dx_service::api::router(std::sync::Arc::clone(&svc))
         .serve(args.get_or("api-addr", "127.0.0.1:8787"))?;

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 use dx_coverage::neuron::injection_for_neuron;
 use dx_coverage::{CoverageConfig, CoverageSignal};
 use dx_nn::network::{ForwardPass, Network};
-use dx_nn::util::{gather_rows, row};
+use dx_nn::util::gather_rows;
 use dx_telemetry::phase::{Phase, PhaseAccum};
 use dx_telemetry::phase_timer;
 use dx_tensor::{rng, Tensor, Workspace};
@@ -726,11 +726,6 @@ pub fn mean_iterations_to_difference(
     } else {
         Some(total as f32 / found as f32)
     }
-}
-
-/// Convenience: unbatched view of a generated test's input.
-pub fn test_input_sample(test: &GeneratedTest) -> Tensor {
-    row(&test.input, 0)
 }
 
 #[cfg(test)]

@@ -1,72 +1,66 @@
-//! The campaign coordinator: one campaign on the shared lease engine.
+//! The one daemon: a map of campaigns ([`Tenant`]s) served to one
+//! worker fleet. Its policy is [`crate::dispatcher`]'s; serving,
+//! admission and lease bookkeeping are [`crate::engine`]'s. The two
+//! constructors differ only in the map they start from and whether the
+//! daemon outlives it:
 //!
-//! One logical campaign, many OS processes. The coordinator is the only
-//! holder of mutable campaign state; workers are stateless between leases
-//! (beyond their generator RNG, which they report back for checkpointing).
-//! Serving, the handshake, admission, lease bookkeeping (deadlines,
-//! heartbeats, requeue of expired or orphaned leases, salvage of late
-//! results) are [`crate::engine`]'s, shared with the `dx-service`
-//! dispatcher, and the campaign's books are a `dx_campaign` ledger, shared
-//! with the in-process pool too. This file is what a *dedicated*
-//! coordinator adds:
+//! * [`Coordinator::new`] / [`Coordinator::resume`] admit *one* campaign
+//!   built from [`CoordinatorConfig`] (`seed`, `max_steps`,
+//!   `target_coverage`), checkpointed at the root of `checkpoint_dir`,
+//!   and drain once it is done or `duration` runs out, then report
+//!   ([`DistReport`]).
+//! * [`Coordinator::open`] is the `dx-service` daemon: campaigns arrive,
+//!   pause and stop through [`Coordinator::add_tenant`] and
+//!   [`Coordinator::set_status`], each checkpointed under
+//!   `checkpoint_dir/<id>/`, and only an explicit drain stops it.
 //!
-//! **Trust.** The coordinator does not take workers at their word. With
-//! a spot-check rate configured, a sample of every worker's claimed
-//! difference-inducing inputs is re-executed through the coordinator's own
-//! model copies — outside the state lock, between the engine's claim and
-//! its absorb; claims that do not reproduce are quarantined, the lease's
-//! results discarded and its seeds requeued, and a worker whose
-//! fabrication rate crosses the trust threshold is evicted: its slot is
-//! burned, which is the predicate the engine's admission consults.
-//! Lease sizes can also adapt per worker (`lease_max`), growing for
-//! workers that turn leases around quickly.
+//! **Fleet-wide** ([`Books`]): slot identities and leases, per-slot
+//! report rows, adaptive lease quotas, and the trust ledger — per-slot
+//! spot-check counters and eviction gauges in the metrics registry. On
+//! disk that is the root's `fleet.json` (`FleetRecord`); each campaign
+//! directory holds the campaign files plus `dist.json` and
+//! `events.jsonl` ([`crate::tenant`]).
 //!
-//! **Drain.** The coordinator drains itself — budget reached, coverage
-//! target met, corpus exhausted — or on an external [`DrainHandle`];
-//! then it waits for outstanding leases to land or expire, flushes the
-//! partial round, and writes a final checkpoint — the standard campaign
-//! JSONL files plus `dist.json` (requeued seeds, per-slot worker RNG
-//! states, identities and trust records), so [`Coordinator::resume`] can
-//! continue the whole fleet, and `dx_campaign::Campaign::resume` can
-//! continue the same checkpoint in-process.
+//! **Events after the lock.** Every locked section runs through
+//! [`Coordinator::locked`], which collects its events in an [`Outbox`]
+//! and emits them once the guard drops: emitting blocks, and
+//! `dx_telemetry::sync` refuses to block under the daemon's lock.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::net::TcpListener;
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dx_campaign::checkpoint::write_atomic;
-use dx_campaign::codec::{
-    diff_from_json, diff_json, rng_state_from_json, rng_state_json, u64_json,
-};
-use dx_campaign::json::{build, parse_doc, Json};
+use dx_campaign::codec::u64_json;
+use dx_campaign::json::{build, Json};
 use dx_campaign::ledger::{CheckpointGate, Ledger, Snapshot};
-use dx_campaign::{CampaignReport, Corpus, EnergyModel, FoundDiff, ModelSuite};
+use dx_campaign::{CampaignReport, Corpus, EnergyModel, ModelSuite};
 use dx_coverage::CoverageSignal;
 use dx_nn::util::gather_rows;
-use dx_telemetry::events::{emit, Level};
+use dx_telemetry::events::{emit, Level, Value};
 use dx_telemetry::phase::TIME_BUCKETS;
 use dx_telemetry::sync::{Rank, Ranked};
 use dx_telemetry::{names, Counter, Gauge, Histogram, MetricsRegistry};
-use dx_tensor::{rng, Tensor};
+use dx_tensor::Tensor;
 
-use crate::engine::{
-    self, Daemon, Fleet, Gate, LeaseTable, Peer, Plan, Refusal, Reply, ResultsFrame, Views,
-};
-use crate::proto::{Fingerprint, Msg};
-
-/// Spot-checks a worker must accumulate before its fabrication rate can
-/// evict it — one unlucky sample should not kill a fleet member.
-const TRUST_MIN_CHECKS: usize = 2;
+use crate::engine::{self, Daemon as _, Fleet, Gate, LeaseTable};
+use crate::proto::Fingerprint;
+use crate::spec::CampaignSpec;
+use crate::tenant::{read_doc, Record, Status, Tenant};
 
 /// Quarantined diffs kept in memory/checkpoints for inspection; beyond
 /// this only the counter grows (a fabricator must not balloon `dist.json`).
-const QUARANTINE_KEEP: usize = 256;
+pub(crate) const QUARANTINE_KEEP: usize = 256;
 
-/// Coordinator scheduling, budget and persistence knobs.
+/// The daemon's component on events and in reject reasons.
+pub(crate) const COMPONENT: &str = "coordinator";
+
+/// Daemon scheduling, budget and persistence knobs. `seed`, `max_steps`
+/// and `target_coverage` describe a dedicated coordinator's one campaign;
+/// a service's campaigns bring their own in their specs.
 #[derive(Clone, Debug)]
 pub struct CoordinatorConfig {
     /// Absorbed seed steps per statistics round (the dist analogue of the
@@ -85,7 +79,7 @@ pub struct CoordinatorConfig {
     /// seeds are requeued.
     pub lease_timeout: Duration,
     /// Directory for checkpoints; `None` disables persistence.
-    pub checkpoint_dir: Option<std::path::PathBuf>,
+    pub checkpoint_dir: Option<PathBuf>,
     /// Corpus size cap.
     pub max_corpus: usize,
     /// Campaign master seed; worker generator streams derive from it
@@ -160,17 +154,6 @@ pub struct WorkerStats {
     pub evicted: bool,
 }
 
-impl WorkerStats {
-    /// The fraction of spot-checks this worker failed (0 when unchecked).
-    pub fn fabrication_rate(&self) -> f32 {
-        if self.spot_checked == 0 {
-            0.0
-        } else {
-            self.spot_failed as f32 / self.spot_checked as f32
-        }
-    }
-}
-
 /// What a finished dist campaign reports.
 #[derive(Clone, Debug)]
 pub struct DistReport {
@@ -232,81 +215,66 @@ impl DrainHandle {
     }
 }
 
-/// Cached registry handles for the coordinator's unlabeled series, plus
-/// constructors for the per-slot series minted on demand. The per-slot
-/// spot-check counters and eviction gauges are the *source of truth* for
-/// trust accounting: [`WorkerStats`] rows in reports and `dist.json` are
+/// Cached registry handles for the fleet-wide series, plus constructors
+/// for the per-slot series minted on demand. The per-slot spot-check
+/// counters and eviction gauges are the *source of truth* for trust
+/// accounting: [`WorkerStats`] rows in reports and `fleet.json` are
 /// populated from them at snapshot time, never the other way around.
-struct CoordMetrics {
-    registry: MetricsRegistry,
-    steps: Arc<Counter>,
-    diffs: Arc<Counter>,
-    leases: Arc<Counter>,
-    lease_expired: Arc<Counter>,
-    heartbeats: Arc<Counter>,
-    requeue_depth: Arc<Gauge>,
-    connected: Arc<Gauge>,
+pub(crate) struct CoordMetrics {
+    pub registry: MetricsRegistry,
+    pub lease_expired: Arc<Counter>,
+    pub heartbeats: Arc<Counter>,
+    pub connected: Arc<Gauge>,
+    pub tenants_live: Arc<Gauge>,
 }
 
 impl CoordMetrics {
     fn new(registry: &MetricsRegistry) -> Self {
         Self {
             registry: registry.clone(),
-            steps: registry.counter(names::SEEDS_TOTAL.name, &[]),
-            diffs: registry.counter(names::DIFFS_TOTAL.name, &[]),
-            leases: registry.counter(names::LEASES_TOTAL.name, &[]),
             lease_expired: registry.counter(names::LEASE_EXPIRED_TOTAL.name, &[]),
             heartbeats: registry.counter(names::HEARTBEATS_TOTAL.name, &[]),
-            requeue_depth: registry.gauge(names::REQUEUE_DEPTH.name, &[]),
             connected: registry.gauge(names::WORKERS_CONNECTED.name, &[]),
+            tenants_live: registry.gauge(names::SERVICE_TENANTS.name, &[]),
         }
     }
 
     /// Lease turnaround histogram for a slot; leases run seconds, not
     /// microseconds, so the shared phase ladder is scaled up.
-    fn turnaround(&self, slot: u64) -> Arc<Histogram> {
+    pub fn turnaround(&self, slot: u64) -> Arc<Histogram> {
         let bounds: Vec<f64> = TIME_BUCKETS.iter().map(|b| b * 100.0).collect();
         let slot = slot.to_string();
         self.registry.histogram(names::LEASE_TURNAROUND_SECONDS.name, &[("slot", &slot)], &bounds)
     }
 
-    fn spot(&self, slot: u64, verdict: &str) -> Arc<Counter> {
+    pub fn spot(&self, slot: u64, verdict: &str) -> Arc<Counter> {
         let slot = slot.to_string();
         self.registry
             .counter(names::SPOT_CHECKS_TOTAL.name, &[("slot", &slot), ("verdict", verdict)])
     }
 
     /// `(checked, failed)` spot-check totals for a slot.
-    fn spot_counts(&self, slot: u64) -> (usize, usize) {
+    pub fn spot_counts(&self, slot: u64) -> (usize, usize) {
         let ok = self.spot(slot, "ok").get() as usize;
         let bad = self.spot(slot, "bad").get() as usize;
         (ok + bad, bad)
     }
 
-    fn evicted_gauge(&self, slot: u64) -> Arc<Gauge> {
+    pub fn evicted_gauge(&self, slot: u64) -> Arc<Gauge> {
         let slot = slot.to_string();
         self.registry.gauge(names::WORKER_EVICTED.name, &[("slot", &slot)])
     }
 
-    fn is_evicted(&self, slot: u64) -> bool {
+    pub fn is_evicted(&self, slot: u64) -> bool {
         self.evicted_gauge(slot).get() > 0.0
     }
 
     /// Tops the registry's trust series up to a resumed checkpoint's
-    /// totals. Written as a top-up (not a blind increment) so resuming
-    /// into a registry that already holds this campaign's counts — the
-    /// process-global one, across serve calls — never double-counts.
+    /// totals.
     fn seed_trust(&self, per_worker: &BTreeMap<u64, WorkerStats>) {
         for (&slot, w) in per_worker {
-            let (checked, bad) = self.spot_counts(slot);
-            let ok_want = w.spot_checked.saturating_sub(w.spot_failed);
-            let ok_have = checked - bad;
-            if ok_want > ok_have {
-                self.spot(slot, "ok").inc_by((ok_want - ok_have) as u64);
-            }
-            if w.spot_failed > bad {
-                self.spot(slot, "bad").inc_by((w.spot_failed - bad) as u64);
-            }
+            top_up(&self.spot(slot, "ok"), w.spot_checked.saturating_sub(w.spot_failed));
+            top_up(&self.spot(slot, "bad"), w.spot_failed);
             if w.evicted {
                 self.evicted_gauge(slot).set(1.0);
             }
@@ -314,51 +282,100 @@ impl CoordMetrics {
     }
 }
 
-struct State {
-    ledger: Ledger,
-    fleet: Fleet,
-    /// Claimed diffs that failed re-execution, kept for inspection (capped
-    /// at [`QUARANTINE_KEEP`]; `quarantined_total` keeps counting).
-    quarantined: Vec<FoundDiff>,
-    quarantined_total: usize,
-    /// Worker generator RNG states, keyed by slot like the trust records
-    /// (admission resolves a returning identity to its historical slot).
-    worker_rng: BTreeMap<u64, [u64; 4]>,
-    per_worker: BTreeMap<u64, WorkerStats>,
-    /// Per-slot adaptive lease size (absent = `cfg.lease_size`).
-    lease_quota: BTreeMap<u64, usize>,
-    /// Drives spot-check sampling, independently of scheduling so
-    /// enabling verification never changes which seeds get fuzzed.
-    spot_rng: rng::Rng,
-    /// When the current serve call's wall-clock budget runs out.
-    serve_until: Option<Instant>,
+/// Raises `counter` to `total` if it is below: a resumed total never
+/// counts twice into a registry that already holds it.
+pub(crate) fn top_up(counter: &Counter, total: usize) {
+    counter.inc_by((total as u64).saturating_sub(counter.get()));
 }
 
-/// The coordinator; see the module docs for what it adds to the engine.
+/// Everything behind the daemon's lock.
+pub struct Books {
+    /// The campaigns, by id (a lease's `campaign`).
+    pub tenants: BTreeMap<u64, Tenant>,
+    /// Worker slots and every campaign's outstanding leases.
+    pub fleet: Fleet,
+    /// Per-slot report rows: throughput tallies (the trust columns are
+    /// re-read from the registry).
+    pub(crate) per_worker: BTreeMap<u64, WorkerStats>,
+    /// Per-slot adaptive lease size (absent = `lease_size`).
+    pub(crate) lease_quota: BTreeMap<u64, usize>,
+    /// When the current serve call's wall-clock budget runs out.
+    pub(crate) serve_until: Option<Instant>,
+    /// Numbers fleet snapshots, so an older one never overwrites a newer.
+    fleet_seq: u64,
+}
+
+impl Books {
+    /// Campaigns not yet done or cancelled.
+    pub fn live(&self) -> usize {
+        self.tenants.values().filter(|t| !t.status.is_terminal()).count()
+    }
+}
+
+/// An event's fields.
+pub(crate) type Fields = Vec<(&'static str, Value)>;
+
+/// What a locked section leaves for after its guard drops: the events it
+/// built and the checkpoints it took.
+#[derive(Default)]
+pub struct Outbox {
+    events: Vec<(Level, &'static str, String, Fields)>,
+    ckpts: Vec<Ckpt>,
+}
+
+impl Outbox {
+    /// Queues an event for the process stream: [`emit`]'s arguments.
+    pub(crate) fn emit(
+        &mut self,
+        level: Level,
+        component: &'static str,
+        event: impl Into<String>,
+        fields: Fields,
+    ) {
+        self.events.push((level, component, event.into(), fields));
+    }
+
+    /// Queues a checkpoint; it supersedes one the same section took of the
+    /// same campaign (each carries the full state).
+    pub(crate) fn checkpoint(&mut self, job: Option<Ckpt>) {
+        if let Some(job) = job {
+            self.ckpts.retain(|j| j.tenant != job.tenant);
+            self.ckpts.push(job);
+        }
+    }
+}
+
+/// A checkpoint taken under the lock (cheap clones) and written outside
+/// it: one campaign's files, `dist.json` and feed, and the fleet's
+/// `fleet.json`.
+pub struct Ckpt {
+    tenant: u64,
+    dir: PathBuf,
+    snapshot: Snapshot,
+    record: Record,
+    events: String,
+    fleet: (u64, FleetRecord),
+}
+
+/// The daemon; see the module docs.
 pub struct Coordinator {
-    cfg: CoordinatorConfig,
-    gate: Gate,
-    /// The coordinator's own copy of the models under test, used to
-    /// re-execute spot-checked claims. Never mutated.
-    suite: ModelSuite,
+    pub(crate) cfg: CoordinatorConfig,
+    pub(crate) gate: Gate,
+    /// The daemon's own copy of the models under test, used to re-execute
+    /// spot-checked claims. Never mutated.
+    pub(crate) suite: ModelSuite,
     /// The shape every result tensor must have (`[1, sample dims...]`);
     /// anything else from a worker is a protocol violation, not a panic.
-    sample_shape: Vec<usize>,
-    metrics: CoordMetrics,
-    state: Ranked<State>,
+    pub(crate) sample_shape: Vec<usize>,
+    pub(crate) metrics: CoordMetrics,
+    state: Ranked<Books>,
     ckpt_io: CheckpointGate,
+    /// The newest fleet snapshot written.
+    fleet_written: AtomicU64,
+    /// A coordinator drains once its campaigns are done; a service
+    /// outlives them.
+    drain_when_done: bool,
 }
-
-/// A full-state checkpoint snapshot, taken under the state lock (cheap
-/// clones) and serialized + fsynced *outside* it, so a round flush never
-/// stalls the other worker connections behind the coordinator mutex.
-pub struct CheckpointJob {
-    snapshot: Snapshot,
-    dist: DistState,
-}
-
-/// The one campaign a coordinator runs, as lease and results frames tag it.
-const CAMPAIGN: u64 = 0;
 
 impl Coordinator {
     /// Creates a coordinator over initial seeds (rows of `seeds`). The
@@ -374,14 +391,18 @@ impl Coordinator {
         assert!(n > 0, "dist campaign needs at least one seed");
         let inputs = (0..n).map(|i| gather_rows(seeds, &[i])).collect();
         let corpus = Corpus::new(inputs, cfg.max_corpus).with_energy_model(cfg.energy);
-        let gate = Gate::new(suite, label, cfg.auth_token.clone(), cfg.lease_timeout);
-        let ledger = Ledger::new(corpus, gate.template.clone(), cfg.seed, Instant::now());
-        Self::with_state(suite, cfg, gate, ledger, DistState::default())
+        let ledger =
+            Ledger::new(corpus, suite.signal.build(&suite.models), cfg.seed, Instant::now());
+        let spec = CampaignSpec { seeds: n, ..Self::spec(&cfg, CampaignSpec::named("campaign")) };
+        let dir = cfg.checkpoint_dir.clone();
+        let tenant = Tenant::new(0, spec, ledger, cfg.registry.clone(), dir);
+        Self::with_tenants(suite, label, cfg, vec![tenant], FleetRecord::default(), true)
     }
 
     /// Resumes a coordinator from the checkpoint in `cfg.checkpoint_dir`:
-    /// corpus, coverage union, stats, found diffs, requeued seeds and
-    /// per-slot worker RNG states all continue.
+    /// corpus, coverage union, stats, found diffs, requeued seeds,
+    /// identity-keyed worker RNG states and the fleet's trust records all
+    /// continue.
     ///
     /// # Errors
     ///
@@ -396,7 +417,8 @@ impl Coordinator {
     /// Resumes from the checkpoint in `dir`, while future checkpoints go
     /// to `cfg.checkpoint_dir` — which may differ, forking the campaign
     /// (mirroring `dx_campaign::Campaign::resume_from`, through the same
-    /// loader). A plain campaign checkpoint (no `dist.json`) resumes too.
+    /// loader). A plain campaign checkpoint (no `dist.json`) resumes too,
+    /// and so do the `dist.json` v1–v3 of older builds.
     ///
     /// # Errors
     ///
@@ -408,63 +430,101 @@ impl Coordinator {
         dir: &Path,
         mut cfg: CoordinatorConfig,
     ) -> io::Result<Self> {
-        let mut dist = DistState::load(dir)?;
-        let owed = dist.as_mut().map(|d| (d.steps_done, std::mem::take(&mut d.pending)));
-        let (suite, ledger, _) =
-            Ledger::load(dir, suite.clone(), cfg.max_corpus, cfg.energy, owed)?;
-        cfg.seed = ledger.seed();
-        let gate = Gate::new(&suite, label, cfg.auth_token.clone(), cfg.lease_timeout);
-        Ok(Self::with_state(&suite, cfg, gate, ledger, dist.unwrap_or_default()))
+        let (suite, mut tenant, legacy) =
+            Tenant::load(dir, suite, cfg.max_corpus, cfg.energy, cfg.registry.clone())?;
+        let fleet = FleetRecord::load(dir)?.or(legacy).unwrap_or_default();
+        cfg.seed = tenant.ledger.seed();
+        // The config, not the checkpoint, says when the campaign is done.
+        tenant.spec = Self::spec(&cfg, tenant.spec);
+        tenant.status = Status::Running;
+        tenant.dir.clone_from(&cfg.checkpoint_dir);
+        Ok(Self::with_tenants(&suite, label, cfg, vec![tenant], fleet, true))
     }
 
-    fn with_state(
+    /// The daemon of `dx-service`: it resumes every campaign checkpointed
+    /// under `cfg.checkpoint_dir/<id>/` (a `dist.json`, or an older
+    /// build's `tenant.json`) and the fleet state in its `fleet.json`,
+    /// takes new campaigns through [`Coordinator::add_tenant`], and never
+    /// drains itself.
+    ///
+    /// # Errors
+    ///
+    /// A malformed campaign directory, or one written under a metric other
+    /// than `suite`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a config with zero `batch_per_round`/`lease_size`.
+    pub fn open(suite: &ModelSuite, label: &str, cfg: CoordinatorConfig) -> io::Result<Self> {
+        let mut tenants = Vec::new();
+        let mut fleet = None;
+        if let Some(root) = cfg.checkpoint_dir.as_deref().filter(|d| d.is_dir()) {
+            fleet = FleetRecord::load(root)?;
+            for entry in std::fs::read_dir(root)? {
+                let path = entry?.path();
+                if !path.join("dist.json").is_file() && !path.join("tenant.json").is_file() {
+                    continue;
+                }
+                let (_, mut t, _) =
+                    Tenant::load(&path, suite, cfg.max_corpus, cfg.energy, MetricsRegistry::new())?;
+                t.dir = Some(root.join(t.id.to_string()));
+                let (id, name, status) = (t.id, t.spec.name.clone(), t.status.as_str());
+                let fields = [("id", id.into()), ("name", name.into()), ("status", status.into())];
+                emit(Level::Info, "coordinator", "tenant_loaded", &fields);
+                tenants.push(t);
+            }
+        }
+        let fleet = fleet.unwrap_or_default();
+        Ok(Self::with_tenants(suite, label, cfg, tenants, fleet, false))
+    }
+
+    /// A coordinator's one campaign's spec: `spec` under the config's seed
+    /// and stop conditions.
+    fn spec(cfg: &CoordinatorConfig, spec: CampaignSpec) -> CampaignSpec {
+        CampaignSpec {
+            seed: cfg.seed,
+            max_steps: cfg.max_steps,
+            target_coverage: cfg.target_coverage,
+            ..spec
+        }
+    }
+
+    fn with_tenants(
         suite: &ModelSuite,
+        label: &str,
         cfg: CoordinatorConfig,
-        gate: Gate,
-        ledger: Ledger,
-        dist: DistState,
+        tenants: Vec<Tenant>,
+        fleet: FleetRecord,
+        drain_when_done: bool,
     ) -> Self {
         assert!(cfg.batch_per_round >= 1, "batch_per_round must be at least 1");
         assert!(cfg.lease_size >= 1, "lease_size must be at least 1");
         assert!((0.0..=1.0).contains(&cfg.spot_check_rate), "spot_check_rate must be in [0, 1]");
-        #[expect(
-            clippy::expect_used,
-            reason = "constructor contract — `new` asserts a non-empty seed set and \
-                      checkpoints never persist an empty corpus"
-        )]
-        let sample_shape = ledger
-            .corpus
-            .entries()
-            .first()
-            .map(|e| e.input.shape().to_vec())
-            .expect("corpus is never empty");
-        let spot_rng = rng::rng(rng::derive_seed(cfg.seed, 0x5b07));
         let metrics = CoordMetrics::new(&cfg.registry);
         // Fabrication history (and burned slots) must survive restarts.
-        metrics.seed_trust(&dist.trust);
-        metrics.requeue_depth.set(ledger.pending.len() as f64);
-        let fleet =
-            Fleet::new(dist.identities, LeaseTable::new(dist.next_lease, cfg.lease_timeout));
-        Self {
-            gate,
-            suite: suite.clone(),
-            sample_shape,
-            metrics,
-            state: Ranked::new(
-                Rank::DaemonState,
-                State {
-                    ledger,
-                    fleet,
-                    quarantined: dist.quarantined,
-                    quarantined_total: dist.quarantined_total,
-                    worker_rng: dist.worker_rng,
-                    per_worker: dist.trust,
-                    lease_quota: BTreeMap::new(),
-                    spot_rng,
-                    serve_until: None,
-                },
+        metrics.seed_trust(&fleet.trust);
+        let books = Books {
+            tenants: tenants.into_iter().map(|t| (t.id, t)).collect(),
+            fleet: Fleet::new(
+                fleet.identities,
+                LeaseTable::new(fleet.next_lease, cfg.lease_timeout),
             ),
+            per_worker: fleet.trust,
+            lease_quota: BTreeMap::new(),
+            serve_until: None,
+            fleet_seq: 0,
+        };
+        metrics.tenants_live.set(books.live() as f64);
+        Self {
+            gate: Gate::new(suite, label, cfg.auth_token.clone(), cfg.lease_timeout),
+            suite: suite.clone(),
+            sample_shape: [&[1][..], suite.models.first().map_or(&[], |m| m.input_shape())]
+                .concat(),
+            metrics,
+            state: Ranked::new(Rank::DaemonState, books),
             ckpt_io: CheckpointGate::default(),
+            fleet_written: AtomicU64::new(0),
+            drain_when_done,
             cfg,
         }
     }
@@ -481,7 +541,7 @@ impl Coordinator {
 
     /// Seed steps absorbed so far (including resumed-from steps).
     pub fn steps_done(&self) -> usize {
-        self.state.lock().ledger.steps_done
+        self.state.lock().tenants.values().map(|t| t.ledger.steps_done).sum()
     }
 
     /// Leases currently out with workers.
@@ -491,12 +551,24 @@ impl Coordinator {
 
     /// Claimed diffs that failed spot-checks so far (cumulative).
     pub fn quarantined(&self) -> usize {
-        self.state.lock().quarantined_total
+        self.state.lock().tenants.values().map(|t| t.quarantined_total).sum()
     }
 
-    /// Mean global coverage across models.
+    /// Mean global coverage across models of the first campaign.
     pub fn mean_coverage(&self) -> f32 {
-        self.state.lock().ledger.mean_coverage()
+        self.state.lock().tenants.values().next().map_or(0.0, |t| t.ledger.mean_coverage())
+    }
+
+    /// Runs `f` on the books under the daemon's lock, then — the guard
+    /// dropped — emits the events it built and hands back the checkpoints
+    /// it took, for the caller to write.
+    pub fn locked<R>(&self, f: impl FnOnce(&mut Books, &mut Outbox) -> R) -> (R, Vec<Ckpt>) {
+        let mut out = Outbox::default();
+        let r = f(&mut self.state.lock(), &mut out);
+        for (level, component, event, fields) in &out.events {
+            emit(*level, component, event, fields);
+        }
+        (r, out.ckpts)
     }
 
     /// Serves the campaign on `listener` until it drains (budget, coverage
@@ -508,68 +580,131 @@ impl Coordinator {
     /// Listener failures and checkpoint I/O errors. Individual connection
     /// errors only drop that worker.
     pub fn serve(&self, listener: TcpListener) -> io::Result<DistReport> {
-        {
-            let now = Instant::now();
-            let mut st = self.state.lock();
-            st.ledger.start_round(now);
-            st.serve_until = self.cfg.duration.map(|budget| now + budget);
-        }
-        engine::serve(self, listener)?;
-        self.finish()
+        self.serve_fleet(listener)?;
+        let (report, _) = self.locked(|st, _| {
+            let t = st.tenants.values().next();
+            DistReport {
+                report: CampaignReport {
+                    workers: st.per_worker.len().max(1),
+                    ..t.map(|t| t.ledger.report.clone()).unwrap_or_default()
+                },
+                coverage: t.map_or_else(Vec::new, |t| {
+                    t.ledger.global.iter().map(CoverageSignal::coverage).collect()
+                }),
+                steps_done: t.map_or(0, |t| t.ledger.steps_done),
+                per_worker: self.trust_rows(st),
+                diffs: t.map_or(0, |t| t.ledger.diffs.len()),
+                quarantined: t.map_or(0, |t| t.quarantined_total),
+            }
+        });
+        Ok(report)
     }
 
-    /// Drains once the campaign is done: budget, coverage target, or an
-    /// exhausted corpus with nothing in flight.
-    fn check_targets(&self, st: &State) {
-        let in_flight = !st.fleet.leases.is_empty();
-        if st.ledger.done_reason(self.cfg.max_steps, self.cfg.target_coverage, in_flight).is_some()
-        {
+    /// Serves the fleet on `listener` until a drain, then requeues what is
+    /// still leased, flushes every campaign's partial round and writes its
+    /// final checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Listener failures and final-checkpoint I/O errors.
+    pub fn serve_fleet(&self, listener: TcpListener) -> io::Result<()> {
+        self.locked(|st, _| {
+            let now = Instant::now();
+            for t in st.tenants.values_mut() {
+                t.ledger.start_round(now);
+            }
+            st.serve_until = self.cfg.duration.map(|budget| now + budget);
+        });
+        engine::serve(self, listener)?;
+        let ((), ckpts) = self.locked(|st, out| {
+            for (_, lease) in st.fleet.leases.clear() {
+                requeue(st, lease.campaign, lease.seed_ids);
+            }
+            self.retire_finished(st, out);
+            let ids: Vec<u64> = st.tenants.keys().copied().collect();
+            for id in ids {
+                if let Some(t) = st.tenants.get_mut(&id) {
+                    t.close_round(out, 1);
+                }
+                out.checkpoint(self.snapshot(st, id));
+            }
+        });
+        ckpts.into_iter().try_for_each(|job| self.write_checkpoint(job))
+    }
+
+    /// Adds a running campaign over `inputs` (one tensor per seed row) and
+    /// returns its id. It starts at the smallest running pass, not zero —
+    /// otherwise it would monopolize the fleet until it caught up with
+    /// campaigns that have been running for hours.
+    pub fn add_tenant(
+        &self,
+        st: &mut Books,
+        spec: CampaignSpec,
+        inputs: Vec<Tensor>,
+        out: &mut Outbox,
+    ) -> u64 {
+        let id = st.tenants.last_key_value().map_or(0, |(&id, _)| id + 1);
+        let corpus = Corpus::new(inputs, self.cfg.max_corpus).with_energy_model(self.cfg.energy);
+        let ledger = Ledger::new(corpus, self.gate.template.clone(), spec.seed, Instant::now());
+        let dir = self.cfg.checkpoint_dir.as_ref().map(|root| root.join(id.to_string()));
+        let mut t = Tenant::new(id, spec, ledger, MetricsRegistry::new(), dir);
+        let running = st.tenants.values().filter(|t| t.status == Status::Running);
+        let floor = running.map(|t| t.pass).fold(f64::INFINITY, f64::min);
+        if floor.is_finite() {
+            t.pass = floor;
+        }
+        t.event(out, Level::Info, "submitted", vec![("name", t.spec.name.clone().into())]);
+        st.tenants.insert(id, t);
+        out.checkpoint(self.snapshot(st, id));
+        self.metrics.tenants_live.set(st.live() as f64);
+        id
+    }
+
+    /// Moves campaign `id` to `to`, recording `kind` with `fields` as its
+    /// event; a cancelled campaign's requeue is cleared. A coordinator
+    /// drains once every campaign is finished.
+    pub fn set_status(
+        &self,
+        st: &mut Books,
+        id: u64,
+        to: Status,
+        kind: &str,
+        fields: Fields,
+        out: &mut Outbox,
+    ) {
+        let Some(t) = st.tenants.get_mut(&id) else { return };
+        t.status = to;
+        if to == Status::Cancelled {
+            t.ledger.pending.clear();
+            t.metrics.sync(&t.ledger);
+        }
+        t.event(out, Level::Info, kind, fields);
+        out.checkpoint(self.snapshot(st, id));
+        self.metrics.tenants_live.set(st.live() as f64);
+        if self.drain_when_done && st.live() == 0 {
             self.gate.drain();
         }
     }
 
-    /// Jobs to grant a worker: the fixed `lease_size`, or — with adaptive
-    /// sizing on — the per-worker quota learned from observed throughput.
-    /// Under adaptive sizing the worker's `want` is advisory (protocol
-    /// v4): a fast worker is deliberately granted more than it asks for.
-    fn lease_grant(&self, st: &State, s: u64, want: usize) -> usize {
-        if self.cfg.lease_max > self.cfg.lease_size {
-            st.lease_quota.get(&s).copied().unwrap_or(self.cfg.lease_size).max(1)
-        } else {
-            want.clamp(1, self.cfg.lease_size)
+    /// Marks every running campaign that hit a stop condition done.
+    pub(crate) fn retire_finished(&self, st: &mut Books, out: &mut Outbox) {
+        let ids: Vec<u64> = st.tenants.keys().copied().collect();
+        for id in ids {
+            let in_flight = !st.fleet.leases.seed_ids(id).is_empty();
+            let reason =
+                st.tenants.get(&id).filter(|t| t.status == Status::Running).and_then(|t| {
+                    t.ledger.done_reason(t.spec.max_steps, t.spec.target_coverage, in_flight)
+                });
+            if let Some(reason) = reason {
+                self.set_status(st, id, Status::Done, "done", vec![("reason", reason.into())], out);
+            }
         }
-    }
-
-    /// Learns a worker's next lease size from how fast it turned the last
-    /// one around: aim for leases that take about a quarter of the lease
-    /// timeout, moving at most a factor of two per lease so one noisy
-    /// measurement cannot whipsaw the quota. `turnaround` is measured at
-    /// results arrival, so coordinator-side spot-check time is excluded.
-    fn update_lease_quota(&self, st: &mut State, s: u64, turnaround: Duration, absorbed: usize) {
-        if self.cfg.lease_max <= self.cfg.lease_size {
-            return;
-        }
-        let quota = st.lease_quota.get(&s).copied().unwrap_or(self.cfg.lease_size);
-        let per_step = (turnaround.as_secs_f64() / absorbed.max(1) as f64).max(1e-6);
-        let target = (self.cfg.lease_timeout.as_secs_f64() / 4.0).max(1e-3);
-        let ideal = (target / per_step) as usize;
-        let next =
-            ideal.clamp((quota / 2).max(1), quota.saturating_mul(2)).clamp(1, self.cfg.lease_max);
-        if next != quota {
-            emit(
-                Level::Debug,
-                "coordinator",
-                "lease_quota",
-                &[("slot", s.into()), ("from", quota.into()), ("to", next.into())],
-            );
-        }
-        st.lease_quota.insert(s, next);
     }
 
     /// Per-slot report rows with the trust columns read back from the
     /// registry — the counters are the source of truth; the stored structs
     /// only carry steps/diffs/contribution tallies.
-    fn trust_rows(&self, st: &State) -> Vec<(u64, WorkerStats)> {
+    pub(crate) fn trust_rows(&self, st: &Books) -> Vec<(u64, WorkerStats)> {
         st.per_worker
             .iter()
             .map(|(&slot, w)| {
@@ -585,401 +720,107 @@ impl Coordinator {
             .collect()
     }
 
-    /// Clones the checkpointable state under the lock; serialization and
-    /// disk I/O happen later in [`Daemon::write_checkpoint`] without the
-    /// lock. The trust rows' spot-check columns come from the metrics
-    /// registry, not from [`State`]. `None` when persistence is disabled.
-    fn snapshot_checkpoint(&self, st: &mut State) -> Option<CheckpointJob> {
-        self.cfg.checkpoint_dir.as_ref()?;
-        let workers = st.per_worker.len().max(1);
-        let leased = st.fleet.leases.seed_ids(CAMPAIGN);
-        let mut snapshot = st.ledger.snapshot(workers, leased);
-        let dist = DistState {
-            steps_done: st.ledger.steps_done,
+    /// Clones campaign `id`'s checkpointable state and the fleet's under
+    /// the lock; rendering and disk I/O happen later, in
+    /// [`crate::engine::Daemon::write_checkpoint`], without it. `None` when
+    /// the campaign does not persist.
+    pub(crate) fn snapshot(&self, st: &mut Books, id: u64) -> Option<Ckpt> {
+        let leased = st.fleet.leases.seed_ids(id);
+        st.fleet_seq += 1;
+        let fleet = FleetRecord {
             next_lease: st.fleet.leases.next_id(),
-            pending: std::mem::take(&mut snapshot.pending),
-            worker_rng: st.worker_rng.clone(),
-            trust: self.trust_rows(st).into_iter().collect(),
             identities: st.fleet.identities().clone(),
-            quarantined: st.quarantined.clone(),
-            quarantined_total: st.quarantined_total,
+            trust: self.trust_rows(st).into_iter().collect(),
         };
-        Some(CheckpointJob { snapshot, dist })
+        let t = st.tenants.get_mut(&id)?;
+        let dir = t.dir.clone()?;
+        let mut snapshot = t.ledger.snapshot(t.worker_rng.len().max(1), leased);
+        Some(Ckpt {
+            tenant: id,
+            dir,
+            record: t.record(std::mem::take(&mut snapshot.pending)),
+            snapshot,
+            events: t.events.iter().map(|line| format!("{line}\n")).collect(),
+            fleet: (st.fleet_seq, fleet),
+        })
     }
 
-    /// Flushes the partial round, requeues outstanding leases, writes the
-    /// final checkpoint, and builds the report.
-    fn finish(&self) -> io::Result<DistReport> {
-        let (ckpt, report) = {
-            let mut st = self.state.lock();
-            for (_, lease) in st.fleet.leases.clear() {
-                st.ledger.requeue(lease.seed_ids);
+    /// Writes a snapshot: the campaign's files into its directory, then —
+    /// unless a newer one already landed — the fleet's at the root.
+    pub(crate) fn write(&self, job: Ckpt) -> io::Result<()> {
+        let Ckpt { tenant, dir, snapshot, record, events, fleet: (seq, fleet) } = job;
+        self.ckpt_io.write(tenant, &snapshot, &dir, || {
+            write_atomic(&dir.join("dist.json"), &record.doc())?;
+            dx_campaign::checkpoint::write_atomic(&dir.join("events.jsonl"), &events)?;
+            // Under the checkpoint writer's lock: fleet writes are serial.
+            let Some(root) = self.cfg.checkpoint_dir.as_deref() else { return Ok(()) };
+            if seq > self.fleet_written.load(Ordering::SeqCst) {
+                write_atomic(&root.join("fleet.json"), &fleet.doc())?;
+                self.fleet_written.store(seq, Ordering::SeqCst);
             }
-            self.metrics.requeue_depth.set(st.ledger.pending.len() as f64);
-            st.ledger.flush_round(1, Instant::now());
-            let ckpt = self.snapshot_checkpoint(&mut st);
-            let report = DistReport {
-                report: CampaignReport {
-                    workers: st.per_worker.len().max(1),
-                    ..st.ledger.report.clone()
-                },
-                coverage: st.ledger.global.iter().map(CoverageSignal::coverage).collect(),
-                steps_done: st.ledger.steps_done,
-                per_worker: self.trust_rows(&st),
-                diffs: st.ledger.diffs.len(),
-                quarantined: st.quarantined_total,
-            };
-            (ckpt, report)
-        };
-        if let Some(job) = ckpt {
-            self.write_checkpoint(job)?;
-        }
-        Ok(report)
-    }
-}
-
-impl Daemon for Coordinator {
-    const COMPONENT: &'static str = "coordinator";
-    type Checkpoint = CheckpointJob;
-
-    fn gate(&self) -> &Gate {
-        &self.gate
-    }
-
-    fn fleet<R>(&self, read: impl FnOnce(&Fleet) -> R) -> R {
-        read(&self.state.lock().fleet)
-    }
-
-    /// Expires overdue leases and trips the stop conditions.
-    fn tick(&self) -> Vec<CheckpointJob> {
-        let mut st = self.state.lock();
-        let now = Instant::now();
-        if st.serve_until.is_some_and(|t| now >= t) {
-            self.gate.drain();
-        }
-        for (id, lease) in st.fleet.leases.expire(now) {
-            self.metrics.lease_expired.inc();
-            emit(
-                Level::Info,
-                "coordinator",
-                "lease_expired",
-                &[
-                    ("lease", id.into()),
-                    ("slot", lease.slot.into()),
-                    ("seeds", lease.seed_ids.len().into()),
-                ],
-            );
-            st.ledger.requeue(lease.seed_ids);
-        }
-        self.metrics.requeue_depth.set(st.ledger.pending.len() as f64);
-        self.check_targets(&st);
-        Vec::new()
-    }
-
-    fn enroll(&self, worker_id: &str) -> Result<(u64, Msg), Refusal> {
-        let mut st = self.state.lock();
-        let slot = st.fleet.admit(worker_id, |s| self.metrics.is_evicted(s))?;
-        self.metrics.connected.set(st.fleet.connected() as f64);
-        st.per_worker.entry(slot).or_default();
-        let rng_state = st.worker_rng.get(&slot).copied();
-        Ok((slot, Msg::Welcome { slot, campaign_seed: self.cfg.seed, rng_state }))
-    }
-
-    fn worker_gone(&self, slot: u64) {
-        let mut st = self.state.lock();
-        // A dead worker's leases go straight back to the queue.
-        for (_, lease) in st.fleet.disconnect(slot) {
-            st.ledger.requeue(lease.seed_ids);
-        }
-        self.metrics.connected.set(st.fleet.connected() as f64);
-        self.metrics.requeue_depth.set(st.ledger.pending.len() as f64);
-    }
-
-    fn lease(&self, peer: &Peer, want: usize, views: &mut Views<'_>) -> Msg {
-        let s = peer.slot;
-        let mut st = self.state.lock();
-        let grant = self.lease_grant(&st, s, want);
-        let leased = st.fleet.leases.seed_ids(CAMPAIGN);
-        let ids = st.ledger.pick_seeds(&leased, grant);
-        if ids.is_empty() {
-            if st.ledger.corpus.all_exhausted() && leased.is_empty() {
-                self.gate.drain();
-                return Msg::Drain;
-            }
-            // Everything schedulable is out on a lease right now.
-            return Msg::Wait { millis: 50 };
-        }
-        let jobs = engine::jobs(&st.ledger, &ids);
-        let granted = ids.len();
-        let lease = st.fleet.leases.grant(s, CAMPAIGN, ids, Instant::now());
-        self.metrics.leases.inc();
-        self.metrics.requeue_depth.set(st.ledger.pending.len() as f64);
-        emit(
-            Level::Debug,
-            "coordinator",
-            "lease_granted",
-            &[("lease", lease.into()), ("slot", s.into()), ("seeds", granted.into())],
-        );
-        Msg::Lease {
-            lease,
-            jobs,
-            cov: views.news(CAMPAIGN, &st.ledger.global),
-            campaign: CAMPAIGN,
-            campaign_seed: self.cfg.seed,
-            rng_state: st.worker_rng.get(&s).copied(),
-        }
-    }
-
-    fn heartbeat(&self, peer: &Peer, lease: u64, views: &mut Views<'_>) -> Msg {
-        self.metrics.heartbeats.inc();
-        let mut st = self.state.lock();
-        st.fleet.leases.heartbeat(lease, peer.slot, Instant::now());
-        Msg::Ack { cov: views.news(CAMPAIGN, &st.ledger.global) }
-    }
-
-    /// Handles a `results` frame in three phases: validate and claim under
-    /// the state lock, re-execute sampled diff claims *outside* it (model
-    /// forward passes must not stall every other connection), then absorb
-    /// or punish under the lock again.
-    fn results(
-        &self,
-        peer: &Peer,
-        frame: ResultsFrame,
-        views: &mut Views<'_>,
-    ) -> (Reply, Vec<CheckpointJob>) {
-        let s = peer.slot;
-        let ResultsFrame { lease, campaign, items, cov, rng_state, telemetry } = frame;
-        if campaign != CAMPAIGN {
-            return (Reply::reject(format!("unknown campaign {campaign}")), Vec::new());
-        }
-        // Phase 1 (locked): validate the frame, claim the lease, sample
-        // which claimed diffs to re-execute.
-        let (plan, checks) = {
-            let mut st = self.state.lock();
-            if let Err(reason) = engine::check(&st.ledger.global, &cov, &items, &self.sample_shape)
-            {
-                return (Reply::reject(reason), Vec::new());
-            }
-            let plan = match st.fleet.leases.claim(lease, s, Instant::now()) {
-                Ok(plan) => plan,
-                Err(reason) => return (Reply::reject(reason), Vec::new()),
-            };
-            // Sample claimed diffs among items that could be absorbed.
-            let mut checks = Vec::new();
-            if self.cfg.spot_check_rate > 0.0 {
-                use rand::Rng as _;
-                for item in &items {
-                    if !plan.absorbable(&st.ledger, item.seed_id) || !item.run.found_difference() {
-                        continue;
-                    }
-                    if st.spot_rng.gen_range(0.0f32..1.0) < self.cfg.spot_check_rate {
-                        if let Some(test) = item.run.test.as_ref() {
-                            checks.push((item.seed_id, test.clone()));
-                        }
-                    }
-                }
-            }
-            (plan, checks)
-        };
-        // Phase 2 (unlocked): re-execute the sampled claims through the
-        // coordinator's own models.
-        let failed: Vec<_> = checks
-            .iter()
-            .filter(|(_, t)| !self.suite.reproduces_difference(&t.input, &t.predictions))
-            .collect();
-        // Phase 3 (locked): punish or apply. The registry's per-slot
-        // spot-check counters are the trust ledger; `per_worker` keeps
-        // only throughput tallies (report rows re-read the registry).
-        if !checks.is_empty() {
-            self.metrics.spot(s, "ok").inc_by((checks.len() - failed.len()) as u64);
-            self.metrics.spot(s, "bad").inc_by(failed.len() as u64);
-        }
-        let mut st = self.state.lock();
-        if matches!(plan, Plan::Lease { .. }) {
-            st.fleet.leases.release(lease);
-        }
-        if !failed.is_empty() {
-            for (seed_id, t) in &failed {
-                st.quarantined_total += 1;
-                if st.quarantined.len() < QUARANTINE_KEEP {
-                    let diff = st.ledger.diff_of(*seed_id, t);
-                    st.quarantined.push(diff);
-                }
-            }
-            // Nothing from this frame is trusted: no coverage union, no
-            // corpus absorption, no RNG persistence. The lease's seeds go
-            // back to the queue for an honest worker.
-            if let Plan::Lease { seed_ids, .. } = plan {
-                st.ledger.requeue(seed_ids);
-                self.metrics.requeue_depth.set(st.ledger.pending.len() as f64);
-            }
-            let (checked, bad) = self.metrics.spot_counts(s);
-            emit(
-                Level::Warn,
-                "coordinator",
-                "spot_check_failed",
-                &[
-                    ("slot", s.into()),
-                    ("lease", lease.into()),
-                    ("failed", failed.len().into()),
-                    ("sampled", checks.len().into()),
-                ],
-            );
-            let rate = if checked == 0 { 0.0 } else { bad as f32 / checked as f32 };
-            if checked >= TRUST_MIN_CHECKS && rate > self.cfg.trust_threshold {
-                self.metrics.evicted_gauge(s).set(1.0);
-                drop(st);
-                emit(
-                    Level::Warn,
-                    "coordinator",
-                    "worker_evicted",
-                    &[("slot", s.into()), ("failed", bad.into()), ("checked", checked.into())],
-                );
-                let reason =
-                    format!("evicted: {bad} of {checked} spot-checked diffs failed to reproduce");
-                return (Reply::reject(reason), Vec::new());
-            }
-            return (self.gate.ack(views.news(CAMPAIGN, &st.ledger.global)), Vec::new());
-        }
-        // All sampled claims reproduced: fold the frame in, advisory
-        // telemetry included (an untrusted frame never gets this far).
-        if let Some(t) = &telemetry {
-            engine::merge_worker_telemetry(&self.cfg.registry, t);
-            if let Some(hb) = &t.heartbeat {
-                let slot = s.to_string();
-                let rtt = names::HEARTBEAT_RTT_SECONDS.name;
-                self.cfg.registry.histogram(rtt, &[("slot", &slot)], &TIME_BUCKETS).merge_local(hb);
-            }
-        }
-        let absorbed = plan.absorb(&mut st.ledger, &items, &cov);
-        views.learn(CAMPAIGN, &cov);
-        st.worker_rng.insert(s, rng_state);
-        let w = st.per_worker.entry(s).or_default();
-        w.contributed_neurons += absorbed.newly_covered;
-        w.steps += absorbed.steps;
-        w.diffs += absorbed.diffs;
-        self.metrics.steps.inc_by(absorbed.steps as u64);
-        self.metrics.diffs.inc_by(absorbed.diffs as u64);
-        match plan {
-            Plan::Lease { turnaround, .. } => {
-                self.metrics.turnaround(s).observe(turnaround.as_secs_f64());
-                self.update_lease_quota(&mut st, s, turnaround, absorbed.steps);
-            }
-            Plan::Collision => {}
-            Plan::Expired => {
-                self.metrics.requeue_depth.set(st.ledger.pending.len() as f64);
-                emit(
-                    Level::Debug,
-                    "coordinator",
-                    "lease_salvaged",
-                    &[
-                        ("lease", lease.into()),
-                        ("slot", s.into()),
-                        ("salvaged", absorbed.steps.into()),
-                        ("dropped", (items.len() - absorbed.steps).into()),
-                    ],
-                );
-            }
-        }
-        let round = st.ledger.flush_round(self.cfg.batch_per_round, Instant::now());
-        let ckpt = round.and_then(|_| self.snapshot_checkpoint(&mut st));
-        self.check_targets(&st);
-        let reply = self.gate.ack(views.news(CAMPAIGN, &st.ledger.global));
-        (reply, ckpt.into_iter().collect())
-    }
-
-    /// Writes a snapshot to the checkpoint directory.
-    fn write_checkpoint(&self, job: CheckpointJob) -> io::Result<()> {
-        let Some(dir) = self.cfg.checkpoint_dir.as_deref() else { return Ok(()) };
-        self.ckpt_io.write(CAMPAIGN, &job.snapshot, dir, || {
-            write_atomic(&dir.join("dist.json"), &(job.dist.doc().to_string() + "\n"))
+            Ok(())
         })
     }
 }
 
-/// The dist-specific checkpoint extension (`dist.json`): seeds owed to the
-/// queue (requeued plus outstanding at save time), per-slot worker RNG
-/// states, since v2 per-slot trust accounting plus the quarantined diffs
-/// that failed spot-checks, and since v3 the worker identity bound to each
-/// slot — so eviction survives a restart keyed to the identity, not the
-/// connection order. Snapshots are cheap field clones under the
-/// coordinator lock; JSON rendering (the expensive part, with up to
-/// [`QUARANTINE_KEEP`] inlined tensors) happens in [`DistState::doc`],
-/// outside it.
-#[derive(Default)]
-struct DistState {
-    steps_done: usize,
-    next_lease: u64,
-    pending: Vec<usize>,
-    worker_rng: BTreeMap<u64, [u64; 4]>,
-    trust: BTreeMap<u64, WorkerStats>,
-    identities: BTreeMap<u64, String>,
-    quarantined: Vec<FoundDiff>,
-    quarantined_total: usize,
+/// Writes `doc` and a newline to `path` atomically.
+fn write_atomic(path: &Path, doc: &Json) -> io::Result<()> {
+    dx_campaign::checkpoint::write_atomic(path, &(doc.to_string() + "\n"))
 }
 
-impl DistState {
-    /// The `dist.json` document for a snapshot.
+/// A lost lease's seeds go back to its campaign's queue — unless the
+/// campaign was cancelled and nothing will schedule them again.
+pub(crate) fn requeue(st: &mut Books, campaign: u64, seed_ids: Vec<usize>) {
+    if let Some(t) = st.tenants.get_mut(&campaign) {
+        if t.status != Status::Cancelled {
+            t.ledger.requeue(seed_ids);
+        }
+        t.metrics.sync(&t.ledger);
+    }
+}
+
+/// The fleet's state file, `fleet.json`, at the daemon's root: the
+/// identity bound to each slot (protocol v6 keys slots by identity, so an
+/// eviction survives a restart), each slot's trust record, and the next
+/// lease id (ids are never reused). A `dist.json` before v4 carried the
+/// same keys.
+#[derive(Clone, Default)]
+pub(crate) struct FleetRecord {
+    pub next_lease: u64,
+    pub identities: BTreeMap<u64, String>,
+    pub trust: BTreeMap<u64, WorkerStats>,
+}
+
+impl FleetRecord {
+    /// The `fleet.json` document.
     fn doc(&self) -> Json {
-        let workers = Json::Arr(
-            self.worker_rng
-                .iter()
-                .map(|(&slot, state)| {
-                    build::obj(vec![("slot", u64_json(slot)), ("state", rng_state_json(state))])
-                })
-                .collect(),
-        );
-        let trust = Json::Arr(
-            self.trust
-                .iter()
-                .map(|(&slot, w)| {
-                    build::obj(vec![
-                        ("slot", u64_json(slot)),
-                        ("checked", build::int(w.spot_checked)),
-                        ("failed", build::int(w.spot_failed)),
-                        ("evicted", Json::Bool(w.evicted)),
-                    ])
-                })
-                .collect(),
-        );
-        let identities = Json::Arr(
-            self.identities
-                .iter()
-                .map(|(&slot, id)| {
-                    build::obj(vec![("slot", u64_json(slot)), ("worker_id", build::str(id))])
-                })
-                .collect(),
-        );
+        let identities = self.identities.iter().map(|(&slot, id)| {
+            build::obj(vec![("slot", u64_json(slot)), ("worker_id", build::str(id))])
+        });
+        let trust = self.trust.iter().map(|(&slot, w)| {
+            build::obj(vec![
+                ("slot", u64_json(slot)),
+                ("checked", build::int(w.spot_checked)),
+                ("failed", build::int(w.spot_failed)),
+                ("evicted", Json::Bool(w.evicted)),
+            ])
+        });
         build::obj(vec![
-            ("version", build::int(3)),
-            ("steps_done", build::int(self.steps_done)),
+            ("version", build::int(1)),
             ("next_lease", u64_json(self.next_lease)),
-            ("pending", build::ints(&self.pending)),
-            ("worker_rng", workers),
-            ("trust", trust),
-            ("identities", identities),
-            ("quarantined_total", build::int(self.quarantined_total)),
-            ("quarantined", Json::Arr(self.quarantined.iter().map(diff_json).collect())),
+            ("identities", Json::Arr(identities.collect())),
+            ("trust", Json::Arr(trust.collect())),
         ])
     }
 
-    /// `Ok(None)` when the file is absent — a plain campaign checkpoint.
-    /// v1 files (no trust/quarantine fields) load with empty trust state.
-    fn load(dir: &Path) -> io::Result<Option<Self>> {
-        let text = match std::fs::read_to_string(dir.join("dist.json")) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-            Ok(t) => t,
-        };
-        let doc = parse_doc(&text)?;
-        let quarantined: Vec<_> = doc.opt_list_with("quarantined", diff_from_json)?;
-        Ok(Some(Self {
-            steps_done: doc.field("steps_done")?,
+    /// Reads the fleet keys of `doc`; absent ones are empty (a v1/v2
+    /// `dist.json` binds no identities, so returning workers get fresh
+    /// slots).
+    pub(crate) fn from_doc(doc: &Json) -> io::Result<Self> {
+        Ok(Self {
             next_lease: doc.opt_field("next_lease")?.unwrap_or(0),
-            pending: doc.opt_field("pending")?.unwrap_or_default(),
-            worker_rng: doc.opt_list_with("worker_rng", |e| {
-                Ok((e.field("slot")?, e.field_with("state", rng_state_from_json)?))
-            })?,
+            identities: doc
+                .opt_list_with("identities", |e| Ok((e.field("slot")?, e.field("worker_id")?)))?,
             trust: doc.opt_list_with("trust", |e| {
                 let stats = WorkerStats {
                     spot_checked: e.field("checked")?,
@@ -989,61 +830,117 @@ impl DistState {
                 };
                 Ok((e.field("slot")?, stats))
             })?,
-            // v2 files predate identity-keyed slots: absent → empty map,
-            // and returning workers are treated as fresh identities on new
-            // slots.
-            identities: doc
-                .opt_list_with("identities", |e| Ok((e.field("slot")?, e.field("worker_id")?)))?,
-            quarantined_total: doc.opt_field("quarantined_total")?.unwrap_or(quarantined.len()),
-            quarantined,
-        }))
+        })
+    }
+
+    /// `root`'s `fleet.json`; `Ok(None)` when absent.
+    fn load(root: &Path) -> io::Result<Option<Self>> {
+        read_doc(&root.join("fleet.json"))?.map(|doc| Self::from_doc(&doc)).transpose()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Refusal;
+    use crate::tenant::tests::{campaign_dir, suite};
+    use dx_campaign::codec::{diff_json, rng_state_json};
+    use dx_campaign::FoundDiff;
+    use dx_tensor::rng;
+
+    fn diff() -> FoundDiff {
+        FoundDiff {
+            seed_id: 2,
+            epoch: 1,
+            input: rng::uniform(&mut rng::rng(3), &[1, 16], 0.0, 1.0),
+            predictions: vec![
+                deepxplore::diff::Prediction::Class(0),
+                deepxplore::diff::Prediction::Class(2),
+            ],
+            iterations: 5,
+            target_model: 1,
+        }
+    }
+
+    /// Every field of the coordinator's one campaign and of its fleet, as
+    /// the snapshot the next checkpoint writes holds them.
+    fn written(c: &Coordinator) -> (String, String) {
+        let (job, _) = c.locked(|st, _| c.snapshot(st, 0));
+        let job = job.expect("the campaign persists");
+        (job.record.doc().to_string(), job.fleet.1.doc().to_string())
+    }
 
     #[test]
     fn dist_json_round_trips_byte_equal() {
-        let dir = std::env::temp_dir().join("dx_dist_json_round_trip");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // Every field non-default (`quarantined_total` above the kept
-        // diffs), so a key the loader drops or defaults changes the
-        // second write.
-        let state = DistState {
-            steps_done: 7,
-            next_lease: u64::MAX - 3,
-            pending: vec![4, 1],
-            worker_rng: BTreeMap::from([(0, [1, 2, 3, u64::MAX]), (5, [9, 8, 7, 6])]),
-            trust: BTreeMap::from([(
-                5,
-                WorkerStats {
-                    spot_checked: 3,
-                    spot_failed: 2,
-                    evicted: true,
-                    ..Default::default()
-                },
-            )]),
-            identities: BTreeMap::from([(0, "w-cafe".to_string()), (5, "w-f00d".to_string())]),
-            quarantined: vec![FoundDiff {
-                seed_id: 2,
-                epoch: 1,
-                input: rng::uniform(&mut rng::rng(3), &[1, 6], 0.0, 1.0),
-                predictions: vec![
-                    deepxplore::diff::Prediction::Class(0),
-                    deepxplore::diff::Prediction::Class(2),
-                ],
-                iterations: 5,
-                target_model: 1,
-            }],
-            quarantined_total: 4,
+        // A `dist.json` v3 as the parent build wrote it — every field
+        // non-default, `quarantined_total` above the kept diffs — resumes
+        // intact; the v4 `dist.json` and `fleet.json` it is then written as
+        // resume to the same bytes.
+        let dir = campaign_dir("dx_dist_json_round_trip", 7, 6);
+        let slot_rng = |slot: u64, s: &[u64; 4]| {
+            build::obj(vec![("slot", u64_json(slot)), ("state", rng_state_json(s))])
         };
-        let first = state.doc().to_string();
-        std::fs::write(dir.join("dist.json"), format!("{first}\n")).unwrap();
-        let loaded = DistState::load(&dir).unwrap().expect("dist.json is present");
-        assert_eq!(first, loaded.doc().to_string());
+        let parent = build::obj(vec![
+            ("version", build::int(3)),
+            ("steps_done", build::int(7)),
+            ("next_lease", u64_json(u64::MAX - 3)),
+            ("pending", build::ints(&[4, 1])),
+            (
+                "worker_rng",
+                Json::Arr(vec![slot_rng(0, &[1, 2, 3, u64::MAX]), slot_rng(5, &[9; 4])]),
+            ),
+            (
+                "trust",
+                Json::Arr(vec![build::obj(vec![
+                    ("slot", u64_json(5)),
+                    ("checked", build::int(3)),
+                    ("failed", build::int(2)),
+                    ("evicted", Json::Bool(true)),
+                ])]),
+            ),
+            (
+                "identities",
+                Json::Arr(vec![
+                    build::obj(vec![("slot", u64_json(0)), ("worker_id", build::str("w-cafe"))]),
+                    build::obj(vec![("slot", u64_json(5)), ("worker_id", build::str("w-f00d"))]),
+                ]),
+            ),
+            ("quarantined_total", build::int(4)),
+            ("quarantined", Json::Arr(vec![diff_json(&diff())])),
+        ]);
+        std::fs::write(dir.join("dist.json"), parent.to_string() + "\n").unwrap();
+        let registry = MetricsRegistry::new();
+        let cfg = CoordinatorConfig {
+            checkpoint_dir: Some(dir.clone()),
+            registry: registry.clone(),
+            spot_check_rate: 1.0,
+            ..CoordinatorConfig::default()
+        };
+        let c = Coordinator::resume(&suite(), "unit@test", cfg.clone()).unwrap();
+        c.locked(|st, _| {
+            let t = &st.tenants[&0];
+            assert_eq!((t.ledger.seed(), t.ledger.steps_done), (7, 7));
+            assert_eq!(t.ledger.pending, [4, 1]);
+            assert_eq!((t.quarantined_total, t.quarantined.len()), (4, 1));
+            // Slot-keyed worker streams follow the identity on the slot.
+            let rng =
+                BTreeMap::from([("w-cafe".into(), [1, 2, 3, u64::MAX]), ("w-f00d".into(), [9; 4])]);
+            assert_eq!(t.worker_rng, rng);
+            assert_eq!(st.fleet.leases.next_id(), u64::MAX - 3);
+            // Identities keep their slots; the evicted one stays burned.
+            let burned = |s| c.metrics.is_evicted(s);
+            assert_eq!(st.fleet.admit("w-f00d", burned), Err(Refusal::Burned(5)));
+            assert_eq!(st.fleet.admit("w-cafe", burned), Ok(0));
+        });
+        let bad = registry.counter("dx_spot_checks_total", &[("slot", "5"), ("verdict", "bad")]);
+        let ok = registry.counter("dx_spot_checks_total", &[("slot", "5"), ("verdict", "ok")]);
+        assert_eq!((ok.get(), bad.get()), (1, 2));
+
+        let first = written(&c);
+        let (job, _) = c.locked(|st, _| c.snapshot(st, 0));
+        c.write(job.unwrap()).unwrap();
+        let again = Coordinator::resume(&suite(), "unit@test", cfg).unwrap();
+        assert_eq!(written(&again), first);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1052,27 +949,24 @@ mod tests {
         let dir = std::env::temp_dir().join("dx_dist_json_fuzz");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let state = DistState {
-            steps_done: 7,
-            next_lease: 3,
-            pending: vec![4, 1],
-            worker_rng: BTreeMap::from([(0, [1, 2, 3, u64::MAX])]),
-            trust: BTreeMap::from([(0, WorkerStats { spot_checked: 3, ..Default::default() })]),
-            identities: BTreeMap::from([(0, "w-cafe".to_string())]),
-            quarantined: vec![FoundDiff {
-                seed_id: 2,
-                epoch: 1,
-                input: rng::uniform(&mut rng::rng(3), &[1, 3], 0.0, 1.0),
-                predictions: vec![deepxplore::diff::Prediction::Value(0.5)],
-                iterations: 5,
-                target_model: 1,
-            }],
-            quarantined_total: 2,
-        };
-        dx_integration::fuzz::check_decoder(&[state.doc().to_string()], 2048, |text| {
+        let mut record = Record::named(3);
+        record.steps_done = 7;
+        record.pending = vec![4, 1];
+        record.worker_rng.insert("w-cafe".into(), [1, 2, 3, u64::MAX]);
+        record.quarantined = vec![diff()];
+        record.quarantined_total = 2;
+        dx_integration::fuzz::check_decoder(&[record.doc().to_string()], 2048, |text| {
             std::fs::write(dir.join("dist.json"), text)?;
-            let loaded = DistState::load(&dir)?.ok_or(io::ErrorKind::NotFound)?;
+            let (loaded, _) = Record::load(&dir)?.ok_or(io::ErrorKind::NotFound)?;
             Ok(loaded.doc().to_string())
+        });
+        let fleet = FleetRecord {
+            next_lease: 3,
+            identities: BTreeMap::from([(0, "w-cafe".to_string())]),
+            trust: BTreeMap::from([(0, WorkerStats { spot_checked: 3, ..Default::default() })]),
+        };
+        dx_integration::fuzz::check_decoder(&[fleet.doc().to_string()], 1024, |text| {
+            Ok(FleetRecord::from_doc(&dx_campaign::json::parse_doc(text)?)?.doc().to_string())
         });
         let _ = std::fs::remove_dir_all(&dir);
     }

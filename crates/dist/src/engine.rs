@@ -1,10 +1,6 @@
-//! The lease engine both daemons run on.
-//!
-//! A dedicated [`crate::Coordinator`] is a one-campaign service, and the
-//! `dx-service` dispatcher the same protocol over many campaigns; what
-//! the two share lives here, once, in two layers. A campaign's books (and
-//! their checkpoint writer and loader) are a `dx-campaign` [`Ledger`], the
-//! one the in-process pool drives too.
+//! The lease engine the daemon runs on, in two layers. A campaign's
+//! books (and their checkpoint writer and loader) are a `dx-campaign`
+//! [`Ledger`], the one the in-process pool drives too.
 //!
 //! **The books (pure).** [`Fleet`] maps worker identities to slots, its
 //! [`LeaseTable`] tracks who holds which seeds until when, and a [`Plan`]
@@ -22,22 +18,13 @@
 //! frames, enforces the pre-admission frame cap and hello timeout, answers
 //! garbage with a best-effort `reject`, runs the version / identity /
 //! challenge / fingerprint handshake, and hands only admitted,
-//! slot-checked requests to the daemon.
-//!
-//! **A daemon adds policy**, through [`Daemon`]: which campaign a lease is
-//! drawn from (the coordinator has one; the service strides over tenants
-//! under quotas), what happens between claiming a results frame and
-//! absorbing it, when the fleet drains, what a checkpoint holds. Each
-//! keeps its own mutex, metric handles and event component.
-//!
-//! The coordinator's trust layer shapes two seams. *Eviction is a
-//! predicate*: [`Fleet::admit`] asks its caller whether a slot is
-//! burned rather than owning a trust ledger — only the coordinator has one
-//! (in its metrics registry); the service passes `|_| false`. *Spot-checks
-//! sit between claim and absorb*: [`LeaseTable::claim`] marks a lease
-//! `checking` and returns a [`Plan`]; the coordinator drops its lock,
-//! re-executes sampled claims, then [`Plan::absorb`]s the frame or
-//! requeues the lease. The service makes the same calls back to back.
+//! slot-checked requests to the [`Daemon`] — the policy, implemented
+//! once, by [`crate::Coordinator`] (see [`crate::dispatcher`]). Two seams
+//! serve its trust layer: *eviction is a predicate* ([`Fleet::admit`]
+//! asks whether a slot is burned), and *spot-checks sit between claim and
+//! absorb* ([`LeaseTable::claim`] marks a lease `checking`; the daemon
+//! re-executes sampled claims without its lock, then absorbs or
+//! requeues).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -858,16 +845,22 @@ fn reply_for<D: Daemon>(daemon: &D, msg: Msg, conn: &mut Conn<'_>) -> (Reply, Ve
     (reply, Vec::new())
 }
 
-/// Folds a worker's advisory per-phase histograms into `registry`. Phase
-/// names are matched against the known set, so a hostile worker cannot
-/// mint unbounded label values; histograms with a foreign bucket layout
-/// are dropped by `merge_local` for the same reason.
-pub fn merge_worker_telemetry(registry: &MetricsRegistry, t: &TelemetrySnapshot) {
+/// Folds a worker's advisory telemetry into `registry`: its per-phase
+/// histograms, and its heartbeat round trips under `slot`. Phase names
+/// are matched against the known set, so a hostile worker cannot mint
+/// unbounded label values; histograms with a foreign bucket layout are
+/// dropped by `merge_local` for the same reason.
+pub fn merge_worker_telemetry(registry: &MetricsRegistry, slot: u64, t: &TelemetrySnapshot) {
     for (name, hist) in &t.phases {
         let Some(phase) = Phase::ALL.iter().find(|p| p.name() == name) else { continue };
         registry
             .histogram(names::PHASE_SECONDS.name, &[("phase", phase.name())], &TIME_BUCKETS)
             .merge_local(hist);
+    }
+    if let Some(rtt) = &t.heartbeat {
+        let slot = slot.to_string();
+        let name = names::HEARTBEAT_RTT_SECONDS.name;
+        registry.histogram(name, &[("slot", &slot)], &TIME_BUCKETS).merge_local(rtt);
     }
 }
 

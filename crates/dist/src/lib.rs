@@ -19,19 +19,21 @@
 //!   ([`wire`]) over `std::net::TcpStream` — the payload codecs are the
 //!   campaign checkpoint codecs, reused byte-for-byte.
 //! - Serving, admission and lease bookkeeping are the one lease engine
-//!   ([`engine`]) the coordinator shares with the `dx-service` daemon: a
-//!   connection shell over a sans-I/O lease table and campaign ledger.
-//!   Liveness comes from worker heartbeats and lease timeouts that
-//!   requeue abandoned seeds; a graceful drain writes a checkpoint
-//!   (campaign JSONL plus `dist.json` lease state) from which
+//!   ([`engine`]): a connection shell over a sans-I/O lease table and
+//!   campaign ledger. On it runs one daemon ([`Coordinator`], policy in
+//!   [`dispatcher`]) over a map of campaigns ([`tenant`]): a dedicated
+//!   coordinator holds one, the `dx-service` daemon many. Liveness comes
+//!   from worker heartbeats and lease timeouts that requeue abandoned
+//!   seeds; a graceful drain writes a checkpoint (campaign JSONL plus
+//!   `dist.json` campaign state and `fleet.json` fleet state) from which
 //!   [`Coordinator::resume`] restarts the whole fleet — or
 //!   [`dx_campaign::Campaign::resume`] continues in-process.
-//! - Trust comes from three layers ([`auth`], [`coordinator`]): a shared
+//! - Trust comes from three layers ([`auth`], [`dispatcher`]): a shared
 //!   secret proven via HMAC challenge/response before any campaign state
-//!   is revealed; spot-checking, where the coordinator re-executes a
-//!   sample of claimed difference-inducing inputs through its own model
-//!   copies, quarantining non-reproducing claims and evicting workers
-//!   whose fabrication rate crosses a threshold; and structural frame
+//!   is revealed; spot-checking, where the daemon re-executes a sample of
+//!   claimed difference-inducing inputs through its own model copies,
+//!   quarantining non-reproducing claims and evicting workers whose
+//!   fabrication rate crosses a threshold; and structural frame
 //!   validation (shape checks, pre-admission frame caps, hello
 //!   timeouts), so a hostile peer can be rejected but never crash or
 //!   stall the service.
@@ -87,9 +89,12 @@
 
 pub mod auth;
 pub mod coordinator;
+pub mod dispatcher;
 pub mod engine;
 pub mod proto;
 pub mod shutdown;
+pub mod spec;
+pub mod tenant;
 pub mod wire;
 pub mod worker;
 
@@ -101,6 +106,7 @@ use deepxplore::constraints::Constraint;
 use deepxplore::Hyperparams;
 use dx_campaign::ModelSuite;
 use dx_coverage::CoverageSignal;
+use dx_telemetry::events::Level;
 
 /// The admission fingerprint of a model suite: a label both sides agree
 /// on, the coverage metric, each model's tracked-unit total under it, a
@@ -248,26 +254,15 @@ pub fn serve_local(
         let report = coordinator.serve(listener)?;
         let summaries: Vec<WorkerSummary> = handles
             .into_iter()
-            .filter_map(|h| match h.join() {
-                Ok(Ok(summary)) => Some(summary),
-                Ok(Err(e)) => {
-                    dx_telemetry::events::emit(
-                        dx_telemetry::events::Level::Error,
-                        "dist",
-                        "worker_failed",
-                        &[("error", e.to_string().into())],
-                    );
-                    None
-                }
-                Err(_) => {
-                    dx_telemetry::events::emit(
-                        dx_telemetry::events::Level::Error,
-                        "dist",
-                        "worker_failed",
-                        &[("error", "worker thread panicked".into())],
-                    );
-                    None
-                }
+            .filter_map(|h| {
+                let error = match h.join() {
+                    Ok(Ok(summary)) => return Some(summary),
+                    Ok(Err(e)) => e.to_string(),
+                    Err(_) => "worker thread panicked".to_string(),
+                };
+                let fields = [("error", error.into())];
+                dx_telemetry::events::emit(Level::Error, "dist", "worker_failed", &fields);
+                None
             })
             .collect();
         Ok((report, summaries))
@@ -1413,7 +1408,7 @@ mod tests {
 
     impl engine::Daemon for PanicsAtHello {
         const COMPONENT: &'static str = "coordinator";
-        type Checkpoint = coordinator::CheckpointJob;
+        type Checkpoint = <Coordinator as engine::Daemon>::Checkpoint;
 
         fn gate(&self) -> &engine::Gate {
             self.0.gate()

@@ -1,169 +1,59 @@
-//! Tenant campaign specifications: what a `POST /campaigns` body may say.
-//!
-//! A spec is everything a tenant chooses about its campaign — which rows
-//! of the daemon's seed pool to fuzz, the master seed its worker RNG
-//! streams derive from, stop conditions, and its share of the fleet
-//! (scheduling weight and lease quota). Everything else (the model suite,
-//! the coverage metric, the domain constraint) is fixed per daemon, so a
-//! spec may only *assert* those via the optional `metric`/`constraint`
-//! fields; a mismatch is a `400`, not a silently different campaign.
+//! What a `POST /campaigns` body may say: a [`CampaignSpec`], checked
+//! against the daemon before it is admitted.
 
-use std::io;
-
-use dx_campaign::json::{build, Json};
 use dx_dist::Fingerprint;
 
-/// A submitted campaign: seeds, budget, and fleet-share knobs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CampaignSpec {
-    /// Tenant name: the `tenant` label on metrics and the human handle in
-    /// reports. Must be unique for the daemon's lifetime (including
-    /// checkpointed tenants), `[A-Za-z0-9_-]+`, at most 64 bytes.
-    pub name: String,
-    /// Campaign master seed; worker generator streams derive from it
-    /// exactly as in a dedicated coordinator, so a service tenant and a
-    /// dedicated run of the same spec produce the same stream.
-    pub seed: u64,
-    /// How many rows of the daemon's seed pool this tenant fuzzes.
-    pub seeds: usize,
-    /// First pool row of this tenant's slice — two tenants may share rows
-    /// or partition the pool.
-    pub seed_offset: usize,
-    /// Total seed-step budget; `None` is unbounded.
-    pub max_steps: Option<usize>,
-    /// Stop once mean global coverage reaches this level.
-    pub target_coverage: Option<f32>,
-    /// Ceiling on this tenant's share of in-flight leased jobs, in
-    /// `(0, 1]`. Every runnable tenant is always guaranteed one lease.
-    pub quota: f32,
-    /// Deficit-weighted fair-share weight (> 0): a weight-2 tenant is
-    /// granted twice the jobs of a weight-1 tenant under contention.
-    pub weight: f32,
-    /// Optional assertion of the fleet's coverage metric (e.g. `neuron`).
-    pub metric: Option<String>,
-    /// Optional assertion of the fleet's constraint digest (e.g.
-    /// `lighting`).
-    pub constraint: Option<String>,
-}
+pub use dx_dist::spec::CampaignSpec;
 
-impl CampaignSpec {
-    /// A spec with defaults for everything but the name.
-    pub fn named(name: &str) -> Self {
-        Self {
-            name: name.to_string(),
-            seed: 42,
-            seeds: 8,
-            seed_offset: 0,
-            max_steps: None,
-            target_coverage: None,
-            quota: 1.0,
-            weight: 1.0,
-            metric: None,
-            constraint: None,
+/// Validates a parsed spec against the daemon's fleet: name shape, knob
+/// ranges, the seed slice against the pool, and the optional
+/// metric/constraint assertions against the admission fingerprint.
+///
+/// # Errors
+///
+/// A human-readable reason (the HTTP layer's `400`).
+pub fn validate(spec: &CampaignSpec, fp: &Fingerprint, pool_rows: usize) -> Result<(), String> {
+    if spec.name.is_empty() || spec.name.len() > 64 {
+        return Err("`name` must be 1..=64 bytes".into());
+    }
+    if !spec.name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
+        return Err("`name` may only contain [A-Za-z0-9_-]".into());
+    }
+    if spec.seeds == 0 {
+        return Err("`seeds` must be at least 1".into());
+    }
+    if spec.seed_offset.saturating_add(spec.seeds) > pool_rows {
+        return Err(format!(
+            "seed slice {}..{} exceeds the daemon's pool of {pool_rows} rows",
+            spec.seed_offset,
+            spec.seed_offset + spec.seeds
+        ));
+    }
+    if !(spec.quota > 0.0 && spec.quota <= 1.0) {
+        return Err("`quota` must be in (0, 1]".into());
+    }
+    if !(spec.weight > 0.0 && spec.weight.is_finite()) {
+        return Err("`weight` must be a positive finite number".into());
+    }
+    if let Some(t) = spec.target_coverage {
+        if !(t > 0.0 && t <= 1.0) {
+            return Err("`target_coverage` must be in (0, 1]".into());
         }
     }
-
-    /// Parses a submission body. Unknown fields are ignored, and an absent
-    /// or `null` field takes its default; wrong types and a missing name
-    /// are errors (the HTTP layer's `400`).
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` naming the field, its message returned verbatim in
-    /// the response body.
-    pub fn from_json(doc: &Json) -> io::Result<Self> {
-        let defaults = Self::named(&doc.field::<String>("name")?);
-        Ok(Self {
-            // A plain number or the decimal string `to_json` writes (full
-            // u64 seeds don't fit in an f64).
-            seed: doc.opt_field("seed")?.unwrap_or(defaults.seed),
-            seeds: doc.opt_field("seeds")?.unwrap_or(defaults.seeds),
-            seed_offset: doc.opt_field("seed_offset")?.unwrap_or(defaults.seed_offset),
-            max_steps: doc.opt_field("max_steps")?,
-            target_coverage: doc.opt_field("target_coverage")?,
-            quota: doc.opt_field("quota")?.unwrap_or(defaults.quota),
-            weight: doc.opt_field("weight")?.unwrap_or(defaults.weight),
-            metric: doc.opt_field("metric")?,
-            constraint: doc.opt_field("constraint")?,
-            ..defaults
-        })
+    if let Some(m) = &spec.metric {
+        if m != &fp.metric {
+            return Err(format!("requested metric `{m}` but the fleet runs `{}`", fp.metric));
+        }
     }
-
-    /// Validates a parsed spec against the daemon's fleet: name shape,
-    /// knob ranges, the seed slice against the pool, and the optional
-    /// metric/constraint assertions against the admission fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason (the HTTP layer's `400`).
-    pub fn validate(&self, fp: &Fingerprint, pool_rows: usize) -> Result<(), String> {
-        if self.name.is_empty() || self.name.len() > 64 {
-            return Err("`name` must be 1..=64 bytes".into());
-        }
-        if !self.name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_') {
-            return Err("`name` may only contain [A-Za-z0-9_-]".into());
-        }
-        if self.seeds == 0 {
-            return Err("`seeds` must be at least 1".into());
-        }
-        if self.seed_offset.saturating_add(self.seeds) > pool_rows {
+    if let Some(c) = &spec.constraint {
+        if c != &fp.constraint {
             return Err(format!(
-                "seed slice {}..{} exceeds the daemon's pool of {pool_rows} rows",
-                self.seed_offset,
-                self.seed_offset + self.seeds
+                "requested constraint `{c}` but the fleet runs `{}`",
+                fp.constraint
             ));
         }
-        if !(self.quota > 0.0 && self.quota <= 1.0) {
-            return Err("`quota` must be in (0, 1]".into());
-        }
-        if !(self.weight > 0.0 && self.weight.is_finite()) {
-            return Err("`weight` must be a positive finite number".into());
-        }
-        if let Some(t) = self.target_coverage {
-            if !(t > 0.0 && t <= 1.0) {
-                return Err("`target_coverage` must be in (0, 1]".into());
-            }
-        }
-        if let Some(m) = &self.metric {
-            if m != &fp.metric {
-                return Err(format!("requested metric `{m}` but the fleet runs `{}`", fp.metric));
-            }
-        }
-        if let Some(c) = &self.constraint {
-            if c != &fp.constraint {
-                return Err(format!(
-                    "requested constraint `{c}` but the fleet runs `{}`",
-                    fp.constraint
-                ));
-            }
-        }
-        Ok(())
     }
-
-    /// The spec as JSON — submission echo and `tenant.json` persistence.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("name", build::str(&self.name)),
-            ("seed", dx_campaign::codec::u64_json(self.seed)),
-            ("seeds", build::int(self.seeds)),
-            ("seed_offset", build::int(self.seed_offset)),
-            ("quota", build::num(f64::from(self.quota))),
-            ("weight", build::num(f64::from(self.weight))),
-        ];
-        if let Some(m) = self.max_steps {
-            fields.push(("max_steps", build::int(m)));
-        }
-        if let Some(t) = self.target_coverage {
-            fields.push(("target_coverage", build::num(f64::from(t))));
-        }
-        if let Some(m) = &self.metric {
-            fields.push(("metric", build::str(m)));
-        }
-        if let Some(c) = &self.constraint {
-            fields.push(("constraint", build::str(c)));
-        }
-        build::obj(fields)
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -196,27 +86,12 @@ mod tests {
         assert_eq!(spec.max_steps, Some(100));
         assert_eq!(spec.quota, 0.25);
         assert_eq!(spec.weight, 2.0);
-        spec.validate(&fp(), 8).unwrap();
+        validate(&spec, &fp(), 8).unwrap();
 
         let minimal = dx_campaign::json::parse_doc(r#"{"name":"n"}"#).unwrap();
         let spec = CampaignSpec::from_json(&minimal).unwrap();
         assert_eq!(spec, CampaignSpec::named("n"));
-        spec.validate(&fp(), 8).unwrap();
-    }
-
-    #[test]
-    fn rejects_malformed_bodies() {
-        for (body, why) in [
-            (r#"[1,2]"#, "object"),
-            (r#"{"seeds":4}"#, "`name`"),
-            (r#"{"name":7}"#, "`name`"),
-            (r#"{"name":"n","seeds":"four"}"#, "`seeds`"),
-            (r#"{"name":"n","quota":"all"}"#, "`quota`"),
-        ] {
-            let doc = dx_campaign::json::parse_doc(body).unwrap();
-            let err = CampaignSpec::from_json(&doc).unwrap_err().to_string();
-            assert!(err.contains(why), "{body}: {err}");
-        }
+        validate(&spec, &fp(), 8).unwrap();
     }
 
     #[test]
@@ -239,43 +114,8 @@ mod tests {
             let mut spec = CampaignSpec::named("ok");
             spec.seeds = 4;
             mutate(&mut spec);
-            let err = spec.validate(&fp(), 8).unwrap_err();
+            let err = validate(&spec, &fp(), 8).unwrap_err();
             assert!(err.to_lowercase().contains(why), "{why}: {err}");
         }
-    }
-
-    #[test]
-    fn spec_decoder_survives_mutation() {
-        let mut full = CampaignSpec::named("acme");
-        full.max_steps = Some(50);
-        full.target_coverage = Some(0.75);
-        full.metric = Some("neuron".into());
-        full.constraint = Some("lighting".into());
-        let seeds = [full.to_json().to_string(), CampaignSpec::named("n").to_json().to_string()];
-        dx_integration::fuzz::check_decoder(&seeds, 2048, |text| {
-            let doc = dx_campaign::json::parse_doc(text)?;
-            Ok(CampaignSpec::from_json(&doc)?.to_json().to_string())
-        });
-    }
-
-    #[test]
-    fn spec_round_trips_through_json() {
-        // Every field differs from `named`'s default, so a key `from_json`
-        // drops or defaults changes the second echo.
-        let mut spec = CampaignSpec::named("acme");
-        spec.seed = u64::MAX - 1;
-        spec.seeds = 3;
-        spec.seed_offset = 2;
-        spec.max_steps = Some(50);
-        spec.target_coverage = Some(0.75);
-        spec.quota = 0.5;
-        spec.weight = 3.0;
-        spec.metric = Some("neuron".into());
-        spec.constraint = Some("lighting".into());
-        let first = spec.to_json().to_string();
-        let loaded =
-            CampaignSpec::from_json(&dx_campaign::json::parse_doc(&first).unwrap()).unwrap();
-        assert_eq!(loaded, spec);
-        assert_eq!(loaded.to_json().to_string(), first);
     }
 }

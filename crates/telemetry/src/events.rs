@@ -204,8 +204,11 @@ pub fn set_trace_file(path: impl AsRef<Path>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Emits one event record.
+/// Emits one event record. Writing stderr or the trace file blocks, so
+/// the caller must hold no contended lock ([`crate::sync::blocking`]):
+/// a daemon builds its events under its lock and emits them after.
 pub fn emit(level: Level, component: &str, event: &str, fields: &[(&str, Value)]) {
+    crate::sync::blocking("emit");
     // No record carries Level::Off, so an Off floor silences stderr.
     let to_stderr = level >= self::level();
     let to_trace = TRACE_ON.load(Ordering::Relaxed);

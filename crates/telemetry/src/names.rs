@@ -71,13 +71,13 @@ catalog! {
 
     // ---- coordinator / fleet (dx-dist) ----------------------------------
 
-    /// Counter.
+    /// Counter, per campaign.
     LEASES_TOTAL = "dx_leases_total", "Leases granted to workers.";
-    /// Counter.
+    /// Counter, fleet-wide.
     LEASE_EXPIRED_TOTAL = "dx_lease_expired_total", "Leases that timed out and were requeued.";
-    /// Counter.
-    HEARTBEATS_TOTAL = "dx_heartbeats_total", "Heartbeat frames handled by the coordinator.";
-    /// Gauge.
+    /// Counter, fleet-wide.
+    HEARTBEATS_TOTAL = "dx_heartbeats_total", "Heartbeat frames handled by the daemon.";
+    /// Gauge, per campaign.
     REQUEUE_DEPTH = "dx_requeue_depth", "Seeds waiting in the requeue.";
     /// Gauge.
     WORKERS_CONNECTED = "dx_workers_connected", "Currently admitted worker connections.";
@@ -106,14 +106,6 @@ catalog! {
     COVERAGE_MEAN = "dx_coverage_mean", "Mean global coverage across models.";
     /// Gauge.
     SERVICE_TENANTS = "dx_service_tenants", "Live (non-terminal) tenant campaigns.";
-    /// Counter.
-    SERVICE_LEASES_TOTAL = "dx_service_leases_total", "Leases granted across all tenants.";
-    /// Counter.
-    SERVICE_LEASE_EXPIRED_TOTAL = "dx_service_lease_expired_total",
-        "Leases that timed out, across all tenants.";
-    /// Counter.
-    SERVICE_HEARTBEATS_TOTAL = "dx_service_heartbeats_total",
-        "Heartbeat frames handled by the service daemon.";
 }
 
 #[cfg(test)]

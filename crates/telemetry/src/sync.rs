@@ -31,8 +31,8 @@ use std::time::Duration;
 /// each only while holding nothing ranked at or above it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rank {
-    /// A daemon's state: the coordinator's and the service's. One rank,
-    /// so the two never nest.
+    /// The `dx-dist` daemon's books, whether it serves one campaign or
+    /// many.
     DaemonState,
     /// The in-process pool's coverage union, shared by its workers.
     PoolUnion,

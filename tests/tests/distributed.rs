@@ -324,9 +324,11 @@ fn worker_death_mid_lease_requeues_and_resumes_with_trust_state() {
     });
     assert!(first.steps_done >= budget, "requeue failed: {} steps", first.steps_done);
 
-    // The checkpoint's dist.json carries the trust layer's state.
+    // The checkpoint carries the trust layer's state: the fleet's trust
+    // records in fleet.json, the campaign's quarantine in dist.json.
+    let fleet_json = std::fs::read_to_string(dir.join("fleet.json")).unwrap();
+    assert!(fleet_json.contains("\"trust\""), "no trust state in fleet.json: {fleet_json}");
     let dist_json = std::fs::read_to_string(dir.join("dist.json")).unwrap();
-    assert!(dist_json.contains("\"trust\""), "no trust state in dist.json: {dist_json}");
     assert!(dist_json.contains("\"quarantined_total\""), "{dist_json}");
 
     // Resume restores the fleet exactly: steps continue counting, and the

@@ -18,8 +18,9 @@ use dx_campaign::json::parse_doc;
 use dx_campaign::json::Json;
 use dx_campaign::ModelSuite;
 use dx_coverage::{CoverageConfig, SignalSpec};
-use dx_dist::{run_worker, WorkerConfig, WorkerSummary};
+use dx_dist::{run_local, run_worker, CoordinatorConfig, WorkerConfig, WorkerSummary};
 use dx_nn::layer::Layer;
+use dx_nn::util::gather_rows;
 use dx_nn::Network;
 use dx_service::{CampaignSpec, Service, ServiceConfig};
 use dx_telemetry::http::request;
@@ -239,9 +240,9 @@ fn two_tenants_complete_over_http_and_a_restart_resumes_them() {
     }
 }
 
-/// Reads `steps_done` back out of a tenant's on-disk `tenant.json`.
+/// Reads `steps_done` back out of a tenant's on-disk `dist.json`.
 fn get_steps_from_checkpoint(dir: &std::path::Path) -> u64 {
-    let doc = parse_doc(&std::fs::read_to_string(dir.join("tenant.json")).unwrap()).unwrap();
+    let doc = parse_doc(&std::fs::read_to_string(dir.join("dist.json")).unwrap()).unwrap();
     field(&doc, "steps_done")
 }
 
@@ -298,7 +299,6 @@ fn weights_skew_fleet_shares() {
     let svc = Arc::new(Service::new(&suite(), LABEL, &pool(), service_cfg(None)).unwrap());
     let api = dx_service::api::router(Arc::clone(&svc)).serve("127.0.0.1:0").unwrap();
     let api_addr = api.addr();
-    let (_, served, workers) = start_fleet(&svc, 1);
     let (status, _) =
         post(api_addr, "/campaigns", r#"{"name":"light","seeds":6,"seed":3,"weight":1.0}"#);
     assert_eq!(status, 200);
@@ -308,6 +308,10 @@ fn weights_skew_fleet_shares() {
         r#"{"name":"heavy","seeds":6,"seed_offset":6,"seed":5,"weight":4.0}"#,
     );
     assert_eq!(status, 200);
+    // The worker joins once both are submitted, so every lease is granted
+    // with both live: a worker idle between the two submissions would
+    // hand `light` a head start no scheduler is asked to take back.
+    let (_, served, workers) = start_fleet(&svc, 1);
     // Unbounded budgets: let the fleet run a while, then freeze both and
     // compare shares.
     wait_until("both tenants to accumulate steps", 60, &served, || {
@@ -370,5 +374,56 @@ fn a_restart_under_another_metric_rejects_the_tenant() {
     assert!(err.to_string().contains("metric"), "{err}");
     // Under its own metric the same directory still resumes.
     assert!(Service::new(&with_metric("multisection:2"), LABEL, &pool(), cfg()).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The coordinator is the service with one campaign: a dedicated
+/// coordinator and a one-tenant service, each with one worker, over the
+/// same seeds, `seed`, round size, lease size and step budget, write
+/// byte-equal campaign checkpoints (the README's equivalence matrix).
+#[test]
+fn a_coordinator_and_a_one_tenant_service_write_the_same_checkpoint() {
+    let (seeds, seed, round, lease, steps) = (6, 13, 4, 2, 12);
+    let dir = tmp_dir("equivalence");
+    let rows = gather_rows(&pool(), &(0..seeds).collect::<Vec<_>>());
+    let registry = dx_telemetry::MetricsRegistry::new();
+    let cfg = CoordinatorConfig {
+        batch_per_round: round,
+        lease_size: lease,
+        max_steps: Some(steps),
+        seed,
+        checkpoint_dir: Some(dir.join("coordinator")),
+        registry: registry.clone(),
+        ..Default::default()
+    };
+    let (report, _) = run_local(&suite(), LABEL, &rows, cfg, WorkerConfig::default(), 1).unwrap();
+    assert_eq!(report.steps_done, steps);
+    // The coordinator's campaign records into the fleet registry: each
+    // series once, not once per level.
+    let counted = |name: &str| registry.counter(name, &[]).get() as usize;
+    assert_eq!((counted("dx_seeds_total"), counted("dx_leases_total")), (steps, steps / lease));
+
+    let cfg = ServiceConfig {
+        state_dir: Some(dir.join("service")),
+        batch_per_round: round,
+        lease_size: lease,
+        ..Default::default()
+    };
+    let svc = Arc::new(Service::new(&suite(), LABEL, &pool(), cfg).unwrap());
+    let (_, served, workers) = start_fleet(&svc, 1);
+    let spec = CampaignSpec { seed, seeds, max_steps: Some(steps), ..CampaignSpec::named("solo") };
+    svc.submit(spec).unwrap();
+    wait_until("the tenant to finish", 120, &served, || {
+        status_of(&svc.status(0).unwrap()) == "done"
+    });
+    svc.stop_handle().stop();
+    served.join().unwrap().unwrap();
+    for w in workers {
+        w.join().unwrap().unwrap();
+    }
+    for file in ["corpus.jsonl", "coverage.json", "diffs.jsonl"] {
+        let read = |sub: &str| std::fs::read(dir.join(sub).join(file)).unwrap();
+        assert!(read("coordinator") == read("service/0"), "{file} differs");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
