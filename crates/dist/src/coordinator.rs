@@ -14,12 +14,13 @@
 //!   [`Coordinator::set_status`], each checkpointed under
 //!   `checkpoint_dir/<id>/`, and only an explicit drain stops it.
 //!
-//! **Fleet-wide** ([`Books`]): slot identities and leases, per-slot
-//! report rows, adaptive lease quotas, and the trust ledger — per-slot
-//! spot-check counters and eviction gauges in the metrics registry. On
-//! disk that is the root's `fleet.json` (`FleetRecord`); each campaign
-//! directory holds the campaign files plus `dist.json` and
-//! `events.jsonl` ([`crate::tenant`]).
+//! **Fleet-wide** ([`Books`]): the engine's [`Fleet`] — one
+//! [`Worker`] record per identity (its trust, report row and adaptive
+//! lease quota) and the leases. Trust is state there: the spot-check
+//! counters and eviction gauges in the metrics registry are written from
+//! it, never read back. On disk that is the root's `fleet.json`
+//! (`FleetRecord`); each campaign directory holds the campaign files plus
+//! `dist.json` and `events.jsonl` ([`crate::tenant`]).
 //!
 //! **Events after the lock.** Every locked section runs through
 //! [`Coordinator::locked`], which collects its events in an [`Outbox`]
@@ -35,7 +36,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dx_campaign::codec::u64_json;
-use dx_campaign::json::{build, Json};
+use dx_campaign::json::{build, invalid, Json};
 use dx_campaign::ledger::{CheckpointGate, Ledger, Snapshot};
 use dx_campaign::{CampaignReport, Corpus, EnergyModel, ModelSuite};
 use dx_coverage::CoverageSignal;
@@ -46,7 +47,7 @@ use dx_telemetry::sync::{Rank, Ranked};
 use dx_telemetry::{names, Counter, Gauge, Histogram, MetricsRegistry};
 use dx_tensor::Tensor;
 
-use crate::engine::{self, Daemon as _, Fleet, Gate, LeaseTable};
+use crate::engine::{self, Daemon as _, Fleet, Gate, LeaseTable, Trust, Worker};
 use crate::proto::Fingerprint;
 use crate::spec::CampaignSpec;
 use crate::tenant::{read_doc, Record, Status, Tenant};
@@ -137,23 +138,6 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// Per-worker accounting, by slot.
-#[derive(Clone, Debug, Default)]
-pub struct WorkerStats {
-    /// Seed steps this worker completed.
-    pub steps: usize,
-    /// Difference-inducing inputs it found.
-    pub diffs: usize,
-    /// Neurons it was first to cover in the global union.
-    pub contributed_neurons: usize,
-    /// Claimed diffs re-executed by the coordinator.
-    pub spot_checked: usize,
-    /// Re-executions that failed to reproduce (fabrications).
-    pub spot_failed: usize,
-    /// Whether the worker was evicted for crossing the trust threshold.
-    pub evicted: bool,
-}
-
 /// What a finished dist campaign reports.
 #[derive(Clone, Debug)]
 pub struct DistReport {
@@ -164,8 +148,8 @@ pub struct DistReport {
     pub coverage: Vec<f32>,
     /// Total seed steps absorbed (across resumes).
     pub steps_done: usize,
-    /// Per-slot worker statistics.
-    pub per_worker: Vec<(u64, WorkerStats)>,
+    /// Every worker's record, in admission order.
+    pub per_worker: Vec<Worker>,
     /// Difference-inducing inputs found (this serve call and resumed-from).
     pub diffs: usize,
     /// Claimed diffs that failed a spot-check and were quarantined
@@ -178,19 +162,20 @@ impl DistReport {
     pub fn render(&self) -> String {
         let mut out = self.report.render();
         out.push_str(&format!(
-            "{:<8} {:>9} {:>9} {:>11} {:>9} {:>9}  {}\n",
-            "slot", "steps", "diffs", "new-units", "spot-ok", "spot-bad", "status"
+            "{:<18} {:>9} {:>9} {:>11} {:>9} {:>9}  {}\n",
+            "worker", "steps", "diffs", "new-units", "spot-ok", "spot-bad", "status"
         ));
-        for (slot, w) in &self.per_worker {
+        for w in &self.per_worker {
+            let t = &w.trust;
             out.push_str(&format!(
-                "{:<8} {:>9} {:>9} {:>11} {:>9} {:>9}  {}\n",
-                slot,
+                "{:<18} {:>9} {:>9} {:>11} {:>9} {:>9}  {}\n",
+                if w.identity.is_empty() { "-" } else { &w.identity },
                 w.steps,
                 w.diffs,
-                w.contributed_neurons,
-                w.spot_checked - w.spot_failed,
-                w.spot_failed,
-                if w.evicted { "evicted" } else { "ok" },
+                w.contributed,
+                t.checked.saturating_sub(t.failed),
+                t.failed,
+                if t.evicted { "evicted" } else { "ok" },
             ));
         }
         if self.quarantined > 0 {
@@ -215,11 +200,9 @@ impl DrainHandle {
     }
 }
 
-/// Cached registry handles for the fleet-wide series, plus constructors
-/// for the per-slot series minted on demand. The per-slot spot-check
-/// counters and eviction gauges are the *source of truth* for trust
-/// accounting: [`WorkerStats`] rows in reports and `fleet.json` are
-/// populated from them at snapshot time, never the other way around.
+/// Cached registry handles for the fleet-wide series, plus the per-worker
+/// series minted on demand under `worker=<identity>`. The trust series are
+/// a view of the books ([`CoordMetrics::publish`]), never read back.
 pub(crate) struct CoordMetrics {
     pub registry: MetricsRegistry,
     pub lease_expired: Arc<Counter>,
@@ -239,45 +222,24 @@ impl CoordMetrics {
         }
     }
 
-    /// Lease turnaround histogram for a slot; leases run seconds, not
+    /// Lease turnaround histogram for a worker; leases run seconds, not
     /// microseconds, so the shared phase ladder is scaled up.
-    pub fn turnaround(&self, slot: u64) -> Arc<Histogram> {
+    pub fn turnaround(&self, worker: &str) -> Arc<Histogram> {
         let bounds: Vec<f64> = TIME_BUCKETS.iter().map(|b| b * 100.0).collect();
-        let slot = slot.to_string();
-        self.registry.histogram(names::LEASE_TURNAROUND_SECONDS.name, &[("slot", &slot)], &bounds)
+        let name = names::LEASE_TURNAROUND_SECONDS.name;
+        self.registry.histogram(name, &[("worker", worker)], &bounds)
     }
 
-    pub fn spot(&self, slot: u64, verdict: &str) -> Arc<Counter> {
-        let slot = slot.to_string();
-        self.registry
-            .counter(names::SPOT_CHECKS_TOTAL.name, &[("slot", &slot), ("verdict", verdict)])
-    }
-
-    /// `(checked, failed)` spot-check totals for a slot.
-    pub fn spot_counts(&self, slot: u64) -> (usize, usize) {
-        let ok = self.spot(slot, "ok").get() as usize;
-        let bad = self.spot(slot, "bad").get() as usize;
-        (ok + bad, bad)
-    }
-
-    pub fn evicted_gauge(&self, slot: u64) -> Arc<Gauge> {
-        let slot = slot.to_string();
-        self.registry.gauge(names::WORKER_EVICTED.name, &[("slot", &slot)])
-    }
-
-    pub fn is_evicted(&self, slot: u64) -> bool {
-        self.evicted_gauge(slot).get() > 0.0
-    }
-
-    /// Tops the registry's trust series up to a resumed checkpoint's
-    /// totals.
-    fn seed_trust(&self, per_worker: &BTreeMap<u64, WorkerStats>) {
-        for (&slot, w) in per_worker {
-            top_up(&self.spot(slot, "ok"), w.spot_checked.saturating_sub(w.spot_failed));
-            top_up(&self.spot(slot, "bad"), w.spot_failed);
-            if w.evicted {
-                self.evicted_gauge(slot).set(1.0);
-            }
+    /// Adds `ok` reproduced and `bad` failed spot-checks to `worker`'s
+    /// trust series, and marks it if `evicted`: the books' totals on
+    /// resume, then each batch they record.
+    pub fn publish(&self, worker: &str, ok: usize, bad: usize, evicted: bool) {
+        for (verdict, n) in [("ok", ok), ("bad", bad)] {
+            let labels = [("worker", worker), ("verdict", verdict)];
+            self.registry.counter(names::SPOT_CHECKS_TOTAL.name, &labels).inc_by(n as u64);
+        }
+        if evicted {
+            self.registry.gauge(names::WORKER_EVICTED.name, &[("worker", worker)]).set(1.0);
         }
     }
 }
@@ -292,13 +254,8 @@ pub(crate) fn top_up(counter: &Counter, total: usize) {
 pub struct Books {
     /// The campaigns, by id (a lease's `campaign`).
     pub tenants: BTreeMap<u64, Tenant>,
-    /// Worker slots and every campaign's outstanding leases.
+    /// The workers and every campaign's outstanding leases.
     pub fleet: Fleet,
-    /// Per-slot report rows: throughput tallies (the trust columns are
-    /// re-read from the registry).
-    pub(crate) per_worker: BTreeMap<u64, WorkerStats>,
-    /// Per-slot adaptive lease size (absent = `lease_size`).
-    pub(crate) lease_quota: BTreeMap<u64, usize>,
     /// When the current serve call's wall-clock budget runs out.
     pub(crate) serve_until: Option<Instant>,
     /// Numbers fleet snapshots, so an older one never overwrites a newer.
@@ -501,16 +458,18 @@ impl Coordinator {
         assert!(cfg.lease_size >= 1, "lease_size must be at least 1");
         assert!((0.0..=1.0).contains(&cfg.spot_check_rate), "spot_check_rate must be in [0, 1]");
         let metrics = CoordMetrics::new(&cfg.registry);
-        // Fabrication history (and burned slots) must survive restarts.
-        metrics.seed_trust(&fleet.trust);
+        // Fabrication history (and evictions) survive restarts. A
+        // placeholder has no identity to label.
+        for w in fleet.workers.iter().filter(|w| !w.identity.is_empty()) {
+            let Trust { checked, failed, evicted } = w.trust;
+            metrics.publish(&w.identity, checked.saturating_sub(failed), failed, evicted);
+        }
         let books = Books {
             tenants: tenants.into_iter().map(|t| (t.id, t)).collect(),
-            fleet: Fleet::new(
-                fleet.identities,
-                LeaseTable::new(fleet.next_lease, cfg.lease_timeout),
-            ),
-            per_worker: fleet.trust,
-            lease_quota: BTreeMap::new(),
+            fleet: Fleet {
+                workers: fleet.workers,
+                leases: LeaseTable::new(fleet.next_lease, cfg.lease_timeout),
+            },
             serve_until: None,
             fleet_seq: 0,
         };
@@ -585,14 +544,14 @@ impl Coordinator {
             let t = st.tenants.values().next();
             DistReport {
                 report: CampaignReport {
-                    workers: st.per_worker.len().max(1),
+                    workers: st.fleet.workers.len().max(1),
                     ..t.map(|t| t.ledger.report.clone()).unwrap_or_default()
                 },
                 coverage: t.map_or_else(Vec::new, |t| {
                     t.ledger.global.iter().map(CoverageSignal::coverage).collect()
                 }),
                 steps_done: t.map_or(0, |t| t.ledger.steps_done),
-                per_worker: self.trust_rows(st),
+                per_worker: st.fleet.workers.to_vec(),
                 diffs: t.map_or(0, |t| t.ledger.diffs.len()),
                 quarantined: t.map_or(0, |t| t.quarantined_total),
             }
@@ -701,25 +660,6 @@ impl Coordinator {
         }
     }
 
-    /// Per-slot report rows with the trust columns read back from the
-    /// registry — the counters are the source of truth; the stored structs
-    /// only carry steps/diffs/contribution tallies.
-    pub(crate) fn trust_rows(&self, st: &Books) -> Vec<(u64, WorkerStats)> {
-        st.per_worker
-            .iter()
-            .map(|(&slot, w)| {
-                let (checked, bad) = self.metrics.spot_counts(slot);
-                let row = WorkerStats {
-                    spot_checked: checked,
-                    spot_failed: bad,
-                    evicted: self.metrics.is_evicted(slot),
-                    ..w.clone()
-                };
-                (slot, row)
-            })
-            .collect()
-    }
-
     /// Clones campaign `id`'s checkpointable state and the fleet's under
     /// the lock; rendering and disk I/O happen later, in
     /// [`crate::engine::Daemon::write_checkpoint`], without it. `None` when
@@ -729,8 +669,7 @@ impl Coordinator {
         st.fleet_seq += 1;
         let fleet = FleetRecord {
             next_lease: st.fleet.leases.next_id(),
-            identities: st.fleet.identities().clone(),
-            trust: self.trust_rows(st).into_iter().collect(),
+            workers: st.fleet.workers.to_vec(),
         };
         let t = st.tenants.get_mut(&id)?;
         let dir = t.dir.clone()?;
@@ -779,58 +718,77 @@ pub(crate) fn requeue(st: &mut Books, campaign: u64, seed_ids: Vec<usize>) {
     }
 }
 
-/// The fleet's state file, `fleet.json`, at the daemon's root: the
-/// identity bound to each slot (protocol v6 keys slots by identity, so an
-/// eviction survives a restart), each slot's trust record, and the next
-/// lease id (ids are never reused). A `dist.json` before v4 carried the
-/// same keys.
+/// The fleet's state file, `fleet.json` (v2), at the daemon's root: each
+/// worker's identity and trust record in admission order (a position is
+/// the stream number its worker was welcomed with, and an eviction must
+/// survive a restart), and the next lease id (ids are never reused).
 #[derive(Clone, Default)]
 pub(crate) struct FleetRecord {
     pub next_lease: u64,
-    pub identities: BTreeMap<u64, String>,
-    pub trust: BTreeMap<u64, WorkerStats>,
+    pub workers: Vec<Worker>,
+}
+
+/// Slots an older checkpoint may name: positions are dense, so a slot
+/// beyond this is a corrupt file, not a fleet.
+const MAX_LEGACY_SLOT: u64 = 1 << 16;
+
+/// A trust record's fields in a fleet document.
+fn trust(e: &Json) -> io::Result<Trust> {
+    let evicted = e.opt_field("evicted")?.unwrap_or(false);
+    Ok(Trust { checked: e.field("checked")?, failed: e.field("failed")?, evicted })
 }
 
 impl FleetRecord {
     /// The `fleet.json` document.
     fn doc(&self) -> Json {
-        let identities = self.identities.iter().map(|(&slot, id)| {
-            build::obj(vec![("slot", u64_json(slot)), ("worker_id", build::str(id))])
-        });
-        let trust = self.trust.iter().map(|(&slot, w)| {
+        let workers = self.workers.iter().map(|w| {
             build::obj(vec![
-                ("slot", u64_json(slot)),
-                ("checked", build::int(w.spot_checked)),
-                ("failed", build::int(w.spot_failed)),
-                ("evicted", Json::Bool(w.evicted)),
+                ("worker_id", build::str(&w.identity)),
+                ("checked", build::int(w.trust.checked)),
+                ("failed", build::int(w.trust.failed)),
+                ("evicted", Json::Bool(w.trust.evicted)),
             ])
         });
         build::obj(vec![
-            ("version", build::int(1)),
+            ("version", build::int(2)),
             ("next_lease", u64_json(self.next_lease)),
-            ("identities", Json::Arr(identities.collect())),
-            ("trust", Json::Arr(trust.collect())),
+            ("workers", Json::Arr(workers.collect())),
         ])
     }
 
-    /// Reads the fleet keys of `doc`; absent ones are empty (a v1/v2
-    /// `dist.json` binds no identities, so returning workers get fresh
-    /// slots).
-    pub(crate) fn from_doc(doc: &Json) -> io::Result<Self> {
-        Ok(Self {
-            next_lease: doc.opt_field("next_lease")?.unwrap_or(0),
-            identities: doc
-                .opt_list_with("identities", |e| Ok((e.field("slot")?, e.field("worker_id")?)))?,
-            trust: doc.opt_list_with("trust", |e| {
-                let stats = WorkerStats {
-                    spot_checked: e.field("checked")?,
-                    spot_failed: e.field("failed")?,
-                    evicted: e.opt_field("evicted")?.unwrap_or(false),
-                    ..WorkerStats::default()
-                };
-                Ok((e.field("slot")?, stats))
-            })?,
-        })
+    /// Reads a `fleet.json`, v2 or the slot-keyed v1.
+    fn from_doc(doc: &Json) -> io::Result<Self> {
+        if doc.opt_field::<usize>("version")?.unwrap_or(1) < 2 {
+            return Self::from_slots(doc);
+        }
+        let workers = doc.opt_list_with("workers", |e| {
+            Ok(Worker { identity: e.field("worker_id")?, trust: trust(e)?, ..Worker::default() })
+        })?;
+        Ok(Self { next_lease: doc.opt_field("next_lease")?.unwrap_or(0), workers })
+    }
+
+    /// Reads the slot-keyed fleet fields of a `fleet.json` v1 or a
+    /// `dist.json` v1–v3: slot `s` loads at position `s`, and a slot no
+    /// identity is bound to becomes a placeholder that keeps its trust
+    /// (a v1/v2 `dist.json` binds none).
+    pub(crate) fn from_slots(doc: &Json) -> io::Result<Self> {
+        let slot = |e: &Json| match e.field::<u64>("slot")? {
+            s if s < MAX_LEGACY_SLOT => Ok(s),
+            s => Err(invalid(format!("slot {s} out of range"))),
+        };
+        let identities: BTreeMap<u64, String> =
+            doc.opt_list_with("identities", |e| Ok((slot(e)?, e.field("worker_id")?)))?;
+        let trust: BTreeMap<u64, Trust> =
+            doc.opt_list_with("trust", |e| Ok((slot(e)?, trust(e)?)))?;
+        let slots = identities.keys().chain(trust.keys()).max().map_or(0, |&s| s + 1);
+        let workers = (0..slots)
+            .map(|s| Worker {
+                identity: identities.get(&s).cloned().unwrap_or_default(),
+                trust: trust.get(&s).copied().unwrap_or_default(),
+                ..Worker::default()
+            })
+            .collect();
+        Ok(Self { next_lease: doc.opt_field("next_lease")?.unwrap_or(0), workers })
     }
 
     /// `root`'s `fleet.json`; `Ok(None)` when absent.
@@ -842,7 +800,7 @@ impl FleetRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Refusal;
+    use crate::engine::{Daemon, Refusal};
     use crate::tenant::tests::{campaign_dir, suite};
     use dx_campaign::codec::{diff_json, rng_state_json};
     use dx_campaign::FoundDiff;
@@ -927,16 +885,126 @@ mod tests {
                 BTreeMap::from([("w-cafe".into(), [1, 2, 3, u64::MAX]), ("w-f00d".into(), [9; 4])]);
             assert_eq!(t.worker_rng, rng);
             assert_eq!(st.fleet.leases.next_id(), u64::MAX - 3);
-            // Identities keep their slots; the evicted one stays burned.
-            let burned = |s| c.metrics.is_evicted(s);
-            assert_eq!(st.fleet.admit("w-f00d", burned), Err(Refusal::Burned(5)));
-            assert_eq!(st.fleet.admit("w-cafe", burned), Ok(0));
+            // Slot `s` loads at position `s`; the unbound slots between
+            // are placeholders. The evicted identity stays burned.
+            let ids: Vec<&str> = st.fleet.workers.iter().map(|w| w.identity.as_str()).collect();
+            assert_eq!(ids, ["w-cafe", "", "", "", "", "w-f00d"]);
+            assert_eq!(st.fleet.admit("w-f00d"), Err(Refusal::Burned(5)));
+            assert_eq!(st.fleet.admit("w-cafe"), Ok(0));
         });
-        let bad = registry.counter("dx_spot_checks_total", &[("slot", "5"), ("verdict", "bad")]);
-        let ok = registry.counter("dx_spot_checks_total", &[("slot", "5"), ("verdict", "ok")]);
-        assert_eq!((ok.get(), bad.get()), (1, 2));
+        let spot = |verdict| {
+            registry.counter("dx_spot_checks_total", &[("worker", "w-f00d"), ("verdict", verdict)])
+        };
+        assert_eq!((spot("ok").get(), spot("bad").get()), (1, 2));
 
         let first = written(&c);
+        let (job, _) = c.locked(|st, _| c.snapshot(st, 0));
+        c.write(job.unwrap()).unwrap();
+        let again = Coordinator::resume(&suite(), "unit@test", cfg).unwrap();
+        assert_eq!(written(&again), first);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A parent build's `fleet.json` v1: `identities` and `trust`
+    /// (`checked`, `failed`, `evicted`) keyed by slot.
+    fn fleet_v1(
+        next_lease: u64,
+        bound: &[(u64, &str)],
+        trust: &[(u64, (usize, usize, bool))],
+    ) -> String {
+        let identities = bound.iter().map(|&(slot, id)| {
+            build::obj(vec![("slot", u64_json(slot)), ("worker_id", build::str(id))])
+        });
+        let trust = trust.iter().map(|&(slot, (checked, failed, evicted))| {
+            build::obj(vec![
+                ("slot", u64_json(slot)),
+                ("checked", build::int(checked)),
+                ("failed", build::int(failed)),
+                ("evicted", Json::Bool(evicted)),
+            ])
+        });
+        let doc = build::obj(vec![
+            ("version", build::int(1)),
+            ("next_lease", u64_json(next_lease)),
+            ("identities", Json::Arr(identities.collect())),
+            ("trust", Json::Arr(trust.collect())),
+        ]);
+        doc.to_string() + "\n"
+    }
+
+    #[test]
+    fn a_newcomer_cannot_take_a_returning_identitys_record() {
+        // Resumed from a fleet that knows ann at slot 0, a fresh identity
+        // joins before ann returns: ann must get its position and record
+        // back, and the newcomer a clean one of its own.
+        let dir = campaign_dir("dx_dist_rebinding", 7, 4);
+        let fleet = fleet_v1(2, &[(0, "ann")], &[(0, (3, 1, false))]);
+        std::fs::write(dir.join("fleet.json"), fleet).unwrap();
+        let cfg = CoordinatorConfig { checkpoint_dir: Some(dir.clone()), ..Default::default() };
+        let c = Coordinator::resume(&suite(), "unit@test", cfg).unwrap();
+        let (cy, _) = c.enroll("cy").unwrap();
+        let (ann, _) = c.enroll("ann").unwrap();
+        assert_eq!(ann, 0, "ann lost its position to a newcomer");
+        assert_ne!(cy, ann);
+        let (_, fleet) = written(&c);
+        let doc = dx_campaign::json::parse_doc(&fleet).unwrap();
+        let rows: Vec<(String, usize, usize)> = doc
+            .opt_list_with("workers", |e| {
+                Ok((e.field("worker_id")?, e.field("checked")?, e.field("failed")?))
+            })
+            .unwrap();
+        assert_eq!(rows, [("ann".into(), 3, 1), ("cy".into(), 0, 0)], "{fleet}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fleet_json_v1_round_trips_byte_equal() {
+        // A parent build's `fleet.json` v1 binding slots 0 and 5 (slot 5
+        // burned, 1–4 unbound) beside a `dist.json` v4 resumes with
+        // positions, trust, the burned mark, the next lease id and the
+        // identity-keyed worker streams intact; the v2 `fleet.json` it is
+        // then written as resumes to the same bytes.
+        let dir = campaign_dir("dx_fleet_json_v1", 7, 6);
+        let (cafe, f00d) = (
+            Trust { checked: 4, failed: 1, evicted: false },
+            Trust { checked: 3, failed: 2, evicted: true },
+        );
+        let trust = [(0, (4, 1, false)), (5, (3, 2, true))];
+        let fleet = fleet_v1(u64::MAX - 3, &[(0, "w-cafe"), (5, "w-f00d")], &trust);
+        std::fs::write(dir.join("fleet.json"), fleet).unwrap();
+        let mut record = Record::named(7);
+        record.steps_done = 7;
+        record.worker_rng.insert("w-cafe".into(), [1, 2, 3, u64::MAX]);
+        record.worker_rng.insert("w-f00d".into(), [9; 4]);
+        std::fs::write(dir.join("dist.json"), record.doc().to_string() + "\n").unwrap();
+        let registry = MetricsRegistry::new();
+        let cfg = CoordinatorConfig {
+            checkpoint_dir: Some(dir.clone()),
+            registry: registry.clone(),
+            ..CoordinatorConfig::default()
+        };
+        let c = Coordinator::resume(&suite(), "unit@test", cfg.clone()).unwrap();
+        c.locked(|st, _| {
+            let workers = &st.fleet.workers;
+            let ids: Vec<&str> = workers.iter().map(|w| w.identity.as_str()).collect();
+            assert_eq!(ids, ["w-cafe", "", "", "", "", "w-f00d"]);
+            let trust: Vec<Trust> = workers.iter().map(|w| w.trust).collect();
+            let unbound = Trust::default();
+            assert_eq!(trust, [cafe, unbound, unbound, unbound, unbound, f00d]);
+            assert_eq!(st.fleet.leases.next_id(), u64::MAX - 3);
+            let rng = &st.tenants[&0].worker_rng;
+            assert_eq!(rng.get("w-cafe"), Some(&[1, 2, 3, u64::MAX]));
+            assert_eq!(rng.get("w-f00d"), Some(&[9; 4]));
+            assert_eq!(st.fleet.admit("w-f00d"), Err(Refusal::Burned(5)));
+            assert_eq!(st.fleet.admit("w-cafe"), Ok(0));
+            // A fresh identity is appended, past every placeholder.
+            assert_eq!(st.fleet.admit("w-beef"), Ok(6));
+        });
+        let evicted = registry.gauge("dx_worker_evicted", &[("worker", "w-f00d")]);
+        assert_eq!(evicted.get(), 1.0);
+
+        let first = written(&c);
+        assert!(first.1.starts_with("{\"version\":2,"), "{}", first.1);
         let (job, _) = c.locked(|st, _| c.snapshot(st, 0));
         c.write(job.unwrap()).unwrap();
         let again = Coordinator::resume(&suite(), "unit@test", cfg).unwrap();
@@ -960,10 +1028,10 @@ mod tests {
             let (loaded, _) = Record::load(&dir)?.ok_or(io::ErrorKind::NotFound)?;
             Ok(loaded.doc().to_string())
         });
+        let trust = Trust { checked: 3, ..Trust::default() };
         let fleet = FleetRecord {
             next_lease: 3,
-            identities: BTreeMap::from([(0, "w-cafe".to_string())]),
-            trust: BTreeMap::from([(0, WorkerStats { spot_checked: 3, ..Default::default() })]),
+            workers: vec![Worker { identity: "w-cafe".into(), trust, ..Worker::default() }],
         };
         dx_integration::fuzz::check_decoder(&[fleet.doc().to_string()], 1024, |text| {
             Ok(FleetRecord::from_doc(&dx_campaign::json::parse_doc(text)?)?.doc().to_string())

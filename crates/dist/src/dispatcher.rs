@@ -6,16 +6,17 @@
 //!   `granted / weight`, and the smallest pass goes next, so fleet shares
 //!   converge to the weight ratio under contention.
 //! * **Grant size** is the worker's `want` capped at `lease_size` — with
-//!   adaptive sizing (`lease_max` above `lease_size`), the slot's learned
-//!   quota instead — then capped by the campaign's quota of all in-flight
-//!   jobs (`quota_allowance`), never below one lease.
+//!   adaptive sizing (`lease_max` above `lease_size`), the worker's
+//!   learned quota instead — then capped by the campaign's quota of all
+//!   in-flight jobs (`quota_allowance`), never below one lease.
 //! * **Coverage news is per campaign**, against what the connection's
 //!   worker knows of *that* campaign's union (the engine's views).
 //! * **Trust sits between claim and absorb**: sampled difference claims
 //!   are re-executed through the daemon's own models outside its lock; a
 //!   claim that does not reproduce is quarantined, its lease's seeds are
-//!   requeued and, past the trust threshold, its worker is evicted. The
-//!   service runs this at rate 0.
+//!   requeued, and every verdict lands on the worker's record in the
+//!   fleet's books, which evict it past the trust threshold. The service
+//!   runs this at rate 0.
 //! * **Drain**: a coordinator drains once every campaign is done or its
 //!   `duration` runs out; a service parks idle workers on `wait`. Both
 //!   drain on a [`crate::DrainHandle`] or a SIGTERM/SIGINT
@@ -28,16 +29,13 @@ use dx_telemetry::events::Level;
 
 use crate::coordinator::{requeue, Books, Ckpt, Coordinator, Outbox, COMPONENT, QUARANTINE_KEEP};
 use crate::engine::{self, Daemon, Fleet, Gate, Peer, Plan, Refusal, Reply, ResultsFrame, Views};
+use crate::engine::{Trust, Worker};
 use crate::proto::Msg;
 use crate::shutdown;
 use crate::tenant::Status;
 
 /// How long a worker is told to wait when nothing is schedulable.
 const IDLE_WAIT_MILLIS: u64 = 50;
-
-/// Spot-checks a worker must accumulate before its fabrication rate can
-/// evict it — one unlucky sample should not kill a fleet member.
-const TRUST_MIN_CHECKS: usize = 2;
 
 /// How many jobs a campaign with `outstanding` in-flight jobs may be
 /// granted (up to `cap`) without its share of all in-flight jobs
@@ -64,13 +62,13 @@ pub(crate) fn quota_allowance(
 }
 
 impl Coordinator {
-    /// Jobs to grant slot `s`: the fixed `lease_size`, or — with adaptive
-    /// sizing on — the slot's quota learned from observed throughput.
+    /// Jobs to grant worker `w`: the fixed `lease_size`, or — with
+    /// adaptive sizing on — its quota learned from observed throughput.
     /// Under adaptive sizing the worker's `want` is advisory (protocol
     /// v4): a fast worker is deliberately granted more than it asks for.
-    fn lease_grant(&self, st: &Books, s: u64, want: usize) -> usize {
+    fn lease_grant(&self, w: Option<&Worker>, want: usize) -> usize {
         if self.cfg.lease_max > self.cfg.lease_size {
-            st.lease_quota.get(&s).copied().unwrap_or(self.cfg.lease_size).max(1)
+            w.and_then(|w| w.quota).unwrap_or(self.cfg.lease_size).max(1)
         } else {
             want.clamp(1, self.cfg.lease_size)
         }
@@ -83,8 +81,7 @@ impl Coordinator {
     /// results arrival, so spot-check time is excluded.
     fn update_lease_quota(
         &self,
-        st: &mut Books,
-        s: u64,
+        w: &mut Worker,
         turnaround: Duration,
         absorbed: usize,
         out: &mut Outbox,
@@ -92,17 +89,18 @@ impl Coordinator {
         if self.cfg.lease_max <= self.cfg.lease_size {
             return;
         }
-        let quota = st.lease_quota.get(&s).copied().unwrap_or(self.cfg.lease_size);
+        let quota = w.quota.unwrap_or(self.cfg.lease_size);
         let per_step = (turnaround.as_secs_f64() / absorbed.max(1) as f64).max(1e-6);
         let target = (self.cfg.lease_timeout.as_secs_f64() / 4.0).max(1e-3);
         let ideal = (target / per_step) as usize;
         let next =
             ideal.clamp((quota / 2).max(1), quota.saturating_mul(2)).clamp(1, self.cfg.lease_max);
         if next != quota {
-            let fields = vec![("slot", s.into()), ("from", quota.into()), ("to", next.into())];
+            let worker = w.identity.clone().into();
+            let fields = vec![("worker", worker), ("from", quota.into()), ("to", next.into())];
             out.emit(Level::Debug, "coordinator", "lease_quota", fields);
         }
-        st.lease_quota.insert(s, next);
+        w.quota = Some(next);
     }
 
     /// Folds a checked frame's results into its campaign under `plan`,
@@ -124,15 +122,14 @@ impl Coordinator {
         if t.close_round(out, self.cfg.batch_per_round) {
             out.checkpoint(self.snapshot(st, frame.campaign));
         }
-        let s = peer.slot;
-        let w = st.per_worker.entry(s).or_default();
-        w.contributed_neurons += absorbed.newly_covered;
+        let Some(w) = st.fleet.workers.get_mut(peer.worker) else { return };
+        w.contributed += absorbed.newly_covered;
         w.steps += absorbed.steps;
         w.diffs += absorbed.diffs;
         match plan {
             Plan::Lease { turnaround, .. } => {
-                self.metrics.turnaround(s).observe(turnaround.as_secs_f64());
-                self.update_lease_quota(st, s, *turnaround, absorbed.steps, out);
+                self.metrics.turnaround(&w.identity).observe(turnaround.as_secs_f64());
+                self.update_lease_quota(w, *turnaround, absorbed.steps, out);
             }
             Plan::Collision => {}
             Plan::Expired => {
@@ -143,7 +140,7 @@ impl Coordinator {
                     "lease_salvaged",
                     vec![
                         ("lease", frame.lease.into()),
-                        ("slot", s.into()),
+                        ("worker", peer.worker_id.clone().into()),
                         ("salvaged", absorbed.steps.into()),
                         ("dropped", dropped.into()),
                     ],
@@ -178,13 +175,14 @@ impl Daemon for Coordinator {
             }
             for (id, lease) in st.fleet.leases.expire(now) {
                 self.metrics.lease_expired.inc();
+                let worker = st.fleet.workers.get(lease.worker).map(|w| w.identity.clone());
                 out.emit(
                     Level::Info,
                     "coordinator",
                     "lease_expired",
                     vec![
                         ("lease", id.into()),
-                        ("slot", lease.slot.into()),
+                        ("worker", worker.unwrap_or_default().into()),
                         ("campaign", lease.campaign.into()),
                         ("seeds", lease.seed_ids.len().into()),
                     ],
@@ -199,20 +197,22 @@ impl Daemon for Coordinator {
     /// The welcome's seed and RNG state are advisory since v6 — a worker
     /// seeds its context for each campaign from that campaign's first
     /// `lease` frame — so the daemon sends none.
-    fn enroll(&self, worker_id: &str) -> Result<(u64, Msg), Refusal> {
+    /// The position goes out as the welcome's `slot`: a worker numbers
+    /// its generator streams by it.
+    fn enroll(&self, worker_id: &str) -> Result<(usize, Msg), Refusal> {
         self.locked(|st, _| {
-            let slot = st.fleet.admit(worker_id, |s| self.metrics.is_evicted(s))?;
+            let worker = st.fleet.admit(worker_id)?;
             self.metrics.connected.set(st.fleet.connected() as f64);
-            st.per_worker.entry(slot).or_default();
-            Ok((slot, Msg::Welcome { slot, campaign_seed: 0, rng_state: None }))
+            let slot = worker as u64;
+            Ok((worker, Msg::Welcome { slot, campaign_seed: 0, rng_state: None }))
         })
         .0
     }
 
-    fn worker_gone(&self, slot: u64) {
+    fn worker_gone(&self, worker: usize) {
         self.locked(|st, _| {
             // A dead worker's leases go straight back to their campaigns.
-            for (_, lease) in st.fleet.disconnect(slot) {
+            for (_, lease) in st.fleet.disconnect(worker) {
                 requeue(st, lease.campaign, lease.seed_ids);
             }
             self.metrics.connected.set(st.fleet.connected() as f64);
@@ -223,7 +223,7 @@ impl Daemon for Coordinator {
     /// running campaigns, quota-capped grant, requeue-first seed draw.
     fn lease(&self, peer: &Peer, want: usize, views: &mut Views<'_>) -> Msg {
         self.locked(|st, out| {
-            let cap = self.lease_grant(st, peer.slot, want);
+            let cap = self.lease_grant(st.fleet.workers.get(peer.worker), want);
             let total_out = st.fleet.leases.total_jobs_out();
             let mut order: Vec<(u64, f64)> = st
                 .tenants
@@ -244,7 +244,7 @@ impl Daemon for Coordinator {
                 t.pass += granted as f64 / f64::from(t.spec.weight);
                 t.metrics.leases.inc();
                 t.metrics.sync(&t.ledger);
-                let lease = st.fleet.leases.grant(peer.slot, id, ids, Instant::now());
+                let lease = st.fleet.leases.grant(peer.worker, id, ids, Instant::now());
                 out.emit(
                     Level::Debug,
                     "coordinator",
@@ -252,7 +252,7 @@ impl Daemon for Coordinator {
                     vec![
                         ("lease", lease.into()),
                         ("campaign", id.into()),
-                        ("slot", peer.slot.into()),
+                        ("worker", peer.worker_id.clone().into()),
                         ("seeds", granted.into()),
                     ],
                 );
@@ -277,7 +277,7 @@ impl Daemon for Coordinator {
     fn heartbeat(&self, peer: &Peer, lease: u64, views: &mut Views<'_>) -> Msg {
         self.metrics.heartbeats.inc();
         self.locked(|st, _| {
-            let campaign = st.fleet.leases.heartbeat(lease, peer.slot, Instant::now());
+            let campaign = st.fleet.leases.heartbeat(lease, peer.worker, Instant::now());
             // The ack's news must be for the campaign the worker is
             // heartbeating — it applies the delta to that lease's
             // generator context.
@@ -302,7 +302,7 @@ impl Daemon for Coordinator {
         frame: ResultsFrame,
         views: &mut Views<'_>,
     ) -> (Reply, Vec<Ckpt>) {
-        let (s, campaign, lease) = (peer.slot, frame.campaign, frame.lease);
+        let (w, campaign, lease) = (peer.worker, frame.campaign, frame.lease);
         // Phase 1 (locked): validate the frame, claim the lease, sample
         // which claimed diffs to re-execute.
         let (claimed, _) = self.locked(|st, _| {
@@ -310,10 +310,10 @@ impl Daemon for Coordinator {
                 return Err(format!("unknown campaign {campaign}"));
             };
             engine::check(&t.ledger.global, &frame.cov, &frame.items, &self.sample_shape)?;
-            if st.fleet.leases.get(lease).is_some_and(|l| l.slot == s && l.campaign != campaign) {
+            if st.fleet.leases.get(lease).is_some_and(|l| l.worker == w && l.campaign != campaign) {
                 return Err(format!("lease {lease} is not for campaign {campaign}"));
             }
-            let plan = st.fleet.leases.claim(lease, s, Instant::now())?;
+            let plan = st.fleet.leases.claim(lease, w, Instant::now())?;
             let mut checks = Vec::new();
             if self.cfg.spot_check_rate > 0.0 {
                 use rand::Rng as _;
@@ -335,21 +335,24 @@ impl Daemon for Coordinator {
             Err(reason) => return (Reply::reject(reason), Vec::new()),
         };
         // Phase 2 (unlocked): re-execute the sampled claims through the
-        // daemon's own models. The registry's per-slot counters are the
-        // trust ledger.
+        // daemon's own models.
         let failed: Vec<_> = checks
             .iter()
             .filter(|(_, t)| !self.suite.reproduces_difference(&t.input, &t.predictions))
             .collect();
-        if !checks.is_empty() {
-            self.metrics.spot(s, "ok").inc_by((checks.len() - failed.len()) as u64);
-            self.metrics.spot(s, "bad").inc_by(failed.len() as u64);
-        }
-        // Phase 3 (locked): punish or apply.
+        // Phase 3 (locked): record the verdicts on the worker's trust,
+        // then punish or apply.
         let (reply, ckpts) = self.locked(|st, out| {
             if matches!(plan, Plan::Lease { .. }) {
                 st.fleet.leases.release(lease);
             }
+            let worker = st.fleet.workers.get_mut(w).filter(|_| !checks.is_empty());
+            let trust = worker.map(|rec| {
+                let (n, bad) = (checks.len(), failed.len());
+                rec.trust.record(n, bad, self.cfg.trust_threshold);
+                self.metrics.publish(&rec.identity, n - bad, bad, rec.trust.evicted);
+                rec.trust
+            });
             if !failed.is_empty() {
                 // Nothing from this frame is trusted: no coverage union, no
                 // corpus absorption, no RNG persistence. The lease's seeds
@@ -371,18 +374,15 @@ impl Daemon for Coordinator {
                     "coordinator",
                     "spot_check_failed",
                     vec![
-                        ("slot", s.into()),
+                        ("worker", peer.worker_id.clone().into()),
                         ("lease", lease.into()),
                         ("failed", failed.len().into()),
                         ("sampled", checks.len().into()),
                     ],
                 );
-                let (checked, bad) = self.metrics.spot_counts(s);
-                let rate = if checked == 0 { 0.0 } else { bad as f32 / checked as f32 };
-                if checked >= TRUST_MIN_CHECKS && rate > self.cfg.trust_threshold {
-                    self.metrics.evicted_gauge(s).set(1.0);
+                if let Some(Trust { checked, failed: bad, evicted: true }) = trust {
                     let fields = vec![
-                        ("slot", s.into()),
+                        ("worker", peer.worker_id.clone().into()),
                         ("failed", bad.into()),
                         ("checked", checked.into()),
                     ];
@@ -396,7 +396,7 @@ impl Daemon for Coordinator {
                 // All sampled claims reproduced: fold the frame in,
                 // advisory telemetry included.
                 if let Some(t) = &frame.telemetry {
-                    engine::merge_worker_telemetry(&self.cfg.registry, s, t);
+                    engine::merge_worker_telemetry(&self.cfg.registry, &peer.worker_id, t);
                 }
                 self.absorb(st, out, peer, &frame, &plan, views);
                 self.retire_finished(st, out);

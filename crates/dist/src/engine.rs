@@ -2,8 +2,10 @@
 //! books (and their checkpoint writer and loader) are a `dx-campaign`
 //! [`Ledger`], the one the in-process pool drives too.
 //!
-//! **The books (pure).** [`Fleet`] maps worker identities to slots, its
-//! [`LeaseTable`] tracks who holds which seeds until when, and a [`Plan`]
+//! **The books (pure).** [`Fleet`] keeps one [`Worker`] record per
+//! identity, in admission order — its position is the number the worker
+//! knows itself by — with its trust; its [`LeaseTable`] tracks which
+//! worker holds which seeds until when, and a [`Plan`]
 //! says what a results frame may fold into a ledger: [`check`] validates
 //! the frame, [`Plan::absorb`] applies lease entitlement and salvage in
 //! front of [`Ledger::absorb`]. They do no I/O and read no clock: every
@@ -18,15 +20,16 @@
 //! frames, enforces the pre-admission frame cap and hello timeout, answers
 //! garbage with a best-effort `reject`, runs the version / identity /
 //! challenge / fingerprint handshake, and hands only admitted,
-//! slot-checked requests to the [`Daemon`] — the policy, implemented
+//! frame-checked requests to the [`Daemon`] — the policy, implemented
 //! once, by [`crate::Coordinator`] (see [`crate::dispatcher`]). Two seams
-//! serve its trust layer: *eviction is a predicate* ([`Fleet::admit`]
-//! asks whether a slot is burned), and *spot-checks sit between claim and
-//! absorb* ([`LeaseTable::claim`] marks a lease `checking`; the daemon
-//! re-executes sampled claims without its lock, then absorbs or
-//! requeues).
+//! serve its trust layer: *trust is state* ([`Trust::record`] adds each
+//! verdict to the worker's record and evicts past the threshold;
+//! [`Fleet::admit`] refuses an evicted identity), and
+//! *spot-checks sit between claim and absorb* ([`LeaseTable::claim`]
+//! marks a lease `checking`; the daemon re-executes sampled claims
+//! without its lock, then absorbs or requeues).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use dx_campaign::ledger::{Absorbed, Ledger};
@@ -36,8 +39,8 @@ use crate::proto::{CovDelta, Job, JobResult};
 
 /// One outstanding lease.
 pub struct Lease {
-    /// The fleet slot holding it.
-    pub slot: u64,
+    /// The worker holding it: its position in the [`Fleet`].
+    pub worker: usize,
     /// The campaign its seeds belong to (always 0 on a coordinator).
     pub campaign: u64,
     /// The leased corpus entry ids.
@@ -58,7 +61,7 @@ pub enum Plan {
         /// own time is never billed to the worker.
         turnaround: Duration,
     },
-    /// Another slot's lease, or one already being verified: the items
+    /// Another worker's lease, or one already being verified: the items
     /// are not the sender's to count.
     Collision,
     /// The lease already expired; seeds still queued can be salvaged.
@@ -102,9 +105,9 @@ impl LeaseTable {
         self.leases.get(&lease)
     }
 
-    /// Whether `slot` holds any lease.
-    pub fn holds(&self, slot: u64) -> bool {
-        self.leases.values().any(|l| l.slot == slot)
+    /// Whether `worker` holds any lease.
+    pub fn holds(&self, worker: usize) -> bool {
+        self.leases.values().any(|l| l.worker == worker)
     }
 
     /// Every seed id out on a lease for `campaign`, in issue order: what
@@ -122,20 +125,21 @@ impl LeaseTable {
         self.leases.values().filter(move |l| l.campaign == campaign)
     }
 
-    /// Puts `seed_ids` out on a fresh lease and returns its id.
-    pub fn grant(&mut self, slot: u64, campaign: u64, seed_ids: Vec<usize>, now: Instant) -> u64 {
+    /// Puts seeds `ids` out on a fresh lease and returns its id.
+    pub fn grant(&mut self, worker: usize, campaign: u64, ids: Vec<usize>, now: Instant) -> u64 {
         let id = self.next;
         self.next += 1;
         let deadline = now + self.timeout;
-        self.leases
-            .insert(id, Lease { slot, campaign, seed_ids, deadline, issued: now, checking: false });
+        let lease =
+            Lease { worker, campaign, seed_ids: ids, deadline, issued: now, checking: false };
+        self.leases.insert(id, lease);
         id
     }
 
-    /// Extends the lease's deadline if `slot` owns it, and says which
+    /// Extends the lease's deadline if `worker` owns it, and says which
     /// campaign it belongs to.
-    pub fn heartbeat(&mut self, lease: u64, slot: u64, now: Instant) -> Option<u64> {
-        let l = self.leases.get_mut(&lease).filter(|l| l.slot == slot)?;
+    pub fn heartbeat(&mut self, lease: u64, worker: usize, now: Instant) -> Option<u64> {
+        let l = self.leases.get_mut(&lease).filter(|l| l.worker == worker)?;
         l.deadline = now + self.timeout;
         Some(l.campaign)
     }
@@ -145,9 +149,9 @@ impl LeaseTable {
         self.take(|l| now >= l.deadline && !l.checking)
     }
 
-    /// Removes every lease held by `slot` (its connection died).
-    pub fn orphan(&mut self, slot: u64) -> Vec<(u64, Lease)> {
-        self.take(|l| l.slot == slot)
+    /// Removes every lease held by `worker` (its connection died).
+    pub fn orphan(&mut self, worker: usize) -> Vec<(u64, Lease)> {
+        self.take(|l| l.worker == worker)
     }
 
     /// Removes every lease (the daemon is shutting down).
@@ -161,7 +165,7 @@ impl LeaseTable {
         ids.into_iter().filter_map(|id| Some((id, self.leases.remove(&id)?))).collect()
     }
 
-    /// Claims `lease` for a results frame from `slot`. A live lease the
+    /// Claims `lease` for a results frame from `worker`. A live lease the
     /// sender owns stays on the books marked `checking` until
     /// [`LeaseTable::release`]: its seeds stay excluded from scheduling, a
     /// drain still sees work in flight, expiry cannot pull it
@@ -171,12 +175,12 @@ impl LeaseTable {
     ///
     /// An id this table never issued: a fabrication, not an expiry —
     /// nothing in such a frame (coverage included) is credible.
-    pub fn claim(&mut self, lease: u64, slot: u64, now: Instant) -> Result<Plan, &'static str> {
+    pub fn claim(&mut self, lease: u64, worker: usize, now: Instant) -> Result<Plan, &'static str> {
         if lease >= self.next {
             return Err("unknown lease id");
         }
         Ok(match self.leases.get_mut(&lease) {
-            Some(l) if l.slot == slot && !l.checking => {
+            Some(l) if l.worker == worker && !l.checking => {
                 l.checking = true;
                 l.deadline = now + self.timeout;
                 Plan::Lease {
@@ -196,87 +200,115 @@ impl LeaseTable {
     }
 }
 
+/// Spot-checks a worker must accumulate before its fabrication rate can
+/// evict it — one unlucky sample should not kill a fleet member.
+const TRUST_MIN_CHECKS: usize = 2;
+
+/// What the spot-checks found of one worker's claims, and the verdict.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Trust {
+    /// Claimed diffs the daemon re-executed.
+    pub checked: usize,
+    /// Re-executions that failed to reproduce (fabrications).
+    pub failed: usize,
+    /// Evicted for crossing the trust threshold; refused at admission.
+    pub evicted: bool,
+}
+
+impl Trust {
+    /// Adds a batch of `checked` spot-checks, `failed` of which did not
+    /// reproduce. A batch with failures evicts once there are
+    /// `TRUST_MIN_CHECKS` checks and more than `threshold` of them failed.
+    pub fn record(&mut self, checked: usize, failed: usize, threshold: f32) {
+        self.checked += checked;
+        self.failed += failed;
+        let rate = self.failed as f32 / self.checked.max(1) as f32;
+        self.evicted |= failed > 0 && self.checked >= TRUST_MIN_CHECKS && rate > threshold;
+    }
+}
+
+/// One worker's record in the fleet's books.
+#[derive(Clone, Debug, Default)]
+pub struct Worker {
+    /// The identity it sent at hello; empty for an older checkpoint's
+    /// unbound slot, a placeholder no `hello` can claim.
+    pub identity: String,
+    /// Whether a connection holds it right now.
+    pub live: bool,
+    /// Its spot-check record.
+    pub trust: Trust,
+    /// Seed steps it completed.
+    pub steps: usize,
+    /// Difference-inducing inputs it found.
+    pub diffs: usize,
+    /// Coverage units it was first to cover in a campaign's union.
+    pub contributed: usize,
+    /// Its adaptive lease size (`None`: the configured `lease_size`).
+    pub quota: Option<usize>,
+}
+
 /// Why [`Fleet::admit`] refused an identity.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Refusal {
-    /// The identity's historical slot is burned (evicted).
-    Burned(u64),
+    /// The identity's worker (at this position) is evicted.
+    Burned(usize),
     /// A live connection already holds this identity.
     Duplicate,
 }
 
-/// The fleet-wide books behind a daemon's lock: which identity sits on
-/// which slot, and what the slots hold. Slots are resolved by identity
-/// (protocol v6): a returning identity gets its historical slot back
-/// (whatever the daemon keys by slot follows it), a burned one is refused
-/// — reconnecting under the same name cannot shed a record — and a fresh
-/// identity gets a fresh slot.
+/// The fleet-wide books behind a daemon's lock: one [`Worker`] per
+/// identity, and the leases they hold.
 pub struct Fleet {
-    identities: BTreeMap<u64, String>,
-    live: BTreeSet<u64>,
-    next_slot: u64,
+    /// Every worker so far, in admission order. A position never changes
+    /// and no identity is ever rebound: [`Fleet::admit`] gives a returning
+    /// identity its record (trust, tallies and the RNG stream its position
+    /// numbers), refuses an evicted one — reconnecting under the same name
+    /// cannot shed a record — and appends a fresh one.
+    pub workers: Vec<Worker>,
     /// The outstanding leases.
     pub leases: LeaseTable,
 }
 
 impl Fleet {
-    /// A fleet with nobody connected, over the identities a checkpoint
-    /// remembers.
-    pub fn new(identities: BTreeMap<u64, String>, leases: LeaseTable) -> Self {
-        Self { identities, live: BTreeSet::new(), next_slot: 0, leases }
-    }
-
-    /// The identity bound to each slot so far.
-    pub fn identities(&self) -> &BTreeMap<u64, String> {
-        &self.identities
-    }
-
     /// Currently admitted connections.
     pub fn connected(&self) -> usize {
-        self.live.len()
+        self.workers.iter().filter(|w| w.live).count()
     }
 
-    /// Resolves `worker_id` to a slot and marks it live.
+    /// Finds `identity`'s worker, or appends a fresh one, and marks it
+    /// live; returns its position.
     ///
     /// # Errors
     ///
-    /// [`Refusal`] for a burned or already-connected identity.
-    pub fn admit(
-        &mut self,
-        worker_id: &str,
-        is_burned: impl Fn(u64) -> bool,
-    ) -> Result<u64, Refusal> {
-        let known = self.identities.iter().find(|(_, id)| id.as_str() == worker_id);
-        let slot = match known.map(|(&s, _)| s) {
-            Some(s) if is_burned(s) => return Err(Refusal::Burned(s)),
-            Some(s) if self.live.contains(&s) => return Err(Refusal::Duplicate),
-            Some(s) => s,
-            None => {
-                // A burned slot would hand a fresh worker a fabricator's
-                // history; a live one belongs to a returning identity
-                // that reclaimed it out of connection order.
-                while is_burned(self.next_slot) || self.live.contains(&self.next_slot) {
-                    self.next_slot += 1;
-                }
-                self.next_slot += 1;
-                self.next_slot - 1
+    /// [`Refusal`] for an evicted or already-connected identity.
+    pub fn admit(&mut self, identity: &str) -> Result<usize, Refusal> {
+        match self.workers.iter_mut().enumerate().find(|(_, w)| w.identity == identity) {
+            Some((position, w)) if w.trust.evicted => Err(Refusal::Burned(position)),
+            Some((_, w)) if w.live => Err(Refusal::Duplicate),
+            Some((position, w)) => {
+                w.live = true;
+                Ok(position)
             }
-        };
-        self.identities.insert(slot, worker_id.to_string());
-        self.live.insert(slot);
-        Ok(slot)
+            None => {
+                let fresh = Worker { identity: identity.into(), live: true, ..Worker::default() };
+                self.workers.push(fresh);
+                Ok(self.workers.len() - 1)
+            }
+        }
     }
 
-    /// Drops `slot`'s connection (its identity stays bound); a dead
-    /// worker's leases come back for the caller to requeue.
-    pub fn disconnect(&mut self, slot: u64) -> Vec<(u64, Lease)> {
-        self.live.remove(&slot);
-        self.leases.orphan(slot)
+    /// Drops `position`'s connection (its record stays); a dead worker's
+    /// leases come back for the caller to requeue.
+    pub fn disconnect(&mut self, position: usize) -> Vec<(u64, Lease)> {
+        if let Some(w) = self.workers.get_mut(position) {
+            w.live = false;
+        }
+        self.leases.orphan(position)
     }
 
     /// Nothing connected and nothing out: a draining daemon may stop.
     pub fn idle(&self) -> bool {
-        self.leases.is_empty() && self.live.is_empty()
+        self.leases.is_empty() && self.connected() == 0
     }
 }
 
@@ -381,9 +413,15 @@ pub(crate) const HELLO_FRAME_CAP: usize = 1 << 16;
 const _: () =
     assert!(HELLO_FRAME_CAP < MAX_FRAME, "the pre-admission cap must stay below MAX_FRAME");
 
+/// What `hello` takes as a worker identity, which becomes a `fleet.json`
+/// key, a metric label value and a report column.
+fn valid_identity(id: &str) -> bool {
+    (1..=128).contains(&id.len()) && id.bytes().all(|b| b.is_ascii_graphic())
+}
+
 /// How long a connection may sit without completing admission before it
 /// is closed — a garbage or silent client must not park a handler thread
-/// (and a listener backlog slot) forever.
+/// (and a listener backlog entry) forever.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// What the handler does with a daemon's answer.
@@ -405,8 +443,8 @@ impl Reply {
 
 /// An admitted connection's worker.
 pub struct Peer {
-    /// Its fleet slot.
-    pub slot: u64,
+    /// Its position in the [`Fleet`].
+    pub worker: usize,
     /// Its authenticated identity.
     pub worker_id: String,
 }
@@ -527,16 +565,16 @@ pub trait Daemon: Sync {
     fn fleet<R>(&self, read: impl FnOnce(&Fleet) -> R) -> R;
     /// Bookkeeping once per accept-loop turn: expire leases, trip stops.
     fn tick(&self) -> Vec<Self::Checkpoint>;
-    /// [`Fleet::admit`]s `worker_id` under the daemon's lock with its
-    /// burned-slot predicate; returns the slot and the `welcome` to send.
+    /// [`Fleet::admit`]s `worker_id` under the daemon's lock; returns its
+    /// position and the `welcome` to send.
     ///
     /// # Errors
     ///
     /// The admission's [`Refusal`].
-    fn enroll(&self, worker_id: &str) -> Result<(u64, Msg), Refusal>;
-    /// `slot`'s connection is gone: [`Fleet::disconnect`] it and requeue
-    /// what it held.
-    fn worker_gone(&self, slot: u64);
+    fn enroll(&self, worker_id: &str) -> Result<(usize, Msg), Refusal>;
+    /// The connection of the worker at `position` is gone:
+    /// [`Fleet::disconnect`] it and requeue what it held.
+    fn worker_gone(&self, position: usize);
     /// Answers a lease request for `want` jobs (advisory since v4) with
     /// `lease`, `wait` or `drain`. Never called while draining — the
     /// shell answers `drain` itself.
@@ -668,7 +706,7 @@ fn handle<D: Daemon>(daemon: &D, mut stream: TcpStream) {
                     send_reject(&mut stream, "admission timed out".into());
                     return Ok(());
                 }
-                let holds_lease = |p: &Peer| daemon.fleet(|f| f.leases.holds(p.slot));
+                let holds_lease = |p: &Peer| daemon.fleet(|f| f.leases.holds(p.worker));
                 if gate.draining() && !conn.admitted.as_ref().is_some_and(holds_lease) {
                     idle_polls += 1;
                     if idle_polls > DRAIN_GRACE_POLLS {
@@ -727,7 +765,9 @@ fn handle<D: Daemon>(daemon: &D, mut stream: TcpStream) {
         }
     }
     if let Some(peer) = conn.admitted {
-        disconnect(daemon, peer.slot);
+        daemon.worker_gone(peer.worker);
+        let worker = [("worker", peer.worker_id.into())];
+        emit(Level::Debug, D::COMPONENT, "worker_disconnected", &worker);
     }
 }
 
@@ -736,12 +776,7 @@ fn send_reject(stream: &mut TcpStream, reason: String) {
     let _ = write_frame(stream, &Msg::Reject { reason }.to_json());
 }
 
-fn disconnect<D: Daemon>(daemon: &D, slot: u64) {
-    daemon.worker_gone(slot);
-    emit(Level::Debug, D::COMPONENT, "worker_disconnected", &[("slot", slot.into())]);
-}
-
-/// Verifies the fingerprint and assigns a slot — the step that first
+/// Verifies the fingerprint and admits the worker — the step that first
 /// reveals campaign state, so an auth-enabled daemon only gets here after
 /// a valid proof.
 fn admit<D: Daemon>(
@@ -756,23 +791,15 @@ fn admit<D: Daemon>(
         return Reply::reject(format!("suite fingerprint {fingerprint:?} != {who} {ours:?}"));
     }
     match daemon.enroll(&worker_id) {
-        Ok((slot, welcome)) => {
-            emit(
-                Level::Info,
-                D::COMPONENT,
-                "worker_joined",
-                &[("slot", slot.into()), ("worker_id", worker_id.clone().into())],
-            );
-            conn.admitted = Some(Peer { slot, worker_id });
+        Ok((worker, welcome)) => {
+            let fields = [("worker", worker_id.clone().into())];
+            emit(Level::Info, D::COMPONENT, "worker_joined", &fields);
+            conn.admitted = Some(Peer { worker, worker_id });
             Reply::Send(welcome)
         }
-        Err(Refusal::Burned(slot)) => {
-            emit(
-                Level::Warn,
-                D::COMPONENT,
-                "evicted_identity_rejected",
-                &[("slot", slot.into()), ("worker_id", worker_id.into())],
-            );
+        Err(Refusal::Burned(_)) => {
+            let fields = [("worker", worker_id.into())];
+            emit(Level::Warn, D::COMPONENT, "evicted_identity_rejected", &fields);
             Reply::reject("worker identity is evicted")
         }
         Err(Refusal::Duplicate) => Reply::reject("worker identity already connected"),
@@ -781,9 +808,10 @@ fn admit<D: Daemon>(
 
 fn reply_for<D: Daemon>(daemon: &D, msg: Msg, conn: &mut Conn<'_>) -> (Reply, Vec<D::Checkpoint>) {
     let gate = daemon.gate();
-    // A request frame must name the slot this connection was admitted on.
+    // A request frame must carry the slot this connection was welcomed
+    // with: its worker's position.
     fn peer(admitted: &Option<Peer>, slot: u64) -> Option<&Peer> {
-        admitted.as_ref().filter(|p| p.slot == slot)
+        admitted.as_ref().filter(|p| u64::try_from(p.worker) == Ok(slot))
     }
     let hello_first = || Reply::reject("say hello first");
     let reply = match msg {
@@ -793,8 +821,8 @@ fn reply_for<D: Daemon>(daemon: &D, msg: Msg, conn: &mut Conn<'_>) -> (Reply, Ve
             } else if version != PROTOCOL_VERSION {
                 let who = D::COMPONENT;
                 Reply::reject(format!("protocol version {version} != {who} {PROTOCOL_VERSION}"))
-            } else if worker_id.is_empty() {
-                Reply::reject("empty worker identity")
+            } else if !valid_identity(&worker_id) {
+                Reply::reject("worker identity must be 1-128 printable ASCII characters")
             } else if gate.auth_token.is_some() {
                 // Authentication first: even the fingerprint verdict
                 // waits until the peer proves it holds the secret.
@@ -846,11 +874,11 @@ fn reply_for<D: Daemon>(daemon: &D, msg: Msg, conn: &mut Conn<'_>) -> (Reply, Ve
 }
 
 /// Folds a worker's advisory telemetry into `registry`: its per-phase
-/// histograms, and its heartbeat round trips under `slot`. Phase names
+/// histograms, and its heartbeat round trips under its identity `worker`. Phase names
 /// are matched against the known set, so a hostile worker cannot mint
 /// unbounded label values; histograms with a foreign bucket layout are
 /// dropped by `merge_local` for the same reason.
-pub fn merge_worker_telemetry(registry: &MetricsRegistry, slot: u64, t: &TelemetrySnapshot) {
+pub fn merge_worker_telemetry(registry: &MetricsRegistry, worker: &str, t: &TelemetrySnapshot) {
     for (name, hist) in &t.phases {
         let Some(phase) = Phase::ALL.iter().find(|p| p.name() == name) else { continue };
         registry
@@ -858,9 +886,8 @@ pub fn merge_worker_telemetry(registry: &MetricsRegistry, slot: u64, t: &Telemet
             .merge_local(hist);
     }
     if let Some(rtt) = &t.heartbeat {
-        let slot = slot.to_string();
         let name = names::HEARTBEAT_RTT_SECONDS.name;
-        registry.histogram(name, &[("slot", &slot)], &TIME_BUCKETS).merge_local(rtt);
+        registry.histogram(name, &[("worker", worker)], &TIME_BUCKETS).merge_local(rtt);
     }
 }
 

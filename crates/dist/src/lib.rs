@@ -98,7 +98,8 @@ pub mod tenant;
 pub mod wire;
 pub mod worker;
 
-pub use coordinator::{Coordinator, CoordinatorConfig, DistReport, DrainHandle, WorkerStats};
+pub use coordinator::{Coordinator, CoordinatorConfig, DistReport, DrainHandle};
+pub use engine::{Trust, Worker};
 pub use proto::{Fingerprint, PROTOCOL_VERSION};
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};
 
@@ -376,7 +377,7 @@ mod tests {
             assert!(merged >= local - 1e-6, "merged {merged} < worker {local}");
         }
         // Worker accounting adds up to at least the absorbed budget.
-        let worker_steps: usize = report.per_worker.iter().map(|(_, w)| w.steps).sum();
+        let worker_steps: usize = report.per_worker.iter().map(|w| w.steps).sum();
         assert!(worker_steps >= 12);
     }
 
@@ -951,9 +952,9 @@ mod tests {
         });
         assert!(report.steps_done >= 8, "campaign starved: {} steps", report.steps_done);
         assert!(report.quarantined >= 2);
-        let evicted: Vec<_> = report.per_worker.iter().filter(|(_, w)| w.evicted).collect();
+        let evicted: Vec<_> = report.per_worker.iter().filter(|w| w.trust.evicted).collect();
         assert_eq!(evicted.len(), 1, "exactly the fabricator is evicted: {:?}", report.per_worker);
-        assert!(evicted[0].1.spot_failed >= 2);
+        assert!(evicted[0].trust.failed >= 2);
     }
 
     #[test]
@@ -1118,7 +1119,7 @@ mod tests {
             assert_eq!(a.energy.to_bits(), b.energy.to_bits());
         }
         // And the honest worker's claims really were checked.
-        let w_checked: usize = checked.per_worker.iter().map(|(_, w)| w.spot_checked).sum();
+        let w_checked: usize = checked.per_worker.iter().map(|w| w.trust.checked).sum();
         assert_eq!(w_checked, checked.diffs, "spot-check sampling at rate 1.0 missed claims");
     }
 
@@ -1292,7 +1293,7 @@ mod tests {
 
     #[test]
     fn trust_state_round_trips_through_dist_json() {
-        // Quarantine and per-slot trust survive a drain + resume.
+        // Quarantine and per-worker trust survive a drain + resume.
         let dir = tmp_dir("trust_resume");
         let s = suite(160);
         let coordinator = Coordinator::new(
@@ -1311,7 +1312,11 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 let mut stream = std::net::TcpStream::connect(addr).unwrap();
-                let hello = hello_msg(fingerprint);
+                let hello = Msg::Hello {
+                    version: PROTOCOL_VERSION,
+                    fingerprint,
+                    worker_id: "mallory".into(),
+                };
                 let Msg::Welcome { slot, .. } = raw_exchange(&mut stream, &hello).unwrap() else {
                     panic!("not welcomed")
                 };
@@ -1378,9 +1383,10 @@ mod tests {
             resumed.quarantined()
         };
         assert!(quarantined_before >= 1, "quarantine lost across resume");
-        // The resume seeded the registry's trust ledger from dist.json, so
-        // fabrication history carries across restarts.
-        let bad = registry.counter("dx_spot_checks_total", &[("slot", "0"), ("verdict", "bad")]);
+        // The resume published the books' trust, loaded from fleet.json,
+        // so fabrication history carries across restarts.
+        let labels = [("worker", "mallory"), ("verdict", "bad")];
+        let bad = registry.counter("dx_spot_checks_total", &labels);
         assert!(bad.get() >= 1, "trust counters not seeded from checkpoint");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1403,6 +1409,91 @@ mod tests {
         });
     }
 
+    /// A `results` frame on lease 0 of `campaign`, from the first worker
+    /// of a daemon whose suite has three models.
+    fn results_for(campaign: u64) -> Msg {
+        Msg::Results {
+            slot: 0,
+            lease: 0,
+            campaign,
+            items: Vec::new(),
+            cov: vec![Vec::new(); 3],
+            rng_state: [1; 4],
+            telemetry: None,
+        }
+    }
+
+    /// Runs each of `scripts` — a `worker::scripted` exchange and the
+    /// reason its last reply must reject with — against `daemon`, then
+    /// drains it.
+    fn expect_rejects(daemon: &Coordinator, scripts: Vec<(Vec<Msg>, &'static str)>) {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = daemon.drain_handle();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let _drain = DrainOnDrop(handle);
+                for (script, reason) in scripts {
+                    let replies = worker::scripted(addr, &script).unwrap();
+                    assert_eq!(replies.len(), script.len());
+                    match replies.last() {
+                        Some(Msg::Reject { reason: r }) => assert!(r.contains(reason), "{r}"),
+                        other => panic!("{script:?} not rejected with `{reason}`: {other:?}"),
+                    }
+                }
+            });
+            daemon.serve_fleet(listener).unwrap();
+        });
+    }
+
+    #[test]
+    fn hello_takes_identities_of_1_to_128_printable_ascii_bytes() {
+        let s = suite(86);
+        let coordinator = Coordinator::new(&s, "unit@test", &seed_batch(87, 4), quick_cfg(4));
+        let fp = coordinator.fingerprint().clone();
+        let named = |id: String| Msg::Hello {
+            version: PROTOCOL_VERSION,
+            fingerprint: fp.clone(),
+            worker_id: id,
+        };
+        let rule = "1-128 printable ASCII";
+        let rejected = ["a".repeat(129), "a\nb".into(), String::new(), "é".into()];
+        let mut scripts: Vec<_> = rejected.into_iter().map(|id| (vec![named(id)], rule)).collect();
+        // The longest legal identity is admitted: a second `hello` on its
+        // connection is what gets rejected.
+        let longest = named("a".repeat(128));
+        scripts.push((vec![longest.clone(), longest], "already admitted"));
+        expect_rejects(&coordinator, scripts);
+    }
+
+    #[test]
+    fn results_for_an_unknown_campaign_are_rejected() {
+        let s = suite(88);
+        let coordinator = Coordinator::new(&s, "unit@test", &seed_batch(89, 4), quick_cfg(4));
+        let hello = hello_msg(coordinator.fingerprint().clone());
+        let script = vec![hello, Msg::LeaseRequest { slot: 0, want: 1 }, results_for(9)];
+        expect_rejects(&coordinator, vec![(script, "unknown campaign 9")]);
+        assert_eq!(coordinator.steps_done(), 0);
+    }
+
+    #[test]
+    fn results_tagged_with_another_campaign_than_their_lease_are_rejected() {
+        let s = suite(92);
+        let daemon = Coordinator::open(&s, "unit@test", quick_cfg(4)).unwrap();
+        daemon.locked(|st, out| {
+            for (name, seed) in [("alpha", 93), ("beta", 94)] {
+                let rows = seed_batch(seed, 4);
+                let inputs = (0..4).map(|i| dx_nn::util::gather_rows(&rows, &[i])).collect();
+                daemon.add_tenant(st, spec::CampaignSpec::named(name), inputs, out);
+            }
+        });
+        // Lease 0 goes to campaign 0 (equal passes, lower id first).
+        let hello = hello_msg(daemon.fingerprint().clone());
+        let script = vec![hello, Msg::LeaseRequest { slot: 0, want: 1 }, results_for(1)];
+        expect_rejects(&daemon, vec![(script, "lease 0 is not for campaign 1")]);
+        assert_eq!(daemon.steps_done(), 0);
+    }
+
     /// A coordinator whose connection handler panics at admission.
     struct PanicsAtHello(Coordinator);
 
@@ -1419,11 +1510,11 @@ mod tests {
         fn tick(&self) -> Vec<Self::Checkpoint> {
             self.0.tick()
         }
-        fn enroll(&self, _worker_id: &str) -> Result<(u64, Msg), engine::Refusal> {
+        fn enroll(&self, _worker_id: &str) -> Result<(usize, Msg), engine::Refusal> {
             panic!("handler bug at admission");
         }
-        fn worker_gone(&self, slot: u64) {
-            self.0.worker_gone(slot);
+        fn worker_gone(&self, worker: usize) {
+            self.0.worker_gone(worker);
         }
         fn lease(&self, peer: &engine::Peer, want: usize, views: &mut engine::Views<'_>) -> Msg {
             self.0.lease(peer, want, views)
@@ -1515,45 +1606,34 @@ mod tests {
 
     #[test]
     fn dist_report_render_is_stable() {
-        // Satellite guard: the per-worker table must render byte-for-byte
-        // as it did when the trust columns lived on the structs, now that
-        // they are read back from the metrics registry.
+        // The per-worker table, one row per worker record by identity; a
+        // placeholder from an older checkpoint renders as `-`.
+        let worker = |identity: &str, steps, diffs, contributed, trust| Worker {
+            identity: identity.into(),
+            steps,
+            diffs,
+            contributed,
+            trust,
+            ..Worker::default()
+        };
         let report = DistReport {
-            report: dx_campaign::CampaignReport { epochs: Vec::new(), workers: 2 },
+            report: dx_campaign::CampaignReport { epochs: Vec::new(), workers: 3 },
             coverage: vec![0.5, 0.5],
             steps_done: 12,
             per_worker: vec![
-                (
-                    0,
-                    WorkerStats {
-                        steps: 8,
-                        diffs: 1,
-                        contributed_neurons: 5,
-                        spot_checked: 3,
-                        spot_failed: 0,
-                        evicted: false,
-                    },
-                ),
-                (
-                    1,
-                    WorkerStats {
-                        steps: 4,
-                        diffs: 0,
-                        contributed_neurons: 2,
-                        spot_checked: 2,
-                        spot_failed: 2,
-                        evicted: true,
-                    },
-                ),
+                worker("w-0123456789abcdef", 8, 1, 5, Trust { checked: 3, ..Trust::default() }),
+                worker("", 0, 0, 0, Trust::default()),
+                worker("mallory", 4, 0, 2, Trust { checked: 2, failed: 2, evicted: true }),
             ],
             diffs: 1,
             quarantined: 2,
         };
         let full = report.render();
         let table = full.strip_prefix(&report.report.render()).expect("campaign prefix");
-        let expected = "slot         steps     diffs   new-units   spot-ok  spot-bad  status\n\
-                        0                8         1           5         3         0  ok\n\
-                        1                4         0           2         0         2  evicted\n\
+        let expected = "worker                 steps     diffs   new-units   spot-ok  spot-bad  status\n\
+                        w-0123456789abcdef         8         1           5         3         0  ok\n\
+                        -                          0         0           0         0         0  ok\n\
+                        mallory                    4         0           2         0         2  evicted\n\
                         2 claimed diff(s) failed spot-checks and were quarantined\n";
         assert_eq!(table, expected);
     }
@@ -1591,7 +1671,7 @@ mod tests {
         assert!(series("dx_phase_seconds_count{phase=\"forward\"}") >= 1.0, "{text}");
         assert!(series("dx_phase_seconds_count{phase=\"gradient\"}") >= 1.0, "{text}");
         // Trust columns in the report agree with the registry counters.
-        let checked: usize = report.per_worker.iter().map(|(_, w)| w.spot_checked).sum();
+        let checked: usize = report.per_worker.iter().map(|w| w.trust.checked).sum();
         assert_eq!(series("dx_spot_checks_total{") as usize, checked);
     }
 }

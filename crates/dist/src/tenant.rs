@@ -339,7 +339,7 @@ impl Record {
     pub(crate) fn load(dir: &Path) -> io::Result<Option<(Self, Option<FleetRecord>)>> {
         if let Some(doc) = read_doc(&dir.join("dist.json"))? {
             let version = doc.opt_field::<usize>("version")?.unwrap_or(1);
-            let fleet = if version < 4 { Some(FleetRecord::from_doc(&doc)?) } else { None };
+            let fleet = if version < 4 { Some(FleetRecord::from_slots(&doc)?) } else { None };
             return Ok(Some((Self::from_doc(&doc, fleet.as_ref())?, fleet)));
         }
         read_doc(&dir.join("tenant.json"))?
@@ -355,7 +355,11 @@ impl Record {
         let spec = doc.opt_field_with("spec", CampaignSpec::from_json)?;
         let worker_rng: Vec<(Option<String>, [u64; 4])> = doc.opt_list_with("worker_rng", |e| {
             let who = match slots {
-                Some(f) => f.identities.get(&e.field::<u64>("slot")?).cloned(),
+                Some(f) => {
+                    let slot = usize::try_from(e.field::<u64>("slot")?).ok();
+                    let worker = slot.and_then(|s| f.workers.get(s));
+                    worker.map(|w| w.identity.clone()).filter(|id| !id.is_empty())
+                }
                 None => Some(e.field("worker_id")?),
             };
             Ok((who, e.field_with("state", rng_state_from_json)?))

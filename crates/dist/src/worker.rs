@@ -64,12 +64,13 @@ pub struct WorkerConfig {
     /// ignored (never sent) when it does not.
     pub auth_token: Option<String>,
     /// Worker identity announced at `hello` and bound into the auth
-    /// proof. A daemon keys its slot, eviction and per-tenant RNG
-    /// streams to it. `None` derives a fresh unique one per
-    /// [`run_worker`] call (worker threads sharing a process stay
-    /// distinct); the `deepxplore worker` command always does, so each
-    /// worker process is a new identity. Only a caller that sets this
-    /// keeps one identity across reconnects and restarts.
+    /// proof: 1–128 printable ASCII bytes. A daemon keys its worker
+    /// record (trust, eviction, report row) and per-tenant RNG streams to
+    /// it. `None` derives a fresh unique one per [`run_worker`] call
+    /// (worker threads sharing a process stay distinct); the `deepxplore
+    /// worker` command always does, so each worker process is a new
+    /// identity. Only a caller that sets this keeps one identity across
+    /// reconnects and restarts.
     pub worker_id: Option<String>,
 }
 

@@ -11,7 +11,7 @@ use deepxplore::SeedRun;
 use dx_campaign::ledger::Ledger;
 use dx_campaign::Corpus;
 use dx_coverage::{CoverageConfig, CoverageSignal, SignalSpec};
-use dx_dist::engine::{check, Fleet, LeaseTable, Plan, Refusal};
+use dx_dist::engine::{check, Fleet, LeaseTable, Plan, Refusal, Trust};
 use dx_dist::proto::{CovDelta, JobResult};
 use dx_nn::layer::Layer;
 use dx_nn::Network;
@@ -55,17 +55,17 @@ fn no_cov() -> CovDelta {
     vec![Vec::new()]
 }
 
-/// Grants `want` seeds of `ledger` to `slot`, as a daemon does.
+/// Grants `want` seeds of `ledger` to `worker`, as a daemon does.
 fn grant(
     table: &mut LeaseTable,
     ledger: &mut Ledger,
-    slot: u64,
+    worker: usize,
     want: usize,
     now: Instant,
 ) -> (u64, Vec<usize>) {
     let ids = ledger.pick_seeds(&table.seed_ids(0), want);
     assert!(!ids.is_empty(), "nothing schedulable");
-    (table.grant(slot, 0, ids.clone(), now), ids)
+    (table.grant(worker, 0, ids.clone(), now), ids)
 }
 
 #[test]
@@ -80,7 +80,7 @@ fn an_expired_lease_requeues_exactly_its_seeds() {
     let due = table.expire(t0 + TIMEOUT);
     assert_eq!(due.len(), 1);
     let (id, lease) = due.into_iter().next().unwrap();
-    assert_eq!((id, lease.slot, &lease.seed_ids), (a, 0, &a_ids));
+    assert_eq!((id, lease.worker, &lease.seed_ids), (a, 0, &a_ids));
     ledger.requeue(lease.seed_ids);
     assert_eq!(Vec::from(ledger.pending.clone()), a_ids);
     assert_eq!(table.seed_ids(0), b_ids, "the live lease lost seeds");
@@ -95,7 +95,7 @@ fn only_the_owners_heartbeat_moves_the_deadline() {
     let t0 = Instant::now();
     let (mut table, mut ledger) = (LeaseTable::new(0, TIMEOUT), ledger(4, 2, t0));
     let (lease, _) = grant(&mut table, &mut ledger, 0, 2, t0);
-    // Another slot's heartbeat, and one for a lease that does not exist.
+    // Another worker's heartbeat, and one for a lease that does not exist.
     assert_eq!(table.heartbeat(lease, 1, t0 + 20 * SECOND), None);
     assert_eq!(table.heartbeat(lease + 1, 0, t0 + 20 * SECOND), None);
     // The owner's extends the lease to 25 s + timeout.
@@ -140,7 +140,7 @@ fn another_slots_lease_id_absorbs_nothing_and_stays_with_its_owner() {
     assert!(matches!(plan, Plan::Collision));
     let absorbed = plan.absorb(&mut ledger, &results(&ids), &no_cov());
     assert_eq!((absorbed.steps, ledger.steps_done), (0, 0));
-    assert_eq!(table.get(lease).map(|l| l.slot), Some(0));
+    assert_eq!(table.get(lease).map(|l| l.worker), Some(0));
     // The collision did not touch the deadline either.
     assert_eq!(table.expire(t0 + TIMEOUT).len(), 1);
     // An id the table never issued is not a collision but a fabrication.
@@ -210,23 +210,41 @@ fn a_restored_ledger_schedules_like_the_uninterrupted_one() {
 
 #[test]
 fn admission_keeps_identities_on_their_slots_and_skips_burned_ones() {
-    let mut fleet = Fleet::new(Default::default(), LeaseTable::new(0, TIMEOUT));
-    assert_eq!(fleet.admit("ann", |_| false), Ok(0));
-    assert_eq!(fleet.admit("bob", |_| false), Ok(1));
-    assert_eq!(fleet.admit("ann", |_| false), Err(Refusal::Duplicate));
+    let mut fleet = Fleet { workers: Vec::new(), leases: LeaseTable::new(0, TIMEOUT) };
+    assert_eq!(fleet.admit("ann"), Ok(0));
+    assert_eq!(fleet.admit("bob"), Ok(1));
+    assert_eq!(fleet.admit("ann"), Err(Refusal::Duplicate));
     assert!(fleet.disconnect(0).is_empty());
     assert_eq!(fleet.connected(), 1);
-    // Slot 0 is burned: ann is refused, and a fresh identity skips both the
-    // burned slot and nothing else.
-    assert_eq!(fleet.admit("ann", |s| s == 0), Err(Refusal::Burned(0)));
-    assert_eq!(fleet.admit("cy", |s| s == 0 || s == 2), Ok(3));
     fleet.disconnect(1);
-    assert_eq!(fleet.admit("bob", |_| false), Ok(1), "a returning identity lost its slot");
+    assert_eq!(fleet.admit("bob"), Ok(1), "a returning identity lost its position");
+    // Evicted: ann is refused, and a fresh identity is appended.
+    let ann = &mut fleet.workers[0].trust;
+    ann.record(2, 2, 0.5);
+    assert!(ann.evicted);
+    assert_eq!(fleet.admit("ann"), Err(Refusal::Burned(0)));
+    assert_eq!(fleet.admit("cy"), Ok(2));
+}
+
+#[test]
+fn eviction_needs_enough_checks_and_a_failing_batch() {
+    let mut trust = Trust::default();
+    let mut check = |checked, failed| {
+        trust.record(checked, failed, 0.4);
+        trust
+    };
+    // One failed check: a rate of 1, but below the minimum.
+    assert_eq!(check(1, 1), Trust { checked: 1, failed: 1, evicted: false });
+    // A clean batch never evicts, whatever the rate so far (1 of 2).
+    assert_eq!(check(1, 0), Trust { checked: 2, failed: 1, evicted: false });
+    // The next failing batch past the threshold does, for good.
+    assert_eq!(check(1, 1), Trust { checked: 3, failed: 2, evicted: true });
+    assert_eq!(check(9, 0), Trust { checked: 12, failed: 2, evicted: true });
 }
 
 // ---------------------------------------------------------------------
 // Seeded schedules: a driver that owns virtual time interleaves grant,
-// heartbeat, results (on time, late, duplicated, from the wrong slot),
+// heartbeat, results (on time, late, duplicated, from the wrong worker),
 // disconnect and expiry, and checks the books after every step.
 
 /// A lease as the worker that received it remembers it — which it keeps
@@ -234,7 +252,7 @@ fn admission_keeps_identities_on_their_slots_and_skips_burned_ones() {
 #[derive(Clone)]
 struct Held {
     lease: u64,
-    slot: u64,
+    worker: usize,
     campaign: usize,
     ids: Vec<usize>,
 }
@@ -260,7 +278,7 @@ struct Sim {
     table: LeaseTable,
     ledgers: Vec<Ledger>,
     tallies: Vec<Tally>,
-    slots: u64,
+    workers: usize,
     held: Vec<Held>,
 }
 
@@ -270,14 +288,14 @@ impl Sim {
         let campaigns = rng.gen_range(1..3usize);
         let ledgers: Vec<Ledger> =
             (0..campaigns).map(|c| ledger(rng.gen_range(2..7), schedule ^ c as u64, t0)).collect();
-        let slots = rng.gen_range(1..4u64);
+        let workers = rng.gen_range(1..4usize);
         Self {
             rng,
             now: t0,
             table: LeaseTable::new(0, TIMEOUT),
             tallies: ledgers.iter().map(|_| Tally::default()).collect(),
             ledgers,
-            slots,
+            workers,
             held: Vec::new(),
         }
     }
@@ -337,7 +355,7 @@ impl Sim {
             // Grant.
             0..=3 => {
                 let c = self.rng.gen_range(0..self.ledgers.len());
-                let slot = self.rng.gen_range(0..self.slots);
+                let worker = self.rng.gen_range(0..self.workers);
                 let want = self.rng.gen_range(1..4);
                 let ids = self.ledgers[c].pick_seeds(&self.table.seed_ids(c as u64), want);
                 if !ids.is_empty() {
@@ -345,8 +363,8 @@ impl Sim {
                         prop_assert!(self.tallies[c].leased.insert(*id), "seed {id} leased twice");
                     }
                     self.tallies[c].granted += ids.len();
-                    let lease = self.table.grant(slot, c as u64, ids.clone(), self.now);
-                    self.held.push(Held { lease, slot, campaign: c, ids });
+                    let lease = self.table.grant(worker, c as u64, ids.clone(), self.now);
+                    self.held.push(Held { lease, worker, campaign: c, ids });
                 }
             }
             // Results: usually from the owner, sometimes from a stranger;
@@ -359,9 +377,9 @@ impl Sim {
                     self.held.swap_remove(i)
                 };
                 let sender = if self.rng.gen_range(0..6) == 0 {
-                    (held.slot + 1) % self.slots
+                    (held.worker + 1) % self.workers
                 } else {
-                    held.slot
+                    held.worker
                 };
                 let (items, cov) = self.frame(&held.ids);
                 let c = held.campaign;
@@ -376,7 +394,7 @@ impl Sim {
                 let tally = &mut self.tallies[c];
                 match &plan {
                     Plan::Lease { seed_ids, .. } => {
-                        prop_assert_eq!(sender, held.slot, "a stranger claimed the lease");
+                        prop_assert_eq!(sender, held.worker, "a stranger claimed the lease");
                         prop_assert_eq!(absorbed.steps, seed_ids.len());
                         for id in seed_ids {
                             prop_assert!(tally.leased.remove(id));
@@ -399,16 +417,16 @@ impl Sim {
             // Heartbeat, from the owner or not.
             7 if !self.held.is_empty() => {
                 let held = &self.held[self.rng.gen_range(0..self.held.len())];
-                let slot = self.rng.gen_range(0..self.slots);
-                let beat = self.table.heartbeat(held.lease, slot, self.now);
-                prop_assert!(beat.is_none() || slot == held.slot);
+                let worker = self.rng.gen_range(0..self.workers);
+                let beat = self.table.heartbeat(held.lease, worker, self.now);
+                prop_assert!(beat.is_none() || worker == held.worker);
             }
             // A connection dies: its leases are orphaned.
             8 => {
-                let slot = self.rng.gen_range(0..self.slots);
-                let gone = self.table.orphan(slot);
+                let worker = self.rng.gen_range(0..self.workers);
+                let gone = self.table.orphan(worker);
                 self.requeue(gone)?;
-                prop_assert!(!self.table.holds(slot));
+                prop_assert!(!self.table.holds(worker));
             }
             // Time passes; housekeeping expires what is overdue.
             _ => {

@@ -5,7 +5,7 @@
 //! fields, e.g.:
 //!
 //! ```text
-//! {"ts_ms":1754550000123,"level":"info","component":"coordinator","event":"worker_joined","slot":3}
+//! {"ts_ms":1754550000123,"level":"info","component":"coordinator","event":"worker_joined","worker":"w-3f09c2a1b7d4e865"}
 //! ```
 //!
 //! Records at or above the configured level ([`set_level`], the CLI's

@@ -20,7 +20,7 @@
 //!
 //! Names follow Prometheus conventions: `dx_` namespace prefix,
 //! snake_case, `_total` for counters, `_seconds` for time histograms.
-//! Label dimensions (`{phase=}`, `{slot=}`, `{tenant=}`, …) are chosen
+//! Label dimensions (`{phase=}`, `{worker=}`, `{tenant=}`, …) are chosen
 //! at the registration site and are not part of the catalog key.
 
 /// One catalogued metric family.
@@ -81,15 +81,16 @@ catalog! {
     REQUEUE_DEPTH = "dx_requeue_depth", "Seeds waiting in the requeue.";
     /// Gauge.
     WORKERS_CONNECTED = "dx_workers_connected", "Currently admitted worker connections.";
-    /// Histogram, `{slot=}`.
+    /// Histogram, `{worker=}` (the worker's identity).
     LEASE_TURNAROUND_SECONDS = "dx_lease_turnaround_seconds",
-        "Lease issue-to-results time, per slot.";
-    /// Counter, `{slot=,verdict=}`: the trust plane — these counters are
-    /// the fleet report's spot-ok/spot-bad columns.
-    SPOT_CHECKS_TOTAL = "dx_spot_checks_total", "Spot-checked diff claims, by slot and verdict.";
-    /// Gauge, `{slot=}`.
-    WORKER_EVICTED = "dx_worker_evicted", "1 once the slot was evicted for fabrication.";
-    /// Histogram, `{slot=}`.
+        "Lease issue-to-results time, per worker.";
+    /// Counter, `{worker=,verdict=}`: the trust plane — written from the
+    /// fleet's books, whose trust records are also the fleet report's
+    /// spot-ok/spot-bad columns.
+    SPOT_CHECKS_TOTAL = "dx_spot_checks_total", "Spot-checked diff claims, by worker and verdict.";
+    /// Gauge, `{worker=}`.
+    WORKER_EVICTED = "dx_worker_evicted", "1 once the worker was evicted for fabrication.";
+    /// Histogram, `{worker=}`.
     HEARTBEAT_RTT_SECONDS = "dx_heartbeat_rtt_seconds",
         "Worker-observed heartbeat round-trip time.";
 

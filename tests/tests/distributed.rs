@@ -324,10 +324,11 @@ fn worker_death_mid_lease_requeues_and_resumes_with_trust_state() {
     });
     assert!(first.steps_done >= budget, "requeue failed: {} steps", first.steps_done);
 
-    // The checkpoint carries the trust layer's state: the fleet's trust
-    // records in fleet.json, the campaign's quarantine in dist.json.
+    // The checkpoint carries the trust layer's state: each worker's trust
+    // record in fleet.json, the campaign's quarantine in dist.json.
     let fleet_json = std::fs::read_to_string(dir.join("fleet.json")).unwrap();
-    assert!(fleet_json.contains("\"trust\""), "no trust state in fleet.json: {fleet_json}");
+    let trust = fleet_json.contains("\"workers\"") && fleet_json.contains("\"checked\"");
+    assert!(trust, "no trust state in fleet.json: {fleet_json}");
     let dist_json = std::fs::read_to_string(dir.join("dist.json")).unwrap();
     assert!(dist_json.contains("\"quarantined_total\""), "{dist_json}");
 
@@ -351,8 +352,8 @@ fn worker_death_mid_lease_requeues_and_resumes_with_trust_state() {
     assert!(second.steps_done >= first.steps_done + 4);
     // Trust accounting survived the round trip: the honest worker's
     // spot-check history is still on the books.
-    let checked_first: usize = first.per_worker.iter().map(|(_, w)| w.spot_checked).sum();
-    let checked_second: usize = second.per_worker.iter().map(|(_, w)| w.spot_checked).sum();
+    let checked_first: usize = first.per_worker.iter().map(|w| w.trust.checked).sum();
+    let checked_second: usize = second.per_worker.iter().map(|w| w.trust.checked).sum();
     assert!(checked_second >= checked_first, "trust state lost across resume");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -361,7 +362,7 @@ fn worker_death_mid_lease_requeues_and_resumes_with_trust_state() {
 fn dist_smoke_merged_coverage_dominates_single_worker() {
     // The CI smoke: coordinator + 2 workers on a tiny budget. It asserts
     // what the merge guarantees — the budget is met, and the union is
-    // exactly the sum of what each slot was first to cover (so it
+    // exactly the sum of what each worker was first to cover (so it
     // dominates every single worker's contribution). It used to compare
     // against a separate 1-worker run (`duo >= solo - 0.02`), which the
     // scheduler does not promise: two workers interleave leases by thread
@@ -386,11 +387,10 @@ fn dist_smoke_merged_coverage_dominates_single_worker() {
         .map(|(signal, c)| (c * signal.coverable_total() as f32).round() as usize)
         .sum();
     assert!(covered > 0);
-    let contributed: Vec<usize> =
-        run.per_worker.iter().map(|(_, w)| w.contributed_neurons).collect();
+    let contributed: Vec<usize> = run.per_worker.iter().map(|w| w.contributed).collect();
     assert_eq!(
         contributed.iter().sum::<usize>(),
         covered,
-        "per-slot contributions {contributed:?}"
+        "per-worker contributions {contributed:?}"
     );
 }
