@@ -8,19 +8,25 @@
 //! | `stats.jsonl` | one epoch's statistics per line | append |
 //! | `diffs.jsonl` | one found difference per line, inputs inline | append |
 //! | `coverage.json` | metric spec (composite-capable, v3), per-model covered-unit bitmaps in the combined flat space, and (profile-based metrics) neuron profiles | atomic rewrite |
-//! | `meta.json` | epochs done, campaign seed, workers, worker RNG states | atomic rewrite |
+//! | `meta.json` | epochs done, campaign seed, workers, worker RNG states (v2) | atomic rewrite |
 //!
 //! (A `dx-dist` daemon adds `dist.json` and `events.jsonl` per campaign
 //! and `fleet.json` at its root; this module ignores them, so a dist
 //! checkpoint resumes fine as a plain in-process campaign.)
 //!
-//! Stats and diffs are append-only between epochs, so only new lines are
-//! written (a line-count mismatch falls back to a full rewrite); the
-//! mutable files are written tmp-then-rename. Floats round-trip exactly
+//! [`load`] reads only the versions [`save`] writes and rejects any other
+//! with an [`UnknownVersion`](crate::json::UnknownVersion); what older
+//! builds wrote is read through [`crate::migrate`].
+//!
+//! Stats and diffs are append-only between epochs, so only the lines past
+//! the last write are written ([`Appended`]); the mutable files are
+//! written tmp-then-rename. Floats round-trip exactly
 //! (shortest-representation `Display`), so a resumed corpus is
 //! bit-identical to the checkpointed one. Value encodings live in
 //! [`crate::codec`], shared with the wire protocol.
 
+use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -125,29 +131,25 @@ pub struct CampaignState {
     pub worker_rng: Vec<[u64; 4]>,
 }
 
-/// Writes `snapshot` as a full campaign checkpoint into `dir`, appending
-/// to stats and diffs when `append` (the directory holds this campaign's
-/// own earlier write) and rewriting them otherwise.
+/// The `meta.json` version [`save`] writes and [`load`] reads.
+pub(crate) const META_VERSION: usize = 2;
+/// The `coverage.json` version likewise: a composite-capable metric.
+pub(crate) const COVERAGE_VERSION: usize = 3;
+
+/// Writes `snapshot` as a full campaign checkpoint into `dir`; stats and
+/// diffs go through `appended`, the writer's record of its earlier writes
+/// into `dir`.
 ///
 /// # Errors
 ///
 /// Any filesystem failure.
-pub fn save(dir: &Path, snapshot: &Snapshot, append: bool) -> io::Result<()> {
+pub fn save(dir: &Path, snapshot: &Snapshot, appended: &mut Appended) -> io::Result<()> {
     dx_telemetry::sync::blocking("checkpoint::save");
     let Snapshot { corpus, report, diffs, masks, signal, campaign_seed, worker_rng, .. } = snapshot;
     fs::create_dir_all(dir)?;
     write_atomic(&dir.join("corpus.jsonl"), &jsonl(corpus.entries().iter().map(entry_json)))?;
-    let stats_lines: Vec<Json> = report.epochs.iter().map(epoch_json).collect();
-    let diff_lines: Vec<Json> = diffs.iter().map(diff_json).collect();
-    if append {
-        append_jsonl(&dir.join("stats.jsonl"), &stats_lines)?;
-        append_jsonl(&dir.join("diffs.jsonl"), &diff_lines)?;
-    } else {
-        // First write into this directory this run: any existing lines may
-        // belong to an unrelated earlier campaign, so rewrite from scratch.
-        write_atomic(&dir.join("stats.jsonl"), &jsonl(&stats_lines))?;
-        write_atomic(&dir.join("diffs.jsonl"), &jsonl(&diff_lines))?;
-    }
+    appended.append(dir, "stats.jsonl", &report.epochs, epoch_json)?;
+    appended.append(dir, "diffs.jsonl", diffs, diff_json)?;
     let masks = Json::Arr(
         masks
             .iter()
@@ -155,9 +157,7 @@ pub fn save(dir: &Path, snapshot: &Snapshot, append: bool) -> io::Result<()> {
             .collect(),
     );
     let mut coverage_fields = vec![
-        // v3: the metric field may be a composite spec (`a+b`), and masks
-        // then cover the combined component-major unit space.
-        ("version", build::int(3)),
+        ("version", build::int(COVERAGE_VERSION)),
         ("metric", build::str(&signal.metric.to_string())),
         ("masks", masks),
     ];
@@ -178,7 +178,7 @@ pub fn save(dir: &Path, snapshot: &Snapshot, append: bool) -> io::Result<()> {
     let coverage_json = build::obj(coverage_fields);
     write_atomic(&dir.join("coverage.json"), &(coverage_json.to_string() + "\n"))?;
     let mut meta_fields = vec![
-        ("version", build::int(2)),
+        ("version", build::int(META_VERSION)),
         ("epochs_done", build::int(report.epochs.len())),
         // As a string: JSON numbers go through f64, which cannot represent
         // u64 seeds above 2^53 exactly.
@@ -193,32 +193,54 @@ pub fn save(dir: &Path, snapshot: &Snapshot, append: bool) -> io::Result<()> {
     write_atomic(&dir.join("meta.json"), &(meta_json.to_string() + "\n"))
 }
 
-/// Writes only the lines past what's already on disk. Stats and diffs are
-/// append-only across a campaign, so this keeps per-epoch checkpoint cost
-/// proportional to the epoch's new results, not the accumulated history.
-/// Only sound when the caller knows the on-disk prefix is its own earlier
-/// write ([`save`] with `append = false` establishes that); on a count
-/// mismatch (more lines on disk than in memory) the file is rewritten.
-fn append_jsonl(path: &Path, items: &[Json]) -> io::Result<()> {
-    let existing = match fs::read_to_string(path) {
-        Ok(text) => text.lines().filter(|l| !l.trim().is_empty()).count(),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
-        Err(e) => return Err(e),
-    };
-    if existing > items.len() {
-        return write_atomic(path, &jsonl(items));
+/// One writer's append-only files in one directory: per file, the lines
+/// and bytes it last wrote there. Empty for a directory the writer has not
+/// written yet, whose files may belong to an unrelated campaign.
+#[derive(Default)]
+pub struct Appended(BTreeMap<&'static str, (usize, u64)>);
+
+impl Appended {
+    /// Brings `dir/file` to one line per item, encoded by `line`. Only the
+    /// items past the last write are encoded and appended, so a
+    /// checkpoint costs the epoch's new results, not the history; the file
+    /// is rewritten whole when this writer has not written it yet, or when
+    /// its length is no longer what it wrote (someone else did).
+    ///
+    /// # Errors
+    ///
+    /// Any filesystem failure.
+    pub fn append<T, D: Display>(
+        &mut self,
+        dir: &Path,
+        file: &'static str,
+        items: &[T],
+        line: impl Fn(&T) -> D,
+    ) -> io::Result<()> {
+        let path = dir.join(file);
+        let on_disk = fs::metadata(&path).map(|m| m.len()).ok();
+        let len = match self.0.get(file) {
+            Some(&(lines, len)) if on_disk == Some(len) && lines <= items.len() => {
+                let tail = jsonl(items.iter().skip(lines).map(line));
+                if !tail.is_empty() {
+                    let mut f = fs::OpenOptions::new().append(true).open(&path)?;
+                    f.write_all(tail.as_bytes())?;
+                    f.sync_all()?;
+                }
+                len + tail.len() as u64
+            }
+            _ => {
+                let text = jsonl(items.iter().map(line));
+                write_atomic(&path, &text)?;
+                text.len() as u64
+            }
+        };
+        self.0.insert(file, (items.len(), len));
+        Ok(())
     }
-    if existing == items.len() {
-        return Ok(());
-    }
-    let mut f = fs::OpenOptions::new().create(true).append(true).open(path)?;
-    let tail = jsonl(&items[existing..]);
-    f.write_all(tail.as_bytes())?;
-    f.sync_all()
 }
 
 /// One JSON document per line.
-fn jsonl(lines: impl IntoIterator<Item = impl std::fmt::Display>) -> String {
+fn jsonl(lines: impl IntoIterator<Item = impl Display>) -> String {
     let mut out = String::new();
     for line in lines {
         out.push_str(&line.to_string());
@@ -231,27 +253,36 @@ fn jsonl(lines: impl IntoIterator<Item = impl std::fmt::Display>) -> String {
 ///
 /// # Errors
 ///
-/// Missing files or malformed JSON.
+/// Missing files, malformed JSON, or a `meta.json` or `coverage.json` at
+/// another version than [`save`] writes.
 pub fn load(dir: &Path) -> io::Result<CampaignState> {
     let meta = parse_doc(&fs::read_to_string(dir.join("meta.json"))?)?;
+    let coverage = parse_doc(&fs::read_to_string(dir.join("coverage.json"))?)?;
+    decode(dir, &meta, Some(&coverage))
+}
+
+/// The checkpoint in `dir` under its `meta` and `coverage` documents, at
+/// the versions [`save`] writes; `coverage` is `None` only for a
+/// checkpoint from before coverage was persisted.
+pub(crate) fn decode(
+    dir: &Path,
+    meta: &Json,
+    coverage: Option<&Json>,
+) -> io::Result<CampaignState> {
+    meta.require_version("meta.json", META_VERSION)?;
     let corpus = read_jsonl(&dir.join("corpus.jsonl"), entry_from_json)?;
     let epochs = read_jsonl(&dir.join("stats.jsonl"), epoch_from_json)?;
     let diffs = read_jsonl(&dir.join("diffs.jsonl"), diff_from_json)?;
-    let (coverage, signal) = match fs::read_to_string(dir.join("coverage.json")) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => (None, SignalCheckpoint::neuron()),
-        Err(e) => return Err(e),
-        Ok(text) => {
-            let doc = parse_doc(&text)?;
+    let (coverage, signal) = match coverage {
+        None => (None, SignalCheckpoint::neuron()),
+        Some(doc) => {
+            doc.require_version("coverage.json", COVERAGE_VERSION)?;
             let masks: Vec<String> = doc.field("masks")?;
             let masks = masks.iter().map(|m| m.chars().map(|c| c == '1').collect()).collect();
-            // v1 checkpoints carry no metric field: they are neuron-metric.
-            // Unknown or malformed specs are a clear error, not a panic —
-            // a checkpoint from a newer build (or a corrupted one) should
-            // say what it found.
-            let metric = match doc.opt_field::<String>("metric")? {
-                None => MetricKind::Neuron.into(),
-                Some(m) => m.parse().map_err(|e| invalid(format!("coverage.metric: {e}")))?,
-            };
+            // An unknown or malformed spec is a clear error, not a panic: a
+            // corrupted checkpoint should say what it found.
+            let metric: String = doc.field("metric")?;
+            let metric = metric.parse().map_err(|e| invalid(format!("coverage.metric: {e}")))?;
             let ranges = doc.opt_list_with("profiles", |p| {
                 Ok((
                     p.field_with("low", ranges_from_json)?,
@@ -261,17 +292,17 @@ pub fn load(dir: &Path) -> io::Result<CampaignState> {
             (Some(masks), SignalCheckpoint { metric, ranges })
         }
     };
+    // A daemon's meta carries no streams: its workers' are in its own files.
     let worker_rng: Vec<_> = meta.opt_list_with("worker_rng", rng_state_from_json)?;
     // `workers` records the fleet width the checkpoint was written with.
     // When per-worker RNG streams are present the two must agree, or the
     // streams would be replayed against the wrong worker lanes.
-    if let Some(w) = meta.opt_field::<usize>("workers")? {
-        if !worker_rng.is_empty() && w != worker_rng.len() {
-            return Err(invalid(format!(
-                "meta.workers is {w} but worker_rng has {} entries",
-                worker_rng.len()
-            )));
-        }
+    let workers: usize = meta.field("workers")?;
+    if !worker_rng.is_empty() && workers != worker_rng.len() {
+        return Err(invalid(format!(
+            "meta.workers is {workers} but worker_rng has {} entries",
+            worker_rng.len()
+        )));
     }
     Ok(CampaignState {
         corpus,
@@ -309,6 +340,7 @@ fn read_jsonl<T>(path: &Path, read: impl Fn(&Json) -> io::Result<T>) -> io::Resu
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
+    use crate::json::UnknownVersion;
     use crate::report::CampaignReport;
     use deepxplore::diff::Prediction;
     use dx_telemetry::sync::{Rank, Ranked};
@@ -399,7 +431,7 @@ mod tests {
             ranges: vec![(vec![0.25, -1.5], vec![0.75, 2.0]), (vec![0.0, 0.5], vec![1.0, 3.5])],
         };
         let snap = Snapshot { signal: signal.clone(), ..sample_state() };
-        save(&dir, &snap, false).unwrap();
+        save(&dir, &snap, &mut Appended::default()).unwrap();
         let state = load(&dir).unwrap();
         assert_eq!(state.coverage, Some(sample_masks()));
         assert_eq!(state.signal, signal);
@@ -421,7 +453,7 @@ mod tests {
         assert_eq!(state.diffs[0].input, snap.diffs[0].input);
         // write → load → write: the second checkpoint is byte-equal.
         let again = tmp_dir("round_trip_again");
-        save(&again, &snapshot_of(state), false).unwrap();
+        save(&again, &snapshot_of(state), &mut Appended::default()).unwrap();
         for file in ["meta.json", "coverage.json", "corpus.jsonl", "stats.jsonl", "diffs.jsonl"] {
             let read = |d: &Path| fs::read_to_string(d.join(file)).unwrap();
             assert_eq!(read(&dir), read(&again), "{file} does not round-trip");
@@ -437,7 +469,7 @@ mod tests {
             metric: "multisection:4+boundary".parse().unwrap(),
             ranges: vec![(vec![0.25, f32::INFINITY], vec![0.75, f32::NEG_INFINITY])],
         };
-        save(&dir, &Snapshot { signal, ..sample_state() }, false).unwrap();
+        save(&dir, &Snapshot { signal, ..sample_state() }, &mut Appended::default()).unwrap();
         for file in ["meta.json", "coverage.json"] {
             let seed = fs::read_to_string(dir.join(file)).unwrap();
             dx_integration::fuzz::check_decoder(std::slice::from_ref(&seed), 1024, |text| {
@@ -454,10 +486,24 @@ mod tests {
                     worker_rng: state.worker_rng,
                     ..sample_state()
                 };
-                save(&out, &snapshot, false)?;
+                save(&out, &snapshot, &mut Appended::default())?;
                 fs::read_to_string(out.join(file))
             });
             fs::write(dir.join(file), seed).unwrap();
+        }
+        // What older builds wrote, through the migration.
+        for (name, file) in [
+            ("pool-meta1", "meta.json"),
+            ("pool-cov2", "coverage.json"),
+            ("pool-cov1", "coverage.json"),
+        ] {
+            let seed = fs::read_to_string(fixture(name).join(file)).unwrap();
+            let current = fs::read_to_string(dir.join(file)).unwrap();
+            dx_integration::fuzz::check_reader(&[seed], 512, |text| {
+                fs::write(dir.join(file), text)?;
+                crate::migrate::load(&dir).map(drop)
+            });
+            fs::write(dir.join(file), current).unwrap();
         }
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&out);
@@ -467,9 +513,10 @@ mod tests {
     fn save_is_rerunnable_and_appends_only_new_lines() {
         let dir = tmp_dir("rerun");
         let mut snap = sample_state();
-        save(&dir, &snap, false).unwrap();
+        let mut appended = Appended::default();
+        save(&dir, &snap, &mut appended).unwrap();
         // Same state again: stats/diffs must not duplicate.
-        save(&dir, &snap, true).unwrap();
+        save(&dir, &snap, &mut appended).unwrap();
         let state = load(&dir).unwrap();
         assert_eq!(state.epochs.len(), 1);
         assert_eq!(state.diffs.len(), 1);
@@ -477,7 +524,7 @@ mod tests {
         snap.report.epochs.push(EpochStats { epoch: 1, ..snap.report.epochs[0].clone() });
         let diff = snap.diffs[0].clone();
         Arc::make_mut(&mut snap.diffs).push(diff);
-        save(&dir, &snap, true).unwrap();
+        save(&dir, &snap, &mut appended).unwrap();
         let state = load(&dir).unwrap();
         assert_eq!(state.epochs.len(), 2);
         assert_eq!(state.diffs.len(), 2);
@@ -492,7 +539,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         // A foreign stats file with more lines than the campaign knows.
         fs::write(dir.join("stats.jsonl"), "{}\n{}\n{}\n{}\n{}\n").unwrap();
-        save(&dir, &snap, false).unwrap();
+        save(&dir, &snap, &mut Appended::default()).unwrap();
         let state = load(&dir).unwrap();
         assert_eq!(state.epochs.len(), snap.report.epochs.len());
         let _ = fs::remove_dir_all(&dir);
@@ -509,7 +556,12 @@ mod tests {
                 (vec![-1.5, 0.0], vec![1.5, 2.0]),
             ],
         };
-        save(&dir, &Snapshot { signal: signal.clone(), ..sample_state() }, false).unwrap();
+        save(
+            &dir,
+            &Snapshot { signal: signal.clone(), ..sample_state() },
+            &mut Appended::default(),
+        )
+        .unwrap();
         let state = load(&dir).unwrap();
         assert_eq!(state.signal.metric, MetricKind::Multisection { k: 4 }.into());
         assert_eq!(state.signal.ranges.len(), 2);
@@ -528,7 +580,12 @@ mod tests {
             metric: "multisection:4+boundary".parse().unwrap(),
             ranges: vec![(vec![0.0, 1.0], vec![1.0, 2.0]), (vec![0.5, 0.0], vec![1.5, 1.0])],
         };
-        save(&dir, &Snapshot { signal: signal.clone(), ..sample_state() }, false).unwrap();
+        save(
+            &dir,
+            &Snapshot { signal: signal.clone(), ..sample_state() },
+            &mut Appended::default(),
+        )
+        .unwrap();
         let state = load(&dir).unwrap();
         assert_eq!(state.signal.metric, signal.metric);
         assert_eq!(state.signal.metric.to_string(), "multisection:4+boundary");
@@ -547,50 +604,70 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A checked-in state directory of `tests/fixtures/state/`.
+    fn fixture(name: &str) -> std::path::PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/state").join(name)
+    }
+
+    /// The [`UnknownVersion`] `err` carries.
+    fn unknown(err: &io::Error) -> &UnknownVersion {
+        err.get_ref().and_then(|e| e.downcast_ref()).expect("an UnknownVersion")
+    }
+
     #[test]
     fn v1_coverage_files_load_as_neuron_metric() {
         // Checkpoints written before metrics were persisted carry no
-        // `metric` field; they must load as the paper's neuron metric.
-        let dir = tmp_dir("v1_metric");
-        let snap = sample_state();
-        save(&dir, &snap, false).unwrap();
-        fs::write(dir.join("coverage.json"), "{\"version\":1,\"masks\":[\"10\",\"01\"]}\n")
-            .unwrap();
-        let state = load(&dir).unwrap();
-        assert_eq!(state.signal, SignalCheckpoint::neuron());
-        assert_eq!(state.coverage, Some(vec![vec![true, false], vec![false, true]]));
-        let _ = fs::remove_dir_all(&dir);
+        // `metric` field: through the migration they load as the paper's
+        // neuron metric with their masks, and so does a v2 file's one
+        // metric. The live loader reads only v3 and names what it found.
+        let current = load(&fixture("pool-meta2-cov3")).unwrap();
+        for (name, version) in [("pool-cov1", 1), ("pool-cov2", 2)] {
+            let state = crate::migrate::load(&fixture(name)).unwrap();
+            assert_eq!(state.signal, SignalCheckpoint::neuron());
+            assert_eq!(state.coverage, current.coverage);
+            let err = load(&fixture(name)).err().expect("the live loader refuses it");
+            let unknown = unknown(&err);
+            assert_eq!(
+                (unknown.file, unknown.found, unknown.reads),
+                ("coverage.json", Some(version), 3)
+            );
+        }
     }
 
     #[test]
     fn load_tolerates_missing_coverage_file() {
-        let dir = tmp_dir("no_coverage");
-        let snap = sample_state();
-        save(&dir, &snap, false).unwrap();
-        fs::remove_file(dir.join("coverage.json")).unwrap();
-        let state = load(&dir).unwrap();
+        // A checkpoint from before coverage was persisted loads through the
+        // migration without masks (the ledger then replays its corpus); the
+        // live loader requires the file.
+        let dir = fixture("pool-nocov");
+        let state = crate::migrate::load(&dir).unwrap();
         assert_eq!(state.coverage, None);
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(state.signal, SignalCheckpoint::neuron());
+        assert_eq!(load(&dir).err().map(|e| e.kind()), Some(io::ErrorKind::NotFound));
     }
 
     #[test]
     fn load_tolerates_missing_worker_rng() {
-        // A v1 checkpoint (no worker_rng field) still loads; the resume
-        // path then re-derives streams from the master seed.
-        let dir = tmp_dir("no_rng");
-        let mut snap = sample_state();
-        snap.worker_rng = Vec::new();
-        save(&dir, &snap, false).unwrap();
-        let state = load(&dir).unwrap();
-        assert!(state.worker_rng.is_empty());
-        let _ = fs::remove_dir_all(&dir);
+        // A v1 checkpoint (no worker_rng field) loads through the
+        // migration; the resume path then re-derives streams from the
+        // master seed. A v2 one without streams — a daemon's — loads live.
+        let current = load(&fixture("pool-meta2-cov3")).unwrap();
+        let state = crate::migrate::load(&fixture("pool-meta1")).unwrap();
+        assert!(state.worker_rng.is_empty() && current.worker_rng.len() == 1);
+        assert_eq!(state.epochs_done, current.epochs_done);
+        assert_eq!(state.campaign_seed, current.campaign_seed);
+        assert!(load(&fixture("coordinator-dist4-fleet2")).unwrap().worker_rng.is_empty());
+        let err = load(&fixture("pool-meta1")).err().expect("the live loader refuses it");
+        let unknown = unknown(&err);
+        assert_eq!((unknown.file, unknown.found, unknown.reads), ("meta.json", Some(1), 2));
+        assert_eq!(err.to_string(), "meta.json has version 1; this build reads version 2");
     }
 
     #[test]
     fn load_rejects_corrupt_checkpoint() {
         let dir = tmp_dir("corrupt");
         let snap = sample_state();
-        save(&dir, &snap, false).unwrap();
+        save(&dir, &snap, &mut Appended::default()).unwrap();
         fs::write(dir.join("corpus.jsonl"), "{not json}\n").unwrap();
         assert!(load(&dir).is_err());
         let _ = fs::remove_dir_all(&dir);

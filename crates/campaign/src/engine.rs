@@ -443,7 +443,7 @@ impl Campaign {
     pub fn checkpoint(&mut self, dir: &std::path::Path) -> io::Result<()> {
         let mut snapshot = self.ledger.snapshot(self.config.workers, Vec::new());
         snapshot.worker_rng = self.workers.iter().map(Generator::rng_state).collect();
-        self.writer.write(0, &snapshot, dir, || Ok(()))
+        self.writer.write(0, &snapshot, dir, |_| Ok(()))
     }
 
     fn run_epoch(&mut self) {

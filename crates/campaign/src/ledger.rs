@@ -308,19 +308,20 @@ use std::path::{Path, PathBuf};
 
 use dx_telemetry::sync::{Rank, Ranked};
 
-use crate::checkpoint;
+use crate::checkpoint::{self, Appended};
 use crate::corpus::EnergyModel;
 use crate::engine::ModelSuite;
 use crate::json::invalid;
 
 /// The one checkpoint writer. It serializes writes and remembers, per
-/// campaign, the newest snapshot it wrote and where: a snapshot that lost
-/// the race to a newer one is dropped (each carries the full state, so the
-/// newest is the most complete), and stats and diffs are appended only
-/// into the directory last written — any other may hold an unrelated
-/// campaign, so the first write there rewrites them.
+/// campaign, the newest snapshot it wrote, where, and what it appended
+/// there: a snapshot that lost the race to a newer one is dropped (each
+/// carries the full state, so the newest is the most complete), and the
+/// append-only files are appended to only in the directory last written —
+/// any other may hold an unrelated campaign, so the first write there
+/// rewrites them.
 pub struct CheckpointGate {
-    last: Ranked<BTreeMap<u64, (u64, PathBuf)>>,
+    last: Ranked<BTreeMap<u64, (u64, PathBuf, Appended)>>,
 }
 
 impl Default for CheckpointGate {
@@ -331,8 +332,8 @@ impl Default for CheckpointGate {
 
 impl CheckpointGate {
     /// Writes `campaign`'s snapshot into `dir` — the campaign checkpoint
-    /// files, then the driver's `extras` — unless a newer one already
-    /// landed.
+    /// files, then the driver's `extras`, which append through the same
+    /// record — unless a newer one already landed.
     ///
     /// # Errors
     ///
@@ -342,23 +343,27 @@ impl CheckpointGate {
         campaign: u64,
         snapshot: &Snapshot,
         dir: &Path,
-        extras: impl FnOnce() -> io::Result<()>,
+        extras: impl FnOnce(&mut Appended) -> io::Result<()>,
     ) -> io::Result<()> {
         let mut last = self.last.lock();
-        let prev = last.get(&campaign);
-        if prev.is_some_and(|(seq, _)| *seq >= snapshot.seq) {
+        let (seq, last_dir, appended) = last.entry(campaign).or_default();
+        if *seq >= snapshot.seq {
             return Ok(());
         }
-        let append = prev.is_some_and(|(_, last_dir)| last_dir == dir);
-        checkpoint::save(dir, snapshot, append)?;
-        extras()?;
-        last.insert(campaign, (snapshot.seq, dir.to_path_buf()));
+        if last_dir != dir {
+            *last_dir = dir.to_path_buf();
+            *appended = Appended::default();
+        }
+        checkpoint::save(dir, snapshot, appended)?;
+        extras(appended)?;
+        *seq = snapshot.seq;
         Ok(())
     }
 }
 
 impl Ledger {
-    /// The one checkpoint loader: the campaign files in `dir`, under
+    /// The one checkpoint loader: the campaign files in `dir`, in this
+    /// build's formats or an older one's ([`crate::migrate`]), under
     /// `suite`'s metric. `owed` is a daemon's own record of steps done and
     /// seeds owed to the queue; a plain campaign checkpoint has neither —
     /// its steps are its epochs' and nothing is queued. Masks that are
@@ -380,7 +385,7 @@ impl Ledger {
         energy: EnergyModel,
         owed: Option<(usize, Vec<usize>)>,
     ) -> io::Result<(ModelSuite, Self, Vec<[u64; 4]>)> {
-        let state = checkpoint::load(dir)?;
+        let state = crate::migrate::load(dir)?;
         // The metric is part of the campaign's identity: hit-sets recorded
         // under one cannot seed another, even at equal shapes (boundary and
         // multisection:2 both count two units per neuron).

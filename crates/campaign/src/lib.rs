@@ -87,6 +87,7 @@ pub mod codec;
 pub mod corpus;
 pub mod engine;
 pub mod ledger;
+pub mod migrate;
 pub mod report;
 
 pub use corpus::{Corpus, CorpusEntry, EnergyModel};

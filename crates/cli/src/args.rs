@@ -90,6 +90,16 @@ impl Args {
     pub fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
     }
+
+    /// Fails on the first option or switch not in `known`, naming it: a
+    /// flag the subcommand does not read would otherwise be ignored
+    /// without a word.
+    pub fn only(&self, known: &[&str]) -> Result<(), ParseError> {
+        match self.options.keys().chain(&self.switches).find(|k| !known.contains(&k.as_str())) {
+            None => Ok(()),
+            Some(key) => Err(ParseError(format!("`{}` does not take --{key}", self.command))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -136,6 +146,16 @@ mod tests {
     fn rejects_bad_number() {
         let a = Args::parse(&argv(&["g", "--seeds", "many"]), &[]).unwrap();
         assert!(a.get_num::<usize>("seeds", 0).is_err());
+    }
+
+    #[test]
+    fn only_names_the_first_unknown_flag() {
+        let a = Args::parse(&argv(&["serve", "--full", "--spot-check-rate", "0.5"]), &["full"]);
+        let a = a.unwrap();
+        assert!(a.only(&["full", "spot-check-rate"]).is_ok());
+        let err = a.only(&["full"]).unwrap_err().to_string();
+        assert_eq!(err, "`serve` does not take --spot-check-rate");
+        assert!(a.only(&["spot-check-rate"]).is_err(), "a switch is a flag too");
     }
 
     #[test]

@@ -174,6 +174,84 @@ SERVICE CLIENT OPTIONS (submit/status/cancel):
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
+/// The flags the generator is built from: the trio, its constraint and
+/// Algorithm 1's hyperparameters. With `metric`, `build_suite`'s (`resume`
+/// aside), all of which `worker_argv` forwards.
+const GROW: &[&str] = &[
+    "dataset",
+    "full",
+    "constraint",
+    "lambda1",
+    "lambda2",
+    "step",
+    "max-iters",
+    "preexisting",
+    "pick",
+];
+/// `init_telemetry`'s flags.
+const OBSERVE: &[&str] = &["log-level", "trace-out", "metrics-addr"];
+/// `dist_config`'s flags, and the seeds and listener of a campaign daemon.
+const DAEMON: &[&str] = &[
+    "spot-check-rate",
+    "trust-threshold",
+    "batch",
+    "steps",
+    "duration",
+    "target-coverage",
+    "lease",
+    "lease-max",
+    "lease-timeout",
+    "checkpoint",
+    "resume",
+    "max-corpus",
+    "rng",
+    "energy",
+    "auth-token",
+    "seeds",
+    "listen",
+];
+
+/// The flags `command` reads; `None` for no subcommand. `main` refuses
+/// any other, so a misplaced flag is an error rather than a silent no-op.
+pub fn flags(command: &str) -> Option<Vec<&'static str>> {
+    let groups: &[&[&str]] = match command {
+        "models" | "train" => &[&["dataset", "full"]],
+        "generate" => &[GROW, &["seeds", "rng", "save-images", "out"]],
+        "campaign" => &[
+            OBSERVE,
+            GROW,
+            &["metric"],
+            &["resume", "checkpoint", "workers", "epochs", "batch-per-epoch", "batch"],
+            &["merge-every", "duration", "target-coverage", "rng", "max-corpus", "energy"],
+            &["seeds"],
+        ],
+        "coordinator" => &[OBSERVE, GROW, &["metric"], DAEMON],
+        "worker" => &[
+            OBSERVE,
+            GROW,
+            &["metric", "connect", "lease", "batch", "heartbeat-every", "auth-token"],
+        ],
+        "dist" => &[OBSERVE, GROW, &["metric"], DAEMON, &["workers", "heartbeat-every"]],
+        "coverage" => &[&["dataset", "full", "model", "inputs", "threshold"]],
+        "metrics-dump" => &[&["connect"]],
+        "serve" => &[
+            OBSERVE,
+            GROW,
+            &["metric", "seeds", "rng", "state-dir", "max-tenants", "batch", "lease"],
+            &["lease-timeout", "max-corpus", "energy", "auth-token", "api-addr", "listen"],
+        ],
+        "submit" => &[
+            &["api", "name", "rng", "seeds", "seed-offset", "steps", "target-coverage"],
+            &["quota", "weight", "metric", "constraint"],
+        ],
+        "status" => &[&["api", "id", "report"]],
+        "cancel" => &[&["api", "id"]],
+        "help" | "--help" | "-h" => &[],
+        _ => return None,
+    };
+    Some(groups.concat())
+}
+
 /// Applies the observability flags shared by the long-running commands:
 /// `--log-level` sets the stderr threshold of the structured event
 /// stream, `--trace-out` appends every event to a JSONL file, and
@@ -727,26 +805,11 @@ pub fn worker(args: &Args) -> CmdResult {
 /// own lease, heartbeat and log flags.
 fn worker_argv(args: &Args, addr: &str) -> Vec<String> {
     let mut argv = vec!["worker".to_string(), "--connect".to_string(), addr.to_string()];
-    for flag in [
-        "dataset",
-        "metric",
-        "constraint",
-        "lambda1",
-        "lambda2",
-        "step",
-        "max-iters",
-        "pick",
-        "lease",
-        "heartbeat-every",
-        "log-level",
-    ] {
-        if let Some(v) = args.get(flag) {
+    for &flag in GROW.iter().chain(&["metric", "lease", "heartbeat-every", "log-level"]) {
+        if args.has(flag) {
+            argv.push(format!("--{flag}"));
+        } else if let Some(v) = args.get(flag) {
             argv.extend([format!("--{flag}"), v.to_string()]);
-        }
-    }
-    for switch in ["full", "preexisting"] {
-        if args.has(switch) {
-            argv.push(format!("--{switch}"));
         }
     }
     argv
@@ -968,17 +1031,142 @@ mod tests {
         assert_eq!(parse_target_coverage(&none).unwrap(), None);
     }
 
+    /// `line` parsed as `main` does: its subcommand must know every flag.
+    fn parse(line: &str) -> Result<Args, crate::args::ParseError> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let args = Args::parse(&argv, crate::SWITCHES)?;
+        args.only(&flags(&args.command).expect("a subcommand"))?;
+        Ok(args)
+    }
+
+    #[test]
+    fn every_command_line_ci_and_the_benchmark_run_parses() {
+        // Verbatim from .github/workflows/ci.yml (continuations joined,
+        // `$b` as each value it takes), then as benchmark/src/bench/run.rs
+        // builds them for its workloads.
+        let ci = [
+            "dist --workers 2 --dataset mnist --steps 12 --batch 6 --lease 2 --seeds 8 \
+             --checkpoint /tmp/dx-dist-smoke",
+            "dist --workers 2 --dataset mnist --steps 24 --batch 6 --lease 2 \
+             --resume /tmp/dx-dist-smoke",
+            "dist --workers 2 --dataset mnist --steps 96 --batch 6 --lease 2 --seeds 8 \
+             --spot-check-rate 1.0 --metrics-addr 127.0.0.1:4790",
+            "metrics-dump --connect 127.0.0.1:4790",
+            "coordinator --dataset mnist --listen 127.0.0.1:4799 --seeds 8 --batch 6 --lease 2 \
+             --lease-max 8 --spot-check-rate 1.0 --target-coverage 0.5",
+            "worker --connect 127.0.0.1:4799 --dataset mnist",
+            "serve --dataset mnist --seeds 8 --batch 6 --lease 2 --listen 127.0.0.1:4791 \
+             --api-addr 127.0.0.1:8791 --state-dir /tmp/dx-svc-smoke",
+            "worker --connect 127.0.0.1:4791 --dataset mnist",
+            "submit --api 127.0.0.1:8791 --name ci-b --seeds 4 --seed-offset 4 --rng 9 \
+             --steps 12 --quota 0.5",
+            "status --api 127.0.0.1:8791",
+            "status --api 127.0.0.1:8791 --id 1 --report",
+            "serve --dataset mnist --seeds 8 --batch 6 --lease 2 --listen 127.0.0.1:4792 \
+             --api-addr 127.0.0.1:8792 --state-dir /tmp/dx-svc-smoke",
+            "campaign --metric multisection:4 --dataset mnist --epochs 2 --batch-per-epoch 6 \
+             --seeds 8 --checkpoint /tmp/dx-ms-smoke",
+            "campaign --metric multisection:4 --dataset mnist --epochs 2 --batch-per-epoch 6 \
+             --resume /tmp/dx-ms-smoke",
+            "campaign --metric multisection:4+boundary --dataset mnist --epochs 4 \
+             --batch-per-epoch 6 --seeds 8 --checkpoint /tmp/dx-comp-full",
+            "campaign --metric multisection:4+boundary --dataset mnist --epochs 2 \
+             --batch-per-epoch 6 --seeds 8 --checkpoint /tmp/dx-comp-half",
+            "campaign --metric multisection:4+boundary --dataset mnist --epochs 2 \
+             --batch-per-epoch 6 --resume /tmp/dx-comp-half",
+            "campaign --dataset mnist --epochs 2 --batch-per-epoch 8 --seeds 8 --batch 1 \
+             --merge-every 8 --checkpoint /tmp/dx-par-b1",
+            "campaign --dataset mnist --epochs 2 --batch-per-epoch 8 --seeds 8 --batch 8 \
+             --merge-every 8 --checkpoint /tmp/dx-par-b8",
+            "campaign --dataset mnist --workers 1 --epochs 3 --batch-per-epoch 4 --merge-every 4 \
+             --seeds 12 --rng 7 --checkpoint /tmp/dx-cell-pool",
+            "dist --dataset mnist --workers 1 --steps 12 --batch 4 --lease 4 --seeds 12 --rng 7 \
+             --checkpoint /tmp/dx-cell-fleet",
+            "coordinator --dataset mnist --seeds 12 --rng 7 --steps 12 --batch 4 --lease 4 \
+             --listen 127.0.0.1:4793 --checkpoint /tmp/dx-cell-coord",
+            "worker --connect 127.0.0.1:4793 --dataset mnist",
+            "serve --dataset mnist --seeds 12 --rng 7 --batch 4 --lease 4 --listen 127.0.0.1:4794 \
+             --api-addr 127.0.0.1:8794 --state-dir /tmp/dx-cell-svc",
+            "worker --connect 127.0.0.1:4794 --dataset mnist",
+            "submit --api 127.0.0.1:8794 --name cell --seeds 12 --rng 7 --steps 12",
+            "coordinator --dataset mnist --seeds 8 --rng 7 --steps 8 --batch 4 --lease 4 \
+             --listen 127.0.0.1:4795 --checkpoint /tmp/dx-fleet-resume",
+            "worker --connect 127.0.0.1:4795 --dataset mnist",
+            "coordinator --dataset mnist --steps 16 --batch 4 --lease 4 --listen 127.0.0.1:4795 \
+             --resume /tmp/dx-fleet-resume",
+            "campaign --dataset mnist --metric neuron+multisection:4+boundary --epochs 2 \
+             --batch-per-epoch 8 --seeds 8 --batch 1 --merge-every 8 --checkpoint /tmp/dx-tri-b1",
+            "campaign --dataset mnist --metric neuron+multisection:4+boundary --epochs 2 \
+             --batch-per-epoch 8 --seeds 8 --batch 8 --merge-every 8 --checkpoint /tmp/dx-tri-b8",
+            "generate --dataset mnist --seeds 20 --rng 42",
+        ];
+        let bench = [
+            "train --dataset mnist",
+            "campaign --dataset pdf --metric multisection:4+boundary --workers 1 --epochs 4 \
+             --batch-per-epoch 64 --seeds 128 --rng 42 --checkpoint ckpt",
+            "campaign --dataset mnist --workers 1 --epochs 8 --batch-per-epoch 4 --resume ckpt",
+            "coordinator --dataset mnist --seeds 64 --steps 96 --batch 32 --rng 42 \
+             --listen 127.0.0.1:0 --checkpoint ckpt",
+            "worker --connect 127.0.0.1:4787 --dataset mnist",
+            "serve --dataset mnist --seeds 64 --rng 42 --state-dir state --listen 127.0.0.1:0 \
+             --api-addr 127.0.0.1:0",
+            "submit --api 127.0.0.1:8787 --name alpha --rng 42 --seeds 32 --seed-offset 0 \
+             --steps 48 --weight 2",
+        ];
+        for line in ci.iter().chain(&bench) {
+            if let Err(e) = parse(line) {
+                panic!("`{line}`: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_flag_the_subcommand_does_not_read_is_an_error() {
+        for (line, flag) in [
+            ("serve --dataset mnist --spot-check-rate 0.5", "spot-check-rate"),
+            ("campaign --dataset mnist --steps 100", "steps"),
+            ("help --spot-check-rate 0.5 --bogus 1", "bogus"),
+            ("generate --metric neuron", "metric"),
+            ("status --id 1 --full", "full"),
+        ] {
+            let err = parse(line).err().map(|e| e.to_string()).unwrap_or_default();
+            assert!(err.contains("does not take") && err.contains(flag), "`{line}`: {err}");
+        }
+    }
+
+    #[test]
+    fn every_flag_a_command_reads_is_in_some_list() {
+        // A flag read below but listed for no subcommand would be refused
+        // everywhere; this keeps `flags` in step with the reads.
+        let listed: Vec<&str> = ["models", "generate", "campaign", "worker", "dist", "coverage"]
+            .into_iter()
+            .chain(["metrics-dump", "serve", "submit", "status", "cancel"])
+            .flat_map(|c| flags(c).unwrap())
+            .collect();
+        let source = include_str!("commands.rs");
+        let source = &source[..source.find("#[cfg(test)]").unwrap()];
+        for call in ["args.get(\"", "get_or(\"", "get_num(\"", "has(\""] {
+            for (at, _) in source.match_indices(call) {
+                let key = source[at + call.len()..].split('"').next().unwrap();
+                assert!(listed.contains(&key), "--{key} is read but no command takes it");
+            }
+        }
+    }
+
     #[test]
     fn dist_workers_get_every_flag_the_suite_is_built_from() {
         let argv: Vec<String> = "dist --workers 2 --dataset pdf --full --preexisting \
                                  --metric multisection:4+boundary --constraint clip \
                                  --lambda1 2 --lambda2 0.5 --step 0.02 --max-iters 7 \
-                                 --pick nearest --lease 3 --rng 9"
+                                 --pick nearest --lease 3 --rng 9 --heartbeat-every 2 \
+                                 --log-level warn"
             .split_whitespace()
             .map(String::from)
             .collect();
         let parent = Args::parse(&argv, crate::SWITCHES).unwrap();
+        parent.only(&flags("dist").unwrap()).expect("dist takes every flag it forwards");
         let child = Args::parse(&worker_argv(&parent, "127.0.0.1:1"), crate::SWITCHES).unwrap();
+        child.only(&flags("worker").unwrap()).expect("a worker takes every forwarded flag");
         assert_eq!(child.command, "worker");
         assert_eq!(child.get("connect"), Some("127.0.0.1:1"));
         let hp = |a: &Args| format!("{:?}", hyperparams_for(a, DatasetKind::Pdf).unwrap());

@@ -28,7 +28,11 @@ const SWITCHES: &[&str] = &["full", "save-images", "preexisting", "report"];
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match Args::parse(&argv, SWITCHES) {
+    let parsed = Args::parse(&argv, SWITCHES).and_then(|a| {
+        commands::flags(&a.command).map_or(Ok(()), |known| a.only(&known))?;
+        Ok(a)
+    });
+    let parsed = match parsed {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");

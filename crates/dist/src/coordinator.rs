@@ -27,7 +27,7 @@
 //! and emits them once the guard drops: emitting blocks, and
 //! `dx_telemetry::sync` refuses to block under the daemon's lock.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dx_campaign::codec::u64_json;
-use dx_campaign::json::{build, invalid, Json};
+use dx_campaign::json::{build, Json};
 use dx_campaign::ledger::{CheckpointGate, Ledger, Snapshot};
 use dx_campaign::{CampaignReport, Corpus, EnergyModel, ModelSuite};
 use dx_coverage::CoverageSignal;
@@ -48,9 +48,10 @@ use dx_telemetry::{names, Counter, Gauge, Histogram, MetricsRegistry};
 use dx_tensor::Tensor;
 
 use crate::engine::{self, Daemon as _, Fleet, Gate, LeaseTable, Trust, Worker};
+use crate::migrate;
 use crate::proto::Fingerprint;
 use crate::spec::CampaignSpec;
-use crate::tenant::{read_doc, Record, Status, Tenant};
+use crate::tenant::{Record, Status, Tenant};
 
 /// Quarantined diffs kept in memory/checkpoints for inspection; beyond
 /// this only the counter grows (a fabricator must not balloon `dist.json`).
@@ -148,7 +149,8 @@ pub struct DistReport {
     pub coverage: Vec<f32>,
     /// Total seed steps absorbed (across resumes).
     pub steps_done: usize,
-    /// Every worker's record, in admission order.
+    /// The record of every worker admitted during this serve call, in
+    /// admission order.
     pub per_worker: Vec<Worker>,
     /// Difference-inducing inputs found (this serve call and resumed-from).
     pub diffs: usize,
@@ -258,6 +260,9 @@ pub struct Books {
     pub fleet: Fleet,
     /// When the current serve call's wall-clock budget runs out.
     pub(crate) serve_until: Option<Instant>,
+    /// The positions of the workers admitted during the current serve
+    /// call: its report's rows.
+    pub(crate) joined: BTreeSet<usize>,
     /// Numbers fleet snapshots, so an older one never overwrites a newer.
     fleet_seq: u64,
 }
@@ -310,7 +315,7 @@ pub struct Ckpt {
     dir: PathBuf,
     snapshot: Snapshot,
     record: Record,
-    events: String,
+    events: Arc<Vec<String>>,
     fleet: (u64, FleetRecord),
 }
 
@@ -375,7 +380,7 @@ impl Coordinator {
     /// to `cfg.checkpoint_dir` — which may differ, forking the campaign
     /// (mirroring `dx_campaign::Campaign::resume_from`, through the same
     /// loader). A plain campaign checkpoint (no `dist.json`) resumes too,
-    /// and so do the `dist.json` v1–v3 of older builds.
+    /// and so does what older builds wrote (the `migrate` module).
     ///
     /// # Errors
     ///
@@ -387,20 +392,20 @@ impl Coordinator {
         dir: &Path,
         mut cfg: CoordinatorConfig,
     ) -> io::Result<Self> {
-        let (suite, mut tenant, legacy) =
-            Tenant::load(dir, suite, cfg.max_corpus, cfg.energy, cfg.registry.clone())?;
-        let fleet = FleetRecord::load(dir)?.or(legacy).unwrap_or_default();
+        let (record, fleet) = migrate::open(dir)?;
+        let (suite, mut tenant) =
+            Tenant::load(dir, record, suite, cfg.max_corpus, cfg.energy, cfg.registry.clone())?;
         cfg.seed = tenant.ledger.seed();
         // The config, not the checkpoint, says when the campaign is done.
         tenant.spec = Self::spec(&cfg, tenant.spec);
         tenant.status = Status::Running;
         tenant.dir.clone_from(&cfg.checkpoint_dir);
-        Ok(Self::with_tenants(&suite, label, cfg, vec![tenant], fleet, true))
+        Ok(Self::with_tenants(&suite, label, cfg, vec![tenant], fleet.unwrap_or_default(), true))
     }
 
     /// The daemon of `dx-service`: it resumes every campaign checkpointed
-    /// under `cfg.checkpoint_dir/<id>/` (a `dist.json`, or an older
-    /// build's `tenant.json`) and the fleet state in its `fleet.json`,
+    /// under `cfg.checkpoint_dir/<id>/` and the fleet state at its root,
+    /// whichever build wrote them (the `migrate` module),
     /// takes new campaigns through [`Coordinator::add_tenant`], and never
     /// drains itself.
     ///
@@ -416,14 +421,14 @@ impl Coordinator {
         let mut tenants = Vec::new();
         let mut fleet = None;
         if let Some(root) = cfg.checkpoint_dir.as_deref().filter(|d| d.is_dir()) {
-            fleet = FleetRecord::load(root)?;
+            fleet = migrate::open(root)?.1;
             for entry in std::fs::read_dir(root)? {
                 let path = entry?.path();
-                if !path.join("dist.json").is_file() && !path.join("tenant.json").is_file() {
-                    continue;
-                }
-                let (_, mut t, _) =
-                    Tenant::load(&path, suite, cfg.max_corpus, cfg.energy, MetricsRegistry::new())?;
+                let record = if path.is_dir() { migrate::open(&path)?.0 } else { None };
+                let Some(record) = record else { continue };
+                let (energy, registry) = (cfg.energy, MetricsRegistry::new());
+                let (_, mut t) =
+                    Tenant::load(&path, Some(record), suite, cfg.max_corpus, energy, registry)?;
                 t.dir = Some(root.join(t.id.to_string()));
                 let (id, name, status) = (t.id, t.spec.name.clone(), t.status.as_str());
                 let fields = [("id", id.into()), ("name", name.into()), ("status", status.into())];
@@ -471,6 +476,7 @@ impl Coordinator {
                 leases: LeaseTable::new(fleet.next_lease, cfg.lease_timeout),
             },
             serve_until: None,
+            joined: BTreeSet::new(),
             fleet_seq: 0,
         };
         metrics.tenants_live.set(books.live() as f64);
@@ -542,16 +548,18 @@ impl Coordinator {
         self.serve_fleet(listener)?;
         let (report, _) = self.locked(|st, _| {
             let t = st.tenants.values().next();
+            let joined: Vec<Worker> =
+                st.joined.iter().filter_map(|&w| st.fleet.workers.get(w)).cloned().collect();
             DistReport {
                 report: CampaignReport {
-                    workers: st.fleet.workers.len().max(1),
+                    workers: joined.len().max(1),
                     ..t.map(|t| t.ledger.report.clone()).unwrap_or_default()
                 },
                 coverage: t.map_or_else(Vec::new, |t| {
                     t.ledger.global.iter().map(CoverageSignal::coverage).collect()
                 }),
                 steps_done: t.map_or(0, |t| t.ledger.steps_done),
-                per_worker: st.fleet.workers.to_vec(),
+                per_worker: joined,
                 diffs: t.map_or(0, |t| t.ledger.diffs.len()),
                 quarantined: t.map_or(0, |t| t.quarantined_total),
             }
@@ -573,6 +581,7 @@ impl Coordinator {
                 t.ledger.start_round(now);
             }
             st.serve_until = self.cfg.duration.map(|budget| now + budget);
+            st.joined.clear();
         });
         engine::serve(self, listener)?;
         let ((), ckpts) = self.locked(|st, out| {
@@ -679,7 +688,7 @@ impl Coordinator {
             dir,
             record: t.record(std::mem::take(&mut snapshot.pending)),
             snapshot,
-            events: t.events.iter().map(|line| format!("{line}\n")).collect(),
+            events: Arc::clone(&t.events),
             fleet: (st.fleet_seq, fleet),
         })
     }
@@ -688,9 +697,9 @@ impl Coordinator {
     /// unless a newer one already landed — the fleet's at the root.
     pub(crate) fn write(&self, job: Ckpt) -> io::Result<()> {
         let Ckpt { tenant, dir, snapshot, record, events, fleet: (seq, fleet) } = job;
-        self.ckpt_io.write(tenant, &snapshot, &dir, || {
+        self.ckpt_io.write(tenant, &snapshot, &dir, |appended| {
             write_atomic(&dir.join("dist.json"), &record.doc())?;
-            dx_campaign::checkpoint::write_atomic(&dir.join("events.jsonl"), &events)?;
+            appended.append(&dir, "events.jsonl", &events, String::clone)?;
             // Under the checkpoint writer's lock: fleet writes are serial.
             let Some(root) = self.cfg.checkpoint_dir.as_deref() else { return Ok(()) };
             if seq > self.fleet_written.load(Ordering::SeqCst) {
@@ -728,12 +737,8 @@ pub(crate) struct FleetRecord {
     pub workers: Vec<Worker>,
 }
 
-/// Slots an older checkpoint may name: positions are dense, so a slot
-/// beyond this is a corrupt file, not a fleet.
-const MAX_LEGACY_SLOT: u64 = 1 << 16;
-
 /// A trust record's fields in a fleet document.
-fn trust(e: &Json) -> io::Result<Trust> {
+pub(crate) fn trust(e: &Json) -> io::Result<Trust> {
     let evicted = e.opt_field("evicted")?.unwrap_or(false);
     Ok(Trust { checked: e.field("checked")?, failed: e.field("failed")?, evicted })
 }
@@ -756,44 +761,13 @@ impl FleetRecord {
         ])
     }
 
-    /// Reads a `fleet.json`, v2 or the slot-keyed v1.
-    fn from_doc(doc: &Json) -> io::Result<Self> {
-        if doc.opt_field::<usize>("version")?.unwrap_or(1) < 2 {
-            return Self::from_slots(doc);
-        }
-        let workers = doc.opt_list_with("workers", |e| {
+    /// Reads a `fleet.json` v2.
+    pub(crate) fn from_doc(doc: &Json) -> io::Result<Self> {
+        doc.require_version("fleet.json", 2)?;
+        let workers = doc.list_with("workers", |e| {
             Ok(Worker { identity: e.field("worker_id")?, trust: trust(e)?, ..Worker::default() })
         })?;
-        Ok(Self { next_lease: doc.opt_field("next_lease")?.unwrap_or(0), workers })
-    }
-
-    /// Reads the slot-keyed fleet fields of a `fleet.json` v1 or a
-    /// `dist.json` v1–v3: slot `s` loads at position `s`, and a slot no
-    /// identity is bound to becomes a placeholder that keeps its trust
-    /// (a v1/v2 `dist.json` binds none).
-    pub(crate) fn from_slots(doc: &Json) -> io::Result<Self> {
-        let slot = |e: &Json| match e.field::<u64>("slot")? {
-            s if s < MAX_LEGACY_SLOT => Ok(s),
-            s => Err(invalid(format!("slot {s} out of range"))),
-        };
-        let identities: BTreeMap<u64, String> =
-            doc.opt_list_with("identities", |e| Ok((slot(e)?, e.field("worker_id")?)))?;
-        let trust: BTreeMap<u64, Trust> =
-            doc.opt_list_with("trust", |e| Ok((slot(e)?, trust(e)?)))?;
-        let slots = identities.keys().chain(trust.keys()).max().map_or(0, |&s| s + 1);
-        let workers = (0..slots)
-            .map(|s| Worker {
-                identity: identities.get(&s).cloned().unwrap_or_default(),
-                trust: trust.get(&s).copied().unwrap_or_default(),
-                ..Worker::default()
-            })
-            .collect();
-        Ok(Self { next_lease: doc.opt_field("next_lease")?.unwrap_or(0), workers })
-    }
-
-    /// `root`'s `fleet.json`; `Ok(None)` when absent.
-    fn load(root: &Path) -> io::Result<Option<Self>> {
-        read_doc(&root.join("fleet.json"))?.map(|doc| Self::from_doc(&doc)).transpose()
+        Ok(Self { next_lease: doc.field("next_lease")?, workers })
     }
 }
 
@@ -801,8 +775,7 @@ impl FleetRecord {
 mod tests {
     use super::*;
     use crate::engine::{Daemon, Refusal};
-    use crate::tenant::tests::{campaign_dir, suite};
-    use dx_campaign::codec::{diff_json, rng_state_json};
+    use crate::tenant::tests::{campaign_dir, fixture, suite};
     use dx_campaign::FoundDiff;
     use dx_tensor::rng;
 
@@ -830,43 +803,13 @@ mod tests {
 
     #[test]
     fn dist_json_round_trips_byte_equal() {
-        // A `dist.json` v3 as the parent build wrote it — every field
-        // non-default, `quarantined_total` above the kept diffs — resumes
-        // intact; the v4 `dist.json` and `fleet.json` it is then written as
-        // resume to the same bytes.
+        // A coordinator's `dist.json` v3 as older builds wrote it (the
+        // fixture's: every field non-default, `quarantined_total` above the
+        // kept diffs, the next lease id past 2^53) resumes intact; the v4
+        // `dist.json` and `fleet.json` it is then written as resume to the
+        // same bytes.
         let dir = campaign_dir("dx_dist_json_round_trip", 7, 6);
-        let slot_rng = |slot: u64, s: &[u64; 4]| {
-            build::obj(vec![("slot", u64_json(slot)), ("state", rng_state_json(s))])
-        };
-        let parent = build::obj(vec![
-            ("version", build::int(3)),
-            ("steps_done", build::int(7)),
-            ("next_lease", u64_json(u64::MAX - 3)),
-            ("pending", build::ints(&[4, 1])),
-            (
-                "worker_rng",
-                Json::Arr(vec![slot_rng(0, &[1, 2, 3, u64::MAX]), slot_rng(5, &[9; 4])]),
-            ),
-            (
-                "trust",
-                Json::Arr(vec![build::obj(vec![
-                    ("slot", u64_json(5)),
-                    ("checked", build::int(3)),
-                    ("failed", build::int(2)),
-                    ("evicted", Json::Bool(true)),
-                ])]),
-            ),
-            (
-                "identities",
-                Json::Arr(vec![
-                    build::obj(vec![("slot", u64_json(0)), ("worker_id", build::str("w-cafe"))]),
-                    build::obj(vec![("slot", u64_json(5)), ("worker_id", build::str("w-f00d"))]),
-                ]),
-            ),
-            ("quarantined_total", build::int(4)),
-            ("quarantined", Json::Arr(vec![diff_json(&diff())])),
-        ]);
-        std::fs::write(dir.join("dist.json"), parent.to_string() + "\n").unwrap();
+        std::fs::write(dir.join("dist.json"), fixture("coordinator-dist3/dist.json")).unwrap();
         let registry = MetricsRegistry::new();
         let cfg = CoordinatorConfig {
             checkpoint_dir: Some(dir.clone()),
@@ -877,14 +820,14 @@ mod tests {
         let c = Coordinator::resume(&suite(), "unit@test", cfg.clone()).unwrap();
         c.locked(|st, _| {
             let t = &st.tenants[&0];
-            assert_eq!((t.ledger.seed(), t.ledger.steps_done), (7, 7));
+            assert_eq!((t.ledger.seed(), t.ledger.steps_done), (7, 8));
             assert_eq!(t.ledger.pending, [4, 1]);
             assert_eq!((t.quarantined_total, t.quarantined.len()), (4, 1));
             // Slot-keyed worker streams follow the identity on the slot.
-            let rng =
-                BTreeMap::from([("w-cafe".into(), [1, 2, 3, u64::MAX]), ("w-f00d".into(), [9; 4])]);
-            assert_eq!(t.worker_rng, rng);
-            assert_eq!(st.fleet.leases.next_id(), u64::MAX - 3);
+            let ids: Vec<&str> = t.worker_rng.keys().map(String::as_str).collect();
+            assert_eq!(ids, ["w-cafe", "w-f00d"]);
+            assert_eq!(t.worker_rng["w-f00d"], [9; 4]);
+            assert_eq!(st.fleet.leases.next_id(), (1 << 53) + 1);
             // Slot `s` loads at position `s`; the unbound slots between
             // are placeholders. The evicted identity stays burned.
             let ids: Vec<&str> = st.fleet.workers.iter().map(|w| w.identity.as_str()).collect();
@@ -905,47 +848,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A parent build's `fleet.json` v1: `identities` and `trust`
-    /// (`checked`, `failed`, `evicted`) keyed by slot.
-    fn fleet_v1(
-        next_lease: u64,
-        bound: &[(u64, &str)],
-        trust: &[(u64, (usize, usize, bool))],
-    ) -> String {
-        let identities = bound.iter().map(|&(slot, id)| {
-            build::obj(vec![("slot", u64_json(slot)), ("worker_id", build::str(id))])
-        });
-        let trust = trust.iter().map(|&(slot, (checked, failed, evicted))| {
-            build::obj(vec![
-                ("slot", u64_json(slot)),
-                ("checked", build::int(checked)),
-                ("failed", build::int(failed)),
-                ("evicted", Json::Bool(evicted)),
-            ])
-        });
-        let doc = build::obj(vec![
-            ("version", build::int(1)),
-            ("next_lease", u64_json(next_lease)),
-            ("identities", Json::Arr(identities.collect())),
-            ("trust", Json::Arr(trust.collect())),
-        ]);
-        doc.to_string() + "\n"
-    }
-
     #[test]
     fn a_newcomer_cannot_take_a_returning_identitys_record() {
-        // Resumed from a fleet that knows ann at slot 0, a fresh identity
-        // joins before ann returns: ann must get its position and record
-        // back, and the newcomer a clean one of its own.
+        // Resumed from a fleet that knows w-cafe at slot 0 (the fixture's
+        // `fleet.json` v1), a fresh identity joins before w-cafe returns:
+        // w-cafe must get its position and record back, and the newcomer a
+        // clean one of its own.
         let dir = campaign_dir("dx_dist_rebinding", 7, 4);
-        let fleet = fleet_v1(2, &[(0, "ann")], &[(0, (3, 1, false))]);
-        std::fs::write(dir.join("fleet.json"), fleet).unwrap();
+        std::fs::write(dir.join("fleet.json"), fixture("coordinator-fleet1/fleet.json")).unwrap();
         let cfg = CoordinatorConfig { checkpoint_dir: Some(dir.clone()), ..Default::default() };
         let c = Coordinator::resume(&suite(), "unit@test", cfg).unwrap();
         let (cy, _) = c.enroll("cy").unwrap();
-        let (ann, _) = c.enroll("ann").unwrap();
-        assert_eq!(ann, 0, "ann lost its position to a newcomer");
-        assert_ne!(cy, ann);
+        let (cafe, _) = c.enroll("w-cafe").unwrap();
+        assert_eq!(cafe, 0, "w-cafe lost its position to a newcomer");
+        assert_ne!(cy, cafe);
         let (_, fleet) = written(&c);
         let doc = dx_campaign::json::parse_doc(&fleet).unwrap();
         let rows: Vec<(String, usize, usize)> = doc
@@ -953,30 +869,35 @@ mod tests {
                 Ok((e.field("worker_id")?, e.field("checked")?, e.field("failed")?))
             })
             .unwrap();
-        assert_eq!(rows, [("ann".into(), 3, 1), ("cy".into(), 0, 0)], "{fleet}");
+        let unbound = (String::new(), 0, 0);
+        let want = [
+            ("w-cafe".into(), 4, 1),
+            unbound.clone(),
+            unbound.clone(),
+            unbound.clone(),
+            unbound,
+            ("w-f00d".into(), 3, 2),
+            ("cy".into(), 0, 0),
+        ];
+        assert_eq!(rows, want, "{fleet}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn fleet_json_v1_round_trips_byte_equal() {
-        // A parent build's `fleet.json` v1 binding slots 0 and 5 (slot 5
-        // burned, 1–4 unbound) beside a `dist.json` v4 resumes with
-        // positions, trust, the burned mark, the next lease id and the
-        // identity-keyed worker streams intact; the v2 `fleet.json` it is
-        // then written as resumes to the same bytes.
+        // An older build's `fleet.json` v1 binding slots 0 and 5 (slot 5
+        // burned, 1–4 unbound) beside a `dist.json` v4 — the fixture's —
+        // resumes with positions, trust, the burned mark, the next lease id
+        // and the identity-keyed worker streams intact; the v2 `fleet.json`
+        // it is then written as resumes to the same bytes.
         let dir = campaign_dir("dx_fleet_json_v1", 7, 6);
+        for file in ["fleet.json", "dist.json"] {
+            std::fs::write(dir.join(file), fixture(&format!("coordinator-fleet1/{file}"))).unwrap();
+        }
         let (cafe, f00d) = (
             Trust { checked: 4, failed: 1, evicted: false },
             Trust { checked: 3, failed: 2, evicted: true },
         );
-        let trust = [(0, (4, 1, false)), (5, (3, 2, true))];
-        let fleet = fleet_v1(u64::MAX - 3, &[(0, "w-cafe"), (5, "w-f00d")], &trust);
-        std::fs::write(dir.join("fleet.json"), fleet).unwrap();
-        let mut record = Record::named(7);
-        record.steps_done = 7;
-        record.worker_rng.insert("w-cafe".into(), [1, 2, 3, u64::MAX]);
-        record.worker_rng.insert("w-f00d".into(), [9; 4]);
-        std::fs::write(dir.join("dist.json"), record.doc().to_string() + "\n").unwrap();
         let registry = MetricsRegistry::new();
         let cfg = CoordinatorConfig {
             checkpoint_dir: Some(dir.clone()),
@@ -991,9 +912,9 @@ mod tests {
             let trust: Vec<Trust> = workers.iter().map(|w| w.trust).collect();
             let unbound = Trust::default();
             assert_eq!(trust, [cafe, unbound, unbound, unbound, unbound, f00d]);
-            assert_eq!(st.fleet.leases.next_id(), u64::MAX - 3);
+            assert_eq!(st.fleet.leases.next_id(), (1 << 53) + 1);
             let rng = &st.tenants[&0].worker_rng;
-            assert_eq!(rng.get("w-cafe"), Some(&[1, 2, 3, u64::MAX]));
+            assert!(rng.contains_key("w-cafe"));
             assert_eq!(rng.get("w-f00d"), Some(&[9; 4]));
             assert_eq!(st.fleet.admit("w-f00d"), Err(Refusal::Burned(5)));
             assert_eq!(st.fleet.admit("w-cafe"), Ok(0));
@@ -1013,6 +934,31 @@ mod tests {
     }
 
     #[test]
+    fn a_resumed_report_counts_only_this_runs_workers() {
+        // The checkpoint's fleet knows one worker; a fresh identity does all
+        // of this run's steps and is the report's one worker and one row.
+        let dir = campaign_dir("dx_dist_report_rows", 7, 4);
+        let ann = Worker { identity: "ann".into(), ..Worker::default() };
+        let fleet = FleetRecord { next_lease: 1, workers: vec![ann] };
+        std::fs::write(dir.join("fleet.json"), fleet.doc().to_string() + "\n").unwrap();
+        let cfg = CoordinatorConfig {
+            checkpoint_dir: Some(dir.clone()),
+            max_steps: Some(4),
+            batch_per_round: 4,
+            ..CoordinatorConfig::default()
+        };
+        let c = Coordinator::resume(&suite(), "unit@test", cfg).unwrap();
+        let worker = crate::WorkerConfig::default();
+        let (report, _) = crate::serve_local(&c, &suite(), "unit@test", worker, 1).unwrap();
+        let rows: Vec<(&str, usize)> =
+            report.per_worker.iter().map(|w| (w.identity.as_str(), w.steps)).collect();
+        assert_eq!((report.report.workers, rows.len()), (1, 1), "{rows:?}");
+        assert_ne!(rows[0], ("ann", 0));
+        assert_eq!(rows[0].1, 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn dist_json_decoder_survives_mutation() {
         let dir = std::env::temp_dir().join("dx_dist_json_fuzz");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1025,7 +971,7 @@ mod tests {
         record.quarantined_total = 2;
         dx_integration::fuzz::check_decoder(&[record.doc().to_string()], 2048, |text| {
             std::fs::write(dir.join("dist.json"), text)?;
-            let (loaded, _) = Record::load(&dir)?.ok_or(io::ErrorKind::NotFound)?;
+            let loaded = crate::migrate::open(&dir)?.0.ok_or(io::ErrorKind::NotFound)?;
             Ok(loaded.doc().to_string())
         });
         let trust = Trust { checked: 3, ..Trust::default() };
@@ -1036,6 +982,32 @@ mod tests {
         dx_integration::fuzz::check_decoder(&[fleet.doc().to_string()], 1024, |text| {
             Ok(FleetRecord::from_doc(&dx_campaign::json::parse_doc(text)?)?.doc().to_string())
         });
+        // What older builds wrote, through the migration: every mutant
+        // reads or is refused, and what one reads to is a current record
+        // and fleet that read back to the same bytes.
+        let current = |record: Option<Record>, fleet: Option<FleetRecord>| {
+            if let Some(doc) = record.map(|r| r.doc()) {
+                assert_eq!(Record::from_doc(&doc).unwrap().doc().to_string(), doc.to_string());
+            }
+            if let Some(doc) = fleet.map(|f| f.doc()) {
+                assert_eq!(FleetRecord::from_doc(&doc).unwrap().doc().to_string(), doc.to_string());
+            }
+        };
+        for file in ["dist.json", "fleet.json"] {
+            let _ = std::fs::remove_file(dir.join("dist.json"));
+            let seeds: Vec<String> = match file {
+                "dist.json" => {
+                    (1..=3).map(|v| fixture(&format!("coordinator-dist{v}/dist.json"))).collect()
+                }
+                _ => vec![fixture("coordinator-fleet1/fleet.json")],
+            };
+            dx_integration::fuzz::check_reader(&seeds, 1024, |text| {
+                std::fs::write(dir.join(file), text)?;
+                let (record, fleet) = crate::migrate::open(&dir)?;
+                current(record, fleet);
+                Ok(())
+            });
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -202,6 +202,7 @@ impl Daemon for Coordinator {
     fn enroll(&self, worker_id: &str) -> Result<(usize, Msg), Refusal> {
         self.locked(|st, _| {
             let worker = st.fleet.admit(worker_id)?;
+            st.joined.insert(worker);
             self.metrics.connected.set(st.fleet.connected() as f64);
             let slot = worker as u64;
             Ok((worker, Msg::Welcome { slot, campaign_seed: 0, rng_state: None }))

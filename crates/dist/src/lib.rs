@@ -91,6 +91,7 @@ pub mod auth;
 pub mod coordinator;
 pub mod dispatcher;
 pub mod engine;
+mod migrate;
 pub mod proto;
 pub mod shutdown;
 pub mod spec;

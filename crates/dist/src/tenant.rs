@@ -14,9 +14,9 @@
 //! files (readable by `dx_campaign::Campaign::resume_from` and every
 //! existing tool, and loaded back through the same loader), plus
 //! `dist.json` (`Record`, v4: id, status, spec, requeue, per-identity
-//! RNG, quarantine) and `events.jsonl`. The loader also reads what older
-//! builds wrote: a coordinator's `dist.json` v1–v3, whose fleet fields it
-//! hands back as a `FleetRecord`, and a service's `tenant.json` v1.
+//! RNG, quarantine) and `events.jsonl`. `Record` reads only v4; what older
+//! builds wrote (a coordinator's `dist.json` v1–v3, a service's
+//! `tenant.json` v1) reaches it through the `migrate` module.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -26,14 +26,14 @@ use std::sync::Arc;
 use dx_campaign::codec::{
     diff_from_json, diff_json, rng_state_from_json, rng_state_json, u64_json,
 };
-use dx_campaign::json::{build, invalid, parse_doc, Json};
+use dx_campaign::json::{build, invalid, Json};
 use dx_campaign::ledger::Ledger;
 use dx_campaign::{EnergyModel, FoundDiff, ModelSuite};
 use dx_telemetry::events::{Level, Value};
 use dx_telemetry::{names, Counter, Gauge, MetricsRegistry};
 use dx_tensor::rng;
 
-use crate::coordinator::{top_up, Fields, FleetRecord, Outbox, COMPONENT};
+use crate::coordinator::{top_up, Fields, Outbox, COMPONENT};
 use crate::spec::CampaignSpec;
 
 /// Stream offset of a tenant's spot-check sampler.
@@ -140,8 +140,9 @@ pub struct Tenant {
     /// Stride-scheduling virtual time: grows by `granted / weight` on
     /// every grant; the runnable tenant with the smallest pass goes next.
     pub pass: f64,
-    /// The JSONL event feed, in memory; persisted whole at checkpoints.
-    pub events: Vec<String>,
+    /// The JSONL event feed, in memory, shared with the checkpoint that
+    /// appends its new lines to `events.jsonl`.
+    pub events: Arc<Vec<String>>,
     /// Its metric handles.
     pub metrics: TenantMetrics,
     /// Claimed diffs that failed re-execution, kept for inspection (capped
@@ -176,7 +177,7 @@ impl Tenant {
             ledger,
             worker_rng: BTreeMap::new(),
             pass: 0.0,
-            events: Vec::new(),
+            events: Arc::default(),
             metrics,
             quarantined: Vec::new(),
             quarantined_total: 0,
@@ -184,13 +185,12 @@ impl Tenant {
         }
     }
 
-    /// Restores a tenant from `dir`: the campaign checkpoint through the
-    /// one loader, its [`Record`] and its event feed. A plain campaign
-    /// checkpoint (no record) loads as running campaign 0. The tenant keeps
-    /// checkpointing into `dir`.
+    /// Restores a tenant from `dir` and its `record`: the campaign
+    /// checkpoint through the one loader, and its event feed. A plain
+    /// campaign checkpoint (no record) loads as running campaign 0. The
+    /// tenant keeps checkpointing into `dir`.
     ///
-    /// Returns the suite with the checkpointed profiles, the tenant, and
-    /// the fleet state an older `dist.json` carried.
+    /// Returns the suite with the checkpointed profiles and the tenant.
     ///
     /// # Errors
     ///
@@ -198,12 +198,12 @@ impl Tenant {
     /// other than `suite`'s.
     pub(crate) fn load(
         dir: &Path,
+        record: Option<Record>,
         suite: &ModelSuite,
         max_corpus: usize,
         energy: EnergyModel,
         registry: MetricsRegistry,
-    ) -> io::Result<(ModelSuite, Self, Option<FleetRecord>)> {
-        let (record, fleet) = Record::load(dir)?.map_or((None, None), |(r, f)| (Some(r), f));
+    ) -> io::Result<(ModelSuite, Self)> {
         let owed = record.as_ref().map(|r| (r.steps_done, r.pending.clone()));
         let (suite, ledger, _) = Ledger::load(dir, suite.clone(), max_corpus, energy, owed)?;
         let record = record.unwrap_or_else(|| Record::named(ledger.seed()));
@@ -212,10 +212,12 @@ impl Tenant {
         tenant.worker_rng = record.worker_rng;
         tenant.quarantined = record.quarantined;
         tenant.quarantined_total = record.quarantined_total;
-        tenant.events = std::fs::read_to_string(dir.join("events.jsonl"))
-            .map(|t| t.lines().map(str::to_string).collect())
-            .unwrap_or_default();
-        Ok((suite, tenant, fleet))
+        tenant.events = Arc::new(
+            std::fs::read_to_string(dir.join("events.jsonl"))
+                .map(|t| t.lines().map(str::to_string).collect())
+                .unwrap_or_default(),
+        );
+        Ok((suite, tenant))
     }
 
     /// Records event `kind` once: a line of the tenant's feed
@@ -230,7 +232,7 @@ impl Tenant {
             ("coverage", build::num(f64::from(self.ledger.mean_coverage()))),
         ];
         line.extend(fields.iter().map(|(key, value)| (*key, value_json(value))));
-        self.events.push(build::obj(line).to_string());
+        Arc::make_mut(&mut self.events).push(build::obj(line).to_string());
         let mut record = vec![("id", self.id.into())];
         record.extend(fields);
         out.emit(level, COMPONENT, format!("tenant_{kind}"), record);
@@ -331,59 +333,24 @@ impl Record {
         ])
     }
 
-    /// Reads `dir`'s `dist.json`, or else an older service's
-    /// `tenant.json`; `Ok(None)` when neither is there. A `dist.json`
-    /// older than v4 is a coordinator's: its fleet fields come back
-    /// alongside, and its worker streams, keyed by slot, go to the identity
-    /// bound to that slot (v1/v2 bind none, so theirs restart).
-    pub(crate) fn load(dir: &Path) -> io::Result<Option<(Self, Option<FleetRecord>)>> {
-        if let Some(doc) = read_doc(&dir.join("dist.json"))? {
-            let version = doc.opt_field::<usize>("version")?.unwrap_or(1);
-            let fleet = if version < 4 { Some(FleetRecord::from_slots(&doc)?) } else { None };
-            return Ok(Some((Self::from_doc(&doc, fleet.as_ref())?, fleet)));
-        }
-        read_doc(&dir.join("tenant.json"))?
-            .map(|doc| Ok((Self::from_doc(&doc, None)?, None)))
-            .transpose()
-    }
-
-    fn from_doc(doc: &Json, slots: Option<&FleetRecord>) -> io::Result<Self> {
-        let status = match doc.opt_field::<String>("status")? {
-            None => Status::Running,
-            Some(s) => Status::parse(&s).ok_or_else(|| invalid(format!("unknown status `{s}`")))?,
-        };
-        let spec = doc.opt_field_with("spec", CampaignSpec::from_json)?;
-        let worker_rng: Vec<(Option<String>, [u64; 4])> = doc.opt_list_with("worker_rng", |e| {
-            let who = match slots {
-                Some(f) => {
-                    let slot = usize::try_from(e.field::<u64>("slot")?).ok();
-                    let worker = slot.and_then(|s| f.workers.get(s));
-                    worker.map(|w| w.identity.clone()).filter(|id| !id.is_empty())
-                }
-                None => Some(e.field("worker_id")?),
-            };
-            Ok((who, e.field_with("state", rng_state_from_json)?))
-        })?;
-        let quarantined: Vec<FoundDiff> = doc.opt_list_with("quarantined", diff_from_json)?;
+    /// Reads a `dist.json` v4.
+    pub(crate) fn from_doc(doc: &Json) -> io::Result<Self> {
+        doc.require_version("dist.json", 4)?;
+        let status: String = doc.field("status")?;
+        let status =
+            Status::parse(&status).ok_or_else(|| invalid(format!("unknown status `{status}`")))?;
         Ok(Self {
-            id: doc.opt_field("id")?.unwrap_or(0),
+            id: doc.field("id")?,
             status,
-            spec: spec.unwrap_or_else(|| CampaignSpec::named("campaign")),
+            spec: doc.field_with("spec", CampaignSpec::from_json)?,
             steps_done: doc.field("steps_done")?,
-            pending: doc.opt_field("pending")?.unwrap_or_default(),
-            worker_rng: worker_rng.into_iter().filter_map(|(w, s)| Some((w?, s))).collect(),
-            quarantined_total: doc.opt_field("quarantined_total")?.unwrap_or(quarantined.len()),
-            quarantined,
+            pending: doc.field("pending")?,
+            worker_rng: doc.list_with("worker_rng", |e| {
+                Ok((e.field("worker_id")?, e.field_with("state", rng_state_from_json)?))
+            })?,
+            quarantined_total: doc.field("quarantined_total")?,
+            quarantined: doc.list_with("quarantined", diff_from_json)?,
         })
-    }
-}
-
-/// The document at `path`; `Ok(None)` when the file is absent.
-pub(crate) fn read_doc(path: &Path) -> io::Result<Option<Json>> {
-    match std::fs::read_to_string(path) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-        Ok(text) => Ok(Some(parse_doc(&text)?)),
     }
 }
 
@@ -425,12 +392,14 @@ pub(crate) mod tests {
             Ledger::new(corpus, s.signal.build(&s.models), seed, std::time::Instant::now());
         let snapshot = ledger.snapshot(1, Vec::new());
         let gate = dx_campaign::ledger::CheckpointGate::default();
-        gate.write(0, &snapshot, &dir, || Ok(())).unwrap();
+        gate.write(0, &snapshot, &dir, |_| Ok(())).unwrap();
         dir
     }
 
     fn load(dir: &Path) -> io::Result<Tenant> {
-        Tenant::load(dir, &suite(), 64, EnergyModel::Classic, MetricsRegistry::new()).map(|l| l.1)
+        let (record, _) = crate::migrate::open(dir)?;
+        let registry = MetricsRegistry::new();
+        Tenant::load(dir, record, &suite(), 64, EnergyModel::Classic, registry).map(|l| l.1)
     }
 
     /// The `dist.json` and feed a tenant's checkpoint writes.
@@ -441,73 +410,75 @@ pub(crate) mod tests {
         std::fs::write(dir.join("events.jsonl"), feed).unwrap();
     }
 
+    /// A file of a checked-in state directory under `tests/fixtures/state/`.
+    pub(crate) fn fixture(path: &str) -> String {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/state");
+        std::fs::read_to_string(root.join(path)).unwrap()
+    }
+
     #[test]
     fn tenant_json_and_events_round_trip_byte_equal() {
-        // A parent-written service tenant — `tenant.json` v1 plus its feed,
-        // every field non-default — loads, and its `dist.json` then
-        // re-loads to the same bytes.
-        let dir = campaign_dir("dx_dist_tenant_round_trip", u64::MAX - 1, 4);
-        let mut spec = CampaignSpec::named("acme");
-        spec.seed = u64::MAX - 1;
-        spec.seed_offset = 1;
-        spec.max_steps = Some(40);
-        spec.target_coverage = Some(0.5);
-        spec.quota = 0.5;
-        spec.weight = 2.0;
-        spec.metric = Some("neuron".into());
-        spec.constraint = Some("clip".into());
-        let rng_json = |w: &str, s: &[u64; 4]| {
-            build::obj(vec![("worker_id", build::str(w)), ("state", rng_state_json(s))])
-        };
-        let parent = build::obj(vec![
-            ("version", build::int(1)),
-            ("id", u64_json(7)),
-            ("status", build::str("paused")),
-            ("steps_done", build::int(5)),
-            ("pending", build::ints(&[3, 1])),
-            ("spec", spec.to_json()),
-            (
-                "worker_rng",
-                Json::Arr(vec![
-                    rng_json("w-cafe", &[1, 2, 3, u64::MAX]),
-                    rng_json("w-f00d", &[9; 4]),
-                ]),
-            ),
-        ]);
-        std::fs::write(dir.join("tenant.json"), parent.to_string() + "\n").unwrap();
-        let feed = "{\"event\":\"submitted\",\"seq\":0}\n{\"event\":\"paused\",\"seq\":1}\n";
-        std::fs::write(dir.join("events.jsonl"), feed).unwrap();
-
-        let tenant = load(&dir).unwrap();
-        assert_eq!((tenant.id, tenant.status, &tenant.spec), (7, Status::Paused, &spec));
-        assert_eq!(tenant.ledger.steps_done, 5);
-        assert_eq!(tenant.ledger.pending, [3, 1]);
-        assert_eq!(tenant.worker_rng.get("w-f00d"), Some(&[9; 4]));
-        assert_eq!(tenant.events.len(), 2);
-        save(&dir, &tenant);
-        let first = std::fs::read_to_string(dir.join("dist.json")).unwrap();
-        save(&dir, &load(&dir).unwrap());
-        assert_eq!(std::fs::read_to_string(dir.join("dist.json")).unwrap(), first);
-        assert_eq!(std::fs::read_to_string(dir.join("events.jsonl")).unwrap(), feed);
-        let _ = std::fs::remove_dir_all(&dir);
+        // An older service's tenants — the fixture's `tenant.json` v1 and
+        // feed, a finished one with every spec field non-default and a
+        // running one that owes seeds and knows another worker's stream —
+        // load, and their `dist.json` then re-loads to the same bytes.
+        for id in [0, 1] {
+            let dir = campaign_dir(&format!("dx_dist_tenant_round_trip_{id}"), 3, 4);
+            for file in ["tenant.json", "events.jsonl"] {
+                let text = fixture(&format!("service-tenant1/{id}/{file}"));
+                std::fs::write(dir.join(file), text).unwrap();
+            }
+            let feed = fixture(&format!("service-tenant1/{id}/events.jsonl"));
+            let tenant = load(&dir).unwrap();
+            assert_eq!(tenant.id, id);
+            assert_eq!(tenant.events.len(), feed.lines().count());
+            let spec = &tenant.spec;
+            assert_eq!(
+                (spec.seed_offset, spec.max_steps, spec.target_coverage),
+                (1, Some(8), Some(0.99))
+            );
+            assert_eq!(
+                (spec.quota, spec.weight, spec.metric.as_deref()),
+                (0.5, 2.0, Some("neuron"))
+            );
+            assert!(spec.constraint.as_deref().is_some_and(|c| c.starts_with("pdf_features:")));
+            if id == 0 {
+                assert_eq!(
+                    (tenant.status, spec.seed, tenant.ledger.steps_done),
+                    (Status::Done, u64::MAX - 1, 8)
+                );
+                assert!(tenant.worker_rng.contains_key("w-cafe"));
+            } else {
+                assert_eq!(
+                    (tenant.status, spec.seed, tenant.ledger.steps_done),
+                    (Status::Running, 9, 0)
+                );
+                assert_eq!(tenant.ledger.pending, [3, 1]);
+                assert_eq!(tenant.worker_rng.get("w-f00d"), Some(&[9; 4]));
+            }
+            save(&dir, &tenant);
+            let first = std::fs::read_to_string(dir.join("dist.json")).unwrap();
+            save(&dir, &load(&dir).unwrap());
+            assert_eq!(std::fs::read_to_string(dir.join("dist.json")).unwrap(), first);
+            assert_eq!(std::fs::read_to_string(dir.join("events.jsonl")).unwrap(), feed);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
     fn tenant_json_decoder_survives_mutation() {
-        // The parent `tenant.json` path of the loader, fed this build's
-        // record (a superset of the parent's keys).
+        // The `tenant.json` v1 of older services, through the migration:
+        // every mutant reads or is refused, and what one reads to is a
+        // `dist.json` v4 that reads back to the same bytes.
         let dir = std::env::temp_dir().join("dx_dist_tenant_fuzz");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let mut record = Record::named(3);
-        record.id = 7;
-        record.steps_done = 4;
-        record.pending = vec![1];
-        record.worker_rng.insert("w-cafe".into(), [1, 2, 3, u64::MAX]);
-        dx_integration::fuzz::check_decoder(&[record.doc().to_string()], 1024, |text| {
+        let seeds = ["0", "1"].map(|id| fixture(&format!("service-tenant1/{id}/tenant.json")));
+        dx_integration::fuzz::check_reader(&seeds, 1024, |text| {
             std::fs::write(dir.join("tenant.json"), text)?;
-            let (loaded, _) = Record::load(&dir)?.ok_or(io::ErrorKind::NotFound)?;
-            Ok(loaded.doc().to_string())
+            let doc = crate::migrate::open(&dir)?.0.ok_or(io::ErrorKind::NotFound)?.doc();
+            assert_eq!(Record::from_doc(&doc).unwrap().doc().to_string(), doc.to_string());
+            Ok(())
         });
         let _ = std::fs::remove_dir_all(&dir);
     }

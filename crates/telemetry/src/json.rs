@@ -118,6 +118,18 @@ impl Json {
         self.opt_field_with(key, |v| T::from_json(v).ok_or_else(|| mistyped::<T>(key)))
     }
 
+    /// `Ok` when this document, the contents of state file `file`, is at
+    /// format `version` — the one a live loader reads; otherwise
+    /// `InvalidData` carrying an [`UnknownVersion`].
+    pub fn require_version(&self, file: &'static str, version: usize) -> io::Result<()> {
+        let found = self.opt_field("version")?;
+        if found == Some(version) {
+            return Ok(());
+        }
+        let unknown = UnknownVersion { file, found, reads: version };
+        Err(io::Error::new(io::ErrorKind::InvalidData, unknown))
+    }
+
     /// Required field `key`, decoded by `read` — for types defined in
     /// other crates, which cannot implement [`FromJson`] there.
     pub fn field_with<T>(
@@ -306,6 +318,27 @@ impl std::fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// A state file at a format version its live loader does not read: a
+/// newer build's, or an older one's read without a migration.
+#[derive(Debug)]
+pub struct UnknownVersion {
+    /// The file, e.g. `meta.json`.
+    pub file: &'static str,
+    /// Its `version` field; `None` when it has none.
+    pub found: Option<usize>,
+    /// The one version the loader reads.
+    pub reads: usize,
+}
+
+impl std::fmt::Display for UnknownVersion {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let found = self.found.map_or_else(|| "no version".into(), |v| format!("version {v}"));
+        write!(f, "{} has {found}; this build reads version {}", self.file, self.reads)
+    }
+}
+
+impl std::error::Error for UnknownVersion {}
 
 /// A value the field reader can take out of a [`Json`] node.
 pub trait FromJson: Sized {

@@ -8,7 +8,9 @@
 //! and holds every decoder to one contract: each valid encoding decodes
 //! and re-encodes to the same bytes, every mutant decodes to `Ok` or
 //! `Err` without panicking, and an accepted mutant re-encodes to a
-//! document that round-trips byte-identical.
+//! document that round-trips byte-identical. A reader of a format no build
+//! writes any more ([`check_reader`]) has no encoder to round-trip
+//! through; it is held to the rest.
 
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
@@ -33,6 +35,36 @@ pub fn check_decoder(
     for seed in seeds {
         assert_eq!(round_trip(seed).unwrap(), *seed, "a valid encoding does not round-trip");
     }
+    fuzz(seeds, cases, |text| match round_trip(text) {
+        Ok(encoded) => match round_trip(&encoded) {
+            Ok(again) if again == encoded => Ok(()),
+            other => Err(format!("re-encoding `{encoded}` gave {other:?}")),
+        },
+        Err(_) => Ok(()),
+    });
+}
+
+/// Holds `read`, a reader of a format no build writes any more, to the
+/// part of the contract that has no encoder behind it: each of `seeds`
+/// (files an older build wrote) reads, and every one of `cases` mutants
+/// reads to `Ok` or `Err` without panicking.
+///
+/// # Panics
+///
+/// When a seed does not read, or `read` panics on a mutant.
+pub fn check_reader(seeds: &[String], cases: u32, mut read: impl FnMut(&str) -> io::Result<()>) {
+    for seed in seeds {
+        read(seed).unwrap();
+    }
+    fuzz(seeds, cases, |text| {
+        let _ = read(text);
+        Ok(())
+    });
+}
+
+/// Runs `check` over `cases` mutants of `seeds`, failing on its `Err` or
+/// a panic and naming the input.
+fn fuzz(seeds: &[String], cases: u32, mut check: impl FnMut(&str) -> Result<(), String>) {
     let mutants = Mutants { seeds };
     TestRunner::new(ProptestConfig::with_cases(cases)).run(&mut |rng| {
         let text = mutants.sample(rng);
@@ -40,18 +72,13 @@ pub fn check_decoder(
             let shown: String = text.chars().take(300).collect();
             TestCaseError::fail(format!("{why}\ninput ({} bytes): {shown}", text.len()))
         };
-        let first = panic::catch_unwind(AssertUnwindSafe(|| round_trip(&text))).map_err(|p| {
-            let msg = p.downcast_ref::<String>().map(String::as_str);
-            let msg = msg.or_else(|| p.downcast_ref::<&str>().copied()).unwrap_or("?");
-            fail(format!("the decoder panicked: {msg}"))
-        })?;
-        if let Ok(encoded) = first {
-            match round_trip(&encoded) {
-                Ok(again) if again == encoded => {}
-                other => return Err(fail(format!("re-encoding `{encoded}` gave {other:?}"))),
-            }
-        }
-        Ok(())
+        panic::catch_unwind(AssertUnwindSafe(|| check(&text)))
+            .map_err(|p| {
+                let msg = p.downcast_ref::<String>().map(String::as_str);
+                let msg = msg.or_else(|| p.downcast_ref::<&str>().copied()).unwrap_or("?");
+                fail(format!("the decoder panicked: {msg}"))
+            })?
+            .map_err(fail)
     });
 }
 
