@@ -258,46 +258,33 @@ fn jsonl(lines: impl IntoIterator<Item = impl Display>) -> String {
 pub fn load(dir: &Path) -> io::Result<CampaignState> {
     let meta = parse_doc(&fs::read_to_string(dir.join("meta.json"))?)?;
     let coverage = parse_doc(&fs::read_to_string(dir.join("coverage.json"))?)?;
-    decode(dir, &meta, Some(&coverage))
+    decode(dir, &meta, &coverage)
 }
 
 /// The checkpoint in `dir` under its `meta` and `coverage` documents, at
-/// the versions [`save`] writes; `coverage` is `None` only for a
-/// checkpoint from before coverage was persisted.
-pub(crate) fn decode(
-    dir: &Path,
-    meta: &Json,
-    coverage: Option<&Json>,
-) -> io::Result<CampaignState> {
+/// the versions [`save`] writes.
+pub(crate) fn decode(dir: &Path, meta: &Json, coverage: &Json) -> io::Result<CampaignState> {
     meta.require_version("meta.json", META_VERSION)?;
+    coverage.require_version("coverage.json", COVERAGE_VERSION)?;
     let corpus = read_jsonl(&dir.join("corpus.jsonl"), entry_from_json)?;
     let epochs = read_jsonl(&dir.join("stats.jsonl"), epoch_from_json)?;
     let diffs = read_jsonl(&dir.join("diffs.jsonl"), diff_from_json)?;
-    let (coverage, signal) = match coverage {
-        None => (None, SignalCheckpoint::neuron()),
-        Some(doc) => {
-            doc.require_version("coverage.json", COVERAGE_VERSION)?;
-            let masks: Vec<String> = doc.field("masks")?;
-            let masks = masks.iter().map(|m| m.chars().map(|c| c == '1').collect()).collect();
-            // An unknown or malformed spec is a clear error, not a panic: a
-            // corrupted checkpoint should say what it found.
-            let metric: String = doc.field("metric")?;
-            let metric = metric.parse().map_err(|e| invalid(format!("coverage.metric: {e}")))?;
-            let ranges = doc.opt_list_with("profiles", |p| {
-                Ok((
-                    p.field_with("low", ranges_from_json)?,
-                    p.field_with("high", ranges_from_json)?,
-                ))
-            })?;
-            (Some(masks), SignalCheckpoint { metric, ranges })
-        }
-    };
+    let masks: Vec<String> = coverage.field("masks")?;
+    let masks: Vec<Vec<bool>> =
+        masks.iter().map(|m| m.chars().map(|c| c == '1').collect()).collect();
+    // An unknown or malformed spec is a clear error, not a panic: a
+    // corrupted checkpoint should say what it found.
+    let metric: String = coverage.field("metric")?;
+    let metric = metric.parse().map_err(|e| invalid(format!("coverage.metric: {e}")))?;
+    let ranges = coverage.opt_list_with("profiles", |p| {
+        Ok((p.field_with("low", ranges_from_json)?, p.field_with("high", ranges_from_json)?))
+    })?;
     // A daemon's meta carries no streams: its workers' are in its own files.
     let worker_rng: Vec<_> = meta.opt_list_with("worker_rng", rng_state_from_json)?;
     // `workers` records the fleet width the checkpoint was written with.
     // When per-worker RNG streams are present the two must agree, or the
     // streams would be replayed against the wrong worker lanes.
-    let workers: usize = meta.field("workers")?;
+    let workers = meta.opt_field("workers")?.unwrap_or(worker_rng.len());
     if !worker_rng.is_empty() && workers != worker_rng.len() {
         return Err(invalid(format!(
             "meta.workers is {workers} but worker_rng has {} entries",
@@ -308,8 +295,8 @@ pub(crate) fn decode(
         corpus,
         epochs,
         diffs,
-        coverage,
-        signal,
+        coverage: (!masks.is_empty()).then_some(masks),
+        signal: SignalCheckpoint { metric, ranges },
         epochs_done: meta.field("epochs_done")?,
         campaign_seed: meta.field("campaign_seed")?,
         worker_rng,
@@ -661,6 +648,21 @@ mod tests {
         let unknown = unknown(&err);
         assert_eq!((unknown.file, unknown.found, unknown.reads), ("meta.json", Some(1), 2));
         assert_eq!(err.to_string(), "meta.json has version 1; this build reads version 2");
+        // Older builds did not always write `workers`: it is the streams'.
+        for (name, streams) in [("pool-meta1", 0), ("pool-meta2-cov3", 1)] {
+            let dir = tmp_dir(&format!("no_workers_{name}"));
+            fs::create_dir_all(&dir).unwrap();
+            for entry in fs::read_dir(fixture(name)).unwrap() {
+                let path = entry.unwrap().path();
+                fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+            }
+            let meta = parse_doc(&fs::read_to_string(dir.join("meta.json")).unwrap()).unwrap();
+            let Json::Obj(mut fields) = meta else { panic!("meta.json is an object") };
+            fields.retain(|(key, _)| key != "workers");
+            fs::write(dir.join("meta.json"), Json::Obj(fields).to_string()).unwrap();
+            assert_eq!(crate::migrate::load(&dir).unwrap().worker_rng.len(), streams);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

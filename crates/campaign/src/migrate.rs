@@ -1,61 +1,39 @@
-//! What older builds wrote into a checkpoint directory, read in one place.
-//! [`load`] upgrades an older `meta.json` or `coverage.json` in memory and
-//! decodes it with the live decoder, which reads only the versions this
-//! build writes. It never writes, so a forked resume leaves the directory
-//! it read untouched. Read here, each from a `tests/fixtures/state/`
-//! directory that tier-1 resumes: `meta.json` v1 (no worker RNG states:
-//! the streams re-derive from the seed); `coverage.json` v2 (one metric),
-//! v1 (no metric: neuron) and none at all (no masks: the corpus replays).
+//! What older builds wrote into a checkpoint directory, read in one
+//! place: [`load`] upgrades `meta.json` and `coverage.json` in memory to
+//! the versions this build writes and decodes them with the live decoder.
+//! It writes nothing, so a forked resume leaves the directory it read
+//! untouched. Each version read here has a `tests/fixtures/state/`
+//! directory that tier-1 resumes.
 
+use std::fs;
 use std::io;
 use std::path::Path;
 
 use crate::checkpoint::{decode, CampaignState, COVERAGE_VERSION, META_VERSION};
-use crate::json::{build, parse_doc, Json};
+use crate::json::{build, parse_doc, read_doc, Json};
 
-/// Loads the checkpoint in `dir`, whichever version wrote it. Writes
+/// Loads the checkpoint in `dir`, whichever build wrote it. Writes
 /// nothing.
 ///
 /// # Errors
 ///
 /// Missing files, malformed JSON, or a version no build wrote.
 pub fn load(dir: &Path) -> io::Result<CampaignState> {
-    let mut meta = parse_doc(&std::fs::read_to_string(dir.join("meta.json"))?)?;
+    let mut meta = parse_doc(&fs::read_to_string(dir.join("meta.json"))?)?;
+    // v1 held no worker RNG states: the streams re-derive from the seed.
     if meta.opt_field::<usize>("version")? == Some(1) {
-        set(&mut meta, "version", build::int(META_VERSION));
+        meta.set("version", build::int(META_VERSION));
     }
-    let mut coverage = read_doc(&dir.join("coverage.json"))?;
-    if let Some(doc) = &mut coverage {
-        let old = doc.opt_field::<usize>("version")?;
-        if old == Some(1) {
-            set(doc, "metric", build::str("neuron"));
-        }
-        if matches!(old, Some(1 | 2)) {
-            set(doc, "version", build::int(COVERAGE_VERSION));
-        }
+    // No file predates coverage persistence (no masks: the corpus
+    // replays); v1 held no metric (neuron), v2 one metric.
+    let none = || build::obj(vec![("version", build::int(1)), ("masks", Json::Arr(Vec::new()))]);
+    let mut coverage = read_doc(&dir.join("coverage.json"))?.unwrap_or_else(none);
+    let version = coverage.opt_field::<usize>("version")?;
+    if version == Some(1) {
+        coverage.set("metric", build::str("neuron"));
     }
-    decode(dir, &meta, coverage.as_ref())
-}
-
-/// Sets `key` in object `doc`, replacing its value or appending it: the
-/// edit every in-memory upgrade is made of.
-pub fn set(doc: &mut Json, key: &str, value: Json) {
-    if let Json::Obj(fields) = doc {
-        match fields.iter_mut().find(|(k, _)| k == key) {
-            Some((_, v)) => *v = value,
-            None => fields.push((key.into(), value)),
-        }
+    if matches!(version, Some(1 | 2)) {
+        coverage.set("version", build::int(COVERAGE_VERSION));
     }
-}
-
-/// The document at `path`; `Ok(None)` when the file is absent.
-///
-/// # Errors
-///
-/// Read failures other than absence, and malformed JSON.
-pub fn read_doc(path: &Path) -> io::Result<Option<Json>> {
-    match std::fs::read_to_string(path) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        text => Ok(Some(parse_doc(&text?)?)),
-    }
+    decode(dir, &meta, &coverage)
 }

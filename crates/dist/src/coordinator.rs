@@ -775,7 +775,8 @@ impl FleetRecord {
 mod tests {
     use super::*;
     use crate::engine::{Daemon, Refusal};
-    use crate::tenant::tests::{campaign_dir, fixture, suite};
+    use crate::tenant::tests::{campaign_dir, fixture, stream, suite};
+    use dx_campaign::json::parse_doc;
     use dx_campaign::FoundDiff;
     use dx_tensor::rng;
 
@@ -805,11 +806,14 @@ mod tests {
     fn dist_json_round_trips_byte_equal() {
         // A coordinator's `dist.json` v3 as older builds wrote it (the
         // fixture's: every field non-default, `quarantined_total` above the
-        // kept diffs, the next lease id past 2^53) resumes intact; the v4
-        // `dist.json` and `fleet.json` it is then written as resume to the
-        // same bytes.
+        // kept diffs; here with a next lease id near u64::MAX) resumes
+        // intact; the v4 `dist.json` and `fleet.json` it is then written as
+        // resume to the same bytes.
         let dir = campaign_dir("dx_dist_json_round_trip", 7, 6);
-        std::fs::write(dir.join("dist.json"), fixture("coordinator-dist3/dist.json")).unwrap();
+        let mut doc = parse_doc(&fixture("coordinator-dist3/dist.json")).unwrap();
+        doc.set("next_lease", u64_json(u64::MAX - 3));
+        std::fs::write(dir.join("dist.json"), doc.to_string() + "\n").unwrap();
+        let cafe = stream("coordinator-dist4-fleet2/dist.json", "w-cafe");
         let registry = MetricsRegistry::new();
         let cfg = CoordinatorConfig {
             checkpoint_dir: Some(dir.clone()),
@@ -823,11 +827,11 @@ mod tests {
             assert_eq!((t.ledger.seed(), t.ledger.steps_done), (7, 8));
             assert_eq!(t.ledger.pending, [4, 1]);
             assert_eq!((t.quarantined_total, t.quarantined.len()), (4, 1));
-            // Slot-keyed worker streams follow the identity on the slot.
-            let ids: Vec<&str> = t.worker_rng.keys().map(String::as_str).collect();
-            assert_eq!(ids, ["w-cafe", "w-f00d"]);
-            assert_eq!(t.worker_rng["w-f00d"], [9; 4]);
-            assert_eq!(st.fleet.leases.next_id(), (1 << 53) + 1);
+            // Slot-keyed worker streams follow the identity on the slot,
+            // every word intact.
+            let rng = BTreeMap::from([("w-cafe".into(), cafe), ("w-f00d".into(), [9; 4])]);
+            assert_eq!(t.worker_rng, rng);
+            assert_eq!(st.fleet.leases.next_id(), u64::MAX - 3);
             // Slot `s` loads at position `s`; the unbound slots between
             // are placeholders. The evicted identity stays burned.
             let ids: Vec<&str> = st.fleet.workers.iter().map(|w| w.identity.as_str()).collect();
@@ -863,7 +867,7 @@ mod tests {
         assert_eq!(cafe, 0, "w-cafe lost its position to a newcomer");
         assert_ne!(cy, cafe);
         let (_, fleet) = written(&c);
-        let doc = dx_campaign::json::parse_doc(&fleet).unwrap();
+        let doc = parse_doc(&fleet).unwrap();
         let rows: Vec<(String, usize, usize)> = doc
             .opt_list_with("workers", |e| {
                 Ok((e.field("worker_id")?, e.field("checked")?, e.field("failed")?))
@@ -891,9 +895,11 @@ mod tests {
         // and the identity-keyed worker streams intact; the v2 `fleet.json`
         // it is then written as resumes to the same bytes.
         let dir = campaign_dir("dx_fleet_json_v1", 7, 6);
-        for file in ["fleet.json", "dist.json"] {
-            std::fs::write(dir.join(file), fixture(&format!("coordinator-fleet1/{file}"))).unwrap();
-        }
+        let dist = fixture("coordinator-fleet1/dist.json");
+        std::fs::write(dir.join("dist.json"), dist).unwrap();
+        let mut fleet = parse_doc(&fixture("coordinator-fleet1/fleet.json")).unwrap();
+        fleet.set("next_lease", u64_json(u64::MAX - 3));
+        std::fs::write(dir.join("fleet.json"), fleet.to_string() + "\n").unwrap();
         let (cafe, f00d) = (
             Trust { checked: 4, failed: 1, evicted: false },
             Trust { checked: 3, failed: 2, evicted: true },
@@ -912,9 +918,12 @@ mod tests {
             let trust: Vec<Trust> = workers.iter().map(|w| w.trust).collect();
             let unbound = Trust::default();
             assert_eq!(trust, [cafe, unbound, unbound, unbound, unbound, f00d]);
-            assert_eq!(st.fleet.leases.next_id(), (1 << 53) + 1);
+            assert_eq!(st.fleet.leases.next_id(), u64::MAX - 3);
             let rng = &st.tenants[&0].worker_rng;
-            assert!(rng.contains_key("w-cafe"));
+            assert_eq!(
+                rng.get("w-cafe"),
+                Some(&stream("coordinator-dist4-fleet2/dist.json", "w-cafe"))
+            );
             assert_eq!(rng.get("w-f00d"), Some(&[9; 4]));
             assert_eq!(st.fleet.admit("w-f00d"), Err(Refusal::Burned(5)));
             assert_eq!(st.fleet.admit("w-cafe"), Ok(0));

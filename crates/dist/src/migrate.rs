@@ -1,24 +1,22 @@
-//! What older builds wrote into a daemon's directories, read in one place.
-//! [`open`] upgrades older documents in memory and decodes them with the
-//! live decoders, which read `dist.json` v4 ([`Record`]) and `fleet.json`
-//! v2 ([`FleetRecord`]) only; the campaign files beside them go through
-//! [`dx_campaign::migrate`]. It never writes, so a forked resume
-//! (`--resume A --checkpoint B`) leaves `A` untouched. Read here, each from
-//! a `tests/fixtures/state/` directory that tier-1 resumes: a
-//! coordinator's `dist.json` v1–v3 (its fleet fields, and worker streams
-//! keyed by slot, which go to the identity bound there; v1/v2 bind none,
-//! so theirs restart), `fleet.json` v1 (identities and trust keyed by
-//! slot) and a service's `tenant.json` v1. Slot `s` loads at position
-//! `s`; a slot no identity is bound to becomes a placeholder that keeps
-//! its trust.
+//! What older builds wrote into a daemon's directories, read in one
+//! place: [`open`] upgrades it in memory and decodes it with the live
+//! decoders, which read `dist.json` v4 ([`Record`]) and `fleet.json` v2
+//! ([`FleetRecord`]) only; the campaign files beside them go through
+//! [`dx_campaign::migrate`]. It writes nothing, so a forked resume
+//! (`--resume A --checkpoint B`) leaves `A` untouched. Read here, each
+//! with a `tests/fixtures/state/` directory that tier-1 resumes: a
+//! coordinator's `dist.json` v1–v3 and `fleet.json` v1, whose fleet
+//! fields and worker streams are keyed by slot, and a service's
+//! `tenant.json` v1. Slot `s` loads at position `s`, an unbound one as a
+//! placeholder that keeps its trust; a stream goes to the identity bound
+//! to its slot (v1/v2 bind none, so theirs restart).
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
 use dx_campaign::codec::u64_json;
-use dx_campaign::json::{build, invalid, Json};
-use dx_campaign::migrate::{read_doc, set};
+use dx_campaign::json::{build, invalid, read_doc, Json};
 
 use crate::coordinator::{trust, FleetRecord};
 use crate::engine::{Trust, Worker};
@@ -47,12 +45,13 @@ pub(crate) fn open(dir: &Path) -> io::Result<(Option<Record>, Option<FleetRecord
             let slots = from_slots(&doc)?;
             let streams: Vec<Option<Json>> = doc.opt_list_with("worker_rng", |e| {
                 let at = usize::try_from(e.field::<u64>("slot")?).ok();
-                let bound = at.and_then(|s| slots.workers.get(s));
-                let who = bound.map(|w| &w.identity).filter(|id| !id.is_empty());
+                let who = at.and_then(|s| slots.workers.get(s)).map(|w| w.identity.as_str());
                 let state = e.get("state").cloned().unwrap_or(Json::Null);
-                Ok(who.map(|id| build::obj(vec![("worker_id", build::str(id)), ("state", state)])))
+                Ok(who
+                    .filter(|id| !id.is_empty())
+                    .map(|id| build::obj(vec![("worker_id", build::str(id)), ("state", state)])))
             })?;
-            set(&mut doc, "worker_rng", Json::Arr(streams.into_iter().flatten().collect()));
+            doc.set("worker_rng", Json::Arr(streams.into_iter().flatten().collect()));
             fleet = fleet.or(Some(slots));
             Some(v4(doc))
         }
@@ -69,37 +68,36 @@ fn version(doc: &Json) -> io::Result<usize> {
     Ok(doc.opt_field("version")?.unwrap_or(1))
 }
 
-/// An older record as the `dist.json` v4 it stands for: what its version
-/// lacked, at the values that build meant (a coordinator's one running
-/// campaign 0, nothing quarantined).
+/// An older record as the `dist.json` v4 it stands for: what it lacks,
+/// at the values its build meant (a coordinator's one running campaign
+/// 0, nothing owed or quarantined, every kept quarantined diff counted).
 fn v4(mut doc: Json) -> Json {
+    let kept = doc.get("quarantined").and_then(Json::as_arr).map_or(0, <[Json]>::len);
     let defaults = [
         ("id", u64_json(0)),
         ("status", build::str("running")),
         ("spec", CampaignSpec::named("campaign").to_json()),
-        ("quarantined_total", build::int(0)),
+        ("pending", Json::Arr(Vec::new())),
+        ("worker_rng", Json::Arr(Vec::new())),
+        ("quarantined_total", build::int(kept)),
         ("quarantined", Json::Arr(Vec::new())),
     ];
     for (key, value) in defaults {
-        if doc.get(key).is_none() {
-            set(&mut doc, key, value);
+        if matches!(doc.get(key), None | Some(Json::Null)) {
+            doc.set(key, value);
         }
     }
-    set(&mut doc, "version", build::int(4));
+    doc.set("version", build::int(4));
     doc
-}
-
-/// A slot number, bounded.
-fn slot(e: &Json) -> io::Result<u64> {
-    match e.field::<u64>("slot")? {
-        s if s < MAX_SLOT => Ok(s),
-        s => Err(invalid(format!("slot {s} out of range"))),
-    }
 }
 
 /// The slot-keyed fleet fields of a `fleet.json` v1 or a `dist.json`
 /// v1–v3, by position.
 fn from_slots(doc: &Json) -> io::Result<FleetRecord> {
+    let slot = |e: &Json| match e.field::<u64>("slot")? {
+        s if s < MAX_SLOT => Ok(s),
+        s => Err(invalid(format!("slot {s} out of range"))),
+    };
     let identities: BTreeMap<u64, String> =
         doc.opt_list_with("identities", |e| Ok((slot(e)?, e.field("worker_id")?)))?;
     let trusts: BTreeMap<u64, Trust> = doc.opt_list_with("trust", |e| Ok((slot(e)?, trust(e)?)))?;
@@ -112,4 +110,53 @@ fn from_slots(doc: &Json) -> io::Result<FleetRecord> {
         })
         .collect();
     Ok(FleetRecord { next_lease: doc.opt_field("next_lease")?.unwrap_or(0), workers })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tenant::tests::fixture;
+    use crate::tenant::Status;
+    use dx_campaign::json::parse_doc;
+
+    /// The document at fixture path `path` without fields `keys`.
+    fn without(path: &str, keys: &[&str]) -> String {
+        let Json::Obj(mut fields) = parse_doc(&fixture(path)).unwrap() else { panic!("{path}") };
+        fields.retain(|(k, _)| !keys.contains(&k.as_str()));
+        Json::Obj(fields).to_string()
+    }
+
+    #[test]
+    fn what_older_builds_left_out_reads_as_what_they_meant() {
+        // Older loaders read each of these fields as optional.
+        let dir = std::env::temp_dir().join("dx_dist_migrate_defaults");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let open_record = |file: &str, doc: &str| {
+            std::fs::write(dir.join(file), doc).unwrap();
+            let (record, fleet) = open(&dir).unwrap();
+            (record.expect("a record"), fleet)
+        };
+        // A `dist.json` v3 without a quarantine total counts its kept diffs.
+        let gone = ["quarantined_total", "pending", "worker_rng"];
+        let (r, fleet) = open_record("dist.json", &without("coordinator-dist3/dist.json", &gone));
+        assert_eq!((r.quarantined_total, r.quarantined.len()), (1, 1));
+        assert!(r.pending.is_empty() && r.worker_rng.is_empty());
+        assert_eq!(fleet.map(|f| f.workers.len()), Some(6));
+        // The first `dist.json`, with no version: a coordinator's running
+        // campaign 0, nothing owed, an empty fleet.
+        let (r, fleet) = open_record("dist.json", "{\"steps_done\":3}");
+        assert_eq!((r.id, r.status, r.steps_done, r.quarantined_total), (0, Status::Running, 3, 0));
+        assert_eq!(r.spec, CampaignSpec::named("campaign"));
+        assert!(r.pending.is_empty() && r.worker_rng.is_empty() && r.quarantined.is_empty());
+        let fleet = fleet.expect("the fleet fields");
+        assert_eq!((fleet.next_lease, fleet.workers.len()), (0, 0));
+        // A service's `tenant.json` v1 without its requeue or streams.
+        std::fs::remove_file(dir.join("dist.json")).unwrap();
+        let tenant = without("service-tenant1/1/tenant.json", &["pending", "worker_rng"]);
+        let (r, fleet) = open_record("tenant.json", &tenant);
+        assert_eq!((r.id, r.status, r.spec.seed), (1, Status::Paused, 9));
+        assert!(r.pending.is_empty() && r.worker_rng.is_empty() && fleet.is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -360,6 +360,7 @@ pub(crate) mod tests {
     use deepxplore::constraints::Constraint;
     use deepxplore::generator::TaskKind;
     use deepxplore::Hyperparams;
+    use dx_campaign::json::parse_doc;
     use dx_campaign::Corpus;
     use dx_coverage::{CoverageConfig, SignalSpec};
     use dx_nn::layer::Layer;
@@ -416,22 +417,37 @@ pub(crate) mod tests {
         std::fs::read_to_string(root.join(path)).unwrap()
     }
 
+    /// `worker`'s RNG stream in the `dist.json` v4 at fixture path `dist`:
+    /// what an older version's fixture derived from it must load to. Some
+    /// of its words are past 2^53, where an f64 would round them.
+    pub(crate) fn stream(dist: &str, worker: &str) -> [u64; 4] {
+        let record = Record::from_doc(&parse_doc(&fixture(dist)).unwrap()).unwrap();
+        let state = record.worker_rng[worker];
+        assert!(state.iter().any(|&word| word > 1 << 53), "{state:?}");
+        state
+    }
+
     #[test]
     fn tenant_json_and_events_round_trip_byte_equal() {
         // An older service's tenants — the fixture's `tenant.json` v1 and
-        // feed, a finished one with every spec field non-default and a
-        // running one that owes seeds and knows another worker's stream —
-        // load, and their `dist.json` then re-loads to the same bytes.
-        for id in [0, 1] {
+        // feed: a finished one, and a paused one that owes seeds and knows
+        // another worker's stream, both with every spec field non-default —
+        // load with the spec and streams of the current-format tenant they
+        // were derived from, and their `dist.json` then re-loads to the
+        // same bytes.
+        for (id, status) in [(0, Status::Done), (1, Status::Paused)] {
             let dir = campaign_dir(&format!("dx_dist_tenant_round_trip_{id}"), 3, 4);
             for file in ["tenant.json", "events.jsonl"] {
                 let text = fixture(&format!("service-tenant1/{id}/{file}"));
                 std::fs::write(dir.join(file), text).unwrap();
             }
             let feed = fixture(&format!("service-tenant1/{id}/events.jsonl"));
+            let current = format!("service-dist4-fleet2/{id}/dist.json");
+            let current = Record::from_doc(&parse_doc(&fixture(&current)).unwrap()).unwrap();
             let tenant = load(&dir).unwrap();
-            assert_eq!(tenant.id, id);
+            assert_eq!((tenant.id, tenant.status), (id, status));
             assert_eq!(tenant.events.len(), feed.lines().count());
+            assert_eq!(tenant.spec, current.spec);
             let spec = &tenant.spec;
             assert_eq!(
                 (spec.seed_offset, spec.max_steps, spec.target_coverage),
@@ -443,18 +459,13 @@ pub(crate) mod tests {
             );
             assert!(spec.constraint.as_deref().is_some_and(|c| c.starts_with("pdf_features:")));
             if id == 0 {
-                assert_eq!(
-                    (tenant.status, spec.seed, tenant.ledger.steps_done),
-                    (Status::Done, u64::MAX - 1, 8)
-                );
-                assert!(tenant.worker_rng.contains_key("w-cafe"));
+                assert_eq!((spec.seed, tenant.ledger.steps_done), (u64::MAX - 1, 8));
+                let cafe = stream("service-dist4-fleet2/0/dist.json", "w-cafe");
+                assert_eq!(tenant.worker_rng, BTreeMap::from([("w-cafe".into(), cafe)]));
             } else {
-                assert_eq!(
-                    (tenant.status, spec.seed, tenant.ledger.steps_done),
-                    (Status::Running, 9, 0)
-                );
+                assert_eq!((spec.seed, tenant.ledger.steps_done), (9, 0));
                 assert_eq!(tenant.ledger.pending, [3, 1]);
-                assert_eq!(tenant.worker_rng.get("w-f00d"), Some(&[9; 4]));
+                assert_eq!(tenant.worker_rng, BTreeMap::from([("w-f00d".into(), [9; 4])]));
             }
             save(&dir, &tenant);
             let first = std::fs::read_to_string(dir.join("dist.json")).unwrap();

@@ -118,6 +118,17 @@ impl Json {
         self.opt_field_with(key, |v| T::from_json(v).ok_or_else(|| mistyped::<T>(key)))
     }
 
+    /// Sets field `key` of an object to `value`, in place or appended:
+    /// the one edit an in-memory format upgrade is made of.
+    pub fn set(&mut self, key: &str, value: Json) {
+        if let Json::Obj(fields) = self {
+            match fields.iter_mut().find(|(k, _)| k == key) {
+                Some((_, v)) => *v = value,
+                None => fields.push((key.into(), value)),
+            }
+        }
+    }
+
     /// `Ok` when this document, the contents of state file `file`, is at
     /// format `version` — the one a live loader reads; otherwise
     /// `InvalidData` carrying an [`UnknownVersion`].
@@ -406,6 +417,18 @@ fn mistyped<T: FromJson>(key: &str) -> io::Error {
 /// `InvalidData` carrying the [`JsonError`].
 pub fn parse_doc(text: &str) -> io::Result<Json> {
     parse(text).map_err(|e| invalid(e.to_string()))
+}
+
+/// The JSON document in file `path`; `Ok(None)` when there is no file.
+///
+/// # Errors
+///
+/// Read failures other than absence, and malformed JSON.
+pub fn read_doc(path: &std::path::Path) -> io::Result<Option<Json>> {
+    match std::fs::read_to_string(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        text => Ok(Some(parse_doc(&text?)?)),
+    }
 }
 
 /// Parses one JSON document.

@@ -5,16 +5,20 @@
 //! state directories on the PDF trio: a pool checkpoint, a coordinator
 //! checkpoint and a service state dir (one finished tenant, one running)
 //! in the formats this build writes, and one directory per older version
-//! the code still reads, derived from them with the documents older
-//! builds wrote. Each is resumed (the pool and the coordinator fork into a
-//! temp dir, so the fixture is only read; the service, which has no fork,
-//! runs on a copy), continued to a fixed budget with one worker, and the
-//! continued `corpus.jsonl`, `coverage.json` and `diffs.jsonl` must match
-//! the SHA-256 digests in the fixture's `SHA256SUMS` (as `continued/…`).
-//! The same file holds the digests of the fixture's own identity files,
-//! which a current-format fixture written afresh must reproduce.
+//! the code still reads, derived once from them with the documents older
+//! builds wrote and frozen since. Each is resumed (the pool and the
+//! coordinator fork into a temp dir, so the fixture is only read; the
+//! service, which has no fork, runs on a copy), continued to a fixed
+//! budget with one worker, and the continued `corpus.jsonl`,
+//! `coverage.json` and `diffs.jsonl` must match the SHA-256 digests in the
+//! fixture's `SHA256SUMS` (as `continued/…`). The same file holds the
+//! digests of the fixture's own identity files, which a current-format
+//! fixture written afresh must reproduce.
 //!
-//! Regenerating rewrites every fixture and its digests:
+//! Regenerating rewrites the current-format fixtures and every fixture's
+//! digests; it leaves the files of the older-format fixtures alone. (The
+//! rewritten `stats.jsonl` files carry wall-clock times, so they always
+//! change; the digests do not cover them.)
 //!
 //! ```text
 //! cargo test --release -p dx-integration --test state_fixtures -- --ignored --exact regenerate
@@ -22,21 +26,18 @@
 //!
 //! A change that alters a format adds a fixture and keeps the old ones:
 //! the directory that held the old current version stays as checked in
-//! (it leaves `write_current`, and `regenerate` stops rewriting it). A
-//! change that alters output bytes on purpose regenerates the digests and
-//! says so in CHANGES.md.
+//! (it leaves `CURRENT`, and `regenerate` stops rewriting it). A change
+//! that alters output bytes on purpose regenerates the digests and says so
+//! in CHANGES.md.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use deepxplore::constraints::Constraint;
-use deepxplore::diff::Prediction;
 use deepxplore::Hyperparams;
-use dx_campaign::codec::{diff_json, u64_json};
-use dx_campaign::json::{build, parse_doc, Json};
-use dx_campaign::migrate::set;
-use dx_campaign::{Campaign, CampaignConfig, FoundDiff, ModelSuite};
+use dx_campaign::json::Json;
+use dx_campaign::{Campaign, CampaignConfig, ModelSuite};
 use dx_coverage::{CoverageConfig, SignalSpec};
 use dx_dist::{serve_local, Coordinator, CoordinatorConfig, WorkerConfig};
 use dx_integration::test_zoo;
@@ -54,11 +55,12 @@ const B: usize = 4;
 /// equivalences call byte-equal.
 const IDENTITY: [&str; 3] = ["corpus.jsonl", "coverage.json", "diffs.jsonl"];
 
-/// The fixture directories, current formats first.
-const FIXTURES: [&str; 12] = [
-    "pool-meta2-cov3",
-    "coordinator-dist4-fleet2",
-    "service-dist4-fleet2",
+/// The fixtures in the formats this build writes, as [`write_current`]
+/// writes them.
+const CURRENT: [&str; 3] = ["pool-meta2-cov3", "coordinator-dist4-fleet2", "service-dist4-fleet2"];
+
+/// One fixture per older format the code reads, frozen as checked in.
+const OLDER: [&str; 9] = [
     "pool-meta1",
     "pool-cov2",
     "pool-cov1",
@@ -162,14 +164,14 @@ fn service(suite: &ModelSuite, pool: &Tensor, state: &Path) -> Service {
 fn write_current(root: &Path) {
     let (suite, pool) = pdf_suite();
     let seeds = gather_rows(&pool, &(0..8).collect::<Vec<_>>());
-    Campaign::new(suite.clone(), &seeds, pool_config(&root.join(FIXTURES[0]))).run().unwrap();
+    Campaign::new(suite.clone(), &seeds, pool_config(&root.join(CURRENT[0]))).run().unwrap();
 
-    let cfg = coordinator_config(&root.join(FIXTURES[1]), 2 * B);
+    let cfg = coordinator_config(&root.join(CURRENT[1]), 2 * B);
     let c = Coordinator::new(&suite, LABEL, &seeds, cfg);
     serve_local(&c, &suite, LABEL, worker(), 1).unwrap();
 
     // Every spec field off its default, the seed past 2^53.
-    let svc = service(&suite, &pool, &root.join(FIXTURES[2]));
+    let svc = service(&suite, &pool, &root.join(CURRENT[2]));
     let fingerprint = svc.fingerprint().clone();
     let spec = |name: &str, seed: u64| CampaignSpec {
         seed,
@@ -188,14 +190,6 @@ fn write_current(root: &Path) {
     svc.submit(spec("beta", 9)).unwrap();
 }
 
-fn read_doc(path: &Path) -> Json {
-    parse_doc(&fs::read_to_string(path).unwrap()).unwrap()
-}
-
-fn write_doc(path: &Path, doc: &Json) {
-    fs::write(path, doc.to_string() + "\n").unwrap();
-}
-
 fn copy_dir(from: &Path, to: &Path) {
     fs::create_dir_all(to).unwrap();
     for entry in fs::read_dir(from).unwrap() {
@@ -209,162 +203,9 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-/// `doc`'s fields named in `keys`, in that order.
-fn pick(doc: &Json, keys: &[&str]) -> Json {
-    let fields = keys.iter().filter_map(|&k| doc.get(k).map(|v| (k.to_string(), v.clone())));
-    Json::Obj(fields.collect())
-}
-
-/// A slot-keyed entry as older fleets wrote them.
-fn at_slot(slot: u64, fields: Vec<(&str, Json)>) -> Json {
-    let mut all = vec![("slot", u64_json(slot))];
-    all.extend(fields);
-    build::obj(all)
-}
-
-fn trust(checked: usize, failed: usize, evicted: bool) -> Vec<(&'static str, Json)> {
-    vec![
-        ("checked", build::int(checked)),
-        ("failed", build::int(failed)),
-        ("evicted", Json::Bool(evicted)),
-    ]
-}
-
-/// A lease id past 2^53: it round-trips only as a string.
-const NEXT_LEASE: u64 = (1 << 53) + 1;
-
-/// Derives the older-format fixtures from the current ones in `root`,
-/// with the documents the builds that read them wrote.
-fn write_legacy(root: &Path) {
-    // Pool: `meta.json` v1 (no worker streams), `coverage.json` v2 (one
-    // metric) and v1 (none), and none at all beside a v1 `meta.json`.
-    let pool = root.join(FIXTURES[0]);
-    let meta = read_doc(&pool.join("meta.json"));
-    let mut meta_v1 = pick(&meta, &["version", "epochs_done", "campaign_seed", "workers"]);
-    set(&mut meta_v1, "version", build::int(1));
-    let coverage = read_doc(&pool.join("coverage.json"));
-    let masks = coverage.get("masks").unwrap().clone();
-    for (name, meta, cov) in [
-        ("pool-meta1", Some(&meta_v1), Some(coverage.clone())),
-        (
-            "pool-cov2",
-            None,
-            Some(build::obj(vec![
-                ("version", build::int(2)),
-                ("metric", build::str("neuron")),
-                ("masks", masks.clone()),
-            ])),
-        ),
-        ("pool-cov1", None, Some(build::obj(vec![("version", build::int(1)), ("masks", masks)]))),
-        ("pool-nocov", Some(&meta_v1), None),
-    ] {
-        let dir = root.join(name);
-        copy_dir(&pool, &dir);
-        if let Some(meta) = meta {
-            write_doc(&dir.join("meta.json"), meta);
-        }
-        match cov {
-            Some(cov) => write_doc(&dir.join("coverage.json"), &cov),
-            None => fs::remove_file(dir.join("coverage.json")).unwrap(),
-        }
-    }
-
-    // Coordinator: `dist.json` v3, v2 and v1, with the fleet fields keyed
-    // by slot and no `fleet.json`; and `fleet.json` v1 beside `dist.json`
-    // v4. The fleet knows `w-cafe` at slot 0 and an evicted `w-f00d` at
-    // slot 5; slots 1–4 are unbound.
-    let coord = root.join(FIXTURES[1]);
-    let dist = read_doc(&coord.join("dist.json"));
-    let cafe = dist.get("worker_rng").unwrap().as_arr().unwrap()[0].get("state").unwrap().clone();
-    let f00d = dx_campaign::codec::rng_state_json(&[9; 4]);
-    let streams = Json::Arr(vec![
-        at_slot(0, vec![("state", cafe.clone())]),
-        at_slot(5, vec![("state", f00d.clone())]),
-    ]);
-    let trusts = Json::Arr(vec![at_slot(0, trust(4, 1, false)), at_slot(5, trust(3, 2, true))]);
-    let identities = Json::Arr(vec![
-        at_slot(0, vec![("worker_id", build::str(WORKER))]),
-        at_slot(5, vec![("worker_id", build::str("w-f00d"))]),
-    ]);
-    // One claim quarantined, four counted; two seeds owed to the queue.
-    let corpus = fs::read_to_string(coord.join("corpus.jsonl")).unwrap();
-    let entry =
-        dx_campaign::codec::entry_from_json(&parse_doc(corpus.lines().next().unwrap()).unwrap());
-    let quarantined = diff_json(&FoundDiff {
-        seed_id: 2,
-        epoch: 1,
-        input: entry.unwrap().input,
-        predictions: vec![Prediction::Class(0), Prediction::Class(1)],
-        iterations: 5,
-        target_model: 1,
-    });
-    for (name, version) in
-        [("coordinator-dist3", 3), ("coordinator-dist2", 2), ("coordinator-dist1", 1)]
-    {
-        let mut fields = vec![
-            ("version", build::int(version)),
-            ("steps_done", dist.get("steps_done").unwrap().clone()),
-            ("next_lease", u64_json(NEXT_LEASE)),
-            ("pending", build::ints(&[4, 1])),
-            ("worker_rng", streams.clone()),
-        ];
-        if version >= 2 {
-            fields.push(("trust", trusts.clone()));
-        }
-        if version >= 3 {
-            fields.push(("identities", identities.clone()));
-        }
-        if version >= 2 {
-            fields.push(("quarantined_total", build::int(4)));
-            fields.push(("quarantined", Json::Arr(vec![quarantined.clone()])));
-        }
-        let dir = root.join(name);
-        copy_dir(&coord, &dir);
-        fs::remove_file(dir.join("fleet.json")).unwrap();
-        write_doc(&dir.join("dist.json"), &build::obj(fields));
-    }
-    let dir = root.join("coordinator-fleet1");
-    copy_dir(&coord, &dir);
-    let mut v4 = dist.clone();
-    let rng = |id: &str, state: &Json| {
-        build::obj(vec![("worker_id", build::str(id)), ("state", state.clone())])
-    };
-    set(&mut v4, "worker_rng", Json::Arr(vec![rng(WORKER, &cafe), rng("w-f00d", &f00d)]));
-    write_doc(&dir.join("dist.json"), &v4);
-    write_doc(
-        &dir.join("fleet.json"),
-        &build::obj(vec![
-            ("version", build::int(1)),
-            ("next_lease", u64_json(NEXT_LEASE)),
-            ("identities", identities),
-            ("trust", trusts),
-        ]),
-    );
-
-    // Service: each tenant's `tenant.json` v1, and no `fleet.json`. The
-    // running one owes seeds 3 and 1 to its queue and knows a stream of
-    // `w-f00d`'s.
-    let dir = root.join("service-tenant1");
-    copy_dir(&root.join(FIXTURES[2]), &dir);
-    fs::remove_file(dir.join("fleet.json")).unwrap();
-    for id in ["0", "1"] {
-        let tenant = dir.join(id);
-        let v4 = read_doc(&tenant.join("dist.json"));
-        let keys = ["version", "id", "status", "steps_done", "pending", "spec", "worker_rng"];
-        let mut v1 = pick(&v4, &keys);
-        set(&mut v1, "version", build::int(1));
-        if id == "1" {
-            set(&mut v1, "pending", build::ints(&[3, 1]));
-            set(&mut v1, "worker_rng", Json::Arr(vec![rng("w-f00d", &f00d)]));
-        }
-        fs::remove_file(tenant.join("dist.json")).unwrap();
-        write_doc(&tenant.join("tenant.json"), &v1);
-    }
-}
-
 /// Resumes fixture `name` from `from` and continues it into `into`: the
 /// pool two more epochs, the coordinator to 16 steps, the service until
-/// its running campaign is done.
+/// its second campaign is done (resumed first if it was paused).
 fn continue_fixture(name: &str, from: &Path, into: &Path) {
     let (suite, pool) = pdf_suite();
     if name.starts_with("pool-") {
@@ -376,7 +217,11 @@ fn continue_fixture(name: &str, from: &Path, into: &Path) {
         serve_local(&c, &suite, LABEL, worker(), 1).unwrap();
     } else {
         copy_dir(from, into);
-        serve_until_done(&service(&suite, &pool, into), &suite, 1);
+        let svc = service(&suite, &pool, into);
+        if svc.status(1).unwrap().get("status").and_then(Json::as_str) == Some("paused") {
+            svc.resume(1).unwrap();
+        }
+        serve_until_done(&svc, &suite, 1);
     }
 }
 
@@ -430,7 +275,7 @@ fn is_continued(line: &str) -> bool {
 
 #[test]
 fn every_fixture_resumes_and_continues_to_its_digests() {
-    for name in FIXTURES {
+    for name in CURRENT.into_iter().chain(OLDER) {
         let from = fixtures().join(name);
         let before = files(&from);
         let into = tmp_dir(name);
@@ -446,22 +291,25 @@ fn every_fixture_resumes_and_continues_to_its_digests() {
 fn current_fixtures_regenerate_to_their_digests() {
     let root = tmp_dir("regenerate");
     write_current(&root);
-    for name in &FIXTURES[..3] {
+    for name in CURRENT {
         let want: Vec<String> = recorded(name).into_iter().filter(|l| !is_continued(l)).collect();
         assert_eq!(digests(&root.join(name), ""), want, "{name} is written as other bytes now");
     }
     let _ = fs::remove_dir_all(&root);
 }
 
-/// The regeneration command (see the module docs).
+/// The regeneration command (see the module docs): it rewrites the
+/// current-format fixtures, and every fixture's digests from its files and
+/// its continuation.
 #[test]
 #[ignore = "rewrites tests/fixtures/state; run by hand"]
 fn regenerate() {
     let root = fixtures();
-    let _ = fs::remove_dir_all(&root);
+    for name in CURRENT {
+        let _ = fs::remove_dir_all(root.join(name));
+    }
     write_current(&root);
-    write_legacy(&root);
-    for name in FIXTURES {
+    for name in CURRENT.into_iter().chain(OLDER) {
         let dir = root.join(name);
         let into = tmp_dir(name);
         continue_fixture(name, &dir, &into);
